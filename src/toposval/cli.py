@@ -257,7 +257,7 @@ def cmd_ks(args) -> tuple[dict, int]:
             [poset.context(cid) for cid in poset.maximal_ids()], tol
         )
         expected = args.expect or "none"
-    verdict = global_section_search(poset)
+    verdict = global_section_search(poset, tol=tol)
     result = {
         "contextCount": len(poset.ids),
         "fixture": fixture_report,

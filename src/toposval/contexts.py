@@ -303,16 +303,15 @@ def build_poset(
 ) -> ContextPoset:
     """Build the inclusion poset of the given contexts.
 
-    Duplicate algebras (mutual inclusion) are merged onto the first id seen.
-    With `add_trivial` the one-atom context is inserted; with
-    `close_under_meets` common coarsenings (algebra intersections) are added
-    until closure.  `dim` is only needed when no contexts are given.
+    Duplicate algebras (the same atoms within `tol.atom`) are merged onto
+    the first id seen.  With `add_trivial` the one-atom context is inserted;
+    with `close_under_meets` common coarsenings (algebra intersections) are
+    added until closure.  `dim` is only needed when no contexts are given.
 
     Which finite fragment of the full inclusion order is rich enough for a
     given law is the caller's choice; every verification in this package is
     relative to the supplied poset.
     """
-    ctxs: list[Context] = []
     if contexts:
         dim = contexts[0].dim
         for c in contexts:
@@ -320,25 +319,25 @@ def build_poset(
                 raise ContextError("contexts of mixed dimension")
     elif add_trivial and dim is None:
         raise ContextError("no contexts given: pass dim to add the trivial context")
+    store = _ContextStore(tol)
     for c in contexts:
-        if not any(inclusion(c, d, tol) and inclusion(d, c, tol) for d in ctxs):
-            ctxs.append(c)
-    if add_trivial and not any(c.n_atoms == 1 for c in ctxs):
-        ctxs.append(trivial_context(dim))
+        store.add_if_new(c)
+    if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
+        store.add_if_new(trivial_context(dim))
     if close_under_meets:
-        ctxs = _close_under_meets(ctxs, tol)
+        store.close_under_meets()
+    ctxs = store.ctxs
     ids = [c.id for c in ctxs]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ContextError(f"distinct contexts share ids: {dupes}")
     order = set()
     pmaps = {}
-    for a in ctxs:
-        for b in ctxs:
-            pm = _partition_map(a, b, tol)
-            if pm is not None:
-                order.add((a.id, b.id))
-                pmaps[(a.id, b.id)] = pm
+    for a, b in store.inclusion_candidates():
+        pm = _partition_map(a, b, tol)
+        if pm is not None:
+            order.add((a.id, b.id))
+            pmaps[(a.id, b.id)] = pm
     poset = ContextPoset(
         contexts={c.id: c for c in ctxs},
         order=frozenset(order),
@@ -348,49 +347,171 @@ def build_poset(
     return poset
 
 
-def _close_under_meets(ctxs: list[Context], tol: Tolerances) -> list[Context]:
-    """Add pairwise algebra intersections until closure (trivial meets skipped)."""
-    out = list(ctxs)
-    made = 1
-    while made:
-        made = 0
-        for a, b in itertools.combinations(list(out), 2):
-            m = _meet(a, b, tol)
-            if m is None:
-                continue
-            if not any(inclusion(m, d, tol) and inclusion(d, m, tol) for d in out):
-                meet_id = f"meet({a.id},{b.id})"
-                out.append(Context(meet_id, m.atoms, tol=tol))
-                made += 1
+class _ContextStore:
+    """The contexts of one `build_poset` call, with their lattice elements
+    interned.
+
+    Each projector that is a sum of one context's atoms is stored once: it
+    joins the first stored projector within `tol.atom` in max-abs entries
+    (the test `Projector.equals` makes), or gets a new id.  A context is
+    then keyed by the set of its atoms' ids, so two contexts are the same
+    algebra exactly when their keys match, and a candidate meet is looked up
+    before any `Context` is built for it.
+    """
+
+    def __init__(self, tol: Tolerances):
+        self.tol = tol
+        self.ctxs: list[Context] = []
+        self.stacks: list[np.ndarray] = []   # atom entries of ctxs[k], shape (n_atoms, dim, dim)
+        self.keys: set[frozenset[int]] = set()
+        self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
+        self._stored: np.ndarray | None = None   # interned entries, shape (n, dim, dim)
+
+    def _intern(self, entries: np.ndarray) -> int:
+        if self._stored is None:
+            self._stored = entries[None]
+            return 0
+        hits = np.flatnonzero(np.abs(self._stored - entries).max(axis=(1, 2)) < self.tol.atom)
+        if hits.size:
+            return int(hits[0])
+        self._stored = np.concatenate([self._stored, entries[None]])
+        return len(self._stored) - 1
+
+    def _element(self, k: int, mask: int) -> int:
+        """The id of lattice element `mask` of the k-th context."""
+        eid = self._element_ids.get((k, mask))
+        if eid is None:
+            eid = self._intern(self.stacks[k][_bits(mask)].sum(axis=0))
+            self._element_ids[(k, mask)] = eid
+        return eid
+
+    def add_if_new(self, c: Context) -> None:
+        stack = np.stack([a.entries for a in c.atoms])
+        atom_ids = [self._intern(e) for e in stack]
+        key = frozenset(atom_ids)
+        if key in self.keys:
+            return
+        k = len(self.ctxs)
+        self.ctxs.append(c)
+        self.stacks.append(stack)
+        self.keys.add(key)
+        for i, eid in enumerate(atom_ids):
+            self._element_ids[(k, 1 << i)] = eid
+
+    def close_under_meets(self) -> None:
+        """Add pairwise algebra intersections until closure (trivial meets
+        skipped).
+
+        Each round visits the pairs of a snapshot in `itertools.combinations`
+        order, as a plain rescan would, so each new meet keeps the id of the
+        first pair that produces it.  A pair whose contexts both predate the
+        previous round was met then, and its meet is present, so it is
+        skipped.
+        """
+        old = 0
+        while True:
+            n = len(self.ctxs)
+            for i in range(n):
+                for j in range(max(i + 1, old), n):
+                    masks = _meet_masks(self.stacks[i], self.stacks[j], self.tol)
+                    if len(masks) <= 1:
+                        continue
+                    if frozenset(self._element(i, m) for m in masks) in self.keys:
+                        continue
+                    a, b = self.ctxs[i], self.ctxs[j]
+                    atoms = [a.projector(m) for m in masks]
+                    self.add_if_new(Context(f"meet({a.id},{b.id})", atoms, tol=self.tol))
+            if len(self.ctxs) == n:
+                return
+            old = n
+
+    def inclusion_candidates(self):
+        """The (a, b) pairs, in row order, that may satisfy a <= b.
+
+        For a <= b each atom a_i is the sum of the b-atoms b_k with
+        tr(a_i b_k) > rank(b_k) / 2, so those ranks add up to rank(a_i);
+        pairs failing that rank count are dropped before `_partition_map`.
+        """
+        if not self.ctxs:
+            return
+        every = np.concatenate(self.stacks)
+        dim = every.shape[1]
+        transposed = every.transpose(0, 2, 1).reshape(len(every), dim * dim)
+        ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
+        starts = np.cumsum([0] + [len(s) for s in self.stacks[:-1]])
+        for a, sa in zip(self.ctxs, self.stacks):
+            overlap = (sa.reshape(len(sa), dim * dim) @ transposed.T).real
+            covered = np.add.reduceat(np.where(overlap > ranks / 2, ranks, 0), starts, axis=1)
+            a_ranks = np.array([p.rank for p in a.atoms])
+            for j in np.flatnonzero((covered == a_ranks[:, None]).all(axis=0)):
+                yield a, self.ctxs[j]
+
+
+def _meet_masks(sa: np.ndarray, sb: np.ndarray, tol: Tolerances) -> list[int]:
+    """Atoms of the intersection of two contexts' algebras, as increasing
+    masks over the first context's atoms; given stacked atom entries.
+
+    Link a_i to b_j when max|a_i b_j| >= tol.atom (they are not orthogonal)
+    and take the connected components.  A common element is a sum of whole
+    components, so a component whose a-sum equals its b-sum within
+    `tol.atom` is an atom of the meet, and all other components together
+    form one more.  In exact arithmetic every component is an atom; the
+    merged one arises when overlaps below `tol.atom` split a component.
+    One mask means the meet is trivial.
+    """
+    link = (np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom).tolist()
+    b_of = [sum(1 << j for j, x in enumerate(row) if x) for row in link]
+    a_of = [sum(1 << i for i, row in enumerate(link) if row[j]) for j in range(len(sb))]
+    masks: list[int] = []
+    rest = 0
+    free = (1 << len(sa)) - 1
+    while free:
+        in_a = free & -free
+        while True:
+            in_b = _union(b_of, in_a)
+            grown = in_a | _union(a_of, in_b)
+            if grown == in_a:
+                break
+            in_a = grown
+        free &= ~in_a
+        if not free and not rest:
+            masks.append(in_a)   # the last component is an atom either way
+        elif np.max(np.abs(sa[_bits(in_a)].sum(axis=0) - sb[_bits(in_b)].sum(axis=0))) < tol.atom:
+            masks.append(in_a)
+        else:
+            rest |= in_a
+    if rest:
+        masks.append(rest)
+    return sorted(masks)
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _union(masks: list[int], select: int) -> int:
+    out = 0
+    for i in _bits(select):
+        out |= masks[i]
     return out
 
 
-def _meet(a: Context, b: Context, tol: Tolerances) -> Context | None:
-    """The intersection algebra of two contexts; None when it is trivial."""
-    if a.n_atoms > MAX_ATOMS_FOR_LATTICE:
-        raise ContextError("meet enumeration bound exceeded")
-    common: list[int] = []
-    for mask in range(1, 1 << a.n_atoms):
-        if b.member_mask(a.projector(mask), tol) is not None:
-            common.append(mask)
-    # atoms of the meet = minimal non-zero common elements
-    minimal = [m for m in common if not any(o != m and o & m == o for o in common)]
-    if len(minimal) <= 1:
-        return None
-    atoms = [a.projector(m) for m in minimal]
-    return Context("meet", atoms, tol=tol)
-
-
 def _check_partial_order(poset: ContextPoset) -> None:
+    """Reflexivity, antisymmetry and transitivity of `poset.order` over its
+    ids, on int-bitmask down-sets."""
     ids = poset.ids
-    for x in ids:
-        if not poset.leq(x, x):
+    index = {x: i for i, x in enumerate(ids)}
+    down = [0] * len(ids)   # bit i of down[j] set when ids[i] <= ids[j]
+    for sub, sup in poset.order:
+        if sub in index and sup in index:
+            down[index[sup]] |= 1 << index[sub]
+    for i in range(len(ids)):
+        if not down[i] >> i & 1:
             raise ContextError("inclusion is not reflexive")
-    for x, y in itertools.combinations(ids, 2):
-        if poset.leq(x, y) and poset.leq(y, x):
-            raise ContextError(f"distinct contexts {x!r}, {y!r} are mutually included")
-    for x in ids:
-        for y in ids:
-            for z in ids:
-                if poset.leq(x, y) and poset.leq(y, z) and not poset.leq(x, z):
-                    raise ContextError("inclusion is not transitive")
+    for i, x in enumerate(ids):
+        for j in _bits(down[i]):
+            if j > i and down[j] >> i & 1:
+                raise ContextError(f"distinct contexts {x!r}, {ids[j]!r} are mutually included")
+    for j in range(len(ids)):
+        if any(down[i] & ~down[j] for i in _bits(down[j])):
+            raise ContextError("inclusion is not transitive")

@@ -56,12 +56,13 @@ def section_verify(poset: ContextPoset, assignment: dict[str, int],
         op = HermitianOperator(gen, tol=tol)
         at_sup = evaluate(poset.context(sup), Character(sup, assignment[sup]), op, tol)
         at_sub = evaluate(v_sub, Character(sub, assignment[sub]), op, tol)
-        if abs(at_sup - at_sub) > 1e-7:
+        if abs(at_sup - at_sub) > tol.recon:
             return False
     return True
 
 
-def global_section_search(poset: ContextPoset, _replay: bool = True) -> dict:
+def global_section_search(poset: ContextPoset, _replay: bool = True,
+                          tol: Tolerances = DEFAULT) -> dict:
     """Backtracking search for a global section.
 
     Chooses one atom per maximal context (sorted id order, ascending atom
@@ -69,12 +70,13 @@ def global_section_search(poset: ContextPoset, _replay: bool = True) -> dict:
     propagates restrictions to every lower context, pruning on conflict.
     Returns {"exists", "witness", "nodesExplored"}; a non-existence verdict
     means the tree was exhausted, and is confirmed by an order-reversed
-    rerun before being reported.
+    rerun before being reported.  A found witness is re-checked by
+    `section_verify` at `tol`.
     """
     maximal = poset.maximal_ids()
     verdict = _search(poset, maximal)
     if verdict["exists"]:
-        if not section_verify(poset, verdict["witness"]):
+        if not section_verify(poset, verdict["witness"], tol):
             raise RuntimeError("search produced a section that fails verification")
     elif _replay:
         reversed_verdict = _search(poset, list(reversed(maximal)))

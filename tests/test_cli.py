@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import toposval.ks
 from toposval.cli import main
 
 FIXA = {
@@ -184,6 +185,21 @@ def test_tolerance_override(tmp_path, fixa_file):
                        "--tol", "atom=1e-6")
     assert code == 0
     assert report["tolerances"]["atom"] == 1e-6
+
+
+def test_ks_tolerances_reach_section_verify(tmp_path, fixa_file, monkeypatch):
+    seen = []
+    verify = toposval.ks.section_verify
+
+    def spy(poset, assignment, tol):
+        seen.append(tol.recon)
+        return verify(poset, assignment, tol)
+
+    monkeypatch.setattr(toposval.ks, "section_verify", spy)
+    code, report = run(tmp_path, "ks", "--input", fixa_file, "--add-trivial",
+                       "--expect", "exists", "--tol", "recon=2e-7")
+    assert code == 0 and report["result"]["exists"]
+    assert seen == [2e-7]
 
 
 def test_table_format(tmp_path, fixa_file, capsys):

@@ -1,0 +1,338 @@
+"""Differential tests for meet closure and the partial-order check.
+
+`build_poset` closes under meets with the component rule, interned
+lattice elements and a pair worklist, and checks the order on int-bitmask
+down-sets.  The enumerating meet, the rescan-every-pair closure with
+two-way `inclusion` duplicate tests, the all-pairs partition maps and the
+triple-loop order check are kept here as oracles.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from toposval.contexts import (
+    Context,
+    ContextError,
+    ContextPoset,
+    _check_partial_order,
+    _meet_masks,
+    _partition_map,
+    build_poset,
+    inclusion,
+    trivial_context,
+)
+from toposval.ks import load_bundled_ks
+from toposval.linalg import Projector
+from toposval.sampling import (
+    context_from_basis,
+    random_partition,
+    random_poset,
+    random_unitary,
+)
+from toposval.tolerances import DEFAULT
+
+
+def _meet_enumerate(a, b, tol=DEFAULT):
+    """Minimal non-zero common lattice elements, as masks over a's atoms,
+    found by testing all 2^n masks of a for membership in b."""
+    common = [m for m in range(1, 1 << a.n_atoms)
+              if b.member_mask(a.projector(m), tol) is not None]
+    return [m for m in common if not any(o != m and o & m == o for o in common)]
+
+
+def _stack(c):
+    return np.stack([a.entries for a in c.atoms])
+
+
+def _check_partial_order_triples(poset):
+    ids = poset.ids
+    for x in ids:
+        if not poset.leq(x, x):
+            raise ContextError("inclusion is not reflexive")
+    for x, y in itertools.combinations(ids, 2):
+        if poset.leq(x, y) and poset.leq(y, x):
+            raise ContextError(f"distinct contexts {x!r}, {y!r} are mutually included")
+    for x in ids:
+        for y in ids:
+            for z in ids:
+                if poset.leq(x, y) and poset.leq(y, z) and not poset.leq(x, z):
+                    raise ContextError("inclusion is not transitive")
+
+
+def _build_poset_reference(contexts, add_trivial=False, close_under_meets=False, tol=DEFAULT):
+    """Rescan every pair each round, detect duplicates by mutual inclusion,
+    and try a partition map on every ordered pair."""
+    def same(c, d):
+        return inclusion(c, d, tol) and inclusion(d, c, tol)
+
+    ctxs = []
+    for c in contexts:
+        if not any(same(c, d) for d in ctxs):
+            ctxs.append(c)
+    if add_trivial and not any(c.n_atoms == 1 for c in ctxs):
+        ctxs.append(trivial_context(contexts[0].dim))
+    made = close_under_meets
+    while made:
+        made = False
+        for a, b in itertools.combinations(list(ctxs), 2):
+            minimal = _meet_enumerate(a, b, tol)
+            if len(minimal) <= 1:
+                continue
+            m = Context("meet", [a.projector(x) for x in minimal], tol=tol)
+            if not any(same(m, d) for d in ctxs):
+                ctxs.append(Context(f"meet({a.id},{b.id})", m.atoms, tol=tol))
+                made = True
+    order, pmaps = set(), {}
+    for a in ctxs:
+        for b in ctxs:
+            pm = _partition_map(a, b, tol)
+            if pm is not None:
+                order.add((a.id, b.id))
+                pmaps[(a.id, b.id)] = pm
+    poset = ContextPoset(contexts={c.id: c for c in ctxs}, order=frozenset(order),
+                         partition_maps=pmaps)
+    _check_partial_order_triples(poset)
+    return poset
+
+
+def _assert_same_poset(got, want):
+    assert got.ids == want.ids
+    assert got.order == want.order
+    assert list(got.partition_maps.items()) == list(want.partition_maps.items())
+    for cid in want.ids:
+        g, w = got.context(cid).atoms, want.context(cid).atoms
+        assert len(g) == len(w)
+        for p, q in zip(g, w):
+            assert np.array_equal(p.entries, q.entries), cid
+
+
+def _refinement(rng, blocks):
+    out = []
+    for block in blocks:
+        for part in random_partition(rng, len(block)):
+            out.append(sorted(block[i] for i in part))
+    return out
+
+
+def _random_meet_pair(rng, kind):
+    """Two contexts in dimension 2-6.  Kind 0: independent bases; 1: one
+    basis, two partitions; 2: bases differing inside the blocks of a shared
+    coarsening, each partition refining it; 3: bases sharing the columns
+    outside a rotated subset, free partitions."""
+    dim = int(rng.integers(2, 7))
+    u = random_unitary(rng, dim)
+    pa = random_partition(rng, dim)
+    pb = random_partition(rng, dim)
+    if kind == 0:
+        v = random_unitary(rng, dim)
+    elif kind == 1:
+        v = u
+    elif kind == 2:
+        shared = random_partition(rng, dim)
+        v = u.copy()
+        for block in shared:
+            v[:, block] = u[:, block] @ random_unitary(rng, len(block))
+        pa, pb = _refinement(rng, shared), _refinement(rng, shared)
+    else:
+        moved = sorted(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                                                  replace=False))
+        v = u.copy()
+        v[:, moved] = u[:, moved] @ random_unitary(rng, len(moved))
+    return context_from_basis(u, pa, "A"), context_from_basis(v, pb, "B")
+
+
+def test_meet_component_rule_matches_enumeration():
+    rng = np.random.default_rng(2024)
+    nontrivial = coarse_atoms = 0
+    for n in range(520):
+        a, b = _random_meet_pair(rng, n % 4)
+        want = _meet_enumerate(a, b)
+        assert _meet_masks(_stack(a), _stack(b), DEFAULT) == want, n
+        if len(want) > 1:
+            nontrivial += 1
+            coarse_atoms += any(a.projector(m).rank > 1 for m in want)
+    assert nontrivial >= 120 and coarse_atoms >= 80, (nontrivial, coarse_atoms)
+
+
+def test_meet_merges_components_split_below_tolerance():
+    # w1, w2 turn v1, v2 by 1.5e-8 inside their plane: max|v1 w2| stays
+    # below tol.atom, so v1-w1 and v2-w2 are separate components, but each
+    # pair differs by more than tol.atom; only their union is common
+    v1 = np.array([1, 1, 1, 0]) / np.sqrt(3)
+    v2 = np.array([1, -1, 0, 0]) / np.sqrt(2)
+    v3 = np.array([1, 1, -2, 0]) / np.sqrt(6)
+    e4 = np.array([0, 0, 0, 1.0])
+    c, s = np.cos(1.5e-8), np.sin(1.5e-8)
+    w1, w2 = c * v1 + s * v2, c * v2 - s * v1
+    a = Context("A", [Projector(np.outer(v, v)) for v in (v1, v2, v3, e4)])
+    b = Context("B", [Projector(np.outer(v, v)) for v in (w1, w2, v3, e4)])
+    assert np.max(np.abs(np.outer(v1, v1) @ np.outer(w2, w2))) < DEFAULT.atom
+    assert np.max(np.abs(np.outer(v1, v1) - np.outer(w1, w1))) > DEFAULT.atom
+    masks = _meet_masks(_stack(a), _stack(b), DEFAULT)
+    assert masks == _meet_enumerate(a, b)
+    assert sorted(a.projector(m).rank for m in masks) == [1, 1, 2]
+
+
+def test_meet_masks_trivial_and_identical():
+    a, _ = _random_meet_pair(np.random.default_rng(5), 1)
+    assert _meet_masks(_stack(a), _stack(a), DEFAULT) == [1 << i for i in range(a.n_atoms)]
+    triv = trivial_context(a.dim)
+    assert _meet_masks(_stack(a), _stack(triv), DEFAULT) == [a.full_mask]
+    assert _meet_masks(_stack(triv), _stack(a), DEFAULT) == [1]
+
+
+def _rank_one_contexts(bases, u, tag):
+    out = []
+    for k, basis in enumerate(bases):
+        atoms = []
+        for ray in basis:
+            v = u @ (np.asarray(ray, dtype=float) / np.linalg.norm(ray))
+            atoms.append(Projector(np.outer(v, v.conj())))
+        out.append(Context(f"{tag}{k}", atoms))
+    return out
+
+
+def _peres_bases():
+    """The 24 orthogonal bases of Peres' 24 rays in dimension 4."""
+    rays = set()
+    for pattern in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        for signs in itertools.product((1, -1), repeat=4):
+            for ray in itertools.permutations([s * x for s, x in zip(signs, pattern)]):
+                lead = next(x for x in ray if x)
+                rays.add(tuple(x * lead for x in ray))
+    bases = [quad for quad in itertools.combinations(sorted(rays), 4)
+             if all(np.dot(p, q) == 0 for p, q in itertools.combinations(quad, 2))]
+    assert len(rays) == 24 and len(bases) == 24
+    return bases
+
+
+def test_build_poset_matches_reference_on_rotated_ks18():
+    u = random_unitary(np.random.default_rng(77), 4)
+    rotated = [Context(c.id, [Projector(u @ a.entries @ u.conj().T) for a in c.atoms])
+               for c in load_bundled_ks()]
+    got = build_poset(rotated, add_trivial=True, close_under_meets=True)
+    assert len(got.ids) == 28
+    _assert_same_poset(got, _build_poset_reference(rotated, add_trivial=True,
+                                                   close_under_meets=True))
+
+
+@pytest.mark.parametrize("seed,size", [(1, 4), (2, 7), (3, 10)])
+def test_build_poset_matches_reference_on_peres_subsets(seed, size):
+    rng = np.random.default_rng(seed)
+    bases = _peres_bases()
+    chosen = [bases[int(i)] for i in rng.choice(len(bases), size=size, replace=False)]
+    contexts = _rank_one_contexts(chosen, random_unitary(rng, 4), "P")
+    contexts.append(contexts[0])   # a repeated input merges onto the first id
+    got = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    assert any(cid.startswith("meet") for cid in got.ids)
+    _assert_same_poset(got, _build_poset_reference(contexts, add_trivial=True,
+                                                   close_under_meets=True))
+
+
+def test_build_poset_matches_reference_on_random_families():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        u = random_unitary(rng, dim)
+        shared = random_partition(rng, dim)
+        v = u.copy()
+        for block in shared:
+            v[:, block] = u[:, block] @ random_unitary(rng, len(block))
+        contexts = [
+            context_from_basis(u, _refinement(rng, shared), "C0"),
+            context_from_basis(v, _refinement(rng, shared), "C1"),
+            context_from_basis(u, random_partition(rng, dim), "C2"),
+            context_from_basis(random_unitary(rng, dim), random_partition(rng, dim), "C3"),
+        ]
+        for close in (False, True):
+            got = build_poset(contexts, add_trivial=True, close_under_meets=close)
+            _assert_same_poset(got, _build_poset_reference(contexts, add_trivial=True,
+                                                           close_under_meets=close))
+
+
+def test_closure_takes_a_second_round():
+    # one basis in dimension 5, partitions {12|3|4|5}, {1|23|4|5} and
+    # {1|2|34|5}: the pairwise meets come in round one, and their common
+    # coarsening {1234|5} only when a meet is met again
+    u = random_unitary(np.random.default_rng(8), 5)
+    contexts = [
+        context_from_basis(u, [[0, 1], [2], [3], [4]], "A"),
+        context_from_basis(u, [[0], [1, 2], [3], [4]], "B"),
+        context_from_basis(u, [[0], [1], [2, 3], [4]], "C"),
+    ]
+    got = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    assert "meet(A,meet(B,C))" in got.ids
+    assert sorted(p.rank for p in got.context("meet(A,meet(B,C))").atoms) == [1, 4]
+    _assert_same_poset(got, _build_poset_reference(contexts, add_trivial=True,
+                                                   close_under_meets=True))
+
+
+def test_close_under_meets_beyond_twenty_atoms():
+    # two 22-atom bases in dimension 22 sharing the ray e0: their meet is
+    # {e0, its complement}
+    dim = 22
+    rest = np.zeros((dim, dim), dtype=complex)
+    rest[0, 0] = 1
+    rest[1:, 1:] = random_unitary(np.random.default_rng(22), dim - 1)
+    a = context_from_basis(np.eye(dim, dtype=complex), [[i] for i in range(dim)], "A")
+    b = context_from_basis(rest, [[i] for i in range(dim)], "B")
+    poset = build_poset([a, b], add_trivial=True, close_under_meets=True)
+    assert poset.ids == ["A", "B", "Vtriv", "meet(A,B)"]
+    meet = poset.context("meet(A,B)")
+    assert sorted(p.rank for p in meet.atoms) == [1, dim - 1]
+    assert poset.leq("meet(A,B)", "A") and poset.leq("meet(A,B)", "B")
+    assert poset.leq("Vtriv", "meet(A,B)")
+
+
+def _hand_poset(order):
+    return ContextPoset(contexts={x: trivial_context(2, x) for x in "abc"},
+                        order=frozenset(order), partition_maps={})
+
+
+def _outcome(check, poset):
+    try:
+        check(poset)
+    except ContextError as exc:
+        return str(exc)
+    return None
+
+
+REFLEXIVE = {(x, x) for x in "abc"}
+
+
+@pytest.mark.parametrize("order,message", [
+    (REFLEXIVE - {("b", "b")}, "inclusion is not reflexive"),
+    (REFLEXIVE | {("a", "c"), ("c", "a")}, "distinct contexts 'a', 'c' are mutually included"),
+    (REFLEXIVE | {("c", "b"), ("b", "c"), ("a", "c"), ("c", "a")},
+     "distinct contexts 'a', 'c' are mutually included"),
+    (REFLEXIVE | {("a", "b"), ("b", "c")}, "inclusion is not transitive"),
+    (REFLEXIVE | {("c", "a"), ("a", "b")}, "inclusion is not transitive"),
+])
+def test_order_check_rejects_broken_orders(order, message):
+    poset = _hand_poset(order)
+    with pytest.raises(ContextError, match=message):
+        _check_partial_order(poset)
+    assert _outcome(_check_partial_order_triples, poset) == message
+
+
+def test_order_check_accepts_a_chain_and_ignores_unknown_ids():
+    chain = REFLEXIVE | {("a", "b"), ("b", "c"), ("a", "c"), ("z", "a")}
+    _check_partial_order(_hand_poset(chain))
+
+
+def test_order_check_agrees_with_triple_loop_on_random_posets():
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        poset = random_poset(rng, max_contexts=6, max_atoms=4)
+        pairs = sorted(poset.order)
+        ids = poset.ids
+        variants = [set(pairs)]
+        variants.append(set(pairs) - {pairs[int(rng.integers(len(pairs)))]})
+        sub, sup = (ids[int(i)] for i in rng.integers(len(ids), size=2))
+        variants.append(set(pairs) | {(sub, sup)})
+        variants.append(set(pairs) | {(q, p) for p, q in pairs})
+        for order in variants:
+            p = ContextPoset(contexts=poset.contexts, order=frozenset(order), partition_maps={})
+            assert _outcome(_check_partial_order, p) == _outcome(_check_partial_order_triples, p)

@@ -1,6 +1,7 @@
 import time
 
 import numpy as np
+import pytest
 
 from toposval.contexts import Context, build_poset
 from toposval.ks import (
@@ -12,6 +13,7 @@ from toposval.ks import (
 )
 from toposval.linalg import Projector, projector_from_span
 from toposval.sampling import context_from_basis, random_poset, random_unitary
+from toposval.tolerances import DEFAULT
 
 from conftest import diag_proj
 
@@ -77,6 +79,17 @@ def test_section_verify_rejects_swapped_atom(fixa):
     w = dict(verdict["witness"])
     w["V1"] = (w["V1"] + 1) % 3
     assert not section_verify(fixa, w)
+
+
+def test_section_verification_uses_caller_tolerances(fixa):
+    # a negative recon bound fails every value comparison, so the witness
+    # check can only pass if it still uses the default
+    strict = DEFAULT.overridden(recon=-1.0)
+    witness = global_section_search(fixa)["witness"]
+    assert section_verify(fixa, witness)
+    assert not section_verify(fixa, witness, strict)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        global_section_search(fixa, tol=strict)
 
 
 def test_bundled_fixture_validates():
