@@ -121,7 +121,7 @@ def _load_poset(args, tol: Tolerances):
 def _load_state(args, tol: Tolerances):
     state = state_from_json(load_json(args.state), tol)
     if hasattr(state, "density"):
-        state = state.density()
+        state = state.density(tol)
     return state
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class Context:
             atoms = tuple(sorted(atoms, key=_canonical_key))
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_projectors", {})
 
     @property
     def dim(self) -> int:
@@ -82,13 +84,18 @@ class Context:
         return (1 << self.n_atoms) - 1
 
     def projector(self, mask: int) -> Projector:
-        """The lattice projector for a bit mask over atom indices."""
-        if mask < 0 or mask > self.full_mask:
-            raise ContextError(f"mask {mask} out of range for context {self.id!r}")
-        if mask == 0:
-            return Projector(np.zeros((self.dim, self.dim)))
-        m = sum(self.atoms[i].entries for i in range(self.n_atoms) if mask >> i & 1)
-        return Projector(m)
+        """The lattice projector for a bit mask over atom indices, built
+        once per mask."""
+        p = self._projectors.get(mask)
+        if p is None:
+            if mask < 0 or mask > self.full_mask:
+                raise ContextError(f"mask {mask} out of range for context {self.id!r}")
+            if mask == 0:
+                p = Projector(np.zeros((self.dim, self.dim)))
+            else:
+                p = Projector(sum(self.atoms[i].entries for i in range(self.n_atoms) if mask >> i & 1))
+            self._projectors[mask] = p
+        return p
 
     def member_mask(self, p: Projector, tol: Tolerances = DEFAULT) -> int | None:
         """The mask whose projector equals `p`, or None if p is not in the lattice."""
@@ -216,6 +223,156 @@ def v_of_p(v: Context, p: LatticeElement) -> frozenset[Character]:
     )
 
 
+class PosetIndex:
+    """Lookup tables of one `ContextPoset`, built on first use.
+
+    Contexts are numbered in sorted id order, so ascending bits of a mask
+    over context indices list ids in sorted order.  The order becomes
+    int-bitmask down-sets and up-sets in one pass over its pairs; a pair
+    naming an id outside `contexts` only reaches the by-id maps, whose masks
+    cover known ids alone.  Per comparable pair, the coarse-graining table
+    (sub-context mask of each super-context mask) and the restriction map
+    (sub-context atom of each super-context atom) are built from the
+    partition map on first request.
+    """
+
+    def __init__(self, poset: "ContextPoset"):
+        self.partition_maps = poset.partition_maps
+        self.ids: tuple[str, ...] = tuple(sorted(poset.contexts))
+        self.pos: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
+        self.n_atoms: tuple[int, ...] = tuple(poset.contexts[c].n_atoms for c in self.ids)
+        down_of: dict[str, int] = {}
+        up_of: dict[str, int] = {}
+        for sub, sup in poset.order:
+            if sub in self.pos:
+                down_of[sup] = down_of.get(sup, 0) | 1 << self.pos[sub]
+            if sup in self.pos:
+                up_of[sub] = up_of.get(sub, 0) | 1 << self.pos[sup]
+        self.down_of = down_of
+        self.up_of = up_of
+        self.down: tuple[int, ...] = tuple(down_of.get(c, 0) for c in self.ids)
+        self.up: tuple[int, ...] = tuple(up_of.get(c, 0) for c in self.ids)
+        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(poset.order))
+        # the comparable pairs of known ids as (sub index, super index), in
+        # the order of `pairs`
+        self.pair_indices: tuple[tuple[int, int], ...] = tuple(
+            (self.pos[a], self.pos[b]) for a, b in self.pairs if a in self.pos and b in self.pos
+        )
+        self._names: dict[int, tuple[str, ...]] = {}
+        self._sets: dict[int, frozenset[str]] = {}
+        self._closures: dict[int, int] = {}
+        self._coarse: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._restriction: dict[tuple[int, int], tuple[int | None, ...]] = {}
+        self._image: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self._below_image: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+
+    def names(self, bits: int) -> tuple[str, ...]:
+        """The ids of a mask over context indices, sorted."""
+        out = self._names.get(bits)
+        if out is None:
+            out = self._names[bits] = tuple(self.ids[i] for i in bit_list(bits))
+        return out
+
+    def id_set(self, bits: int) -> frozenset[str]:
+        """The ids of a mask over context indices, as one shared frozenset
+        per mask."""
+        out = self._sets.get(bits)
+        if out is None:
+            out = self._sets[bits] = frozenset(self.names(bits))
+        return out
+
+    def closure(self, bits: int) -> int:
+        """The union of the down-sets of the contexts in a mask."""
+        out = self._closures.get(bits)
+        if out is None:
+            out = 0
+            for i in bit_list(bits):
+                out |= self.down[i]
+            self._closures[bits] = out
+        return out
+
+    def pair(self, sub: str, sup: str) -> tuple[int, int]:
+        """The indices of two context ids, for the per-pair tables."""
+        if sub not in self.pos or sup not in self.pos:
+            raise ContextError(f"{sub!r} is not included in {sup!r}")
+        return self.pos[sub], self.pos[sup]
+
+    def _pmap(self, sub: int, sup: int) -> tuple[int, ...]:
+        key = (self.ids[sub], self.ids[sup])
+        if key not in self.partition_maps:
+            raise ContextError(f"{key[0]!r} is not included in {key[1]!r}")
+        return self.partition_maps[key]
+
+    def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
+        """Coarse-graining table of a comparable pair: entry `mask` is the
+        least sub-context mask above the super-context mask.  A sub-atom
+        enters exactly when its block of super-atoms meets the mask."""
+        table = self._coarse.get((sub, sup))
+        if table is None:
+            pmap = self._pmap(sub, sup)
+            blocks_of = [0] * self.n_atoms[sup]   # sub-atoms whose block holds each super-atom
+            for j, block in enumerate(pmap):
+                for k in range(len(blocks_of)):
+                    if block >> k & 1:
+                        blocks_of[k] |= 1 << j
+            table = self._coarse[(sub, sup)] = _union_table(blocks_of)
+        return table
+
+    def restriction(self, sub: int, sup: int) -> tuple[int | None, ...]:
+        """Restriction map of a comparable pair: for each super-context atom,
+        the first sub-context atom whose block holds it (None if no block
+        does, which only a broken partition map allows)."""
+        owner = self._restriction.get((sub, sup))
+        if owner is None:
+            pmap = self._pmap(sub, sup)
+            owner = self._restriction[(sub, sup)] = tuple(
+                next((j for j, block in enumerate(pmap) if block >> k & 1), None)
+                for k in range(self.n_atoms[sup])
+            )
+        return owner
+
+    def image(self, sub: int, sup: int) -> tuple[int, ...]:
+        """Restriction table of a comparable pair: entry `mask` is the image,
+        as a sub-context mask, of the characters in the super-context mask."""
+        table = self._image.get((sub, sup))
+        if table is None:
+            owner = self.restriction(sub, sup)
+            if None in owner:
+                raise ContextError("partition map does not cover the atom")
+            table = self._image[(sub, sup)] = _union_table([1 << j for j in owner])
+        return table
+
+    def below(self, sup: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(sub index, coarse-graining table) for each context below `sup`,
+        ascending."""
+        out = self._below.get(sup)
+        if out is None:
+            out = self._below[sup] = tuple(
+                (sub, self.coarse(sub, sup)) for sub in bit_list(self.down[sup])
+            )
+        return out
+
+    def below_image(self, sup: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(sub index, restriction table) for each context below `sup`,
+        ascending."""
+        out = self._below_image.get(sup)
+        if out is None:
+            out = self._below_image[sup] = tuple(
+                (sub, self.image(sub, sup)) for sub in bit_list(self.down[sup])
+            )
+        return out
+
+
+def _union_table(masks: list[int]) -> tuple[int, ...]:
+    """Entry `m` is the union of masks[k] over the bits k of m."""
+    table = [0] * (1 << len(masks))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
+    return tuple(table)
+
+
 @dataclass(frozen=True, eq=False)
 class ContextPoset:
     """A finite fragment of the inclusion poset of contexts.
@@ -223,7 +380,8 @@ class ContextPoset:
     Stores, for every comparable pair (v2 <= v1), the partition map giving
     each v2-atom as a bit mask over v1's atoms; everything downstream works
     on these exact encodings.  Immutable; `version` stamps derived data
-    such as sieves.
+    such as sieves.  The accessors below read `index`, which is built once,
+    on first use.
     """
 
     contexts: dict[str, Context] = field(default_factory=dict)
@@ -235,9 +393,13 @@ class ContextPoset:
         ids = sorted(self.contexts)
         object.__setattr__(self, "version", "|".join(ids))
 
+    @cached_property
+    def index(self) -> PosetIndex:
+        return PosetIndex(self)
+
     @property
     def ids(self) -> list[str]:
-        return sorted(self.contexts)
+        return list(self.index.ids)
 
     @property
     def includes_trivial(self) -> bool:
@@ -251,31 +413,30 @@ class ContextPoset:
 
     def down_set(self, cid: str) -> list[str]:
         """Ids of all contexts <= cid (cid included), sorted."""
-        return [x for x in self.ids if self.leq(x, cid)]
+        index = self.index
+        return list(index.names(index.down_of.get(cid, 0)))
 
     def up_set(self, cid: str) -> list[str]:
-        return [x for x in self.ids if self.leq(cid, x)]
+        index = self.index
+        return list(index.names(index.up_of.get(cid, 0)))
 
     def maximal_ids(self) -> list[str]:
-        return [
-            x for x in self.ids
-            if not any(self.leq(x, y) and x != y for y in self.ids)
-        ]
+        index = self.index
+        return [x for i, x in enumerate(index.ids) if not index.up[i] & ~(1 << i)]
 
     def pairs(self, proper_only: bool = False) -> list[tuple[str, str]]:
         """All comparable (sub, super) pairs, identity pairs included by default."""
-        out = [p for p in self.order if not proper_only or p[0] != p[1]]
-        return sorted(out)
+        return [p for p in self.index.pairs if not proper_only or p[0] != p[1]]
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         """Hasse edges: (sub, super) with nothing strictly between."""
+        index = self.index
         out = []
         for sub, sup in self.pairs(proper_only=True):
-            between = any(
-                self.leq(sub, mid) and self.leq(mid, sup) and mid not in (sub, sup)
-                for mid in self.ids
-            )
-            if not between:
+            ends = 1 << index.pos[sub] if sub in index.pos else 0
+            if sup in index.pos:
+                ends |= 1 << index.pos[sup]
+            if not index.up_of.get(sub, 0) & index.down_of.get(sup, 0) & ~ends:
                 out.append((sub, sup))
         return out
 
@@ -381,7 +542,7 @@ class _ContextStore:
         """The id of lattice element `mask` of the k-th context."""
         eid = self._element_ids.get((k, mask))
         if eid is None:
-            eid = self._intern(self.stacks[k][_bits(mask)].sum(axis=0))
+            eid = self._intern(self.stacks[k][bit_list(mask)].sum(axis=0))
             self._element_ids[(k, mask)] = eid
         return eid
 
@@ -476,7 +637,7 @@ def _meet_masks(sa: np.ndarray, sb: np.ndarray, tol: Tolerances) -> list[int]:
         free &= ~in_a
         if not free and not rest:
             masks.append(in_a)   # the last component is an atom either way
-        elif np.max(np.abs(sa[_bits(in_a)].sum(axis=0) - sb[_bits(in_b)].sum(axis=0))) < tol.atom:
+        elif np.max(np.abs(sa[bit_list(in_a)].sum(axis=0) - sb[bit_list(in_b)].sum(axis=0))) < tol.atom:
             masks.append(in_a)
         else:
             rest |= in_a
@@ -485,33 +646,35 @@ def _meet_masks(sa: np.ndarray, sb: np.ndarray, tol: Tolerances) -> list[int]:
     return sorted(masks)
 
 
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def bit_list(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _union(masks: list[int], select: int) -> int:
     out = 0
-    for i in _bits(select):
+    for i in bit_list(select):
         out |= masks[i]
     return out
 
 
 def _check_partial_order(poset: ContextPoset) -> None:
     """Reflexivity, antisymmetry and transitivity of `poset.order` over its
-    ids, on int-bitmask down-sets."""
-    ids = poset.ids
-    index = {x: i for i, x in enumerate(ids)}
-    down = [0] * len(ids)   # bit i of down[j] set when ids[i] <= ids[j]
-    for sub, sup in poset.order:
-        if sub in index and sup in index:
-            down[index[sup]] |= 1 << index[sub]
+    ids, on the index's int-bitmask down-sets."""
+    ids = poset.index.ids
+    down = poset.index.down   # bit i of down[j] set when ids[i] <= ids[j]
     for i in range(len(ids)):
         if not down[i] >> i & 1:
             raise ContextError("inclusion is not reflexive")
     for i, x in enumerate(ids):
-        for j in _bits(down[i]):
+        for j in bit_list(down[i]):
             if j > i and down[j] >> i & 1:
                 raise ContextError(f"distinct contexts {x!r}, {ids[j]!r} are mutually included")
     for j in range(len(ids)):
-        if any(down[i] & ~down[j] for i in _bits(down[j])):
+        if any(down[i] & ~down[j] for i in bit_list(down[j])):
             raise ContextError("inclusion is not transitive")

@@ -118,8 +118,8 @@ class DensityMatrix:
         # support = span of eigenvectors carrying weight above the support threshold
         keep = evals > tol.support_trace
         vecs = evecs[:, keep]
-        supp = Projector(vecs @ vecs.conj().T)
-        if np.max(np.abs(supp.entries @ m - m)) > 1e-8:
+        supp = Projector(vecs @ vecs.conj().T, tol=tol)
+        if np.max(np.abs(supp.entries @ m - m)) > tol.certain:
             raise LinalgError("support projector does not reproduce the state")
         object.__setattr__(self, "entries", _frozen(m))
         object.__setattr__(self, "support_projector", supp)
@@ -147,8 +147,8 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+    def density(self, tol: Tolerances = DEFAULT) -> DensityMatrix:
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), tol=tol)
 
 
 def eig_hermitian(

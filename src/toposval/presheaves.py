@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contexts import Character, ContextError, ContextPoset, LatticeElement, v_of_p
+from .contexts import Character, ContextError, ContextPoset, LatticeElement, bit_list, v_of_p
 
 
 class SieveError(ValueError):
@@ -65,32 +65,33 @@ def empty_sieve(poset: ContextPoset, apex: str) -> Sieve:
     return Sieve(apex, frozenset(), poset.version)
 
 
+def _restrict_atom(owner: tuple[int | None, ...], atom_index: int) -> int:
+    j = owner[atom_index] if 0 <= atom_index < len(owner) else None
+    if j is None:
+        raise ContextError("partition map does not cover the atom")  # unreachable on valid posets
+    return j
+
+
 def sigma_restrict(poset: ContextPoset, sub: str, sup: str, kappa: Character) -> Character:
     """Restrict a character of `sup` to `sub`: pick the sub-atom containing its atom."""
     if kappa.context_id != sup:
         raise ContextError("character does not live at the given context")
-    pmap = poset.partition_map(sub, sup)
-    for j, block in enumerate(pmap):
-        if block >> kappa.atom_index & 1:
-            return Character(sub, j)
-    raise ContextError("partition map does not cover the atom")  # unreachable on valid posets
+    owner = poset.index.restriction(*poset.index.pair(sub, sup))
+    return Character(sub, _restrict_atom(owner, kappa.atom_index))
 
 
 def coarse_grain(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
     """The least element of the sub-context's lattice above `p`.
 
-    Production path: a sub-atom enters exactly when its block of sup-atoms
-    meets the mask.  Agrees with the brute-force lattice infimum
+    Production path: a lookup in the poset index's coarse-graining table,
+    where a sub-atom enters exactly when its block of sup-atoms meets the
+    mask.  Agrees with the brute-force lattice infimum
     (`coarse_grain_bruteforce`), which is kept as an independent oracle.
     """
     if p.context_id != sup:
         raise ContextError("lattice element does not live at the given context")
-    pmap = poset.partition_map(sub, sup)
-    mask = 0
-    for j, block in enumerate(pmap):
-        if block & p.mask:
-            mask |= 1 << j
-    return LatticeElement(sub, mask)
+    table = poset.index.coarse(*poset.index.pair(sub, sup))
+    return LatticeElement(sub, table[p.mask & len(table) - 1])
 
 
 def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
@@ -116,7 +117,13 @@ def clo_sigma_restrict(
     poset: ContextPoset, sub: str, sup: str, chars: frozenset[Character]
 ) -> frozenset[Character]:
     """Image of a character set under restriction (the power-object action)."""
-    return frozenset(sigma_restrict(poset, sub, sup, k) for k in chars)
+    owner = poset.index.restriction(*poset.index.pair(sub, sup))
+    out = set()
+    for k in chars:
+        if k.context_id != sup:
+            raise ContextError("character does not live at the given context")
+        out.add(Character(sub, _restrict_atom(owner, k.atom_index)))
+    return frozenset(out)
 
 
 def pullback(poset: ContextPoset, sub: str, sup: str, s: Sieve) -> Sieve:
@@ -162,10 +169,11 @@ class GlobalElementG:
 
 
 def _matching_law(poset: ContextPoset, assignment: dict[str, int]):
-    for sub, sup in poset.pairs(proper_only=True):
-        want = coarse_grain(poset, sub, sup, LatticeElement(sup, assignment[sup])).mask
-        if assignment[sub] != want:
-            return False, (sub, sup)
+    index = poset.index
+    masks = [assignment[cid] for cid in index.ids]
+    for sub, sup in index.pair_indices:
+        if sub != sup and masks[sub] != index.coarse(sub, sup)[masks[sup]]:
+            return False, (index.ids[sub], index.ids[sup])
     return True, None
 
 
@@ -192,13 +200,17 @@ class SubobjectSigma:
             n = poset.context(cid).n_atoms
             if any(not 0 <= i < n for i in indices):
                 raise ContextError(f"atom index out of range at {cid!r}")
+        index = poset.index
+        masks = [index_mask(assignment[cid]) for cid in index.ids]
         law = True
         tight = True
-        for sub, sup in poset.pairs(proper_only=True):
-            image = _restrict_indices(poset, sub, sup, assignment[sup])
-            if not image <= assignment[sub]:
+        for sub, sup in index.pair_indices:
+            if sub == sup:
+                continue
+            image = index.image(sub, sup)[masks[sup]]
+            if image & ~masks[sub]:
                 law = False
-            if image != assignment[sub]:
+            if image != masks[sub]:
                 tight = False
         if enforce and not law:
             raise ContextError("assignment violates the subobject law")
@@ -211,10 +223,12 @@ class SubobjectSigma:
         return frozenset(Character(cid, i) for i in self.assignment[cid])
 
 
-def _restrict_indices(poset: ContextPoset, sub: str, sup: str, indices) -> frozenset[int]:
-    return frozenset(
-        sigma_restrict(poset, sub, sup, Character(sup, i)).atom_index for i in indices
-    )
+def index_mask(indices) -> int:
+    """The mask with the given bit indices set."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
 
 
 def subobject_from_global_element(gamma: GlobalElementG) -> SubobjectSigma:
@@ -243,21 +257,20 @@ def check_nat_iso(poset: ContextPoset) -> dict:
     failures = []
     pairs_checked = 0
     elements_checked = 0
-    for sub, sup in poset.pairs():
+    index = poset.index
+    for sub, sup in index.pair_indices:
         pairs_checked += 1
-        v1 = poset.context(sup)
-        for mask in range(1 << v1.n_atoms):
-            elements_checked += 1
-            p = LatticeElement(sup, mask)
-            lhs = clo_sigma_restrict(poset, sub, sup, v_of_p(v1, p))
-            rhs = v_of_p(poset.context(sub), coarse_grain(poset, sub, sup, p))
-            if lhs != rhs:
+        image = index.image(sub, sup)
+        coarse = index.coarse(sub, sup)
+        elements_checked += len(coarse)
+        for mask, rhs in enumerate(coarse):
+            if image[mask] != rhs:
                 failures.append({
-                    "v1": sup,
-                    "v2": sub,
+                    "v1": index.ids[sup],
+                    "v2": index.ids[sub],
                     "mask": mask,
-                    "lhs": sorted(k.atom_index for k in lhs),
-                    "rhs": sorted(k.atom_index for k in rhs),
+                    "lhs": bit_list(image[mask]),
+                    "rhs": bit_list(rhs),
                 })
     for cid in poset.ids:
         v = poset.context(cid)

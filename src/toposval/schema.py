@@ -20,15 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import ContextError, ContextPoset, LatticeElement, v_of_p
+from .contexts import ContextError, ContextPoset, PosetIndex, bit_list
 from .ocat import OperatorCategory
-from .presheaves import (
-    GlobalElementG,
-    SubobjectSigma,
-    clo_sigma_restrict,
-    coarse_grain,
+from .presheaves import GlobalElementG, SubobjectSigma
+from .valuations import (
+    MorphismSetValuation,
+    _exclusivity_witness,
+    _func_witness,
+    _monotonicity_witness,
+    _null_witness,
+    _unit_witness,
+    stage_rule,
 )
-from .valuations import MorphismSetValuation
 
 HOLDS = "holds-exhaustively"
 FAILS = "witness-of-failure"
@@ -102,17 +105,38 @@ BUILTIN_SET_RELATIONS = {
 }
 
 
-def _schema_valuation(a: GlobalElementG, rel: Relation) -> MorphismSetValuation:
-    poset = a.poset
+class _RelationRows:
+    """`rel.test` over one poset, asked once per (context, left mask): the
+    row of a left mask is the bitmask of the right masks it relates to."""
 
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        return frozenset(
-            sub for sub in poset.down_set(cid)
-            if rel.test(sub, a.assignment[sub],
-                        coarse_grain(poset, sub, cid, LatticeElement(cid, mask)).mask)
-        )
+    def __init__(self, poset: ContextPoset, rel: Relation):
+        self._test = rel.test
+        self._index = poset.index
+        self._rows: dict[tuple[int, int], int] = {}
 
-    return MorphismSetValuation(poset, rule, name=f"alpha^(a,{rel.name})")
+    def row(self, i: int, left: int) -> int:
+        out = self._rows.get((i, left))
+        if out is None:
+            cid = self._index.ids[i]
+            out = 0
+            for right in range(1 << self._index.n_atoms[i]):
+                if self._test(cid, left, right):
+                    out |= 1 << right
+            self._rows[(i, left)] = out
+        return out
+
+
+def _schema_valuation(a: GlobalElementG, rel: Relation,
+                      rows: _RelationRows | None = None) -> MorphismSetValuation:
+    if rows is None:
+        rows = _RelationRows(a.poset, rel)
+    index = a.poset.index
+
+    def decide(j: int, m: int) -> bool:
+        return bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)
+
+    return MorphismSetValuation._from_bits(a.poset, stage_rule(index, index.below, decide),
+                                           name=f"alpha^(a,{rel.name})")
 
 
 def alpha_a_R(a: GlobalElementG, rel: Relation) -> MorphismSetValuation:
@@ -124,6 +148,10 @@ def alpha_a_R(a: GlobalElementG, rel: Relation) -> MorphismSetValuation:
 
 def _status(ok: bool, witness: dict | None) -> dict:
     return {"status": HOLDS if ok else FAILS, "witness": None if ok else witness}
+
+
+def _holds(witness: dict | None) -> tuple[bool, dict | None]:
+    return witness is None, witness
 
 
 def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
@@ -141,7 +169,11 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     assignments.
     """
     poset = a.poset
-    alpha = _schema_valuation(a, rel)
+    index = poset.index
+    rows = _RelationRows(poset, rel)
+    alpha = _schema_valuation(a, rel, rows)
+    # left[i]: the right masks R relates a's element at context i to
+    left = [rows.row(i, a.assignment[cid]) for i, cid in enumerate(index.ids)]
     report: dict = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
                     "properties": {}, "analyses": {}}
 
@@ -150,45 +182,46 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     report["properties"]["sievehood"] = _status(ok, witness)
 
     # (i) characterization: R stable under coarse-graining, computed on R alone
-    stable, w = _stable_under_coarse_graining(a, rel)
+    stable, w = _stable_under_coarse_graining(index, left)
     report["analyses"]["stability_under_coarse_graining"] = _status(stable, w)
     report["analyses"]["sievehood_paths_agree"] = ok == stable
 
     # (i) sufficient condition: coarse-graining preserves R on both arguments
-    pres, w = _preserved_by_coarse_graining(poset, rel)
+    pres, w = _preserved_by_coarse_graining(index, rows)
     report["analyses"]["coarse_graining_preserves_relation"] = _status(pres, w)
 
     # (ii) functional composition, for any R whatsoever
-    ok, witness = _func_holds(alpha)
+    ok, witness = _holds(_func_witness(alpha))
     report["properties"]["func"] = _status(ok, witness)
 
     # (iii) null proposition, direct and characterized
-    ok, witness = _null_holds(alpha)
+    ok, witness = _holds(_null_witness(alpha))
     report["properties"]["null"] = _status(ok, witness)
     char_ok = True
     char_w = None
-    for sub, sup in poset.pairs():
-        if rel.test(sub, a.assignment[sub], 0):
-            char_ok, char_w = False, {"v1": sup, "v2": sub}
+    for sub, sup in index.pair_indices:
+        if left[sub] & 1:
+            char_ok, char_w = False, {"v1": index.ids[sup], "v2": index.ids[sub]}
             break
     report["analyses"]["null_characterization"] = _status(char_ok, char_w)
     report["analyses"]["null_paths_agree"] = ok == char_ok
 
     # (iv) monotonicity, direct, characterized, and the sufficient condition
-    ok, witness = _monotone_holds(alpha)
+    ok, witness = _holds(_monotonicity_witness(alpha))
     report["properties"]["monotonicity"] = _status(ok, witness)
-    iso, w = _isotone_under_coarse_graining(a, rel)
+    iso, w = _isotone_under_coarse_graining(index, left)
     report["analyses"]["isotone_under_coarse_graining"] = _status(iso, w)
     report["analyses"]["monotonicity_paths_agree"] = ok == iso
-    stab, w = _stable_under_enlargement(a, rel)
+    stab, w = _stable_under_enlargement(index, left)
     report["analyses"]["stable_under_enlargement"] = _status(stab, w)
 
-    # (v) exclusivity, in the literal refuting-stage form
-    ok, witness = _exclusivity_holds(a, rel)
+    # (v) exclusivity: a certain proposition leaves no disjoint one without
+    # a refuting stage
+    ok, witness = _holds(_exclusivity_witness(alpha))
     report["properties"]["exclusivity"] = _status(ok, witness)
 
     # (vi) unit proposition
-    ok, witness = _unit_holds(a, rel, alpha)
+    ok, witness = _unit_holds(alpha)
     report["properties"]["unit"] = _status(ok, witness)
 
     report["all_hold"] = all(
@@ -197,132 +230,78 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     return report
 
 
-def _stable_under_coarse_graining(a: GlobalElementG, rel: Relation):
-    poset = a.poset
-    for sup in poset.ids:
-        n = poset.context(sup).n_atoms
-        for mask in range(1 << n):
-            p = LatticeElement(sup, mask)
-            for mid in poset.down_set(sup):
-                if not rel.test(mid, a.assignment[mid],
-                                coarse_grain(poset, mid, sup, p).mask):
-                    continue
-                for sub in poset.down_set(mid):
-                    if not rel.test(sub, a.assignment[sub],
-                                    coarse_grain(poset, sub, sup, p).mask):
-                        return False, {"v1": sup, "v2": mid, "v3": sub, "mask": mask}
+def _stable_under_coarse_graining(index: PosetIndex, left: list[int]):
+    for sup, cid in enumerate(index.ids):
+        below = index.below(sup)
+        for mask in range(1 << index.n_atoms[sup]):
+            related = 0   # the stages below sup where R holds at the coarse-grained mask
+            for sub, table in below:
+                if left[sub] >> table[mask] & 1:
+                    related |= 1 << sub
+            for mid in bit_list(related):
+                missing = index.down[mid] & ~related
+                if missing:
+                    sub = (missing & -missing).bit_length() - 1
+                    return False, {"v1": cid, "v2": index.ids[mid], "v3": index.ids[sub],
+                                   "mask": mask}
     return True, None
 
 
-def _preserved_by_coarse_graining(poset: ContextPoset, rel: Relation):
-    for sub, sup in poset.pairs(proper_only=True):
-        n = poset.context(sup).n_atoms
-        for x in range(1 << n):
-            for y in range(1 << n):
-                if rel.test(sup, x, y):
-                    cx = coarse_grain(poset, sub, sup, LatticeElement(sup, x)).mask
-                    cy = coarse_grain(poset, sub, sup, LatticeElement(sup, y)).mask
-                    if not rel.test(sub, cx, cy):
-                        return False, {"v1": sup, "v2": sub, "x": x, "y": y}
-    return True, None
-
-
-def _func_holds(alpha: MorphismSetValuation):
-    poset = alpha.poset
-    for sub, sup in poset.pairs():
-        n = poset.context(sup).n_atoms
-        for mask in range(1 << n):
-            cg = coarse_grain(poset, sub, sup, LatticeElement(sup, mask))
-            lhs = alpha.members(sub, cg.mask)
-            rhs = frozenset(m for m in alpha.members(sup, mask) if poset.leq(m, sub))
-            if lhs != rhs:
-                return False, {"v1": sup, "v2": sub, "mask": mask,
-                               "lhs": sorted(lhs), "rhs": sorted(rhs)}
-    return True, None
-
-
-def _null_holds(alpha: MorphismSetValuation):
-    for cid in alpha.poset.ids:
-        if alpha.members(cid, 0):
-            return False, {"v1": cid, "members": sorted(alpha.members(cid, 0))}
-    return True, None
-
-
-def _monotone_holds(alpha: MorphismSetValuation):
-    poset = alpha.poset
-    for cid in poset.ids:
-        n = poset.context(cid).n_atoms
-        for p in range(1 << n):
-            for q in range(1 << n):
-                if p & q == p and not alpha.members(cid, p) <= alpha.members(cid, q):
-                    return False, {"v1": cid, "p": p, "q": q}
-    return True, None
-
-
-def _isotone_under_coarse_graining(a: GlobalElementG, rel: Relation):
-    poset = a.poset
-    for sub, sup in poset.pairs():
-        n = poset.context(sup).n_atoms
-        for p in range(1 << n):
-            for q in range(1 << n):
-                if p & q != p:
-                    continue
-                cp = coarse_grain(poset, sub, sup, LatticeElement(sup, p)).mask
-                cq = coarse_grain(poset, sub, sup, LatticeElement(sup, q)).mask
-                if rel.test(sub, a.assignment[sub], cp) and not rel.test(sub, a.assignment[sub], cq):
-                    return False, {"v1": sup, "v2": sub, "p": p, "q": q}
-    return True, None
-
-
-def _stable_under_enlargement(a: GlobalElementG, rel: Relation):
-    poset = a.poset
-    for cid in poset.ids:
-        n = poset.context(cid).n_atoms
-        for s in range(1 << n):
-            for t in range(1 << n):
-                if s & t == s and rel.test(cid, a.assignment[cid], s) \
-                        and not rel.test(cid, a.assignment[cid], t):
-                    return False, {"v1": cid, "s": s, "t": t}
-    return True, None
-
-
-def _exclusivity_holds(a: GlobalElementG, rel: Relation):
-    poset = a.poset
-    for sup in poset.ids:
-        n = poset.context(sup).n_atoms
-        down = poset.down_set(sup)
-        for p in range(1 << n):
-            if not all(
-                rel.test(sub, a.assignment[sub],
-                         coarse_grain(poset, sub, sup, LatticeElement(sup, p)).mask)
-                for sub in down
-            ):
+def _preserved_by_coarse_graining(index: PosetIndex, rows: _RelationRows):
+    for sub, sup in index.pair_indices:
+        if sub == sup:
+            continue
+        table = index.coarse(sub, sup)
+        for x in range(len(table)):
+            related = rows.row(sup, x)
+            if not related:
                 continue
-            for q in range(1 << n):
-                if p & q != 0:
-                    continue
-                refuting = any(
-                    not rel.test(sub, a.assignment[sub],
-                                 coarse_grain(poset, sub, sup, LatticeElement(sup, q)).mask)
-                    for sub in down
-                )
-                if not refuting:
-                    return False, {"v1": sup, "p": p, "q": q}
+            at_sub = rows.row(sub, table[x])
+            for y in bit_list(related):
+                if not at_sub >> table[y] & 1:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "x": x, "y": y}
     return True, None
 
 
-def _unit_holds(a: GlobalElementG, rel: Relation, alpha: MorphismSetValuation):
-    poset = a.poset
-    for cid in poset.ids:
-        if not alpha.is_true(cid, poset.context(cid).full_mask):
-            # name the refusing stage for the witness
-            full = poset.context(cid).full_mask
-            for sub in poset.down_set(cid):
-                cg = coarse_grain(poset, sub, cid, LatticeElement(cid, full)).mask
-                if not rel.test(sub, a.assignment[sub], cg):
-                    return False, {"v1": cid, "v2": sub}
-            return False, {"v1": cid}
+def _isotone_under_coarse_graining(index: PosetIndex, left: list[int]):
+    for sub, sup in index.pair_indices:
+        table = index.coarse(sub, sup)
+        related = left[sub]
+        for p in range(len(table)):
+            if not related >> table[p] & 1:
+                continue
+            q = p
+            while q < len(table):   # the masks above p, ascending
+                if not related >> table[q] & 1:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
+                q = (q + 1) | p
     return True, None
+
+
+def _stable_under_enlargement(index: PosetIndex, left: list[int]):
+    for i, cid in enumerate(index.ids):
+        related = left[i]
+        size = 1 << index.n_atoms[i]
+        for s in range(size):
+            if not related >> s & 1:
+                continue
+            t = s
+            while t < size:   # the masks above s, ascending
+                if not related >> t & 1:
+                    return False, {"v1": cid, "s": s, "t": t}
+                t = (t + 1) | s
+    return True, None
+
+
+def _unit_holds(alpha: MorphismSetValuation):
+    w = _unit_witness(alpha)
+    if w is not None:
+        # name the refusing stage: the first one below that is not a member
+        index = alpha.poset.index
+        i = index.pos[w["v1"]]
+        missing = index.down[i] & ~alpha._bits(i, (1 << index.n_atoms[i]) - 1)
+        w["v2"] = index.ids[(missing & -missing).bit_length() - 1]
+    return w is None, w
 
 
 def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
@@ -331,23 +310,18 @@ def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
     certain set.  Regularity (non-emptiness, tightness) is reported, not
     enforced."""
     poset = a.poset
+    index = poset.index
+    ids = index.ids
 
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        chars = v_of_p(poset.context(cid), LatticeElement(cid, mask))
-        out = []
-        for sub in poset.down_set(cid):
-            restricted = frozenset(
-                k.atom_index for k in clo_sigma_restrict(poset, sub, cid, chars)
-            )
-            if rel.test(sub, a.assignment[sub], restricted):
-                out.append(sub)
-        return frozenset(out)
+    def decide(j: int, m: int) -> bool:
+        return bool(rel.test(ids[j], a.assignment[ids[j]], frozenset(bit_list(m))))
 
-    alpha = MorphismSetValuation(poset, rule, name=f"alpha^(a,{rel.name})_sigma")
+    alpha = MorphismSetValuation._from_bits(poset, stage_rule(index, index.below_image, decide),
+                                            name=f"alpha^(a,{rel.name})_sigma")
     report: dict = {
         "relation": rel.name,
         "regularity": {
-            "nonempty_everywhere": all(a.assignment[cid] for cid in poset.ids),
+            "nonempty_everywhere": all(a.assignment[cid] for cid in ids),
             "subobject_law": a.satisfies_law,
             "tight": a.is_tight,
         },
@@ -356,37 +330,10 @@ def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
 
     ok, w = alpha.is_sieve_valued()
     report["properties"]["sievehood"] = _status(ok, w)
-    ok, w = _func_holds(alpha)
-    report["properties"]["func"] = _status(ok, w)
-    ok, w = _null_holds(alpha)
-    report["properties"]["null"] = _status(ok, w)
-    ok, w = _monotone_holds(alpha)
-    report["properties"]["monotonicity"] = _status(ok, w)
-
-    ok = True
-    w = None
-    for cid in poset.ids:
-        n = poset.context(cid).n_atoms
-        for p in range(1 << n):
-            if not alpha.is_true(cid, p):
-                continue
-            for q in range(1 << n):
-                if p & q == 0 and alpha.is_true(cid, q):
-                    ok, w = False, {"v1": cid, "p": p, "q": q}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["properties"]["exclusivity"] = _status(ok, w)
-
-    ok = True
-    w = None
-    for cid in poset.ids:
-        if not alpha.is_true(cid, poset.context(cid).full_mask):
-            ok, w = False, {"v1": cid}
-            break
-    report["properties"]["unit"] = _status(ok, w)
+    for name, find in (("func", _func_witness), ("null", _null_witness),
+                       ("monotonicity", _monotonicity_witness),
+                       ("exclusivity", _exclusivity_witness), ("unit", _unit_witness)):
+        report["properties"][name] = _status(*_holds(find(alpha)))
 
     report["all_hold"] = all(v["status"] == HOLDS for v in report["properties"].values())
     return report

@@ -17,17 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import Character, ContextError, ContextPoset, LatticeElement, v_of_p
+from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list
 from .linalg import DensityMatrix, certain
-from .presheaves import (
-    GlobalElementG,
-    Sieve,
-    SubobjectSigma,
-    clo_sigma_restrict,
-    coarse_grain,
-    is_downward_closed,
-    make_sieve,
-)
+from .presheaves import GlobalElementG, Sieve, SubobjectSigma, index_mask, make_sieve
 from .sampling import random_density, random_poset
 from .tolerances import DEFAULT, Tolerances
 
@@ -49,48 +41,128 @@ class MorphismSetValuation:
 
     Member sets are only required to lie below the queried context; the
     sieve-valued subclass additionally guarantees downward closure.
+
+    Internally a member set is an int bitmask over the context indices of
+    `poset.index`, each (context, mask) cell is computed once, and truth
+    sets, supports and intervals are memoised per valuation.  `rule` gives
+    member ids; the valuations built in this package give bitmasks directly
+    (`_from_bits`).
     """
 
     def __init__(self, poset: ContextPoset, rule: Callable[[str, int], frozenset[str]],
                  name: str = "alpha"):
+        index = poset.index
+
+        def bits_rule(i: int, mask: int) -> int:
+            cid = index.ids[i]
+            out = 0
+            for m in frozenset(rule(cid, mask)):
+                j = index.pos.get(m)
+                if j is None or not index.down[i] >> j & 1:
+                    raise ContextError(f"valuation returned {m!r} above the apex {cid!r}")
+                out |= 1 << j
+            return out
+
+        self._setup(poset, bits_rule, name)
+
+    @classmethod
+    def _from_bits(cls, poset: ContextPoset, bits_rule: Callable[[int, int], int],
+                   name: str) -> "MorphismSetValuation":
+        """A valuation whose rule gives the member bitmask of (context
+        index, mask); the rule must only set bits of the context's down-set."""
+        alpha = cls.__new__(cls)
+        alpha._setup(poset, bits_rule, name)
+        return alpha
+
+    def _setup(self, poset: ContextPoset, bits_rule: Callable[[int, int], int], name: str) -> None:
         self.poset = poset
         self.name = name
-        self._rule = rule
-        self._table: dict[tuple[str, int], frozenset[str]] = {}
+        self._index = poset.index
+        self._bits_rule = bits_rule
+        n = len(self._index.ids)
+        self._rows: list[list[int | None] | None] = [None] * n
+        self._complete = [False] * n
+        self._truths: list[tuple[int, ...] | None] = [None] * n
+        self._supports: list[int | None] = [None] * n
+
+    def _position(self, cid: str) -> int:
+        i = self._index.pos.get(cid)
+        if i is None:
+            raise ContextError(f"unknown context {cid!r}")
+        return i
+
+    def _bits(self, i: int, mask: int) -> int:
+        """Member bitmask of (context index, mask), computed once."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [None] * (1 << self._index.n_atoms[i])
+        bits = row[mask]
+        if bits is None:
+            bits = row[mask] = self._bits_rule(i, mask)
+        return bits
+
+    def _row(self, i: int) -> list[int]:
+        """Member bitmasks of every mask of context index i, in mask order."""
+        if not self._complete[i]:
+            for mask in range(1 << self._index.n_atoms[i]):
+                self._bits(i, mask)
+            self._complete[i] = True
+        return self._rows[i]
+
+    def _truth(self, i: int) -> tuple[int, ...]:
+        """The masks of context index i sent to the principal sieve, ascending."""
+        t = self._truths[i]
+        if t is None:
+            top = self._index.down[i]
+            t = self._truths[i] = tuple(m for m, bits in enumerate(self._row(i)) if bits == top)
+            if t:
+                mask = (1 << self._index.n_atoms[i]) - 1
+                for m in t:
+                    mask &= m
+                self._supports[i] = mask
+        return t
+
+    def _support(self, i: int) -> int | None:
+        """Infimum of the truth set of context index i; None when it is empty."""
+        self._truth(i)
+        return self._supports[i]
+
+    def _interval(self, i: int) -> int:
+        """Atom mask of the interval: the support, or every atom when the
+        truth set is empty."""
+        s = self._support(i)
+        return (1 << self._index.n_atoms[i]) - 1 if s is None else s
+
+    def _cell(self, cid: str, mask: int) -> tuple[int, int]:
+        """(context index, member bitmask) of a query by id."""
+        i = self._position(cid)
+        if not 0 <= mask < 1 << self._index.n_atoms[i]:
+            raise ContextError(f"mask {mask} out of range for context {cid!r}")
+        return i, self._bits(i, mask)
 
     def members(self, cid: str, mask: int) -> frozenset[str]:
-        key = (cid, mask)
-        if key not in self._table:
-            out = frozenset(self._rule(cid, mask))
-            for m in out:
-                if not self.poset.leq(m, cid):
-                    raise ContextError(f"valuation returned {m!r} above the apex {cid!r}")
-            self._table[key] = out
-        return self._table[key]
+        return self._index.id_set(self._cell(cid, mask)[1])
 
     def is_true(self, cid: str, mask: int) -> bool:
-        return self.members(cid, mask) == frozenset(self.poset.down_set(cid))
+        i, bits = self._cell(cid, mask)
+        return bits == self._index.down[i]
 
     def is_sieve_valued(self) -> tuple[bool, dict | None]:
         """Exhaustively check downward closure of every member set."""
-        for cid in self.poset.ids:
-            n = self.poset.context(cid).n_atoms
-            for mask in range(1 << n):
-                members = self.members(cid, mask)
-                if not is_downward_closed(self.poset, cid, members):
-                    return False, {"v1": cid, "mask": mask, "members": sorted(members)}
+        index = self._index
+        for i, cid in enumerate(index.ids):
+            for mask, bits in enumerate(self._row(i)):
+                if index.closure(bits) & ~bits:
+                    return False, {"v1": cid, "mask": mask, "members": list(index.names(bits))}
         return True, None
 
     def dump(self) -> dict:
         """{context -> {maskHex -> [member ids]}} over the full lattice."""
-        out: dict[str, dict[str, list[str]]] = {}
-        for cid in self.poset.ids:
-            n = self.poset.context(cid).n_atoms
-            out[cid] = {
-                format(mask, "x"): sorted(self.members(cid, mask))
-                for mask in range(1 << n)
-            }
-        return out
+        index = self._index
+        return {
+            cid: {format(mask, "x"): list(index.names(bits)) for mask, bits in enumerate(self._row(i))}
+            for i, cid in enumerate(index.ids)
+        }
 
 
 class Valuation(MorphismSetValuation):
@@ -110,22 +182,51 @@ def from_table(poset: ContextPoset, table: dict[tuple[str, int], frozenset[str]]
     return MorphismSetValuation(poset, rule, name=name)
 
 
-def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -> Valuation:
-    """The sieve-valued valuation of a state: a stage enters when the
-    coarse-grained proposition has Born probability 1 there."""
-    ids = poset.ids
+def stage_rule(index: PosetIndex, below: Callable[[int], tuple],
+               decide: Callable[[int, int], bool]) -> Callable[[int, int], int]:
+    """The member rule "stage j enters (context i, mask) when `decide`
+    holds for j and the image of the mask at j", with `below(i)` giving
+    (j, table of images) for the stages below i: `index.below` maps a
+    proposition to its coarse-graining, `index.below_image` to the
+    restriction of its characters.  `decide` is called at most once per
+    (stage index, stage mask)."""
+    decided: list[list[bool | None] | None] = [None] * len(index.ids)
+
+    def rule(i: int, mask: int) -> int:
+        out = 0
+        for j, table in below(i):
+            row = decided[j]
+            if row is None:
+                row = decided[j] = [None] * (1 << index.n_atoms[j])
+            m = table[mask]
+            hit = row[m]
+            if hit is None:
+                hit = row[m] = decide(j, m)
+            if hit:
+                out |= 1 << j
+        return out
+
+    return rule
+
+
+def _check_state_dim(rho: DensityMatrix, poset: ContextPoset) -> None:
+    ids = poset.index.ids
     if ids and poset.context(ids[0]).dim != rho.dim:
         raise ContextError("state dimension does not match the poset")
 
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        out = []
-        for sub in poset.down_set(cid):
-            cg = coarse_grain(poset, sub, cid, LatticeElement(cid, mask))
-            if certain(rho, poset.context(sub).projector(cg.mask), tol):
-                out.append(sub)
-        return frozenset(out)
 
-    return Valuation(poset, rule, name="nu_rho")
+def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -> Valuation:
+    """The sieve-valued valuation of a state: a stage enters when the
+    coarse-grained proposition has Born probability 1 there, decided once
+    per (stage, mask)."""
+    _check_state_dim(rho, poset)
+    ids = poset.index.ids
+
+    def decide(j: int, m: int) -> bool:
+        return certain(rho, poset.context(ids[j]).projector(m), tol)
+
+    return Valuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
+                                name="nu_rho")
 
 
 def nu_rho_r(rho: DensityMatrix, r: float, poset: ContextPoset,
@@ -137,20 +238,15 @@ def nu_rho_r(rho: DensityMatrix, r: float, poset: ContextPoset,
     ValuationParams(r)
     if abs(r - 1.0) < tol.r_slack:
         return nu_rho(rho, poset, tol)
-    ids = poset.ids
-    if ids and poset.context(ids[0]).dim != rho.dim:
-        raise ContextError("state dimension does not match the poset")
+    _check_state_dim(rho, poset)
+    ids = poset.index.ids
 
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        out = []
-        for sub in poset.down_set(cid):
-            cg = coarse_grain(poset, sub, cid, LatticeElement(cid, mask))
-            p = poset.context(sub).projector(cg.mask)
-            if float(np.trace(rho.entries @ p.entries).real) >= r - tol.r_slack:
-                out.append(sub)
-        return frozenset(out)
+    def decide(j: int, m: int) -> bool:
+        p = poset.context(ids[j]).projector(m)
+        return float(np.trace(rho.entries @ p.entries).real) >= r - tol.r_slack
 
-    return MorphismSetValuation(poset, rule, name=f"nu_rho_r[{r}]")
+    return MorphismSetValuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
+                                           name=f"nu_rho_r[{r}]")
 
 
 @dataclass(frozen=True)
@@ -162,39 +258,21 @@ class TruthSet:
 
 
 def truth_set(alpha: MorphismSetValuation, cid: str) -> TruthSet:
-    n = alpha.poset.context(cid).n_atoms
-    members = frozenset(
-        mask for mask in range(1 << n) if alpha.is_true(cid, mask)
-    )
-    return TruthSet(cid, members)
+    return TruthSet(cid, frozenset(alpha._truth(alpha._position(cid))))
 
 
 def support(alpha: MorphismSetValuation, cid: str) -> LatticeElement | None:
     """Infimum of the truth set at a stage; None flags an empty truth set
     (a degenerate valuation, excluded from the support-based theorems)."""
-    t = truth_set(alpha, cid)
-    if not t.members:
-        return None
-    mask = alpha.poset.context(cid).full_mask
-    for m in t.members:
-        mask &= m
-    return LatticeElement(cid, mask)
+    mask = alpha._support(alpha._position(cid))
+    return None if mask is None else LatticeElement(cid, mask)
 
 
 def interval(alpha: MorphismSetValuation, cid: str) -> frozenset[Character]:
     """Characters valuing every truth-set member at 1.  Over a finite
     spectrum this is the character set of the support (when it exists);
     the empty intersection convention yields the whole spectrum."""
-    v = alpha.poset.context(cid)
-    t = truth_set(alpha, cid)
-    out = frozenset(Character(cid, i) for i in range(v.n_atoms))
-    for mask in t.members:
-        out &= v_of_p(v, LatticeElement(cid, mask))
-    return out
-
-
-def _interval_indices(alpha: MorphismSetValuation, cid: str) -> frozenset[int]:
-    return frozenset(k.atom_index for k in interval(alpha, cid))
+    return frozenset(Character(cid, i) for i in bit_list(alpha._interval(alpha._position(cid))))
 
 
 def _pass() -> dict:
@@ -205,70 +283,79 @@ def _fail(witness: dict) -> dict:
     return {"status": "fail", "witness": witness}
 
 
+def _degenerate(alpha: MorphismSetValuation) -> list[str]:
+    index = alpha._index
+    return [cid for i, cid in enumerate(index.ids) if alpha._support(i) is None]
+
+
+def _func_witness(alpha: MorphismSetValuation) -> dict | None:
+    """Functional composition: alpha(V2, coarse-grained P) is alpha(V1, P)
+    cut down to V2, for every comparable pair and mask."""
+    index = alpha._index
+    for sub, sup in index.pair_indices:
+        table = index.coarse(sub, sup)
+        sub_row = alpha._row(sub)
+        below_sub = index.down[sub]
+        for mask, bits in enumerate(alpha._row(sup)):
+            lhs = sub_row[table[mask]]
+            rhs = bits & below_sub
+            if lhs != rhs:
+                return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                        "lhs": list(index.names(lhs)), "rhs": list(index.names(rhs))}
+    return None
+
+
+def _null_witness(alpha: MorphismSetValuation) -> dict | None:
+    index = alpha._index
+    for i, cid in enumerate(index.ids):
+        bits = alpha._bits(i, 0)
+        if bits:
+            return {"v1": cid, "members": list(index.names(bits))}
+    return None
+
+
+def _monotonicity_witness(alpha: MorphismSetValuation) -> dict | None:
+    for i, cid in enumerate(alpha._index.ids):
+        row = alpha._row(i)
+        for p, bits in enumerate(row):
+            q = p
+            while q < len(row):   # the masks above p, ascending
+                if bits & ~row[q]:
+                    return {"v1": cid, "p": p, "q": q}
+                q = (q + 1) | p
+    return None
+
+
+def _exclusivity_witness(alpha: MorphismSetValuation) -> dict | None:
+    for i, cid in enumerate(alpha._index.ids):
+        truths = alpha._truth(i)
+        for p in truths:
+            for q in truths:
+                if p & q == 0:
+                    return {"v1": cid, "p": p, "q": q}
+    return None
+
+
+def _unit_witness(alpha: MorphismSetValuation) -> dict | None:
+    index = alpha._index
+    for i, cid in enumerate(index.ids):
+        if alpha._bits(i, (1 << index.n_atoms[i]) - 1) != index.down[i]:
+            return {"v1": cid}
+    return None
+
+
 def check_definition3(alpha: MorphismSetValuation) -> dict:
     """Exhaustive per-clause report for the generalized-valuation laws:
     sieve-valuedness, functional composition, null proposition,
     monotonicity, exclusivity, unit proposition."""
-    poset = alpha.poset
     report: dict[str, dict] = {}
-
     ok, witness = alpha.is_sieve_valued()
     report["sievehood"] = _pass() if ok else _fail(witness)
-
-    report["func"] = _pass()
-    for sub, sup in poset.pairs():
-        n = poset.context(sup).n_atoms
-        for mask in range(1 << n):
-            cg = coarse_grain(poset, sub, sup, LatticeElement(sup, mask))
-            lhs = alpha.members(sub, cg.mask)
-            rhs = frozenset(m for m in alpha.members(sup, mask) if poset.leq(m, sub))
-            if lhs != rhs:
-                report["func"] = _fail({
-                    "v1": sup, "v2": sub, "mask": mask,
-                    "lhs": sorted(lhs), "rhs": sorted(rhs),
-                })
-                break
-        if report["func"]["status"] == "fail":
-            break
-
-    report["null"] = _pass()
-    for cid in poset.ids:
-        if alpha.members(cid, 0):
-            report["null"] = _fail({"v1": cid, "members": sorted(alpha.members(cid, 0))})
-            break
-
-    def monotonicity_witness():
-        for cid in poset.ids:
-            n = poset.context(cid).n_atoms
-            for p in range(1 << n):
-                for q in range(1 << n):
-                    if p & q == p and not alpha.members(cid, p) <= alpha.members(cid, q):
-                        return {"v1": cid, "p": p, "q": q}
-        return None
-
-    w = monotonicity_witness()
-    report["monotonicity"] = _pass() if w is None else _fail(w)
-
-    def exclusivity_witness():
-        for cid in poset.ids:
-            n = poset.context(cid).n_atoms
-            for p in range(1 << n):
-                if not alpha.is_true(cid, p):
-                    continue
-                for q in range(1 << n):
-                    if p & q == 0 and alpha.is_true(cid, q):
-                        return {"v1": cid, "p": p, "q": q}
-        return None
-
-    w = exclusivity_witness()
-    report["exclusivity"] = _pass() if w is None else _fail(w)
-
-    report["unit"] = _pass()
-    for cid in poset.ids:
-        if not alpha.is_true(cid, poset.context(cid).full_mask):
-            report["unit"] = _fail({"v1": cid})
-            break
-
+    for clause, find in (("func", _func_witness), ("null", _null_witness),
+                         ("monotonicity", _monotonicity_witness),
+                         ("exclusivity", _exclusivity_witness), ("unit", _unit_witness)):
+        w = find(alpha)
+        report[clause] = _pass() if w is None else _fail(w)
     report["passed"] = all(v["status"] == "pass" for k, v in report.items() if k != "passed")
     return report
 
@@ -277,17 +364,20 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
     """Supports may only grow when passing to a coarser stage (the law that
     makes interval assignments a subobject of the spectral presheaf)."""
     poset = alpha.poset
-    degenerate = sorted(cid for cid in poset.ids if support(alpha, cid) is None)
+    degenerate = _degenerate(alpha)
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
-    for sub, sup in poset.pairs(proper_only=True):
-        s_sub = support(alpha, sub)
-        s_sup = support(alpha, sup)
-        lifted = poset.lift_mask(sub, sup, s_sub.mask)
-        if lifted & s_sup.mask != s_sup.mask:
+    index = alpha._index
+    for sub, sup in index.pair_indices:
+        if sub == sup:
+            continue
+        s_sub = alpha._support(sub)
+        s_sup = alpha._support(sup)
+        lifted = poset.lift_mask(index.ids[sub], index.ids[sup], s_sub)
+        if lifted & s_sup != s_sup:
             return {
                 "status": "fail",
-                "witness": {"v1": sup, "v2": sub, "s1": s_sup.mask, "s2": s_sub.mask},
+                "witness": {"v1": index.ids[sup], "v2": index.ids[sub], "s1": s_sup, "s2": s_sub},
                 "degenerate": [],
             }
     return {"status": "pass", "witness": None, "degenerate": []}
@@ -296,20 +386,21 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
 def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
     """Supports must match up exactly under coarse-graining (i.e. form a
     global element of the coarse-graining presheaf)."""
-    poset = alpha.poset
-    degenerate = sorted(cid for cid in poset.ids if support(alpha, cid) is None)
+    degenerate = _degenerate(alpha)
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
-    for sub, sup in poset.pairs(proper_only=True):
-        s_sub = support(alpha, sub)
-        s_sup = support(alpha, sup)
-        cg = coarse_grain(poset, sub, sup, s_sup)
-        if s_sub.mask != cg.mask:
+    index = alpha._index
+    for sub, sup in index.pair_indices:
+        if sub == sup:
+            continue
+        s_sub = alpha._support(sub)
+        cg = index.coarse(sub, sup)[alpha._support(sup)]
+        if s_sub != cg:
             return {
                 "status": "fail",
                 "witness": {
-                    "v1": sup, "v2": sub,
-                    "support_v2": s_sub.mask, "coarse_grained_support_v1": cg.mask,
+                    "v1": index.ids[sup], "v2": index.ids[sub],
+                    "support_v2": s_sub, "coarse_grained_support_v1": cg,
                 },
                 "degenerate": [],
             }
@@ -319,14 +410,13 @@ def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
 def supports_global_element(alpha: MorphismSetValuation) -> GlobalElementG:
     """Package the supports of a valuation as a (possibly broken) projector
     assignment; callers inspect `satisfies_matching`."""
-    poset = alpha.poset
     assignment = {}
-    for cid in poset.ids:
-        s = support(alpha, cid)
+    for i, cid in enumerate(alpha._index.ids):
+        s = alpha._support(i)
         if s is None:
             raise ContextError(f"empty truth set at {cid!r}: no support to package")
-        assignment[cid] = s.mask
-    return GlobalElementG(poset, assignment, enforce=False)
+        assignment[cid] = s
+    return GlobalElementG(alpha.poset, assignment, enforce=False)
 
 
 def alpha_from_global_element(a: GlobalElementG) -> MorphismSetValuation:
@@ -334,48 +424,35 @@ def alpha_from_global_element(a: GlobalElementG) -> MorphismSetValuation:
     the assigned projector there lies below the coarse-grained proposition.
     Sieve-valued whenever `a` really is a global element; its supports
     always reproduce `a`."""
-    poset = a.poset
-
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        out = []
-        for sub in poset.down_set(cid):
-            cg = coarse_grain(poset, sub, cid, LatticeElement(cid, mask))
-            if a.assignment[sub] & cg.mask == a.assignment[sub]:
-                out.append(sub)
-        return frozenset(out)
-
-    return MorphismSetValuation(poset, rule, name="alpha^a")
+    index = a.poset.index
+    chosen = [a.assignment[cid] for cid in index.ids]
+    rule = stage_rule(index, index.below, lambda j, m: chosen[j] & m == chosen[j])
+    return MorphismSetValuation._from_bits(a.poset, rule, name="alpha^a")
 
 
 def alpha_from_subobject(a: SubobjectSigma) -> MorphismSetValuation:
     """The valuation induced by a character-set assignment: a stage enters
     when its assigned characters all lie in the restriction of the
     proposition's certain set.  Sieve-valued whenever `a` is tight."""
-    poset = a.poset
-
-    def rule(cid: str, mask: int) -> frozenset[str]:
-        chars = v_of_p(poset.context(cid), LatticeElement(cid, mask))
-        out = []
-        for sub in poset.down_set(cid):
-            restricted = clo_sigma_restrict(poset, sub, cid, chars)
-            if a.characters(sub) <= restricted:
-                out.append(sub)
-        return frozenset(out)
-
-    return MorphismSetValuation(poset, rule, name="alpha^a_sigma")
+    index = a.poset.index
+    chosen = [index_mask(a.assignment[cid]) for cid in index.ids]
+    rule = stage_rule(index, index.below_image, lambda j, m: not chosen[j] & ~m)
+    return MorphismSetValuation._from_bits(a.poset, rule, name="alpha^a_sigma")
 
 
 def valuations_equal(a: MorphismSetValuation, b: MorphismSetValuation) -> tuple[bool, dict | None]:
-    """Set equality of member ids at every stage and lattice element."""
-    poset = a.poset
-    for cid in poset.ids:
-        n = poset.context(cid).n_atoms
-        for mask in range(1 << n):
-            if a.members(cid, mask) != b.members(cid, mask):
+    """Set equality of member ids at every stage and lattice element (both
+    valuations over posets with the same contexts)."""
+    index = a._index
+    if b._index.ids != index.ids:
+        raise ContextError("valuations over posets with different contexts")
+    for i, cid in enumerate(index.ids):
+        for mask, (x, y) in enumerate(zip(a._row(i), b._row(i))):
+            if x != y:
                 return False, {
                     "v1": cid, "mask": mask,
-                    "lhs": sorted(a.members(cid, mask)),
-                    "rhs": sorted(b.members(cid, mask)),
+                    "lhs": list(index.names(x)),
+                    "rhs": list(index.names(y)),
                 }
     return True, None
 
@@ -383,21 +460,20 @@ def valuations_equal(a: MorphismSetValuation, b: MorphismSetValuation) -> tuple[
 def _condition_i_supports(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     """Membership at a stage iff the stage's support sits below the
     coarse-grained proposition."""
-    poset = alpha.poset
-    supports = {cid: support(alpha, cid) for cid in poset.ids}
-    for sup in poset.ids:
-        n = poset.context(sup).n_atoms
-        for mask in range(1 << n):
-            members = alpha.members(sup, mask)
-            for sub in poset.down_set(sup):
+    index = alpha._index
+    supports = [alpha._support(i) for i in range(len(index.ids))]
+    for sup in range(len(index.ids)):
+        below = index.below(sup)
+        for mask, bits in enumerate(alpha._row(sup)):
+            for sub, table in below:
                 s = supports[sub]
                 if s is None:
-                    return False, {"degenerate": sub}
-                cg = coarse_grain(poset, sub, sup, LatticeElement(sup, mask))
-                below = s.mask & cg.mask == s.mask
-                if below != (sub in members):
-                    return False, {"v1": sup, "v2": sub, "mask": mask,
-                                   "support_below": below, "member": sub in members}
+                    return False, {"degenerate": index.ids[sub]}
+                inside = s & table[mask] == s
+                member = bool(bits >> sub & 1)
+                if inside != member:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                                   "support_below": inside, "member": member}
     return True, None
 
 
@@ -410,7 +486,7 @@ def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetV
     they agree.  Valuations with an empty truth set somewhere have no
     supports to rebuild from and are skipped.
     """
-    degenerate = sorted(cid for cid in alpha.poset.ids if support(alpha, cid) is None)
+    degenerate = _degenerate(alpha)
     if degenerate:
         return alpha, {"degenerate": degenerate, "skipped": True}
     ge = supports_global_element(alpha)
@@ -429,34 +505,33 @@ def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetV
 def _condition_i_intervals(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     """Membership at a stage iff the stage's interval is contained in the
     restricted certain-character set of the proposition."""
-    poset = alpha.poset
-    ivals = {cid: _interval_indices(alpha, cid) for cid in poset.ids}
-    for sup in poset.ids:
-        v1 = poset.context(sup)
-        for mask in range(1 << v1.n_atoms):
-            members = alpha.members(sup, mask)
-            chars = v_of_p(v1, LatticeElement(sup, mask))
-            for sub in poset.down_set(sup):
-                restricted = frozenset(
-                    k.atom_index for k in clo_sigma_restrict(poset, sub, sup, chars)
-                )
-                inside = ivals[sub] <= restricted
-                if inside != (sub in members):
-                    return False, {"v1": sup, "v2": sub, "mask": mask,
-                                   "interval_inside": inside, "member": sub in members}
+    index = alpha._index
+    ivals = [alpha._interval(i) for i in range(len(index.ids))]
+    for sup in range(len(index.ids)):
+        below = index.below_image(sup)
+        for mask, bits in enumerate(alpha._row(sup)):
+            for sub, image in below:
+                inside = not ivals[sub] & ~image[mask]
+                member = bool(bits >> sub & 1)
+                if inside != member:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                                   "interval_inside": inside, "member": member}
     return True, None
+
+
+def _intervals_subobject(alpha: MorphismSetValuation) -> SubobjectSigma:
+    index = alpha._index
+    return SubobjectSigma(
+        alpha.poset,
+        {cid: frozenset(bit_list(alpha._interval(i))) for i, cid in enumerate(index.ids)},
+        enforce=False,
+    )
 
 
 def reconstruct_from_intervals(alpha: MorphismSetValuation) -> tuple[MorphismSetValuation, dict]:
     """Rebuild a valuation from its own intervals and compare; equality holds
     exactly under condition (i) of the interval-side theorem."""
-    poset = alpha.poset
-    a = SubobjectSigma(
-        poset,
-        {cid: _interval_indices(alpha, cid) for cid in poset.ids},
-        enforce=False,
-    )
-    rebuilt = alpha_from_subobject(a)
+    rebuilt = alpha_from_subobject(_intervals_subobject(alpha))
     equal, witness = valuations_equal(alpha, rebuilt)
     cond_i, cond_witness = _condition_i_intervals(alpha)
     return rebuilt, {
@@ -471,60 +546,44 @@ def reconstruct_from_intervals(alpha: MorphismSetValuation) -> tuple[MorphismSet
 def _conclusion_characterization_supports(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     """alpha(V1, P) = stages where the coarse-grained support of V1 sits
     below the coarse-grained proposition."""
-    poset = alpha.poset
-    for sup in poset.ids:
-        n = poset.context(sup).n_atoms
-        s1 = support(alpha, sup)
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        s1 = alpha._support(sup)
         if s1 is None:
-            return False, {"degenerate": sup}
-        for mask in range(1 << n):
-            members = alpha.members(sup, mask)
-            expected = frozenset(
-                sub for sub in poset.down_set(sup)
-                if coarse_grain(poset, sub, sup, s1).mask
-                & coarse_grain(poset, sub, sup, LatticeElement(sup, mask)).mask
-                == coarse_grain(poset, sub, sup, s1).mask
-            )
-            if members != expected:
-                return False, {"v1": sup, "mask": mask,
-                               "lhs": sorted(members), "rhs": sorted(expected)}
+            return False, {"degenerate": cid}
+        below = [(sub, table, table[s1]) for sub, table in index.below(sup)]
+        for mask, bits in enumerate(alpha._row(sup)):
+            expected = 0
+            for sub, table, c1 in below:
+                if c1 & table[mask] == c1:
+                    expected |= 1 << sub
+            if bits != expected:
+                return False, {"v1": cid, "mask": mask,
+                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
     return True, None
 
 
 def _conclusion_characterization_intervals(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     """alpha(V1, P) = stages where the restricted interval of V1 lies inside
     the restricted certain-character set."""
-    poset = alpha.poset
-    ival = {cid: _interval_indices(alpha, cid) for cid in poset.ids}
-    for sup in poset.ids:
-        v1 = poset.context(sup)
-        i1 = frozenset(Character(sup, i) for i in ival[sup])
-        for mask in range(1 << v1.n_atoms):
-            chars = v_of_p(v1, LatticeElement(sup, mask))
-            members = alpha.members(sup, mask)
-            expected = frozenset(
-                sub for sub in poset.down_set(sup)
-                if frozenset(k.atom_index for k in clo_sigma_restrict(poset, sub, sup, i1))
-                <= frozenset(k.atom_index for k in clo_sigma_restrict(poset, sub, sup, chars))
-            )
-            if members != expected:
-                return False, {"v1": sup, "mask": mask,
-                               "lhs": sorted(members), "rhs": sorted(expected)}
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        i1 = alpha._interval(sup)
+        below = [(sub, image, image[i1]) for sub, image in index.below_image(sup)]
+        for mask, bits in enumerate(alpha._row(sup)):
+            expected = 0
+            for sub, image, r1 in below:
+                if not r1 & ~image[mask]:
+                    expected |= 1 << sub
+            if bits != expected:
+                return False, {"v1": cid, "mask": mask,
+                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
     return True, None
 
 
 def _func_report(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
-    poset = alpha.poset
-    for sub, sup in poset.pairs():
-        n = poset.context(sup).n_atoms
-        for mask in range(1 << n):
-            cg = coarse_grain(poset, sub, sup, LatticeElement(sup, mask))
-            lhs = alpha.members(sub, cg.mask)
-            rhs = frozenset(m for m in alpha.members(sup, mask) if poset.leq(m, sub))
-            if lhs != rhs:
-                return False, {"v1": sup, "v2": sub, "mask": mask,
-                               "lhs": sorted(lhs), "rhs": sorted(rhs)}
-    return True, None
+    w = _func_witness(alpha)
+    return w is None, w
 
 
 def theorem1_verify(alpha: MorphismSetValuation) -> dict:
@@ -533,8 +592,7 @@ def theorem1_verify(alpha: MorphismSetValuation) -> dict:
     sieve-valued, obeys functional composition, and is characterized by its
     coarse-grained supports.  Conditions and conclusions are verified
     independently; (i) alone must already give functional composition."""
-    poset = alpha.poset
-    degenerate = sorted(cid for cid in poset.ids if support(alpha, cid) is None)
+    degenerate = _degenerate(alpha)
     if degenerate:
         return {"degenerate": degenerate, "skipped": True}
 
@@ -563,6 +621,20 @@ def theorem1_verify(alpha: MorphismSetValuation) -> dict:
     return report
 
 
+def _condition_i_iso_route(alpha: MorphismSetValuation, ivals: list[int]) -> tuple[bool, dict | None]:
+    """Condition (i) of the interval-side theorem, decided against the
+    certain characters of the coarse-grained proposition."""
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        below = index.below(sup)
+        for mask, bits in enumerate(alpha._row(sup)):
+            for sub, table in below:
+                inside = not ivals[sub] & ~table[mask]
+                if inside != bool(bits >> sub & 1):
+                    return False, {"v1": cid, "v2": index.ids[sub], "mask": mask}
+    return True, None
+
+
 def theorem2_verify(alpha: MorphismSetValuation) -> dict:
     """Interval-side mutual determination: condition (i) is
     membership-by-interval-containment, condition (ii) is tightness of the
@@ -571,50 +643,27 @@ def theorem2_verify(alpha: MorphismSetValuation) -> dict:
     the coarse-graining route (certain characters of the coarse-grained
     proposition) and the two routes must agree, which exercises the
     power-object isomorphism."""
-    poset = alpha.poset
+    index = alpha._index
 
     cond_i, w_i = _condition_i_intervals(alpha)
 
-    ivals = {cid: _interval_indices(alpha, cid) for cid in poset.ids}
-    sub_sigma = SubobjectSigma(poset, ivals, enforce=False)
+    ivals = [alpha._interval(i) for i in range(len(index.ids))]
+    sub_sigma = _intervals_subobject(alpha)
     cond_ii = True
     w_ii = None
-    for sub, sup in poset.pairs(proper_only=True):
-        restricted = frozenset(
-            k.atom_index
-            for k in clo_sigma_restrict(
-                poset, sub, sup,
-                frozenset(Character(sup, i) for i in ivals[sup]),
-            )
-        )
+    for sub, sup in index.pair_indices:
+        if sub == sup:
+            continue
+        restricted = index.image(sub, sup)[ivals[sup]]
         if restricted != ivals[sub]:
             cond_ii = False
-            w_ii = {"v1": sup, "v2": sub,
-                    "restricted": sorted(restricted), "interval": sorted(ivals[sub])}
+            w_ii = {"v1": index.ids[sup], "v2": index.ids[sub],
+                    "restricted": bit_list(restricted), "interval": bit_list(ivals[sub])}
             break
 
     # iso route: decide condition (i) against the certain set of the
     # coarse-grained element instead of the restriction image
-    iso_ok = True
-    w_iso = None
-    for sup in poset.ids:
-        v1 = poset.context(sup)
-        for mask in range(1 << v1.n_atoms):
-            members = alpha.members(sup, mask)
-            for sub in poset.down_set(sup):
-                cg = coarse_grain(poset, sub, sup, LatticeElement(sup, mask))
-                target = frozenset(
-                    k.atom_index for k in v_of_p(poset.context(sub), cg)
-                )
-                inside = ivals[sub] <= target
-                if inside != (sub in members):
-                    iso_ok = False
-                    w_iso = {"v1": sup, "v2": sub, "mask": mask}
-                    break
-            if not iso_ok:
-                break
-        if not iso_ok:
-            break
+    iso_ok, w_iso = _condition_i_iso_route(alpha, ivals)
 
     sieve_ok, w_sieve = alpha.is_sieve_valued()
     func_ok, w_func = _func_report(alpha)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -207,3 +209,42 @@ def test_table_format(tmp_path, fixa_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "contextCount" in out
+
+
+def test_state_tolerances_reach_a_pure_state(tmp_path, fixa_file, state_file):
+    # a PSD floor raised to 1e-3 rejects the zero eigenvalues of the pure state
+    code, report = run(tmp_path, "valuate", "--input", fixa_file, "--add-trivial",
+                       "--state", state_file, "--tol", "psd_floor=1e-3")
+    assert code == 2
+    assert "negative eigenvalue" in report["result"]["error"]
+
+
+# SHA-256 of whole report files for the bundled 18-ray fixture, closed under
+# meets, and the pure state (0.6, 0.8, 0, 0); run from the directory that
+# holds both files, so the input paths in the reports are the bare names.
+# The digests pin report bytes across changes to the valuation kernel.
+GOLDEN_COMMON = ["--input", "ks18.json", "--add-trivial", "--close-under-meets",
+                 "--state", "state.json"]
+GOLDEN_REPORTS = {
+    "valuate": ([], "ebf7927ff79d019af8d89888fc6f74d3806222157af1e43aea7444f3c946d898"),
+    "valuate-r0.6": (["--r", "0.6"],
+                     "589c5f6106429f21cb76dda0fcedbe9082e3dce1513fffdb58ced9a32f6d7b3b"),
+    "supports": ([], "fb12316ac27872972ed4a892fc96fa59630302c45745aac90dea15534538f503"),
+    "verify-theorems": ([], "67b93cfc037139c95e1b75a64c510d98797e337318cc0030514c9c60dec01401"),
+    "verify-theorems-r0.6": (["--r", "0.6"],
+                             "460103a49c4136d285ebecefb467914ff310df6f21edf142d393b5361333f16c"),
+    "survey-relations": (["--relation", "le", "--relation", "random:2", "--seed", "3"],
+                         "bd3303daaf83cd9193edf0eb04981301f481d319d62794da826468623bc5d84a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_golden_report_digest(tmp_path, monkeypatch, name):
+    fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
+    (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
+    (tmp_path / "state.json").write_text(json.dumps({"type": "pure", "data": [0.6, 0.8, 0, 0]}))
+    monkeypatch.chdir(tmp_path)
+    extra, digest = GOLDEN_REPORTS[name]
+    command = name.split("-r0")[0]
+    assert main([command, *GOLDEN_COMMON, *extra, "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest

@@ -1,0 +1,570 @@
+"""Differential tests for the exact valuation kernel.
+
+`ContextPoset` answers down-sets, up-sets, maximal ids and cover pairs from
+an index of int bitmasks, coarse-grains and restricts through per-pair
+tables, and the state valuations decide each (context, mask) once, keep
+member sets as bitmasks and memoise truth sets, supports and intervals.
+The scanning accessors, the partition-map coarse-graining and restriction,
+the per-(stage, mask, subcontext) projector rules of `nu_rho`/`nu_rho_r`,
+and the frozenset checkers they fed are kept here as oracles.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from toposval.contexts import (
+    Character,
+    Context,
+    ContextError,
+    ContextPoset,
+    LatticeElement,
+    _check_partial_order,
+    build_poset,
+    trivial_context,
+)
+from toposval.linalg import DensityMatrix, Projector, certain
+from toposval.presheaves import clo_sigma_restrict, coarse_grain, sigma_restrict
+from toposval.sampling import random_density, random_poset, random_unitary
+from toposval.tolerances import DEFAULT
+from toposval.valuations import (
+    MorphismSetValuation,
+    check_definition3,
+    check_global_element_condition,
+    check_subobject_condition,
+    interval,
+    nu_rho,
+    nu_rho_r,
+    random_table_valuation,
+    reconstruct_from_intervals,
+    reconstruct_from_supports,
+    support,
+    theorem1_verify,
+    theorem2_verify,
+)
+
+
+# --------------------------------------------------------------------------
+# scanning oracles for the poset accessors
+
+def scan_ids(poset):
+    return sorted(poset.contexts)
+
+
+def scan_down_set(poset, cid):
+    return [x for x in scan_ids(poset) if (x, cid) in poset.order]
+
+
+def scan_up_set(poset, cid):
+    return [x for x in scan_ids(poset) if (cid, x) in poset.order]
+
+
+def scan_maximal_ids(poset):
+    ids = scan_ids(poset)
+    return [x for x in ids if not any((x, y) in poset.order and x != y for y in ids)]
+
+
+def scan_cover_pairs(poset):
+    ids = scan_ids(poset)
+    out = []
+    for sub, sup in sorted(p for p in poset.order if p[0] != p[1]):
+        if not any((sub, mid) in poset.order and (mid, sup) in poset.order
+                   and mid not in (sub, sup) for mid in ids):
+            out.append((sub, sup))
+    return out
+
+
+def pmap_coarse_grain(poset, sub, sup, mask):
+    """A sub-atom enters when its block of super-atoms meets the mask."""
+    out = 0
+    for j, block in enumerate(poset.partition_maps[(sub, sup)]):
+        if block & mask:
+            out |= 1 << j
+    return out
+
+
+def pmap_restrict(poset, sub, sup, indices):
+    """Each super-atom goes to the first sub-atom whose block holds it."""
+    pmap = poset.partition_maps[(sub, sup)]
+    return frozenset(next(j for j, block in enumerate(pmap) if block >> k & 1) for k in indices)
+
+
+def mask_indices(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# --------------------------------------------------------------------------
+# projector-rule valuations and frozenset checkers
+
+def lattice_projector(ctx, mask):
+    if mask == 0:
+        return Projector(np.zeros((ctx.dim, ctx.dim)))
+    return Projector(sum(ctx.atoms[i].entries for i in range(ctx.n_atoms) if mask >> i & 1))
+
+
+def oracle_valuation(rho, poset, r=None, tol=DEFAULT):
+    """`nu_rho` (r None or within r_slack of 1) or `nu_rho_r`, one projector
+    per (stage, mask, subcontext)."""
+    exact = r is None or abs(r - 1.0) < tol.r_slack
+
+    def rule(cid, mask):
+        out = []
+        for sub in scan_down_set(poset, cid):
+            p = lattice_projector(poset.context(sub), pmap_coarse_grain(poset, sub, cid, mask))
+            if exact:
+                hit = certain(rho, p, tol)
+            else:
+                hit = float(np.trace(rho.entries @ p.entries).real) >= r - tol.r_slack
+            if hit:
+                out.append(sub)
+        return frozenset(out)
+
+    return MorphismSetValuation(poset, rule, name="oracle")
+
+
+def n_masks(poset, cid):
+    return range(1 << poset.context(cid).n_atoms)
+
+
+def o_is_true(alpha, cid, mask):
+    return alpha.members(cid, mask) == frozenset(scan_down_set(alpha.poset, cid))
+
+
+def o_support(alpha, cid):
+    truths = [m for m in n_masks(alpha.poset, cid) if o_is_true(alpha, cid, m)]
+    if not truths:
+        return None
+    mask = alpha.poset.context(cid).full_mask
+    for m in truths:
+        mask &= m
+    return mask
+
+
+def o_interval(alpha, cid):
+    s = o_support(alpha, cid)
+    return mask_indices(alpha.poset.context(cid).full_mask if s is None else s)
+
+
+def o_pairs(poset, proper_only=False):
+    return sorted(p for p in poset.order if not proper_only or p[0] != p[1])
+
+
+def o_sieve(alpha):
+    poset = alpha.poset
+    for cid in scan_ids(poset):
+        for mask in n_masks(poset, cid):
+            members = alpha.members(cid, mask)
+            if not all(b in members for m in members for b in scan_down_set(poset, m)):
+                return False, {"v1": cid, "mask": mask, "members": sorted(members)}
+    return True, None
+
+
+def o_func(alpha):
+    poset = alpha.poset
+    for sub, sup in o_pairs(poset):
+        for mask in n_masks(poset, sup):
+            lhs = alpha.members(sub, pmap_coarse_grain(poset, sub, sup, mask))
+            rhs = frozenset(m for m in alpha.members(sup, mask) if (m, sub) in poset.order)
+            if lhs != rhs:
+                return False, {"v1": sup, "v2": sub, "mask": mask,
+                               "lhs": sorted(lhs), "rhs": sorted(rhs)}
+    return True, None
+
+
+def _status(ok, witness):
+    return {"status": "pass" if ok else "fail", "witness": witness}
+
+
+def o_definition3(alpha):
+    poset = alpha.poset
+    ids = scan_ids(poset)
+    report = {"sievehood": _status(*o_sieve(alpha)), "func": _status(*o_func(alpha))}
+    w = next(({"v1": c, "members": sorted(alpha.members(c, 0))}
+              for c in ids if alpha.members(c, 0)), None)
+    report["null"] = _status(w is None, w)
+    w = next(({"v1": c, "p": p, "q": q} for c in ids for p in n_masks(poset, c)
+              for q in n_masks(poset, c)
+              if p & q == p and not alpha.members(c, p) <= alpha.members(c, q)), None)
+    report["monotonicity"] = _status(w is None, w)
+    w = next(({"v1": c, "p": p, "q": q} for c in ids for p in n_masks(poset, c)
+              if o_is_true(alpha, c, p) for q in n_masks(poset, c)
+              if p & q == 0 and o_is_true(alpha, c, q)), None)
+    report["exclusivity"] = _status(w is None, w)
+    w = next(({"v1": c} for c in ids
+              if not o_is_true(alpha, c, poset.context(c).full_mask)), None)
+    report["unit"] = _status(w is None, w)
+    report["passed"] = all(v["status"] == "pass" for v in report.values())
+    return report
+
+
+def o_degenerate(alpha):
+    return [c for c in scan_ids(alpha.poset) if o_support(alpha, c) is None]
+
+
+def o_subobject_condition(alpha):
+    poset = alpha.poset
+    if o_degenerate(alpha):
+        return {"status": "degenerate", "witness": None, "degenerate": o_degenerate(alpha)}
+    for sub, sup in o_pairs(poset, proper_only=True):
+        s_sub, s_sup = o_support(alpha, sub), o_support(alpha, sup)
+        lifted = 0
+        for j, block in enumerate(poset.partition_maps[(sub, sup)]):
+            if s_sub >> j & 1:
+                lifted |= block
+        if lifted & s_sup != s_sup:
+            return {"status": "fail", "witness": {"v1": sup, "v2": sub, "s1": s_sup, "s2": s_sub},
+                    "degenerate": []}
+    return {"status": "pass", "witness": None, "degenerate": []}
+
+
+def o_global_element_condition(alpha):
+    poset = alpha.poset
+    if o_degenerate(alpha):
+        return {"status": "degenerate", "witness": None, "degenerate": o_degenerate(alpha)}
+    for sub, sup in o_pairs(poset, proper_only=True):
+        cg = pmap_coarse_grain(poset, sub, sup, o_support(alpha, sup))
+        if o_support(alpha, sub) != cg:
+            return {"status": "fail",
+                    "witness": {"v1": sup, "v2": sub, "support_v2": o_support(alpha, sub),
+                                "coarse_grained_support_v1": cg},
+                    "degenerate": []}
+    return {"status": "pass", "witness": None, "degenerate": []}
+
+
+def o_supports_report(alpha):
+    ids = scan_ids(alpha.poset)
+    return {
+        "supports": {c: o_support(alpha, c) for c in ids},
+        "intervals": {c: sorted(o_interval(alpha, c)) for c in ids},
+        "subobjectCondition": o_subobject_condition(alpha),
+        "globalElementCondition": o_global_element_condition(alpha),
+    }
+
+
+def supports_report(alpha):
+    ids = alpha.poset.ids
+    return {
+        "supports": {c: None if support(alpha, c) is None else support(alpha, c).mask for c in ids},
+        "intervals": {c: sorted(k.atom_index for k in interval(alpha, c)) for c in ids},
+        "subobjectCondition": check_subobject_condition(alpha),
+        "globalElementCondition": check_global_element_condition(alpha),
+    }
+
+
+def o_equal(a, b):
+    poset = a.poset
+    for cid in scan_ids(poset):
+        for mask in n_masks(poset, cid):
+            if a.members(cid, mask) != b.members(cid, mask):
+                return False, {"v1": cid, "mask": mask, "lhs": sorted(a.members(cid, mask)),
+                               "rhs": sorted(b.members(cid, mask))}
+    return True, None
+
+
+def o_condition_i_supports(alpha):
+    poset = alpha.poset
+    for sup in scan_ids(poset):
+        for mask in n_masks(poset, sup):
+            members = alpha.members(sup, mask)
+            for sub in scan_down_set(poset, sup):
+                s = o_support(alpha, sub)
+                if s is None:
+                    return False, {"degenerate": sub}
+                below = s & pmap_coarse_grain(poset, sub, sup, mask) == s
+                if below != (sub in members):
+                    return False, {"v1": sup, "v2": sub, "mask": mask,
+                                   "support_below": below, "member": sub in members}
+    return True, None
+
+
+def o_condition_i_intervals(alpha):
+    poset = alpha.poset
+    for sup in scan_ids(poset):
+        for mask in n_masks(poset, sup):
+            members = alpha.members(sup, mask)
+            for sub in scan_down_set(poset, sup):
+                inside = o_interval(alpha, sub) <= pmap_restrict(poset, sub, sup, mask_indices(mask))
+                if inside != (sub in members):
+                    return False, {"v1": sup, "v2": sub, "mask": mask,
+                                   "interval_inside": inside, "member": sub in members}
+    return True, None
+
+
+def o_reconstruct_from_supports(alpha):
+    poset = alpha.poset
+    if o_degenerate(alpha):
+        return {"degenerate": o_degenerate(alpha), "skipped": True}
+
+    def rule(cid, mask):
+        return frozenset(
+            sub for sub in scan_down_set(poset, cid)
+            if o_support(alpha, sub) & pmap_coarse_grain(poset, sub, cid, mask) == o_support(alpha, sub)
+        )
+
+    equal, witness = o_equal(alpha, MorphismSetValuation(poset, rule))
+    cond_i, cond_witness = o_condition_i_supports(alpha)
+    return {"equal": equal, "witness": witness, "condition_i": cond_i,
+            "condition_i_witness": cond_witness, "iff_consistent": equal == cond_i}
+
+
+def o_reconstruct_from_intervals(alpha):
+    poset = alpha.poset
+
+    def rule(cid, mask):
+        return frozenset(
+            sub for sub in scan_down_set(poset, cid)
+            if o_interval(alpha, sub) <= pmap_restrict(poset, sub, cid, mask_indices(mask))
+        )
+
+    equal, witness = o_equal(alpha, MorphismSetValuation(poset, rule))
+    cond_i, cond_witness = o_condition_i_intervals(alpha)
+    return {"equal": equal, "witness": witness, "condition_i": cond_i,
+            "condition_i_witness": cond_witness, "iff_consistent": equal == cond_i}
+
+
+def _characterization(alpha, expected_of):
+    poset = alpha.poset
+    for sup in scan_ids(poset):
+        expected = expected_of(sup)
+        if expected is None:
+            return False, {"degenerate": sup}
+        for mask in n_masks(poset, sup):
+            members = alpha.members(sup, mask)
+            want = frozenset(sub for sub in scan_down_set(poset, sup) if expected(sub, mask))
+            if members != want:
+                return False, {"v1": sup, "mask": mask, "lhs": sorted(members), "rhs": sorted(want)}
+    return True, None
+
+
+def _contract(report, cond_i, cond_ii, sieve, func, charac):
+    conditions_hold = cond_i[0] and cond_ii[0]
+    report.update({
+        "conclusion_sieve": {"holds": sieve[0], "witness": sieve[1]},
+        "conclusion_func": {"holds": func[0], "witness": func[1]},
+        "conclusion_characterization": {"holds": charac[0], "witness": charac[1]},
+        "conditions_hold": conditions_hold,
+        "contract_ok": (not conditions_hold) or (sieve[0] and func[0] and charac[0]),
+        "func_given_i_ok": (not cond_i[0]) or func[0],
+    })
+    return report
+
+
+def o_theorem1(alpha):
+    poset = alpha.poset
+    if o_degenerate(alpha):
+        return {"degenerate": o_degenerate(alpha), "skipped": True}
+    cond_i = o_condition_i_supports(alpha)
+    ge = o_global_element_condition(alpha)
+    cond_ii = (ge["status"] == "pass", ge["witness"])
+
+    def expected_of(sup):
+        s1 = o_support(alpha, sup)
+        if s1 is None:
+            return None
+
+        def expected(sub, mask):
+            c1 = pmap_coarse_grain(poset, sub, sup, s1)
+            return c1 & pmap_coarse_grain(poset, sub, sup, mask) == c1
+        return expected
+
+    report = {"degenerate": [], "skipped": False,
+              "condition_i": {"holds": cond_i[0], "witness": cond_i[1]},
+              "condition_ii": {"holds": cond_ii[0], "witness": cond_ii[1]}}
+    return _contract(report, cond_i, cond_ii, o_sieve(alpha), o_func(alpha),
+                     _characterization(alpha, expected_of))
+
+
+def o_theorem2(alpha):
+    poset = alpha.poset
+    cond_i = o_condition_i_intervals(alpha)
+    cond_ii = (True, None)
+    law = True
+    for sub, sup in o_pairs(poset, proper_only=True):
+        restricted = pmap_restrict(poset, sub, sup, o_interval(alpha, sup))
+        if not restricted <= o_interval(alpha, sub):
+            law = False
+        if restricted != o_interval(alpha, sub) and cond_ii[0]:
+            cond_ii = (False, {"v1": sup, "v2": sub, "restricted": sorted(restricted),
+                               "interval": sorted(o_interval(alpha, sub))})
+    iso = (True, None)
+    for sup in scan_ids(poset):
+        for mask in n_masks(poset, sup):
+            members = alpha.members(sup, mask)
+            for sub in scan_down_set(poset, sup):
+                target = mask_indices(pmap_coarse_grain(poset, sub, sup, mask))
+                if iso[0] and (o_interval(alpha, sub) <= target) != (sub in members):
+                    iso = (False, {"v1": sup, "v2": sub, "mask": mask})
+
+    def expected_of(sup):
+        def expected(sub, mask):
+            return (pmap_restrict(poset, sub, sup, o_interval(alpha, sup))
+                    <= pmap_restrict(poset, sub, sup, mask_indices(mask)))
+        return expected
+
+    report = {"condition_i": {"holds": cond_i[0], "witness": cond_i[1]},
+              "condition_ii": {"holds": cond_ii[0], "witness": cond_ii[1]},
+              "condition_i_iso_route": {"holds": iso[0], "witness": iso[1]},
+              "routes_agree": cond_i[0] == iso[0],
+              "subobject_law": law}
+    return _contract(report, cond_i, cond_ii, o_sieve(alpha), o_func(alpha),
+                     _characterization(alpha, expected_of))
+
+
+def assert_same_verdicts(fast, oracle):
+    """Every report of the fast valuation equals the oracle's."""
+    assert fast.dump() == oracle.dump()
+    assert supports_report(fast) == o_supports_report(oracle)
+    assert check_definition3(fast) == o_definition3(oracle)
+    assert theorem1_verify(fast) == o_theorem1(oracle)
+    assert theorem2_verify(fast) == o_theorem2(oracle)
+    assert reconstruct_from_supports(fast)[1] == o_reconstruct_from_supports(oracle)
+    assert reconstruct_from_intervals(fast)[1] == o_reconstruct_from_intervals(oracle)
+
+
+def state_valuation(rho, poset, r):
+    return nu_rho(rho, poset) if r == 1 else nu_rho_r(rho, r, poset)
+
+
+def atom_mixture(rng, poset):
+    """A state supported on a random lattice element of a random context,
+    so that certainty holds below the full proposition."""
+    ctx = poset.context(poset.ids[int(rng.integers(len(poset.ids)))])
+    mask = int(rng.integers(1, 1 << ctx.n_atoms))
+    weights = [rng.random() if mask >> i & 1 else 0.0 for i in range(ctx.n_atoms)]
+    m = sum(w * a.entries / a.rank for w, a in zip(weights, ctx.atoms))
+    return DensityMatrix(m / np.trace(m).real)
+
+
+R_VALUES = (1, 0.8, 0.6, 0.3)
+
+
+@pytest.mark.parametrize("r", R_VALUES)
+def test_state_valuations_match_projector_oracle_on_random_posets(r):
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 3])
+        dim = int(rng.integers(2, 6))
+        poset = random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)
+        for rho in (random_density(rng, dim), atom_mixture(rng, poset)):
+            fast = state_valuation(rho, poset, r)
+            assert_same_verdicts(fast, oracle_valuation(rho, poset, r))
+
+
+def test_table_valuations_match_frozenset_checkers():
+    # arbitrary member sets break every clause, so the witnesses are exercised
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 4])
+        poset = random_poset(rng, dim=int(rng.integers(2, 5)), max_contexts=5, max_atoms=3)
+        alpha = random_table_valuation(rng, poset, sieve_valued=bool(seed % 2))
+        assert_same_verdicts(alpha, alpha)
+
+
+def _peres_bases():
+    """The 24 orthogonal bases of Peres' 24 rays in dimension 4."""
+    rays = set()
+    for pattern in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)):
+        for signs in itertools.product((1, -1), repeat=4):
+            for ray in itertools.permutations([s * x for s, x in zip(signs, pattern)]):
+                lead = next(x for x in ray if x)
+                rays.add(tuple(x * lead for x in ray))
+    return [quad for quad in itertools.combinations(sorted(rays), 4)
+            if all(np.dot(p, q) == 0 for p, q in itertools.combinations(quad, 2))]
+
+
+@pytest.mark.parametrize("r", R_VALUES)
+def test_state_valuations_match_projector_oracle_on_rotated_peres_subset(r):
+    rng = np.random.default_rng(24)
+    u = random_unitary(rng, 4)
+    bases = _peres_bases()
+    chosen = [bases[int(i)] for i in rng.choice(len(bases), size=6, replace=False)]
+    contexts = []
+    for k, basis in enumerate(chosen):
+        vecs = [u @ (np.asarray(ray, dtype=float) / np.linalg.norm(ray)) for ray in basis]
+        contexts.append(Context(f"P{k}", [Projector(np.outer(v, v.conj())) for v in vecs]))
+    poset = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    assert any(cid.startswith("meet") for cid in poset.ids)
+    ray = contexts[0].atoms[0].entries
+    states = (DensityMatrix(ray), DensityMatrix(0.3 * ray + 0.7 * contexts[1].atoms[2].entries),
+              random_density(rng, 4))
+    for rho in states:
+        assert_same_verdicts(state_valuation(rho, poset, r), oracle_valuation(rho, poset, r))
+
+
+def test_each_stage_mask_is_decided_once(monkeypatch):
+    import toposval.valuations as valuations
+
+    calls = []
+
+    def spy(rho, p, tol=DEFAULT):
+        calls.append(p)
+        return certain(rho, p, tol)
+
+    monkeypatch.setattr(valuations, "certain", spy)
+    rng = np.random.default_rng(5)
+    poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
+    alpha = nu_rho(random_density(rng, 4), poset)
+    alpha.dump()
+    check_definition3(alpha)
+    theorem1_verify(alpha)
+    assert len(calls) <= sum(1 << poset.context(c).n_atoms for c in poset.ids)
+
+
+# --------------------------------------------------------------------------
+# the poset index
+
+def assert_index_matches_scans(poset):
+    assert poset.ids == scan_ids(poset)
+    for cid in set(scan_ids(poset)) | {x for pair in poset.order for x in pair}:
+        assert poset.down_set(cid) == scan_down_set(poset, cid)
+        assert poset.up_set(cid) == scan_up_set(poset, cid)
+    assert poset.maximal_ids() == scan_maximal_ids(poset)
+    assert poset.cover_pairs() == scan_cover_pairs(poset)
+    assert poset.pairs() == o_pairs(poset)
+    assert poset.pairs(proper_only=True) == o_pairs(poset, proper_only=True)
+
+
+def test_index_matches_scanning_oracles_on_random_posets():
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        poset = random_poset(rng, max_contexts=6, max_atoms=4)
+        assert_index_matches_scans(poset)
+        for sub, sup in poset.pairs():
+            for mask in n_masks(poset, sup):
+                assert coarse_grain(poset, sub, sup, LatticeElement(sup, mask)).mask \
+                    == pmap_coarse_grain(poset, sub, sup, mask)
+                chars = frozenset(Character(sup, i) for i in mask_indices(mask))
+                assert frozenset(k.atom_index for k in clo_sigma_restrict(poset, sub, sup, chars)) \
+                    == pmap_restrict(poset, sub, sup, mask_indices(mask))
+            for k in range(poset.context(sup).n_atoms):
+                assert sigma_restrict(poset, sub, sup, Character(sup, k)).atom_index \
+                    == next(iter(pmap_restrict(poset, sub, sup, {k})))
+
+
+REFLEXIVE = {(x, x) for x in "abc"}
+
+
+@pytest.mark.parametrize("order,message", [
+    (REFLEXIVE | {("a", "b"), ("b", "c"), ("a", "c"), ("z", "a")}, None),
+    (REFLEXIVE | {("z", "y"), ("b", "z")}, None),
+    (REFLEXIVE - {("b", "b")}, "inclusion is not reflexive"),
+    (REFLEXIVE | {("a", "c"), ("c", "a")}, "distinct contexts 'a', 'c' are mutually included"),
+    (REFLEXIVE | {("a", "b"), ("b", "c")}, "inclusion is not transitive"),
+])
+def test_index_tolerates_hand_broken_orders(order, message):
+    poset = ContextPoset(contexts={x: trivial_context(2, x) for x in "abc"},
+                         order=frozenset(order), partition_maps={})
+    assert_index_matches_scans(poset)
+    if message is None:
+        _check_partial_order(poset)
+    else:
+        with pytest.raises(ContextError, match=message):
+            _check_partial_order(poset)
+
+
+def test_coarse_grain_without_a_partition_map_raises():
+    poset = ContextPoset(contexts={x: trivial_context(2, x) for x in "ab"},
+                         order=frozenset({("a", "a"), ("b", "b"), ("a", "b")}), partition_maps={})
+    with pytest.raises(ContextError, match="'a' is not included in 'b'"):
+        coarse_grain(poset, "a", "b", LatticeElement("b", 1))
+    with pytest.raises(ContextError, match="'z' is not included in 'b'"):
+        sigma_restrict(poset, "z", "b", Character("b", 0))

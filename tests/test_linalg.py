@@ -16,6 +16,7 @@ from toposval.linalg import (
     projector_from_span,
 )
 from toposval.sampling import random_density, random_hermitian
+from toposval.tolerances import DEFAULT
 
 
 def test_eig_identity():
@@ -161,3 +162,21 @@ def test_projector_validation():
     assert p.rank == 2
     assert p.leq(Projector(np.eye(3)))
     assert not Projector(np.eye(3)).leq(p)
+
+
+def test_support_reproduction_check_reads_tol_certain():
+    # an eigenvalue of 5e-9 falls below support_trace = 1e-8, so the support
+    # misses it by 5e-9: inside the default tol.certain of 1e-8, outside 1e-9
+    rho = np.diag([1 - 5e-9, 5e-9])
+    coarse = DEFAULT.overridden(support_trace=1e-8)
+    assert DensityMatrix(rho, tol=coarse).support_projector.rank == 1
+    with pytest.raises(LinalgError, match="does not reproduce"):
+        DensityMatrix(rho, tol=coarse.overridden(certain=1e-9))
+
+
+def test_pure_state_density_takes_the_callers_tolerances():
+    v = StateVector([0.6, 0.8, 0])
+    assert v.density().support_projector.rank == 1
+    # the two zero eigenvalues sit below a PSD floor raised to 1e-3
+    with pytest.raises(LinalgError, match="negative eigenvalue"):
+        v.density(DEFAULT.overridden(psd_floor=1e-3))
