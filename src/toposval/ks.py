@@ -89,7 +89,16 @@ def global_section_search(poset: ContextPoset, _replay: bool = True,
 def _search(poset: ContextPoset, maximal: list[str]) -> dict:
     if not poset.ids:
         return {"exists": True, "witness": {}, "nodesExplored": 0}
-    below: dict[str, list[str]] = {m: poset.down_set(m) for m in maximal}
+    index = poset.index
+    # per maximal context, (sub id, restriction map of (sub, m)); the
+    # context itself keeps its own atom, marked by a None map
+    below = {
+        m: tuple(
+            (sub, None if sub == m else index.restriction(*index.pair(sub, m)))
+            for sub in poset.down_set(m)
+        )
+        for m in maximal
+    }
     nodes = 0
     assignment: dict[str, int] = {}   # every context, filled by propagation
     pinned_by: dict[str, str] = {}    # context -> maximal that first pinned it
@@ -98,8 +107,10 @@ def _search(poset: ContextPoset, maximal: list[str]) -> dict:
         """Propagate a maximal choice downward; returns newly pinned ids or
         None on conflict."""
         new: list[str] = []
-        for sub in below[m]:
-            j = _restriction_index(poset, sub, m, atom) if sub != m else atom
+        for sub, owner in below[m]:
+            j = atom if owner is None else owner[atom]
+            if j is None:
+                raise ContextError("partition map does not cover the atom")
             if sub in assignment:
                 if assignment[sub] != j:
                     for cid in new:

@@ -8,6 +8,24 @@ the support/coarse-graining identities hold exactly.  Eigenvalues are
 snapped to canonical representatives so that all set operations on reals
 are exact.
 
+Behind the frozenset API, a set of eigenvalues is an int mask over
+spectrum indices.  Each `ODecomposition` builds one spectral projector per
+mask, and each `EigenvalueMap` carries, per domain index, the bit of its
+value in the sorted codomain, so images and preimages are ORs of bits.
+The float decisions are made once and kept by `OperatorCategory`:
+
+- per (arrow, delta mask, tolerances), the coarse-graining of delta along
+  the arrow: the preimage of its image, cross-checked against the
+  independent infimum over every spectral projector of f(A) that dominates
+  delta's projector.  A disagreement raises `OcatError`;
+- per (state, tolerances), held weakly by the state object: the support
+  mask of each operator and of each arrow's image operator, one certainty
+  test per (operator, preimage mask) on that preimage's projector, and the
+  member set of each (operator, delta mask).
+
+The support characterization reads supports by their masks, so it stays
+independent of the certainty tests it is compared with.
+
 A vector state is recoverable from the (operator, eigenvalue-set) pairs it
 makes certain, so its certainty valuation both determines and is
 determined by its totally-true assignments.  That is a fact about the
@@ -16,10 +34,13 @@ family, recorded here for reference; no operation hangs off it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .contexts import bit_list
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -56,14 +77,32 @@ def snap(value: float, anchors, tol: float = DEFAULT.eig_match) -> float:
     return best
 
 
+def _index_mask(position: dict[float, int], values) -> int:
+    """The mask of the positions of `values`; values without one are ignored."""
+    mask = 0
+    for x in values:
+        i = position.get(x)
+        if i is not None:
+            mask |= 1 << i
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class ODecomposition:
-    """An operator with its ordered distinct eigenvalues and eigenprojectors."""
+    """An operator with its ordered distinct eigenvalues and eigenprojectors.
+
+    A subset of the spectrum is also an index mask (bit i for spectrum[i]);
+    the spectral projector of each mask is built once, on first request.
+    """
 
     id: str
     operator: HermitianOperator
     spectrum: tuple[float, ...]
     eigenprojectors: tuple[Projector, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_position", {lam: i for i, lam in enumerate(self.spectrum)})
+        object.__setattr__(self, "_projectors", {})
 
     @classmethod
     def from_operator(cls, op: HermitianOperator, id: str = "A",
@@ -80,18 +119,35 @@ class ODecomposition:
     def dim(self) -> int:
         return self.operator.dim
 
+    def mask_of(self, subset) -> int:
+        """The index mask of the eigenvalues in `subset`; other values are ignored."""
+        return _index_mask(self._position, subset)
+
+    def subset(self, mask: int) -> frozenset[float]:
+        """The eigenvalues of an index mask."""
+        return frozenset(self.spectrum[i] for i in bit_list(mask))
+
+    def projector(self, mask: int) -> Projector:
+        """The spectral projector of an index mask: its eigenprojectors
+        summed in ascending spectrum order, built once per mask."""
+        p = self._projectors.get(mask)
+        if p is None:
+            if mask < 0 or mask >> len(self.spectrum):
+                raise OcatError(f"mask {mask} out of range for operator {self.id!r}")
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            for i in bit_list(mask):
+                m = m + self.eigenprojectors[i].entries
+            p = self._projectors[mask] = Projector(m)
+        return p
+
     def projector_for(self, subset: frozenset[float]) -> Projector:
         """The spectral projector of a subset of the spectrum."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for lam, p in zip(self.spectrum, self.eigenprojectors):
-            if lam in subset:
-                m = m + p.entries
-        return Projector(m)
+        return self.projector(self.mask_of(subset))
 
     def check_subset(self, subset) -> frozenset[float]:
         out = frozenset(float(x) for x in subset)
         for x in out:
-            if x not in self.spectrum:
+            if x not in self._position:
                 raise OcatError(f"{x} is not an eigenvalue of {self.id!r}")
         return out
 
@@ -102,10 +158,38 @@ class EigenvalueMap:
 
     Values are canonicalized at construction (grouped at the matching
     width), so applying the map and forming image sets are exact set
-    operations afterwards.
+    operations afterwards.  The codomain is the sorted set of values; each
+    domain index (position in `pairs`) carries the bit of its value's
+    codomain index, so images and preimages of index masks are ORs of bits.
+    These tables are built on first use.
     """
 
     pairs: tuple[tuple[float, float], ...]
+
+    @cached_property
+    def _values(self) -> dict[float, float]:
+        values: dict[float, float] = {}
+        for k, v in self.pairs:
+            values.setdefault(k, v)
+        return values
+
+    @cached_property
+    def codomain(self) -> tuple[float, ...]:
+        return tuple(sorted(set(self._values.values())))
+
+    @cached_property
+    def _domain_position(self) -> dict[float, int]:
+        return {k: i for i, (k, _) in enumerate(self.pairs)}
+
+    @cached_property
+    def _codomain_position(self) -> dict[float, int]:
+        return {v: j for j, v in enumerate(self.codomain)}
+
+    @cached_property
+    def image_bits(self) -> tuple[int, ...]:
+        """Per domain index, the bit of its value's codomain index."""
+        at = self._codomain_position
+        return tuple(1 << at[self._values[k]] for k, _ in self.pairs)
 
     @classmethod
     def from_dict(cls, d: dict[float, float], tol: float = DEFAULT.eig_match) -> "EigenvalueMap":
@@ -114,20 +198,42 @@ class EigenvalueMap:
         return cls(tuple(sorted(snapped.items())))
 
     def __call__(self, lam: float) -> float:
-        for k, v in self.pairs:
-            if k == lam:
-                return v
-        raise OcatError(f"{lam} is outside the domain of the map")
+        try:
+            return self._values[lam]
+        except KeyError:
+            raise OcatError(f"{lam} is outside the domain of the map") from None
 
     @property
     def domain(self) -> tuple[float, ...]:
         return tuple(k for k, _ in self.pairs)
 
+    def image_mask(self, mask: int) -> int:
+        """Codomain mask of the image of a domain mask."""
+        out = 0
+        for i in bit_list(mask):
+            out |= self.image_bits[i]
+        return out
+
+    def preimage_mask(self, mask: int) -> int:
+        """Domain mask of the preimage of a codomain mask."""
+        out = 0
+        for i, bit in enumerate(self.image_bits):
+            if bit & mask:
+                out |= 1 << i
+        return out
+
     def image(self, subset: frozenset[float]) -> frozenset[float]:
-        return frozenset(self(x) for x in subset)
+        for x in subset:
+            if x not in self._values:
+                raise OcatError(f"{x} is outside the domain of the map")
+        return self._values_of(self.image_mask(_index_mask(self._domain_position, subset)))
 
     def preimage(self, subset: frozenset[float]) -> frozenset[float]:
-        return frozenset(k for k, v in self.pairs if v in subset)
+        mask = self.preimage_mask(_index_mask(self._codomain_position, subset))
+        return frozenset(self.pairs[i][0] for i in bit_list(mask))
+
+    def _values_of(self, mask: int) -> frozenset[float]:
+        return frozenset(self.codomain[j] for j in bit_list(mask))
 
 
 def identity_map(a: ODecomposition) -> EigenvalueMap:
@@ -156,6 +262,16 @@ def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODe
     )
 
 
+def _on_spectrum(f: EigenvalueMap, a: ODecomposition) -> EigenvalueMap:
+    """`f` with its domain listed in the order of A's spectrum, so that a
+    domain mask is an index mask of A."""
+    if set(f.domain) != set(a.spectrum):
+        raise OcatError("map domain does not equal the operator's spectrum")
+    if f.domain == a.spectrum:
+        return f
+    return EigenvalueMap(tuple((lam, f(lam)) for lam in a.spectrum))
+
+
 def discover_morphism(b: ODecomposition, a: ODecomposition,
                       tol: Tolerances = DEFAULT) -> EigenvalueMap | None:
     """The function with B = f(A), if it exists: B must act as a scalar on
@@ -179,52 +295,63 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     return EigenvalueMap(tuple(sorted(mapping.items())))
 
 
-def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
-                   tol: Tolerances = DEFAULT) -> Projector:
-    """The spectral projector of "f(A) lands in f(delta)".
+def _coarse_mask(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: int,
+                 tol: Tolerances) -> int:
+    """The index mask of "f(A) lands in f(delta)" for a delta mask of A,
+    where `f` lists A's spectrum and `b` is f(A).
 
-    Computed directly as the preimage sum, and cross-checked against the
-    independent infimum over the spectral algebra of f(A); the two paths
-    must select exactly the same eigenvalues.
+    The preimage of the image of delta is cross-checked against the
+    independent infimum over the spectral algebra of f(A): the meet of
+    every spectral projector of f(A) that dominates the projector of delta.
+    The two paths must select exactly the same eigenvalues.
     """
-    delta = a.check_subset(delta)
-    f_delta = f.image(delta)
-    pre = f.preimage(f_delta)
-    direct = a.projector_for(pre)
-
-    b = apply_map(f, a)
-    e_delta = a.projector_for(delta)
-    n = len(b.spectrum)
+    pre = f.preimage_mask(f.image_mask(delta))
+    e_delta = a.projector(delta)
     kept = None
-    for mask in range(1 << n):
-        q = frozenset(b.spectrum[i] for i in range(n) if mask >> i & 1)
-        qp = b.projector_for(q)
-        if e_delta.leq(qp, tol):
+    for q in range(1 << len(b.spectrum)):
+        if e_delta.leq(b.projector(q), tol):
             kept = q if kept is None else kept & q
     if kept is None:
         raise OcatError("no dominating element in the spectral algebra")
-    inf_pre = frozenset(lam for lam in a.spectrum if f(lam) in kept)
+    inf_pre = f.preimage_mask(kept)
     if inf_pre != pre:
         raise OcatError(
-            f"coarse-graining paths disagree: preimage {sorted(pre)} vs infimum {sorted(inf_pre)}"
+            f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
+            f"vs infimum {sorted(a.subset(inf_pre))}"
         )
-    return direct
+    return pre
+
+
+def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
+                   tol: Tolerances = DEFAULT) -> Projector:
+    """The spectral projector of "f(A) lands in f(delta)", computed as the
+    preimage sum and cross-checked against the infimum over the spectral
+    algebra of f(A)."""
+    mask = a.mask_of(a.check_subset(delta))
+    f = _on_spectrum(f, a)
+    return a.projector(_coarse_mask(f, a, apply_map(f, a), mask, tol))
+
+
+def _support_mask(state: StateVector | DensityMatrix, a: ODecomposition,
+                  tol: Tolerances) -> int:
+    """Index mask of the eigenvalues whose eigenprojector meets the state."""
+    if state.dim != a.dim:
+        raise OcatError("dimension mismatch")
+    mask = 0
+    for i, e in enumerate(a.eigenprojectors):
+        if isinstance(state, StateVector):
+            inside = np.linalg.norm(e.entries @ state.amplitudes) > tol.vector_support
+        else:
+            inside = float(np.trace(state.entries @ e.entries).real) > tol.support_trace
+        if inside:
+            mask |= 1 << i
+    return mask
 
 
 def elementary_support(state: StateVector | DensityMatrix, a: ODecomposition,
                        tol: Tolerances = DEFAULT) -> frozenset[float]:
     """The least set of eigenvalues carrying probability 1 for the state."""
-    if state.dim != a.dim:
-        raise OcatError("dimension mismatch")
-    out = []
-    for lam, e in zip(a.spectrum, a.eigenprojectors):
-        if isinstance(state, StateVector):
-            if np.linalg.norm(e.entries @ state.amplitudes) > tol.vector_support:
-                out.append(lam)
-        else:
-            if float(np.trace(state.entries @ e.entries).real) > tol.support_trace:
-                out.append(lam)
-    return frozenset(out)
+    return a.subset(_support_mask(state, a, tol))
 
 
 def state_certain(state: StateVector | DensityMatrix, p: Projector,
@@ -245,9 +372,29 @@ class Morphism:
     map: EigenvalueMap
 
 
+class _Decisions:
+    """The float decisions of one state at one tolerance set, over one
+    category: support masks per object or arrow image operator, certainty
+    per (operator, preimage mask), and member sets per (operator, delta mask)."""
+
+    __slots__ = ("support", "certain", "members")
+
+    def __init__(self):
+        self.support: dict[ODecomposition, int] = {}
+        self.certain: dict[tuple[str, int], bool] = {}
+        self.members: dict[tuple[str, int], frozenset[tuple[str, str]]] = {}
+
+
 class OperatorCategory:
     """A finite full subcategory: a list of operators with all morphisms
-    discovered pairwise (identities included)."""
+    discovered pairwise (identities included).
+
+    The morphisms into each object are sorted once.  Everything else is
+    built on first use and kept: per arrow, the map on the target's
+    spectrum and its image operator f(A); per (arrow, delta mask, tol), the
+    cross-checked coarse-graining; per state and tol, that state's
+    decisions (held weakly, so they go when the state does).
+    """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
         ids = [o.id for o in objects]
@@ -263,16 +410,20 @@ class OperatorCategory:
                 f = discover_morphism(b, a, tol)
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
+        into: dict[str, list[Morphism]] = {oid: [] for oid in self.objects}
+        for key in sorted(self.morphisms):
+            into[key[1]].append(self.morphisms[key])
+        self._into = {oid: tuple(ms) for oid, ms in into.items()}
+        self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition]] = {}
+        self._coarse: dict[tuple[str, str, int, Tolerances], int] = {}
+        self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def ids(self) -> list[str]:
         return sorted(self.objects)
 
     def morphisms_into(self, aid: str) -> list[Morphism]:
-        return sorted(
-            (m for (src, dst), m in self.morphisms.items() if dst == aid),
-            key=lambda m: (m.src, m.dst),
-        )
+        return list(self._into.get(aid, ()))
 
     def compose(self, g: Morphism, f: Morphism) -> EigenvalueMap:
         """Eigenvalue map of the composite (g after f as arrows): given
@@ -301,18 +452,72 @@ class OperatorCategory:
                                    "composite_mismatch": (g.src, f.dst)}
         return True, None
 
+    def _object(self, a: ODecomposition) -> str:
+        if self.objects.get(a.id) is not a:
+            raise OcatError(f"{a.id!r} is not an object of this category")
+        return a.id
+
+    def _arrow(self, m: Morphism) -> tuple[EigenvalueMap, ODecomposition]:
+        """The arrow's map on its target's spectrum, and the image operator."""
+        out = self._arrows.get((m.src, m.dst))
+        if out is None:
+            a = self.objects[m.dst]
+            f = _on_spectrum(m.map, a)
+            out = self._arrows[(m.src, m.dst)] = (f, apply_map(f, a))
+        return out
+
+    def _coarse_mask(self, m: Morphism, delta: int, tol: Tolerances) -> int:
+        key = (m.src, m.dst, delta, tol)
+        out = self._coarse.get(key)
+        if out is None:
+            f, b = self._arrow(m)
+            out = self._coarse[key] = _coarse_mask(f, self.objects[m.dst], b, delta, tol)
+        return out
+
+    def _decisions(self, state, tol: Tolerances) -> _Decisions:
+        per_tol = self._states.get(state)
+        if per_tol is None:
+            per_tol = self._states[state] = {}
+        out = per_tol.get(tol)
+        if out is None:
+            out = per_tol[tol] = _Decisions()
+        return out
+
+    def _support_mask(self, state, op: ODecomposition, tol: Tolerances) -> int:
+        """Support mask of an object or of an arrow's image operator."""
+        memo = self._decisions(state, tol).support
+        out = memo.get(op)
+        if out is None:
+            out = memo[op] = _support_mask(state, op, tol)
+        return out
+
+    def _members(self, state, aid: str, delta: int,
+                 tol: Tolerances) -> frozenset[tuple[str, str]]:
+        """Arrows into `aid` whose coarse-grained delta is certain for the
+        state: one certainty test per distinct preimage mask."""
+        decisions = self._decisions(state, tol)
+        out = decisions.members.get((aid, delta))
+        if out is None:
+            a = self.objects[aid]
+            arrows = []
+            for m in self._into[aid]:
+                pre = self._coarse_mask(m, delta, tol)
+                sure = decisions.certain.get((aid, pre))
+                if sure is None:
+                    sure = state_certain(state, a.projector(pre), tol)
+                    decisions.certain[(aid, pre)] = sure
+                if sure:
+                    arrows.append((m.src, m.dst))
+            out = decisions.members[(aid, delta)] = frozenset(arrows)
+        return out
+
 
 def nu_psi_o(state: StateVector | DensityMatrix, a: ODecomposition, delta,
              category: OperatorCategory, tol: Tolerances = DEFAULT) -> frozenset[tuple[str, str]]:
     """Morphisms into `a` along which the proposition coarse-grains to a
     probability-1 projector for the state."""
-    delta = a.check_subset(delta)
-    out = []
-    for m in category.morphisms_into(a.id):
-        e = o_coarse_grain(m.map, a, delta, tol)
-        if state_certain(state, e, tol):
-            out.append((m.src, m.dst))
-    return frozenset(out)
+    mask = a.mask_of(a.check_subset(delta))
+    return category._members(state, category._object(a), mask, tol)
 
 
 def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, delta,
@@ -321,18 +526,21 @@ def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, de
     characterization: arrows whose map sends the elementary support inside
     the image of the proposition's eigenvalue set."""
     delta = a.check_subset(delta)
-    definitional = nu_psi_o(state, a, delta, category, tol)
-    s = elementary_support(state, a, tol)
-    by_support = frozenset(
-        (m.src, m.dst)
-        for m in category.morphisms_into(a.id)
-        if m.map.image(s) <= m.map.image(delta)
-    )
+    mask = a.mask_of(delta)
+    aid = category._object(a)
+    definitional = category._members(state, aid, mask, tol)
+    s = category._support_mask(state, a, tol)
+    by_support = []
+    for m in category._into[aid]:
+        f, _ = category._arrow(m)
+        if not f.image_mask(s) & ~f.image_mask(mask):
+            by_support.append((m.src, m.dst))
+    by_support = frozenset(by_support)
     return {
         "passed": definitional == by_support,
         "definitional": sorted(definitional),
         "by_support": sorted(by_support),
-        "support": sorted(s),
+        "support": sorted(a.subset(s)),
         "delta": sorted(delta),
     }
 
@@ -342,11 +550,21 @@ def check_sieve_on_o(state, a: ODecomposition, delta,
     """The probability-1 morphism set is closed under precomposition."""
     members = nu_psi_o(state, a, delta, category, tol)
     for (src, dst) in members:
-        f = category.morphisms[(src, dst)]
-        for g in category.morphisms_into(src):
+        for g in category._into[src]:
             if (g.src, a.id) not in members:
                 return False, {"f": (src, dst), "g": (g.src, g.dst)}
     return True, None
+
+
+def _subset_report(f: EigenvalueMap, pushed: int, image: int) -> dict:
+    """The subset law of supports from the pushed support of A and the
+    support of f(A), both codomain masks of `f`."""
+    return {
+        "passed": pushed == image,
+        "subset": not pushed & ~image,
+        "pushed_support": sorted(f._values_of(pushed)),
+        "image_support": sorted(f._values_of(image)),
+    }
 
 
 def func_subset_check(state: StateVector | DensityMatrix, a: ODecomposition,
@@ -354,15 +572,10 @@ def func_subset_check(state: StateVector | DensityMatrix, a: ODecomposition,
     """Pushing the elementary support through the map must give exactly the
     elementary support of the image operator (equality, not mere
     containment, on discrete spectra)."""
+    f = _on_spectrum(f, a)
     b = apply_map(f, a)
-    lhs = f.image(elementary_support(state, a, tol))
-    rhs = elementary_support(state, b, tol)
-    return {
-        "passed": lhs == rhs,
-        "subset": lhs <= rhs,
-        "pushed_support": sorted(lhs),
-        "image_support": sorted(rhs),
-    }
+    return _subset_report(f, f.image_mask(_support_mask(state, a, tol)),
+                          _support_mask(state, b, tol))
 
 
 def support_subobject_check(state, category: OperatorCategory,
@@ -372,8 +585,10 @@ def support_subobject_check(state, category: OperatorCategory,
     checked = 0
     for m in category.morphisms.values():
         checked += 1
+        f, b = category._arrow(m)
         a = category.objects[m.dst]
-        res = func_subset_check(state, a, m.map, tol)
+        res = _subset_report(f, f.image_mask(category._support_mask(state, a, tol)),
+                             category._support_mask(state, b, tol))
         if not res["passed"]:
             failures.append({"src": m.src, "dst": m.dst, **res})
     return {"passed": not failures, "morphismsChecked": checked, "failures": failures}

@@ -81,9 +81,11 @@ def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "
     table: dict[tuple[str, int, int], bool] = {}
     for cid in poset.ids:
         n = poset.context(cid).n_atoms
+        # one draw per context, consumed in (l, r) order like scalar draws
+        draws = iter(rng.random(1 << 2 * n).tolist())
         for l in range(1 << n):
             for r in range(1 << n):
-                table[(cid, l, r)] = bool(rng.random() < 0.5)
+                table[(cid, l, r)] = next(draws) < 0.5
     return Relation(name, lambda cid, l, r: table[(cid, l, r)])
 
 

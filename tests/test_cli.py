@@ -248,3 +248,48 @@ def test_golden_report_digest(tmp_path, monkeypatch, name):
     command = name.split("-r0")[0]
     assert main([command, *GOLDEN_COMMON, *extra, "--out", "report.json"]) == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of whole `ocat` report files, run from the directory that holds
+# the inputs: the 3-operator set of `test_ocat` with the pure state above,
+# and a degenerate dim-5 set (C acts by a swap inside A's eigenvalue-1
+# eigenspace, P projects onto the eigenvalue-2 eigenspace) with a mixed
+# state that is coherent across that eigenspace.  The digests pin report
+# bytes across changes to the operator-category kernel.
+OCAT_OPS3 = {"dim": 3, "operators": [
+    {"id": "A", "matrix": [[-1, 0, 0], [0, 1, 0], [0, 0, 2]]},
+    {"id": "Asq", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]},
+    {"id": "one", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+]}
+OCAT_OPS5 = {"dim": 5, "operators": [
+    {"id": "A", "matrix": [[-1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                           [0, 0, 0, 2, 0], [0, 0, 0, 0, 2]]},
+    {"id": "Asq", "matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                             [0, 0, 0, 4, 0], [0, 0, 0, 0, 4]]},
+    {"id": "C", "matrix": [[5, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0],
+                           [0, 0, 0, 6, 0], [0, 0, 0, 0, 6]]},
+    {"id": "P", "matrix": [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                           [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]},
+    {"id": "one", "matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                             [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]},
+]}
+OCAT_MIXED5 = {"type": "density", "data": [
+    [0.5, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+    [0, 0, 0, 0.25, 0.25], [0, 0, 0, 0.25, 0.25]]}
+GOLDEN_OCAT = {
+    "ops3-pure": (OCAT_OPS3, STATE,
+                  "21701bbd0fff5a5f27c46903dea0071c3d3d3bcf4965ba8b941e0ed126c3b573"),
+    "ops5-mixed": (OCAT_OPS5, OCAT_MIXED5,
+                   "a7b4347bd239d2d146cbbfba4030649755f3fd2f626896c46f62248d5d59cb5a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OCAT))
+def test_golden_ocat_digest(tmp_path, monkeypatch, name):
+    ops, state, digest = GOLDEN_OCAT[name]
+    (tmp_path / "ops.json").write_text(json.dumps(ops))
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    monkeypatch.chdir(tmp_path)
+    assert main(["ocat", "--input", "ops.json", "--state", "state.json",
+                 "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest

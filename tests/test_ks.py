@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from toposval.contexts import Context, build_poset
+import toposval.ks
+
+from toposval.contexts import Context, ContextError, build_poset
 from toposval.ks import (
     bundled_ks_poset,
     global_section_search,
@@ -12,7 +14,7 @@ from toposval.ks import (
     validate_rank_one_cover,
 )
 from toposval.linalg import Projector, projector_from_span
-from toposval.sampling import context_from_basis, random_poset, random_unitary
+from toposval.sampling import context_from_basis, fix_a, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 
 from conftest import diag_proj
@@ -190,3 +192,15 @@ def test_ks_rotated_fixture_still_obstructed():
     assert len(poset.ids) == 28
     verdict = global_section_search(poset)
     assert not verdict["exists"]
+
+
+def test_search_raises_on_a_partition_map_that_misses_an_atom(monkeypatch):
+    # V2's map loses atom 0 of V1, the first atom the search tries; the
+    # search itself must raise, before any witness reaches section_verify
+    poset = fix_a()
+    poset.partition_maps[("V2", "V1")] = (0b010, 0b100)
+    verified = []
+    monkeypatch.setattr(toposval.ks, "section_verify", lambda *args: verified.append(args))
+    with pytest.raises(ContextError, match="does not cover"):
+        global_section_search(poset)
+    assert verified == []

@@ -1,8 +1,22 @@
+"""Tests for the operator category.
+
+`ODecomposition` builds one spectral projector per eigenvalue-index mask,
+and `OperatorCategory` decides each coarse-graining once per (arrow, delta
+mask, tolerances) and each certainty once per (state, operator, preimage
+mask).  The per-call forms they replaced (the subset projector sum, the
+dual-path coarse-graining with its infimum loop, the eigenprojector
+support scan and the per-morphism certainty sweep) are kept below as
+oracles, written on `pairs` and `spectrum` alone.
+"""
+
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
+from toposval.linalg import DensityMatrix, HermitianOperator, Projector, StateVector
 from toposval.ocat import (
     EigenvalueMap,
     ODecomposition,
@@ -17,9 +31,11 @@ from toposval.ocat import (
     identity_map,
     nu_psi_o,
     o_coarse_grain,
+    state_certain,
     support_subobject_check,
 )
 from toposval.sampling import random_category, random_density, random_state
+from toposval.tolerances import DEFAULT
 
 
 def decomp(*diag, id="A"):
@@ -203,3 +219,287 @@ def test_apply_map_spectrum_is_image():
     b = apply_map(f, a)
     assert b.spectrum == (5.0, 6.0)
     npt.assert_allclose(b.operator.entries, np.diag([5.0, 5, 5, 6]), atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# per-call oracles
+
+def oracle_projector_for(a, subset):
+    m = np.zeros((a.dim, a.dim), dtype=complex)
+    for lam, p in zip(a.spectrum, a.eigenprojectors):
+        if lam in subset:
+            m = m + p.entries
+    return Projector(m)
+
+
+def oracle_algebra(b):
+    """Every (eigenvalue subset, spectral projector) of B."""
+    n = len(b.spectrum)
+    out = []
+    for mask in range(1 << n):
+        q = frozenset(b.spectrum[i] for i in range(n) if mask >> i & 1)
+        out.append((q, oracle_projector_for(b, q)))
+    return out
+
+
+def oracle_coarse_grain(f, a, delta, tol=DEFAULT, algebra=None):
+    """Preimage of the image of delta, and the infimum over the spectral
+    algebra of f(A); raises when the two differ.  `algebra`, when given, is
+    `oracle_algebra(apply_map(f, a))`, built once for several deltas."""
+    value = dict(f.pairs)
+    pre = frozenset(k for k, v in f.pairs if v in {value[x] for x in delta})
+    if algebra is None:
+        algebra = oracle_algebra(apply_map(f, a))
+    e_delta = oracle_projector_for(a, delta)
+    kept = None
+    for q, qp in algebra:
+        if e_delta.leq(qp, tol):
+            kept = q if kept is None else kept & q
+    if kept is None:
+        raise OcatError("no dominating element in the spectral algebra")
+    if frozenset(lam for lam in a.spectrum if value[lam] in kept) != pre:
+        raise OcatError("coarse-graining paths disagree")
+    return oracle_projector_for(a, pre)
+
+
+def oracle_support(state, a, tol=DEFAULT):
+    out = []
+    for lam, e in zip(a.spectrum, a.eigenprojectors):
+        if isinstance(state, StateVector):
+            if np.linalg.norm(e.entries @ state.amplitudes) > tol.vector_support:
+                out.append(lam)
+        elif float(np.trace(state.entries @ e.entries).real) > tol.support_trace:
+            out.append(lam)
+    return frozenset(out)
+
+
+def oracle_into(cat, aid):
+    return [cat.morphisms[k] for k in sorted(cat.morphisms) if k[1] == aid]
+
+
+def oracle_nu_psi_o(state, a, delta, cat, tol=DEFAULT, coarse=None):
+    """`coarse`, when given, maps (src, dst, delta) to the oracle
+    coarse-graining, computed once for several states."""
+    out = []
+    for m in oracle_into(cat, a.id):
+        e = (coarse[(m.src, m.dst, delta)] if coarse is not None
+             else oracle_coarse_grain(m.map, a, delta, tol))
+        if state_certain(state, e, tol):
+            out.append((m.src, m.dst))
+    return frozenset(out)
+
+
+def oracle_characterize(state, a, delta, cat, tol=DEFAULT, coarse=None):
+    definitional = oracle_nu_psi_o(state, a, delta, cat, tol, coarse)
+    s = oracle_support(state, a, tol)
+    by_support = frozenset(
+        (m.src, m.dst) for m in oracle_into(cat, a.id)
+        if {dict(m.map.pairs)[x] for x in s} <= {dict(m.map.pairs)[x] for x in delta}
+    )
+    return {
+        "passed": definitional == by_support,
+        "definitional": sorted(definitional),
+        "by_support": sorted(by_support),
+        "support": sorted(s),
+        "delta": sorted(delta),
+    }
+
+
+def oracle_sieve(members, aid, cat):
+    return all((g.src, aid) in members
+               for src, _ in members for g in oracle_into(cat, src))
+
+
+def oracle_support_subobject(state, cat, tol=DEFAULT):
+    failures = []
+    for m in cat.morphisms.values():
+        value = dict(m.map.pairs)
+        lhs = frozenset(value[x] for x in oracle_support(state, cat.objects[m.dst], tol))
+        rhs = oracle_support(state, apply_map(m.map, cat.objects[m.dst]), tol)
+        if lhs != rhs:
+            failures.append({"src": m.src, "dst": m.dst, "passed": False, "subset": lhs <= rhs,
+                             "pushed_support": sorted(lhs), "image_support": sorted(rhs)})
+    return {"passed": not failures, "morphismsChecked": len(cat.morphisms), "failures": failures}
+
+
+def all_deltas(a):
+    n = len(a.spectrum)
+    for mask in range(1 << n):
+        yield frozenset(a.spectrum[i] for i in range(n) if mask >> i & 1)
+
+
+def eigen_supported_state(rng, a, pure):
+    """A state inside the span of a random nonempty set of A's eigenspaces,
+    so that its support, and the arrows that make it certain, vary."""
+    n = len(a.spectrum)
+    mask = int(rng.integers(1, 1 << n))
+    p = sum(a.eigenprojectors[i].entries for i in range(n) if mask >> i & 1)
+    if pure:
+        v = p @ (rng.normal(size=a.dim) + 1j * rng.normal(size=a.dim))
+        return StateVector(v / np.linalg.norm(v))
+    m = p @ random_density(rng, a.dim).entries @ p
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def states_for(rng, cat, aid):
+    a = cat.objects[aid]
+    return (random_state(rng, a.dim), random_density(rng, a.dim),
+            eigen_supported_state(rng, a, True), eigen_supported_state(rng, a, False))
+
+
+def assert_matches_oracles(states, cat, tol=DEFAULT):
+    """Every checker on every delta of every object, for each state, against
+    the oracles; the states are queried in turn on one category."""
+    coarse = {}
+    for m in cat.morphisms.values():
+        a = cat.objects[m.dst]
+        algebra = oracle_algebra(apply_map(m.map, a))
+        for delta in all_deltas(a):
+            coarse[(m.src, m.dst, delta)] = oracle_coarse_grain(m.map, a, delta, tol, algebra)
+    for aid in cat.ids:
+        a = cat.objects[aid]
+        for state in states:
+            assert elementary_support(state, a, tol) == oracle_support(state, a, tol)
+        for delta in all_deltas(a):
+            assert np.array_equal(a.projector_for(delta).entries,
+                                  oracle_projector_for(a, delta).entries)
+            for state in states:
+                expected = oracle_characterize(state, a, delta, cat, tol, coarse)
+                members = frozenset(tuple(x) for x in expected["definitional"])
+                assert nu_psi_o(state, a, delta, cat, tol) == members
+                assert characterize_check(state, a, delta, cat, tol) == expected
+                assert check_sieve_on_o(state, a, delta, cat, tol)[0] == oracle_sieve(
+                    members, aid, cat)
+    for state in states:
+        assert support_subobject_check(state, cat, tol) == oracle_support_subobject(
+            state, cat, tol)
+
+
+# --------------------------------------------------------------------------
+# differential tests
+
+def test_coarse_graining_matches_oracle_bit_for_bit():
+    rng = np.random.default_rng(211)
+    for _ in range(20):
+        dim = int(rng.integers(2, 7))
+        cat, _ = random_category(rng, dim)
+        for aid in cat.ids:
+            a = cat.objects[aid]
+            for delta in all_deltas(a):
+                for m in cat.morphisms_into(aid):
+                    assert np.array_equal(o_coarse_grain(m.map, a, delta).entries,
+                                          oracle_coarse_grain(m.map, a, delta).entries)
+
+
+def test_checkers_match_oracles_on_random_categories():
+    rng = np.random.default_rng(223)
+    for _ in range(100):
+        dim = int(rng.integers(2, 7))
+        cat, aid = random_category(rng, dim)
+        assert_matches_oracles(states_for(rng, cat, aid), cat)
+
+
+def test_one_category_two_interleaved_states():
+    rng = np.random.default_rng(227)
+    differ = False
+    for _ in range(10):
+        dim = int(rng.integers(3, 6))
+        cat, aid = random_category(rng, dim)
+        a = cat.objects[aid]
+        states = (eigen_supported_state(rng, a, True), eigen_supported_state(rng, a, False))
+        for delta in all_deltas(a):
+            got = []
+            for state in states:
+                got.append(nu_psi_o(state, a, delta, cat))
+                assert got[-1] == oracle_nu_psi_o(state, a, delta, cat)
+                assert characterize_check(state, a, delta, cat) == oracle_characterize(
+                    state, a, delta, cat)
+            differ = differ or got[0] != got[1]
+        for state in states:
+            assert support_subobject_check(state, cat) == oracle_support_subobject(state, cat)
+    assert differ   # a memo that ignored the state would have failed above
+
+
+def test_one_category_two_tolerance_sets():
+    # the wider support widths make more arrows certain for a pure state and
+    # fewer eigenvalues meet a mixed one
+    wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15)
+    rng = np.random.default_rng(229)
+    differ = False
+    for _ in range(10):
+        dim = int(rng.integers(3, 6))
+        cat, aid = random_category(rng, dim)
+        a = cat.objects[aid]
+        for state in (random_state(rng, dim), random_density(rng, dim)):
+            for delta in all_deltas(a):
+                reports = []
+                for tol in (DEFAULT, wide, DEFAULT):
+                    reports.append(characterize_check(state, a, delta, cat, tol))
+                    assert reports[-1] == oracle_characterize(state, a, delta, cat, tol)
+                differ = differ or reports[0] != reports[1]
+            for tol in (wide, DEFAULT):
+                assert support_subobject_check(state, cat, tol) == oracle_support_subobject(
+                    state, cat, tol)
+    assert differ   # a memo that ignored the tolerances would have failed above
+
+
+def test_fresh_states_are_not_confused_and_not_kept_alive():
+    rng = np.random.default_rng(240)
+    cat, aid = random_category(rng, 4)
+    a = cat.objects[aid]
+    assert len(a.spectrum) > 2
+    deltas = list(all_deltas(a))
+    # the numbers are drawn first and each state is dropped before the next
+    # is built, so in CPython the states share one address
+    data = []
+    for k in range(20):
+        state = eigen_supported_state(rng, a, pure=k % 2 == 0)
+        data.append(state.amplitudes if k % 2 == 0 else state.entries)
+    del state
+    for k, x in enumerate(data):
+        state = StateVector(x) if k % 2 == 0 else DensityMatrix(x)
+        for delta in deltas:
+            assert nu_psi_o(state, a, delta, cat) == oracle_nu_psi_o(state, a, delta, cat)
+        del state
+    state = DensityMatrix(data[1])
+    nu_psi_o(state, a, frozenset(), cat)
+    alive = weakref.ref(state)
+    del state
+    gc.collect()
+    assert alive() is None
+
+
+def test_cross_check_raises_for_every_tolerance_set():
+    # with a containment width of 10 every spectral projector of f(A)
+    # dominates, so the infimum is empty while the preimage is not
+    rng = np.random.default_rng(239)
+    loose = DEFAULT.overridden(certain=10.0)
+    cat, aid = random_category(rng, 3)
+    a = cat.objects[aid]
+    delta = frozenset(a.spectrum)
+    state = random_state(rng, 3)
+    assert nu_psi_o(state, a, delta, cat)   # decided and kept at DEFAULT
+    with pytest.raises(OcatError, match="disagree"):
+        nu_psi_o(state, a, delta, cat, loose)
+    with pytest.raises(OcatError, match="disagree"):
+        o_coarse_grain(cat.morphisms[(aid, aid)].map, a, delta, loose)
+    with pytest.raises(OcatError, match="disagree"):
+        oracle_coarse_grain(cat.morphisms[(aid, aid)].map, a, delta, loose)
+
+
+def test_foreign_object_is_refused():
+    a = decomp(1, 2)
+    cat = OperatorCategory([a])
+    with pytest.raises(OcatError, match="not an object"):
+        nu_psi_o(random_state(np.random.default_rng(5), 2), decomp(1, 2), frozenset(), cat)
+
+
+def test_image_and_preimage_masks():
+    f = EigenvalueMap.from_dict({-1.0: 1.0, 1.0: 1.0, 2.0: 4.0})
+    assert f.codomain == (1.0, 4.0)
+    assert f.image_mask(0b011) == 0b01 and f.image_mask(0b100) == 0b10
+    assert f.preimage_mask(0b01) == 0b011 and f.preimage_mask(0b11) == 0b111
+    assert f.image(frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})
+    assert f.preimage(frozenset({1.0, 9.0})) == frozenset({-1.0, 1.0})
+    with pytest.raises(OcatError):
+        f.image(frozenset({3.0}))

@@ -5,7 +5,7 @@ from toposval.contexts import ContextError
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
-from toposval.sampling import random_density, random_poset
+from toposval.sampling import fix_a, random_density, random_poset
 from toposval.schema import (
     BUILTIN_RELATIONS,
     BUILTIN_SET_RELATIONS,
@@ -188,3 +188,25 @@ def test_survey_o_always_true_fails_null():
     a = {"A": frozenset({1.0})}
     rep = survey_properties_o(a, "always-true", cat)
     assert rep["properties"]["null"]["status"] == FAILS
+
+
+def scalar_relation_table(rng, poset):
+    """One scalar draw per (context, left mask, right mask): the reference
+    order of the stream behind `random_relation`."""
+    table = {}
+    for cid in poset.ids:
+        n = poset.context(cid).n_atoms
+        for l in range(1 << n):
+            for r in range(1 << n):
+                table[(cid, l, r)] = bool(rng.random() < 0.5)
+    return table
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_relation_matches_scalar_draws(seed):
+    poset = fix_a() if seed == 0 else random_poset(np.random.default_rng(seed), max_contexts=5)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rel = random_relation(rng, poset)
+    table = scalar_relation_table(ref, poset)
+    assert {key: rel.test(*key) for key in table} == table
+    assert rng.bit_generator.state == ref.bit_generator.state
