@@ -52,17 +52,25 @@ def _sha256(path: str) -> str:
         return "unreadable"
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerances(specs: list[str] | None) -> Tolerances:
+    """The tolerance set of the `--tol` overrides; a malformed one exits
+    with a one-line message."""
     overrides = {}
-    for spec in args.tol or []:
+    for spec in specs or []:
         if "=" not in spec:
             raise SystemExit(f"--tol expects name=value, got {spec!r}")
         name, value = spec.split("=", 1)
-        overrides[name] = float(value)
-    return DEFAULT.overridden(**overrides)
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise SystemExit(f"--tol {name} expects a number, got {value!r}") from None
+    try:
+        return DEFAULT.overridden(**overrides)
+    except KeyError as exc:
+        raise SystemExit(f"--tol: {exc.args[0]}") from None
 
 
-def _envelope(args, result: dict) -> dict:
+def _envelope(args, tol: Tolerances, result: dict) -> dict:
     inputs = {}
     for attr in ("input", "state"):
         path = getattr(args, attr, None)
@@ -73,7 +81,7 @@ def _envelope(args, result: dict) -> dict:
         "version": __version__,
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "tolerances": _tolerances(args).as_dict(),
+        "tolerances": tol.as_dict(),
         "inputs": inputs,
         "result": result,
     }
@@ -129,8 +137,7 @@ def _mask_hex(mask: int | None) -> str | None:
     return None if mask is None else format(mask, "x")
 
 
-def cmd_build_poset(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_build_poset(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     covers = poset.cover_pairs()
     return {
@@ -144,23 +151,20 @@ def cmd_build_poset(args) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_check_iso(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_check_iso(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     report = check_nat_iso(poset)
     return report, 0 if report["passed"] else 1
 
 
-def cmd_valuate(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_valuate(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     rho = _load_state(args, tol)
     alpha = nu_rho(rho, poset, tol) if args.r is None else nu_rho_r(rho, args.r, poset, tol)
     return {"r": args.r, "valuation": alpha.dump()}, 0
 
 
-def cmd_supports(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_supports(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     rho = _load_state(args, tol)
     alpha = nu_rho(rho, poset, tol) if args.r is None else nu_rho_r(rho, args.r, poset, tol)
@@ -176,8 +180,7 @@ def cmd_supports(args) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_verify_theorems(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_verify_theorems(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     rho = _load_state(args, tol)
     r = args.r
@@ -212,8 +215,7 @@ def cmd_verify_theorems(args) -> tuple[dict, int]:
     return result, 0 if ok else 1
 
 
-def cmd_survey_relations(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_survey_relations(args, tol: Tolerances) -> tuple[dict, int]:
     poset = _load_poset(args, tol)
     rho = _load_state(args, tol)
     a = supports_global_element(nu_rho(rho, poset, tol))
@@ -243,8 +245,7 @@ def cmd_survey_relations(args) -> tuple[dict, int]:
             "surveys": reports}, 0 if ok else 1
 
 
-def cmd_ks(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_ks(args, tol: Tolerances) -> tuple[dict, int]:
     if args.input:
         poset = _load_poset(args, tol)
         fixture_report = validate_rank_one_cover(
@@ -273,8 +274,7 @@ def cmd_ks(args) -> tuple[dict, int]:
     return result, code
 
 
-def cmd_ocat(args) -> tuple[dict, int]:
-    tol = _tolerances(args)
+def cmd_ocat(args, tol: Tolerances) -> tuple[dict, int]:
     ops = operators_from_json(load_json(args.input), tol)
     state = state_from_json(load_json(args.state), tol)
     category = OperatorCategory(
@@ -378,13 +378,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command != "ks" and not args.input:
         raise SystemExit("--input is required for this command")
+    tol = _tolerances(args.tol)
     try:
-        result, code = COMMANDS[args.command](args)
+        result, code = COMMANDS[args.command](args, tol)
     except (SchemaError, ValueError, OSError) as exc:
-        report = _envelope(args, {"error": str(exc)})
+        report = _envelope(args, tol, {"error": str(exc)})
         _emit(args, report)
         return 2
-    report = _envelope(args, result)
+    report = _envelope(args, tol, result)
     _emit(args, report)
     return code
 

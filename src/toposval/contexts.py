@@ -224,26 +224,32 @@ def v_of_p(v: Context, p: LatticeElement) -> frozenset[Character]:
 
 
 class PosetIndex:
-    """Lookup tables of one `ContextPoset`, built on first use.
+    """Lookup tables of a finite order whose stages carry atoms: the
+    contexts of a `ContextPoset`, or the operators of an `OperatorCategory`
+    with its arrows B -> A as the pairs (B, A).
 
-    Contexts are numbered in sorted id order, so ascending bits of a mask
-    over context indices list ids in sorted order.  The order becomes
-    int-bitmask down-sets and up-sets in one pass over its pairs; a pair
-    naming an id outside `contexts` only reaches the by-id maps, whose masks
-    cover known ids alone.  Per comparable pair, the coarse-graining table
-    (sub-context mask of each super-context mask) and the restriction map
-    (sub-context atom of each super-context atom) are built from the
-    partition map on first request.
+    It is given the atom count of each id, the (sub, super) pairs of the
+    order and, per comparable pair, the partition map: the mask over the
+    super-stage's atoms that makes up each sub-stage atom.  Stages are
+    numbered in sorted id order, so ascending bits of a mask over stage
+    indices list ids in sorted order.  The order becomes int-bitmask
+    down-sets and up-sets in one pass over its pairs; a pair naming an id
+    without an atom count only reaches the by-id maps, whose masks cover
+    known ids alone.  Per comparable pair, the coarse-graining table
+    (sub-stage mask of each super-stage mask) and the restriction map
+    (sub-stage atom of each super-stage atom) are built from the partition
+    map on first request.
     """
 
-    def __init__(self, poset: "ContextPoset"):
-        self.partition_maps = poset.partition_maps
-        self.ids: tuple[str, ...] = tuple(sorted(poset.contexts))
+    def __init__(self, n_atoms: dict[str, int], order,
+                 partition_maps: dict[tuple[str, str], tuple[int, ...]]):
+        self.partition_maps = partition_maps
+        self.ids: tuple[str, ...] = tuple(sorted(n_atoms))
         self.pos: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
-        self.n_atoms: tuple[int, ...] = tuple(poset.contexts[c].n_atoms for c in self.ids)
+        self.n_atoms: tuple[int, ...] = tuple(n_atoms[c] for c in self.ids)
         down_of: dict[str, int] = {}
         up_of: dict[str, int] = {}
-        for sub, sup in poset.order:
+        for sub, sup in order:
             if sub in self.pos:
                 down_of[sup] = down_of.get(sup, 0) | 1 << self.pos[sub]
             if sup in self.pos:
@@ -252,7 +258,7 @@ class PosetIndex:
         self.up_of = up_of
         self.down: tuple[int, ...] = tuple(down_of.get(c, 0) for c in self.ids)
         self.up: tuple[int, ...] = tuple(up_of.get(c, 0) for c in self.ids)
-        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(poset.order))
+        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(order))
         # the comparable pairs of known ids as (sub index, super index), in
         # the order of `pairs`
         self.pair_indices: tuple[tuple[int, int], ...] = tuple(
@@ -303,6 +309,10 @@ class PosetIndex:
         if key not in self.partition_maps:
             raise ContextError(f"{key[0]!r} is not included in {key[1]!r}")
         return self.partition_maps[key]
+
+    def lift(self, sub: int, sup: int, mask: int) -> int:
+        """A sub-stage mask expressed over the super-stage's atoms."""
+        return _union(self._pmap(sub, sup), mask)
 
     def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
         """Coarse-graining table of a comparable pair: entry `mask` is the
@@ -395,15 +405,12 @@ class ContextPoset:
 
     @cached_property
     def index(self) -> PosetIndex:
-        return PosetIndex(self)
+        n_atoms = {cid: c.n_atoms for cid, c in self.contexts.items()}
+        return PosetIndex(n_atoms, self.order, self.partition_maps)
 
     @property
     def ids(self) -> list[str]:
         return list(self.index.ids)
-
-    @property
-    def includes_trivial(self) -> bool:
-        return any(c.n_atoms == 1 for c in self.contexts.values())
 
     def context(self, cid: str) -> Context:
         return self.contexts[cid]
@@ -447,12 +454,7 @@ class ContextPoset:
 
     def lift_mask(self, sub: str, sup: str, mask: int) -> int:
         """Express a sub-context lattice element as a mask over the super-context."""
-        pmap = self.partition_map(sub, sup)
-        out = 0
-        for j in range(len(pmap)):
-            if mask >> j & 1:
-                out |= pmap[j]
-        return out
+        return _union(self.partition_map(sub, sup), mask)
 
 
 def build_poset(

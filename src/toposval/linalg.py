@@ -95,10 +95,6 @@ def identity_projector(dim: int) -> Projector:
     return Projector(np.eye(dim))
 
 
-def zero_projector(dim: int) -> Projector:
-    return Projector(np.zeros((dim, dim)))
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A PSD, trace-one state; caches the projector onto its range."""
@@ -197,8 +193,9 @@ def eig_hermitian(
 def projector_from_span(vectors, tol: Tolerances = DEFAULT) -> Projector:
     """Orthogonal projector onto the span of the given vectors.
 
-    The vectors must be linearly independent (rank checked via SVD); the
-    resulting rank equals the number of vectors.
+    The vectors must be linearly independent: the smallest singular value
+    must reach `tol.trace_rank` times the largest (or times 1, if that is
+    larger).  The resulting rank equals the number of vectors.
     """
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vs:
@@ -207,7 +204,7 @@ def projector_from_span(vectors, tol: Tolerances = DEFAULT) -> Projector:
     if np.linalg.norm(a) == 0:
         raise LinalgError("zero vector in span")
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals.min() < 1e-8 * max(1.0, svals.max()):
+    if svals.min() < tol.trace_rank * max(1.0, svals.max()):
         raise LinalgError("vectors are linearly dependent within rank tolerance")
     q, _ = np.linalg.qr(a)
     p = Projector(q @ q.conj().T, tol=tol)

@@ -12,16 +12,22 @@ Behind the frozenset API, a set of eigenvalues is an int mask over
 spectrum indices.  Each `ODecomposition` builds one spectral projector per
 mask, and each `EigenvalueMap` carries, per domain index, the bit of its
 value in the sorted codomain, so images and preimages are ORs of bits.
-The float decisions are made once and kept by `OperatorCategory`:
 
-- per (arrow, delta mask, tolerances), the coarse-graining of delta along
-  the arrow: the preimage of its image, cross-checked against the
-  independent infimum over every spectral projector of f(A) that dominates
-  delta's projector.  A disagreement raises `OcatError`;
+The arrows of an `OperatorCategory` form the same `PosetIndex` that a
+poset of contexts uses: an arrow B -> A is the pair (B, A), and its
+partition map sends each eigenvalue of B to the mask of A's eigenvalues
+that map to it.  The valuation of a state is then a `MorphismSetValuation`
+over that index, so the law checkers of `valuations` apply unchanged.  The
+float decisions are made once and kept by `OperatorCategory`:
+
+- per (arrow, delta mask, tolerances), the infimum cross-check of the
+  coarse-graining of delta along the arrow: the preimage of its image must
+  equal the independent infimum over every spectral projector of f(A) that
+  dominates delta's projector.  A disagreement raises `OcatError`;
 - per (state, tolerances), held weakly by the state object: the support
-  mask of each operator and of each arrow's image operator, one certainty
-  test per (operator, preimage mask) on that preimage's projector, and the
-  member set of each (operator, delta mask).
+  mask of each operator and of each arrow's image operator, and the
+  member-set valuation, with one certainty test per (operator, preimage
+  mask) on that preimage's projector.
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -40,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contexts import bit_list
+from .contexts import PosetIndex, bit_list
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -50,6 +56,7 @@ from .linalg import (
     eig_hermitian,
 )
 from .tolerances import DEFAULT, Tolerances
+from .valuations import MorphismSetValuation
 
 
 class OcatError(ValueError):
@@ -295,17 +302,13 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     return EigenvalueMap(tuple(sorted(mapping.items())))
 
 
-def _coarse_mask(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: int,
-                 tol: Tolerances) -> int:
-    """The index mask of "f(A) lands in f(delta)" for a delta mask of A,
-    where `f` lists A's spectrum and `b` is f(A).
-
-    The preimage of the image of delta is cross-checked against the
-    independent infimum over the spectral algebra of f(A): the meet of
-    every spectral projector of f(A) that dominates the projector of delta.
-    The two paths must select exactly the same eigenvalues.
-    """
-    pre = f.preimage_mask(f.image_mask(delta))
+def _cross_check(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: int,
+                 pre: int, tol: Tolerances) -> None:
+    """Raise unless `pre`, the preimage of the image of a delta mask of A
+    (where `f` lists A's spectrum and `b` is f(A)), selects the same
+    eigenvalues as the independent infimum over the spectral algebra of
+    f(A): the meet of every spectral projector of f(A) that dominates the
+    projector of delta."""
     e_delta = a.projector(delta)
     kept = None
     for q in range(1 << len(b.spectrum)):
@@ -319,7 +322,6 @@ def _coarse_mask(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: 
             f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
             f"vs infimum {sorted(a.subset(inf_pre))}"
         )
-    return pre
 
 
 def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
@@ -329,7 +331,9 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     algebra of f(A)."""
     mask = a.mask_of(a.check_subset(delta))
     f = _on_spectrum(f, a)
-    return a.projector(_coarse_mask(f, a, apply_map(f, a), mask, tol))
+    pre = f.preimage_mask(f.image_mask(mask))
+    _cross_check(f, a, apply_map(f, a), mask, pre, tol)
+    return a.projector(pre)
 
 
 def _support_mask(state: StateVector | DensityMatrix, a: ODecomposition,
@@ -374,26 +378,48 @@ class Morphism:
 
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
-    category: support masks per object or arrow image operator, certainty
-    per (operator, preimage mask), and member sets per (operator, delta mask)."""
+    category: the support mask of each object or arrow image operator, and
+    the member-set valuation, whose rule tests certainty once per
+    (operator, preimage mask).  The rule holds the state weakly, as the
+    category's memo does, so the decisions never keep their state alive."""
 
-    __slots__ = ("support", "certain", "members")
+    __slots__ = ("support", "valuation")
 
-    def __init__(self):
+    def __init__(self, category: "OperatorCategory", state, tol: Tolerances):
         self.support: dict[ODecomposition, int] = {}
-        self.certain: dict[tuple[str, int], bool] = {}
-        self.members: dict[tuple[str, int], frozenset[tuple[str, str]]] = {}
+        index = category.index
+        held = weakref.ref(state)
+        certain: dict[tuple[int, int], bool] = {}
+
+        def bits(i: int, delta: int) -> int:
+            a = category.objects[index.ids[i]]
+            out = 0
+            for j, table in index.below(i):
+                pre = index.lift(j, i, table[delta])
+                category._cross_check(j, i, delta, pre, tol)
+                sure = certain.get((i, pre))
+                if sure is None:
+                    sure = certain[(i, pre)] = state_certain(held(), a.projector(pre), tol)
+                if sure:
+                    out |= 1 << j
+            return out
+
+        self.valuation = MorphismSetValuation._from_bits(category, bits, name="nu_psi_o")
 
 
 class OperatorCategory:
     """A finite full subcategory: a list of operators with all morphisms
     discovered pairwise (identities included).
 
-    The morphisms into each object are sorted once.  Everything else is
-    built on first use and kept: per arrow, the map on the target's
-    spectrum and its image operator f(A); per (arrow, delta mask, tol), the
-    cross-checked coarse-graining; per state and tol, that state's
-    decisions (held weakly, so they go when the state does).
+    Its arrows form a `PosetIndex`, `index`: the stages are the operators,
+    an arrow B -> A is the pair (B, A), and its partition map gives, for
+    each eigenvalue of B, the mask of A's eigenvalues that the map sends
+    there.  So `index.coarse(B, A)` is the map's image on index masks,
+    `index.lift` its preimage, and `index.down` lists the arrows into each
+    object.  Everything else is built on first use and kept: per arrow, the
+    map on the target's spectrum and its image operator f(A); per (arrow,
+    delta mask, tol), the infimum cross-check; per state and tol, that
+    state's decisions (held weakly, so they go when the state does).
     """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
@@ -410,20 +436,29 @@ class OperatorCategory:
                 f = discover_morphism(b, a, tol)
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
-        into: dict[str, list[Morphism]] = {oid: [] for oid in self.objects}
-        for key in sorted(self.morphisms):
-            into[key[1]].append(self.morphisms[key])
-        self._into = {oid: tuple(ms) for oid, ms in into.items()}
         self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition]] = {}
-        self._coarse: dict[tuple[str, str, int, Tolerances], int] = {}
+        self._checked: set[tuple[int, int, int, Tolerances]] = set()
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @cached_property
+    def index(self) -> PosetIndex:
+        blocks_of: dict[tuple[str, str], tuple[int, ...]] = {}
+        for (bid, aid), m in self.morphisms.items():
+            a, b = self.objects[aid], self.objects[bid]
+            blocks = [0] * len(b.spectrum)
+            for i, lam in enumerate(a.spectrum):
+                blocks[b._position[m.map(lam)]] |= 1 << i
+            blocks_of[(bid, aid)] = tuple(blocks)
+        n_atoms = {oid: len(o.spectrum) for oid, o in self.objects.items()}
+        return PosetIndex(n_atoms, self.morphisms, blocks_of)
 
     @property
     def ids(self) -> list[str]:
         return sorted(self.objects)
 
     def morphisms_into(self, aid: str) -> list[Morphism]:
-        return list(self._into.get(aid, ()))
+        index = self.index
+        return [self.morphisms[(bid, aid)] for bid in index.names(index.down_of.get(aid, 0))]
 
     def compose(self, g: Morphism, f: Morphism) -> EigenvalueMap:
         """Eigenvalue map of the composite (g after f as arrows): given
@@ -466,13 +501,15 @@ class OperatorCategory:
             out = self._arrows[(m.src, m.dst)] = (f, apply_map(f, a))
         return out
 
-    def _coarse_mask(self, m: Morphism, delta: int, tol: Tolerances) -> int:
-        key = (m.src, m.dst, delta, tol)
-        out = self._coarse.get(key)
-        if out is None:
+    def _cross_check(self, src: int, dst: int, delta: int, pre: int, tol: Tolerances) -> None:
+        """The infimum cross-check of arrow (src, dst), by operator index,
+        at a delta mask: run once per tolerance set unless it raises."""
+        key = (src, dst, delta, tol)
+        if key not in self._checked:
+            m = self.morphisms[(self.index.ids[src], self.index.ids[dst])]
             f, b = self._arrow(m)
-            out = self._coarse[key] = _coarse_mask(f, self.objects[m.dst], b, delta, tol)
-        return out
+            _cross_check(f, self.objects[m.dst], b, delta, pre, tol)
+            self._checked.add(key)
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
         per_tol = self._states.get(state)
@@ -480,7 +517,7 @@ class OperatorCategory:
             per_tol = self._states[state] = {}
         out = per_tol.get(tol)
         if out is None:
-            out = per_tol[tol] = _Decisions()
+            out = per_tol[tol] = _Decisions(self, state, tol)
         return out
 
     def _support_mask(self, state, op: ODecomposition, tol: Tolerances) -> int:
@@ -491,33 +528,28 @@ class OperatorCategory:
             out = memo[op] = _support_mask(state, op, tol)
         return out
 
-    def _members(self, state, aid: str, delta: int,
-                 tol: Tolerances) -> frozenset[tuple[str, str]]:
-        """Arrows into `aid` whose coarse-grained delta is certain for the
-        state: one certainty test per distinct preimage mask."""
-        decisions = self._decisions(state, tol)
-        out = decisions.members.get((aid, delta))
-        if out is None:
-            a = self.objects[aid]
-            arrows = []
-            for m in self._into[aid]:
-                pre = self._coarse_mask(m, delta, tol)
-                sure = decisions.certain.get((aid, pre))
-                if sure is None:
-                    sure = state_certain(state, a.projector(pre), tol)
-                    decisions.certain[(aid, pre)] = sure
-                if sure:
-                    arrows.append((m.src, m.dst))
-            out = decisions.members[(aid, delta)] = frozenset(arrows)
-        return out
+
+def _cell(state, a: ODecomposition, delta, category: OperatorCategory,
+          tol: Tolerances) -> tuple[int, int, int]:
+    """(operator index, delta mask, member bitmask) of a query: the member
+    bitmask marks, by source index, the arrows into `a` along which the
+    proposition coarse-grains to a probability-1 projector."""
+    mask = a.mask_of(a.check_subset(delta))
+    i = category.index.pos[category._object(a)]
+    return i, mask, category._decisions(state, tol).valuation._bits(i, mask)
+
+
+def _arrow_keys(index: PosetIndex, i: int, bits: int) -> list[tuple[str, str]]:
+    """The (src, dst) keys of the arrows into operator i marked in `bits`, sorted."""
+    return [(src, index.ids[i]) for src in index.names(bits)]
 
 
 def nu_psi_o(state: StateVector | DensityMatrix, a: ODecomposition, delta,
              category: OperatorCategory, tol: Tolerances = DEFAULT) -> frozenset[tuple[str, str]]:
     """Morphisms into `a` along which the proposition coarse-grains to a
     probability-1 projector for the state."""
-    mask = a.mask_of(a.check_subset(delta))
-    return category._members(state, category._object(a), mask, tol)
+    i, _, bits = _cell(state, a, delta, category, tol)
+    return frozenset(_arrow_keys(category.index, i, bits))
 
 
 def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, delta,
@@ -525,35 +557,35 @@ def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, de
     """The probability-1 morphism set must equal the support
     characterization: arrows whose map sends the elementary support inside
     the image of the proposition's eigenvalue set."""
-    delta = a.check_subset(delta)
-    mask = a.mask_of(delta)
-    aid = category._object(a)
-    definitional = category._members(state, aid, mask, tol)
+    i, mask, definitional = _cell(state, a, delta, category, tol)
+    index = category.index
     s = category._support_mask(state, a, tol)
-    by_support = []
-    for m in category._into[aid]:
-        f, _ = category._arrow(m)
-        if not f.image_mask(s) & ~f.image_mask(mask):
-            by_support.append((m.src, m.dst))
-    by_support = frozenset(by_support)
+    by_support = 0
+    for j, image in index.below(i):
+        if not image[s] & ~image[mask]:
+            by_support |= 1 << j
     return {
         "passed": definitional == by_support,
-        "definitional": sorted(definitional),
-        "by_support": sorted(by_support),
+        "definitional": _arrow_keys(index, i, definitional),
+        "by_support": _arrow_keys(index, i, by_support),
         "support": sorted(a.subset(s)),
-        "delta": sorted(delta),
+        "delta": sorted(a.subset(mask)),
     }
 
 
 def check_sieve_on_o(state, a: ODecomposition, delta,
                      category: OperatorCategory, tol: Tolerances = DEFAULT) -> tuple[bool, dict | None]:
-    """The probability-1 morphism set is closed under precomposition."""
-    members = nu_psi_o(state, a, delta, category, tol)
-    for (src, dst) in members:
-        for g in category._into[src]:
-            if (g.src, a.id) not in members:
-                return False, {"f": (src, dst), "g": (g.src, g.dst)}
-    return True, None
+    """The probability-1 morphism set is closed under precomposition: the
+    down-sets of its sources add no arrow.  The witness is an arrow f of the
+    set and an arrow g into f's source whose composite is missing."""
+    i, _, bits = _cell(state, a, delta, category, tol)
+    index = category.index
+    if not index.closure(bits) & ~bits:
+        return True, None
+    src = next(j for j in bit_list(bits) if index.down[j] & ~bits)
+    missing = index.down[src] & ~bits
+    g = (missing & -missing).bit_length() - 1
+    return False, {"f": (index.ids[src], a.id), "g": (index.ids[g], index.ids[src])}
 
 
 def _subset_report(f: EigenvalueMap, pushed: int, image: int) -> dict:

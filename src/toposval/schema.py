@@ -10,7 +10,10 @@ characterizations and sufficient conditions that explain the outcome.
 
 Three forms are covered: lattice elements against a projector relation,
 character sets against a set relation, and eigenvalue sets over a finite
-operator category.
+operator category.  All three build a `MorphismSetValuation` over a
+`PosetIndex` (the operator category's arrows form one too), so they share
+one set of law checkers; the lattice form adds its characterizations and
+sufficient conditions on R.
 """
 
 from __future__ import annotations
@@ -152,8 +155,34 @@ def _status(ok: bool, witness: dict | None) -> dict:
     return {"status": HOLDS if ok else FAILS, "witness": None if ok else witness}
 
 
-def _holds(witness: dict | None) -> tuple[bool, dict | None]:
-    return witness is None, witness
+def _law_statuses(alpha: MorphismSetValuation, unit=_unit_witness) -> dict:
+    """The six properties by the shared checkers, with the overall flag:
+    (i) sievehood, the downward closure of every member set; (ii)
+    functional composition, which holds for any relation whatsoever; (iii)
+    the null proposition; (iv) monotonicity; (v) exclusivity, where a
+    certain proposition leaves no disjoint one without a refuting stage;
+    and (vi) the unit proposition, whose witness comes from `unit`."""
+    ok, w = alpha.is_sieve_valued()
+    properties = {"sievehood": _status(ok, w)}
+    for name, find in (("func", _func_witness), ("null", _null_witness),
+                       ("monotonicity", _monotonicity_witness),
+                       ("exclusivity", _exclusivity_witness), ("unit", unit)):
+        w = find(alpha)
+        properties[name] = _status(w is None, w)
+    return {"properties": properties,
+            "all_hold": all(v["status"] == HOLDS for v in properties.values())}
+
+
+def _unit_witness_with_stage(alpha: MorphismSetValuation) -> dict | None:
+    """The unit witness, naming the refusing stage: the first one below
+    that is not a member."""
+    w = _unit_witness(alpha)
+    if w is not None:
+        index = alpha._index
+        i = index.pos[w["v1"]]
+        missing = index.down[i] & ~alpha._bits(i, (1 << index.n_atoms[i]) - 1)
+        w["v2"] = index.ids[(missing & -missing).bit_length() - 1]
+    return w
 
 
 def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
@@ -177,58 +206,35 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     # left[i]: the right masks R relates a's element at context i to
     left = [rows.row(i, a.assignment[cid]) for i, cid in enumerate(index.ids)]
     report: dict = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
-                    "properties": {}, "analyses": {}}
-
-    # (i) sievehood: direct downward-closure of every member set
-    ok, witness = alpha.is_sieve_valued()
-    report["properties"]["sievehood"] = _status(ok, witness)
+                    **_law_statuses(alpha, unit=_unit_witness_with_stage)}
+    holds = {name: v["status"] == HOLDS for name, v in report["properties"].items()}
+    analyses = report["analyses"] = {}
 
     # (i) characterization: R stable under coarse-graining, computed on R alone
     stable, w = _stable_under_coarse_graining(index, left)
-    report["analyses"]["stability_under_coarse_graining"] = _status(stable, w)
-    report["analyses"]["sievehood_paths_agree"] = ok == stable
+    analyses["stability_under_coarse_graining"] = _status(stable, w)
+    analyses["sievehood_paths_agree"] = holds["sievehood"] == stable
 
     # (i) sufficient condition: coarse-graining preserves R on both arguments
     pres, w = _preserved_by_coarse_graining(index, rows)
-    report["analyses"]["coarse_graining_preserves_relation"] = _status(pres, w)
+    analyses["coarse_graining_preserves_relation"] = _status(pres, w)
 
-    # (ii) functional composition, for any R whatsoever
-    ok, witness = _holds(_func_witness(alpha))
-    report["properties"]["func"] = _status(ok, witness)
-
-    # (iii) null proposition, direct and characterized
-    ok, witness = _holds(_null_witness(alpha))
-    report["properties"]["null"] = _status(ok, witness)
+    # (iii) null proposition, characterized
     char_ok = True
     char_w = None
     for sub, sup in index.pair_indices:
         if left[sub] & 1:
             char_ok, char_w = False, {"v1": index.ids[sup], "v2": index.ids[sub]}
             break
-    report["analyses"]["null_characterization"] = _status(char_ok, char_w)
-    report["analyses"]["null_paths_agree"] = ok == char_ok
+    analyses["null_characterization"] = _status(char_ok, char_w)
+    analyses["null_paths_agree"] = holds["null"] == char_ok
 
-    # (iv) monotonicity, direct, characterized, and the sufficient condition
-    ok, witness = _holds(_monotonicity_witness(alpha))
-    report["properties"]["monotonicity"] = _status(ok, witness)
+    # (iv) monotonicity, characterized, and the sufficient condition
     iso, w = _isotone_under_coarse_graining(index, left)
-    report["analyses"]["isotone_under_coarse_graining"] = _status(iso, w)
-    report["analyses"]["monotonicity_paths_agree"] = ok == iso
+    analyses["isotone_under_coarse_graining"] = _status(iso, w)
+    analyses["monotonicity_paths_agree"] = holds["monotonicity"] == iso
     stab, w = _stable_under_enlargement(index, left)
-    report["analyses"]["stable_under_enlargement"] = _status(stab, w)
-
-    # (v) exclusivity: a certain proposition leaves no disjoint one without
-    # a refuting stage
-    ok, witness = _holds(_exclusivity_witness(alpha))
-    report["properties"]["exclusivity"] = _status(ok, witness)
-
-    # (vi) unit proposition
-    ok, witness = _unit_holds(alpha)
-    report["properties"]["unit"] = _status(ok, witness)
-
-    report["all_hold"] = all(
-        v["status"] == HOLDS for v in report["properties"].values()
-    )
+    analyses["stable_under_enlargement"] = _status(stab, w)
     return report
 
 
@@ -295,17 +301,6 @@ def _stable_under_enlargement(index: PosetIndex, left: list[int]):
     return True, None
 
 
-def _unit_holds(alpha: MorphismSetValuation):
-    w = _unit_witness(alpha)
-    if w is not None:
-        # name the refusing stage: the first one below that is not a member
-        index = alpha.poset.index
-        i = index.pos[w["v1"]]
-        missing = index.down[i] & ~alpha._bits(i, (1 << index.n_atoms[i]) - 1)
-        w["v2"] = index.ids[(missing & -missing).bit_length() - 1]
-    return w is None, w
-
-
 def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
     """Six-property survey for the character-set schema: membership by
     relating a's character set to the restriction of the proposition's
@@ -320,25 +315,12 @@ def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
 
     alpha = MorphismSetValuation._from_bits(poset, stage_rule(index, index.below_image, decide),
                                             name=f"alpha^(a,{rel.name})_sigma")
-    report: dict = {
-        "relation": rel.name,
-        "regularity": {
-            "nonempty_everywhere": all(a.assignment[cid] for cid in ids),
-            "subobject_law": a.satisfies_law,
-            "tight": a.is_tight,
-        },
-        "properties": {},
+    regularity = {
+        "nonempty_everywhere": all(a.assignment[cid] for cid in ids),
+        "subobject_law": a.satisfies_law,
+        "tight": a.is_tight,
     }
-
-    ok, w = alpha.is_sieve_valued()
-    report["properties"]["sievehood"] = _status(ok, w)
-    for name, find in (("func", _func_witness), ("null", _null_witness),
-                       ("monotonicity", _monotonicity_witness),
-                       ("exclusivity", _exclusivity_witness), ("unit", _unit_witness)):
-        report["properties"][name] = _status(*_holds(find(alpha)))
-
-    report["all_hold"] = all(v["status"] == HOLDS for v in report["properties"].values())
-    return report
+    return {"relation": rel.name, "regularity": regularity, **_law_statuses(alpha)}
 
 
 def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
@@ -346,19 +328,14 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
     """Six-property survey for the eigenvalue-set schema over an operator
     category: a stage (arrow) enters when the relation holds between a's
     eigenvalue set at the arrow's source and the image of the proposition's
-    eigenvalue set.  Subsethood is the distinguished relation."""
-    set_rels = {
-        "subset": lambda l, r: l <= r,
-        "superset": lambda l, r: l >= r,
-        "eq": lambda l, r: l == r,
-        "intersects": lambda l, r: bool(l & r),
-        "always-true": lambda l, r: True,
-        "always-false": lambda l, r: False,
-    }
-    if rel_name not in set_rels:
-        raise KeyError(f"unknown set relation {rel_name!r}")
-    test = set_rels[rel_name]
+    eigenvalue set.  Subsethood is the distinguished relation.
 
+    The arrows are the stages of `category.index`, so the laws are the
+    shared checkers; witnesses name operators by id and eigenvalue sets by
+    masks over spectrum indices."""
+    if rel_name not in BUILTIN_SET_RELATIONS:
+        raise KeyError(f"unknown set relation {rel_name!r}")
+    rel = BUILTIN_SET_RELATIONS[rel_name]
     regularity = {
         "nonempty_everywhere": all(a.get(oid) for oid in category.ids),
         "covers_category": set(a) >= set(category.ids),
@@ -367,114 +344,12 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
         return {"relation": rel_name, "regularity": regularity,
                 "properties": {}, "all_hold": False,
                 "skipped": "assignment does not cover the category"}
+    index = category.index
+    ids = index.ids
 
-    def members(aid: str, delta: frozenset[float]) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (m.src, m.dst)
-            for m in category.morphisms_into(aid)
-            if test(a[m.src], m.map.image(delta))
-        )
+    def decide(j: int, m: int) -> bool:
+        return bool(rel.test(ids[j], a[ids[j]], category.objects[ids[j]].subset(m)))
 
-    def subsets(aid: str):
-        spec = category.objects[aid].spectrum
-        for mask in range(1 << len(spec)):
-            yield frozenset(spec[i] for i in range(len(spec)) if mask >> i & 1)
-
-    def all_into(aid: str) -> frozenset[tuple[str, str]]:
-        return frozenset((m.src, m.dst) for m in category.morphisms_into(aid))
-
-    report: dict = {"relation": rel_name, "regularity": regularity, "properties": {}}
-
-    # (i) sievehood: closure under precomposition
-    ok = True
-    w = None
-    for aid in category.ids:
-        for delta in subsets(aid):
-            mem = members(aid, delta)
-            for (src, dst) in mem:
-                for g in category.morphisms_into(src):
-                    if (g.src, aid) not in mem:
-                        ok, w = False, {"a": aid, "delta": sorted(delta),
-                                        "f": (src, dst), "g": (g.src, g.dst)}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["properties"]["sievehood"] = _status(ok, w)
-
-    # (ii) FUNC along every arrow
-    ok = True
-    w = None
-    for f in list(category.morphisms.values()):
-        aid, bid = f.dst, f.src
-        for delta in subsets(aid):
-            f_delta = f.map.image(delta)
-            lhs = members(bid, f_delta)
-            rhs = frozenset(
-                (g.src, g.dst) for g in category.morphisms_into(bid)
-                if (g.src, aid) in members(aid, delta)
-            )
-            if lhs != rhs:
-                ok, w = False, {"f": (bid, aid), "delta": sorted(delta)}
-                break
-        if not ok:
-            break
-    report["properties"]["func"] = _status(ok, w)
-
-    # (iii) null
-    ok = True
-    w = None
-    for aid in category.ids:
-        if members(aid, frozenset()):
-            ok, w = False, {"a": aid}
-            break
-    report["properties"]["null"] = _status(ok, w)
-
-    # (iv) monotonicity
-    ok = True
-    w = None
-    for aid in category.ids:
-        for d1 in subsets(aid):
-            for d2 in subsets(aid):
-                if d1 <= d2 and not members(aid, d1) <= members(aid, d2):
-                    ok, w = False, {"a": aid, "d1": sorted(d1), "d2": sorted(d2)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["properties"]["monotonicity"] = _status(ok, w)
-
-    # (v) exclusivity
-    ok = True
-    w = None
-    for aid in category.ids:
-        full = all_into(aid)
-        for d1 in subsets(aid):
-            if members(aid, d1) != full:
-                continue
-            for d2 in subsets(aid):
-                if d1 & d2 == frozenset() and members(aid, d2) == full:
-                    ok, w = False, {"a": aid, "d1": sorted(d1), "d2": sorted(d2)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["properties"]["exclusivity"] = _status(ok, w)
-
-    # (vi) unit
-    ok = True
-    w = None
-    for aid in category.ids:
-        sigma = frozenset(category.objects[aid].spectrum)
-        if members(aid, sigma) != all_into(aid):
-            ok, w = False, {"a": aid}
-            break
-    report["properties"]["unit"] = _status(ok, w)
-
-    report["all_hold"] = all(v["status"] == HOLDS for v in report["properties"].values())
-    return report
+    alpha = MorphismSetValuation._from_bits(category, stage_rule(index, index.below, decide),
+                                            name=f"alpha^(a,{rel_name})_o")
+    return {"relation": rel_name, "regularity": regularity, **_law_statuses(alpha)}

@@ -29,10 +29,6 @@ def parse_complex(x) -> complex:
     raise SchemaError(f"expected a real or an [re, im] pair, got {x!r}")
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_from_json(rows, dim: int | None = None) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be a nested array")
@@ -42,10 +38,6 @@ def matrix_from_json(rows, dim: int | None = None) -> np.ndarray:
     if dim is not None and m.shape[0] != dim:
         raise SchemaError(f"matrix dim {m.shape[0]} does not match declared dim {dim}")
     return m
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[encode_complex(z) for z in row] for row in m]
 
 
 def vector_from_json(entries, dim: int | None = None) -> np.ndarray:

@@ -69,7 +69,9 @@ class MorphismSetValuation:
     def _from_bits(cls, poset: ContextPoset, bits_rule: Callable[[int, int], int],
                    name: str) -> "MorphismSetValuation":
         """A valuation whose rule gives the member bitmask of (context
-        index, mask); the rule must only set bits of the context's down-set."""
+        index, mask); the rule must only set bits of the context's down-set.
+        The law checkers read nothing of `poset` but its `index`, so it may
+        also be an `OperatorCategory`, whose arrows are the stages."""
         alpha = cls.__new__(cls)
         alpha._setup(poset, bits_rule, name)
         return alpha
@@ -363,7 +365,6 @@ def check_definition3(alpha: MorphismSetValuation) -> dict:
 def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
     """Supports may only grow when passing to a coarser stage (the law that
     makes interval assignments a subobject of the spectral presheaf)."""
-    poset = alpha.poset
     degenerate = _degenerate(alpha)
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
@@ -373,7 +374,7 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
             continue
         s_sub = alpha._support(sub)
         s_sup = alpha._support(sup)
-        lifted = poset.lift_mask(index.ids[sub], index.ids[sup], s_sub)
+        lifted = index.lift(sub, sup, s_sub)
         if lifted & s_sup != s_sup:
             return {
                 "status": "fail",

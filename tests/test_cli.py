@@ -219,6 +219,18 @@ def test_state_tolerances_reach_a_pure_state(tmp_path, fixa_file, state_file):
     assert "negative eigenvalue" in report["result"]["error"]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("bogus=1", "--tol: unknown tolerance name(s): ['bogus']"),
+    ("certain=abc", "--tol certain expects a number, got 'abc'"),
+])
+def test_malformed_tolerance_exits_with_one_line(tmp_path, spec, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["ks", "--tol", spec, "--out", str(tmp_path / "report.json")])
+    assert str(exc.value) == message
+    assert exc.value.__context__ is None or exc.value.__suppress_context__
+    assert not (tmp_path / "report.json").exists()
+
+
 # SHA-256 of whole report files for the bundled 18-ray fixture, closed under
 # meets, and the pure state (0.6, 0.8, 0, 0); run from the directory that
 # holds both files, so the input paths in the reports are the bare names.

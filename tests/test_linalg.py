@@ -91,6 +91,17 @@ def test_projector_from_span_rejects_dependent():
         projector_from_span([])
 
 
+def test_projector_from_span_rank_cut_reads_tol_trace_rank():
+    # singular values about 1.41 and 7.1e-10: below the default cut of
+    # 1e-8 times the largest, above a cut of 1e-11 times it
+    pair = [[1, 0], [1, 1e-9]]
+    with pytest.raises(LinalgError, match="dependent"):
+        projector_from_span(pair)
+    p = projector_from_span(pair, DEFAULT.overridden(trace_rank=1e-11))
+    assert p.rank == 2
+    npt.assert_allclose(p.entries, np.eye(2), atol=1e-6)
+
+
 def test_commutes_examples():
     a = HermitianOperator(np.diag([1.0, 2]))
     b = HermitianOperator(np.diag([3.0, 4]))

@@ -35,6 +35,7 @@ from toposval.ocat import (
     support_subobject_check,
 )
 from toposval.sampling import random_category, random_density, random_state
+from toposval.valuations import MorphismSetValuation
 from toposval.tolerances import DEFAULT
 
 
@@ -492,6 +493,50 @@ def test_foreign_object_is_refused():
     cat = OperatorCategory([a])
     with pytest.raises(OcatError, match="not an object"):
         nu_psi_o(random_state(np.random.default_rng(5), 2), decomp(1, 2), frozenset(), cat)
+
+
+def test_index_holds_the_arrows():
+    # the arrows into each object, in `morphisms_into` order, and per arrow
+    # B -> A the coarse-graining table is the map's image on A's index masks
+    rng = np.random.default_rng(241)
+    for _ in range(60):
+        dim = int(rng.integers(2, 7))
+        cat, _ = random_category(rng, dim)
+        index = cat.index
+        assert index.ids == tuple(cat.ids)
+        assert set(index.pairs) == set(cat.morphisms)
+        for i, aid in enumerate(index.ids):
+            a = cat.objects[aid]
+            into = [(src, aid) for j, src in enumerate(index.ids) if index.down[i] >> j & 1]
+            assert into == [(m.src, m.dst) for m in oracle_into(cat, aid)]
+            assert cat.morphisms_into(aid) == oracle_into(cat, aid)
+            for m in cat.morphisms_into(aid):
+                j = index.pos[m.src]
+                table = index.coarse(j, i)
+                b = cat.objects[m.src]
+                for delta in all_deltas(a):
+                    mask = a.mask_of(delta)
+                    assert table[mask] == m.map.image_mask(mask)
+                    assert b.subset(table[mask]) == m.map.image(delta)
+                    assert a.subset(index.lift(j, i, table[mask])) == m.map.preimage(
+                        m.map.image(delta))
+    assert cat.morphisms_into("absent") == []
+
+
+def test_sieve_witness_names_a_missing_composite():
+    # a state's member sets are always sieves, so the failing branch is
+    # reached through a hand-made valuation: at A it holds Asq -> A alone,
+    # while A -> Asq and one -> Asq are arrows into Asq
+    a = decomp(1, 2, 3)
+    cat = OperatorCategory([a, decomp(1, 4, 9, id="Asq"), decomp(1, 1, 1, id="one")])
+    state = random_state(np.random.default_rng(9), 3)
+    index = cat.index
+    assert [m.src for m in cat.morphisms_into("Asq")] == ["A", "Asq", "one"]
+    check_sieve_on_o(state, a, frozenset(), cat)   # builds the state's decisions
+    cat._decisions(state, DEFAULT).valuation = MorphismSetValuation._from_bits(
+        cat, lambda i, mask: 1 << index.pos["Asq"] if index.ids[i] == "A" else 0, "broken")
+    assert check_sieve_on_o(state, a, frozenset(), cat) == (
+        False, {"f": ("Asq", "A"), "g": ("A", "Asq")})
 
 
 def test_image_and_preimage_masks():

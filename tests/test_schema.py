@@ -5,7 +5,7 @@ from toposval.contexts import ContextError
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
-from toposval.sampling import fix_a, random_density, random_poset
+from toposval.sampling import fix_a, random_category, random_density, random_poset, random_state
 from toposval.schema import (
     BUILTIN_RELATIONS,
     BUILTIN_SET_RELATIONS,
@@ -188,6 +188,117 @@ def test_survey_o_always_true_fails_null():
     a = {"A": frozenset({1.0})}
     rep = survey_properties_o(a, "always-true", cat)
     assert rep["properties"]["null"]["status"] == FAILS
+
+
+# --------------------------------------------------------------------------
+# the eigenvalue-set survey against its frozenset form
+
+def oracle_survey_properties_o(a, rel_name, category):
+    """The eigenvalue-set survey as it stood before it moved onto the
+    shared checkers: one loop per law over frozensets of eigenvalues and
+    `morphisms_into`, giving statuses and regularity only."""
+    test = {
+        "subset": lambda l, r: l <= r,
+        "superset": lambda l, r: l >= r,
+        "eq": lambda l, r: l == r,
+        "intersects": lambda l, r: bool(l & r),
+        "always-true": lambda l, r: True,
+        "always-false": lambda l, r: False,
+    }[rel_name]
+    ids = category.ids
+    regularity = {
+        "nonempty_everywhere": all(a.get(oid) for oid in ids),
+        "covers_category": set(a) >= set(ids),
+    }
+    if not regularity["covers_category"]:
+        return {"regularity": regularity, "status": {}, "all_hold": False}
+
+    def into(aid):
+        return [(m.src, m.dst) for m in category.morphisms_into(aid)]
+
+    memo = {}
+
+    def members(aid, delta):
+        if (aid, delta) not in memo:
+            memo[(aid, delta)] = frozenset((m.src, m.dst) for m in category.morphisms_into(aid)
+                                           if test(a[m.src], m.map.image(delta)))
+        return memo[(aid, delta)]
+
+    subsets = {}
+    for aid in ids:
+        spec = category.objects[aid].spectrum
+        subsets[aid] = [frozenset(spec[i] for i in range(len(spec)) if mask >> i & 1)
+                        for mask in range(1 << len(spec))]
+
+    def sieve_ok(aid, delta):
+        mem = members(aid, delta)
+        return all((g, aid) in mem for src, _ in mem for g, _ in into(src))
+
+    def func_ok(f, delta):
+        aid, bid = f.dst, f.src
+        at_a = members(aid, delta)
+        return members(bid, f.map.image(delta)) == frozenset(
+            (g, h) for g, h in into(bid) if (g, aid) in at_a)
+
+    full = {aid: frozenset(into(aid)) for aid in ids}
+    status = {
+        "sievehood": all(sieve_ok(aid, d) for aid in ids for d in subsets[aid]),
+        "func": all(func_ok(f, d) for f in category.morphisms.values()
+                    for d in subsets[f.dst]),
+        "null": all(not members(aid, frozenset()) for aid in ids),
+        "monotonicity": all(members(aid, d1) <= members(aid, d2) for aid in ids
+                            for d1 in subsets[aid] for d2 in subsets[aid] if d1 <= d2),
+        "exclusivity": not any(members(aid, d1) == full[aid] == members(aid, d2)
+                               for aid in ids for d1 in subsets[aid] for d2 in subsets[aid]
+                               if not d1 & d2),
+        "unit": all(members(aid, frozenset(category.objects[aid].spectrum)) == full[aid]
+                    for aid in ids),
+    }
+    return {"regularity": regularity, "status": status, "all_hold": all(status.values())}
+
+
+def survey_summary(rep):
+    return {"regularity": rep["regularity"],
+            "status": {k: v["status"] == HOLDS for k, v in rep["properties"].items()},
+            "all_hold": rep["all_hold"]}
+
+
+def test_survey_o_matches_frozenset_oracle_on_random_categories():
+    rng = np.random.default_rng(331)
+    seen = {rel: set() for rel in BUILTIN_SET_RELATIONS}
+    for draw in range(300):
+        dim = int(rng.integers(2, 6))
+        cat, aid = random_category(rng, dim)
+        state = random_state(rng, dim) if draw % 2 else random_density(rng, dim)
+        supports = {oid: elementary_support(state, cat.objects[oid]) for oid in cat.ids}
+        drawn = {oid: frozenset(lam for lam in cat.objects[oid].spectrum if rng.random() < 0.5)
+                 for oid in cat.ids}
+        for a in (supports, drawn):
+            for rel in BUILTIN_SET_RELATIONS:
+                got = survey_summary(survey_properties_o(a, rel, cat))
+                assert got == oracle_survey_properties_o(a, rel, cat), (draw, rel)
+                seen[rel].add(tuple(sorted(got["status"].items())))
+    # every relation but the constant ones meets both outcomes of some law
+    for rel in ("subset", "superset", "eq", "intersects"):
+        assert len(seen[rel]) > 1, rel
+
+
+def test_survey_o_uncovered_and_unknown():
+    cat, _ = random_category(np.random.default_rng(337), 3)
+    rep = survey_properties_o({"A": frozenset()}, "subset", cat)
+    assert rep["skipped"] and rep["properties"] == {} and not rep["all_hold"]
+    assert rep["regularity"] == oracle_survey_properties_o({"A": frozenset()}, "subset",
+                                                           cat)["regularity"]
+    with pytest.raises(KeyError, match="unknown set relation"):
+        survey_properties_o({}, "within", cat)
+
+
+def test_survey_o_witnesses_name_operators_and_index_masks():
+    a_op = ODecomposition.from_operator(HermitianOperator(np.diag([1.0, 2])), "A")
+    cat = OperatorCategory([a_op])
+    rep = survey_properties_o({"A": frozenset({1.0})}, "always-true", cat)
+    assert rep["properties"]["null"]["witness"] == {"v1": "A", "members": ["A"]}
+    assert rep["properties"]["exclusivity"]["witness"] == {"v1": "A", "p": 0, "q": 0}
 
 
 def scalar_relation_table(rng, poset):
