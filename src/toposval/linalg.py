@@ -80,9 +80,15 @@ class Projector:
 
     def leq(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         """Subspace containment self <= other, decided as other*self == self."""
-        if self.dim != other.dim:
+        return bool(self.leq_each(other.entries[np.newaxis], tol)[0])
+
+    def leq_each(self, stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+        """Subspace containment self <= Q for each projector matrix Q of a
+        stack, decided as max|Q*self - self| < tol.certain per matrix."""
+        if stack.shape[1:] != self.entries.shape:
             raise LinalgError("dimension mismatch")
-        return bool(np.max(np.abs(other.entries @ self.entries - self.entries)) < tol.certain)
+        p = self.entries
+        return np.abs(stack @ p - p).max(axis=(1, 2)) < tol.certain
 
     def orthogonal_to(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         return bool(np.max(np.abs(self.entries @ other.entries)) < tol.atom)

@@ -10,8 +10,10 @@ are exact.
 
 Behind the frozenset API, a set of eigenvalues is an int mask over
 spectrum indices.  Each `ODecomposition` builds one spectral projector per
-mask, and each `EigenvalueMap` carries, per domain index, the bit of its
-value in the sorted codomain, so images and preimages are ORs of bits.
+mask, validated at the tolerances it was built with (which `apply_map`
+passes on to f(A)), and each `EigenvalueMap` carries, per domain index, the
+bit of its value in the sorted codomain, so images and preimages are ORs of
+bits.
 
 The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
@@ -23,7 +25,13 @@ float decisions are made once and kept by `OperatorCategory`:
 - per (arrow, delta mask, tolerances), the infimum cross-check of the
   coarse-graining of delta along the arrow: the preimage of its image must
   equal the independent infimum over every spectral projector of f(A) that
-  dominates delta's projector.  A disagreement raises `OcatError`;
+  dominates delta's projector.  A disagreement raises `OcatError`.  All
+  2^|spec f(A)| containments are decided in one batched test
+  (`Projector.leq_each` on f(A)'s stacked mask projectors), with the same
+  max-abs formula as `Projector.leq`, and the dominating masks are ANDed.
+  The test stays exhaustive: the max-abs defect is not monotone under
+  projection, so the meet of the dominating co-atoms alone can differ
+  from the infimum at very tight containment widths;
 - per (state, tolerances), held weakly by the state object: the support
   mask of each operator and of each arrow's image operator, and the
   member-set valuation, with one certainty test per (operator, preimage
@@ -99,13 +107,15 @@ class ODecomposition:
     """An operator with its ordered distinct eigenvalues and eigenprojectors.
 
     A subset of the spectrum is also an index mask (bit i for spectrum[i]);
-    the spectral projector of each mask is built once, on first request.
+    the spectral projector of each mask is built once, on first request,
+    and validated at `tol`, the tolerances the decomposition was built with.
     """
 
     id: str
     operator: HermitianOperator
     spectrum: tuple[float, ...]
     eigenprojectors: tuple[Projector, ...]
+    tol: Tolerances = DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "_position", {lam: i for i, lam in enumerate(self.spectrum)})
@@ -120,6 +130,7 @@ class ODecomposition:
             operator=op,
             spectrum=tuple(lam for lam, _ in pairs),
             eigenprojectors=tuple(p for _, p in pairs),
+            tol=tol,
         )
 
     @property
@@ -144,8 +155,15 @@ class ODecomposition:
             m = np.zeros((self.dim, self.dim), dtype=complex)
             for i in bit_list(mask):
                 m = m + self.eigenprojectors[i].entries
-            p = self._projectors[mask] = Projector(m)
+            p = self._projectors[mask] = Projector(m, tol=self.tol)
         return p
+
+    @cached_property
+    def mask_entries(self) -> np.ndarray:
+        """The entries of every mask's spectral projector, stacked by mask."""
+        out = np.stack([self.projector(q).entries for q in range(1 << len(self.spectrum))])
+        out.flags.writeable = False
+        return out
 
     def projector_for(self, subset: frozenset[float]) -> Projector:
         """The spectral projector of a subset of the spectrum."""
@@ -249,7 +267,8 @@ def identity_map(a: ODecomposition) -> EigenvalueMap:
 
 def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODecomposition:
     """Construct f(A) directly from A's decomposition; the spectrum of the
-    result is exactly the image of A's spectrum (no re-diagonalization)."""
+    result is exactly the image of A's spectrum (no re-diagonalization).
+    The result is validated at, and keeps, A's tolerances."""
     if set(f.domain) != set(a.spectrum):
         raise OcatError("map domain does not equal the operator's spectrum")
     values = sorted(set(f(lam) for lam in a.spectrum))
@@ -259,13 +278,14 @@ def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODe
         for lam, p in zip(a.spectrum, a.eigenprojectors):
             if f(lam) == v:
                 m = m + p.entries
-        projs.append(Projector(m))
+        projs.append(Projector(m, tol=a.tol))
     entries = sum(v * p.entries for v, p in zip(values, projs))
     return ODecomposition(
         id=id or f"f({a.id})",
-        operator=HermitianOperator(entries),
+        operator=HermitianOperator(entries, tol=a.tol),
         spectrum=tuple(values),
         eigenprojectors=tuple(projs),
+        tol=a.tol,
     )
 
 
@@ -302,6 +322,14 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     return EigenvalueMap(tuple(sorted(mapping.items())))
 
 
+def _infimum(a: ODecomposition, b: ODecomposition, delta: int, tol: Tolerances) -> int | None:
+    """The mask of the meet of every spectral projector of `b` that
+    dominates the projector of a delta mask of `a`, or None if none does.
+    All 2^|spec b| containments are decided in one batched test."""
+    dominating = np.flatnonzero(a.projector(delta).leq_each(b.mask_entries, tol))
+    return int(np.bitwise_and.reduce(dominating)) if dominating.size else None
+
+
 def _cross_check(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: int,
                  pre: int, tol: Tolerances) -> None:
     """Raise unless `pre`, the preimage of the image of a delta mask of A
@@ -309,11 +337,7 @@ def _cross_check(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: 
     eigenvalues as the independent infimum over the spectral algebra of
     f(A): the meet of every spectral projector of f(A) that dominates the
     projector of delta."""
-    e_delta = a.projector(delta)
-    kept = None
-    for q in range(1 << len(b.spectrum)):
-        if e_delta.leq(b.projector(q), tol):
-            kept = q if kept is None else kept & q
+    kept = _infimum(a, b, delta, tol)
     if kept is None:
         raise OcatError("no dominating element in the spectral algebra")
     inf_pre = f.preimage_mask(kept)

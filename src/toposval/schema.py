@@ -26,15 +26,7 @@ import numpy as np
 from .contexts import ContextError, ContextPoset, PosetIndex, bit_list
 from .ocat import OperatorCategory
 from .presheaves import GlobalElementG, SubobjectSigma
-from .valuations import (
-    MorphismSetValuation,
-    _exclusivity_witness,
-    _func_witness,
-    _monotonicity_witness,
-    _null_witness,
-    _unit_witness,
-    stage_rule,
-)
+from .valuations import MorphismSetValuation, _clause_statuses, _unit_witness, stage_rule
 
 HOLDS = "holds-exhaustively"
 FAILS = "witness-of-failure"
@@ -156,19 +148,10 @@ def _status(ok: bool, witness: dict | None) -> dict:
 
 
 def _law_statuses(alpha: MorphismSetValuation, unit=_unit_witness) -> dict:
-    """The six properties by the shared checkers, with the overall flag:
-    (i) sievehood, the downward closure of every member set; (ii)
-    functional composition, which holds for any relation whatsoever; (iii)
-    the null proposition; (iv) monotonicity; (v) exclusivity, where a
-    certain proposition leaves no disjoint one without a refuting stage;
-    and (vi) the unit proposition, whose witness comes from `unit`."""
-    ok, w = alpha.is_sieve_valued()
-    properties = {"sievehood": _status(ok, w)}
-    for name, find in (("func", _func_witness), ("null", _null_witness),
-                       ("monotonicity", _monotonicity_witness),
-                       ("exclusivity", _exclusivity_witness), ("unit", unit)):
-        w = find(alpha)
-        properties[name] = _status(w is None, w)
+    """The six properties by the shared checkers of `valuations`, in the
+    survey's status words, with the overall flag.  Functional composition
+    holds for any relation whatsoever."""
+    properties = _clause_statuses(alpha, HOLDS, FAILS, unit)
     return {"properties": properties,
             "all_hold": all(v["status"] == HOLDS for v in properties.values())}
 

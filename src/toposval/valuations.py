@@ -277,14 +277,6 @@ def interval(alpha: MorphismSetValuation, cid: str) -> frozenset[Character]:
     return frozenset(Character(cid, i) for i in bit_list(alpha._interval(alpha._position(cid))))
 
 
-def _pass() -> dict:
-    return {"status": "pass", "witness": None}
-
-
-def _fail(witness: dict) -> dict:
-    return {"status": "fail", "witness": witness}
-
-
 def _degenerate(alpha: MorphismSetValuation) -> list[str]:
     index = alpha._index
     return [cid for i, cid in enumerate(index.ids) if alpha._support(i) is None]
@@ -346,19 +338,32 @@ def _unit_witness(alpha: MorphismSetValuation) -> dict | None:
     return None
 
 
+def _clause_statuses(alpha: MorphismSetValuation, holds: str = "pass", fails: str = "fail",
+                     unit=_unit_witness) -> dict[str, dict]:
+    """The six laws of a generalized valuation by the shared checkers, each
+    as {"status": holds or fails, "witness": None or the failure}: (i)
+    sievehood, the downward closure of every member set; (ii) functional
+    composition; (iii) the null proposition; (iv) monotonicity; (v)
+    exclusivity, where a certain proposition leaves no disjoint one without
+    a refuting stage; and (vi) the unit proposition, whose witness comes
+    from `unit`."""
+    ok, w = alpha.is_sieve_valued()
+    found = [("sievehood", ok, w)]
+    for clause, find in (("func", _func_witness), ("null", _null_witness),
+                         ("monotonicity", _monotonicity_witness),
+                         ("exclusivity", _exclusivity_witness), ("unit", unit)):
+        w = find(alpha)
+        found.append((clause, w is None, w))
+    return {clause: {"status": holds if ok else fails, "witness": None if ok else w}
+            for clause, ok, w in found}
+
+
 def check_definition3(alpha: MorphismSetValuation) -> dict:
     """Exhaustive per-clause report for the generalized-valuation laws:
     sieve-valuedness, functional composition, null proposition,
     monotonicity, exclusivity, unit proposition."""
-    report: dict[str, dict] = {}
-    ok, witness = alpha.is_sieve_valued()
-    report["sievehood"] = _pass() if ok else _fail(witness)
-    for clause, find in (("func", _func_witness), ("null", _null_witness),
-                         ("monotonicity", _monotonicity_witness),
-                         ("exclusivity", _exclusivity_witness), ("unit", _unit_witness)):
-        w = find(alpha)
-        report[clause] = _pass() if w is None else _fail(w)
-    report["passed"] = all(v["status"] == "pass" for k, v in report.items() if k != "passed")
+    report = _clause_statuses(alpha)
+    report["passed"] = all(v["status"] == "pass" for v in report.values())
     return report
 
 

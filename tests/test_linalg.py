@@ -175,6 +175,19 @@ def test_projector_validation():
     assert not Projector(np.eye(3)).leq(p)
 
 
+def test_leq_each_decides_per_matrix_of_a_stack():
+    p = Projector(np.diag([1.0, 0, 0]))
+    stack = np.stack([np.eye(3), np.diag([0.0, 1, 1]), np.diag([1.0, 1, 0])]).astype(complex)
+    assert p.leq_each(stack).tolist() == [True, False, True]
+    assert [p.leq(Projector(q)) for q in stack] == [True, False, True]
+    # the containment width is tol.certain: a defect of 1 passes a width of 2
+    assert p.leq_each(stack, DEFAULT.overridden(certain=2.0)).tolist() == [True] * 3
+    with pytest.raises(LinalgError, match="dimension"):
+        p.leq_each(np.eye(3, dtype=complex))
+    with pytest.raises(LinalgError, match="dimension"):
+        p.leq(Projector(np.eye(2)))
+
+
 def test_support_reproduction_check_reads_tol_certain():
     # an eigenvalue of 5e-9 falls below support_trace = 1e-8, so the support
     # misses it by 5e-9: inside the default tol.certain of 1e-8, outside 1e-9

@@ -16,12 +16,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from toposval.linalg import DensityMatrix, HermitianOperator, Projector, StateVector
+from toposval.linalg import DensityMatrix, HermitianOperator, LinalgError, Projector, StateVector
 from toposval.ocat import (
     EigenvalueMap,
     ODecomposition,
     OcatError,
     OperatorCategory,
+    _infimum,
     apply_map,
     characterize_check,
     check_sieve_on_o,
@@ -486,6 +487,68 @@ def test_cross_check_raises_for_every_tolerance_set():
         o_coarse_grain(cat.morphisms[(aid, aid)].map, a, delta, loose)
     with pytest.raises(OcatError, match="disagree"):
         oracle_coarse_grain(cat.morphisms[(aid, aid)].map, a, delta, loose)
+
+
+def test_batched_dominance_matches_pairwise_containment():
+    # per (arrow, delta, tolerances), the batched containment test gives the
+    # pairwise max-abs decision for every spectral projector of f(A), and so
+    # the exhaustive infimum.  The max-abs defect is not monotone under
+    # projection, so at the tightest widths the co-atom shortcut (the meet of
+    # the full mask and of each dominating all-but-one-eigenvalue mask)
+    # differs from it; the last assertion keeps this test able to see that.
+    tols = [DEFAULT] + [DEFAULT.overridden(certain=c) for c in (10.0, 0.5, 1e-15, 1e-16, 0.0)]
+    rng = np.random.default_rng(251)
+    coatom_differs = 0
+    for _ in range(40):
+        dim = int(rng.integers(2, 7))
+        cat, _ = random_category(rng, dim)
+        for m in cat.morphisms.values():
+            a = cat.objects[m.dst]
+            b = apply_map(m.map, a)
+            full = (1 << len(b.spectrum)) - 1
+            coatoms = [full] + [full & ~(1 << i) for i in range(len(b.spectrum))]
+            for delta in range(1 << len(a.spectrum)):
+                e = a.projector(delta).entries
+                for tol in tols:
+                    pairwise = [bool(np.max(np.abs(b.projector(q).entries @ e - e)) < tol.certain)
+                                for q in range(full + 1)]
+                    assert a.projector(delta).leq_each(b.mask_entries, tol).tolist() == pairwise
+                    kept = coatom = None
+                    for q, ok in enumerate(pairwise):
+                        if ok:
+                            kept = q if kept is None else kept & q
+                            if q in coatoms:
+                                coatom = q if coatom is None else coatom & q
+                    assert _infimum(a, b, delta, tol) == kept
+                    coatom_differs += coatom != kept
+    assert coatom_differs
+
+
+def test_decomposition_tolerances_reach_projector_validation():
+    # two eigenprojectors that overlap by about 1e-6: the projector of their
+    # union is refused at the default idempotency width and accepted at 1e-4,
+    # both as a mask of the decomposition and as the merged eigenprojector of
+    # f(A), which keeps the tolerances of A
+    v = np.array([1e-6, 1.0])
+    p1 = Projector(np.diag([1.0, 0.0]))
+    p2 = Projector(np.outer(v, v) / (v @ v))
+    loose = DEFAULT.overridden(proj_idem=1e-4)
+
+    def build(tol):
+        return ODecomposition("A", HermitianOperator(p1.entries + 2 * p2.entries),
+                              (1.0, 2.0), (p1, p2), tol=tol)
+
+    merge = EigenvalueMap.from_dict({1.0: 5.0, 2.0: 5.0})
+    with pytest.raises(LinalgError, match="idempotent"):
+        build(DEFAULT).projector(0b11)
+    with pytest.raises(LinalgError, match="idempotent"):
+        apply_map(merge, build(DEFAULT))
+    assert build(loose).projector(0b11).rank == 2
+    b = apply_map(merge, build(loose))
+    assert b.spectrum == (5.0,) and b.tol == loose
+    assert b.projector(0b1).rank == 2
+    op = HermitianOperator(np.diag([1.0, 2.0]))
+    assert ODecomposition.from_operator(op, tol=loose).tol == loose
 
 
 def test_foreign_object_is_refused():
