@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
@@ -33,21 +33,39 @@ class ContextError(ValueError):
     """Malformed context, lattice element or poset input."""
 
 
-def _canonical_key(p: Projector) -> tuple:
-    """Deterministic sort key over matrix entries (descending, so the
-    standard-basis atoms keep their natural order)."""
-    flat = p.entries.reshape(-1)
-    return tuple(
-        x for z in flat for x in (-round(z.real, 9) - 0.0, -round(z.imag, 9) - 0.0)
-    )
+def _canonical_order(atoms: tuple[Projector, ...]) -> tuple[Projector, ...]:
+    """The atoms in canonical order: by descending matrix entries, their
+    real and imaginary parts in row-major order compared lexicographically
+    under the key -round(part, 9) (so the standard-basis atoms keep their
+    natural order).  Only parts whose raw values differ are rounded, since
+    equal raw values have equal keys.  The parts are rounded as numpy
+    float64 scalars, whose rounding can differ from a Python float's at a
+    tie.  The sort is stable: atoms whose keys all agree keep their input
+    order."""
+    parts = [a.entries.reshape(-1).view(np.float64) for a in atoms]
+    raw = [p.tolist() for p in parts]
+
+    def compare(i: int, j: int) -> int:
+        for k, (u, v) in enumerate(zip(raw[i], raw[j])):
+            if u != v:
+                ku, kv = -round(parts[i][k], 9) - 0.0, -round(parts[j][k], 9) - 0.0
+                if ku != kv:
+                    return -1 if ku < kv else 1
+        return 0
+
+    order = sorted(range(len(atoms)), key=cmp_to_key(compare))
+    return tuple(atoms[i] for i in order)
 
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A commutative algebra given by its ordered list of atoms."""
+    """A commutative algebra given by its ordered list of atoms, with the
+    tolerances it was validated at; its lattice projectors are validated
+    at the same tolerances."""
 
     id: str
     atoms: tuple[Projector, ...]
+    tol: Tolerances
 
     def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT, canonicalize: bool = True):
         atoms = tuple(atoms)
@@ -66,9 +84,10 @@ class Context:
         if np.max(np.abs(total - np.eye(dim))) > tol.atom:
             raise ContextError(f"atoms of context {id!r} do not resolve the identity")
         if canonicalize:
-            atoms = tuple(sorted(atoms, key=_canonical_key))
+            atoms = _canonical_order(atoms)
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_projectors", {})
 
     @property
@@ -85,15 +104,16 @@ class Context:
 
     def projector(self, mask: int) -> Projector:
         """The lattice projector for a bit mask over atom indices, built
-        once per mask."""
+        once per mask and validated at the context's tolerances."""
         p = self._projectors.get(mask)
         if p is None:
             if mask < 0 or mask > self.full_mask:
                 raise ContextError(f"mask {mask} out of range for context {self.id!r}")
             if mask == 0:
-                p = Projector(np.zeros((self.dim, self.dim)))
+                p = Projector(np.zeros((self.dim, self.dim)), tol=self.tol)
             else:
-                p = Projector(sum(self.atoms[i].entries for i in range(self.n_atoms) if mask >> i & 1))
+                p = Projector(sum(self.atoms[i].entries for i in range(self.n_atoms) if mask >> i & 1),
+                              tol=self.tol)
             self._projectors[mask] = p
         return p
 
@@ -111,8 +131,8 @@ class Context:
         return None
 
 
-def trivial_context(dim: int, id: str = "Vtriv") -> Context:
-    return Context(id, [identity_projector(dim)])
+def trivial_context(dim: int, id: str = "Vtriv", tol: Tolerances = DEFAULT) -> Context:
+    return Context(id, [identity_projector(dim, tol)], tol=tol)
 
 
 @dataclass(frozen=True)
@@ -174,18 +194,7 @@ def inclusion(v2: Context, v1: Context, tol: Tolerances = DEFAULT) -> bool:
     """True iff v2 <= v1: every atom of v2 is a sum of atoms of v1."""
     if v2.dim != v1.dim:
         raise ContextError("dimension mismatch")
-    return _partition_map(v2, v1, tol) is not None
-
-
-def _partition_map(v2: Context, v1: Context, tol: Tolerances) -> tuple[int, ...] | None:
-    """For v2 <= v1, the mask over v1's atoms composing each atom of v2."""
-    maps = []
-    for a2 in v2.atoms:
-        mask = v1.member_mask(a2, tol)
-        if mask is None:
-            return None
-        maps.append(mask)
-    return tuple(maps)
+    return all(v1.member_mask(a2, tol) is not None for a2 in v2.atoms)
 
 
 def lattice_elements(v: Context) -> list[LatticeElement]:
@@ -486,7 +495,7 @@ def build_poset(
     for c in contexts:
         store.add_if_new(c)
     if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
-        store.add_if_new(trivial_context(dim))
+        store.add_if_new(trivial_context(dim, tol=tol))
     if close_under_meets:
         store.close_under_meets()
     ctxs = store.ctxs
@@ -496,9 +505,8 @@ def build_poset(
         raise ContextError(f"distinct contexts share ids: {dupes}")
     order = set()
     pmaps = {}
-    for a, b in store.inclusion_candidates():
-        pm = _partition_map(a, b, tol)
-        if pm is not None:
+    for a, b, pm in store.inclusion_candidates():
+        if all(b.projector(m).equals(p, tol) for m, p in zip(pm, a.atoms)):
             order.add((a.id, b.id))
             pmaps[(a.id, b.id)] = pm
     poset = ContextPoset(
@@ -511,8 +519,18 @@ def build_poset(
 
 
 class _ContextStore:
-    """The contexts of one `build_poset` call, with their lattice elements
-    interned.
+    """The contexts of one `build_poset` call, with their atoms linked and
+    their lattice elements interned.
+
+    Every stored context's atoms join one global stack, in storage order.
+    Each stored atom keeps an int bitset, over global atom indices, of the
+    later-stored atoms it is not orthogonal to: max|a b| >= tol.atom, with
+    the earlier atom on the left.  The bits are filled by one batched
+    product when a context is added, so each link is decided once per atom
+    pair, and a meet reads its link matrix off them.  They are kept per
+    stored atom rather than per interned lattice element: interning is not
+    transitive at `tol.atom`, so an interned representative may link where
+    the atom it stands for does not.
 
     Each projector that is a sum of one context's atoms is stored once: it
     joins the first stored projector within `tol.atom` in max-abs entries
@@ -527,6 +545,9 @@ class _ContextStore:
         self.ctxs: list[Context] = []
         self.stacks: list[np.ndarray] = []   # atom entries of ctxs[k], shape (n_atoms, dim, dim)
         self.keys: set[frozenset[int]] = set()
+        self.every: np.ndarray | None = None   # every stored atom, shape (n, dim, dim)
+        self.starts: list[int] = []   # global index of the first atom of ctxs[k]
+        self.later: list[int] = []    # per stored atom, the later-stored atoms it links to
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._stored: np.ndarray | None = None   # interned entries, shape (n, dim, dim)
 
@@ -555,11 +576,33 @@ class _ContextStore:
         if key in self.keys:
             return
         k = len(self.ctxs)
+        n = len(self.later)
+        if self.every is None:
+            self.every = stack
+        else:
+            linked = np.abs(self.every[:, None] @ stack[None]).max(axis=(2, 3)) >= self.tol.atom
+            for g, t in zip(*(ix.tolist() for ix in np.nonzero(linked))):
+                self.later[g] |= 1 << (n + t)
+            self.every = np.concatenate([self.every, stack])
+        self.starts.append(n)
+        self.later.extend([0] * len(stack))
         self.ctxs.append(c)
         self.stacks.append(stack)
         self.keys.add(key)
         for i, eid in enumerate(atom_ids):
             self._element_ids[(k, 1 << i)] = eid
+
+    def meet(self, i: int, j: int) -> list[int]:
+        """`_meet_masks` of contexts i < j, with the link matrix read off
+        the stored bits: row by shift-and-mask, columns by transposing."""
+        base, n_b = self.starts[j], len(self.stacks[j])
+        b_of = [(bits >> base) & ((1 << n_b) - 1)
+                for bits in self.later[self.starts[i]:self.starts[i] + len(self.stacks[i])]]
+        a_of = [0] * n_b
+        for a, bits in enumerate(b_of):
+            for b in bit_list(bits):
+                a_of[b] |= 1 << a
+        return _meet_masks(b_of, a_of, self.stacks[i], self.stacks[j], self.tol)
 
     def close_under_meets(self) -> None:
         """Add pairwise algebra intersections until closure (trivial meets
@@ -576,7 +619,7 @@ class _ContextStore:
             n = len(self.ctxs)
             for i in range(n):
                 for j in range(max(i + 1, old), n):
-                    masks = _meet_masks(self.stacks[i], self.stacks[j], self.tol)
+                    masks = self.meet(i, j)
                     if len(masks) <= 1:
                         continue
                     if frozenset(self._element(i, m) for m in masks) in self.keys:
@@ -589,42 +632,46 @@ class _ContextStore:
             old = n
 
     def inclusion_candidates(self):
-        """The (a, b) pairs, in row order, that may satisfy a <= b.
+        """(a, b, partition map) for the pairs, in row order, that may
+        satisfy a <= b.
 
-        For a <= b each atom a_i is the sum of the b-atoms b_k with
-        tr(a_i b_k) > rank(b_k) / 2, so those ranks add up to rank(a_i);
-        pairs failing that rank count are dropped before `_partition_map`.
+        tr(b_k a_i) is taken once per pair of stored atoms, as
+        `Context.member_mask` takes it (b's atom on the left), so the floats
+        are the same.  The partition map gives, per atom a_i, the mask of
+        the b_k with tr(b_k a_i) > rank(b_k) / 2.  For a <= b those ranks
+        add up to rank(a_i), so pairs failing that count are dropped; what
+        is left is for `build_poset` to confirm, atom by atom, by the
+        equality test `member_mask` makes.
         """
         if not self.ctxs:
             return
-        every = np.concatenate(self.stacks)
-        dim = every.shape[1]
-        transposed = every.transpose(0, 2, 1).reshape(len(every), dim * dim)
+        every, starts = self.every, self.starts
         ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
-        starts = np.cumsum([0] + [len(s) for s in self.stacks[:-1]])
         for a, sa in zip(self.ctxs, self.stacks):
-            overlap = (sa.reshape(len(sa), dim * dim) @ transposed.T).real
-            covered = np.add.reduceat(np.where(overlap > ranks / 2, ranks, 0), starts, axis=1)
+            inside = np.trace(every[None] @ sa[:, None], axis1=2, axis2=3).real > ranks / 2
+            covered = np.add.reduceat(np.where(inside, ranks, 0), starts, axis=1)
             a_ranks = np.array([p.rank for p in a.atoms])
-            for j in np.flatnonzero((covered == a_ranks[:, None]).all(axis=0)):
-                yield a, self.ctxs[j]
+            for j in np.flatnonzero((covered == a_ranks[:, None]).all(axis=0)).tolist():
+                block = inside[:, starts[j]:starts[j] + len(self.stacks[j])]
+                pmap = tuple(sum(1 << k for k in np.flatnonzero(row).tolist()) for row in block)
+                yield a, self.ctxs[j], pmap
 
 
-def _meet_masks(sa: np.ndarray, sb: np.ndarray, tol: Tolerances) -> list[int]:
+def _meet_masks(b_of: list[int], a_of: list[int], sa: np.ndarray, sb: np.ndarray,
+                tol: Tolerances) -> list[int]:
     """Atoms of the intersection of two contexts' algebras, as increasing
-    masks over the first context's atoms; given stacked atom entries.
+    masks over the first context's atoms; given stacked atom entries and
+    their link matrix as bitsets: b_of[i] holds the b_j linked to a_i and
+    a_of[j] the a_i linked to b_j.
 
-    Link a_i to b_j when max|a_i b_j| >= tol.atom (they are not orthogonal)
-    and take the connected components.  A common element is a sum of whole
-    components, so a component whose a-sum equals its b-sum within
+    a_i and b_j are linked when max|a_i b_j| >= tol.atom (they are not
+    orthogonal); take the connected components.  A common element is a sum
+    of whole components, so a component whose a-sum equals its b-sum within
     `tol.atom` is an atom of the meet, and all other components together
     form one more.  In exact arithmetic every component is an atom; the
     merged one arises when overlaps below `tol.atom` split a component.
     One mask means the meet is trivial.
     """
-    link = (np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom).tolist()
-    b_of = [sum(1 << j for j, x in enumerate(row) if x) for row in link]
-    a_of = [sum(1 << i for i, row in enumerate(link) if row[j]) for j in range(len(sb))]
     masks: list[int] = []
     rest = 0
     free = (1 << len(sa)) - 1

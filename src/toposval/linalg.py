@@ -97,8 +97,8 @@ class Projector:
         return bool(np.max(np.abs(self.entries - other.entries)) < tol.atom)
 
 
-def identity_projector(dim: int) -> Projector:
-    return Projector(np.eye(dim))
+def identity_projector(dim: int, tol: Tolerances = DEFAULT) -> Projector:
+    return Projector(np.eye(dim), tol=tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -517,12 +517,16 @@ class OperatorCategory:
         return a.id
 
     def _arrow(self, m: Morphism) -> tuple[EigenvalueMap, ODecomposition]:
-        """The arrow's map on its target's spectrum, and the image operator."""
+        """The arrow's map on its target's spectrum, and the image operator.
+        When the map fixes every eigenvalue of an ascending spectrum, as an
+        identity arrow's does, f(A) is the object A itself: `apply_map`
+        would rebuild the same spectrum and eigenprojectors."""
         out = self._arrows.get((m.src, m.dst))
         if out is None:
             a = self.objects[m.dst]
             f = _on_spectrum(m.map, a)
-            out = self._arrows[(m.src, m.dst)] = (f, apply_map(f, a))
+            fixed = tuple(v for _, v in f.pairs) == a.spectrum == f.codomain
+            out = self._arrows[(m.src, m.dst)] = (f, a if fixed else apply_map(f, a))
         return out
 
     def _cross_check(self, src: int, dst: int, delta: int, pre: int, tol: Tolerances) -> None:

@@ -262,6 +262,27 @@ def test_golden_report_digest(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of whole reports of the commands that only build the closed poset
+# of the bundled 18-ray fixture, run as above.  They pin the meet closure,
+# the inclusion order, partition maps, atom order and ids.
+GOLDEN_POSET_REPORTS = {
+    "build-poset": "9216d0cf7bd0f9376cc22dba0f688355901d4520b80f12ca98a4035f3cc90e39",
+    "check-iso": "8ca7b166e752f2e63f6a60807ba92f38f351eb819103d22b0634461398e3cc03",
+    "ks": "67633601aa963f15044591e62efa774f39929979d48208d0a3e6a9a25f0ed5fb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_POSET_REPORTS))
+def test_golden_poset_report_digest(tmp_path, monkeypatch, command):
+    fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
+    (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--input", "ks18.json", "--add-trivial", "--close-under-meets",
+                 "--out", "report.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_POSET_REPORTS[command]
+
+
 # SHA-256 of whole `ocat` report files, run from the directory that holds
 # the inputs: the 3-operator set of `test_ocat` with the pure state above,
 # and a degenerate dim-5 set (C acts by a swap inside A's eigenvalue-1

@@ -1,10 +1,13 @@
 """Differential tests for meet closure and the partial-order check.
 
-`build_poset` closes under meets with the component rule, interned
-lattice elements and a pair worklist, and checks the order on int-bitmask
-down-sets.  The enumerating meet, the rescan-every-pair closure with
-two-way `inclusion` duplicate tests, the all-pairs partition maps and the
-triple-loop order check are kept here as oracles.
+`build_poset` closes under meets with the component rule on per-atom link
+bitsets, interned lattice elements and a pair worklist, takes partition
+maps from one batched trace screen, orders atoms by a lazy comparison, and
+checks the order on int-bitmask down-sets.  Kept here as oracles: the
+enumerating meet; the per-pair meet that builds its own float link matrix;
+the per-pair `_partition_map`/`member_mask`; the eager rounded-tuple atom
+key; the rescan-every-pair closure with two-way `inclusion` duplicate
+tests and all-pairs partition maps; and the triple-loop order check.
 """
 
 import itertools
@@ -16,15 +19,17 @@ from toposval.contexts import (
     Context,
     ContextError,
     ContextPoset,
+    _canonical_order,
     _check_partial_order,
+    _ContextStore,
     _meet_masks,
-    _partition_map,
+    bit_list,
     build_poset,
     inclusion,
     trivial_context,
 )
 from toposval.ks import load_bundled_ks
-from toposval.linalg import Projector
+from toposval.linalg import LinalgError, Projector
 from toposval.sampling import (
     context_from_basis,
     random_partition,
@@ -44,6 +49,44 @@ def _meet_enumerate(a, b, tol=DEFAULT):
 
 def _stack(c):
     return np.stack([a.entries for a in c.atoms])
+
+
+def _meet_masks_pairwise(sa, sb, tol):
+    """The component rule on a float link matrix of its own, built per
+    context pair as the meet did before link bitsets."""
+    link = (np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom).tolist()
+    b_of = [sum(1 << j for j, x in enumerate(row) if x) for row in link]
+    a_of = [sum(1 << i for i, row in enumerate(link) if row[j]) for j in range(len(sb))]
+    return _meet_masks(b_of, a_of, sa, sb, tol)
+
+
+def _partition_map(v2, v1, tol):
+    """For v2 <= v1, the mask over v1's atoms composing each atom of v2,
+    one `member_mask` per atom; None when some atom is not in v1's lattice."""
+    maps = []
+    for a2 in v2.atoms:
+        mask = v1.member_mask(a2, tol)
+        if mask is None:
+            return None
+        maps.append(mask)
+    return tuple(maps)
+
+
+def _canonical_key(p):
+    """The eager sort key: every entry's parts, numpy scalars, rounded to
+    9 decimals."""
+    flat = p.entries.reshape(-1)
+    return tuple(
+        x for z in flat for x in (-round(z.real, 9) - 0.0, -round(z.imag, 9) - 0.0)
+    )
+
+
+def _store_meet(a, b, tol=DEFAULT):
+    """The store's meet of two contexts, or None when b merges onto a."""
+    store = _ContextStore(tol)
+    store.add_if_new(a)
+    store.add_if_new(b)
+    return store.meet(0, 1) if len(store.ctxs) == 2 else None
 
 
 def _check_partial_order_triples(poset):
@@ -145,15 +188,20 @@ def _random_meet_pair(rng, kind):
 
 def test_meet_component_rule_matches_enumeration():
     rng = np.random.default_rng(2024)
-    nontrivial = coarse_atoms = 0
+    nontrivial = coarse_atoms = stored = 0
     for n in range(520):
         a, b = _random_meet_pair(rng, n % 4)
         want = _meet_enumerate(a, b)
-        assert _meet_masks(_stack(a), _stack(b), DEFAULT) == want, n
+        assert _meet_masks_pairwise(_stack(a), _stack(b), DEFAULT) == want, n
+        got = _store_meet(a, b)
+        if got is not None:
+            stored += 1
+            assert got == want, n
         if len(want) > 1:
             nontrivial += 1
             coarse_atoms += any(a.projector(m).rank > 1 for m in want)
     assert nontrivial >= 120 and coarse_atoms >= 80, (nontrivial, coarse_atoms)
+    assert stored >= 400, stored
 
 
 def test_meet_merges_components_split_below_tolerance():
@@ -170,17 +218,18 @@ def test_meet_merges_components_split_below_tolerance():
     b = Context("B", [Projector(np.outer(v, v)) for v in (w1, w2, v3, e4)])
     assert np.max(np.abs(np.outer(v1, v1) @ np.outer(w2, w2))) < DEFAULT.atom
     assert np.max(np.abs(np.outer(v1, v1) - np.outer(w1, w1))) > DEFAULT.atom
-    masks = _meet_masks(_stack(a), _stack(b), DEFAULT)
-    assert masks == _meet_enumerate(a, b)
+    masks = _store_meet(a, b)
+    assert masks == _meet_enumerate(a, b) == _meet_masks_pairwise(_stack(a), _stack(b), DEFAULT)
     assert sorted(a.projector(m).rank for m in masks) == [1, 1, 2]
 
 
 def test_meet_masks_trivial_and_identical():
     a, _ = _random_meet_pair(np.random.default_rng(5), 1)
-    assert _meet_masks(_stack(a), _stack(a), DEFAULT) == [1 << i for i in range(a.n_atoms)]
+    assert _meet_masks_pairwise(_stack(a), _stack(a), DEFAULT) == [1 << i for i in range(a.n_atoms)]
+    assert _store_meet(a, Context("copy", a.atoms)) is None   # the store never meets a copy
     triv = trivial_context(a.dim)
-    assert _meet_masks(_stack(a), _stack(triv), DEFAULT) == [a.full_mask]
-    assert _meet_masks(_stack(triv), _stack(a), DEFAULT) == [1]
+    assert _store_meet(a, triv) == _meet_masks_pairwise(_stack(a), _stack(triv), DEFAULT) == [a.full_mask]
+    assert _store_meet(triv, a) == _meet_masks_pairwise(_stack(triv), _stack(a), DEFAULT) == [1]
 
 
 def _rank_one_contexts(bases, u, tag):
@@ -231,25 +280,244 @@ def test_build_poset_matches_reference_on_peres_subsets(seed, size):
                                                    close_under_meets=True))
 
 
+def _random_family(seed):
+    """Four contexts in dimension 2-5: two refining a shared coarsening of
+    bases that differ inside its blocks, one more partition of the first
+    basis, and an unrelated one."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    u = random_unitary(rng, dim)
+    shared = random_partition(rng, dim)
+    v = u.copy()
+    for block in shared:
+        v[:, block] = u[:, block] @ random_unitary(rng, len(block))
+    return [
+        context_from_basis(u, _refinement(rng, shared), "C0"),
+        context_from_basis(v, _refinement(rng, shared), "C1"),
+        context_from_basis(u, random_partition(rng, dim), "C2"),
+        context_from_basis(random_unitary(rng, dim), random_partition(rng, dim), "C3"),
+    ]
+
+
 def test_build_poset_matches_reference_on_random_families():
     for seed in range(40):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 6))
-        u = random_unitary(rng, dim)
-        shared = random_partition(rng, dim)
-        v = u.copy()
-        for block in shared:
-            v[:, block] = u[:, block] @ random_unitary(rng, len(block))
-        contexts = [
-            context_from_basis(u, _refinement(rng, shared), "C0"),
-            context_from_basis(v, _refinement(rng, shared), "C1"),
-            context_from_basis(u, random_partition(rng, dim), "C2"),
-            context_from_basis(random_unitary(rng, dim), random_partition(rng, dim), "C3"),
-        ]
+        contexts = _random_family(seed)
         for close in (False, True):
             got = build_poset(contexts, add_trivial=True, close_under_meets=close)
             _assert_same_poset(got, _build_poset_reference(contexts, add_trivial=True,
                                                            close_under_meets=close))
+
+
+class _PairwiseStore(_ContextStore):
+    """The store deciding each met pair's links with its own float matrix."""
+
+    def meet(self, i, j):
+        return _meet_masks_pairwise(self.stacks[i], self.stacks[j], self.tol)
+
+
+def _build_poset_pairwise(contexts, add_trivial=True, close_under_meets=True, tol=DEFAULT):
+    """`build_poset` with a float link matrix per met pair and
+    `_partition_map` (`member_mask` per atom) on every ordered pair."""
+    store = _PairwiseStore(tol)
+    for c in contexts:
+        store.add_if_new(c)
+    if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
+        store.add_if_new(trivial_context(contexts[0].dim, tol=tol))
+    if close_under_meets:
+        store.close_under_meets()
+    order, pmaps = set(), {}
+    for a in store.ctxs:
+        for b in store.ctxs:
+            pm = _partition_map(a, b, tol)
+            if pm is not None:
+                order.add((a.id, b.id))
+                pmaps[(a.id, b.id)] = pm
+    poset = ContextPoset(contexts={c.id: c for c in store.ctxs}, order=frozenset(order),
+                         partition_maps=pmaps)
+    _check_partial_order(poset)
+    return poset
+
+
+def _overlap_masks(b, a):
+    """Per atom a_i, `member_mask`'s mask over b before its equality test:
+    the b_k with tr(b_k a_i) > rank(b_k) / 2."""
+    return tuple(
+        sum(1 << k for k, bk in enumerate(b.atoms)
+            if float(np.trace(bk.entries @ ai.entries).real) > bk.rank / 2)
+        for ai in a.atoms
+    )
+
+
+def _noisy(contexts, rng, scale):
+    """Each atom plus Hermitian noise of max-abs size about `scale`."""
+    out = []
+    for c in contexts:
+        atoms = []
+        for p in c.atoms:
+            g = rng.normal(size=p.entries.shape) + 1j * rng.normal(size=p.entries.shape)
+            atoms.append(Projector(p.entries + scale * (g + g.conj().T) / 4))
+        out.append(Context(c.id, atoms))
+    return out
+
+
+def _peres_subset(seed, size, tol=DEFAULT, jitter=0.0):
+    """`size` seeded Peres bases under a seeded unitary; with `jitter`, each
+    ray is first moved by about that much and renormalised."""
+    rng = np.random.default_rng(seed)
+    bases = _peres_bases()
+    chosen = [bases[int(i)] for i in rng.choice(len(bases), size=size, replace=False)]
+    u = random_unitary(rng, 4)
+    out = []
+    for k, basis in enumerate(chosen):
+        atoms = []
+        for ray in basis:
+            v = u @ (np.asarray(ray, dtype=float) + jitter * rng.normal(size=4))
+            v = v / np.linalg.norm(v)
+            atoms.append(Projector(np.outer(v, v.conj()), tol=tol))
+        out.append(Context(f"P{k}", atoms, tol=tol))
+    return out
+
+
+LOOSE_ATOM = DEFAULT.overridden(atom=1e-4, proj_idem=1e-4)
+
+
+def _closure_inputs():
+    """(name, contexts, tol) families for the pairwise differential tests."""
+    rng = np.random.default_rng(99)
+    u = random_unitary(rng, 4)
+    ks18 = load_bundled_ks()
+    rotated = [Context(c.id, [Projector(u @ a.entries @ u.conj().T) for a in c.atoms])
+               for c in ks18]
+    yield "ks18", ks18, DEFAULT
+    yield "ks18-rotated-noise", _noisy(rotated, rng, 1e-12), DEFAULT
+    for seed, size in ((4, 8), (5, 13), (6, 16)):
+        yield f"peres{size}", _peres_subset(seed, size), DEFAULT
+    yield "peres13-noise", _noisy(_peres_subset(7, 13), rng, 1e-12), DEFAULT
+    yield "peres13-loose", _peres_subset(8, 13, LOOSE_ATOM, jitter=1e-6), LOOSE_ATOM
+    for seed in range(30):
+        draw = random_poset(np.random.default_rng(seed), max_contexts=7, max_atoms=4)
+        yield f"random{seed}", list(draw.contexts.values()), DEFAULT
+        yield f"family{seed}", _random_family(seed), DEFAULT
+    loose = DEFAULT.overridden(atom=1e-2)
+    for seed in range(10):
+        draw = random_poset(np.random.default_rng(100 + seed), max_contexts=7, max_atoms=4)
+        yield f"random{100 + seed}-loose", list(draw.contexts.values()), loose
+
+
+def test_build_poset_matches_pairwise_decisions():
+    # meets, order, partition maps (in insertion order), atom entries and
+    # ids, against today's per-pair float decisions
+    closed = 0
+    for name, contexts, tol in _closure_inputs():
+        outcomes = []
+        for build in (build_poset, _build_poset_pairwise):
+            try:
+                outcomes.append(build(contexts, add_trivial=True, close_under_meets=True, tol=tol))
+            except (ContextError, LinalgError) as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want, name
+            continue
+        _assert_same_poset(got, want)
+        closed += any(cid.startswith("meet") for cid in got.ids)
+    assert closed >= 15, closed
+
+
+def test_store_links_and_screen_match_per_pair_floats():
+    # the link bits of every stored pair, and the screen's candidates and
+    # masks on every ordered pair, against per-pair float expressions
+    for name, contexts, tol in _closure_inputs():
+        store = _ContextStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        for i, j in itertools.combinations(range(len(store.ctxs)), 2):
+            sa, sb = store.stacks[i], store.stacks[j]
+            link = np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom
+            rows = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in link]
+            base, full = store.starts[j], (1 << len(sb)) - 1
+            assert [(store.later[store.starts[i] + r] >> base) & full
+                    for r in range(len(sa))] == rows, (name, i, j)
+            assert store.meet(i, j) == _meet_masks_pairwise(sa, sb, tol), (name, i, j)
+        got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
+        for a in store.ctxs:
+            for b in store.ctxs:
+                masks = _overlap_masks(b, a)
+                covered = [sum(b.atoms[k].rank for k in bit_list(m)) for m in masks]
+                screened = covered == [p.rank for p in a.atoms]
+                assert got.get((a.id, b.id)) == (masks if screened else None), (name, a.id, b.id)
+
+
+def test_screen_drops_a_pair_whose_overlap_is_exactly_half_the_rank():
+    # |+><+| has overlap exactly 1/2 with |0><0| and |1><1|: no mask passes
+    # the strict > rank/2, so the rank count drops the pair.  At a loose
+    # atom tolerance the equality test alone would accept the empty masks.
+    plus = Projector(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    minus = Projector(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    x = Context("X", [plus, minus])
+    z = Context("Z", [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))])
+    assert float(np.trace(z.atoms[0].entries @ plus.entries).real) == 0.5
+    for tol in (DEFAULT, DEFAULT.overridden(atom=0.6)):
+        store = _ContextStore(tol)
+        store.add_if_new(x)
+        store.add_if_new(z)
+        pairs = {(a.id, b.id) for a, b, _ in store.inclusion_candidates()}
+        assert pairs == {("X", "X"), ("Z", "Z")}
+        assert build_poset([x, z], tol=tol).order == pairs
+    assert _partition_map(x, z, DEFAULT) is None
+    assert _partition_map(x, z, DEFAULT.overridden(atom=0.6)) == (0, 0)
+
+
+def _atom_lists():
+    """Atom tuples to sort: contexts' atoms shuffled, near-copies within
+    rounding, parts on both sides of a rounding tie, and signed zeros."""
+    rng = np.random.default_rng(12)
+    contexts = list(load_bundled_ks()) + _peres_subset(3, 6)
+    for seed in range(20):
+        contexts += list(random_poset(np.random.default_rng(seed), max_atoms=5).contexts.values())
+    for c in contexts:
+        atoms = list(c.atoms)
+        yield [atoms[int(k)] for k in rng.permutation(len(atoms))]
+        noisy = _noisy([c], rng, 1e-12)[0].atoms
+        yield [p for pair in zip(atoms, noisy) for p in pair][::-1]
+    e = np.diag([1.0, 0.0])
+    ties = [Projector(e + np.array([[0, d], [d, 0]]))
+            for d in (5e-10, 1.5e-9, 2.5e-10, -5e-10, 4.9999999e-10, 1e-9, 0.0, -0.0)]
+    yield ties
+    yield ties[::-1]
+    yield [Projector(np.diag([0.0, 1.0])), Projector(np.diag([-0.0, 1.0])),
+           Projector(np.diag([1.0, 0.0])), Projector(np.diag([1.0, -0.0]))]
+
+
+def test_canonical_order_matches_eager_rounded_key():
+    lists = 0
+    for atoms in _atom_lists():
+        got = _canonical_order(tuple(atoms))
+        want = sorted(atoms, key=_canonical_key)
+        assert [id(p) for p in got] == [id(p) for p in want]
+        lists += 1
+    assert lists >= 100, lists
+
+
+def test_context_projectors_validate_at_its_tolerances():
+    # two rays at 2e-5 from orthogonal: each atom is an exact projector,
+    # but their sum is idempotent only to about 4e-5
+    t = 2e-5
+    v, w = np.array([1.0, 0.0]), np.array([t, 1.0]) / np.hypot(t, 1.0)
+    atoms = [Projector(np.outer(v, v)), Projector(np.outer(w, w))]
+    loose = DEFAULT.overridden(proj_idem=1e-4, atom=1e-4)
+    ctx = Context("A", atoms, tol=loose)
+    assert ctx.tol == loose and ctx.projector(0b11).rank == 2
+    with pytest.raises(LinalgError, match="idempotent"):
+        Projector(ctx.projector(0b11).entries)
+    with pytest.raises(LinalgError, match="idempotent"):
+        Context("A", atoms, tol=DEFAULT.overridden(atom=1e-4)).projector(0b11)
+    assert trivial_context(2, tol=loose).tol == loose
+    # the partition-map path: the one-atom coarsening of A is its mask 0b11
+    coarse = Context("T", [Projector(atoms[0].entries + atoms[1].entries, tol=loose)], tol=loose)
+    poset = build_poset([ctx, coarse], tol=loose)
+    assert poset.partition_map("T", "A") == (0b11,)
 
 
 def test_closure_takes_a_second_round():

@@ -23,6 +23,7 @@ from toposval.ocat import (
     OcatError,
     OperatorCategory,
     _infimum,
+    _on_spectrum,
     apply_map,
     characterize_check,
     check_sieve_on_o,
@@ -522,6 +523,49 @@ def test_batched_dominance_matches_pairwise_containment():
                     assert _infimum(a, b, delta, tol) == kept
                     coatom_differs += coatom != kept
     assert coatom_differs
+
+
+def test_identity_arrows_reuse_the_object():
+    # an identity arrow's f(A) is the object itself; the cross-check, the
+    # checkers and the support subset law give what the `apply_map` image
+    # gives, on a twin category whose arrow memo holds those images
+    tols = [DEFAULT, DEFAULT.overridden(certain=1e-15)]
+    rng = np.random.default_rng(907)
+    identities = 0
+    for _ in range(30):
+        dim = int(rng.integers(2, 7))
+        cat, aid = random_category(rng, dim)
+        twin = OperatorCategory(list(cat.objects.values()))
+        for m in twin.morphisms.values():
+            a = twin.objects[m.dst]
+            f = _on_spectrum(m.map, a)
+            twin._arrows[(m.src, m.dst)] = (f, apply_map(f, a))
+        for m in cat.morphisms.values():
+            a = cat.objects[m.dst]
+            b, rebuilt = cat._arrow(m)[1], twin._arrow(m)[1]
+            if m.src == m.dst:
+                identities += 1
+                assert b is a and rebuilt is not a
+            for delta in range(1 << len(a.spectrum)):
+                for tol in tols:
+                    assert _infimum(a, b, delta, tol) == _infimum(a, rebuilt, delta, tol)
+        for state in states_for(rng, cat, aid):
+            for tol in tols:
+                for oid in cat.ids:
+                    for delta in all_deltas(cat.objects[oid]):
+                        assert _outcome(characterize_check, state, oid, delta, cat, tol) == \
+                            _outcome(characterize_check, state, oid, delta, twin, tol)
+                assert support_subobject_check(state, cat, tol) == \
+                    support_subobject_check(state, twin, tol)
+    assert identities >= 100, identities
+
+
+def _outcome(check, state, oid, delta, cat, tol):
+    """A checker's result on a category's object, or the error it raises."""
+    try:
+        return check(state, cat.objects[oid], delta, cat, tol)
+    except OcatError as exc:
+        return str(exc)
 
 
 def test_decomposition_tolerances_reach_projector_validation():
