@@ -393,6 +393,16 @@ def _union_table(masks: list[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
+class LatticeStack:
+    """Every lattice projector of a poset's contexts in one read-only
+    array: the projector of (context index i, mask m) is
+    `entries[offsets[i] + m]`, contexts in index order, masks ascending."""
+
+    entries: np.ndarray   # shape (cells, dim, dim)
+    offsets: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class ContextPoset:
     """A finite fragment of the inclusion poset of contexts.
 
@@ -400,7 +410,8 @@ class ContextPoset:
     each v2-atom as a bit mask over v1's atoms; everything downstream works
     on these exact encodings.  Immutable; `version` stamps derived data
     such as sieves.  The accessors below read `index`, which is built once,
-    on first use.
+    on first use; so is `lattice`, the stacked lattice projectors that
+    state valuations decide in one batch.
     """
 
     contexts: dict[str, Context] = field(default_factory=dict)
@@ -416,6 +427,24 @@ class ContextPoset:
     def index(self) -> PosetIndex:
         n_atoms = {cid: c.n_atoms for cid, c in self.contexts.items()}
         return PosetIndex(n_atoms, self.order, self.partition_maps)
+
+    @cached_property
+    def lattice(self) -> LatticeStack:
+        """Every lattice projector of every context, stacked once, on first
+        use.  Each comes from `Context.projector`, so it is validated at its
+        context's tolerances."""
+        index = self.index
+        offsets: list[int] = []
+        mats: list[np.ndarray] = []
+        for cid, n in zip(index.ids, index.n_atoms):
+            offsets.append(len(mats))
+            c = self.contexts[cid]
+            mats.extend(c.projector(m).entries for m in range(1 << n))
+        if len({m.shape for m in mats}) > 1:
+            raise ContextError("contexts of mixed dimension")
+        entries = np.array(mats) if mats else np.zeros((0, 0, 0), dtype=complex)
+        entries.flags.writeable = False
+        return LatticeStack(entries, tuple(offsets))
 
     @property
     def ids(self) -> list[str]:

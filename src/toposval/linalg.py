@@ -234,7 +234,14 @@ def certain(rho: DensityMatrix, p: Projector, tol: Tolerances = DEFAULT) -> bool
     P; the containment form P*S = S is robust at the boundary where a
     floating trace comparison would flap.
     """
-    if rho.dim != p.dim:
+    return bool(certain_each(rho, p.entries[np.newaxis], tol)[0])
+
+
+def certain_each(rho: DensityMatrix, stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The probability-1 test of `certain` for each projector matrix Q of a
+    stack, decided as max|Q*S - S| < tol.certain per matrix, with S the
+    support projector of rho."""
+    if stack.shape[1:] != rho.entries.shape:
         raise LinalgError("dimension mismatch")
     s = rho.support_projector.entries
-    return bool(np.max(np.abs(p.entries @ s - s)) < tol.certain)
+    return np.abs(stack @ s - s).max(axis=(1, 2)) < tol.certain

@@ -414,13 +414,14 @@ class _Decisions:
         index = category.index
         held = weakref.ref(state)
         certain: dict[tuple[int, int], bool] = {}
+        checked = category._checked.setdefault(tol, set())
 
         def bits(i: int, delta: int) -> int:
             a = category.objects[index.ids[i]]
             out = 0
             for j, table in index.below(i):
                 pre = index.lift(j, i, table[delta])
-                category._cross_check(j, i, delta, pre, tol)
+                category._cross_check(j, i, delta, pre, tol, checked)
                 sure = certain.get((i, pre))
                 if sure is None:
                     sure = certain[(i, pre)] = state_certain(held(), a.projector(pre), tol)
@@ -461,7 +462,7 @@ class OperatorCategory:
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
         self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition]] = {}
-        self._checked: set[tuple[int, int, int, Tolerances]] = set()
+        self._checked: dict[Tolerances, set[tuple[int, int, int]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
@@ -529,15 +530,18 @@ class OperatorCategory:
             out = self._arrows[(m.src, m.dst)] = (f, a if fixed else apply_map(f, a))
         return out
 
-    def _cross_check(self, src: int, dst: int, delta: int, pre: int, tol: Tolerances) -> None:
+    def _cross_check(self, src: int, dst: int, delta: int, pre: int, tol: Tolerances,
+                     checked: set[tuple[int, int, int]]) -> None:
         """The infimum cross-check of arrow (src, dst), by operator index,
-        at a delta mask: run once per tolerance set unless it raises."""
-        key = (src, dst, delta, tol)
-        if key not in self._checked:
+        at a delta mask: run once per tolerance set unless it raises.
+        `checked` is `_checked[tol]`, fetched once by the caller, so no
+        lookup hashes the tolerances."""
+        key = (src, dst, delta)
+        if key not in checked:
             m = self.morphisms[(self.index.ids[src], self.index.ids[dst])]
             f, b = self._arrow(m)
             _cross_check(f, self.objects[m.dst], b, delta, pre, tol)
-            self._checked.add(key)
+            checked.add(key)
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
         per_tol = self._states.get(state)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list
-from .linalg import DensityMatrix, certain
+from .linalg import DensityMatrix, certain, certain_each  # noqa: F401  (certain stays importable)
 from .presheaves import GlobalElementG, Sieve, SubobjectSigma, index_mask, make_sieve
 from .sampling import random_density, random_poset
 from .tolerances import DEFAULT, Tolerances
@@ -211,22 +211,27 @@ def stage_rule(index: PosetIndex, below: Callable[[int], tuple],
     return rule
 
 
-def _check_state_dim(rho: DensityMatrix, poset: ContextPoset) -> None:
-    ids = poset.index.ids
-    if ids and poset.context(ids[0]).dim != rho.dim:
+def _cell_decisions(rho: DensityMatrix, poset: ContextPoset,
+                    decide_each: Callable[[np.ndarray], np.ndarray]) -> Callable[[int, int], bool]:
+    """The stage decision of a state valuation: `decide_each` is called once,
+    on the poset's stacked lattice projectors, and (stage j, mask m) reads
+    its entry."""
+    stack = poset.lattice
+    if not stack.offsets:
+        return lambda j, m: False   # no contexts, so no cell is ever asked for
+    if stack.entries.shape[1:] != rho.entries.shape:
         raise ContextError("state dimension does not match the poset")
+    hits = decide_each(stack.entries).tolist()
+    offsets = stack.offsets
+    return lambda j, m: hits[offsets[j] + m]
 
 
 def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -> Valuation:
     """The sieve-valued valuation of a state: a stage enters when the
-    coarse-grained proposition has Born probability 1 there, decided once
-    per (stage, mask)."""
-    _check_state_dim(rho, poset)
-    ids = poset.index.ids
-
-    def decide(j: int, m: int) -> bool:
-        return certain(rho, poset.context(ids[j]).projector(m), tol)
-
+    coarse-grained proposition has Born probability 1 there.  Every
+    (stage, mask) is decided in one `certain_each` call when the
+    valuation is built."""
+    decide = _cell_decisions(rho, poset, lambda stack: certain_each(rho, stack, tol))
     return Valuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
                                 name="nu_rho")
 
@@ -234,19 +239,17 @@ def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -
 def nu_rho_r(rho: DensityMatrix, r: float, poset: ContextPoset,
              tol: Tolerances = DEFAULT) -> MorphismSetValuation:
     """The probability-r relaxation: a stage enters when the coarse-grained
-    proposition has Born probability >= r there.  Always sieve-valued
-    (the trace grows under coarse-graining); exclusivity may fail for
-    r < 0.5."""
+    proposition has Born probability >= r there, every (stage, mask)
+    decided in one batched trace.  Always sieve-valued (the trace grows
+    under coarse-graining); exclusivity may fail for r < 0.5."""
     ValuationParams(r)
     if abs(r - 1.0) < tol.r_slack:
         return nu_rho(rho, poset, tol)
-    _check_state_dim(rho, poset)
-    ids = poset.index.ids
 
-    def decide(j: int, m: int) -> bool:
-        p = poset.context(ids[j]).projector(m)
-        return float(np.trace(rho.entries @ p.entries).real) >= r - tol.r_slack
+    def decide_each(stack: np.ndarray) -> np.ndarray:
+        return np.trace(rho.entries[np.newaxis] @ stack, axis1=1, axis2=2).real >= r - tol.r_slack
 
+    decide = _cell_decisions(rho, poset, decide_each)
     return MorphismSetValuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
                                            name=f"nu_rho_r[{r}]")
 

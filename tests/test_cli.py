@@ -262,6 +262,33 @@ def test_golden_report_digest(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
+# The same, for a rank-2 mixed state whose support is the span of the
+# fixture's rays (0, 0, 1, 0) and (0, 0, 0, 1), at r = 1 and r = 0.6.  No
+# cell's probability lies within 0.003 of 0.6.
+MIXED_STATE = {"type": "density", "data": [[0, 0, 0, 0], [0, 0, 0, 0],
+                                           [0, 0, 0.126, 0.168], [0, 0, 0.168, 0.874]]}
+GOLDEN_MIXED_REPORTS = {
+    "valuate-r1": ("1", "c5d8e8e40ab3681c468d4e4b25275abb88c5941c579ddb82db6bde7c7faf5e26"),
+    "valuate-r0.6": ("0.6", "fd58260f564f4dfbac83e7aee671641d847cc71b7836c2fd59aae5dfd59d9dd1"),
+    "verify-theorems-r1": ("1", "5424c2a1138405e530e0851e65224ceacdd28a37c9182e43f4073d2394adbba9"),
+    "verify-theorems-r0.6": ("0.6",
+                             "be2811243dc69d61c0237dcde15d97f038c6ae6b493a1f57c1bac1f2c79f1725"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MIXED_REPORTS))
+def test_golden_mixed_state_report_digest(tmp_path, monkeypatch, name):
+    fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
+    (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED_STATE))
+    monkeypatch.chdir(tmp_path)
+    r, digest = GOLDEN_MIXED_REPORTS[name]
+    command = name.split("-r")[0]
+    assert main([command, "--input", "ks18.json", "--add-trivial", "--close-under-meets",
+                 "--state", "mixed.json", "--r", r, "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of whole reports of the commands that only build the closed poset
 # of the bundled 18-ray fixture, run as above.  They pin the meet closure,
 # the inclusion order, partition maps, atom order and ids.

@@ -24,7 +24,8 @@ from toposval.contexts import (
     build_poset,
     trivial_context,
 )
-from toposval.linalg import DensityMatrix, Projector, certain
+from toposval.ks import load_bundled_ks
+from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each
 from toposval.presheaves import clo_sigma_restrict, coarse_grain, sigma_restrict
 from toposval.sampling import random_density, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
@@ -507,6 +508,172 @@ def test_each_stage_mask_is_decided_once(monkeypatch):
     check_definition3(alpha)
     theorem1_verify(alpha)
     assert len(calls) <= sum(1 << poset.context(c).n_atoms for c in poset.ids)
+
+
+def test_state_valuation_decides_every_cell_in_one_batch(monkeypatch):
+    import toposval.valuations as valuations
+
+    shapes = []
+
+    def spy(rho, stack, tol=DEFAULT):
+        shapes.append(stack.shape)
+        return certain_each(rho, stack, tol)
+
+    monkeypatch.setattr(valuations, "certain_each", spy)
+    rng = np.random.default_rng(5)
+    poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
+    cells = sum(1 << poset.context(c).n_atoms for c in poset.ids)
+    for k in range(1, 4):
+        alpha = nu_rho(random_density(rng, 4), poset) if k < 3 \
+            else nu_rho_r(random_density(rng, 4), 1.0, poset)
+        alpha.dump()
+        check_definition3(alpha)
+        theorem1_verify(alpha)
+        assert shapes == [(cells, 4, 4)] * k
+
+
+# --------------------------------------------------------------------------
+# the batched cell decisions against per-cell expressions
+
+CERTAIN_TOLS = tuple(DEFAULT.overridden(certain=c) for c in (DEFAULT.certain, 10.0, 1e-15, 0.0))
+
+
+def per_cell_certain(rho, p, tol):
+    s = rho.support_projector.entries
+    return bool(np.max(np.abs(p @ s - s)) < tol.certain)
+
+
+def per_cell_probability(rho, p):
+    return float(np.trace(rho.entries @ p).real)
+
+
+def tie_threshold(rho, poset, tol=DEFAULT):
+    """An r at which some cell's probability p meets the threshold exactly:
+    r = p + r_slack with (p + r_slack) - r_slack == p in floats; None if
+    no cell has such a p strictly between 0.05 and 0.95."""
+    for cid in poset.ids:
+        ctx = poset.context(cid)
+        for m in n_masks(poset, cid):
+            p = per_cell_probability(rho, ctx.projector(m).entries)
+            r = p + tol.r_slack
+            if 0.05 < p < 0.95 and r - tol.r_slack == p:
+                return r
+    return None
+
+
+def assert_cells_match_per_cell_oracles(rho, poset, rs=()):
+    """The lattice stack holds every projector in index order, and every
+    (context, mask) decision of `nu_rho` at each `certain` width and of
+    `nu_rho_r` at each r equals the per-cell expression.  A context lies
+    below itself with the identity table, so its own bit in a cell's
+    member set is that cell's decision; the other bits must be the
+    decisions of the coarse-grained cells."""
+    index = poset.index
+    lattice = poset.lattice
+    cells = {}
+    for i, cid in enumerate(index.ids):
+        ctx = poset.context(cid)
+        for m in n_masks(poset, cid):
+            cells[cid, m] = ctx.projector(m).entries
+            assert np.array_equal(lattice.entries[lattice.offsets[i] + m], cells[cid, m])
+    assert lattice.entries.shape == (len(cells), rho.dim, rho.dim)
+    rules = [(nu_rho(rho, poset, tol), lambda p, tol=tol: per_cell_certain(rho, p, tol))
+             for tol in CERTAIN_TOLS]
+    rules += [(nu_rho_r(rho, r, poset),
+               lambda p, r=r: per_cell_probability(rho, p) >= r - DEFAULT.r_slack) for r in rs]
+    for alpha, oracle in rules:
+        decided = {cell: oracle(p) for cell, p in cells.items()}
+        for (cid, m), hit in decided.items():
+            expected = frozenset(sub for sub in scan_down_set(poset, cid)
+                                 if decided[sub, pmap_coarse_grain(poset, sub, cid, m)])
+            assert alpha.members(cid, m) == expected
+            assert (cid in expected) == hit
+
+
+def test_batched_decisions_match_per_cell_oracles_on_random_posets():
+    ties = 0
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 8])
+        dim = int(rng.integers(2, 6))
+        poset = random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)
+        for rho in (random_density(rng, dim), atom_mixture(rng, poset)):
+            tie = tie_threshold(rho, poset)
+            ties += tie is not None
+            rs = (0.8, 0.6, 0.3) if tie is None else (0.8, 0.6, 0.3, tie)
+            assert_cells_match_per_cell_oracles(rho, poset, rs)
+    assert ties >= 100, ties
+
+
+@pytest.fixture(scope="module")
+def closed_peres24():
+    contexts = [Context(f"P{k:02d}", [Projector(np.outer(ray, ray) / np.dot(ray, ray))
+                                      for ray in basis])
+                for k, basis in enumerate(_peres_bases())]
+    return build_poset(contexts, add_trivial=True, close_under_meets=True)
+
+
+def test_batched_decisions_match_per_cell_oracles_on_closed_peres24(closed_peres24):
+    poset = closed_peres24
+    assert len(poset.ids) == 94 and len(poset.lattice.entries) == 806
+    rng = np.random.default_rng(806)
+    ray, other = (a.entries for a in poset.context("P00").atoms[:2])
+    states = [DensityMatrix(ray), DensityMatrix(0.3 * ray + 0.7 * other)]
+    states += [random_density(rng, 4, rank=k) for k in (1, 2, 4)]
+    hits_at_default = 0
+    for rho in states:
+        tie = tie_threshold(rho, poset)
+        assert tie is not None
+        assert_cells_match_per_cell_oracles(rho, poset, (0.8, 0.6, 0.3, tie))
+        alpha = nu_rho(rho, poset)
+        hits_at_default += sum(cid in alpha.members(cid, m)
+                               for cid in poset.ids for m in n_masks(poset, cid))
+    # the ray and pair states are certain of more than the unit propositions
+    assert hits_at_default > 5 * 94
+
+
+def test_lattice_stack_follows_its_poset():
+    # the stack is kept on the poset object: the bundled fixture and its
+    # rotated image take turns, each poset freed by `del` right before the
+    # next is made, so a later one most likely reuses an earlier one's
+    # address (a cache keyed by id() fails here)
+    u = random_unitary(np.random.default_rng(18), 4)
+    rho = random_density(np.random.default_rng(19), 4, rank=2)
+    rotated = [Context(c.id, [Projector(u @ a.entries @ u.conj().T) for a in c.atoms])
+               for c in load_bundled_ks()]
+    built = [build_poset(contexts, add_trivial=True, close_under_meets=True)
+             for contexts in (load_bundled_ks(), rotated)]
+    for k in range(4):
+        source = built[k % 2]
+        poset = ContextPoset(source.contexts, source.order, source.partition_maps)
+        assert_cells_match_per_cell_oracles(rho, poset, (0.6,))
+        del poset
+
+
+def test_invalid_mask_projector_raises_when_the_valuation_is_built():
+    # two rays at 2e-5 from orthogonal pass as atoms at atom=1e-4, but
+    # their sum is not idempotent at the context's proj_idem
+    t = 2e-5
+    v, w = np.array([1.0, 0.0]), np.array([t, 1.0]) / np.hypot(t, 1.0)
+    tol = DEFAULT.overridden(atom=1e-4)
+    atoms = [Projector(np.outer(v, v)), Projector(np.outer(w, w))]
+    poset = build_poset([Context("A", atoms, tol=tol)], tol=tol)
+    rho = DensityMatrix(np.outer(v, v))
+    with pytest.raises(LinalgError, match="idempotent"):
+        nu_rho(rho, poset, tol)
+    with pytest.raises(LinalgError, match="idempotent"):
+        nu_rho_r(rho, 0.5, poset, tol)
+
+
+def test_state_valuation_edge_posets():
+    rho = random_density(np.random.default_rng(3), 3)
+    with pytest.raises(ContextError, match="state dimension"):
+        nu_rho(rho, build_poset([], add_trivial=True, dim=2))
+    assert nu_rho_r(rho, 0.5, build_poset([])).dump() == {}
+    mixed = ContextPoset(contexts={"a": trivial_context(2, "a"), "b": trivial_context(3, "b")},
+                         order=frozenset({("a", "a"), ("b", "b")}),
+                         partition_maps={("a", "a"): (1,), ("b", "b"): (1,)})
+    with pytest.raises(ContextError, match="mixed dimension"):
+        nu_rho(rho, mixed)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from toposval.linalg import (
     Projector,
     StateVector,
     certain,
+    certain_each,
     commutes,
     eig_hermitian,
     projector_from_span,
@@ -186,6 +187,19 @@ def test_leq_each_decides_per_matrix_of_a_stack():
         p.leq_each(np.eye(3, dtype=complex))
     with pytest.raises(LinalgError, match="dimension"):
         p.leq(Projector(np.eye(2)))
+
+
+def test_certain_each_decides_per_matrix_of_a_stack():
+    rho = DensityMatrix(np.diag([0.25, 0.75, 0]))
+    stack = np.stack([np.eye(3), np.diag([1.0, 0, 1]), np.diag([1.0, 1, 0])]).astype(complex)
+    assert certain_each(rho, stack).tolist() == [True, False, True]
+    assert [certain(rho, Projector(q)) for q in stack] == [True, False, True]
+    # the containment width is tol.certain: a defect of 1 passes a width of 2
+    assert certain_each(rho, stack, DEFAULT.overridden(certain=2.0)).tolist() == [True] * 3
+    with pytest.raises(LinalgError, match="dimension"):
+        certain_each(rho, np.eye(3, dtype=complex))
+    with pytest.raises(LinalgError, match="dimension"):
+        certain(rho, Projector(np.eye(2)))
 
 
 def test_support_reproduction_check_reads_tol_certain():
