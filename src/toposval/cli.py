@@ -133,6 +133,14 @@ def _load_state(args, tol: Tolerances):
     return state
 
 
+def _load_valuation(args, tol: Tolerances):
+    """The poset, and the valuation of the state at `--r` (certainty when
+    it is not given)."""
+    poset = _load_poset(args, tol)
+    rho = _load_state(args, tol)
+    return poset, nu_rho(rho, poset, tol) if args.r is None else nu_rho_r(rho, args.r, poset, tol)
+
+
 def _mask_hex(mask: int | None) -> str | None:
     return None if mask is None else format(mask, "x")
 
@@ -158,16 +166,12 @@ def cmd_check_iso(args, tol: Tolerances) -> tuple[dict, int]:
 
 
 def cmd_valuate(args, tol: Tolerances) -> tuple[dict, int]:
-    poset = _load_poset(args, tol)
-    rho = _load_state(args, tol)
-    alpha = nu_rho(rho, poset, tol) if args.r is None else nu_rho_r(rho, args.r, poset, tol)
+    _, alpha = _load_valuation(args, tol)
     return {"r": args.r, "valuation": alpha.dump()}, 0
 
 
 def cmd_supports(args, tol: Tolerances) -> tuple[dict, int]:
-    poset = _load_poset(args, tol)
-    rho = _load_state(args, tol)
-    alpha = nu_rho(rho, poset, tol) if args.r is None else nu_rho_r(rho, args.r, poset, tol)
+    poset, alpha = _load_valuation(args, tol)
     sup = {cid: support(alpha, cid) for cid in poset.ids}
     return {
         "r": args.r,
@@ -181,10 +185,8 @@ def cmd_supports(args, tol: Tolerances) -> tuple[dict, int]:
 
 
 def cmd_verify_theorems(args, tol: Tolerances) -> tuple[dict, int]:
-    poset = _load_poset(args, tol)
-    rho = _load_state(args, tol)
+    _, alpha = _load_valuation(args, tol)
     r = args.r
-    alpha = nu_rho(rho, poset, tol) if r is None else nu_rho_r(rho, r, poset, tol)
     d3 = check_definition3(alpha)
     t1 = theorem1_verify(alpha)
     t2 = theorem2_verify(alpha)
@@ -248,16 +250,11 @@ def cmd_survey_relations(args, tol: Tolerances) -> tuple[dict, int]:
 def cmd_ks(args, tol: Tolerances) -> tuple[dict, int]:
     if args.input:
         poset = _load_poset(args, tol)
-        fixture_report = validate_rank_one_cover(
-            [poset.context(cid) for cid in poset.maximal_ids()], tol
-        )
         expected = args.expect
     else:
         poset = bundled_ks_poset(tol)
-        fixture_report = validate_rank_one_cover(
-            [poset.context(cid) for cid in poset.maximal_ids()], tol
-        )
         expected = args.expect or "none"
+    fixture_report = validate_rank_one_cover([poset.context(cid) for cid in poset.maximal_ids()], tol)
     verdict = global_section_search(poset, tol=tol)
     result = {
         "contextCount": len(poset.ids),

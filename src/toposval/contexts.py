@@ -67,7 +67,7 @@ class Context:
     atoms: tuple[Projector, ...]
     tol: Tolerances
 
-    def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT, canonicalize: bool = True):
+    def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT):
         atoms = tuple(atoms)
         if not atoms:
             raise ContextError("a context needs at least one atom")
@@ -83,10 +83,8 @@ class Context:
         total = sum(a.entries for a in atoms)
         if np.max(np.abs(total - np.eye(dim))) > tol.atom:
             raise ContextError(f"atoms of context {id!r} do not resolve the identity")
-        if canonicalize:
-            atoms = _canonical_order(atoms)
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _canonical_order(atoms))
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_projectors", {})
 
@@ -155,7 +153,6 @@ def context_from_operators(
     ops: list[HermitianOperator],
     id: str = "V",
     tol: Tolerances = DEFAULT,
-    tol_group: float | None = None,
 ) -> Context:
     """The context generated by commuting operators: atoms are their joint
     eigenspace projectors (common refinement of the individual spectral
@@ -166,10 +163,9 @@ def context_from_operators(
     for a, b in itertools.combinations(ops, 2):
         if not commutes(a, b, tol):
             raise ContextError("operators do not commute pairwise")
-    tg = tol.eig_group if tol_group is None else tol_group
     blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
     for op in ops:
-        eig = eig_hermitian(op, tol_group=tg, tol=tol)
+        eig = eig_hermitian(op, tol_group=tol.eig_group, tol=tol)
         refined = []
         for block in blocks:
             for _, proj in eig:
@@ -184,7 +180,7 @@ def context_from_operators(
     atoms = [Projector(b, tol=tol) for b in blocks]
     ctx = Context(id, atoms, tol=tol)
     for op in ops:
-        for _, proj in eig_hermitian(op, tol_group=tg, tol=tol):
+        for _, proj in eig_hermitian(op, tol_group=tol.eig_group, tol=tol):
             if ctx.member_mask(proj, tol) is None:
                 raise ContextError("joint refinement failed: spectral projector not in lattice")
     return ctx

@@ -61,8 +61,7 @@ def section_verify(poset: ContextPoset, assignment: dict[str, int],
     return True
 
 
-def global_section_search(poset: ContextPoset, _replay: bool = True,
-                          tol: Tolerances = DEFAULT) -> dict:
+def global_section_search(poset: ContextPoset, tol: Tolerances = DEFAULT) -> dict:
     """Backtracking search for a global section.
 
     Chooses one atom per maximal context (sorted id order, ascending atom
@@ -78,7 +77,7 @@ def global_section_search(poset: ContextPoset, _replay: bool = True,
     if verdict["exists"]:
         if not section_verify(poset, verdict["witness"], tol):
             raise RuntimeError("search produced a section that fails verification")
-    elif _replay:
+    else:
         reversed_verdict = _search(poset, list(reversed(maximal)))
         if reversed_verdict["exists"]:
             raise RuntimeError("order-reversed replay disagrees with the none verdict")
@@ -101,7 +100,6 @@ def _search(poset: ContextPoset, maximal: list[str]) -> dict:
     }
     nodes = 0
     assignment: dict[str, int] = {}   # every context, filled by propagation
-    pinned_by: dict[str, str] = {}    # context -> maximal that first pinned it
 
     def assign(m: str, atom: int) -> list[str] | None:
         """Propagate a maximal choice downward; returns newly pinned ids or
@@ -115,11 +113,9 @@ def _search(poset: ContextPoset, maximal: list[str]) -> dict:
                 if assignment[sub] != j:
                     for cid in new:
                         del assignment[cid]
-                        del pinned_by[cid]
                     return None
             else:
                 assignment[sub] = j
-                pinned_by[sub] = m
                 new.append(sub)
         return new
 
@@ -137,7 +133,6 @@ def _search(poset: ContextPoset, maximal: list[str]) -> dict:
                 return True
             for cid in new:
                 del assignment[cid]
-                del pinned_by[cid]
         return False
 
     found = backtrack(0)

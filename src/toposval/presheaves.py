@@ -12,9 +12,11 @@ stage.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
-from .contexts import Character, ContextError, ContextPoset, LatticeElement, bit_list, v_of_p
+from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list, v_of_p
 
 
 class SieveError(ValueError):
@@ -91,7 +93,9 @@ def coarse_grain(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> 
     if p.context_id != sup:
         raise ContextError("lattice element does not live at the given context")
     table = poset.index.coarse(*poset.index.pair(sub, sup))
-    return LatticeElement(sub, table[p.mask & len(table) - 1])
+    if not 0 <= p.mask < len(table):
+        raise ContextError(f"mask {p.mask} out of range for context {sup!r}")
+    return LatticeElement(sub, table[p.mask])
 
 
 def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
@@ -157,7 +161,8 @@ class GlobalElementG:
         for cid, mask in assignment.items():
             if not 0 <= mask <= poset.context(cid).full_mask:
                 raise ContextError(f"mask {mask} out of range at {cid!r}")
-        ok, _ = _matching_law(poset, assignment)
+        index = poset.index
+        ok = _first_failing_pair(index, [assignment[cid] for cid in index.ids], index.coarse) is None
         if enforce and not ok:
             raise ContextError("assignment violates the coarse-graining matching law")
         object.__setattr__(self, "poset", poset)
@@ -168,13 +173,21 @@ class GlobalElementG:
         return LatticeElement(cid, self.assignment[cid])
 
 
-def _matching_law(poset: ContextPoset, assignment: dict[str, int]):
-    index = poset.index
-    masks = [assignment[cid] for cid in index.ids]
+def _first_failing_pair(index: PosetIndex, masks: list[int], table: Callable[[int, int], tuple],
+                        holds: Callable[[int, int], bool] = operator.eq) -> tuple[int, int, int] | None:
+    """The pair law of a per-stage mask assignment, in one scan: the first
+    proper pair (sub, sup) of `index.pair_indices` at which
+    `holds(masks[sub], mapped)` fails, with `mapped` the mask of `sup`
+    carried to `sub` by `table(sub, sup)`; returned as (sub, sup, mapped),
+    or None when the law holds on every pair.  Over `index.coarse` with
+    equality this is the matching law of a global element; over
+    `index.image`, the subobject law and tightness."""
     for sub, sup in index.pair_indices:
-        if sub != sup and masks[sub] != index.coarse(sub, sup)[masks[sup]]:
-            return False, (index.ids[sub], index.ids[sup])
-    return True, None
+        if sub != sup:
+            mapped = table(sub, sup)[masks[sup]]
+            if not holds(masks[sub], mapped):
+                return sub, sup, mapped
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +215,9 @@ class SubobjectSigma:
                 raise ContextError(f"atom index out of range at {cid!r}")
         index = poset.index
         masks = [index_mask(assignment[cid]) for cid in index.ids]
-        law = True
-        tight = True
-        for sub, sup in index.pair_indices:
-            if sub == sup:
-                continue
-            image = index.image(sub, sup)[masks[sup]]
-            if image & ~masks[sub]:
-                law = False
-            if image != masks[sub]:
-                tight = False
+        tight = _first_failing_pair(index, masks, index.image) is None
+        law = tight or _first_failing_pair(index, masks, index.image,
+                                           lambda own, image: not image & ~own) is None
         if enforce and not law:
             raise ContextError("assignment violates the subobject law")
         object.__setattr__(self, "poset", poset)

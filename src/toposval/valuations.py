@@ -8,6 +8,18 @@ with probability at least r (`nu_rho_r`).  The checkers below verify the
 defining clauses of a generalized valuation, the support/interval
 compatibility laws, and the two mutual-determination theorems relating
 sieve-valued valuations to interval valuations.
+
+The theorem layer has one scan per law.  `_condition_i` decides condition
+(i) and `_characterization` the characterization, each over every row of
+the valuation, for supports or intervals and through coarse-graining or
+restriction tables.  The pair laws on supports and intervals (matching,
+the subobject law, tightness) are `presheaves._first_failing_pair`, the
+scan that also sets the flags of `GlobalElementG` and `SubobjectSigma`.
+The routes stay independent: condition (i) is read off the valuation's
+rows, never off the rebuilt valuation, so `iff_consistent` compares two
+verdicts; `routes_agree` compares a scan over restriction tables with one
+over coarse-graining tables; and `check_subobject_condition` lifts
+supports through the partition maps.
 """
 
 from __future__ import annotations
@@ -18,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list
-from .linalg import DensityMatrix, certain, certain_each  # noqa: F401  (certain stays importable)
-from .presheaves import GlobalElementG, Sieve, SubobjectSigma, index_mask, make_sieve
+from .linalg import DensityMatrix, certain_each
+from .presheaves import GlobalElementG, Sieve, SubobjectSigma, _first_failing_pair, index_mask, make_sieve
 from .sampling import random_density, random_poset
 from .tolerances import DEFAULT, Tolerances
 
@@ -281,8 +293,17 @@ def interval(alpha: MorphismSetValuation, cid: str) -> frozenset[Character]:
 
 
 def _degenerate(alpha: MorphismSetValuation) -> list[str]:
-    index = alpha._index
-    return [cid for i, cid in enumerate(index.ids) if alpha._support(i) is None]
+    return [cid for cid, s in zip(alpha._index.ids, _supports(alpha)) if s is None]
+
+
+def _supports(alpha: MorphismSetValuation) -> list[int | None]:
+    """The support mask of every stage, in index order."""
+    return [alpha._support(i) for i in range(len(alpha._index.ids))]
+
+
+def _intervals(alpha: MorphismSetValuation) -> list[int]:
+    """The interval mask of every stage, in index order."""
+    return [alpha._interval(i) for i in range(len(alpha._index.ids))]
 
 
 def _func_witness(alpha: MorphismSetValuation) -> dict | None:
@@ -399,21 +420,14 @@ def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
     index = alpha._index
-    for sub, sup in index.pair_indices:
-        if sub == sup:
-            continue
-        s_sub = alpha._support(sub)
-        cg = index.coarse(sub, sup)[alpha._support(sup)]
-        if s_sub != cg:
-            return {
-                "status": "fail",
-                "witness": {
-                    "v1": index.ids[sup], "v2": index.ids[sub],
-                    "support_v2": s_sub, "coarse_grained_support_v1": cg,
-                },
-                "degenerate": [],
-            }
-    return {"status": "pass", "witness": None, "degenerate": []}
+    supports = _supports(alpha)
+    found = _first_failing_pair(index, supports, index.coarse)
+    if found is None:
+        return {"status": "pass", "witness": None, "degenerate": []}
+    sub, sup, cg = found
+    witness = {"v1": index.ids[sup], "v2": index.ids[sub],
+               "support_v2": supports[sub], "coarse_grained_support_v1": cg}
+    return {"status": "fail", "witness": witness, "degenerate": []}
 
 
 def supports_global_element(alpha: MorphismSetValuation) -> GlobalElementG:
@@ -466,24 +480,61 @@ def valuations_equal(a: MorphismSetValuation, b: MorphismSetValuation) -> tuple[
     return True, None
 
 
-def _condition_i_supports(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
-    """Membership at a stage iff the stage's support sits below the
-    coarse-grained proposition."""
+def _condition_i(alpha: MorphismSetValuation, below: Callable[[int], tuple], chosen: list[int],
+                 inside_key: str | None) -> tuple[bool, dict | None]:
+    """Condition (i) of either theorem, in one scan: stage V2 is a member
+    of alpha(V1, P) exactly when `chosen[V2]` lies inside the image of P at
+    V2, the image read from `below(V1)` (`index.below` for the
+    coarse-graining, `index.below_image` for the restriction).  The witness
+    is the first mismatch in stage, mask and subcontext order; `inside_key`
+    names its containment verdict, which the iso route leaves out."""
     index = alpha._index
-    supports = [alpha._support(i) for i in range(len(index.ids))]
-    for sup in range(len(index.ids)):
-        below = index.below(sup)
+    for sup, cid in enumerate(index.ids):
+        rows = below(sup)
         for mask, bits in enumerate(alpha._row(sup)):
-            for sub, table in below:
-                s = supports[sub]
-                if s is None:
-                    return False, {"degenerate": index.ids[sub]}
-                inside = s & table[mask] == s
-                member = bool(bits >> sub & 1)
-                if inside != member:
-                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
-                                   "support_below": inside, "member": member}
+            for sub, table in rows:
+                inside = not chosen[sub] & ~table[mask]
+                if inside != bool(bits >> sub & 1):
+                    witness = {"v1": cid, "v2": index.ids[sub], "mask": mask}
+                    if inside_key is not None:
+                        witness.update({inside_key: inside, "member": not inside})
+                    return False, witness
     return True, None
+
+
+def _characterization(alpha: MorphismSetValuation, below: Callable[[int], tuple],
+                      chosen: list[int]) -> tuple[bool, dict | None]:
+    """The characterization both theorems conclude, in one scan:
+    alpha(V1, P) is the set of stages V2 at which the image of `chosen[V1]`
+    lies inside the image of P, both images read from `below(V1)`."""
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        rows = [(sub, table, table[chosen[sup]]) for sub, table in below(sup)]
+        for mask, bits in enumerate(alpha._row(sup)):
+            expected = 0
+            for sub, table, c1 in rows:
+                if not c1 & ~table[mask]:
+                    expected |= 1 << sub
+            if bits != expected:
+                return False, {"v1": cid, "mask": mask,
+                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
+    return True, None
+
+
+def _reconstruction(alpha: MorphismSetValuation, rebuilt: MorphismSetValuation,
+                    condition_i: tuple[bool, dict | None]) -> tuple[MorphismSetValuation, dict]:
+    """A rebuilt valuation with the report comparing it to the original:
+    equality must hold exactly when condition (i), decided independently,
+    does."""
+    equal, witness = valuations_equal(alpha, rebuilt)
+    cond_i, cond_witness = condition_i
+    return rebuilt, {
+        "equal": equal,
+        "witness": witness,
+        "condition_i": cond_i,
+        "condition_i_witness": cond_witness,
+        "iff_consistent": equal == cond_i,
+    }
 
 
 def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetValuation, dict]:
@@ -498,101 +549,49 @@ def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetV
     degenerate = _degenerate(alpha)
     if degenerate:
         return alpha, {"degenerate": degenerate, "skipped": True}
-    ge = supports_global_element(alpha)
-    rebuilt = alpha_from_global_element(ge)
-    equal, witness = valuations_equal(alpha, rebuilt)
-    cond_i, cond_witness = _condition_i_supports(alpha)
-    return rebuilt, {
-        "equal": equal,
-        "witness": witness,
-        "condition_i": cond_i,
-        "condition_i_witness": cond_witness,
-        "iff_consistent": equal == cond_i,
-    }
-
-
-def _condition_i_intervals(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
-    """Membership at a stage iff the stage's interval is contained in the
-    restricted certain-character set of the proposition."""
-    index = alpha._index
-    ivals = [alpha._interval(i) for i in range(len(index.ids))]
-    for sup in range(len(index.ids)):
-        below = index.below_image(sup)
-        for mask, bits in enumerate(alpha._row(sup)):
-            for sub, image in below:
-                inside = not ivals[sub] & ~image[mask]
-                member = bool(bits >> sub & 1)
-                if inside != member:
-                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
-                                   "interval_inside": inside, "member": member}
-    return True, None
+    rebuilt = alpha_from_global_element(supports_global_element(alpha))
+    return _reconstruction(alpha, rebuilt,
+                           _condition_i(alpha, alpha._index.below, _supports(alpha), "support_below"))
 
 
 def _intervals_subobject(alpha: MorphismSetValuation) -> SubobjectSigma:
-    index = alpha._index
-    return SubobjectSigma(
-        alpha.poset,
-        {cid: frozenset(bit_list(alpha._interval(i))) for i, cid in enumerate(index.ids)},
-        enforce=False,
-    )
+    assignment = {cid: frozenset(bit_list(m)) for cid, m in zip(alpha._index.ids, _intervals(alpha))}
+    return SubobjectSigma(alpha.poset, assignment, enforce=False)
 
 
 def reconstruct_from_intervals(alpha: MorphismSetValuation) -> tuple[MorphismSetValuation, dict]:
     """Rebuild a valuation from its own intervals and compare; equality holds
     exactly under condition (i) of the interval-side theorem."""
     rebuilt = alpha_from_subobject(_intervals_subobject(alpha))
-    equal, witness = valuations_equal(alpha, rebuilt)
-    cond_i, cond_witness = _condition_i_intervals(alpha)
-    return rebuilt, {
-        "equal": equal,
-        "witness": witness,
-        "condition_i": cond_i,
-        "condition_i_witness": cond_witness,
-        "iff_consistent": equal == cond_i,
-    }
-
-
-def _conclusion_characterization_supports(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
-    """alpha(V1, P) = stages where the coarse-grained support of V1 sits
-    below the coarse-grained proposition."""
-    index = alpha._index
-    for sup, cid in enumerate(index.ids):
-        s1 = alpha._support(sup)
-        if s1 is None:
-            return False, {"degenerate": cid}
-        below = [(sub, table, table[s1]) for sub, table in index.below(sup)]
-        for mask, bits in enumerate(alpha._row(sup)):
-            expected = 0
-            for sub, table, c1 in below:
-                if c1 & table[mask] == c1:
-                    expected |= 1 << sub
-            if bits != expected:
-                return False, {"v1": cid, "mask": mask,
-                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
-    return True, None
-
-
-def _conclusion_characterization_intervals(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
-    """alpha(V1, P) = stages where the restricted interval of V1 lies inside
-    the restricted certain-character set."""
-    index = alpha._index
-    for sup, cid in enumerate(index.ids):
-        i1 = alpha._interval(sup)
-        below = [(sub, image, image[i1]) for sub, image in index.below_image(sup)]
-        for mask, bits in enumerate(alpha._row(sup)):
-            expected = 0
-            for sub, image, r1 in below:
-                if not r1 & ~image[mask]:
-                    expected |= 1 << sub
-            if bits != expected:
-                return False, {"v1": cid, "mask": mask,
-                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
-    return True, None
+    return _reconstruction(alpha, rebuilt,
+                           _condition_i(alpha, alpha._index.below_image, _intervals(alpha),
+                                        "interval_inside"))
 
 
 def _func_report(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     w = _func_witness(alpha)
     return w is None, w
+
+
+def _conclusions(alpha: MorphismSetValuation, below: Callable[[int], tuple], chosen: list[int],
+                 cond_i: bool, cond_ii: bool) -> dict:
+    """The conclusions either theorem draws from its conditions, each
+    verified on its own (sievehood, functional composition and the
+    characterization over `below` and `chosen`), and the two contracts:
+    the conditions give every conclusion, and (i) alone gives functional
+    composition."""
+    sieve_ok, w_sieve = alpha.is_sieve_valued()
+    func_ok, w_func = _func_report(alpha)
+    charac_ok, w_charac = _characterization(alpha, below, chosen)
+    conditions_hold = cond_i and cond_ii
+    return {
+        "conclusion_sieve": {"holds": sieve_ok, "witness": w_sieve},
+        "conclusion_func": {"holds": func_ok, "witness": w_func},
+        "conclusion_characterization": {"holds": charac_ok, "witness": w_charac},
+        "conditions_hold": conditions_hold,
+        "contract_ok": (not conditions_hold) or (sieve_ok and func_ok and charac_ok),
+        "func_given_i_ok": (not cond_i) or func_ok,
+    }
 
 
 def theorem1_verify(alpha: MorphismSetValuation) -> dict:
@@ -604,44 +603,18 @@ def theorem1_verify(alpha: MorphismSetValuation) -> dict:
     degenerate = _degenerate(alpha)
     if degenerate:
         return {"degenerate": degenerate, "skipped": True}
-
-    cond_i, w_i = _condition_i_supports(alpha)
+    index = alpha._index
+    supports = _supports(alpha)
+    cond_i, w_i = _condition_i(alpha, index.below, supports, "support_below")
     ge_report = check_global_element_condition(alpha)
     cond_ii = ge_report["status"] == "pass"
-
-    sieve_ok, w_sieve = alpha.is_sieve_valued()
-    func_ok, w_func = _func_report(alpha)
-    charac_ok, w_charac = _conclusion_characterization_supports(alpha)
-
-    conditions_hold = cond_i and cond_ii
-    conclusions_hold = sieve_ok and func_ok and charac_ok
-    report = {
+    return {
         "degenerate": [],
         "skipped": False,
         "condition_i": {"holds": cond_i, "witness": w_i},
         "condition_ii": {"holds": cond_ii, "witness": ge_report["witness"]},
-        "conclusion_sieve": {"holds": sieve_ok, "witness": w_sieve},
-        "conclusion_func": {"holds": func_ok, "witness": w_func},
-        "conclusion_characterization": {"holds": charac_ok, "witness": w_charac},
-        "conditions_hold": conditions_hold,
-        "contract_ok": (not conditions_hold) or conclusions_hold,
-        "func_given_i_ok": (not cond_i) or func_ok,
+        **_conclusions(alpha, index.below, supports, cond_i, cond_ii),
     }
-    return report
-
-
-def _condition_i_iso_route(alpha: MorphismSetValuation, ivals: list[int]) -> tuple[bool, dict | None]:
-    """Condition (i) of the interval-side theorem, decided against the
-    certain characters of the coarse-grained proposition."""
-    index = alpha._index
-    for sup, cid in enumerate(index.ids):
-        below = index.below(sup)
-        for mask, bits in enumerate(alpha._row(sup)):
-            for sub, table in below:
-                inside = not ivals[sub] & ~table[mask]
-                if inside != bool(bits >> sub & 1):
-                    return False, {"v1": cid, "v2": index.ids[sub], "mask": mask}
-    return True, None
 
 
 def theorem2_verify(alpha: MorphismSetValuation) -> dict:
@@ -653,45 +626,22 @@ def theorem2_verify(alpha: MorphismSetValuation) -> dict:
     proposition) and the two routes must agree, which exercises the
     power-object isomorphism."""
     index = alpha._index
-
-    cond_i, w_i = _condition_i_intervals(alpha)
-
-    ivals = [alpha._interval(i) for i in range(len(index.ids))]
-    sub_sigma = _intervals_subobject(alpha)
-    cond_ii = True
+    ivals = _intervals(alpha)
+    cond_i, w_i = _condition_i(alpha, index.below_image, ivals, "interval_inside")
+    sigma = _intervals_subobject(alpha)
     w_ii = None
-    for sub, sup in index.pair_indices:
-        if sub == sup:
-            continue
-        restricted = index.image(sub, sup)[ivals[sup]]
-        if restricted != ivals[sub]:
-            cond_ii = False
-            w_ii = {"v1": index.ids[sup], "v2": index.ids[sub],
-                    "restricted": bit_list(restricted), "interval": bit_list(ivals[sub])}
-            break
-
-    # iso route: decide condition (i) against the certain set of the
-    # coarse-grained element instead of the restriction image
-    iso_ok, w_iso = _condition_i_iso_route(alpha, ivals)
-
-    sieve_ok, w_sieve = alpha.is_sieve_valued()
-    func_ok, w_func = _func_report(alpha)
-    charac_ok, w_charac = _conclusion_characterization_intervals(alpha)
-
-    conditions_hold = cond_i and cond_ii
-    conclusions_hold = sieve_ok and func_ok and charac_ok
+    if not sigma.is_tight:
+        sub, sup, restricted = _first_failing_pair(index, ivals, index.image)
+        w_ii = {"v1": index.ids[sup], "v2": index.ids[sub],
+                "restricted": bit_list(restricted), "interval": bit_list(ivals[sub])}
+    iso_ok, w_iso = _condition_i(alpha, index.below, ivals, None)
     return {
         "condition_i": {"holds": cond_i, "witness": w_i},
-        "condition_ii": {"holds": cond_ii, "witness": w_ii},
+        "condition_ii": {"holds": sigma.is_tight, "witness": w_ii},
         "condition_i_iso_route": {"holds": iso_ok, "witness": w_iso},
         "routes_agree": cond_i == iso_ok,
-        "subobject_law": sub_sigma.satisfies_law,
-        "conclusion_sieve": {"holds": sieve_ok, "witness": w_sieve},
-        "conclusion_func": {"holds": func_ok, "witness": w_func},
-        "conclusion_characterization": {"holds": charac_ok, "witness": w_charac},
-        "conditions_hold": conditions_hold,
-        "contract_ok": (not conditions_hold) or conclusions_hold,
-        "func_given_i_ok": (not cond_i) or func_ok,
+        "subobject_law": sigma.satisfies_law,
+        **_conclusions(alpha, index.below_image, ivals, cond_i, sigma.is_tight),
     }
 
 

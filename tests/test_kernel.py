@@ -494,20 +494,32 @@ def test_state_valuations_match_projector_oracle_on_rotated_peres_subset(r):
 def test_each_stage_mask_is_decided_once(monkeypatch):
     import toposval.valuations as valuations
 
-    calls = []
+    real_stage_rule = valuations.stage_rule
+    decided = []   # per state valuation, the decide calls per (stage, mask)
 
-    def spy(rho, p, tol=DEFAULT):
-        calls.append(p)
-        return certain(rho, p, tol)
+    def counting_stage_rule(index, below, decide):
+        calls = {}
+        decided.append(calls)
 
-    monkeypatch.setattr(valuations, "certain", spy)
-    rng = np.random.default_rng(5)
-    poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
-    alpha = nu_rho(random_density(rng, 4), poset)
-    alpha.dump()
-    check_definition3(alpha)
-    theorem1_verify(alpha)
-    assert len(calls) <= sum(1 << poset.context(c).n_atoms for c in poset.ids)
+        def counted(j, m):
+            calls[(j, m)] = calls.get((j, m), 0) + 1
+            return decide(j, m)
+        return real_stage_rule(index, below, counted)
+
+    monkeypatch.setattr(valuations, "stage_rule", counting_stage_rule)
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 5])
+        poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
+        rho = random_density(rng, 4)
+        for r in (1, 0.7):
+            decided.clear()
+            alpha = state_valuation(rho, poset, r)
+            alpha.dump()   # every row of every context
+            check_definition3(alpha)
+            theorem1_verify(alpha)
+            theorem2_verify(alpha)
+            [calls] = decided
+            assert calls and max(calls.values()) == 1, (seed, r)
 
 
 def test_state_valuation_decides_every_cell_in_one_batch(monkeypatch):

@@ -41,6 +41,13 @@ def test_coarse_grain_examples(fixa):
     assert coarse_grain(fixa, "V2", "V1", LatticeElement("V1", 0b001)).mask == 0b01
 
 
+@pytest.mark.parametrize("mask", [8, 9, -1])
+def test_coarse_grain_rejects_a_mask_out_of_range(fixa, mask):
+    # V1 has three atoms, so its masks are 0..7; none may wrap round
+    with pytest.raises(ContextError, match=f"mask {mask} out of range for context 'V1'"):
+        coarse_grain(fixa, "V2", "V1", LatticeElement("V1", mask))
+
+
 def test_coarse_grain_agrees_with_bruteforce(fixa):
     for sub, sup in fixa.pairs():
         for mask in all_masks(fixa, sup):
