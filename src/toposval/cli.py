@@ -307,7 +307,7 @@ def cmd_ocat(args, tol: Tolerances) -> tuple[dict, int]:
 
 
 def _add_common(p: argparse.ArgumentParser, state: bool = False) -> None:
-    p.add_argument("--input", help="contexts JSON file")
+    p.add_argument("--input", help="input JSON file: contexts, or operators for ocat")
     if state:
         p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--seed", type=int, default=0)

@@ -37,6 +37,70 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return out
 
 
+# The defects below act on a matrix or on a stack of matrices, one value
+# per matrix, so a single check and a stacked one share each formula.
+
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    return np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+
+
+def _idempotency_defect(m: np.ndarray) -> np.ndarray:
+    return np.abs(m @ m - m).max(axis=(-2, -1))
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
+def _projector_rank(herm: float, idem: float, tr: float, tol: Tolerances) -> int:
+    """The rank of a projector matrix from its Hermiticity and idempotency
+    defects and its trace, or the error of the first check it fails."""
+    if herm > tol.herm:
+        raise LinalgError("projector is not Hermitian within tolerance")
+    if idem > tol.proj_idem:
+        raise LinalgError("projector is not idempotent within tolerance")
+    rank = int(round(tr))
+    if abs(tr - rank) > tol.trace_rank:
+        raise LinalgError(f"projector trace {tr} is not close to an integer")
+    return rank
+
+
+def projector_ranks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> list[int]:
+    """The rank of each projector matrix of a stack, validated as
+    `Projector` validates one; a stack with a failing member raises the
+    error of the first, in stack order."""
+    herm, idem, tr = _hermitian_defect(stack), _idempotency_defect(stack), _trace(stack)
+    ranks = np.round(tr)
+    bad = (herm > tol.herm) | (idem > tol.proj_idem) | (np.abs(tr - ranks) > tol.trace_rank)
+    if bad.any():
+        k = int(np.argmax(bad))
+        _projector_rank(float(herm[k]), float(idem[k]), float(tr[k]), tol)
+    return ranks.astype(int).tolist()
+
+
+# Complex entries in each temporary of a containment table; larger tables
+# are computed in chunks of columns, then of rows.
+CONTAINMENT_CHUNK = 4096
+
+
+def containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Subspace containment P <= Q for each projector matrix Q of the stack
+    `rows` and P of the stack `cols`, decided as max|Q*P - P| < tol.certain:
+    a bool array indexed [row, column]."""
+    if rows.ndim != 3 or rows.shape[1:] != cols.shape[1:]:
+        raise LinalgError("dimension mismatch")
+    cell = rows.shape[1] * rows.shape[2]
+    step = max(1, CONTAINMENT_CHUNK // cell)
+    if len(cols) > step:
+        return np.concatenate([containment_table(rows, cols[c:c + step], tol)
+                               for c in range(0, len(cols), step)], axis=1)
+    step = max(1, CONTAINMENT_CHUNK // max(1, len(cols) * cell))
+    if len(rows) > step:
+        return np.concatenate([containment_table(rows[r:r + step], cols, tol)
+                               for r in range(0, len(rows), step)])
+    return np.abs(rows[:, np.newaxis] @ cols - cols).max(axis=(-2, -1)) < tol.certain
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A bounded self-adjoint operator on a finite-dimensional Hilbert space."""
@@ -45,7 +109,7 @@ class HermitianOperator:
 
     def __init__(self, entries, tol: Tolerances = DEFAULT):
         m = _as_complex_matrix(entries)
-        if np.max(np.abs(m - m.conj().T)) > tol.herm:
+        if _hermitian_defect(m) > tol.herm:
             raise LinalgError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -63,16 +127,18 @@ class Projector:
 
     def __init__(self, entries, tol: Tolerances = DEFAULT):
         m = _as_complex_matrix(entries)
-        if np.max(np.abs(m - m.conj().T)) > tol.herm:
-            raise LinalgError("projector is not Hermitian within tolerance")
-        if np.max(np.abs(m @ m - m)) > tol.proj_idem:
-            raise LinalgError("projector is not idempotent within tolerance")
-        tr = float(np.trace(m).real)
-        rank = int(round(tr))
-        if abs(tr - rank) > tol.trace_rank:
-            raise LinalgError(f"projector trace {tr} is not close to an integer")
+        rank = _projector_rank(_hermitian_defect(m), _idempotency_defect(m), float(_trace(m)), tol)
         object.__setattr__(self, "entries", _frozen(m))
         object.__setattr__(self, "rank", rank)
+
+    @classmethod
+    def _validated(cls, entries: np.ndarray, rank: int) -> "Projector":
+        """A projector on read-only entries that have passed validation,
+        with the rank found there (see `projector_ranks`)."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        object.__setattr__(p, "rank", rank)
+        return p
 
     @property
     def dim(self) -> int:
@@ -80,15 +146,12 @@ class Projector:
 
     def leq(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         """Subspace containment self <= other, decided as other*self == self."""
-        return bool(self.leq_each(other.entries[np.newaxis], tol)[0])
+        return bool(containment_table(other.entries[np.newaxis], self.entries[np.newaxis], tol)[0, 0])
 
     def leq_each(self, stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
         """Subspace containment self <= Q for each projector matrix Q of a
-        stack, decided as max|Q*self - self| < tol.certain per matrix."""
-        if stack.shape[1:] != self.entries.shape:
-            raise LinalgError("dimension mismatch")
-        p = self.entries
-        return np.abs(stack @ p - p).max(axis=(1, 2)) < tol.certain
+        stack: one column of `containment_table`."""
+        return containment_table(stack, self.entries[np.newaxis], tol)[:, 0]
 
     def orthogonal_to(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         return bool(np.max(np.abs(self.entries @ other.entries)) < tol.atom)
@@ -110,7 +173,7 @@ class DensityMatrix:
 
     def __init__(self, entries, tol: Tolerances = DEFAULT):
         m = _as_complex_matrix(entries)
-        if np.max(np.abs(m - m.conj().T)) > tol.herm:
+        if _hermitian_defect(m) > tol.herm:
             raise LinalgError("density matrix is not Hermitian within tolerance")
         evals, evecs = np.linalg.eigh(m)
         if evals.min() < tol.psd_floor:
@@ -234,14 +297,12 @@ def certain(rho: DensityMatrix, p: Projector, tol: Tolerances = DEFAULT) -> bool
     P; the containment form P*S = S is robust at the boundary where a
     floating trace comparison would flap.
     """
-    return bool(certain_each(rho, p.entries[np.newaxis], tol)[0])
+    return bool(containment_table(p.entries[np.newaxis], rho.support_projector.entries[np.newaxis],
+                                  tol)[0, 0])
 
 
 def certain_each(rho: DensityMatrix, stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """The probability-1 test of `certain` for each projector matrix Q of a
-    stack, decided as max|Q*S - S| < tol.certain per matrix, with S the
-    support projector of rho."""
-    if stack.shape[1:] != rho.entries.shape:
-        raise LinalgError("dimension mismatch")
-    s = rho.support_projector.entries
-    return np.abs(stack @ s - s).max(axis=(1, 2)) < tol.certain
+    stack: the containment of rho's support projector in Q, one column of
+    `containment_table`."""
+    return containment_table(stack, rho.support_projector.entries[np.newaxis], tol)[:, 0]

@@ -9,11 +9,11 @@ snapped to canonical representatives so that all set operations on reals
 are exact.
 
 Behind the frozenset API, a set of eigenvalues is an int mask over
-spectrum indices.  Each `ODecomposition` builds one spectral projector per
-mask, validated at the tolerances it was built with (which `apply_map`
-passes on to f(A)), and each `EigenvalueMap` carries, per domain index, the
-bit of its value in the sorted codomain, so images and preimages are ORs of
-bits.
+spectrum indices.  Each `ODecomposition` builds the spectral projectors of
+all its masks as one stack, validated in one test at the tolerances it was
+built with (which `apply_map` passes on to f(A)), and each `EigenvalueMap`
+carries, per domain index, the bit of its value in the sorted codomain, so
+images and preimages are ORs of bits.
 
 The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
@@ -22,16 +22,17 @@ that map to it.  The valuation of a state is then a `MorphismSetValuation`
 over that index, so the law checkers of `valuations` apply unchanged.  The
 float decisions are made once and kept by `OperatorCategory`:
 
-- per (arrow, delta mask, tolerances), the infimum cross-check of the
-  coarse-graining of delta along the arrow: the preimage of its image must
-  equal the independent infimum over every spectral projector of f(A) that
-  dominates delta's projector.  A disagreement raises `OcatError`.  All
-  2^|spec f(A)| containments are decided in one batched test
-  (`Projector.leq_each` on f(A)'s stacked mask projectors), with the same
-  max-abs formula as `Projector.leq`, and the dominating masks are ANDed.
-  The test stays exhaustive: the max-abs defect is not monotone under
-  projection, so the meet of the dominating co-atoms alone can differ
-  from the infimum at very tight containment widths;
+- per (arrow, tolerances), the infimum cross-check of the coarse-graining
+  of every delta mask along the arrow: the preimage of delta's image must
+  equal the independent infimum over every spectral projector of f(A)
+  that dominates delta's projector.  The first query that reaches the
+  arrow decides all 2^|spec f(A)| x 2^|spec A| containments in one
+  `containment_table` (rows f(A)'s stacked mask projectors, columns A's),
+  ANDs each column's dominating masks and keeps one verdict per delta.  A
+  query raises `OcatError` when its own delta disagrees, and on every such
+  query.  The test stays exhaustive: the max-abs defect is not monotone
+  under projection, so the meet of the dominating co-atoms alone can
+  differ from the infimum at very tight containment widths;
 - per (state, tolerances), held weakly by the state object: the support
   mask of each operator and of each arrow's image operator, and the
   member-set valuation, with one certainty test per (operator, preimage
@@ -61,7 +62,9 @@ from .linalg import (
     Projector,
     StateVector,
     certain,
+    containment_table,
     eig_hermitian,
+    projector_ranks,
 )
 from .tolerances import DEFAULT, Tolerances
 from .valuations import MorphismSetValuation
@@ -106,9 +109,10 @@ def _index_mask(position: dict[float, int], values) -> int:
 class ODecomposition:
     """An operator with its ordered distinct eigenvalues and eigenprojectors.
 
-    A subset of the spectrum is also an index mask (bit i for spectrum[i]);
-    the spectral projector of each mask is built once, on first request,
-    and validated at `tol`, the tolerances the decomposition was built with.
+    A subset of the spectrum is also an index mask (bit i for spectrum[i]).
+    On the first request for any of them, the spectral projectors of all
+    masks are built as one stack and validated at `tol`, the tolerances the
+    decomposition was built with.
     """
 
     id: str
@@ -146,24 +150,33 @@ class ODecomposition:
         return frozenset(self.spectrum[i] for i in bit_list(mask))
 
     def projector(self, mask: int) -> Projector:
-        """The spectral projector of an index mask: its eigenprojectors
-        summed in ascending spectrum order, built once per mask."""
+        """The spectral projector of an index mask, read from `mask_entries`."""
         p = self._projectors.get(mask)
         if p is None:
             if mask < 0 or mask >> len(self.spectrum):
                 raise OcatError(f"mask {mask} out of range for operator {self.id!r}")
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            for i in bit_list(mask):
-                m = m + self.eigenprojectors[i].entries
-            p = self._projectors[mask] = Projector(m, tol=self.tol)
+            entries, ranks = self._mask_stack
+            p = self._projectors[mask] = Projector._validated(entries[mask], ranks[mask])
         return p
 
     @cached_property
+    def _mask_stack(self) -> tuple[np.ndarray, list[int]]:
+        """Every mask's spectral projector, stacked by mask, and its rank.
+        The projector of a mask is its eigenprojectors summed in ascending
+        spectrum order: that of the mask without its top bit plus the top
+        eigenprojector.  The stack is validated at `tol` in one test, which
+        raises for the first failing mask."""
+        out = np.zeros((1 << len(self.spectrum), self.dim, self.dim), dtype=complex)
+        for i, e in enumerate(self.eigenprojectors):
+            out[1 << i:2 << i] = out[:1 << i] + e.entries
+        ranks = projector_ranks(out, self.tol)
+        out.flags.writeable = False
+        return out, ranks
+
+    @property
     def mask_entries(self) -> np.ndarray:
         """The entries of every mask's spectral projector, stacked by mask."""
-        out = np.stack([self.projector(q).entries for q in range(1 << len(self.spectrum))])
-        out.flags.writeable = False
-        return out
+        return self._mask_stack[0]
 
     def projector_for(self, subset: frozenset[float]) -> Projector:
         """The spectral projector of a subset of the spectrum."""
@@ -238,6 +251,11 @@ class EigenvalueMap:
         for i in bit_list(mask):
             out |= self.image_bits[i]
         return out
+
+    @cached_property
+    def preimage_table(self) -> tuple[int, ...]:
+        """Per codomain mask, the domain mask of its preimage."""
+        return tuple(self.preimage_mask(k) for k in range(1 << len(self.codomain)))
 
     def preimage_mask(self, mask: int) -> int:
         """Domain mask of the preimage of a codomain mask."""
@@ -322,30 +340,31 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     return EigenvalueMap(tuple(sorted(mapping.items())))
 
 
-def _infimum(a: ODecomposition, b: ODecomposition, delta: int, tol: Tolerances) -> int | None:
-    """The mask of the meet of every spectral projector of `b` that
-    dominates the projector of a delta mask of `a`, or None if none does.
-    All 2^|spec b| containments are decided in one batched test."""
-    dominating = np.flatnonzero(a.projector(delta).leq_each(b.mask_entries, tol))
-    return int(np.bitwise_and.reduce(dominating)) if dominating.size else None
+def _cross_checks(a: ODecomposition, b: ODecomposition, deltas: np.ndarray, images,
+                  preimage, tol: Tolerances) -> list[str | None]:
+    """The infimum cross-check of coarse-graining along a map f from A's
+    spectrum, with `b` = f(A), for each column of `deltas`, a stack of A's
+    mask projectors: the error message where the two paths disagree, else
+    None.  `images` holds the codomain mask of each column's image, and
+    `preimage` the domain mask of the preimage of each codomain mask.
 
-
-def _cross_check(f: EigenvalueMap, a: ODecomposition, b: ODecomposition, delta: int,
-                 pre: int, tol: Tolerances) -> None:
-    """Raise unless `pre`, the preimage of the image of a delta mask of A
-    (where `f` lists A's spectrum and `b` is f(A)), selects the same
-    eigenvalues as the independent infimum over the spectral algebra of
-    f(A): the meet of every spectral projector of f(A) that dominates the
-    projector of delta."""
-    kept = _infimum(a, b, delta, tol)
-    if kept is None:
-        raise OcatError("no dominating element in the spectral algebra")
-    inf_pre = f.preimage_mask(kept)
-    if inf_pre != pre:
-        raise OcatError(
-            f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
-            f"vs infimum {sorted(a.subset(inf_pre))}"
-        )
+    The independent path is the infimum over the spectral algebra of f(A):
+    the meet of every mask projector of f(A) that dominates the column's
+    projector.  Every containment is decided in one `containment_table`;
+    a column's infimum ANDs the masks of its dominating rows."""
+    dom = containment_table(b.mask_entries, deltas, tol)
+    full = dom.shape[0] - 1
+    kept = np.bitwise_and.reduce(np.where(dom, np.arange(full + 1)[:, np.newaxis], full), axis=0)
+    out: list[str | None] = []
+    for image, k, some in zip(images, kept.tolist(), dom.any(axis=0).tolist()):
+        if not some:
+            out.append("no dominating element in the spectral algebra")
+            continue
+        pre, inf_pre = preimage[image], preimage[k]
+        out.append(None if inf_pre == pre else
+                   f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
+                   f"vs infimum {sorted(a.subset(inf_pre))}")
+    return out
 
 
 def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
@@ -355,9 +374,12 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     algebra of f(A)."""
     mask = a.mask_of(a.check_subset(delta))
     f = _on_spectrum(f, a)
-    pre = f.preimage_mask(f.image_mask(mask))
-    _cross_check(f, a, apply_map(f, a), mask, pre, tol)
-    return a.projector(pre)
+    image = f.image_mask(mask)
+    (msg,) = _cross_checks(a, apply_map(f, a), a.mask_entries[mask:mask + 1], [image],
+                           f.preimage_table, tol)
+    if msg is not None:
+        raise OcatError(msg)
+    return a.projector(f.preimage_table[image])
 
 
 def _support_mask(state: StateVector | DensityMatrix, a: ODecomposition,
@@ -414,14 +436,14 @@ class _Decisions:
         index = category.index
         held = weakref.ref(state)
         certain: dict[tuple[int, int], bool] = {}
-        checked = category._checked.setdefault(tol, set())
+        checked = category._checked.setdefault(tol, {})
 
         def bits(i: int, delta: int) -> int:
             a = category.objects[index.ids[i]]
             out = 0
             for j, table in index.below(i):
+                category._cross_check(j, i, delta, tol, checked)
                 pre = index.lift(j, i, table[delta])
-                category._cross_check(j, i, delta, pre, tol, checked)
                 sure = certain.get((i, pre))
                 if sure is None:
                     sure = certain[(i, pre)] = state_certain(held(), a.projector(pre), tol)
@@ -443,8 +465,9 @@ class OperatorCategory:
     `index.lift` its preimage, and `index.down` lists the arrows into each
     object.  Everything else is built on first use and kept: per arrow, the
     map on the target's spectrum and its image operator f(A); per (arrow,
-    delta mask, tol), the infimum cross-check; per state and tol, that
-    state's decisions (held weakly, so they go when the state does).
+    tol), the infimum cross-check verdict of every delta mask; per state and
+    tol, that state's decisions (held weakly, so they go when the state
+    does).
     """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
@@ -462,7 +485,7 @@ class OperatorCategory:
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
         self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition]] = {}
-        self._checked: dict[Tolerances, set[tuple[int, int, int]]] = {}
+        self._checked: dict[Tolerances, dict[tuple[int, int], list[str | None]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
@@ -530,18 +553,27 @@ class OperatorCategory:
             out = self._arrows[(m.src, m.dst)] = (f, a if fixed else apply_map(f, a))
         return out
 
-    def _cross_check(self, src: int, dst: int, delta: int, pre: int, tol: Tolerances,
-                     checked: set[tuple[int, int, int]]) -> None:
-        """The infimum cross-check of arrow (src, dst), by operator index,
-        at a delta mask: run once per tolerance set unless it raises.
-        `checked` is `_checked[tol]`, fetched once by the caller, so no
-        lookup hashes the tolerances."""
-        key = (src, dst, delta)
-        if key not in checked:
-            m = self.morphisms[(self.index.ids[src], self.index.ids[dst])]
-            f, b = self._arrow(m)
-            _cross_check(f, self.objects[m.dst], b, delta, pre, tol)
-            checked.add(key)
+    def _cross_check(self, src: int, dst: int, delta: int, tol: Tolerances,
+                     checked: dict[tuple[int, int], list[str | None]]) -> None:
+        """Raise if the infimum cross-check of arrow (src, dst), by operator
+        index, fails at a delta mask.  The first query of an arrow at a
+        tolerance set decides every delta mask at once; `checked` is
+        `_checked[tol]`, fetched once by the caller, and keeps the verdicts
+        by arrow."""
+        verdicts = checked.get((src, dst))
+        if verdicts is None:
+            verdicts = checked[(src, dst)] = self._verdicts(src, dst, tol)
+        if verdicts[delta] is not None:
+            raise OcatError(verdicts[delta])
+
+    def _verdicts(self, src: int, dst: int, tol: Tolerances) -> list[str | None]:
+        """Per delta mask of the target of arrow (src, dst), the infimum
+        cross-check's error message, or None where it passes."""
+        index = self.index
+        m = self.morphisms[(index.ids[src], index.ids[dst])]
+        f, b = self._arrow(m)
+        a = self.objects[m.dst]
+        return _cross_checks(a, b, a.mask_entries, index.coarse(src, dst), f.preimage_table, tol)
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
         per_tol = self._states.get(state)

@@ -30,6 +30,13 @@ class Tolerances:
     eig_match: float = 1e-8      # matching eigenvalues across operators
     ortho_fixture: float = 1e-10 # orthogonality bound when validating bundled fixtures
 
+    def __post_init__(self):
+        # the generated hash would rehash every field on each dict lookup
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def overridden(self, **kwargs: float) -> "Tolerances":
         """Return a copy with the given fields replaced."""
         known = {f.name for f in fields(self)}

@@ -353,3 +353,22 @@ def test_golden_ocat_digest(tmp_path, monkeypatch, name):
     assert main(["ocat", "--input", "ops.json", "--state", "state.json",
                  "--out", "report.json"]) == 0
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the whole `ocat` report of the 3-operator set and pure state at
+# a containment width of 10: every spectral projector of f(A) then dominates,
+# so the infimum cross-check fails and the report carries the message of
+# the first failing query.
+OCAT_ERROR_DIGEST = "e053513872d00aaa599a588ecedf5b8dc8a6113c6027adf154f515fcafc2560f"
+
+
+def test_golden_ocat_error_digest(tmp_path, monkeypatch):
+    (tmp_path / "ops.json").write_text(json.dumps(OCAT_OPS3))
+    (tmp_path / "state.json").write_text(json.dumps(STATE))
+    monkeypatch.chdir(tmp_path)
+    assert main(["ocat", "--input", "ops.json", "--state", "state.json",
+                 "--tol", "certain=10", "--out", "report.json"]) == 2
+    report = (tmp_path / "report.json").read_bytes()
+    assert json.loads(report)["result"] == {
+        "error": "coarse-graining paths disagree: preimage [-1.0] vs infimum []"}
+    assert hashlib.sha256(report).hexdigest() == OCAT_ERROR_DIGEST

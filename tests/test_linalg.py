@@ -13,8 +13,10 @@ from toposval.linalg import (
     certain,
     certain_each,
     commutes,
+    containment_table,
     eig_hermitian,
     projector_from_span,
+    projector_ranks,
 )
 from toposval.sampling import random_density, random_hermitian
 from toposval.tolerances import DEFAULT
@@ -187,6 +189,39 @@ def test_leq_each_decides_per_matrix_of_a_stack():
         p.leq_each(np.eye(3, dtype=complex))
     with pytest.raises(LinalgError, match="dimension"):
         p.leq(Projector(np.eye(2)))
+
+
+def test_containment_table_decides_every_pair():
+    # rows Q and columns P of a table give leq's pairwise decision
+    rng = np.random.default_rng(19)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    stack = np.stack([u @ np.diag(np.array(bits, dtype=float)) @ u.conj().T
+                      for bits in np.ndindex(2, 2, 2)])
+    for tol in (DEFAULT, DEFAULT.overridden(certain=0.5)):
+        table = containment_table(stack, stack[2:], tol)
+        assert table.shape == (8, 6)
+        assert table.tolist() == [[Projector(p).leq(Projector(q), tol) for p in stack[2:]]
+                                  for q in stack]
+    with pytest.raises(LinalgError, match="dimension"):
+        containment_table(stack, np.eye(2, dtype=complex)[np.newaxis])
+
+
+def test_projector_ranks_validate_a_stack_as_projector_does():
+    # valid members give Projector's ranks; otherwise the first failing
+    # member in stack order raises Projector's error for it
+    stack = np.stack([np.diag(d).astype(complex) for d in ([0, 0], [1, 0], [1, 1])])
+    assert projector_ranks(stack) == [Projector(m).rank for m in stack] == [0, 1, 2]
+    skew = np.array([[1, 1e-6], [0, 0]], dtype=complex)    # idempotent, not Hermitian
+    half = np.diag([0.5, 0]).astype(complex)               # Hermitian, not idempotent
+    frac = np.diag([1 + 1e-6, 0]).astype(complex)          # trace off an integer
+    loose_idem = DEFAULT.overridden(proj_idem=1e-4)
+    for bad, tol in ((skew, DEFAULT), (half, DEFAULT), (frac, loose_idem)):
+        with pytest.raises(LinalgError) as want:
+            Projector(bad, tol=tol)
+        for others in ([], [half], [skew, frac]):
+            with pytest.raises(LinalgError) as got:
+                projector_ranks(np.stack([stack[1], bad, *others]), tol)
+            assert str(got.value) == str(want.value)
 
 
 def test_certain_each_decides_per_matrix_of_a_stack():

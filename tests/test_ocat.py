@@ -1,28 +1,38 @@
 """Tests for the operator category.
 
-`ODecomposition` builds one spectral projector per eigenvalue-index mask,
-and `OperatorCategory` decides each coarse-graining once per (arrow, delta
-mask, tolerances) and each certainty once per (state, operator, preimage
-mask).  The per-call forms they replaced (the subset projector sum, the
-dual-path coarse-graining with its infimum loop, the eigenprojector
-support scan and the per-morphism certainty sweep) are kept below as
-oracles, written on `pairs` and `spectrum` alone.
+`ODecomposition` builds the spectral projectors of all eigenvalue-index
+masks as one validated stack, and `OperatorCategory` decides the
+coarse-graining cross-check of every delta mask of an arrow at once per
+(arrow, tolerances) and each certainty once per (state, operator, preimage
+mask).  The per-call forms they replaced (the per-mask projector sum, the
+dual-path coarse-graining with its infimum loop, the per-delta infimum,
+the eigenprojector support scan and the per-morphism certainty sweep) are
+kept below as oracles, written on `pairs` and `spectrum` alone.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from toposval.linalg import DensityMatrix, HermitianOperator, LinalgError, Projector, StateVector
+from toposval import linalg
+from toposval.contexts import bit_list
+from toposval.linalg import (
+    DensityMatrix,
+    HermitianOperator,
+    LinalgError,
+    Projector,
+    StateVector,
+    containment_table,
+)
 from toposval.ocat import (
     EigenvalueMap,
     ODecomposition,
     OcatError,
     OperatorCategory,
-    _infimum,
     _on_spectrum,
     apply_map,
     characterize_check,
@@ -36,7 +46,7 @@ from toposval.ocat import (
     state_certain,
     support_subobject_check,
 )
-from toposval.sampling import random_category, random_density, random_state
+from toposval.sampling import random_category, random_density, random_state, random_unitary
 from toposval.valuations import MorphismSetValuation
 from toposval.tolerances import DEFAULT
 
@@ -265,6 +275,27 @@ def oracle_coarse_grain(f, a, delta, tol=DEFAULT, algebra=None):
     return oracle_projector_for(a, pre)
 
 
+def _infimum(a, b, delta, tol):
+    """The per-delta form of the cross-check's independent path: the mask of
+    the meet of every spectral projector of `b` that dominates the projector
+    of a delta mask of `a`, or None if none does."""
+    dominating = np.flatnonzero(a.projector(delta).leq_each(b.mask_entries, tol))
+    return int(np.bitwise_and.reduce(dominating)) if dominating.size else None
+
+
+def oracle_verdict(f, a, b, delta, tol):
+    """The per-delta cross-check of the coarse-graining of a delta mask of
+    `a` along `f` (on A's spectrum; `b` is f(A)): its error, or None."""
+    pre = f.preimage_mask(f.image_mask(delta))
+    kept = _infimum(a, b, delta, tol)
+    if kept is None:
+        return "no dominating element in the spectral algebra"
+    if f.preimage_mask(kept) != pre:
+        return (f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
+                f"vs infimum {sorted(a.subset(f.preimage_mask(kept)))}")
+    return None
+
+
 def oracle_support(state, a, tol=DEFAULT):
     out = []
     for lam, e in zip(a.spectrum, a.eigenprojectors):
@@ -490,6 +521,11 @@ def test_cross_check_raises_for_every_tolerance_set():
         oracle_coarse_grain(cat.morphisms[(aid, aid)].map, a, delta, loose)
 
 
+# the containment widths of the table tests: the default, one at which
+# every spectral projector dominates, and ever tighter ones
+TABLE_WIDTHS = [DEFAULT] + [DEFAULT.overridden(certain=c) for c in (10.0, 0.5, 1e-15, 1e-16, 0.0)]
+
+
 def test_batched_dominance_matches_pairwise_containment():
     # per (arrow, delta, tolerances), the batched containment test gives the
     # pairwise max-abs decision for every spectral projector of f(A), and so
@@ -497,7 +533,7 @@ def test_batched_dominance_matches_pairwise_containment():
     # projection, so at the tightest widths the co-atom shortcut (the meet of
     # the full mask and of each dominating all-but-one-eigenvalue mask)
     # differs from it; the last assertion keeps this test able to see that.
-    tols = [DEFAULT] + [DEFAULT.overridden(certain=c) for c in (10.0, 0.5, 1e-15, 1e-16, 0.0)]
+    tols = TABLE_WIDTHS
     rng = np.random.default_rng(251)
     coatom_differs = 0
     for _ in range(40):
@@ -508,12 +544,14 @@ def test_batched_dominance_matches_pairwise_containment():
             b = apply_map(m.map, a)
             full = (1 << len(b.spectrum)) - 1
             coatoms = [full] + [full & ~(1 << i) for i in range(len(b.spectrum))]
+            tables = {tol: containment_table(b.mask_entries, a.mask_entries, tol) for tol in tols}
             for delta in range(1 << len(a.spectrum)):
                 e = a.projector(delta).entries
                 for tol in tols:
                     pairwise = [bool(np.max(np.abs(b.projector(q).entries @ e - e)) < tol.certain)
                                 for q in range(full + 1)]
                     assert a.projector(delta).leq_each(b.mask_entries, tol).tolist() == pairwise
+                    assert tables[tol][:, delta].tolist() == pairwise
                     kept = coatom = None
                     for q, ok in enumerate(pairwise):
                         if ok:
@@ -523,6 +561,178 @@ def test_batched_dominance_matches_pairwise_containment():
                     assert _infimum(a, b, delta, tol) == kept
                     coatom_differs += coatom != kept
     assert coatom_differs
+
+
+def assert_tables_match_oracle(cat, tols):
+    """Per arrow and tolerance set, the category's verdict of every delta
+    mask equals the per-delta cross-check on the `apply_map` image."""
+    index = cat.index
+    for m in cat.morphisms.values():
+        a = cat.objects[m.dst]
+        f = _on_spectrum(m.map, a)
+        b = apply_map(f, a)
+        for tol in tols:
+            assert cat._verdicts(index.pos[m.src], index.pos[m.dst], tol) == [
+                oracle_verdict(f, a, b, delta, tol) for delta in range(1 << len(a.spectrum))]
+
+
+def test_arrow_tables_match_the_per_delta_cross_check():
+    # one table per arrow gives, for every delta, the verdict and message of
+    # the per-delta infimum, at the widths of the batched dominance test;
+    # some arrows disagree at the looser widths
+    rng = np.random.default_rng(257)
+    failing = Counter()
+    for _ in range(40):
+        dim = int(rng.integers(2, 7))
+        cat, _ = random_category(rng, dim)
+        assert_tables_match_oracle(cat, TABLE_WIDTHS)
+        for m in cat.morphisms.values():
+            for tol in TABLE_WIDTHS:
+                verdicts = cat._verdicts(cat.index.pos[m.src], cat.index.pos[m.dst], tol)
+                failing.update(v.split(":")[0] for v in verdicts if v is not None)
+    assert failing["coarse-graining paths disagree"]
+
+
+def six_distinct(rng):
+    """A dim-6 category on an anchor with 6 distinct eigenvalues: its
+    identity, an injective function of it, its square and the unit."""
+    u = random_unitary(rng, 6)
+    a = ODecomposition.from_operator(
+        HermitianOperator(u @ np.diag(np.arange(-3.0, 3.0)) @ u.conj().T), id="A")
+    objects = [a]
+    for name, g in (("twice", lambda lam: 2 * lam + 1), ("square", lambda lam: lam * lam)):
+        objects.append(apply_map(EigenvalueMap.from_dict({lam: g(lam) for lam in a.spectrum}),
+                                 a, id=name))
+    objects.append(ODecomposition.from_operator(HermitianOperator(np.eye(6)), id="one"))
+    return OperatorCategory(objects)
+
+
+def test_arrow_table_spans_several_chunks(monkeypatch):
+    cat = six_distinct(np.random.default_rng(263))
+    a = cat.objects["A"]
+    assert len(a.spectrum) == 6 and len(cat.objects["twice"].spectrum) == 6
+    # a row of the identity arrow's table alone fills most of a chunk
+    assert 2 * a.mask_entries[0].size * len(a.mask_entries) > linalg.CONTAINMENT_CHUNK
+    assert_tables_match_oracle(cat, TABLE_WIDTHS)
+    # the chunk size changes no decision: one cell, one row, one table
+    for tol in TABLE_WIDTHS:
+        want = containment_table(a.mask_entries, a.mask_entries, tol)
+        for chunk in (1, 100, 10 ** 7):
+            monkeypatch.setattr(linalg, "CONTAINMENT_CHUNK", chunk)
+            assert np.array_equal(containment_table(a.mask_entries, a.mask_entries, tol), want)
+        monkeypatch.undo()
+
+
+def test_failing_delta_raises_on_each_query_and_spares_the_others():
+    # at a containment width of 10 every spectral projector of f(A)
+    # dominates, so the infimum is empty: the empty delta agrees with its
+    # preimage and the full one does not.  Its query raises the per-delta
+    # message of the first arrow into A, every time, before and after
+    # queries of the same arrows that pass
+    rng = np.random.default_rng(269)
+    loose = DEFAULT.overridden(certain=10.0)
+    cat, aid = random_category(rng, 3)
+    a = cat.objects[aid]
+    full = (1 << len(a.spectrum)) - 1
+    first = cat.morphisms_into(aid)[0]
+    f = _on_spectrum(first.map, a)
+    expected = oracle_verdict(f, a, apply_map(f, a), full, loose)
+    assert expected.startswith("coarse-graining paths disagree")
+    for state in (random_state(rng, 3), random_density(rng, 3)):
+        empty = nu_psi_o(state, a, frozenset(), cat, loose)
+        for _ in range(2):
+            for check in (nu_psi_o, characterize_check, check_sieve_on_o):
+                with pytest.raises(OcatError) as exc:
+                    check(state, a, frozenset(a.spectrum), cat, loose)
+                assert str(exc.value) == expected
+            assert nu_psi_o(state, a, frozenset(), cat, loose) == empty
+            assert characterize_check(state, a, frozenset(), cat, loose)["delta"] == []
+
+
+def test_one_table_per_arrow_and_tolerance_set(monkeypatch):
+    # a full `ocat` sweep, for two states at two tolerance sets (the default
+    # one queried twice), builds each arrow's table once per tolerance set
+    built = Counter()
+    verdicts = OperatorCategory._verdicts
+
+    def spy(self, src, dst, tol):
+        built[(src, dst, tol)] += 1
+        return verdicts(self, src, dst, tol)
+
+    monkeypatch.setattr(OperatorCategory, "_verdicts", spy)
+    wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15)
+    rng = np.random.default_rng(271)
+    for _ in range(5):
+        dim = int(rng.integers(2, 7))
+        cat, aid = random_category(rng, dim)
+        built.clear()
+        for tol in (DEFAULT, wide, DEFAULT):
+            for state in (random_state(rng, dim), random_density(rng, dim)):
+                for oid in cat.ids:
+                    for delta in all_deltas(cat.objects[oid]):
+                        characterize_check(state, cat.objects[oid], delta, cat, tol)
+                        check_sieve_on_o(state, cat.objects[oid], delta, cat, tol)
+                support_subobject_check(state, cat, tol)
+        index = cat.index
+        assert built == Counter({(index.pos[src], index.pos[dst], tol): 1
+                                 for src, dst in cat.morphisms for tol in (DEFAULT, wide)})
+
+
+def oracle_mask_projector(o, mask, tol):
+    """A mask's spectral projector as one projector: its eigenprojectors
+    summed in ascending spectrum order, validated on its own."""
+    m = np.zeros((o.dim, o.dim), dtype=complex)
+    for i in bit_list(mask):
+        m = m + o.eigenprojectors[i].entries
+    return Projector(m, tol=tol)
+
+
+def test_mask_stack_matches_per_mask_projectors():
+    # entries and ranks of the stacked mask projectors equal, bit for bit,
+    # those of each mask summed and validated on its own, for objects and
+    # arrow images of dims 2-6
+    rng = np.random.default_rng(277)
+    for k in range(25):
+        dim = 2 + k % 5
+        cat, _ = random_category(rng, dim)
+        ops = list(cat.objects.values()) + [cat._arrow(m)[1] for m in cat.morphisms.values()]
+        for o in ops:
+            assert not o.mask_entries.flags.writeable
+            for mask in range(1 << len(o.spectrum)):
+                want = oracle_mask_projector(o, mask, o.tol)
+                got = o.projector(mask)
+                assert got.entries.tobytes() == want.entries.tobytes() == \
+                    o.mask_entries[mask].tobytes()
+                assert got.rank == want.rank and got is o.projector(mask)
+                assert not got.entries.flags.writeable
+    with pytest.raises(OcatError, match="out of range"):
+        o.projector(1 << len(o.spectrum))
+
+
+def test_mask_stack_raises_for_its_first_failing_mask():
+    # eigenprojectors accepted at loose widths, in a decomposition validated
+    # at strict ones: the first failing mask, in ascending order, raises the
+    # error that `Projector` gives that mask alone, and every mask's
+    # projector raises it
+    loose = DEFAULT.overridden(herm=1e-3, proj_idem=1e-3, trace_rank=1e-3)
+    strict = DEFAULT.overridden(trace_rank=1e-12)
+    ok = Projector(np.diag([1.0, 0, 0]))
+    skew = np.diag([0.0, 1, 0]).astype(complex)
+    skew[1, 2] = 1e-9                       # Hermiticity defect 1e-9, idempotent
+    frac = np.diag([0.0, 0, 1 + 1e-10])     # trace 1 + 1e-10, idempotency defect 2e-10
+    skew, frac = Projector(skew, tol=loose), Projector(frac, tol=loose)
+    op = HermitianOperator(np.diag([1.0, 2, 3]))
+    for projs, first, kind in (((ok, skew, frac), 0b010, "Hermitian"),
+                               ((ok, frac, skew), 0b010, "trace"),
+                               ((frac, ok, skew), 0b001, "trace")):
+        o = ODecomposition("A", op, (1.0, 2.0, 3.0), projs, tol=strict)
+        with pytest.raises(LinalgError, match=kind) as want:
+            oracle_mask_projector(o, first, strict)
+        for mask in (0, first, 0b111):
+            with pytest.raises(LinalgError) as got:
+                o.projector(mask)
+            assert str(got.value) == str(want.value)
+        assert ODecomposition("A", op, (1.0, 2.0, 3.0), projs, tol=loose).projector(0b111).rank == 3
 
 
 def test_identity_arrows_reuse_the_object():
@@ -651,6 +861,7 @@ def test_image_and_preimage_masks():
     assert f.codomain == (1.0, 4.0)
     assert f.image_mask(0b011) == 0b01 and f.image_mask(0b100) == 0b10
     assert f.preimage_mask(0b01) == 0b011 and f.preimage_mask(0b11) == 0b111
+    assert f.preimage_table == (0b000, 0b011, 0b100, 0b111)
     assert f.image(frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})
     assert f.preimage(frozenset({1.0, 9.0})) == frozenset({-1.0, 1.0})
     with pytest.raises(OcatError):
