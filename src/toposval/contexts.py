@@ -28,6 +28,20 @@ from .tolerances import DEFAULT, Tolerances
 
 MAX_ATOMS_FOR_LATTICE = 20
 
+# Rounding band of the inclusion screen.  tr(b a) is the sum over k, l of
+# b_kl a_lk; its real part is a sum of 2 d^2 real products whose moduli add
+# up to at most F = ||b||_F ||a||_F (Cauchy-Schwarz).  A sum of n rounded
+# products, in any order and with or without fused multiply-adds, is off by
+# at most about n eps/2 times that total.  So the one-dot form (2 d^2
+# products) is within d^2 eps F of the exact value, np.trace(b @ a) (2 d
+# products per diagonal entry, then a sum of d entries) within 1.5 d eps F,
+# and the two differ by less than 2.5 d^2 eps F.  The band is this constant
+# times d^2 times the largest ||p||_F^2 of a stored atom, which bounds F;
+# for projectors ||p||_F^2 = rank(p) <= d, so the band is at most 4 d^3 eps:
+# 5.7e-14 at d = 4, where the two forms differ by at most 1.3e-15 on the
+# closed Peres-24 and 18-ray posets, noisy copies included.
+_SCREEN_ROUNDING = 4 * np.finfo(float).eps
+
 
 class ContextError(ValueError):
     """Malformed context, lattice element or poset input."""
@@ -531,7 +545,7 @@ def build_poset(
     order = set()
     pmaps = {}
     for a, b, pm in store.inclusion_candidates():
-        if all(b.projector(m).equals(p, tol) for m, p in zip(pm, a.atoms)):
+        if all(_mask_projector(b, m).equals(p, tol) for m, p in zip(pm, a.atoms)):
             order.add((a.id, b.id))
             pmaps[(a.id, b.id)] = pm
     poset = ContextPoset(
@@ -543,6 +557,15 @@ def build_poset(
     return poset
 
 
+def _mask_projector(c: Context, mask: int) -> Projector:
+    """`c.projector(mask)`, or for a one-atom mask the atom itself: the
+    lattice projector would copy its entries, so an equality test gives the
+    same answer without building one."""
+    if mask and not mask & (mask - 1):
+        return c.atoms[mask.bit_length() - 1]
+    return c.projector(mask)
+
+
 class _ContextStore:
     """The contexts of one `build_poset` call, with their atoms linked and
     their lattice elements interned.
@@ -552,7 +575,9 @@ class _ContextStore:
     later-stored atoms it is not orthogonal to: max|a b| >= tol.atom, with
     the earlier atom on the left.  The bits are filled by one batched
     product when a context is added, so each link is decided once per atom
-    pair, and a meet reads its link matrix off them.  They are kept per
+    pair.  They are the only link record: a closure round reads them as one
+    bool matrix to find its connected pairs, and a meet of a disconnected
+    pair reads its link matrix off them.  They are kept per
     stored atom rather than per interned lattice element: interning is not
     transitive at `tol.atom`, so an interned representative may link where
     the atom it stands for does not.
@@ -629,6 +654,33 @@ class _ContextStore:
                 a_of[b] |= 1 << a
         return _meet_masks(b_of, a_of, self.stacks[i], self.stacks[j], self.tol)
 
+    def _connected(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Per pair of stored contexts (first[p] < second[p]), whether all
+        the first context's atoms lie in one component of the pair's link
+        graph, so that `_meet_masks` would return the single full mask.
+
+        The link bits become one bool matrix, from which a padded
+        (pairs, n_a, n_b) stack is gathered; a-atoms linked through a common
+        b-atom are adjacent, and squaring that reachability matrix about
+        log2(n_a) times joins each component.  No link is decided again."""
+        n = len(self.later)
+        width = (n + 7) // 8
+        raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in self.later),
+                            dtype=np.uint8).reshape(n, width)
+        # [g, t] is set when atom g links to the later atom t; index n pads
+        links = np.zeros((n + 1, n + 1), dtype=bool)
+        links[:n, :n] = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+        size = max(len(stack) for stack in self.stacks)
+        atoms = np.full((len(self.stacks), size), n)
+        for k, (start, stack) in enumerate(zip(self.starts, self.stacks)):
+            atoms[k, :len(stack)] = np.arange(start, start + len(stack))
+        rows, cols = atoms[first], atoms[second]
+        link = links[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
+        reach = link @ link.transpose(0, 2, 1) | np.eye(size, dtype=bool)
+        for _ in range(max(size - 2, 0).bit_length()):   # paths of up to size - 1 steps
+            reach = reach @ reach
+        return (reach[:, 0] | (rows == n)).all(axis=1)
+
     def close_under_meets(self) -> None:
         """Add pairwise algebra intersections until closure (trivial meets
         skipped).
@@ -637,21 +689,27 @@ class _ContextStore:
         order, as a plain rescan would, so each new meet keeps the id of the
         first pair that produces it.  A pair whose contexts both predate the
         previous round was met then, and its meet is present, so it is
-        skipped.
+        skipped.  So is a pair whose link graph is connected, decided for
+        the whole round at once by `_connected`: its meet is trivial.
         """
         old = 0
         while True:
             n = len(self.ctxs)
-            for i in range(n):
-                for j in range(max(i + 1, old), n):
-                    masks = self.meet(i, j)
-                    if len(masks) <= 1:
-                        continue
-                    if frozenset(self._element(i, m) for m in masks) in self.keys:
-                        continue
-                    a, b = self.ctxs[i], self.ctxs[j]
-                    atoms = [a.projector(m) for m in masks]
-                    self.add_if_new(Context(f"meet({a.id},{b.id})", atoms, tol=self.tol))
+            first, second = np.triu_indices(n, 1)
+            fresh = second >= old
+            first, second = first[fresh], second[fresh]
+            if first.size:
+                split = ~self._connected(first, second)
+                first, second = first[split], second[split]
+            for i, j in zip(first.tolist(), second.tolist()):
+                masks = self.meet(i, j)
+                if len(masks) <= 1:
+                    continue
+                if frozenset(self._element(i, m) for m in masks) in self.keys:
+                    continue
+                a, b = self.ctxs[i], self.ctxs[j]
+                atoms = [a.projector(m) for m in masks]
+                self.add_if_new(Context(f"meet({a.id},{b.id})", atoms, tol=self.tol))
             if len(self.ctxs) == n:
                 return
             old = n
@@ -660,20 +718,32 @@ class _ContextStore:
         """(a, b, partition map) for the pairs, in row order, that may
         satisfy a <= b.
 
-        tr(b_k a_i) is taken once per pair of stored atoms, as
-        `Context.member_mask` takes it (b's atom on the left), so the floats
-        are the same.  The partition map gives, per atom a_i, the mask of
-        the b_k with tr(b_k a_i) > rank(b_k) / 2.  For a <= b those ranks
-        add up to rank(a_i), so pairs failing that count are dropped; what
-        is left is for `build_poset` to confirm, atom by atom, by the
-        equality test `member_mask` makes.
+        tr(b_k a_i) is taken for all stored atoms b_k against one context's
+        atoms a_i in a single product of flattened matrices, the sum of
+        (b_k)_lm (a_i)_ml.  It is a different float from the one
+        `Context.member_mask` takes, `np.trace(b_k @ a_i)`, but by less than
+        the rounding band (see `_SCREEN_ROUNDING`); entries within that band
+        of rank(b_k) / 2 are taken again in member_mask's expression, so
+        every decision tr(b_k a_i) > rank(b_k) / 2 is made on member_mask's
+        float.  The partition map gives, per atom a_i, the mask of the b_k
+        that pass.  For a <= b those ranks add up to rank(a_i), so pairs
+        failing that count are dropped; what is left is for `build_poset`
+        to confirm, atom by atom, by the equality test `member_mask` makes.
         """
         if not self.ctxs:
             return
         every, starts = self.every, self.starts
         ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
+        half = ranks / 2
+        flat = every.reshape(len(every), -1)
+        dim = every.shape[1]
+        band = _SCREEN_ROUNDING * dim * dim * float(np.max(np.sum(np.abs(flat) ** 2, axis=1)))
         for a, sa in zip(self.ctxs, self.stacks):
-            inside = np.trace(every[None] @ sa[:, None], axis1=2, axis2=3).real > ranks / 2
+            overlap = (sa.transpose(0, 2, 1).reshape(len(sa), -1) @ flat.T).real
+            near = np.nonzero(np.abs(overlap - half) <= band)
+            if near[0].size:
+                overlap[near] = np.trace(every[near[1]] @ sa[near[0]], axis1=1, axis2=2).real
+            inside = overlap > half
             covered = np.add.reduceat(np.where(inside, ranks, 0), starts, axis=1)
             a_ranks = np.array([p.rank for p in a.atoms])
             for j in np.flatnonzero((covered == a_ranks[:, None]).all(axis=0)).tolist():

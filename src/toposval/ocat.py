@@ -323,6 +323,8 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     every eigenspace of A, and the scalars must reconstruct B."""
     if b.dim != a.dim:
         raise OcatError("dimension mismatch")
+    if len(b.spectrum) > len(a.spectrum):
+        return None  # f takes at most |spec A| values, so it cannot reach all of spec B
     mapping: dict[float, float] = {}
     for lam, e in zip(a.spectrum, a.eigenprojectors):
         c = float(np.trace(b.operator.entries @ e.entries).real) / e.rank

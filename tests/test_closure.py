@@ -1,16 +1,21 @@
 """Differential tests for meet closure and the partial-order check.
 
 `build_poset` closes under meets with the component rule on per-atom link
-bitsets, interned lattice elements and a pair worklist, takes partition
-maps from one batched trace screen, orders atoms by a lazy comparison, and
-checks the order on int-bitmask down-sets.  Kept here as oracles: the
-enumerating meet; the per-pair meet that builds its own float link matrix;
-the per-pair `_partition_map`/`member_mask`; the eager rounded-tuple atom
-key; the rescan-every-pair closure with two-way `inclusion` duplicate
-tests and all-pairs partition maps; and the triple-loop order check.
+bitsets, interned lattice elements and a pair worklist, meeting only the
+pairs that one batched reachability step finds disconnected; it takes
+partition maps from a trace screen of one product per context with a
+fallback band, orders atoms by a lazy comparison, and checks the order on
+int-bitmask down-sets.  Kept here as oracles: the enumerating meet; the
+per-pair meet that builds its own float link matrix; the per-pair
+component walk; the per-pair `_partition_map`/`member_mask`; the eager
+rounded-tuple atom key; the rescan-every-pair closure with two-way
+`inclusion` duplicate tests and all-pairs partition maps; and the
+triple-loop order check.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -467,6 +472,118 @@ def test_screen_drops_a_pair_whose_overlap_is_exactly_half_the_rank():
         assert build_poset([x, z], tol=tol).order == pairs
     assert _partition_map(x, z, DEFAULT) is None
     assert _partition_map(x, z, DEFAULT.overridden(atom=0.6)) == (0, 0)
+
+
+def _a_components(link):
+    """The per-pair component walk on a bool link matrix [a-atom, b-atom]:
+    the number of components that hold the a-atoms."""
+    free, count = set(range(len(link))), 0
+    while free:
+        grown = {min(free)}
+        while True:
+            in_b = {j for i in grown for j, x in enumerate(link[i]) if x}
+            more = grown | {i for i in range(len(link)) if any(link[i][j] for j in in_b)}
+            if more == grown:
+                break
+            grown = more
+        free -= grown
+        count += 1
+    return count
+
+
+def _float_link(sa, sb, tol):
+    return (np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom).tolist()
+
+
+def test_batched_connectivity_matches_the_per_pair_component_walk():
+    # every pair of every closed store, against the walk on a float link
+    # matrix of its own
+    split = 0
+    for name, contexts, tol in _closure_inputs():
+        store = _ContextStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        first, second = np.triu_indices(len(store.ctxs), 1)
+        got = store._connected(first, second).tolist()
+        for i, j, connected in zip(first.tolist(), second.tolist(), got):
+            want = _a_components(_float_link(store.stacks[i], store.stacks[j], tol)) == 1
+            assert connected == want, (name, i, j)
+            split += not want
+    assert split >= 1000, split
+
+
+@pytest.mark.parametrize("name,calls,closed", [("peres24", 780, 94), ("ks18", 54, 28)])
+def test_meet_runs_on_disconnected_pairs_only(monkeypatch, name, calls, closed):
+    from toposval import contexts as module
+
+    seen = []
+
+    def spy(b_of, a_of, sa, sb, tol):
+        assert _a_components(_float_link(sa, sb, tol)) > 1, name
+        seen.append(len(sa))
+        return _meet_masks(b_of, a_of, sa, sb, tol)
+
+    monkeypatch.setattr(module, "_meet_masks", spy)
+    contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
+    poset = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    assert (len(seen), len(poset.ids)) == (calls, closed)
+
+
+def _hermiticity_defect(contexts, rng, tol):
+    """Each atom plus i * 0.45 tol.herm * T for a random real symmetric T
+    with max|T| = 1: an anti-Hermitian part of max-abs size 0.9 tol.herm."""
+    out = []
+    for c in contexts:
+        atoms = []
+        for p in c.atoms:
+            t = rng.normal(size=p.entries.shape)
+            t = t + t.T
+            atoms.append(Projector(p.entries + 0.45j * tol.herm * t / np.abs(t).max(), tol=tol))
+        out.append(Context(c.id, atoms, tol=tol))
+    return out
+
+
+def test_screen_follows_the_trace_on_atoms_hermitian_only_within_tolerance():
+    # Re tr(b a) and Re tr(b^H a) differ by twice tr(K_b K_a), the product
+    # of the anti-Hermitian parts: about 1e-20 at the default herm, but
+    # about 1e-12 at herm = 1e-6, far outside the screen's rounding band.
+    # Peres overlaps are exactly 1/2, so the sign of that term decides
+    # them; the screen must decide on the trace's float.
+    tol = DEFAULT.overridden(herm=1e-6, proj_idem=1e-5, atom=1e-4)
+    rng = np.random.default_rng(41)
+    contexts = _hermiticity_defect(_peres_subset(9, 24, tol), rng, tol)
+    store = _ContextStore(tol)
+    for c in contexts:
+        store.add_if_new(c)
+    got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
+    apart = 0
+    for a in store.ctxs:
+        for b in store.ctxs:
+            masks = _overlap_masks(b, a)
+            covered = [sum(b.atoms[k].rank for k in bit_list(m)) for m in masks]
+            screened = covered == [p.rank for p in a.atoms]
+            assert got.get((a.id, b.id)) == (masks if screened else None), (a.id, b.id)
+            for bk in b.atoms:
+                for ai in a.atoms:
+                    gap = np.trace(bk.entries @ ai.entries) - np.trace(bk.entries.conj().T @ ai.entries)
+                    apart += abs(gap.real) > 1e-13
+    assert apart >= 100, apart
+    assert len(got) > len(store.ctxs)
+
+
+# SHA-256 of the closed poset of all 24 Peres bases (`_peres_subset(24,
+# 24)`, with the trivial context: 94 contexts): its ids, sorted order pairs
+# and partition maps, as JSON.
+PERES24_CLOSED = "5e48a9c89017656cdfb330b50a67bda34251219827d1ec9f0c1bd1816e78ed60"
+
+
+def test_golden_peres24_closure_digest():
+    poset = build_poset(_peres_subset(24, 24), add_trivial=True, close_under_meets=True)
+    assert len(poset.ids) == 94
+    doc = {"ids": poset.ids, "order": sorted(poset.order),
+           "partitionMaps": sorted([list(k), list(v)] for k, v in poset.partition_maps.items())}
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == PERES24_CLOSED
 
 
 def _atom_lists():

@@ -11,6 +11,7 @@ kept below as oracles, written on `pairs` and `spectrum` alone.
 """
 
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -43,6 +44,7 @@ from toposval.ocat import (
     identity_map,
     nu_psi_o,
     o_coarse_grain,
+    snap,
     state_certain,
     support_subobject_check,
 )
@@ -77,6 +79,41 @@ def test_discover_morphism_reflexive():
     a = decomp(1, 1, 5)
     f = discover_morphism(a, a)
     assert f.pairs == ((1.0, 1.0), (5.0, 5.0))
+
+
+def _discover_morphism_floats(b, a, tol=DEFAULT):
+    """`discover_morphism` with every float test made, also when B has
+    more distinct eigenvalues than A."""
+    mapping = {}
+    for lam, e in zip(a.spectrum, a.eigenprojectors):
+        c = float(np.trace(b.operator.entries @ e.entries).real) / e.rank
+        if np.max(np.abs(b.operator.entries @ e.entries - c * e.entries)) > tol.eig_match:
+            return None
+        try:
+            mapping[lam] = snap(c, b.spectrum, tol.eig_match)
+        except OcatError:
+            return None
+    recon = sum(mapping[lam] * e.entries for lam, e in zip(a.spectrum, a.eigenprojectors))
+    if np.max(np.abs(recon - b.operator.entries)) > tol.recon:
+        return None
+    if set(mapping.values()) != set(b.spectrum):
+        return None
+    return EigenvalueMap(tuple(sorted(mapping.items())))
+
+
+def test_discover_morphism_matches_the_full_float_test():
+    # every ordered pair of seeded categories, the pairs that the spectrum
+    # count refuses among them
+    rng = np.random.default_rng(31)
+    found = refused = 0
+    for _ in range(60):
+        cat, _ = random_category(rng, int(rng.integers(2, 7)))
+        for b, a in itertools.product(cat.objects.values(), repeat=2):
+            got, want = discover_morphism(b, a), _discover_morphism_floats(b, a)
+            assert (None if got is None else got.pairs) == (None if want is None else want.pairs)
+            found += got is not None
+            refused += len(b.spectrum) > len(a.spectrum)
+    assert found >= 500 and refused >= 200, (found, refused)
 
 
 def test_o_coarse_grain_injective_is_identity():
