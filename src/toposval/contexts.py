@@ -291,6 +291,7 @@ class PosetIndex:
         self._image: dict[tuple[int, int], tuple[int, ...]] = {}
         self._below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._below_image: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self._gathers: dict[str, Gather] = {}
 
     def names(self, bits: int) -> tuple[str, ...]:
         """The ids of a mask over context indices, sorted."""
@@ -392,6 +393,205 @@ class PosetIndex:
             )
         return out
 
+    # -- flat tables over cells, built on first use ------------------------
+    # A cell is a (stage, mask) pair.  The cells of stage i are
+    # cell_start[i] + mask, stages in index order and masks ascending: the
+    # numbering of `ContextPoset.lattice`.
+
+    @cached_property
+    def cell_start(self) -> np.ndarray:
+        """The first cell of each stage, then the number of cells."""
+        return np.cumsum([0] + [1 << n for n in self.n_atoms])
+
+    @cached_property
+    def cell_stage(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.cell_start))
+
+    @cached_property
+    def cell_mask(self) -> np.ndarray:
+        return np.arange(self.cell_start[-1]) - self.cell_start[self.cell_stage]
+
+    @cached_property
+    def words(self) -> int:
+        """The uint64 words of a packed mask over stage indices."""
+        return max(1, -(-len(self.ids) // 64))
+
+    @cached_property
+    def down_words(self) -> np.ndarray:
+        """The down-set of each stage, packed."""
+        return pack_ints(self.down, self.words)
+
+    @cached_property
+    def stage_bits(self) -> np.ndarray:
+        """The one-stage mask of each stage, packed."""
+        return pack_ints([1 << j for j in range(len(self.ids))], self.words)
+
+    @cached_property
+    def proper_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sub, super, rank) int arrays over the pairs of `pair_indices`
+        with sub != super, in that order; `rank` is the position of sub
+        among the stages below super, so the gather entry of (super, mask,
+        sub) is `start[cell] + rank`."""
+        out = np.array([(sub, sup, (self.down[sup] & ((1 << sub) - 1)).bit_count())
+                        for sub, sup in self.pair_indices if sub != sup], dtype=np.int64)
+        out = out.reshape(-1, 3)
+        return out[:, 0], out[:, 1], out[:, 2]
+
+    @cached_property
+    def lift_blocks(self) -> np.ndarray:
+        """Per pair of `proper_pairs`, the partition map (each sub-atom's
+        block of super-atoms), zero-padded to the widest: (pairs, atoms)."""
+        sub, sup, _ = self.proper_pairs
+        width = max(self.n_atoms, default=0)
+        out = np.zeros((len(sub), width), dtype=np.int64)
+        for k, (i, j) in enumerate(zip(sub.tolist(), sup.tolist())):
+            pmap = self._pmap(i, j)
+            out[k, :len(pmap)] = pmap
+        return out
+
+    @cached_property
+    def mask_covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) cells of every cover of every stage's lattice:
+        (i, p) and (i, p | bit) for each bit outside p, by cell and then
+        bit.  A property of masks that holds along every cover holds from
+        each mask to every mask above it."""
+        lo, hi = [], []
+        for i, n in enumerate(self.n_atoms):
+            masks = np.arange(1 << n)[:, np.newaxis]
+            bits = 1 << np.arange(n)
+            outside = (masks & bits) == 0
+            first = int(self.cell_start[i])
+            lo.append(first + np.broadcast_to(masks, outside.shape)[outside])
+            hi.append(first + (masks | bits)[outside])
+        return _concat(lo), _concat(hi)
+
+    @cached_property
+    def disjoint_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, q) cells of every pair of disjoint masks of one stage, by
+        stage, then p, then q."""
+        lo, hi = [], []
+        for i, n in enumerate(self.n_atoms):
+            masks = np.arange(1 << n)
+            p, q = np.nonzero((masks[:, np.newaxis] & masks) == 0)
+            first = int(self.cell_start[i])
+            lo.append(first + p)
+            hi.append(first + q)
+        return _concat(lo), _concat(hi)
+
+    def gather(self, route: str) -> "Gather":
+        """The flat gather table of a route, "below" (coarse-graining) or
+        "below_image" (restriction), built on first request."""
+        out = self._gathers.get(route)
+        if out is None:
+            below = {"below": self.below, "below_image": self.below_image}[route]
+            out = self._gathers[route] = Gather.build(self, below)
+        return out
+
+    @cached_property
+    def coarse_squares(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+        """Coarse-graining of mask pairs, flat.  The squares of the stages,
+        2^n x 2^n entries each (left mask major), are laid end to end.  Per
+        proper comparable pair (sub, sup), in `pair_indices` order, its
+        entries are sup's square, (x, y) ascending, and `target` holds the
+        offset of (cg x, cg y) in sub's square.  Returns the pairs, `first`
+        (each pair's first entry, then the count) and `target`."""
+        square_start = np.cumsum([0] + [1 << 2 * n for n in self.n_atoms]).tolist()
+        proper = tuple((sub, sup) for sub, sup in self.pair_indices if sub != sup)
+        first = np.cumsum([0] + [1 << 2 * self.n_atoms[sup] for _, sup in proper])
+        target = np.empty(first[-1], dtype=np.int32)
+        for k, (sub, sup) in enumerate(proper):
+            table = np.array(self.coarse(sub, sup), dtype=np.int32)
+            target[first[k]:first[k + 1]] = ((table << self.n_atoms[sub])[:, np.newaxis]
+                                             + table).ravel() + square_start[sub]
+        return proper, first, target
+
+
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """One route's flat gather table over a `PosetIndex`: one entry per
+    (stage i, mask of i, stage j below i), ordered by i, then mask, then j.
+    `cell[e]` is the cell of (i, mask), `stage[e]` is j, `image[e]` the
+    image of the mask at j and `target[e]` the cell of (j, image); the
+    entries of cell c are `start[c]` to `start[c + 1]`, and `pair[e]` is
+    the rank of (j, i) in `pair_indices`.  Closed Peres-24 has 5,738
+    entries over 806 cells.
+
+    A per-cell decision vector d gathers to a member matrix, j a member of
+    (i, mask) exactly when d[target[e]]: `rows(d[target], stage_bits)`."""
+
+    cell: np.ndarray
+    stage: np.ndarray
+    image: np.ndarray
+    target: np.ndarray
+    start: np.ndarray
+    pair: np.ndarray
+
+    @classmethod
+    def build(cls, index: PosetIndex, below) -> "Gather":
+        rank = {pair: k for k, pair in enumerate(index.pair_indices)}
+        first = index.cell_start
+        cell, stage, image, pair = [], [], [], []
+        for i, n in enumerate(index.n_atoms):
+            rows = below(i)
+            if not rows:
+                continue
+            subs = [j for j, _ in rows]
+            size = 1 << n
+            image.append(np.array([table for _, table in rows]).T.ravel())
+            stage.append(np.tile(subs, size))
+            cell.append(np.repeat(np.arange(first[i], first[i] + size), len(subs)))
+            pair.append(np.tile([rank[(j, i)] for j in subs], size))
+        stage_arr, image_arr = _concat(stage), _concat(image)
+        per_cell = np.repeat([d.bit_count() for d in index.down], np.diff(first))
+        return cls(cell=_concat(cell), stage=stage_arr, image=image_arr,
+                   target=(first[stage_arr] + image_arr).astype(np.int32),
+                   start=np.concatenate([[0], np.cumsum(per_cell)]).astype(np.int32),
+                   pair=_concat(pair))
+
+    def rows(self, member: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Per cell, the OR of `table[stage[e]]` (packed rows over stages)
+        over the cell's entries e where `member[e]`, as (cells, words)."""
+        cells = len(self.start) - 1
+        if not len(self.cell):
+            return np.zeros((cells, table.shape[1]), dtype=table.dtype)
+        picked = np.take(table, self.stage, axis=0)
+        picked[~member] = 0
+        out = np.bitwise_or.reduceat(picked, np.minimum(self.start[:-1], len(self.cell) - 1))
+        out[self.start[:-1] == self.start[1:]] = 0   # a cell without entries
+        return out
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """Index arrays end to end, as int32 (tables stay small in memory)."""
+    return np.concatenate(parts).astype(np.int32) if parts else np.zeros(0, dtype=np.int32)
+
+
+_WORD = (1 << 64) - 1
+
+
+def pack_ints(masks: list[int], words: int) -> np.ndarray:
+    """Int bitmasks as (len(masks), words) uint64 rows: bit j of a mask is
+    bit j % 64 of word j // 64."""
+    return np.array([[m >> 64 * k & _WORD for k in range(words)] for m in masks],
+                    dtype=np.uint64).reshape(len(masks), words)
+
+
+def nonzero_rows(packed: np.ndarray) -> np.ndarray:
+    """Per row of packed words, whether any bit is set: one pass per word
+    (numpy reduces slowly along a short last axis)."""
+    out = packed[:, 0] != 0
+    for k in range(1, packed.shape[1]):
+        out |= packed[:, k] != 0
+    return out
+
+
+def row_ints(packed: np.ndarray) -> list[int]:
+    """Each row of `pack_ints` words as its int bitmask."""
+    out = packed[:, 0].tolist()
+    for k in range(1, packed.shape[1]):
+        out = [low | high << 64 * k for low, high in zip(out, packed[:, k].tolist())]
+    return out
+
 
 def _union_table(masks: list[int]) -> tuple[int, ...]:
     """Entry `m` is the union of masks[k] over the bits k of m."""
@@ -470,10 +670,6 @@ class ContextPoset:
         """Ids of all contexts <= cid (cid included), sorted."""
         index = self.index
         return list(index.names(index.down_of.get(cid, 0)))
-
-    def up_set(self, cid: str) -> list[str]:
-        index = self.index
-        return list(index.names(index.up_of.get(cid, 0)))
 
     def maximal_ids(self) -> list[str]:
         index = self.index

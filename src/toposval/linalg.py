@@ -148,11 +148,6 @@ class Projector:
         """Subspace containment self <= other, decided as other*self == self."""
         return bool(containment_table(other.entries[np.newaxis], self.entries[np.newaxis], tol)[0, 0])
 
-    def leq_each(self, stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-        """Subspace containment self <= Q for each projector matrix Q of a
-        stack: one column of `containment_table`."""
-        return containment_table(stack, self.entries[np.newaxis], tol)[:, 0]
-
     def orthogonal_to(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         return bool(np.max(np.abs(self.entries @ other.entries)) < tol.atom)
 
@@ -306,3 +301,9 @@ def certain_each(rho: DensityMatrix, stack: np.ndarray, tol: Tolerances = DEFAUL
     stack: the containment of rho's support projector in Q, one column of
     `containment_table`."""
     return containment_table(stack, rho.support_projector.entries[np.newaxis], tol)[:, 0]
+
+
+def probability_each(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
+    """The Born probability tr(rho Q) of each projector matrix Q of a
+    stack, in one batched product."""
+    return np.trace(rho.entries[np.newaxis] @ stack, axis1=1, axis2=2).real

@@ -178,10 +178,6 @@ class ODecomposition:
         """The entries of every mask's spectral projector, stacked by mask."""
         return self._mask_stack[0]
 
-    def projector_for(self, subset: frozenset[float]) -> Projector:
-        """The spectral projector of a subset of the spectrum."""
-        return self.projector(self.mask_of(subset))
-
     def check_subset(self, subset) -> frozenset[float]:
         out = frozenset(float(x) for x in subset)
         for x in out:
@@ -277,10 +273,6 @@ class EigenvalueMap:
 
     def _values_of(self, mask: int) -> frozenset[float]:
         return frozenset(self.codomain[j] for j in bit_list(mask))
-
-
-def identity_map(a: ODecomposition) -> EigenvalueMap:
-    return EigenvalueMap.from_dict({lam: lam for lam in a.spectrum})
 
 
 def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODecomposition:

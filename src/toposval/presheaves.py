@@ -16,6 +16,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list, v_of_p
 
 
@@ -50,12 +52,6 @@ def make_sieve(poset: ContextPoset, apex: str, members) -> Sieve:
                     f"not downward closed: {below!r} <= {m!r} but missing"
                 )
     return Sieve(apex, members, poset.version)
-
-
-def is_downward_closed(poset: ContextPoset, apex: str, members: frozenset[str]) -> bool:
-    return all(poset.leq(m, apex) for m in members) and all(
-        below in members for m in members for below in poset.down_set(m)
-    )
 
 
 def true_sieve(poset: ContextPoset, apex: str) -> Sieve:
@@ -162,7 +158,7 @@ class GlobalElementG:
             if not 0 <= mask <= poset.context(cid).full_mask:
                 raise ContextError(f"mask {mask} out of range at {cid!r}")
         index = poset.index
-        ok = _first_failing_pair(index, [assignment[cid] for cid in index.ids], index.coarse) is None
+        ok = _first_failing_pair(index, [assignment[cid] for cid in index.ids], "below") is None
         if enforce and not ok:
             raise ContextError("assignment violates the coarse-graining matching law")
         object.__setattr__(self, "poset", poset)
@@ -173,21 +169,29 @@ class GlobalElementG:
         return LatticeElement(cid, self.assignment[cid])
 
 
-def _first_failing_pair(index: PosetIndex, masks: list[int], table: Callable[[int, int], tuple],
-                        holds: Callable[[int, int], bool] = operator.eq) -> tuple[int, int, int] | None:
-    """The pair law of a per-stage mask assignment, in one scan: the first
-    proper pair (sub, sup) of `index.pair_indices` at which
-    `holds(masks[sub], mapped)` fails, with `mapped` the mask of `sup`
-    carried to `sub` by `table(sub, sup)`; returned as (sub, sup, mapped),
-    or None when the law holds on every pair.  Over `index.coarse` with
-    equality this is the matching law of a global element; over
-    `index.image`, the subobject law and tightness."""
-    for sub, sup in index.pair_indices:
-        if sub != sup:
-            mapped = table(sub, sup)[masks[sup]]
-            if not holds(masks[sub], mapped):
-                return sub, sup, mapped
-    return None
+def _first_failing_pair(index: PosetIndex, masks, route: str,
+                        holds: Callable[[np.ndarray, np.ndarray], np.ndarray] = operator.eq
+                        ) -> tuple[int, int, int] | None:
+    """The pair law of a per-stage mask assignment, in one reduction: the
+    first proper pair (sub, sup) of `index.pair_indices` at which
+    `holds(masks[sub], mapped)` fails (both int arrays over the pairs),
+    with `mapped` the mask of `sup` carried to `sub` along `route`, read
+    off the route's gather at the cell (sup, masks[sup]); returned as
+    (sub, sup, mapped), or None when the law holds on every pair.  Along
+    "below" (coarse-graining) with equality this is the matching law of a
+    global element; along "below_image" (restriction), the subobject law
+    and tightness."""
+    sub, sup, rank = index.proper_pairs
+    if not len(sub):
+        return None
+    g = index.gather(route)
+    m = np.array(masks, dtype=np.int64)
+    mapped = g.image[g.start[index.cell_start[sup] + m[sup]] + rank]
+    failing = np.flatnonzero(~holds(m[sub], mapped))
+    if not len(failing):
+        return None
+    k = failing[0]
+    return int(sub[k]), int(sup[k]), int(mapped[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +219,9 @@ class SubobjectSigma:
                 raise ContextError(f"atom index out of range at {cid!r}")
         index = poset.index
         masks = [index_mask(assignment[cid]) for cid in index.ids]
-        tight = _first_failing_pair(index, masks, index.image) is None
-        law = tight or _first_failing_pair(index, masks, index.image,
-                                           lambda own, image: not image & ~own) is None
+        tight = _first_failing_pair(index, masks, "below_image") is None
+        law = tight or _first_failing_pair(index, masks, "below_image",
+                                           lambda own, image: (image & ~own) == 0) is None
         if enforce and not law:
             raise ContextError("assignment violates the subobject law")
         object.__setattr__(self, "poset", poset)

@@ -10,15 +10,23 @@ characterizations and sufficient conditions that explain the outcome.
 
 Three forms are covered: lattice elements against a projector relation,
 character sets against a set relation, and eigenvalue sets over a finite
-operator category.  All three build a `MorphismSetValuation` over a
-`PosetIndex` (the operator category's arrows form one too), so they share
-one set of law checkers; the lattice form adds its characterizations and
-sufficient conditions on R.
+operator category.  Each decides R once per cell (stage, mask) and gathers
+the valuation from that decision vector (`MorphismSetValuation._gathered`)
+over a `PosetIndex` (the operator category's arrows form one too), so the
+three share one set of law checkers.  The lattice form tabulates R once per
+survey, one (2^n, 2^n) bool table per context (`Relation.table`), and adds
+its characterizations and sufficient conditions on R, each one reduction
+over those tables: the cells where R relates a's element, gathered along
+the coarse-graining route or the lattice covers, and the coarse-graining
+of mask pairs (`PosetIndex.coarse_squares`).  A reduction that finds a
+failure along covers re-runs the scan on the one failing stage or pair,
+so each witness is the scan's first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +34,14 @@ import numpy as np
 from .contexts import ContextError, ContextPoset, PosetIndex, bit_list
 from .ocat import OperatorCategory
 from .presheaves import GlobalElementG, SubobjectSigma
-from .valuations import MorphismSetValuation, _clause_statuses, _unit_witness, stage_rule
+from .valuations import (
+    MorphismSetValuation,
+    _clause_statuses,
+    _first,
+    _unit_witness,
+    first_superset_failure,
+    unclosed_cells,
+)
 
 HOLDS = "holds-exhaustively"
 FAILS = "witness-of-failure"
@@ -37,11 +52,26 @@ class Relation:
     """A binary relation on a context's lattice, given as masks.
 
     `test(context_id, left_mask, right_mask)`; deterministic and total on
-    every lattice of the poset it is used with.
+    every lattice of the poset it is used with.  `grid(context_id, n)`, when
+    given, is the same relation on a whole n-atom lattice at once, as the
+    (2^n, 2^n) bool array of `table`.
     """
 
     name: str
     test: Callable[[str, int, int], bool]
+    grid: Callable[[str, int], np.ndarray] | None = field(default=None, compare=False)
+
+    def table(self, cid: str, n: int) -> np.ndarray:
+        """R on the lattice of an n-atom context: entry [l, r] is
+        test(cid, l, r)."""
+        size = 1 << n
+        if self.grid is not None:
+            out = np.asarray(self.grid(cid, n), dtype=bool)
+            if out.shape != (size, size):
+                raise ContextError(f"relation {self.name!r} has no {size} x {size} table at {cid!r}")
+            return out
+        return np.array([bool(self.test(cid, l, r)) for l in range(size) for r in range(size)],
+                        dtype=bool).reshape(size, size)
 
 
 def _le(cid, l, r):
@@ -60,28 +90,40 @@ def _nonzero_product(cid, l, r):
     return l & r != 0
 
 
+def _grid(test):
+    """`test` on every (left, right) mask pair of an n-atom lattice, with
+    numpy's integer operators; the relation ignores the context, so each
+    lattice size is tabulated once, read-only."""
+    @functools.lru_cache(maxsize=None)
+    def on(n: int) -> np.ndarray:
+        masks = np.arange(1 << n)
+        out = np.array(np.broadcast_to(test(None, masks[:, np.newaxis], masks), (1 << n, 1 << n)))
+        out.flags.writeable = False
+        return out
+    return lambda cid, n: on(n)
+
+
 BUILTIN_RELATIONS = {
-    "le": Relation("le", _le),
-    "ge": Relation("ge", _ge),
-    "eq": Relation("eq", _eq),
-    "nonzero-product": Relation("nonzero-product", _nonzero_product),
-    "always-true": Relation("always-true", lambda cid, l, r: True),
-    "always-false": Relation("always-false", lambda cid, l, r: False),
+    name: Relation(name, test, _grid(test)) for name, test in (
+        ("le", _le),
+        ("ge", _ge),
+        ("eq", _eq),
+        ("nonzero-product", _nonzero_product),
+        ("always-true", lambda cid, l, r: True),
+        ("always-false", lambda cid, l, r: False),
+    )
 }
 
 
 def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "random") -> Relation:
-    """A seeded boolean table over (context, left mask, right mask), so
+    """A seeded boolean table per context, (left mask, right mask), so
     replays are exact."""
-    table: dict[tuple[str, int, int], bool] = {}
+    tables: dict[str, np.ndarray] = {}
     for cid in poset.ids:
         n = poset.context(cid).n_atoms
         # one draw per context, consumed in (l, r) order like scalar draws
-        draws = iter(rng.random(1 << 2 * n).tolist())
-        for l in range(1 << n):
-            for r in range(1 << n):
-                table[(cid, l, r)] = next(draws) < 0.5
-    return Relation(name, lambda cid, l, r: table[(cid, l, r)])
+        tables[cid] = rng.random(1 << 2 * n).reshape(1 << n, 1 << n) < 0.5
+    return Relation(name, lambda cid, l, r: bool(tables[cid][l, r]), lambda cid, n: tables[cid])
 
 
 @dataclass(frozen=True)
@@ -102,38 +144,25 @@ BUILTIN_SET_RELATIONS = {
 }
 
 
-class _RelationRows:
-    """`rel.test` over one poset, asked once per (context, left mask): the
-    row of a left mask is the bitmask of the right masks it relates to."""
+def _relation_tables(index: PosetIndex, rel: Relation) -> list[np.ndarray]:
+    """R tabulated once over every context's lattice, in index order."""
+    return [rel.table(cid, n) for cid, n in zip(index.ids, index.n_atoms)]
 
-    def __init__(self, poset: ContextPoset, rel: Relation):
-        self._test = rel.test
-        self._index = poset.index
-        self._rows: dict[tuple[int, int], int] = {}
 
-    def row(self, i: int, left: int) -> int:
-        out = self._rows.get((i, left))
-        if out is None:
-            cid = self._index.ids[i]
-            out = 0
-            for right in range(1 << self._index.n_atoms[i]):
-                if self._test(cid, left, right):
-                    out |= 1 << right
-            self._rows[(i, left)] = out
-        return out
+def _related(index: PosetIndex, tables: list[np.ndarray], a: GlobalElementG) -> np.ndarray:
+    """Per cell (stage j, mask m): whether R relates a's element at j to m."""
+    if not tables:
+        return np.zeros(0, dtype=bool)
+    return np.concatenate([t[a.assignment[cid]] for t, cid in zip(tables, index.ids)])
 
 
 def _schema_valuation(a: GlobalElementG, rel: Relation,
-                      rows: _RelationRows | None = None) -> MorphismSetValuation:
-    if rows is None:
-        rows = _RelationRows(a.poset, rel)
+                      related: np.ndarray | None = None) -> MorphismSetValuation:
+    """The valuation gathered from R's row at a, along coarse-graining."""
     index = a.poset.index
-
-    def decide(j: int, m: int) -> bool:
-        return bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)
-
-    return MorphismSetValuation._from_bits(a.poset, stage_rule(index, index.below, decide),
-                                           name=f"alpha^(a,{rel.name})")
+    if related is None:
+        related = _related(index, _relation_tables(index, rel), a)
+    return MorphismSetValuation._gathered(a.poset, related, "below", name=f"alpha^(a,{rel.name})")
 
 
 def alpha_a_R(a: GlobalElementG, rel: Relation) -> MorphismSetValuation:
@@ -184,104 +213,117 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     """
     poset = a.poset
     index = poset.index
-    rows = _RelationRows(poset, rel)
-    alpha = _schema_valuation(a, rel, rows)
-    # left[i]: the right masks R relates a's element at context i to
-    left = [rows.row(i, a.assignment[cid]) for i, cid in enumerate(index.ids)]
+    tables = _relation_tables(index, rel)
+    # related[c]: R relates a's element at the cell's stage to the cell's mask
+    related = _related(index, tables, a)
+    alpha = _schema_valuation(a, rel, related)
     report: dict = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
                     **_law_statuses(alpha, unit=_unit_witness_with_stage)}
     holds = {name: v["status"] == HOLDS for name, v in report["properties"].items()}
     analyses = report["analyses"] = {}
 
     # (i) characterization: R stable under coarse-graining, computed on R alone
-    stable, w = _stable_under_coarse_graining(index, left)
+    stable, w = _stable_under_coarse_graining(index, related)
     analyses["stability_under_coarse_graining"] = _status(stable, w)
     analyses["sievehood_paths_agree"] = holds["sievehood"] == stable
 
     # (i) sufficient condition: coarse-graining preserves R on both arguments
-    pres, w = _preserved_by_coarse_graining(index, rows)
+    pres, w = _preserved_by_coarse_graining(index, tables)
     analyses["coarse_graining_preserves_relation"] = _status(pres, w)
 
-    # (iii) null proposition, characterized
-    char_ok = True
-    char_w = None
-    for sub, sup in index.pair_indices:
-        if left[sub] & 1:
-            char_ok, char_w = False, {"v1": index.ids[sup], "v2": index.ids[sub]}
-            break
+    # (iii) null proposition, characterized: R relates no sub-stage's
+    # element to its null proposition
+    k = _first(related[index.cell_start[[sub for sub, _ in index.pair_indices]]])
+    char_ok = k is None
+    char_w = None if char_ok else {"v1": index.ids[index.pair_indices[k][1]],
+                                   "v2": index.ids[index.pair_indices[k][0]]}
     analyses["null_characterization"] = _status(char_ok, char_w)
     analyses["null_paths_agree"] = holds["null"] == char_ok
 
     # (iv) monotonicity, characterized, and the sufficient condition
-    iso, w = _isotone_under_coarse_graining(index, left)
+    iso, w = _isotone_under_coarse_graining(index, related)
     analyses["isotone_under_coarse_graining"] = _status(iso, w)
     analyses["monotonicity_paths_agree"] = holds["monotonicity"] == iso
-    stab, w = _stable_under_enlargement(index, left)
+    stab, w = _stable_under_enlargement(index, related)
     analyses["stable_under_enlargement"] = _status(stab, w)
     return report
 
 
-def _stable_under_coarse_graining(index: PosetIndex, left: list[int]):
-    for sup, cid in enumerate(index.ids):
-        below = index.below(sup)
-        for mask in range(1 << index.n_atoms[sup]):
-            related = 0   # the stages below sup where R holds at the coarse-grained mask
-            for sub, table in below:
-                if left[sub] >> table[mask] & 1:
-                    related |= 1 << sub
-            for mid in bit_list(related):
-                missing = index.down[mid] & ~related
-                if missing:
-                    sub = (missing & -missing).bit_length() - 1
-                    return False, {"v1": cid, "v2": index.ids[mid], "v3": index.ids[sub],
-                                   "mask": mask}
-    return True, None
+def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
+    """The stages below each cell where R holds at the coarse-grained mask
+    must form a sieve.  Decided on R's cells gathered along coarse-graining;
+    the witness is the first such stage whose down-set leaves them."""
+    g = index.gather("below")
+    c = _first(unclosed_cells(index, related[g.target]))
+    if c is None:
+        return True, None
+    row = 0
+    for e in range(g.start[c], g.start[c + 1]):
+        if related[g.target[e]]:
+            row |= 1 << int(g.stage[e])
+    mid = next(j for j in bit_list(row) if index.down[j] & ~row)
+    missing = index.down[mid] & ~row
+    sub = (missing & -missing).bit_length() - 1
+    return False, {"v1": index.ids[int(index.cell_stage[c])], "v2": index.ids[mid],
+                   "v3": index.ids[sub], "mask": int(index.cell_mask[c])}
 
 
-def _preserved_by_coarse_graining(index: PosetIndex, rows: _RelationRows):
-    for sub, sup in index.pair_indices:
-        if sub == sup:
-            continue
-        table = index.coarse(sub, sup)
-        for x in range(len(table)):
-            related = rows.row(sup, x)
-            if not related:
-                continue
-            at_sub = rows.row(sub, table[x])
-            for y in bit_list(related):
-                if not at_sub >> table[y] & 1:
-                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "x": x, "y": y}
-    return True, None
+def _preserved_by_coarse_graining(index: PosetIndex, tables: list[np.ndarray]):
+    """R(x, y) at a stage gives R(cg x, cg y) at every proper sub-stage: one
+    gather over every (pair, x, y); the first failure in that order."""
+    pairs, first, target = index.coarse_squares
+    if not pairs:
+        return True, None
+    flat = [t.ravel() for t in tables]
+    source = np.concatenate([flat[sup] for _, sup in pairs])
+    e = _first(source & ~np.concatenate(flat)[target])
+    if e is None:
+        return True, None
+    k = int(np.searchsorted(first, e, side="right")) - 1
+    sub, sup = pairs[k]
+    x, y = divmod(e - int(first[k]), 1 << index.n_atoms[sup])
+    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "x": x, "y": y}
 
 
-def _isotone_under_coarse_graining(index: PosetIndex, left: list[int]):
-    for sub, sup in index.pair_indices:
-        table = index.coarse(sub, sup)
-        related = left[sub]
-        for p in range(len(table)):
-            if not related >> table[p] & 1:
-                continue
-            q = p
-            while q < len(table):   # the masks above p, ascending
-                if not related >> table[q] & 1:
-                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
-                q = (q + 1) | p
-    return True, None
+def _isotone_under_coarse_graining(index: PosetIndex, related: np.ndarray):
+    """Along each comparable pair (sub, sup), R at sub must be monotone in
+    the coarse-graining of sup's masks.  Decided along sup's covers, each
+    carried to sub through the gather's entries; the first failing pair in
+    `pair_indices` order is scanned for its witness."""
+    g = index.gather("below")
+    lo, hi = index.mask_covers
+    per_cell = np.diff(g.start)[lo]
+    offset = np.arange(per_cell.sum()) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    lo_e = np.repeat(g.start[lo], per_cell) + offset
+    hi_e = np.repeat(g.start[hi], per_cell) + offset
+    bad = related[g.target[lo_e]] & ~related[g.target[hi_e]]
+    if not bad.any():
+        return True, None
+    sub, sup = index.pair_indices[int(g.pair[lo_e[bad]].min())]
+    at_sub = related[index.cell_start[sub] + np.array(index.coarse(sub, sup))].tolist()
+    p, q = first_superset_failure(len(at_sub), lambda p, q: at_sub[p] and not at_sub[q])
+    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
 
 
-def _stable_under_enlargement(index: PosetIndex, left: list[int]):
-    for i, cid in enumerate(index.ids):
-        related = left[i]
-        size = 1 << index.n_atoms[i]
-        for s in range(size):
-            if not related >> s & 1:
-                continue
-            t = s
-            while t < size:   # the masks above s, ascending
-                if not related >> t & 1:
-                    return False, {"v1": cid, "s": s, "t": t}
-                t = (t + 1) | s
-    return True, None
+def _stable_under_enlargement(index: PosetIndex, related: np.ndarray):
+    """R at a's element must be monotone in the right mask at every stage:
+    decided along the covers, the first failing stage scanned for its
+    witness."""
+    lo, hi = index.mask_covers
+    e = _first(related[lo] & ~related[hi])
+    if e is None:
+        return True, None
+    i = int(index.cell_stage[lo[e]])
+    first = int(index.cell_start[i])
+    at_stage = related[first:first + (1 << index.n_atoms[i])].tolist()
+    s, t = first_superset_failure(len(at_stage), lambda s, t: at_stage[s] and not at_stage[t])
+    return False, {"v1": index.ids[i], "s": s, "t": t}
+
+
+def _decided(index: PosetIndex, decide: Callable[[int, int], bool]) -> np.ndarray:
+    """`decide(stage, mask)` once per cell, in cell order."""
+    return np.array([bool(decide(i, m)) for i, n in enumerate(index.n_atoms) for m in range(1 << n)],
+                    dtype=bool)
 
 
 def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
@@ -294,10 +336,10 @@ def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
     ids = index.ids
 
     def decide(j: int, m: int) -> bool:
-        return bool(rel.test(ids[j], a.assignment[ids[j]], frozenset(bit_list(m))))
+        return rel.test(ids[j], a.assignment[ids[j]], frozenset(bit_list(m)))
 
-    alpha = MorphismSetValuation._from_bits(poset, stage_rule(index, index.below_image, decide),
-                                            name=f"alpha^(a,{rel.name})_sigma")
+    alpha = MorphismSetValuation._gathered(poset, _decided(index, decide), "below_image",
+                                           name=f"alpha^(a,{rel.name})_sigma")
     regularity = {
         "nonempty_everywhere": all(a.assignment[cid] for cid in ids),
         "subobject_law": a.satisfies_law,
@@ -331,8 +373,8 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
     ids = index.ids
 
     def decide(j: int, m: int) -> bool:
-        return bool(rel.test(ids[j], a[ids[j]], category.objects[ids[j]].subset(m)))
+        return rel.test(ids[j], a[ids[j]], category.objects[ids[j]].subset(m))
 
-    alpha = MorphismSetValuation._from_bits(category, stage_rule(index, index.below, decide),
-                                            name=f"alpha^(a,{rel_name})_o")
+    alpha = MorphismSetValuation._gathered(category, _decided(index, decide), "below",
+                                           name=f"alpha^(a,{rel_name})_o")
     return {"relation": rel_name, "regularity": regularity, **_law_statuses(alpha)}

@@ -9,28 +9,56 @@ defining clauses of a generalized valuation, the support/interval
 compatibility laws, and the two mutual-determination theorems relating
 sieve-valued valuations to interval valuations.
 
-The theorem layer has one scan per law.  `_condition_i` decides condition
-(i) and `_characterization` the characterization, each over every row of
-the valuation, for supports or intervals and through coarse-graining or
-restriction tables.  The pair laws on supports and intervals (matching,
-the subobject law, tightness) are `presheaves._first_failing_pair`, the
-scan that also sets the flags of `GlobalElementG` and `SubobjectSigma`.
+A valuation is one member matrix: a row per cell (context, mask), a bit
+per context, packed into uint64 words.  A state, a projector or character
+assignment, or a relation decides each cell once, as one bool vector over
+the cells (for a state, one batched Born decision over the poset's stacked
+lattice projectors), and the matrix is one gather of that vector through
+`PosetIndex.gather`: stage j enters (i, mask) when the cell of j and the
+mask's image at j was decided true, images by coarse-graining ("below")
+or by restriction ("below_image").
+
+Each law is one array reduction over the matrix, or over the per-entry
+member bits of a gather, and its witness is the first failing entry in
+the order of the scan that defined it: cells by context and mask for
+sievehood, null, unit, the characterization and equality; comparable
+pairs, then masks, for functional composition; context, mask, then
+subcontext for condition (i).  Monotonicity is decided along the covers
+of each lattice, and only a failing stage is scanned again for its
+(p, q).  The pair laws on supports and intervals (matching, the subobject
+law, tightness) are `presheaves._first_failing_pair`, which also sets the
+flags of `GlobalElementG` and `SubobjectSigma`.  Law results are kept on
+the valuation, so the clause report, both theorems and both
+reconstructions share them.
+
 The routes stay independent: condition (i) is read off the valuation's
-rows, never off the rebuilt valuation, so `iff_consistent` compares two
-verdicts; `routes_agree` compares a scan over restriction tables with one
-over coarse-graining tables; and `check_subobject_condition` lifts
-supports through the partition maps.
+own matrix, never off the rebuilt valuation, so `iff_consistent` compares
+two verdicts; `routes_agree` compares a reduction over the restriction
+gather with one over the coarse-graining gather; and
+`check_subobject_condition` lifts supports through the partition maps.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list
-from .linalg import DensityMatrix, certain_each
+from .contexts import (
+    Character,
+    ContextError,
+    ContextPoset,
+    LatticeElement,
+    PosetIndex,
+    bit_list,
+    nonzero_rows,
+    pack_ints,
+    row_ints,
+)
+from .linalg import DensityMatrix, certain_each, probability_each
 from .presheaves import GlobalElementG, Sieve, SubobjectSigma, _first_failing_pair, index_mask, make_sieve
 from .sampling import random_density, random_poset
 from .tolerances import DEFAULT, Tolerances
@@ -49,16 +77,22 @@ class ValuationParams:
 
 
 class MorphismSetValuation:
-    """Assignment (context, mask) -> set of subcontext ids, memoized.
+    """Assignment (context, mask) -> set of subcontext ids.
 
     Member sets are only required to lie below the queried context; the
     sieve-valued subclass additionally guarantees downward closure.
 
-    Internally a member set is an int bitmask over the context indices of
-    `poset.index`, each (context, mask) cell is computed once, and truth
-    sets, supports and intervals are memoised per valuation.  `rule` gives
-    member ids; the valuations built in this package give bitmasks directly
-    (`_from_bits`).
+    A member set is an int bitmask over the context indices of
+    `poset.index`, and the member sets of every cell (context, mask) form
+    one member matrix, kept as packed uint64 rows (`PosetIndex.words` per
+    cell) and as one int per cell.  The valuations built in this package
+    are gathered (`_gathered`): one decision per cell, and the matrix is
+    one gather of that vector through a `PosetIndex.gather` table.  A
+    rule-backed valuation (`rule` gives member ids, `_from_bits` a
+    bitmask) answers one cell at a time from its rule, each cell computed
+    once, and fills the matrix from the rule when a law first scans it.
+    Truth sets, supports, intervals and law results are kept per
+    valuation.
     """
 
     def __init__(self, poset: ContextPoset, rule: Callable[[str, int], frozenset[str]],
@@ -88,16 +122,41 @@ class MorphismSetValuation:
         alpha._setup(poset, bits_rule, name)
         return alpha
 
-    def _setup(self, poset: ContextPoset, bits_rule: Callable[[int, int], int], name: str) -> None:
+    @classmethod
+    def _gathered(cls, poset: ContextPoset, decided: np.ndarray, route: str,
+                  name: str) -> "MorphismSetValuation":
+        """The valuation in which stage j enters (stage i, mask) exactly when
+        `decided` holds at the cell of j and the mask's image there, images
+        along `route`: "below" coarse-grains, "below_image" restricts."""
+        alpha = cls.__new__(cls)
+        alpha._setup(poset, None, name)
+        index = alpha._index
+        g = index.gather(route)
+        alpha._keep(g.rows(decided[g.target], index.stage_bits))
+        return alpha
+
+    def _setup(self, poset: ContextPoset, bits_rule: Callable[[int, int], int] | None, name: str) -> None:
         self.poset = poset
         self.name = name
         self._index = poset.index
         self._bits_rule = bits_rule
-        n = len(self._index.ids)
-        self._rows: list[list[int | None] | None] = [None] * n
-        self._complete = [False] * n
-        self._truths: list[tuple[int, ...] | None] = [None] * n
-        self._supports: list[int | None] = [None] * n
+        self._rows: list[list[int | None] | None] = [None] * len(self._index.ids)
+        self._member: tuple[np.ndarray, list[int]] | None = None
+        self._laws: dict = {}
+
+    def _keep(self, words: np.ndarray, ints: list[int] | None = None) -> None:
+        self._first = self._index.cell_start.tolist()
+        self._member = (words, row_ints(words) if ints is None else ints)
+
+    @property
+    def _matrix(self) -> tuple[np.ndarray, list[int]]:
+        """(packed words, int per cell) of the member matrix; a rule-backed
+        valuation fills it from its rule on first use."""
+        if self._member is None:
+            index = self._index
+            ints = [self._bits(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
+            self._keep(pack_ints(ints, index.words), ints)
+        return self._member
 
     def _position(self, cid: str) -> int:
         i = self._index.pos.get(cid)
@@ -106,7 +165,10 @@ class MorphismSetValuation:
         return i
 
     def _bits(self, i: int, mask: int) -> int:
-        """Member bitmask of (context index, mask), computed once."""
+        """Member bitmask of (context index, mask): read off the matrix, or
+        asked of the rule once."""
+        if self._member is not None:
+            return self._member[1][self._first[i] + mask]
         row = self._rows[i]
         if row is None:
             row = self._rows[i] = [None] * (1 << self._index.n_atoms[i])
@@ -115,37 +177,19 @@ class MorphismSetValuation:
             bits = row[mask] = self._bits_rule(i, mask)
         return bits
 
-    def _row(self, i: int) -> list[int]:
-        """Member bitmasks of every mask of context index i, in mask order."""
-        if not self._complete[i]:
-            for mask in range(1 << self._index.n_atoms[i]):
-                self._bits(i, mask)
-            self._complete[i] = True
-        return self._rows[i]
-
     def _truth(self, i: int) -> tuple[int, ...]:
         """The masks of context index i sent to the principal sieve, ascending."""
-        t = self._truths[i]
-        if t is None:
-            top = self._index.down[i]
-            t = self._truths[i] = tuple(m for m, bits in enumerate(self._row(i)) if bits == top)
-            if t:
-                mask = (1 << self._index.n_atoms[i]) - 1
-                for m in t:
-                    mask &= m
-                self._supports[i] = mask
-        return t
+        first = self._index.cell_start
+        return tuple(np.flatnonzero(_truth_flags(self)[first[i]:first[i + 1]]).tolist())
 
     def _support(self, i: int) -> int | None:
         """Infimum of the truth set of context index i; None when it is empty."""
-        self._truth(i)
-        return self._supports[i]
+        return _supports(self)[i]
 
     def _interval(self, i: int) -> int:
         """Atom mask of the interval: the support, or every atom when the
         truth set is empty."""
-        s = self._support(i)
-        return (1 << self._index.n_atoms[i]) - 1 if s is None else s
+        return _intervals(self)[i]
 
     def _cell(self, cid: str, mask: int) -> tuple[int, int]:
         """(context index, member bitmask) of a query by id."""
@@ -157,26 +201,26 @@ class MorphismSetValuation:
     def members(self, cid: str, mask: int) -> frozenset[str]:
         return self._index.id_set(self._cell(cid, mask)[1])
 
-    def is_true(self, cid: str, mask: int) -> bool:
-        i, bits = self._cell(cid, mask)
-        return bits == self._index.down[i]
-
     def is_sieve_valued(self) -> tuple[bool, dict | None]:
-        """Exhaustively check downward closure of every member set."""
-        index = self._index
-        for i, cid in enumerate(index.ids):
-            for mask, bits in enumerate(self._row(i)):
-                if index.closure(bits) & ~bits:
-                    return False, {"v1": cid, "mask": mask, "members": list(index.names(bits))}
-        return True, None
+        """Downward closure of every member set, over the whole matrix."""
+        w = _sieve_witness(self)
+        return w is None, w
 
     def dump(self) -> dict:
         """{context -> {maskHex -> [member ids]}} over the full lattice."""
         index = self._index
-        return {
-            cid: {format(mask, "x"): list(index.names(bits)) for mask, bits in enumerate(self._row(i))}
-            for i, cid in enumerate(index.ids)
-        }
+        ints = self._matrix[1]
+        out = {}
+        for cid, first, n in zip(index.ids, self._first, index.n_atoms):
+            out[cid] = {key: list(index.names(bits))
+                        for key, bits in zip(_mask_keys(n), ints[first:first + (1 << n)])}
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_keys(n: int) -> tuple[str, ...]:
+    """The hex keys of the masks of an n-atom context, ascending."""
+    return tuple(format(mask, "x") for mask in range(1 << n))
 
 
 class Valuation(MorphismSetValuation):
@@ -196,46 +240,16 @@ def from_table(poset: ContextPoset, table: dict[tuple[str, int], frozenset[str]]
     return MorphismSetValuation(poset, rule, name=name)
 
 
-def stage_rule(index: PosetIndex, below: Callable[[int], tuple],
-               decide: Callable[[int, int], bool]) -> Callable[[int, int], int]:
-    """The member rule "stage j enters (context i, mask) when `decide`
-    holds for j and the image of the mask at j", with `below(i)` giving
-    (j, table of images) for the stages below i: `index.below` maps a
-    proposition to its coarse-graining, `index.below_image` to the
-    restriction of its characters.  `decide` is called at most once per
-    (stage index, stage mask)."""
-    decided: list[list[bool | None] | None] = [None] * len(index.ids)
-
-    def rule(i: int, mask: int) -> int:
-        out = 0
-        for j, table in below(i):
-            row = decided[j]
-            if row is None:
-                row = decided[j] = [None] * (1 << index.n_atoms[j])
-            m = table[mask]
-            hit = row[m]
-            if hit is None:
-                hit = row[m] = decide(j, m)
-            if hit:
-                out |= 1 << j
-        return out
-
-    return rule
-
-
 def _cell_decisions(rho: DensityMatrix, poset: ContextPoset,
-                    decide_each: Callable[[np.ndarray], np.ndarray]) -> Callable[[int, int], bool]:
-    """The stage decision of a state valuation: `decide_each` is called once,
-    on the poset's stacked lattice projectors, and (stage j, mask m) reads
-    its entry."""
+                    decide_each: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The stage decision of a state valuation, per cell: `decide_each` is
+    called once, on the poset's stacked lattice projectors."""
     stack = poset.lattice
     if not stack.offsets:
-        return lambda j, m: False   # no contexts, so no cell is ever asked for
+        return np.zeros(0, dtype=bool)
     if stack.entries.shape[1:] != rho.entries.shape:
         raise ContextError("state dimension does not match the poset")
-    hits = decide_each(stack.entries).tolist()
-    offsets = stack.offsets
-    return lambda j, m: hits[offsets[j] + m]
+    return decide_each(stack.entries)
 
 
 def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -> Valuation:
@@ -243,9 +257,8 @@ def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -
     coarse-grained proposition has Born probability 1 there.  Every
     (stage, mask) is decided in one `certain_each` call when the
     valuation is built."""
-    decide = _cell_decisions(rho, poset, lambda stack: certain_each(rho, stack, tol))
-    return Valuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
-                                name="nu_rho")
+    decided = _cell_decisions(rho, poset, lambda stack: certain_each(rho, stack, tol))
+    return Valuation._gathered(poset, decided, "below", name="nu_rho")
 
 
 def nu_rho_r(rho: DensityMatrix, r: float, poset: ContextPoset,
@@ -257,13 +270,8 @@ def nu_rho_r(rho: DensityMatrix, r: float, poset: ContextPoset,
     ValuationParams(r)
     if abs(r - 1.0) < tol.r_slack:
         return nu_rho(rho, poset, tol)
-
-    def decide_each(stack: np.ndarray) -> np.ndarray:
-        return np.trace(rho.entries[np.newaxis] @ stack, axis1=1, axis2=2).real >= r - tol.r_slack
-
-    decide = _cell_decisions(rho, poset, decide_each)
-    return MorphismSetValuation._from_bits(poset, stage_rule(poset.index, poset.index.below, decide),
-                                           name=f"nu_rho_r[{r}]")
+    decided = _cell_decisions(rho, poset, lambda stack: probability_each(rho, stack) >= r - tol.r_slack)
+    return MorphismSetValuation._gathered(poset, decided, "below", name=f"nu_rho_r[{r}]")
 
 
 @dataclass(frozen=True)
@@ -292,74 +300,193 @@ def interval(alpha: MorphismSetValuation, cid: str) -> frozenset[Character]:
     return frozenset(Character(cid, i) for i in bit_list(alpha._interval(alpha._position(cid))))
 
 
+# --------------------------------------------------------------------------
+# the laws, each one reduction over the member matrix
+#
+# A law's result is kept on the valuation, so the clause report, both
+# theorems and both reconstructions share it; a witness is the first
+# failing entry in the order of the scan that defines it.
+
+def _law(compute):
+    """Run `compute(alpha, *args)` once per valuation and arguments."""
+    @functools.wraps(compute)
+    def run(alpha: MorphismSetValuation, *args):
+        key = (compute.__name__, *args)
+        laws = alpha._laws
+        if key not in laws:
+            laws[key] = compute(alpha, *args)
+        return laws[key]
+    return run
+
+
+def _witness(find):
+    """A law's witness finder, run once per valuation and arguments; each
+    caller gets its own copy of the witness."""
+    kept = _law(find)
+
+    @functools.wraps(find)
+    def run(alpha: MorphismSetValuation, *args):
+        return copy.deepcopy(kept(alpha, *args))
+    return run
+
+
+def _first(flags: np.ndarray) -> int | None:
+    """The position of the first true entry, or None."""
+    if not flags.size:
+        return None
+    k = int(flags.argmax())
+    return k if flags[k] else None
+
+
+def _cell_of(index: PosetIndex, c: int) -> tuple[int, int]:
+    """(stage index, mask) of a cell."""
+    return int(index.cell_stage[c]), int(index.cell_mask[c])
+
+
+def unclosed_cells(index: PosetIndex, member: np.ndarray) -> np.ndarray:
+    """Per cell, whether its member set leaves out part of a member's
+    down-set, the members given per entry of the coarse-graining gather:
+    the OR of the members' down-sets against the OR of their bits."""
+    g = index.gather("below")
+    return nonzero_rows(g.rows(member, index.down_words) & ~g.rows(member, index.stage_bits))
+
+
+def first_superset_failure(size: int, fails: Callable[[int, int], bool]) -> tuple[int, int]:
+    """The scan of a property that must hold from each mask to the masks
+    above it, for a lattice known to fail it: the first (p, q) with
+    `fails(p, q)`, p ascending and then q over the masks above p,
+    ascending."""
+    for p in range(size):
+        q = p
+        while q < size:
+            if fails(p, q):
+                return p, q
+            q = (q + 1) | p
+    raise ValueError("the property holds on every pair")
+
+
+@_law
+def _entry_members(alpha: MorphismSetValuation, route: str) -> np.ndarray:
+    """Per entry of a route's gather, whether its stage is a member of its
+    cell, read off the member matrix."""
+    g = alpha._index.gather(route)
+    shift = (g.stage & 63).astype(np.uint64)
+    return (alpha._matrix[0][g.cell, g.stage >> 6] >> shift) & np.uint64(1) == 1
+
+
+@_law
+def _truth_flags(alpha: MorphismSetValuation) -> np.ndarray:
+    """Per cell, whether it is sent to the principal sieve."""
+    index = alpha._index
+    return ~nonzero_rows(alpha._matrix[0] ^ np.take(index.down_words, index.cell_stage, axis=0))
+
+
+@_law
+def _supports(alpha: MorphismSetValuation) -> tuple[int | None, ...]:
+    """The support mask of every stage, in index order: the AND of the
+    truth masks, one `reduceat` over the cells."""
+    index = alpha._index
+    if not index.ids:
+        return ()
+    truths = _truth_flags(alpha)
+    full = (1 << np.array(index.n_atoms, dtype=np.int64))[index.cell_stage] - 1
+    starts = index.cell_start[:-1]
+    meet = np.bitwise_and.reduceat(np.where(truths, index.cell_mask, full), starts).tolist()
+    some = np.logical_or.reduceat(truths, starts).tolist()
+    return tuple(m if ok else None for m, ok in zip(meet, some))
+
+
+@_law
+def _intervals(alpha: MorphismSetValuation) -> tuple[int, ...]:
+    """The interval mask of every stage, in index order."""
+    return tuple((1 << n) - 1 if s is None else s
+                 for s, n in zip(_supports(alpha), alpha._index.n_atoms))
+
+
 def _degenerate(alpha: MorphismSetValuation) -> list[str]:
     return [cid for cid, s in zip(alpha._index.ids, _supports(alpha)) if s is None]
 
 
-def _supports(alpha: MorphismSetValuation) -> list[int | None]:
-    """The support mask of every stage, in index order."""
-    return [alpha._support(i) for i in range(len(alpha._index.ids))]
+@_witness
+def _sieve_witness(alpha: MorphismSetValuation) -> dict | None:
+    """Sievehood: the first cell whose member set is not downward closed."""
+    index = alpha._index
+    c = _first(unclosed_cells(index, _entry_members(alpha, "below")))
+    if c is None:
+        return None
+    i, mask = _cell_of(index, c)
+    return {"v1": index.ids[i], "mask": mask, "members": list(index.names(alpha._matrix[1][c]))}
 
 
-def _intervals(alpha: MorphismSetValuation) -> list[int]:
-    """The interval mask of every stage, in index order."""
-    return [alpha._interval(i) for i in range(len(alpha._index.ids))]
-
-
+@_witness
 def _func_witness(alpha: MorphismSetValuation) -> dict | None:
     """Functional composition: alpha(V2, coarse-grained P) is alpha(V1, P)
-    cut down to V2, for every comparable pair and mask."""
+    cut down to V2.  The first failing entry of the coarse-graining gather,
+    in the scan's order: comparable pairs as in `pair_indices`, then
+    masks."""
     index = alpha._index
-    for sub, sup in index.pair_indices:
-        table = index.coarse(sub, sup)
-        sub_row = alpha._row(sub)
-        below_sub = index.down[sub]
-        for mask, bits in enumerate(alpha._row(sup)):
-            lhs = sub_row[table[mask]]
-            rhs = bits & below_sub
-            if lhs != rhs:
-                return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
-                        "lhs": list(index.names(lhs)), "rhs": list(index.names(rhs))}
-    return None
+    g = index.gather("below")
+    words, ints = alpha._matrix
+    differ = np.take(words, g.cell, axis=0)
+    differ &= np.take(index.down_words, g.stage, axis=0)
+    differ ^= np.take(words, g.target, axis=0)
+    bad = np.flatnonzero(nonzero_rows(differ))
+    if not len(bad):
+        return None
+    e = bad[np.lexsort((g.cell[bad], g.pair[bad]))[0]]
+    sup, mask = _cell_of(index, g.cell[e])
+    sub = int(g.stage[e])
+    return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+            "lhs": list(index.names(ints[g.target[e]])),
+            "rhs": list(index.names(ints[g.cell[e]] & index.down[sub]))}
 
 
+@_witness
 def _null_witness(alpha: MorphismSetValuation) -> dict | None:
+    """The first stage whose null proposition has members."""
     index = alpha._index
-    for i, cid in enumerate(index.ids):
-        bits = alpha._bits(i, 0)
-        if bits:
-            return {"v1": cid, "members": list(index.names(bits))}
-    return None
+    i = _first(nonzero_rows(np.take(alpha._matrix[0], index.cell_start[:-1], axis=0)))
+    return None if i is None else {"v1": index.ids[i], "members": list(index.names(alpha._bits(i, 0)))}
 
 
+@_witness
 def _monotonicity_witness(alpha: MorphismSetValuation) -> dict | None:
-    for i, cid in enumerate(alpha._index.ids):
-        row = alpha._row(i)
-        for p, bits in enumerate(row):
-            q = p
-            while q < len(row):   # the masks above p, ascending
-                if bits & ~row[q]:
-                    return {"v1": cid, "p": p, "q": q}
-                q = (q + 1) | p
-    return None
-
-
-def _exclusivity_witness(alpha: MorphismSetValuation) -> dict | None:
-    for i, cid in enumerate(alpha._index.ids):
-        truths = alpha._truth(i)
-        for p in truths:
-            for q in truths:
-                if p & q == 0:
-                    return {"v1": cid, "p": p, "q": q}
-    return None
-
-
-def _unit_witness(alpha: MorphismSetValuation) -> dict | None:
+    """Monotonicity, decided along the covers of each lattice.  The first
+    stage with a failing cover is the first failing stage; its witness is
+    the scan's first (p, q)."""
     index = alpha._index
-    for i, cid in enumerate(index.ids):
-        if alpha._bits(i, (1 << index.n_atoms[i]) - 1) != index.down[i]:
-            return {"v1": cid}
-    return None
+    words, ints = alpha._matrix
+    lo, hi = index.mask_covers
+    e = _first(nonzero_rows(np.take(words, lo, axis=0) & ~np.take(words, hi, axis=0)))
+    if e is None:
+        return None
+    i = int(index.cell_stage[lo[e]])
+    row = ints[alpha._first[i]:alpha._first[i + 1]]
+    p, q = first_superset_failure(len(row), lambda p, q: row[p] & ~row[q])
+    return {"v1": index.ids[i], "p": p, "q": q}
+
+
+@_witness
+def _exclusivity_witness(alpha: MorphismSetValuation) -> dict | None:
+    """The first (stage, p, q) with p and q disjoint truth-set members."""
+    index = alpha._index
+    truths = _truth_flags(alpha)
+    lo, hi = index.disjoint_cells
+    e = _first(truths[lo] & truths[hi])
+    if e is None:
+        return None
+    i, p = _cell_of(index, lo[e])
+    return {"v1": index.ids[i], "p": p, "q": int(index.cell_mask[hi[e]])}
+
+
+@_witness
+def _unit_witness(alpha: MorphismSetValuation) -> dict | None:
+    """The first stage whose unit proposition is not sent to the principal
+    sieve."""
+    index = alpha._index
+    units = np.take(alpha._matrix[0], index.cell_start[1:] - 1, axis=0)
+    i = _first(nonzero_rows(units ^ index.down_words))
+    return None if i is None else {"v1": index.ids[i]}
 
 
 def _clause_statuses(alpha: MorphismSetValuation, holds: str = "pass", fails: str = "fail",
@@ -371,15 +498,13 @@ def _clause_statuses(alpha: MorphismSetValuation, holds: str = "pass", fails: st
     exclusivity, where a certain proposition leaves no disjoint one without
     a refuting stage; and (vi) the unit proposition, whose witness comes
     from `unit`."""
-    ok, w = alpha.is_sieve_valued()
-    found = [("sievehood", ok, w)]
-    for clause, find in (("func", _func_witness), ("null", _null_witness),
-                         ("monotonicity", _monotonicity_witness),
+    out = {}
+    for clause, find in (("sievehood", _sieve_witness), ("func", _func_witness),
+                         ("null", _null_witness), ("monotonicity", _monotonicity_witness),
                          ("exclusivity", _exclusivity_witness), ("unit", unit)):
         w = find(alpha)
-        found.append((clause, w is None, w))
-    return {clause: {"status": holds if ok else fails, "witness": None if ok else w}
-            for clause, ok, w in found}
+        out[clause] = {"status": holds if w is None else fails, "witness": w}
+    return out
 
 
 def check_definition3(alpha: MorphismSetValuation) -> dict:
@@ -398,19 +523,21 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
     index = alpha._index
-    for sub, sup in index.pair_indices:
-        if sub == sup:
-            continue
-        s_sub = alpha._support(sub)
-        s_sup = alpha._support(sup)
-        lifted = index.lift(sub, sup, s_sub)
-        if lifted & s_sup != s_sup:
-            return {
-                "status": "fail",
-                "witness": {"v1": index.ids[sup], "v2": index.ids[sub], "s1": s_sup, "s2": s_sub},
-                "degenerate": [],
-            }
-    return {"status": "pass", "witness": None, "degenerate": []}
+    sub, sup, _ = index.proper_pairs
+    s = np.array(_supports(alpha), dtype=np.int64)
+    # each pair lifts the sub-stage support through its partition map
+    blocks = index.lift_blocks
+    atoms = s[sub][:, np.newaxis] >> np.arange(blocks.shape[1]) & 1
+    lifted = np.bitwise_or.reduce(np.where(atoms == 1, blocks, 0), axis=1)
+    k = _first(lifted & s[sup] != s[sup])
+    if k is None:
+        return {"status": "pass", "witness": None, "degenerate": []}
+    s_sub, s_sup = int(s[sub[k]]), int(s[sup[k]])
+    return {
+        "status": "fail",
+        "witness": {"v1": index.ids[sup[k]], "v2": index.ids[sub[k]], "s1": s_sup, "s2": s_sub},
+        "degenerate": [],
+    }
 
 
 def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
@@ -421,7 +548,7 @@ def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
     index = alpha._index
     supports = _supports(alpha)
-    found = _first_failing_pair(index, supports, index.coarse)
+    found = _first_failing_pair(index, supports, "below")
     if found is None:
         return {"status": "pass", "witness": None, "degenerate": []}
     sub, sup, cg = found
@@ -434,12 +561,16 @@ def supports_global_element(alpha: MorphismSetValuation) -> GlobalElementG:
     """Package the supports of a valuation as a (possibly broken) projector
     assignment; callers inspect `satisfies_matching`."""
     assignment = {}
-    for i, cid in enumerate(alpha._index.ids):
-        s = alpha._support(i)
+    for cid, s in zip(alpha._index.ids, _supports(alpha)):
         if s is None:
             raise ContextError(f"empty truth set at {cid!r}: no support to package")
         assignment[cid] = s
     return GlobalElementG(alpha.poset, assignment, enforce=False)
+
+
+def _inside_each(index: PosetIndex, chosen: list[int]) -> np.ndarray:
+    """Per cell (stage j, mask m): whether chosen[j] lies inside m."""
+    return (np.array(chosen, dtype=np.int64)[index.cell_stage] & ~index.cell_mask) == 0
 
 
 def alpha_from_global_element(a: GlobalElementG) -> MorphismSetValuation:
@@ -449,8 +580,8 @@ def alpha_from_global_element(a: GlobalElementG) -> MorphismSetValuation:
     always reproduce `a`."""
     index = a.poset.index
     chosen = [a.assignment[cid] for cid in index.ids]
-    rule = stage_rule(index, index.below, lambda j, m: chosen[j] & m == chosen[j])
-    return MorphismSetValuation._from_bits(a.poset, rule, name="alpha^a")
+    return MorphismSetValuation._gathered(a.poset, _inside_each(index, chosen), "below",
+                                          name="alpha^a")
 
 
 def alpha_from_subobject(a: SubobjectSigma) -> MorphismSetValuation:
@@ -459,66 +590,73 @@ def alpha_from_subobject(a: SubobjectSigma) -> MorphismSetValuation:
     proposition's certain set.  Sieve-valued whenever `a` is tight."""
     index = a.poset.index
     chosen = [index_mask(a.assignment[cid]) for cid in index.ids]
-    rule = stage_rule(index, index.below_image, lambda j, m: not chosen[j] & ~m)
-    return MorphismSetValuation._from_bits(a.poset, rule, name="alpha^a_sigma")
+    return MorphismSetValuation._gathered(a.poset, _inside_each(index, chosen), "below_image",
+                                          name="alpha^a_sigma")
 
 
 def valuations_equal(a: MorphismSetValuation, b: MorphismSetValuation) -> tuple[bool, dict | None]:
     """Set equality of member ids at every stage and lattice element (both
-    valuations over posets with the same contexts)."""
+    valuations over posets with the same contexts): the first differing
+    row of the two member matrices."""
     index = a._index
-    if b._index.ids != index.ids:
+    if b._index.ids != index.ids or b._index.n_atoms != index.n_atoms:
         raise ContextError("valuations over posets with different contexts")
-    for i, cid in enumerate(index.ids):
-        for mask, (x, y) in enumerate(zip(a._row(i), b._row(i))):
-            if x != y:
-                return False, {
-                    "v1": cid, "mask": mask,
-                    "lhs": list(index.names(x)),
-                    "rhs": list(index.names(y)),
-                }
-    return True, None
+    (words_a, ints_a), (words_b, ints_b) = a._matrix, b._matrix
+    c = _first(nonzero_rows(words_a ^ words_b))
+    if c is None:
+        return True, None
+    i, mask = _cell_of(index, c)
+    return False, {"v1": index.ids[i], "mask": mask,
+                   "lhs": list(index.names(ints_a[c])), "rhs": list(index.names(ints_b[c]))}
 
 
-def _condition_i(alpha: MorphismSetValuation, below: Callable[[int], tuple], chosen: list[int],
+@_witness
+def _condition_i(alpha: MorphismSetValuation, route: str, chosen: tuple[int, ...],
                  inside_key: str | None) -> tuple[bool, dict | None]:
-    """Condition (i) of either theorem, in one scan: stage V2 is a member
-    of alpha(V1, P) exactly when `chosen[V2]` lies inside the image of P at
-    V2, the image read from `below(V1)` (`index.below` for the
-    coarse-graining, `index.below_image` for the restriction).  The witness
-    is the first mismatch in stage, mask and subcontext order; `inside_key`
+    """Condition (i) of either theorem, one test per gather entry of
+    `route` ("below" for the coarse-graining, "below_image" for the
+    restriction): stage V2 is a member of alpha(V1, P) exactly when
+    `chosen[V2]` lies inside the image of P at V2.  The witness is the
+    first mismatch, in stage, mask and subcontext order; `inside_key`
     names its containment verdict, which the iso route leaves out."""
     index = alpha._index
-    for sup, cid in enumerate(index.ids):
-        rows = below(sup)
-        for mask, bits in enumerate(alpha._row(sup)):
-            for sub, table in rows:
-                inside = not chosen[sub] & ~table[mask]
-                if inside != bool(bits >> sub & 1):
-                    witness = {"v1": cid, "v2": index.ids[sub], "mask": mask}
-                    if inside_key is not None:
-                        witness.update({inside_key: inside, "member": not inside})
-                    return False, witness
-    return True, None
+    g = index.gather(route)
+    inside = (np.array(chosen, dtype=np.int64)[g.stage] & ~g.image) == 0
+    e = _first(inside != _entry_members(alpha, route))
+    if e is None:
+        return True, None
+    sup, mask = _cell_of(index, g.cell[e])
+    witness = {"v1": index.ids[sup], "v2": index.ids[g.stage[e]], "mask": mask}
+    if inside_key is not None:
+        witness.update({inside_key: bool(inside[e]), "member": not inside[e]})
+    return False, witness
 
 
-def _characterization(alpha: MorphismSetValuation, below: Callable[[int], tuple],
-                      chosen: list[int]) -> tuple[bool, dict | None]:
-    """The characterization both theorems conclude, in one scan:
-    alpha(V1, P) is the set of stages V2 at which the image of `chosen[V1]`
-    lies inside the image of P, both images read from `below(V1)`."""
+@_witness
+def _characterization(alpha: MorphismSetValuation, route: str,
+                      chosen: tuple[int, ...]) -> tuple[bool, dict | None]:
+    """The characterization both theorems conclude: alpha(V1, P) is the set
+    of stages V2 at which the image of `chosen[V1]` lies inside the image
+    of P, both images read along `route`.  The image of `chosen[V1]` at V2
+    is that of the entry of cell (V1, chosen[V1]) for the same V2; the
+    witness is the first failing cell."""
     index = alpha._index
-    for sup, cid in enumerate(index.ids):
-        rows = [(sub, table, table[chosen[sup]]) for sub, table in below(sup)]
-        for mask, bits in enumerate(alpha._row(sup)):
-            expected = 0
-            for sub, table, c1 in rows:
-                if not c1 & ~table[mask]:
-                    expected |= 1 << sub
-            if bits != expected:
-                return False, {"v1": cid, "mask": mask,
-                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
-    return True, None
+    g = index.gather(route)
+    sup = index.cell_stage[g.cell]
+    same_sub = np.arange(len(g.cell)) - g.start[g.cell]
+    own = g.image[g.start[index.cell_start[sup] + np.array(chosen, dtype=np.int64)[sup]] + same_sub]
+    expected = (own & ~g.image) == 0
+    e = _first(expected != _entry_members(alpha, route))
+    if e is None:
+        return True, None
+    c = int(g.cell[e])
+    bits = 0
+    for k in range(g.start[c], g.start[c + 1]):
+        if expected[k]:
+            bits |= 1 << int(g.stage[k])
+    i, mask = _cell_of(index, c)
+    return False, {"v1": index.ids[i], "mask": mask,
+                   "lhs": list(index.names(alpha._matrix[1][c])), "rhs": list(index.names(bits))}
 
 
 def _reconstruction(alpha: MorphismSetValuation, rebuilt: MorphismSetValuation,
@@ -551,7 +689,7 @@ def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetV
         return alpha, {"degenerate": degenerate, "skipped": True}
     rebuilt = alpha_from_global_element(supports_global_element(alpha))
     return _reconstruction(alpha, rebuilt,
-                           _condition_i(alpha, alpha._index.below, _supports(alpha), "support_below"))
+                           _condition_i(alpha, "below", _supports(alpha), "support_below"))
 
 
 def _intervals_subobject(alpha: MorphismSetValuation) -> SubobjectSigma:
@@ -564,8 +702,7 @@ def reconstruct_from_intervals(alpha: MorphismSetValuation) -> tuple[MorphismSet
     exactly under condition (i) of the interval-side theorem."""
     rebuilt = alpha_from_subobject(_intervals_subobject(alpha))
     return _reconstruction(alpha, rebuilt,
-                           _condition_i(alpha, alpha._index.below_image, _intervals(alpha),
-                                        "interval_inside"))
+                           _condition_i(alpha, "below_image", _intervals(alpha), "interval_inside"))
 
 
 def _func_report(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
@@ -573,16 +710,16 @@ def _func_report(alpha: MorphismSetValuation) -> tuple[bool, dict | None]:
     return w is None, w
 
 
-def _conclusions(alpha: MorphismSetValuation, below: Callable[[int], tuple], chosen: list[int],
+def _conclusions(alpha: MorphismSetValuation, route: str, chosen: tuple[int, ...],
                  cond_i: bool, cond_ii: bool) -> dict:
     """The conclusions either theorem draws from its conditions, each
     verified on its own (sievehood, functional composition and the
-    characterization over `below` and `chosen`), and the two contracts:
+    characterization along `route` from `chosen`), and the two contracts:
     the conditions give every conclusion, and (i) alone gives functional
     composition."""
     sieve_ok, w_sieve = alpha.is_sieve_valued()
     func_ok, w_func = _func_report(alpha)
-    charac_ok, w_charac = _characterization(alpha, below, chosen)
+    charac_ok, w_charac = _characterization(alpha, route, chosen)
     conditions_hold = cond_i and cond_ii
     return {
         "conclusion_sieve": {"holds": sieve_ok, "witness": w_sieve},
@@ -603,9 +740,8 @@ def theorem1_verify(alpha: MorphismSetValuation) -> dict:
     degenerate = _degenerate(alpha)
     if degenerate:
         return {"degenerate": degenerate, "skipped": True}
-    index = alpha._index
     supports = _supports(alpha)
-    cond_i, w_i = _condition_i(alpha, index.below, supports, "support_below")
+    cond_i, w_i = _condition_i(alpha, "below", supports, "support_below")
     ge_report = check_global_element_condition(alpha)
     cond_ii = ge_report["status"] == "pass"
     return {
@@ -613,7 +749,7 @@ def theorem1_verify(alpha: MorphismSetValuation) -> dict:
         "skipped": False,
         "condition_i": {"holds": cond_i, "witness": w_i},
         "condition_ii": {"holds": cond_ii, "witness": ge_report["witness"]},
-        **_conclusions(alpha, index.below, supports, cond_i, cond_ii),
+        **_conclusions(alpha, "below", supports, cond_i, cond_ii),
     }
 
 
@@ -627,21 +763,21 @@ def theorem2_verify(alpha: MorphismSetValuation) -> dict:
     power-object isomorphism."""
     index = alpha._index
     ivals = _intervals(alpha)
-    cond_i, w_i = _condition_i(alpha, index.below_image, ivals, "interval_inside")
+    cond_i, w_i = _condition_i(alpha, "below_image", ivals, "interval_inside")
     sigma = _intervals_subobject(alpha)
     w_ii = None
     if not sigma.is_tight:
-        sub, sup, restricted = _first_failing_pair(index, ivals, index.image)
+        sub, sup, restricted = _first_failing_pair(index, ivals, "below_image")
         w_ii = {"v1": index.ids[sup], "v2": index.ids[sub],
                 "restricted": bit_list(restricted), "interval": bit_list(ivals[sub])}
-    iso_ok, w_iso = _condition_i(alpha, index.below, ivals, None)
+    iso_ok, w_iso = _condition_i(alpha, "below", ivals, None)
     return {
         "condition_i": {"holds": cond_i, "witness": w_i},
         "condition_ii": {"holds": sigma.is_tight, "witness": w_ii},
         "condition_i_iso_route": {"holds": iso_ok, "witness": w_iso},
         "routes_agree": cond_i == iso_ok,
         "subobject_law": sigma.satisfies_law,
-        **_conclusions(alpha, index.below_image, ivals, cond_i, sigma.is_tight),
+        **_conclusions(alpha, "below_image", ivals, cond_i, sigma.is_tight),
     }
 
 

@@ -289,6 +289,36 @@ def test_golden_mixed_state_report_digest(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
+# The same mixed state where laws fail: exclusivity below r = 0.5, and
+# relations whose surveys break the null law and the analyses.  These pin
+# the witnesses the member-matrix reductions report.
+GOLDEN_MIXED_WITNESS_REPORTS = {
+    "valuate-r0.3": (["valuate", "--r", "0.3"],
+                     "df0a6d2d317ef2ad4b34a8cc7d4348265baf7c0eed4768c1896dc51d835832a0"),
+    "supports-r0.3": (["supports", "--r", "0.3"],
+                      "a28388d4bc7103a92390cae1315b224b486764226ed1fd3bb0374e849a66da14"),
+    "supports-r0.6": (["supports", "--r", "0.6"],
+                      "b3c6fdae26a483132d3f6bf78e3562f5c367f01df3b34077d88e7d26195e3248"),
+    "verify-theorems-r0.3": (["verify-theorems", "--r", "0.3"],
+                             "7a5e46653afb52bb2c931080624ba3eec1dda2e4143b75750ba35be820786af4"),
+    "survey-relations": (["survey-relations", "--relation", "le", "--relation", "eq",
+                          "--relation", "always-true", "--relation", "random:2", "--seed", "3"],
+                         "2c871ef828baf741b8683c897f5bc1e26cafe7419e7853303ef0f1a57b483879"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MIXED_WITNESS_REPORTS))
+def test_golden_mixed_state_witness_digest(tmp_path, monkeypatch, name):
+    fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
+    (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED_STATE))
+    monkeypatch.chdir(tmp_path)
+    args, digest = GOLDEN_MIXED_WITNESS_REPORTS[name]
+    assert main([*args, "--input", "ks18.json", "--add-trivial", "--close-under-meets",
+                 "--state", "mixed.json", "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of whole reports of the commands that only build the closed poset
 # of the bundled 18-ray fixture, run as above.  They pin the meet closure,
 # the inclusion order, partition maps, atom order and ids.

@@ -24,16 +24,27 @@ from toposval.contexts import (
     build_poset,
     trivial_context,
 )
-from toposval.ks import load_bundled_ks
-from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each
-from toposval.presheaves import clo_sigma_restrict, coarse_grain, sigma_restrict
+from toposval.ks import global_section_search, load_bundled_ks
+from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each, probability_each
+from toposval.presheaves import check_nat_iso, clo_sigma_restrict, coarse_grain, sigma_restrict
 from toposval.sampling import random_density, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 from toposval.valuations import (
     MorphismSetValuation,
+    _characterization as matrix_characterization,
+    _condition_i,
+    _exclusivity_witness,
+    _func_witness,
+    _intervals_subobject,
+    _monotonicity_witness,
+    _null_witness,
+    _unit_witness,
+    alpha_from_global_element,
+    alpha_from_subobject,
     check_definition3,
     check_global_element_condition,
     check_subobject_condition,
+    from_table,
     interval,
     nu_rho,
     nu_rho_r,
@@ -41,9 +52,13 @@ from toposval.valuations import (
     reconstruct_from_intervals,
     reconstruct_from_supports,
     support,
+    supports_global_element,
     theorem1_verify,
     theorem2_verify,
+    valuations_equal,
 )
+
+from conftest import up_set
 
 
 # --------------------------------------------------------------------------
@@ -491,35 +506,369 @@ def test_state_valuations_match_projector_oracle_on_rotated_peres_subset(r):
         assert_same_verdicts(state_valuation(rho, poset, r), oracle_valuation(rho, poset, r))
 
 
+# --------------------------------------------------------------------------
+# the per-law scans the member matrix replaced, kept as oracles
+#
+# These are the scans that decided each law before the laws became array
+# reductions: member rules built through `stage_rule`, and one Python loop
+# per law over int bitmask rows, in the order that defines each witness.
+
+def stage_rule(index, below, decide):
+    """The member rule "stage j enters (context i, mask) when `decide`
+    holds for j and the image of the mask at j", with `below(i)` giving
+    (j, table of images) for the stages below i.  `decide` is called at
+    most once per (stage index, stage mask)."""
+    decided = [None] * len(index.ids)
+
+    def rule(i, mask):
+        out = 0
+        for j, table in below(i):
+            row = decided[j]
+            if row is None:
+                row = decided[j] = [None] * (1 << index.n_atoms[j])
+            m = table[mask]
+            hit = row[m]
+            if hit is None:
+                hit = row[m] = decide(j, m)
+            if hit:
+                out |= 1 << j
+        return out
+
+    return rule
+
+
+def scan_row(alpha, i):
+    return [alpha._bits(i, m) for m in range(1 << alpha._index.n_atoms[i])]
+
+
+def scan_sieve(alpha):
+    index = alpha._index
+    for i, cid in enumerate(index.ids):
+        for mask, bits in enumerate(scan_row(alpha, i)):
+            if index.closure(bits) & ~bits:
+                return False, {"v1": cid, "mask": mask, "members": list(index.names(bits))}
+    return True, None
+
+
+def scan_func(alpha):
+    index = alpha._index
+    for sub, sup in index.pair_indices:
+        table = index.coarse(sub, sup)
+        sub_row = scan_row(alpha, sub)
+        for mask, bits in enumerate(scan_row(alpha, sup)):
+            lhs = sub_row[table[mask]]
+            rhs = bits & index.down[sub]
+            if lhs != rhs:
+                return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                        "lhs": list(index.names(lhs)), "rhs": list(index.names(rhs))}
+    return None
+
+
+def scan_null(alpha):
+    index = alpha._index
+    for i, cid in enumerate(index.ids):
+        bits = alpha._bits(i, 0)
+        if bits:
+            return {"v1": cid, "members": list(index.names(bits))}
+    return None
+
+
+def scan_monotonicity(alpha):
+    for i, cid in enumerate(alpha._index.ids):
+        row = scan_row(alpha, i)
+        for p, bits in enumerate(row):
+            q = p
+            while q < len(row):   # the masks above p, ascending
+                if bits & ~row[q]:
+                    return {"v1": cid, "p": p, "q": q}
+                q = (q + 1) | p
+    return None
+
+
+def scan_truth(alpha, i):
+    top = alpha._index.down[i]
+    return tuple(m for m, bits in enumerate(scan_row(alpha, i)) if bits == top)
+
+
+def scan_supports(alpha):
+    out = []
+    for i, n in enumerate(alpha._index.n_atoms):
+        truths = scan_truth(alpha, i)
+        mask = (1 << n) - 1
+        for m in truths:
+            mask &= m
+        out.append(mask if truths else None)
+    return out
+
+
+def scan_intervals(alpha):
+    return [(1 << n) - 1 if s is None else s
+            for s, n in zip(scan_supports(alpha), alpha._index.n_atoms)]
+
+
+def scan_exclusivity(alpha):
+    for i, cid in enumerate(alpha._index.ids):
+        truths = scan_truth(alpha, i)
+        for p in truths:
+            for q in truths:
+                if p & q == 0:
+                    return {"v1": cid, "p": p, "q": q}
+    return None
+
+
+def scan_unit(alpha):
+    index = alpha._index
+    for i, cid in enumerate(index.ids):
+        if alpha._bits(i, (1 << index.n_atoms[i]) - 1) != index.down[i]:
+            return {"v1": cid}
+    return None
+
+
+def scan_condition_i(alpha, below, chosen, inside_key):
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        rows = below(sup)
+        for mask, bits in enumerate(scan_row(alpha, sup)):
+            for sub, table in rows:
+                inside = not chosen[sub] & ~table[mask]
+                if inside != bool(bits >> sub & 1):
+                    witness = {"v1": cid, "v2": index.ids[sub], "mask": mask}
+                    if inside_key is not None:
+                        witness.update({inside_key: inside, "member": not inside})
+                    return False, witness
+    return True, None
+
+
+def scan_characterization(alpha, below, chosen):
+    index = alpha._index
+    for sup, cid in enumerate(index.ids):
+        rows = [(sub, table, table[chosen[sup]]) for sub, table in below(sup)]
+        for mask, bits in enumerate(scan_row(alpha, sup)):
+            expected = 0
+            for sub, table, c1 in rows:
+                if not c1 & ~table[mask]:
+                    expected |= 1 << sub
+            if bits != expected:
+                return False, {"v1": cid, "mask": mask,
+                               "lhs": list(index.names(bits)), "rhs": list(index.names(expected))}
+    return True, None
+
+
+def scan_equal(a, b):
+    index = a._index
+    for i, cid in enumerate(index.ids):
+        for mask, (x, y) in enumerate(zip(scan_row(a, i), scan_row(b, i))):
+            if x != y:
+                return False, {"v1": cid, "mask": mask,
+                               "lhs": list(index.names(x)), "rhs": list(index.names(y))}
+    return True, None
+
+
+def scan_valuation(poset, below, decide, name="scan"):
+    """A rule-backed valuation whose rule is `stage_rule` over `below`."""
+    return MorphismSetValuation._from_bits(poset, stage_rule(poset.index, below, decide), name)
+
+
+def chosen_valuation(poset, route, chosen):
+    """The valuation rebuilt from per-stage masks by `stage_rule`: a stage
+    enters when its mask lies inside the image of the proposition."""
+    index = poset.index
+    return scan_valuation(poset, getattr(index, route), lambda j, m: not chosen[j] & ~m)
+
+
+def assert_laws_match_scans(alpha):
+    """Every law's verdict and witness, from the member matrix, equals the
+    scan's; the rebuilt valuations equal `stage_rule`'s rebuilds."""
+    index = alpha._index
+    assert alpha.is_sieve_valued() == scan_sieve(alpha)
+    for law, scan in ((_func_witness, scan_func), (_null_witness, scan_null),
+                      (_monotonicity_witness, scan_monotonicity),
+                      (_exclusivity_witness, scan_exclusivity), (_unit_witness, scan_unit)):
+        assert law(alpha) == scan(alpha), law.__name__
+    supports, intervals = scan_supports(alpha), scan_intervals(alpha)
+    assert [alpha._support(i) for i in range(len(index.ids))] == supports
+    assert [alpha._truth(i) for i in range(len(index.ids))] == \
+        [scan_truth(alpha, i) for i in range(len(index.ids))]
+    routes = [("below_image", intervals, "interval_inside"), ("below", intervals, None)]
+    if None not in supports:
+        routes.append(("below", supports, "support_below"))
+    for route, chosen, key in routes:
+        below = getattr(index, route)
+        assert _condition_i(alpha, route, tuple(chosen), key) == \
+            scan_condition_i(alpha, below, chosen, key), (route, key)
+        assert matrix_characterization(alpha, route, tuple(chosen)) == \
+            scan_characterization(alpha, below, chosen), (route, key)
+        if key is not None:
+            rebuilt = (alpha_from_subobject(_intervals_subobject(alpha)) if route == "below_image"
+                       else alpha_from_global_element(supports_global_element(alpha)))
+            scanned = chosen_valuation(alpha.poset, route, chosen)
+            assert rebuilt.dump() == scanned.dump()
+            assert valuations_equal(alpha, rebuilt) == scan_equal(alpha, scanned)
+    assert check_definition3(alpha) == check_definition3(table_copy(alpha))
+
+
+def table_copy(alpha):
+    """The same member sets behind a rule, so the laws see the matrix filled
+    from a rule."""
+    return MorphismSetValuation._from_bits(alpha.poset, lambda i, m: alpha._bits(i, m), "copy")
+
+
+def decide_at_cells(poset, decided):
+    first = poset.index.cell_start
+    return lambda j, m: bool(decided[first[j] + m])
+
+
+@pytest.mark.parametrize("r", (1, 0.7, 0.3))
+def test_laws_match_scans_on_random_posets(r):
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 12])
+        dim = int(rng.integers(2, 6))
+        poset = random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)
+        for rho in (random_density(rng, dim), atom_mixture(rng, poset)):
+            alpha = state_valuation(rho, poset, r)
+            # the gathered member matrix is `stage_rule`'s over the same cells
+            if r == 1:
+                decided = certain_each(rho, poset.lattice.entries)
+            else:
+                decided = probability_each(rho, poset.lattice.entries) >= r - DEFAULT.r_slack
+            scanned = scan_valuation(poset, poset.index.below, decide_at_cells(poset, decided))
+            assert alpha.dump() == scanned.dump(), seed
+            assert_laws_match_scans(alpha)
+
+
+def plant(rng, poset, table):
+    """One planted fault in a member table: a member toggled, a cell made
+    the principal sieve, or a cell emptied, at a random (context, mask)."""
+    cid = poset.ids[int(rng.integers(len(poset.ids)))]
+    mask = int(rng.integers(1 << poset.context(cid).n_atoms))
+    down = poset.down_set(cid)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        table[cid, mask] = table[cid, mask] ^ {down[int(rng.integers(len(down)))]}
+    elif kind == 1:
+        table[cid, mask] = frozenset(down)
+    else:
+        table[cid, mask] = frozenset()
+
+
+def test_laws_match_scans_on_planted_failures():
+    # valid state valuations as tables, with one to three planted faults:
+    # each law first fails at many different places
+    witnesses = {law: set() for law in ("sievehood", "func", "null", "monotonicity",
+                                        "exclusivity", "unit")}
+    reordered = 0
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 13])
+        dim = int(rng.integers(2, 5))
+        poset = random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)
+        rho = random_density(rng, dim) if seed % 2 else atom_mixture(rng, poset)
+        nu = nu_rho(rho, poset)
+        table = {(cid, m): nu.members(cid, m) for cid in poset.ids for m in n_masks(poset, cid)}
+        for _ in range(int(rng.integers(1, 4))):
+            plant(rng, poset, table)
+        alpha = from_table(poset, table)
+        assert_laws_match_scans(alpha)
+        for law, status in check_definition3(alpha).items():
+            if law != "passed" and status["witness"] is not None:
+                witnesses[law].add(repr(sorted(status["witness"].items())))
+        # the matrix's flat order (stage, mask, sub) is not the scan's
+        # (pair, mask): the first failure differs in some draws
+        w = scan_func(alpha)
+        if w is not None and w != first_func_failure_by_stage(alpha):
+            reordered += 1
+    counts = {law: len(found) for law, found in witnesses.items()}
+    assert all(n >= 5 for n in counts.values()), counts
+    assert reordered > 0
+
+
+def first_func_failure_by_stage(alpha):
+    index = alpha._index
+    for sup in range(len(index.ids)):
+        for mask, bits in enumerate(scan_row(alpha, sup)):
+            for sub, table in index.below(sup):
+                if alpha._bits(sub, table[mask]) != bits & index.down[sub]:
+                    return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                            "lhs": list(index.names(alpha._bits(sub, table[mask]))),
+                            "rhs": list(index.names(bits & index.down[sub]))}
+    return None
+
+
+def test_gathered_matrix_matches_stage_rule_on_closed_peres24(closed_peres24):
+    poset = closed_peres24
+    index = poset.index
+    assert len(index.gather("below").cell) == len(index.gather("below_image").cell) == 5738
+    rho = random_density(np.random.default_rng(24), 4, rank=2)
+    for r in (0.8, 0.6, 0.3):
+        decided = probability_each(rho, poset.lattice.entries) >= r - DEFAULT.r_slack
+        alpha = nu_rho_r(rho, r, poset)
+        scanned = scan_valuation(poset, index.below, decide_at_cells(poset, decided))
+        assert alpha.dump() == scanned.dump()
+        assert _func_witness(alpha) == scan_func(scanned)
+
+
 def test_each_stage_mask_is_decided_once(monkeypatch):
+    # every (stage, mask) is decided in the one batched decision of its
+    # valuation, certainty at r = 1 and a stacked trace below; the table,
+    # the clauses and both theorems decide nothing more
     import toposval.valuations as valuations
 
-    real_stage_rule = valuations.stage_rule
-    decided = []   # per state valuation, the decide calls per (stage, mask)
+    batches = []
+    real_certain, real_trace = valuations.certain_each, valuations.probability_each
 
-    def counting_stage_rule(index, below, decide):
-        calls = {}
-        decided.append(calls)
+    def certain_spy(rho, stack, tol=DEFAULT):
+        batches.append(("certain", stack.shape))
+        return real_certain(rho, stack, tol)
 
-        def counted(j, m):
-            calls[(j, m)] = calls.get((j, m), 0) + 1
-            return decide(j, m)
-        return real_stage_rule(index, below, counted)
+    def trace_spy(rho, stack):
+        batches.append(("trace", stack.shape))
+        return real_trace(rho, stack)
 
-    monkeypatch.setattr(valuations, "stage_rule", counting_stage_rule)
+    monkeypatch.setattr(valuations, "certain_each", certain_spy)
+    monkeypatch.setattr(valuations, "probability_each", trace_spy)
     for seed in range(20):
         rng = np.random.default_rng([seed, 5])
         poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
         rho = random_density(rng, 4)
-        for r in (1, 0.7):
-            decided.clear()
+        cells = sum(1 << poset.context(c).n_atoms for c in poset.ids)
+        for r, kind in ((1, "certain"), (0.7, "trace")):
+            batches.clear()
             alpha = state_valuation(rho, poset, r)
             alpha.dump()   # every row of every context
             check_definition3(alpha)
             theorem1_verify(alpha)
             theorem2_verify(alpha)
-            [calls] = decided
-            assert calls and max(calls.values()) == 1, (seed, r)
+            assert batches == [(kind, (cells, 4, 4))], (seed, r)
+
+
+def test_law_results_are_kept_per_valuation(monkeypatch):
+    # `verify-theorems` asks for sievehood, functional composition and
+    # condition (i) more than once; each is reduced once per valuation
+    import toposval.valuations as valuations
+
+    calls = []
+
+    def counting(real):
+        def spy(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return spy
+
+    # every law's reduction ends in one of these
+    for name in ("_first", "nonzero_rows"):
+        monkeypatch.setattr(valuations, name, counting(getattr(valuations, name)))
+    rng = np.random.default_rng(14)
+    poset = random_poset(rng, dim=3, max_contexts=5, max_atoms=3)
+    alpha = nu_rho(random_density(rng, 3), poset)
+    check_definition3(alpha)
+    theorem1_verify(alpha)
+    theorem2_verify(alpha)
+    reconstruct_from_supports(alpha)
+    reconstruct_from_intervals(alpha)
+    first_round = len(calls)
+    check_definition3(alpha)
+    theorem1_verify(alpha)
+    theorem2_verify(alpha)
+    assert first_round and len(calls) == first_round
 
 
 def test_state_valuation_decides_every_cell_in_one_batch(monkeypatch):
@@ -695,7 +1044,7 @@ def assert_index_matches_scans(poset):
     assert poset.ids == scan_ids(poset)
     for cid in set(scan_ids(poset)) | {x for pair in poset.order for x in pair}:
         assert poset.down_set(cid) == scan_down_set(poset, cid)
-        assert poset.up_set(cid) == scan_up_set(poset, cid)
+        assert up_set(poset, cid) == scan_up_set(poset, cid)
     assert poset.maximal_ids() == scan_maximal_ids(poset)
     assert poset.cover_pairs() == scan_cover_pairs(poset)
     assert poset.pairs() == o_pairs(poset)
@@ -747,3 +1096,54 @@ def test_coarse_grain_without_a_partition_map_raises():
         coarse_grain(poset, "a", "b", LatticeElement("b", 1))
     with pytest.raises(ContextError, match="'z' is not included in 'b'"):
         sigma_restrict(poset, "z", "b", Character("b", 0))
+
+
+def test_gather_tables_follow_the_index_on_random_posets():
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 15])
+        poset = random_poset(rng, max_contexts=6, max_atoms=4)
+        index = poset.index
+        first = index.cell_start.tolist()
+        assert tuple(first[:-1]) == poset.lattice.offsets
+        assert first[-1] == len(poset.lattice.entries)
+        rank = {pair: k for k, pair in enumerate(index.pair_indices)}
+        for route in ("below", "below_image"):
+            g = index.gather(route)
+            got = list(zip(g.cell.tolist(), g.stage.tolist(), g.image.tolist(),
+                           g.target.tolist(), g.pair.tolist()))
+            assert got == [(first[i] + mask, j, table[mask], first[j] + table[mask], rank[(j, i)])
+                           for i in range(len(index.ids)) for mask in n_masks(poset, index.ids[i])
+                           for j, table in getattr(index, route)(i)]
+            assert [c for c in range(first[-1]) for _ in range(g.start[c], g.start[c + 1])] \
+                == g.cell.tolist()
+        cells = [(first[i], index.n_atoms[i]) for i in range(len(index.ids))]
+        assert [a.tolist() for a in index.mask_covers] == [list(x) for x in zip(*[
+            (f + p, f + (p | 1 << b)) for f, n in cells for p in range(1 << n) for b in range(n)
+            if not p >> b & 1])]
+        assert [a.tolist() for a in index.disjoint_cells] == [list(x) for x in zip(*[
+            (f + p, f + q) for f, n in cells for p in range(1 << n) for q in range(1 << n)
+            if not p & q])]
+        square = np.cumsum([0] + [1 << 2 * n for n in index.n_atoms]).tolist()
+        pairs, starts, target = index.coarse_squares
+        assert pairs == tuple(p for p in index.pair_indices if p[0] != p[1])
+        expected = []
+        for sub, sup in pairs:
+            cg = index.coarse(sub, sup)
+            expected += [square[sub] + (cg[x] << index.n_atoms[sub]) + cg[y]
+                         for x in range(len(cg)) for y in range(len(cg))]
+        assert target.tolist() == expected
+        assert np.diff(starts).tolist() == [1 << 2 * index.n_atoms[sup] for _, sup in pairs]
+
+
+def test_gather_tables_are_built_on_first_use():
+    # building a poset, the section search and the iso check never pay for
+    # the valuation tables; a state valuation builds only its route's
+    poset = build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True)
+    global_section_search(poset)
+    check_nat_iso(poset)
+    index = poset.index
+    lazy = {"cell_start", "down_words", "mask_covers", "disjoint_cells", "coarse_squares"}
+    assert not index._gathers and not lazy & set(vars(index))
+    nu_rho(random_density(np.random.default_rng(18), 4), poset)
+    assert set(index._gathers) == {"below"}
+    assert "coarse_squares" not in vars(index)

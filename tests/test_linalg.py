@@ -21,6 +21,8 @@ from toposval.linalg import (
 from toposval.sampling import random_density, random_hermitian
 from toposval.tolerances import DEFAULT
 
+from conftest import leq_each
+
 
 def test_eig_identity():
     pairs = eig_hermitian(HermitianOperator(np.eye(3)))
@@ -181,12 +183,12 @@ def test_projector_validation():
 def test_leq_each_decides_per_matrix_of_a_stack():
     p = Projector(np.diag([1.0, 0, 0]))
     stack = np.stack([np.eye(3), np.diag([0.0, 1, 1]), np.diag([1.0, 1, 0])]).astype(complex)
-    assert p.leq_each(stack).tolist() == [True, False, True]
+    assert leq_each(p, stack).tolist() == [True, False, True]
     assert [p.leq(Projector(q)) for q in stack] == [True, False, True]
     # the containment width is tol.certain: a defect of 1 passes a width of 2
-    assert p.leq_each(stack, DEFAULT.overridden(certain=2.0)).tolist() == [True] * 3
+    assert leq_each(p, stack, DEFAULT.overridden(certain=2.0)).tolist() == [True] * 3
     with pytest.raises(LinalgError, match="dimension"):
-        p.leq_each(np.eye(3, dtype=complex))
+        leq_each(p, np.eye(3, dtype=complex))
     with pytest.raises(LinalgError, match="dimension"):
         p.leq(Projector(np.eye(2)))
 

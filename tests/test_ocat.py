@@ -41,7 +41,6 @@ from toposval.ocat import (
     discover_morphism,
     elementary_support,
     func_subset_check,
-    identity_map,
     nu_psi_o,
     o_coarse_grain,
     snap,
@@ -51,6 +50,8 @@ from toposval.ocat import (
 from toposval.sampling import random_category, random_density, random_state, random_unitary
 from toposval.valuations import MorphismSetValuation
 from toposval.tolerances import DEFAULT
+
+from conftest import identity_map, leq_each, projector_for
 
 
 def decomp(*diag, id="A"):
@@ -151,7 +152,7 @@ def test_o_coarse_grain_growth():
         n = len(a.spectrum)
         mask = int(rng.integers(0, 1 << n))
         delta = frozenset(a.spectrum[i] for i in range(n) if mask >> i & 1)
-        e_delta = a.projector_for(delta)
+        e_delta = projector_for(a, delta)
         for m in cat.morphisms_into(aid):
             e = o_coarse_grain(m.map, a, delta)
             assert e_delta.leq(e)
@@ -316,7 +317,7 @@ def _infimum(a, b, delta, tol):
     """The per-delta form of the cross-check's independent path: the mask of
     the meet of every spectral projector of `b` that dominates the projector
     of a delta mask of `a`, or None if none does."""
-    dominating = np.flatnonzero(a.projector(delta).leq_each(b.mask_entries, tol))
+    dominating = np.flatnonzero(leq_each(a.projector(delta), b.mask_entries, tol))
     return int(np.bitwise_and.reduce(dominating)) if dominating.size else None
 
 
@@ -432,7 +433,7 @@ def assert_matches_oracles(states, cat, tol=DEFAULT):
         for state in states:
             assert elementary_support(state, a, tol) == oracle_support(state, a, tol)
         for delta in all_deltas(a):
-            assert np.array_equal(a.projector_for(delta).entries,
+            assert np.array_equal(projector_for(a, delta).entries,
                                   oracle_projector_for(a, delta).entries)
             for state in states:
                 expected = oracle_characterize(state, a, delta, cat, tol, coarse)
@@ -587,7 +588,7 @@ def test_batched_dominance_matches_pairwise_containment():
                 for tol in tols:
                     pairwise = [bool(np.max(np.abs(b.projector(q).entries @ e - e)) < tol.certain)
                                 for q in range(full + 1)]
-                    assert a.projector(delta).leq_each(b.mask_entries, tol).tolist() == pairwise
+                    assert leq_each(a.projector(delta), b.mask_entries, tol).tolist() == pairwise
                     assert tables[tol][:, delta].tolist() == pairwise
                     kept = coatom = None
                     for q, ok in enumerate(pairwise):

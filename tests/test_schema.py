@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError
+from toposval.contexts import ContextError, bit_list
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
@@ -9,6 +9,7 @@ from toposval.sampling import fix_a, random_category, random_density, random_pos
 from toposval.schema import (
     BUILTIN_RELATIONS,
     BUILTIN_SET_RELATIONS,
+    Relation,
     alpha_a_R,
     random_relation,
     survey_properties,
@@ -16,10 +17,22 @@ from toposval.schema import (
     survey_properties_sigma,
 )
 from toposval.valuations import (
+    MorphismSetValuation,
     alpha_from_global_element,
     nu_rho,
     supports_global_element,
     valuations_equal,
+)
+
+from conftest import is_downward_closed
+from test_kernel import (
+    scan_exclusivity,
+    scan_func,
+    scan_monotonicity,
+    scan_null,
+    scan_sieve,
+    scan_unit,
+    stage_rule,
 )
 
 HOLDS = "holds-exhaustively"
@@ -104,7 +117,6 @@ def test_survey_equality_broken_assignment_sievehood_witness(fixa):
     assert rep["properties"]["func"]["status"] == HOLDS   # any relation whatsoever
     assert rep["analyses"]["sievehood_paths_agree"]
     # the witness re-verifies on replay: that member set is not a sieve
-    from toposval.presheaves import is_downward_closed
     from toposval.schema import _schema_valuation
     w = rep["properties"]["sievehood"]["witness"]
     alpha = _schema_valuation(broken, BUILTIN_RELATIONS["eq"])
@@ -321,3 +333,239 @@ def test_random_relation_matches_scalar_draws(seed):
     table = scalar_relation_table(ref, poset)
     assert {key: rel.test(*key) for key in table} == table
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# --------------------------------------------------------------------------
+# the surveys against the scans they replaced
+#
+# R asked once per (context, left mask) through `test`, the valuation built
+# by `stage_rule`, every law and every analysis one Python loop.
+
+class ScanRelationRows:
+    """`rel.test` over one poset, asked once per (context, left mask): the
+    row of a left mask is the bitmask of the right masks it relates to."""
+
+    def __init__(self, poset, rel):
+        self._test = rel.test
+        self._index = poset.index
+        self._rows = {}
+
+    def row(self, i, left):
+        out = self._rows.get((i, left))
+        if out is None:
+            cid = self._index.ids[i]
+            out = 0
+            for right in range(1 << self._index.n_atoms[i]):
+                if self._test(cid, left, right):
+                    out |= 1 << right
+            self._rows[(i, left)] = out
+        return out
+
+
+def scan_statuses(alpha, unit=scan_unit):
+    sieve_ok, w = scan_sieve(alpha)
+    found = [("sievehood", sieve_ok, w)]
+    for clause, find in (("func", scan_func), ("null", scan_null),
+                         ("monotonicity", scan_monotonicity),
+                         ("exclusivity", scan_exclusivity), ("unit", unit)):
+        w = find(alpha)
+        found.append((clause, w is None, w))
+    properties = {clause: {"status": HOLDS if ok else FAILS, "witness": None if ok else w}
+                  for clause, ok, w in found}
+    return {"properties": properties,
+            "all_hold": all(v["status"] == HOLDS for v in properties.values())}
+
+
+def scan_unit_with_stage(alpha):
+    w = scan_unit(alpha)
+    if w is not None:
+        index = alpha._index
+        i = index.pos[w["v1"]]
+        missing = index.down[i] & ~alpha._bits(i, (1 << index.n_atoms[i]) - 1)
+        w["v2"] = index.ids[(missing & -missing).bit_length() - 1]
+    return w
+
+
+def scan_stable_under_coarse_graining(index, left):
+    for sup, cid in enumerate(index.ids):
+        below = index.below(sup)
+        for mask in range(1 << index.n_atoms[sup]):
+            related = 0
+            for sub, table in below:
+                if left[sub] >> table[mask] & 1:
+                    related |= 1 << sub
+            for mid in bit_list(related):
+                missing = index.down[mid] & ~related
+                if missing:
+                    sub = (missing & -missing).bit_length() - 1
+                    return False, {"v1": cid, "v2": index.ids[mid], "v3": index.ids[sub],
+                                   "mask": mask}
+    return True, None
+
+
+def scan_preserved_by_coarse_graining(index, rows):
+    for sub, sup in index.pair_indices:
+        if sub == sup:
+            continue
+        table = index.coarse(sub, sup)
+        for x in range(len(table)):
+            related = rows.row(sup, x)
+            if not related:
+                continue
+            at_sub = rows.row(sub, table[x])
+            for y in bit_list(related):
+                if not at_sub >> table[y] & 1:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "x": x, "y": y}
+    return True, None
+
+
+def scan_isotone_under_coarse_graining(index, left):
+    for sub, sup in index.pair_indices:
+        table = index.coarse(sub, sup)
+        related = left[sub]
+        for p in range(len(table)):
+            if not related >> table[p] & 1:
+                continue
+            q = p
+            while q < len(table):
+                if not related >> table[q] & 1:
+                    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
+                q = (q + 1) | p
+    return True, None
+
+
+def scan_stable_under_enlargement(index, left):
+    for i, cid in enumerate(index.ids):
+        related = left[i]
+        size = 1 << index.n_atoms[i]
+        for s in range(size):
+            if not related >> s & 1:
+                continue
+            t = s
+            while t < size:
+                if not related >> t & 1:
+                    return False, {"v1": cid, "s": s, "t": t}
+                t = (t + 1) | s
+    return True, None
+
+
+def scan_status(ok, witness):
+    return {"status": HOLDS if ok else FAILS, "witness": None if ok else witness}
+
+
+def scan_survey_properties(a, rel):
+    poset = a.poset
+    index = poset.index
+    rows = ScanRelationRows(poset, rel)
+    alpha = MorphismSetValuation._from_bits(poset, stage_rule(
+        index, index.below, lambda j, m: bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)),
+        "scan")
+    left = [rows.row(i, a.assignment[cid]) for i, cid in enumerate(index.ids)]
+    report = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
+              **scan_statuses(alpha, unit=scan_unit_with_stage)}
+    holds = {name: v["status"] == HOLDS for name, v in report["properties"].items()}
+    analyses = report["analyses"] = {}
+    stable, w = scan_stable_under_coarse_graining(index, left)
+    analyses["stability_under_coarse_graining"] = scan_status(stable, w)
+    analyses["sievehood_paths_agree"] = holds["sievehood"] == stable
+    pres, w = scan_preserved_by_coarse_graining(index, rows)
+    analyses["coarse_graining_preserves_relation"] = scan_status(pres, w)
+    char_ok, char_w = True, None
+    for sub, sup in index.pair_indices:
+        if left[sub] & 1:
+            char_ok, char_w = False, {"v1": index.ids[sup], "v2": index.ids[sub]}
+            break
+    analyses["null_characterization"] = scan_status(char_ok, char_w)
+    analyses["null_paths_agree"] = holds["null"] == char_ok
+    iso, w = scan_isotone_under_coarse_graining(index, left)
+    analyses["isotone_under_coarse_graining"] = scan_status(iso, w)
+    analyses["monotonicity_paths_agree"] = holds["monotonicity"] == iso
+    stab, w = scan_stable_under_enlargement(index, left)
+    analyses["stable_under_enlargement"] = scan_status(stab, w)
+    return report
+
+
+def test_survey_matches_scans_for_builtin_and_random_relations():
+    outcomes = {}
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 17])
+        poset = random_poset(rng, max_contexts=5, max_atoms=3)
+        dim = poset.context(poset.ids[0]).dim
+        matching = supports_global_element(nu_rho(random_density(rng, dim), poset))
+        broken = GlobalElementG(poset, {cid: int(rng.integers(1 << poset.context(cid).n_atoms))
+                                        for cid in poset.ids}, enforce=False)
+        relations = list(BUILTIN_RELATIONS.values())
+        relations += [random_relation(rng, poset, name=f"r{k}") for k in range(3)]
+        for a in (matching, broken):
+            for rel in relations:
+                report = survey_properties(a, rel)
+                assert report == scan_survey_properties(a, rel), (seed, rel.name)
+                for name, v in report["analyses"].items():
+                    if isinstance(v, dict):
+                        outcomes.setdefault(name, set()).add(v["status"])
+    # every analysis both holds and fails somewhere
+    assert all(seen == {HOLDS, FAILS} for seen in outcomes.values()), outcomes
+
+
+def test_survey_on_closed_peres24_matches_scans():
+    from test_kernel import _peres_bases
+    from toposval.contexts import Context, build_poset
+    from toposval.linalg import Projector
+    contexts = [Context(f"P{k:02d}", [Projector(np.outer(ray, ray) / np.dot(ray, ray))
+                                      for ray in basis])
+                for k, basis in enumerate(_peres_bases())]
+    poset = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    rng = np.random.default_rng(68112)
+    a = supports_global_element(nu_rho(random_density(rng, 4, rank=2), poset))
+    assert len(poset.index.coarse_squares[2]) == 68112
+    for rel in (BUILTIN_RELATIONS["le"], BUILTIN_RELATIONS["eq"], random_relation(rng, poset)):
+        assert survey_properties(a, rel) == scan_survey_properties(a, rel), rel.name
+
+
+def scan_survey_form(alpha, regularity, name):
+    return {"relation": name, "regularity": regularity, **scan_statuses(alpha)}
+
+
+def test_survey_sigma_matches_scans():
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 19])
+        poset = random_poset(rng, max_contexts=5, max_atoms=3)
+        index = poset.index
+        a = SubobjectSigma(poset, {cid: frozenset(k for k in range(poset.context(cid).n_atoms)
+                                                  if rng.random() < 0.6) for cid in poset.ids},
+                           enforce=False)
+        for rel in BUILTIN_SET_RELATIONS.values():
+            alpha = MorphismSetValuation._from_bits(poset, stage_rule(
+                index, index.below_image,
+                lambda j, m: bool(rel.test(index.ids[j], a.assignment[index.ids[j]],
+                                           frozenset(bit_list(m))))), "scan")
+            report = survey_properties_sigma(a, rel)
+            assert report == scan_survey_form(alpha, report["regularity"], rel.name)
+
+
+def test_survey_o_matches_scans():
+    rng = np.random.default_rng(339)
+    for draw in range(60):
+        dim = int(rng.integers(2, 5))
+        cat, _ = random_category(rng, dim)
+        index = cat.index
+        a = {oid: frozenset(lam for lam in cat.objects[oid].spectrum if rng.random() < 0.5)
+             for oid in cat.ids}
+        for name, rel in BUILTIN_SET_RELATIONS.items():
+            alpha = MorphismSetValuation._from_bits(cat, stage_rule(
+                index, index.below,
+                lambda j, m: bool(rel.test(index.ids[j], a[index.ids[j]],
+                                           cat.objects[index.ids[j]].subset(m)))), "scan")
+            report = survey_properties_o(a, name, cat)
+            assert report == scan_survey_form(alpha, report["regularity"], name), (draw, name)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RELATIONS))
+def test_builtin_relation_tables_match_their_tests(name):
+    rel = BUILTIN_RELATIONS[name]
+    for n in range(1, 5):
+        assert rel.table("V", n).tolist() == [[bool(rel.test("V", l, r)) for r in range(1 << n)]
+                                              for l in range(1 << n)]
+    # a relation without a grid is tabulated through its test
+    plain = Relation(name, rel.test)
+    assert np.array_equal(plain.table("V", 3), rel.table("V", 3))

@@ -27,6 +27,8 @@ from toposval.valuations import (
     valuations_equal,
 )
 
+from conftest import is_true
+
 
 def full_table(poset):
     """Constant-true valuation: every query gets the whole down-set."""
@@ -200,7 +202,7 @@ def test_alpha_from_global_element_unit_boundary(fixa):
                 == fixa.context(sub).full_mask
             )
             assert alpha.members(cid, mask) == expected
-        assert alpha.is_true(cid, fixa.context(cid).full_mask)
+        assert is_true(alpha, cid, fixa.context(cid).full_mask)
 
 
 def test_alpha_from_supports_is_nu_rho(fixa):
@@ -239,7 +241,7 @@ def test_alpha_from_subobject_full_spectrum(fixa):
     for cid in fixa.ids:
         n = fixa.context(cid).n_atoms
         for mask in range(1 << n):
-            assert alpha.is_true(cid, mask) == (mask == (1 << n) - 1)
+            assert is_true(alpha, cid, mask) == (mask == (1 << n) - 1)
 
 
 def test_alpha_from_intervals_is_nu_rho(fixa):
