@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contexts import build_poset
+from .contexts import bit_list, build_poset
 from .ks import bundled_ks_poset, global_section_search, validate_rank_one_cover
 from .ocat import (
     ODecomposition,
@@ -29,15 +29,15 @@ from .schema import BUILTIN_RELATIONS, random_relation, survey_properties
 from .serialization import SchemaError, contexts_from_json, load_json, operators_from_json, state_from_json
 from .tolerances import DEFAULT, Tolerances
 from .valuations import (
+    _intervals,
+    _supports,
     check_definition3,
     check_global_element_condition,
     check_subobject_condition,
-    interval,
     nu_rho,
     nu_rho_r,
     reconstruct_from_intervals,
     reconstruct_from_supports,
-    support,
     supports_global_element,
     theorem1_verify,
     theorem2_verify,
@@ -172,13 +172,11 @@ def cmd_valuate(args, tol: Tolerances) -> tuple[dict, int]:
 
 def cmd_supports(args, tol: Tolerances) -> tuple[dict, int]:
     poset, alpha = _load_valuation(args, tol)
-    sup = {cid: support(alpha, cid) for cid in poset.ids}
+    ids = poset.index.ids
     return {
         "r": args.r,
-        "supports": {cid: _mask_hex(None if s is None else s.mask) for cid, s in sup.items()},
-        "intervals": {
-            cid: sorted(k.atom_index for k in interval(alpha, cid)) for cid in poset.ids
-        },
+        "supports": {cid: _mask_hex(s) for cid, s in zip(ids, _supports(alpha))},
+        "intervals": {cid: bit_list(m) for cid, m in zip(ids, _intervals(alpha))},
         "subobjectCondition": check_subobject_condition(alpha),
         "globalElementCondition": check_global_element_condition(alpha),
     }, 0

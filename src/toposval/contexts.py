@@ -40,7 +40,8 @@ MAX_ATOMS_FOR_LATTICE = 20
 # for projectors ||p||_F^2 = rank(p) <= d, so the band is at most 4 d^3 eps:
 # 5.7e-14 at d = 4, where the two forms differ by at most 1.3e-15 on the
 # closed Peres-24 and 18-ray posets, noisy copies included.
-_SCREEN_ROUNDING = 4 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_SCREEN_ROUNDING = 4 * _EPS
 
 
 class ContextError(ValueError):
@@ -738,12 +739,7 @@ def build_poset(
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ContextError(f"distinct contexts share ids: {dupes}")
-    order = set()
-    pmaps = {}
-    for a, b, pm in store.inclusion_candidates():
-        if all(_mask_projector(b, m).equals(p, tol) for m, p in zip(pm, a.atoms)):
-            order.add((a.id, b.id))
-            pmaps[(a.id, b.id)] = pm
+    order, pmaps = store.inclusion()
     poset = ContextPoset(
         contexts={c.id: c for c in ctxs},
         order=frozenset(order),
@@ -751,15 +747,6 @@ def build_poset(
     )
     _check_partial_order(poset)
     return poset
-
-
-def _mask_projector(c: Context, mask: int) -> Projector:
-    """`c.projector(mask)`, or for a one-atom mask the atom itself: the
-    lattice projector would copy its entries, so an equality test gives the
-    same answer without building one."""
-    if mask and not mask & (mask - 1):
-        return c.atoms[mask.bit_length() - 1]
-    return c.projector(mask)
 
 
 class _ContextStore:
@@ -772,18 +759,20 @@ class _ContextStore:
     the earlier atom on the left.  The bits are filled by one batched
     product when a context is added, so each link is decided once per atom
     pair.  They are the only link record: a closure round reads them as one
-    bool matrix to find its connected pairs, and a meet of a disconnected
-    pair reads its link matrix off them.  They are kept per
-    stored atom rather than per interned lattice element: interning is not
-    transitive at `tol.atom`, so an interned representative may link where
-    the atom it stands for does not.
+    bool matrix, from which it takes every pair's connectivity and, for the
+    disconnected pairs, their components and the sums that decide them.
+    They are kept per stored atom rather than per interned lattice element:
+    interning is not transitive at `tol.atom`, so an interned
+    representative may link where the atom it stands for does not.
 
     Each projector that is a sum of one context's atoms is stored once: it
     joins the first stored projector within `tol.atom` in max-abs entries
-    (the test `Projector.equals` makes), or gets a new id.  A context is
-    then keyed by the set of its atoms' ids, so two contexts are the same
-    algebra exactly when their keys match, and a candidate meet is looked up
-    before any `Context` is built for it.
+    (the test `Projector.equals` makes), or gets a new id.  Stored
+    projectors are kept in buckets by rounded trace, and a projector is
+    compared only with the buckets its trace can reach (see `_intern`).  A
+    context is then keyed by the set of its atoms' ids, so two contexts are
+    the same algebra exactly when their keys match, and a candidate meet is
+    looked up before any `Context` is built for it.
     """
 
     def __init__(self, tol: Tolerances):
@@ -795,29 +784,68 @@ class _ContextStore:
         self.starts: list[int] = []   # global index of the first atom of ctxs[k]
         self.later: list[int] = []    # per stored atom, the later-stored atoms it links to
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
-        self._stored: np.ndarray | None = None   # interned entries, shape (n, dim, dim)
+        self._interned = 0
+        # rounded trace -> (ids, entries with spare rows, rows in use)
+        self._buckets: dict[int, list] = {}
 
     def _intern(self, entries: np.ndarray) -> int:
-        if self._stored is None:
-            self._stored = entries[None]
-            return 0
-        hits = np.flatnonzero(np.abs(self._stored - entries).max(axis=(1, 2)) < self.tol.atom)
-        if hits.size:
-            return int(hits[0])
-        self._stored = np.concatenate([self._stored, entries[None]])
-        return len(self._stored) - 1
+        """The id of the first stored projector within `tol.atom` of
+        `entries` in max-abs entries, storing `entries` under a new id when
+        there is none.
 
-    def _element(self, k: int, mask: int) -> int:
-        """The id of lattice element `mask` of the k-th context."""
-        eid = self._element_ids.get((k, mask))
-        if eid is None:
-            eid = self._intern(self.stacks[k][bit_list(mask)].sum(axis=0))
-            self._element_ids[(k, mask)] = eid
+        Within tol.atom, every diagonal entry differs by less than atom, so
+        the traces t_x, t_y differ by less than d atom.  Each float trace,
+        a sum of d real parts, is off by at most (d - 1) eps times the sum
+        S of their moduli, and S_y < S_x + d atom.  So fl(t_y) lies within
+        w = d atom + 4 d eps (S_x + d atom) of fl(t_x), the factor 4 also
+        covering the rounding of fl(t_x) -/+ w, and the rounded trace of
+        every stored projector within tol.atom of `entries` is one of the
+        buckets from round(t_x - w) to round(t_x + w): usually one."""
+        dim = len(entries)
+        diag = entries.diagonal().real.tolist()
+        t = sum(diag)
+        w = dim * self.tol.atom + 4 * dim * _EPS * (sum(map(abs, diag)) + dim * self.tol.atom)
+        hits = []
+        for r in range(round(t - w), round(t + w) + 1):
+            bucket = self._buckets.get(r)
+            if bucket is not None:
+                ids, stored, used = bucket
+                close = np.abs(stored[:used] - entries).max(axis=(1, 2)) < self.tol.atom
+                first = int(close.argmax())
+                if close[first]:
+                    hits.append(ids[first])
+        if hits:
+            return min(hits)
+        eid = self._interned
+        self._interned += 1
+        bucket = self._buckets.get(round(t))
+        if bucket is None:
+            bucket = self._buckets[round(t)] = [[], np.empty((4, dim, dim), dtype=entries.dtype), 0]
+        ids, stored, used = bucket
+        if used == len(stored):
+            stored = bucket[1] = np.concatenate([stored, np.empty_like(stored)])
+        stored[used] = entries
+        ids.append(eid)
+        bucket[2] = used + 1
         return eid
 
-    def add_if_new(self, c: Context) -> None:
+    def _element(self, k: int, mask: int, entries: np.ndarray | None = None) -> int:
+        """The id of lattice element `mask` of the k-th context; `entries`,
+        when given, is its sum of atoms, already taken in ascending atom
+        order (the float `stack[bit_list(mask)].sum(axis=0)` gives)."""
+        eid = self._element_ids.get((k, mask))
+        if eid is None:
+            if entries is None:
+                entries = self.stacks[k][bit_list(mask)].sum(axis=0)
+            eid = self._element_ids[(k, mask)] = self._intern(entries)
+        return eid
+
+    def add_if_new(self, c: Context, atom_ids: list[int] | None = None) -> None:
+        """Store a context unless its algebra is stored; `atom_ids`, when
+        given, are its atoms' interned ids, in its atom order."""
         stack = np.stack([a.entries for a in c.atoms])
-        atom_ids = [self._intern(e) for e in stack]
+        if atom_ids is None:
+            atom_ids = [self._intern(e) for e in stack]
         key = frozenset(atom_ids)
         if key in self.keys:
             return
@@ -838,27 +866,18 @@ class _ContextStore:
         for i, eid in enumerate(atom_ids):
             self._element_ids[(k, 1 << i)] = eid
 
-    def meet(self, i: int, j: int) -> list[int]:
-        """`_meet_masks` of contexts i < j, with the link matrix read off
-        the stored bits: row by shift-and-mask, columns by transposing."""
-        base, n_b = self.starts[j], len(self.stacks[j])
-        b_of = [(bits >> base) & ((1 << n_b) - 1)
-                for bits in self.later[self.starts[i]:self.starts[i] + len(self.stacks[i])]]
-        a_of = [0] * n_b
-        for a, bits in enumerate(b_of):
-            for b in bit_list(bits):
-                a_of[b] |= 1 << a
-        return _meet_masks(b_of, a_of, self.stacks[i], self.stacks[j], self.tol)
+    def _reach(self, first: np.ndarray, second: np.ndarray):
+        """(reach, link, rows, cols) for the pairs of stored contexts
+        (first[p] < second[p]), each padded to the widest context.
 
-    def _connected(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Per pair of stored contexts (first[p] < second[p]), whether all
-        the first context's atoms lie in one component of the pair's link
-        graph, so that `_meet_masks` would return the single full mask.
-
-        The link bits become one bool matrix, from which a padded
-        (pairs, n_a, n_b) stack is gathered; a-atoms linked through a common
-        b-atom are adjacent, and squaring that reachability matrix about
-        log2(n_a) times joins each component.  No link is decided again."""
+        The link bits become one bool matrix, from which the padded
+        (pairs, width, width) link stack is gathered: link[p, s, t] when the
+        first context's atom s links to the second's atom t.  rows and cols
+        hold the global indices of the two contexts' atoms, the atom count
+        marking padding, which links to nothing.  A-atoms linked through a
+        common b-atom are adjacent, and squaring that reachability matrix
+        about log2(width) times joins each component: reach[p, s, u] when
+        a-atoms s and u lie in one component.  No link is decided again."""
         n = len(self.later)
         width = (n + 7) // 8
         raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in self.later),
@@ -875,57 +894,127 @@ class _ContextStore:
         reach = link @ link.transpose(0, 2, 1) | np.eye(size, dtype=bool)
         for _ in range(max(size - 2, 0).bit_length()):   # paths of up to size - 1 steps
             reach = reach @ reach
-        return (reach[:, 0] | (rows == n)).all(axis=1)
+        return reach, link, rows, cols
+
+    def _connected(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Per pair of stored contexts (first[p] < second[p]), whether all
+        the first context's atoms lie in one component of the pair's link
+        graph, so that its meet is the single full mask."""
+        reach, _, rows, _ = self._reach(first, second)
+        return (reach[:, 0] | (rows == len(self.later))).all(axis=1)
+
+    def split_meets(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int, list[int], dict]]:
+        """(i, j, masks, sums) for the pairs of stored contexts (first[p] <
+        second[p]) whose link graph is disconnected, in the given order:
+        the atoms of the intersection of their algebras, as increasing
+        masks over context i's atoms, and the atom sum of context i over
+        each mask that is a whole component.
+
+        A common element is a sum of whole components of the link graph,
+        so a component whose a-sum equals its b-sum within `tol.atom` is an
+        atom of the meet, and all other components together form one more.
+        In exact arithmetic every component is an atom; the merged one
+        arises when overlaps below `tol.atom` split a component.  The
+        components of a pair are visited from their lowest a-atom up, and
+        the last one is an atom without a test unless an earlier one failed.
+
+        All of the round's components are found and decided at once: a
+        component is the reach row of its lowest a-atom, its b-atoms the
+        OR of those rows' links, and both sums are taken in ascending atom
+        order, the float `stack[bit_list(mask)].sum(axis=0)` gives, in one
+        batched max-abs test."""
+        if not first.size:
+            return []
+        reach, link, rows, cols = self._reach(first, second)
+        pad = len(self.later)
+        split = np.flatnonzero(~(reach[:, 0] | (rows == pad)).all(axis=1))
+        if not split.size:
+            return []
+        reach, link, rows, cols = reach[split], link[split], rows[split], cols[split]
+        size = reach.shape[1]
+        below = np.tri(size, size, -1, dtype=bool)   # [s, u] when u < s
+        pair, lead = np.nonzero(~(reach & below).any(axis=2) & (rows != pad))
+        in_a = reach[pair, lead]
+        in_b = (in_a[:, :, np.newaxis] & link[pair]).any(axis=1)
+        every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
+        a_sum = _ordered_sums(every, rows[pair], in_a)
+        equal = (np.abs(a_sum - _ordered_sums(every, cols[pair], in_b)).max(axis=(1, 2))
+                 < self.tol.atom).tolist()
+        comps = _row_masks(in_a)
+        bounds = np.searchsorted(pair, np.arange(len(split) + 1)).tolist()
+        out = []
+        for p, (i, j) in enumerate(zip(first[split].tolist(), second[split].tolist())):
+            masks, sums, rest = [], {}, 0
+            last = bounds[p + 1] - 1
+            for c in range(bounds[p], last + 1):
+                if equal[c] or (c == last and not rest):   # the last component is an atom either way
+                    masks.append(comps[c])
+                    sums[comps[c]] = a_sum[c]
+                else:
+                    rest |= comps[c]
+            if rest:
+                masks.append(rest)
+            out.append((i, j, sorted(masks), sums))
+        return out
+
+    def meet(self, i: int, j: int) -> list[int]:
+        """The meet masks of stored contexts i < j: `split_meets` of the
+        one pair, or the full mask when its link graph is connected."""
+        split = self.split_meets(np.array([i]), np.array([j]))
+        return split[0][2] if split else [(1 << len(self.stacks[i])) - 1]
 
     def close_under_meets(self) -> None:
         """Add pairwise algebra intersections until closure (trivial meets
         skipped).
 
-        Each round visits the pairs of a snapshot in `itertools.combinations`
-        order, as a plain rescan would, so each new meet keeps the id of the
-        first pair that produces it.  A pair whose contexts both predate the
-        previous round was met then, and its meet is present, so it is
-        skipped.  So is a pair whose link graph is connected, decided for
-        the whole round at once by `_connected`: its meet is trivial.
+        Each round decides the meets of all its pairs at once, in
+        `split_meets`: a pair whose link graph is connected has a trivial
+        meet and is dropped there.  A pair whose contexts both predate the
+        previous round was met then, and its meet is present, so it is not
+        met again.  The meets are then looked up and stored one by one, in
+        `itertools.combinations` order, as a plain rescan would, so each
+        new meet keeps the id of the first pair that produces it; a round's
+        meets depend only on the link bits and atoms of contexts stored
+        before it, so deciding them ahead changes nothing.
         """
         old = 0
         while True:
             n = len(self.ctxs)
             first, second = np.triu_indices(n, 1)
             fresh = second >= old
-            first, second = first[fresh], second[fresh]
-            if first.size:
-                split = ~self._connected(first, second)
-                first, second = first[split], second[split]
-            for i, j in zip(first.tolist(), second.tolist()):
-                masks = self.meet(i, j)
+            for i, j, masks, sums in self.split_meets(first[fresh], second[fresh]):
                 if len(masks) <= 1:
                     continue
-                if frozenset(self._element(i, m) for m in masks) in self.keys:
+                eids = [self._element(i, m, sums.get(m)) for m in masks]
+                if frozenset(eids) in self.keys:
                     continue
                 a, b = self.ctxs[i], self.ctxs[j]
-                atoms = [a.projector(m) for m in masks]
-                self.add_if_new(Context(f"meet({a.id},{b.id})", atoms, tol=self.tol))
+                # each atom's entries are its element's sum, so they intern to its id
+                eid_of = {a.projector(m): eid for m, eid in zip(masks, eids)}
+                meet = Context(f"meet({a.id},{b.id})", list(eid_of), tol=self.tol)
+                self.add_if_new(meet, [eid_of[p] for p in meet.atoms])
             if len(self.ctxs) == n:
                 return
             old = n
 
-    def inclusion_candidates(self):
-        """(a, b, partition map) for the pairs, in row order, that may
-        satisfy a <= b.
+    def _screen(self):
+        """(k, candidates, partition maps) per stored context k, in order:
+        the indices j, ascending, of the stored contexts that may satisfy
+        ctxs[k] <= ctxs[j], and an (atoms of k, candidates) int array whose
+        column c is the partition map of candidate c, one mask over its
+        atoms per atom of context k.
 
-        tr(b_k a_i) is taken for all stored atoms b_k against one context's
+        tr(b_m a_i) is taken for all stored atoms b_m against context k's
         atoms a_i in a single product of flattened matrices, the sum of
-        (b_k)_lm (a_i)_ml.  It is a different float from the one
-        `Context.member_mask` takes, `np.trace(b_k @ a_i)`, but by less than
+        (b_m)_lr (a_i)_rl.  It is a different float from the one
+        `Context.member_mask` takes, `np.trace(b_m @ a_i)`, but by less than
         the rounding band (see `_SCREEN_ROUNDING`); entries within that band
-        of rank(b_k) / 2 are taken again in member_mask's expression, so
-        every decision tr(b_k a_i) > rank(b_k) / 2 is made on member_mask's
-        float.  The partition map gives, per atom a_i, the mask of the b_k
-        that pass.  For a <= b those ranks add up to rank(a_i), so pairs
-        failing that count are dropped; what is left is for `build_poset`
-        to confirm, atom by atom, by the equality test `member_mask` makes.
-        """
+        of rank(b_m) / 2 are taken again in member_mask's expression, so
+        every decision tr(b_m a_i) > rank(b_m) / 2 is made on member_mask's
+        float.  The mask of a_i over context j holds the b_m that pass,
+        packed for every context at once by one `reduceat` of the atoms'
+        bits.  For a <= b the ranks of a mask add up to rank(a_i), so pairs
+        failing that count are dropped."""
         if not self.ctxs:
             return
         every, starts = self.every, self.starts
@@ -934,7 +1023,11 @@ class _ContextStore:
         flat = every.reshape(len(every), -1)
         dim = every.shape[1]
         band = _SCREEN_ROUNDING * dim * dim * float(np.max(np.sum(np.abs(flat) ** 2, axis=1)))
-        for a, sa in zip(self.ctxs, self.stacks):
+        # each atom's bit within its own context, as Python ints past 62 atoms
+        widest = max(len(stack) for stack in self.stacks)
+        bits = np.array([1 << i for stack in self.stacks for i in range(len(stack))],
+                        dtype=np.int64 if widest < 63 else object)
+        for k, (a, sa) in enumerate(zip(self.ctxs, self.stacks)):
             overlap = (sa.transpose(0, 2, 1).reshape(len(sa), -1) @ flat.T).real
             near = np.nonzero(np.abs(overlap - half) <= band)
             if near[0].size:
@@ -942,48 +1035,79 @@ class _ContextStore:
             inside = overlap > half
             covered = np.add.reduceat(np.where(inside, ranks, 0), starts, axis=1)
             a_ranks = np.array([p.rank for p in a.atoms])
-            for j in np.flatnonzero((covered == a_ranks[:, None]).all(axis=0)).tolist():
-                block = inside[:, starts[j]:starts[j] + len(self.stacks[j])]
-                pmap = tuple(sum(1 << k for k in np.flatnonzero(row).tolist()) for row in block)
-                yield a, self.ctxs[j], pmap
+            js = np.flatnonzero((covered == a_ranks[:, None]).all(axis=0))
+            yield k, js.tolist(), np.bitwise_or.reduceat(np.where(inside, bits, 0), starts, axis=1)[:, js]
+
+    def inclusion_candidates(self):
+        """(a, b, partition map) for the pairs, in row order, that may
+        satisfy a <= b: the screen's candidates (see `_screen`), for
+        `inclusion` to confirm."""
+        for k, js, packed in self._screen():
+            for j, pmap in zip(js, packed.T.tolist()):
+                yield self.ctxs[k], self.ctxs[j], tuple(pmap)
+
+    def inclusion(self) -> tuple[set[tuple[str, str]], dict[tuple[str, str], tuple[int, ...]]]:
+        """The inclusion order of the stored contexts and its partition
+        maps, in row order: each screened candidate a <= b kept when every
+        atom a_i equals the projector of its mask over b within
+        `tol.atom`, the test `member_mask` makes.
+
+        Per context a, every (candidate, atom) is decided in one max-abs
+        test, against the mask's atom sum taken in ascending atom order,
+        the float `Context.projector` stores.  The lattice projectors of
+        multi-atom masks are then built, and so validated, in the order and
+        up to the first failing atom of each candidate, as a test of one
+        atom at a time would build them."""
+        order: set[tuple[str, str]] = set()
+        pmaps_out: dict[tuple[str, str], tuple[int, ...]] = {}
+        if not self.ctxs:
+            return order, pmaps_out
+        every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
+        t = np.arange(max(len(stack) for stack in self.stacks))
+        starts = np.array(self.starts)
+        ends = starts + [len(stack) for stack in self.stacks]
+        for k, js, packed in self._screen():
+            if not js:
+                continue
+            a, sa = self.ctxs[k], self.stacks[k]
+            b_of = np.repeat(js, len(sa))   # per (candidate, atom of a)
+            index = starts[b_of][:, np.newaxis] + t
+            index[index >= ends[b_of][:, np.newaxis]] = len(every) - 1
+            masks = packed.T.reshape(-1, 1)
+            sums = _ordered_sums(every, index, ((masks >> t) & 1).astype(bool))
+            sums = sums.reshape(len(js), len(sa), *sa.shape[1:]) - sa
+            equal = (np.abs(sums).max(axis=(2, 3)) < self.tol.atom).tolist()
+            for j, pmap, decided in zip(js, map(tuple, packed.T.tolist()), equal):
+                b = self.ctxs[j]
+                for m, good in zip(pmap, decided):
+                    if m & (m - 1):
+                        b.projector(m)
+                    if not good:
+                        break
+                else:
+                    order.add((a.id, b.id))
+                    pmaps_out[(a.id, b.id)] = pmap
+        return order, pmaps_out
 
 
-def _meet_masks(b_of: list[int], a_of: list[int], sa: np.ndarray, sb: np.ndarray,
-                tol: Tolerances) -> list[int]:
-    """Atoms of the intersection of two contexts' algebras, as increasing
-    masks over the first context's atoms; given stacked atom entries and
-    their link matrix as bitsets: b_of[i] holds the b_j linked to a_i and
-    a_of[j] the a_i linked to b_j.
+def _ordered_sums(every: np.ndarray, index: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Per row r, the sum of every[index[r, t]] over the t with
+    chosen[r, t], added in ascending t: bit for bit the float that summing
+    the chosen atoms of a stack along its first axis gives, up to the sign
+    of a zero entry."""
+    out = np.zeros((len(index),) + every.shape[1:], dtype=every.dtype)
+    atoms = np.empty_like(out)
+    for t in range(index.shape[1]):
+        np.add(out, np.take(every, index[:, t], axis=0, out=atoms), out=out,
+               where=chosen[:, t, np.newaxis, np.newaxis])
+    return out
 
-    a_i and b_j are linked when max|a_i b_j| >= tol.atom (they are not
-    orthogonal); take the connected components.  A common element is a sum
-    of whole components, so a component whose a-sum equals its b-sum within
-    `tol.atom` is an atom of the meet, and all other components together
-    form one more.  In exact arithmetic every component is an atom; the
-    merged one arises when overlaps below `tol.atom` split a component.
-    One mask means the meet is trivial.
-    """
-    masks: list[int] = []
-    rest = 0
-    free = (1 << len(sa)) - 1
-    while free:
-        in_a = free & -free
-        while True:
-            in_b = _union(b_of, in_a)
-            grown = in_a | _union(a_of, in_b)
-            if grown == in_a:
-                break
-            in_a = grown
-        free &= ~in_a
-        if not free and not rest:
-            masks.append(in_a)   # the last component is an atom either way
-        elif np.max(np.abs(sa[bit_list(in_a)].sum(axis=0) - sb[bit_list(in_b)].sum(axis=0))) < tol.atom:
-            masks.append(in_a)
-        else:
-            rest |= in_a
-    if rest:
-        masks.append(rest)
-    return sorted(masks)
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as the int mask of its set columns."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[r * width:(r + 1) * width], "little") for r in range(len(rows))]
 
 
 def bit_list(mask: int) -> list[int]:

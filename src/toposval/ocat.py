@@ -35,8 +35,10 @@ float decisions are made once and kept by `OperatorCategory`:
   differ from the infimum at very tight containment widths;
 - per (state, tolerances), held weakly by the state object: the support
   mask of each operator and of each arrow's image operator, and the
-  member-set valuation, with one certainty test per (operator, preimage
-  mask) on that preimage's projector.
+  member-set valuation.  For a density matrix, one `certain_each` over an
+  operator's stacked mask projectors decides every mask of it at once;
+  for a vector state, each (operator, preimage mask) is one norm test on
+  that preimage's projector.
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -62,6 +64,7 @@ from .linalg import (
     Projector,
     StateVector,
     certain,
+    certain_each,
     containment_table,
     eig_hermitian,
     projector_ranks,
@@ -419,9 +422,12 @@ class Morphism:
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
     category: the support mask of each object or arrow image operator, and
-    the member-set valuation, whose rule tests certainty once per
-    (operator, preimage mask).  The rule holds the state weakly, as the
-    category's memo does, so the decisions never keep their state alive."""
+    the member-set valuation, whose rule decides certainty once per
+    (operator, preimage mask): for a density matrix, every mask of an
+    operator in one `certain_each` call on first use, and for a vector
+    state one norm test per preimage.  The rule holds the state weakly, as
+    the category's memo does, so the decisions never keep their state
+    alive."""
 
     __slots__ = ("support", "valuation")
 
@@ -429,19 +435,27 @@ class _Decisions:
         self.support: dict[ODecomposition, int] = {}
         index = category.index
         held = weakref.ref(state)
-        certain: dict[tuple[int, int], bool] = {}
+        vector = isinstance(state, StateVector)
+        decided: dict = {}   # (operator, mask) -> bool for a vector, else operator -> per-mask list
         checked = category._checked.setdefault(tol, {})
+
+        def sure(i: int, a: ODecomposition, pre: int) -> bool:
+            if vector:
+                out = decided.get((i, pre))
+                if out is None:
+                    out = decided[(i, pre)] = state_certain(held(), a.projector(pre), tol)
+                return out
+            masks = decided.get(i)
+            if masks is None:
+                masks = decided[i] = certain_each(held(), a.mask_entries, tol).tolist()
+            return masks[pre]
 
         def bits(i: int, delta: int) -> int:
             a = category.objects[index.ids[i]]
             out = 0
             for j, table in index.below(i):
                 category._cross_check(j, i, delta, tol, checked)
-                pre = index.lift(j, i, table[delta])
-                sure = certain.get((i, pre))
-                if sure is None:
-                    sure = certain[(i, pre)] = state_certain(held(), a.projector(pre), tol)
-                if sure:
+                if sure(i, a, index.lift(j, i, table[delta])):
                     out |= 1 << j
             return out
 

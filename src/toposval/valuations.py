@@ -692,7 +692,11 @@ def reconstruct_from_supports(alpha: MorphismSetValuation) -> tuple[MorphismSetV
                            _condition_i(alpha, "below", _supports(alpha), "support_below"))
 
 
+@_law
 def _intervals_subobject(alpha: MorphismSetValuation) -> SubobjectSigma:
+    """The interval assignment as a subobject, built once per valuation:
+    `theorem2_verify` reads its flags and `reconstruct_from_intervals`
+    rebuilds from it."""
     assignment = {cid: frozenset(bit_list(m)) for cid, m in zip(alpha._index.ids, _intervals(alpha))}
     return SubobjectSigma(alpha.poset, assignment, enforce=False)
 

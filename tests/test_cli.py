@@ -402,3 +402,26 @@ def test_golden_ocat_error_digest(tmp_path, monkeypatch):
     assert json.loads(report)["result"] == {
         "error": "coarse-graining paths disagree: preimage [-1.0] vs infimum []"}
     assert hashlib.sha256(report).hexdigest() == OCAT_ERROR_DIGEST
+
+
+@pytest.mark.parametrize("r", ["1", "0.6", "0.3"])
+def test_verify_theorems_builds_one_interval_subobject(tmp_path, monkeypatch, r):
+    # theorem 2 and the interval reconstruction share the valuation's one
+    # interval subobject
+    from toposval.presheaves import SubobjectSigma
+
+    built = []
+    init = SubobjectSigma.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubobjectSigma, "__init__", spy)
+    fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
+    (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED_STATE))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify-theorems", "--input", "ks18.json", "--add-trivial", "--close-under-meets",
+                 "--state", "mixed.json", "--r", r, "--out", "report.json"]) == 0
+    assert len(built) == 1

@@ -1,16 +1,17 @@
 """Differential tests for meet closure and the partial-order check.
 
 `build_poset` closes under meets with the component rule on per-atom link
-bitsets, interned lattice elements and a pair worklist, meeting only the
-pairs that one batched reachability step finds disconnected; it takes
-partition maps from a trace screen of one product per context with a
-fallback band, orders atoms by a lazy comparison, and checks the order on
-int-bitmask down-sets.  Kept here as oracles: the enumerating meet; the
-per-pair meet that builds its own float link matrix; the per-pair
-component walk; the per-pair `_partition_map`/`member_mask`; the eager
-rounded-tuple atom key; the rescan-every-pair closure with two-way
-`inclusion` duplicate tests and all-pairs partition maps; and the
-triple-loop order check.
+bitsets, lattice elements interned by trace bucket and a pair worklist,
+meeting the pairs that one batched reachability step finds disconnected in
+one batched pass per round; it takes partition maps from a trace screen of
+one product per context with a fallback band, confirms them with one
+equality test per context, orders atoms by a lazy comparison, and checks
+the order on int-bitmask down-sets.  Kept here as oracles: the enumerating
+meet; the per-pair component walk `_meet_masks`, on a float link matrix of
+its own; the per-pair `_partition_map`/`member_mask`; interning by a scan
+of every stored projector; the eager rounded-tuple atom key; the
+rescan-every-pair closure with two-way `inclusion` duplicate tests and
+all-pairs partition maps; and the triple-loop order check.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ from toposval.contexts import (
     _canonical_order,
     _check_partial_order,
     _ContextStore,
-    _meet_masks,
+    _union,
     bit_list,
     build_poset,
     inclusion,
@@ -54,6 +55,37 @@ def _meet_enumerate(a, b, tol=DEFAULT):
 
 def _stack(c):
     return np.stack([a.entries for a in c.atoms])
+
+
+def _meet_masks(b_of, a_of, sa, sb, tol):
+    """The per-pair component walk: atoms of the intersection of two
+    contexts' algebras, as increasing masks over the first context's atoms,
+    given stacked atom entries and their link matrix as bitsets (b_of[i]
+    holds the b_j linked to a_i and a_of[j] the a_i linked to b_j).  A
+    component whose a-sum equals its b-sum within `tol.atom` is an atom, the
+    last one untested unless an earlier one failed; all other components
+    together form one more."""
+    masks = []
+    rest = 0
+    free = (1 << len(sa)) - 1
+    while free:
+        in_a = free & -free
+        while True:
+            in_b = _union(b_of, in_a)
+            grown = in_a | _union(a_of, in_b)
+            if grown == in_a:
+                break
+            in_a = grown
+        free &= ~in_a
+        if not free and not rest:
+            masks.append(in_a)   # the last component is an atom either way
+        elif np.max(np.abs(sa[bit_list(in_a)].sum(axis=0) - sb[bit_list(in_b)].sum(axis=0))) < tol.atom:
+            masks.append(in_a)
+        else:
+            rest |= in_a
+    if rest:
+        masks.append(rest)
+    return sorted(masks)
 
 
 def _meet_masks_pairwise(sa, sb, tol):
@@ -314,10 +346,16 @@ def test_build_poset_matches_reference_on_random_families():
 
 
 class _PairwiseStore(_ContextStore):
-    """The store deciding each met pair's links with its own float matrix."""
+    """The store meeting each disconnected pair by the component walk on a
+    float link matrix of its own, interning each meet's elements from
+    their own sums."""
 
-    def meet(self, i, j):
-        return _meet_masks_pairwise(self.stacks[i], self.stacks[j], self.tol)
+    def split_meets(self, first, second):
+        if not first.size:
+            return []
+        split = ~self._connected(first, second)
+        return [(i, j, _meet_masks_pairwise(self.stacks[i], self.stacks[j], self.tol), {})
+                for i, j in zip(first[split].tolist(), second[split].tolist())]
 
 
 def _build_poset_pairwise(contexts, add_trivial=True, close_under_meets=True, tol=DEFAULT):
@@ -513,18 +551,107 @@ def test_batched_connectivity_matches_the_per_pair_component_walk():
     assert split >= 1000, split
 
 
+def _split_below_tolerance():
+    """Three bases of dimension 4.  B shares v3 and e4 with A, its other
+    two rays turned by 1.5e-8 in their plane: each turned pair is a
+    component of its own whose sums differ by more than tol.atom, so the
+    two merge into one atom of the meet.  C shares v1 and v2 with A and
+    rotates v3, e4 in theirs, so it meets B the same way."""
+    v1 = np.array([1, 1, 1, 0]) / np.sqrt(3)
+    v2 = np.array([1, -1, 0, 0]) / np.sqrt(2)
+    v3 = np.array([1, 1, -2, 0]) / np.sqrt(6)
+    e4 = np.array([0, 0, 0, 1.0])
+    c, s = np.cos(1.5e-8), np.sin(1.5e-8)
+    w1, w2 = c * v1 + s * v2, c * v2 - s * v1
+    return [Context(name, [Projector(np.outer(v, v)) for v in rays])
+            for name, rays in (("A", (v1, v2, v3, e4)), ("B", (w1, w2, v3, e4)),
+                               ("C", (v1, v2, (v3 + e4) / np.sqrt(2), (v3 - e4) / np.sqrt(2))))]
+
+
+def test_batched_meets_match_the_pair_walk_on_every_store():
+    # all pairs of every closed store in one batched pass, against the walk
+    # on a float link matrix of its own per pair; each whole-component sum
+    # handed to interning is the stack's own sum, bit for bit
+    split = merged = 0
+    for name, contexts, tol in [*_closure_inputs(), ("split", _split_below_tolerance(), DEFAULT)]:
+        store = _ContextStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        first, second = np.triu_indices(len(store.ctxs), 1)
+        got = {(i, j): (masks, sums) for i, j, masks, sums in store.split_meets(first, second)}
+        for i, j in zip(first.tolist(), second.tolist()):
+            sa, sb = store.stacks[i], store.stacks[j]
+            want = _meet_masks_pairwise(sa, sb, tol)
+            if (i, j) not in got:
+                assert _a_components(_float_link(sa, sb, tol)) == 1, (name, i, j)
+                assert want == [(1 << len(sa)) - 1], (name, i, j)
+                continue
+            masks, sums = got[(i, j)]
+            assert masks == want, (name, i, j)
+            for m, entries in sums.items():
+                assert m in masks and np.array_equal(entries, sa[bit_list(m)].sum(axis=0)), (name, i, j)
+            split += 1
+            merged += name == "split" and any(m not in sums for m in masks)
+    assert merged >= 2, merged   # A with B and B with C, at least
+    assert split >= 1000, split
+
+
+def _intern_scan(stored, entries, tol):
+    """Interning by a scan of every stored projector: the first within
+    `tol.atom` in max-abs entries, or a new id."""
+    for k, other in enumerate(stored):
+        if np.max(np.abs(other - entries)) < tol.atom:
+            return k
+    stored.append(entries)
+    return len(stored) - 1
+
+
+def test_intern_by_trace_bucket_matches_the_scan():
+    # matrices near a few bases, diagonals near half-integers, and copies
+    # moved by about tol.atom, so matches cross trace buckets at loose
+    # tolerances and near misses abound
+    rng = np.random.default_rng(61)
+    crossed = matched = 0
+    for atom in (1e-8, 0.05, 0.3):
+        tol = DEFAULT.overridden(atom=atom)
+        for dim in (2, 3, 5):
+            store, stored, traces = _ContextStore(tol), [], []
+            bases = [np.diag(rng.integers(0, 2, size=dim) + rng.choice([0.0, 0.5], size=dim))
+                     + 1j * atom * rng.normal(size=(dim, dim)) for _ in range(6)]
+            for _ in range(150):
+                x = bases[int(rng.integers(len(bases)))] + atom * rng.uniform(-0.7, 0.7, size=(dim, dim))
+                want = _intern_scan(stored, x, tol)
+                assert store._intern(x) == want, (atom, dim)
+                trace = round(float(np.trace(x).real))
+                if want < len(traces):
+                    matched += 1
+                    crossed += traces[want] != trace
+                else:
+                    traces.append(trace)
+    assert matched >= 900 and crossed >= 100, (matched, crossed)
+
+
 @pytest.mark.parametrize("name,calls,closed", [("peres24", 780, 94), ("ks18", 54, 28)])
 def test_meet_runs_on_disconnected_pairs_only(monkeypatch, name, calls, closed):
-    from toposval import contexts as module
-
+    # the batched pass meets exactly the disconnected pairs, each as the
+    # per-pair walk does
     seen = []
+    batched = _ContextStore.split_meets
 
-    def spy(b_of, a_of, sa, sb, tol):
-        assert _a_components(_float_link(sa, sb, tol)) > 1, name
-        seen.append(len(sa))
-        return _meet_masks(b_of, a_of, sa, sb, tol)
+    def spy(store, first, second):
+        out = batched(store, first, second)
+        for i, j, masks, _ in out:
+            sa, sb = store.stacks[i], store.stacks[j]
+            assert _a_components(_float_link(sa, sb, store.tol)) > 1, name
+            assert masks == _meet_masks_pairwise(sa, sb, store.tol), (name, i, j)
+        connected = sum(_a_components(_float_link(store.stacks[i], store.stacks[j], store.tol)) == 1
+                        for i, j in zip(first.tolist(), second.tolist()))
+        assert len(out) + connected == len(first), name
+        seen.extend(out)
+        return out
 
-    monkeypatch.setattr(module, "_meet_masks", spy)
+    monkeypatch.setattr(_ContextStore, "split_meets", spy)
     contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
     poset = build_poset(contexts, add_trivial=True, close_under_meets=True)
     assert (len(seen), len(poset.ids)) == (calls, closed)
@@ -570,6 +697,40 @@ def test_screen_follows_the_trace_on_atoms_hermitian_only_within_tolerance():
                     apart += abs(gap.real) > 1e-13
     assert apart >= 100, apart
     assert len(got) > len(store.ctxs)
+
+
+def test_confirmation_builds_mask_projectors_up_to_the_first_failing_atom():
+    # X's atoms each carry an anti-Hermitian part of 0.9 tol.herm, so the
+    # projector of two of them fails validation.  T's first atom passes the
+    # screen against x0 but differs from it by about 1e-3; the one-by-one
+    # test stops there and never builds the projector of T's second mask,
+    # {x1, x2}.  T2's first atom equals x0, so that projector is built, and
+    # fails, as it did one atom at a time.
+    tol = DEFAULT.overridden(herm=1e-6, proj_idem=1e-5, atom=1e-4)
+    t = np.random.default_rng(5).normal(size=(3, 3))
+    skew = 0.45j * tol.herm * (t + t.T) / np.abs(t + t.T).max()
+    x = Context("X", [Projector(np.diag(d).astype(complex) + skew, tol=tol)
+                      for d in np.eye(3)], tol=tol)
+    with pytest.raises(LinalgError, match="Hermitian"):
+        x.projector(0b110)
+    v = np.array([np.cos(1e-3), 0, np.sin(1e-3)])
+    for first, fails in ((np.outer(v, v), True), (np.diag([1.0, 0, 0]), False)):
+        other = Projector(np.eye(3) - first, tol=tol)
+        coarse = Context("T", [Projector(first, tol=tol), other], tol=tol)
+        outcomes = []
+        for build in (build_poset, _build_poset_pairwise):
+            x = Context("X", x.atoms, tol=tol)   # no projector built yet
+            try:
+                outcomes.append(build([x, coarse], add_trivial=False, close_under_meets=False,
+                                      tol=tol))
+            except LinalgError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if fails:
+            _assert_same_poset(got, want)
+            assert not got.leq("T", "X")
+        else:
+            assert "Hermitian" in want and got == want
 
 
 # SHA-256 of the closed poset of all 24 Peres bases (`_peres_subset(24,

@@ -20,6 +20,7 @@ import numpy.testing as npt
 import pytest
 
 from toposval import linalg
+from toposval import ocat as ocat_module
 from toposval.contexts import bit_list
 from toposval.linalg import (
     DensityMatrix,
@@ -469,6 +470,53 @@ def test_checkers_match_oracles_on_random_categories():
         dim = int(rng.integers(2, 7))
         cat, aid = random_category(rng, dim)
         assert_matches_oracles(states_for(rng, cat, aid), cat)
+
+
+def _bits_by_state_certain(cat, state, tol, i, delta):
+    """The member bits of (operator i, mask delta) with one `state_certain`
+    call per (operator, preimage mask), as the decisions once made them."""
+    index = cat.index
+    a = cat.objects[index.ids[i]]
+    out = 0
+    for j, table in index.below(i):
+        if state_certain(state, a.projector(index.lift(j, i, table[delta])), tol):
+            out |= 1 << j
+    return out
+
+
+def test_mixed_state_decisions_match_state_certain(monkeypatch):
+    # one certain_each per operator for a density matrix, against one
+    # state_certain per (operator, preimage mask); vector states keep the
+    # norm test
+    wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15, certain=1e-3)
+    calls = []
+    batched = ocat_module.certain_each
+
+    def spy(rho, stack, tol=DEFAULT):
+        calls.append(len(stack))
+        return batched(rho, stack, tol)
+
+    monkeypatch.setattr(ocat_module, "certain_each", spy)
+    rng = np.random.default_rng(233)
+    certain_bits = draws = 0
+    for _ in range(40):
+        cat, aid = random_category(rng, int(rng.integers(2, 7)))
+        index = cat.index
+        for state in states_for(rng, cat, aid):
+            for tol in (DEFAULT, wide):
+                calls.clear()
+                decisions = cat._decisions(state, tol).valuation
+                for i, n in enumerate(index.n_atoms):
+                    for delta in range(1 << n):
+                        want = _bits_by_state_certain(cat, state, tol, i, delta)
+                        assert decisions._bits(i, delta) == want, (i, delta)
+                        certain_bits += want.bit_count()
+                if isinstance(state, StateVector):
+                    assert calls == []
+                else:
+                    draws += 1
+                    assert calls == [1 << n for n in index.n_atoms]
+    assert draws == 160 and certain_bits >= 2000, (draws, certain_bits)
 
 
 def test_one_category_two_interleaved_states():
