@@ -13,16 +13,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .linalg import (
     HermitianOperator,
+    LinalgError,
     Projector,
+    _chunks,
     commutes,
     eig_hermitian,
     identity_projector,
+    product_max,
+    projector_ranks,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -48,35 +52,41 @@ class ContextError(ValueError):
     """Malformed context, lattice element or poset input."""
 
 
-def _canonical_order(atoms: tuple[Projector, ...]) -> tuple[Projector, ...]:
+def _canonical_order(atoms: tuple[Projector, ...], stack: np.ndarray | None = None) -> tuple[Projector, ...]:
     """The atoms in canonical order: by descending matrix entries, their
     real and imaginary parts in row-major order compared lexicographically
     under the key -round(part, 9) (so the standard-basis atoms keep their
-    natural order).  Only parts whose raw values differ are rounded, since
-    equal raw values have equal keys.  The parts are rounded as numpy
-    float64 scalars, whose rounding can differ from a Python float's at a
-    tie.  The sort is stable: atoms whose keys all agree keep their input
-    order."""
-    parts = [a.entries.reshape(-1).view(np.float64) for a in atoms]
-    raw = [p.tolist() for p in parts]
+    natural order).  The parts are rounded as numpy float64, whose rounding
+    can differ from a Python float's at a tie.  The order is one stable
+    `np.lexsort` of the rounded keys: atoms whose keys all agree keep their
+    input order.  `stack`, when given, holds the atoms' entries."""
+    if stack is None:
+        stack = np.array([a.entries for a in atoms])
+    keys = -np.round(stack.reshape(len(atoms), -1).view(np.float64), 9)
+    return tuple(atoms[i] for i in np.lexsort(keys.T[::-1]).tolist())
 
-    def compare(i: int, j: int) -> int:
-        for k, (u, v) in enumerate(zip(raw[i], raw[j])):
-            if u != v:
-                ku, kv = -round(parts[i][k], 9) - 0.0, -round(parts[j][k], 9) - 0.0
-                if ku != kv:
-                    return -1 if ku < kv else 1
-        return 0
 
-    order = sorted(range(len(atoms)), key=cmp_to_key(compare))
-    return tuple(atoms[i] for i in order)
+@lru_cache(maxsize=None)
+def _atom_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) index arrays of the pairs i < j of n atoms, in
+    `itertools.combinations` order; read-only, as they are shared."""
+    pairs = np.triu_indices(n, 1)
+    for ix in pairs:
+        ix.flags.writeable = False
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
 class Context:
     """A commutative algebra given by its ordered list of atoms, with the
     tolerances it was validated at; its lattice projectors are validated
-    at the same tolerances."""
+    at the same tolerances.
+
+    Validation takes the atoms in checks of increasing cost, raising on the
+    first that fails: one dimension, no zero atom, pairwise orthogonality
+    (max|a b| < tol.atom, every pair of the atoms in one stacked product),
+    and the identity as their sum within tol.atom.  `stack` holds the
+    atoms' entries in atom order, read-only, shape (n_atoms, dim, dim)."""
 
     id: str
     atoms: tuple[Projector, ...]
@@ -92,15 +102,18 @@ class Context:
                 raise ContextError("atoms of mixed dimension")
             if a.rank < 1:
                 raise ContextError("zero atom in context")
-        for a, b in itertools.combinations(atoms, 2):
-            if not a.orthogonal_to(b, tol):
-                raise ContextError(f"atoms of context {id!r} are not orthogonal")
-        total = sum(a.entries for a in atoms)
-        if np.max(np.abs(total - np.eye(dim))) > tol.atom:
+        stack = np.array([a.entries for a in atoms])
+        if not (product_max(stack, *_atom_pairs(len(atoms))) < tol.atom).all():
+            raise ContextError(f"atoms of context {id!r} are not orthogonal")
+        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > tol.atom:
             raise ContextError(f"atoms of context {id!r} do not resolve the identity")
+        atoms = _canonical_order(atoms, stack)
+        stack = np.array([a.entries for a in atoms])
+        stack.flags.writeable = False
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "atoms", _canonical_order(atoms))
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "_projectors", {})
 
     @property
@@ -117,18 +130,10 @@ class Context:
 
     def projector(self, mask: int) -> Projector:
         """The lattice projector for a bit mask over atom indices, built
-        once per mask and validated at the context's tolerances."""
+        once per mask and validated at the context's tolerances: the
+        one-request case of `lattice_projectors`."""
         p = self._projectors.get(mask)
-        if p is None:
-            if mask < 0 or mask > self.full_mask:
-                raise ContextError(f"mask {mask} out of range for context {self.id!r}")
-            if mask == 0:
-                p = Projector(np.zeros((self.dim, self.dim)), tol=self.tol)
-            else:
-                p = Projector(sum(self.atoms[i].entries for i in range(self.n_atoms) if mask >> i & 1),
-                              tol=self.tol)
-            self._projectors[mask] = p
-        return p
+        return p if p is not None else lattice_projectors([(self, mask)])[0]
 
     def member_mask(self, p: Projector, tol: Tolerances = DEFAULT) -> int | None:
         """The mask whose projector equals `p`, or None if p is not in the lattice."""
@@ -142,6 +147,48 @@ class Context:
         if self.projector(mask).equals(p, tol):
             return mask
         return None
+
+
+def lattice_projectors(requests) -> list[Projector]:
+    """The lattice projectors of (context, mask) requests, in order: the
+    batch form of `Context.projector`.  The requests not built yet are
+    built together: each is its mask's atoms summed in ascending atom
+    order, and every run of requests whose contexts share a dimension and a
+    tolerance set is validated as one stack, in one `projector_ranks` call.
+    A failure raises what building the requests one at a time, in order,
+    would raise first."""
+    requests = list(requests)
+    for q, (c, mask) in enumerate(requests):
+        if mask < 0 or mask > c.full_mask:
+            lattice_projectors(requests[:q])
+            raise ContextError(f"mask {mask} out of range for context {c.id!r}")
+    todo = {}
+    for c, mask in requests:
+        if mask not in c._projectors:
+            todo.setdefault((id(c), mask), (c, mask))
+    for _, run in itertools.groupby(todo.values(), key=lambda r: (r[0].dim, r[0].tol)):
+        run = list(run)
+        owners = list({id(c): c for c, _ in run}.values())
+        start = dict(zip(map(id, owners), np.cumsum([0] + [c.n_atoms for c in owners]).tolist()))
+        every = np.concatenate([c.stack for c in owners])
+        width = max(c.n_atoms for c in owners)
+        # a context's atoms t, or any atom past them, where no bit is set
+        index = np.minimum(np.array([start[id(c)] for c, _ in run])[:, np.newaxis] + np.arange(width),
+                           len(every) - 1)
+        entries = _ordered_sums(every, index, _mask_bits([mask for _, mask in run], width))
+        entries.flags.writeable = False
+        ranks = projector_ranks(entries, run[0][0].tol)
+        for (c, mask), e, rank in zip(run, entries, ranks):
+            c._projectors[mask] = Projector._validated(e, rank)
+    return [c._projectors[mask] for c, mask in requests]
+
+
+def _mask_bits(masks: list[int], width: int) -> np.ndarray:
+    """The bits of each int mask as a bool row of the given width."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), size), axis=1, count=width,
+                         bitorder="little").astype(bool)
 
 
 def trivial_context(dim: int, id: str = "Vtriv", tol: Tolerances = DEFAULT) -> Context:
@@ -642,15 +689,12 @@ class ContextPoset:
     @cached_property
     def lattice(self) -> LatticeStack:
         """Every lattice projector of every context, stacked once, on first
-        use.  Each comes from `Context.projector`, so it is validated at its
-        context's tolerances."""
+        use.  They come from one `lattice_projectors` batch, so each is
+        validated at its context's tolerances."""
         index = self.index
-        offsets: list[int] = []
-        mats: list[np.ndarray] = []
-        for cid, n in zip(index.ids, index.n_atoms):
-            offsets.append(len(mats))
-            c = self.contexts[cid]
-            mats.extend(c.projector(m).entries for m in range(1 << n))
+        offsets = np.cumsum([0] + [1 << n for n in index.n_atoms]).tolist()[:-1]
+        mats = [p.entries for p in lattice_projectors(
+            (self.contexts[cid], m) for cid, n in zip(index.ids, index.n_atoms) for m in range(1 << n))]
         if len({m.shape for m in mats}) > 1:
             raise ContextError("contexts of mixed dimension")
         entries = np.array(mats) if mats else np.zeros((0, 0, 0), dtype=complex)
@@ -843,7 +887,7 @@ class _ContextStore:
     def add_if_new(self, c: Context, atom_ids: list[int] | None = None) -> None:
         """Store a context unless its algebra is stored; `atom_ids`, when
         given, are its atoms' interned ids, in its atom order."""
-        stack = np.stack([a.entries for a in c.atoms])
+        stack = c.stack
         if atom_ids is None:
             atom_ids = [self._intern(e) for e in stack]
         key = frozenset(atom_ids)
@@ -922,7 +966,8 @@ class _ContextStore:
         component is the reach row of its lowest a-atom, its b-atoms the
         OR of those rows' links, and both sums are taken in ascending atom
         order, the float `stack[bit_list(mask)].sum(axis=0)` gives, in one
-        batched max-abs test."""
+        batched max-abs test.  A side that recurs across pairs, the same
+        atoms of one context, is summed once."""
         if not first.size:
             return []
         reach, link, rows, cols = self._reach(first, second)
@@ -936,10 +981,16 @@ class _ContextStore:
         pair, lead = np.nonzero(~(reach & below).any(axis=2) & (rows != pad))
         in_a = reach[pair, lead]
         in_b = (in_a[:, :, np.newaxis] & link[pair]).any(axis=1)
-        every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
-        a_sum = _ordered_sums(every, rows[pair], in_a)
-        equal = (np.abs(a_sum - _ordered_sums(every, cols[pair], in_b)).max(axis=(1, 2))
-                 < self.tol.atom).tolist()
+        # a component as its global atoms, padded: a-sides, then b-sides;
+        # each distinct one is summed once
+        chosen = np.concatenate([np.where(in_a, rows[pair], pad), np.where(in_b, cols[pair], pad)])
+        parts, which = _unique_rows(chosen)
+        summed = _ordered_sums(self.every, np.minimum(parts, pad - 1), parts != pad)
+        a_of, b_of = which[:len(pair)], which[len(pair):]
+        equal = np.empty(len(pair), dtype=bool)
+        for c in _chunks(len(pair), summed.shape[1] * summed.shape[2]):
+            equal[c] = np.abs(summed[a_of[c]] - summed[b_of[c]]).max(axis=(1, 2)) < self.tol.atom
+        equal, a_of = equal.tolist(), a_of.tolist()
         comps = _row_masks(in_a)
         bounds = np.searchsorted(pair, np.arange(len(split) + 1)).tolist()
         out = []
@@ -949,7 +1000,7 @@ class _ContextStore:
             for c in range(bounds[p], last + 1):
                 if equal[c] or (c == last and not rest):   # the last component is an atom either way
                     masks.append(comps[c])
-                    sums[comps[c]] = a_sum[c]
+                    sums[comps[c]] = summed[a_of[c]]
                 else:
                     rest |= comps[c]
             if rest:
@@ -971,23 +1022,33 @@ class _ContextStore:
         `split_meets`: a pair whose link graph is connected has a trivial
         meet and is dropped there.  A pair whose contexts both predate the
         previous round was met then, and its meet is present, so it is not
-        met again.  The meets are then looked up and stored one by one, in
+        met again.  The meets are then looked up one by one, in
         `itertools.combinations` order, as a plain rescan would, so each
         new meet keeps the id of the first pair that produces it; a round's
         meets depend only on the link bits and atoms of contexts stored
-        before it, so deciding them ahead changes nothing.
+        before it, so deciding them ahead changes nothing.  The atoms of
+        the round's new meets are built as one `lattice_projectors` batch;
+        each meet is then validated as a `Context` and stored, in order.
         """
         old = 0
         while True:
             n = len(self.ctxs)
             first, second = np.triu_indices(n, 1)
             fresh = second >= old
+            meets, keys = [], set()
             for i, j, masks, sums in self.split_meets(first[fresh], second[fresh]):
                 if len(masks) <= 1:
                     continue
                 eids = [self._element(i, m, sums.get(m)) for m in masks]
-                if frozenset(eids) in self.keys:
-                    continue
+                key = frozenset(eids)
+                if key not in self.keys and key not in keys:
+                    keys.add(key)
+                    meets.append((i, j, masks, eids))
+            try:
+                lattice_projectors((self.ctxs[i], m) for i, _, masks, _ in meets for m in masks)
+            except LinalgError:
+                pass   # raised again below, after the checks of the meets before it
+            for i, j, masks, eids in meets:
                 a, b = self.ctxs[i], self.ctxs[j]
                 # each atom's entries are its element's sum, so they intern to its id
                 eid_of = {a.projector(m): eid for m, eid in zip(masks, eids)}
@@ -1055,11 +1116,13 @@ class _ContextStore:
         Per context a, every (candidate, atom) is decided in one max-abs
         test, against the mask's atom sum taken in ascending atom order,
         the float `Context.projector` stores.  The lattice projectors of
-        multi-atom masks are then built, and so validated, in the order and
-        up to the first failing atom of each candidate, as a test of one
-        atom at a time would build them."""
+        multi-atom masks that a test of one atom at a time would build (in
+        its order, up to each candidate's first failing atom) are then
+        built, and so validated, as one `lattice_projectors` batch for the
+        whole pass."""
         order: set[tuple[str, str]] = set()
         pmaps_out: dict[tuple[str, str], tuple[int, ...]] = {}
+        built: list[tuple[Context, int]] = []   # (context, mask) of the projectors to build
         if not self.ctxs:
             return order, pmaps_out
         every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
@@ -1081,12 +1144,13 @@ class _ContextStore:
                 b = self.ctxs[j]
                 for m, good in zip(pmap, decided):
                     if m & (m - 1):
-                        b.projector(m)
+                        built.append((b, m))
                     if not good:
                         break
                 else:
                     order.add((a.id, b.id))
                     pmaps_out[(a.id, b.id)] = pmap
+        lattice_projectors(built)
         return order, pmaps_out
 
 
@@ -1101,6 +1165,18 @@ def _ordered_sums(every: np.ndarray, index: np.ndarray, chosen: np.ndarray) -> n
         np.add(out, np.take(every, index[:, t], axis=0, out=atoms), out=out,
                where=chosen[:, t, np.newaxis, np.newaxis])
     return out
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows, the index of each row among them) of a 2-D array,
+    found by one `np.lexsort` of its columns."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return ranked[new], which
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:

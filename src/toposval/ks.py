@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .contexts import Character, Context, ContextError, ContextPoset, build_poset, evaluate
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, distance_table, product_max
 from .serialization import contexts_from_json
 from .tolerances import DEFAULT, Tolerances
 
@@ -146,28 +146,45 @@ def validate_rank_one_cover(contexts: list[Context], tol: Tolerances = DEFAULT) 
     """Validation pass for ray-sharing fixtures: every atom rank one,
     atoms orthogonal within the fixture tolerance, and the per-ray context
     counts; the parity obstruction is certified when every count is even
-    and the number of contexts is odd."""
+    and the number of contexts is odd.
+
+    Problems are listed per context: its atoms of rank other than one, then
+    one entry per non-orthogonal pair (max|a b| > tol.ortho_fixture), in
+    `itertools.combinations` order.  Each atom, in order, joins the first
+    ray whose first atom is within tol.ortho_fixture in max-abs entries, or
+    starts a ray.  The pair products and the atom distances are each one
+    chunked broadcast over all atoms."""
     report: dict = {"ok": True, "problems": []}
+    atoms = [a for c in contexts for a in c.atoms]
+    stack = np.stack([a.entries for a in atoms]) if atoms else np.zeros((0, 1, 1), dtype=complex)
+    starts = np.cumsum([0] + [c.n_atoms for c in contexts]).tolist()
+    pairs = [p for c, start in zip(contexts, starts)
+             for p in itertools.combinations(range(start, start + c.n_atoms), 2)]
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    skew = (product_max(stack, first, second) > tol.ortho_fixture).tolist()
+    done = 0
     for c in contexts:
         for a in c.atoms:
             if a.rank != 1:
                 report["ok"] = False
                 report["problems"].append(f"context {c.id!r} has an atom of rank {a.rank}")
-        for a, b in itertools.combinations(c.atoms, 2):
-            if np.max(np.abs(a.entries @ b.entries)) > tol.ortho_fixture:
-                report["ok"] = False
-                report["problems"].append(f"context {c.id!r} has non-orthogonal atoms")
-    rays: list[tuple[np.ndarray, int]] = []   # representative matrix, count
-    for c in contexts:
-        for a in c.atoms:
-            for i, (m, n) in enumerate(rays):
-                if np.max(np.abs(m - a.entries)) < tol.ortho_fixture:
-                    rays[i] = (m, n + 1)
-                    break
-            else:
-                rays.append((a.entries, 1))
-    counts = sorted(n for _, n in rays)
-    report["rayCount"] = len(rays)
+        count = c.n_atoms * (c.n_atoms - 1) // 2
+        for _ in filter(None, skew[done:done + count]):
+            report["ok"] = False
+            report["problems"].append(f"context {c.id!r} has non-orthogonal atoms")
+        done += count
+    close = (distance_table(stack) < tol.ortho_fixture).tolist()
+    firsts: list[int] = []   # the first atom of each ray
+    counts: list[int] = []
+    for k, row in enumerate(close):
+        ray = next((r for r, f in enumerate(firsts) if row[f]), None)
+        if ray is None:
+            firsts.append(k)
+            counts.append(1)
+        else:
+            counts[ray] += 1
+    counts.sort()
+    report["rayCount"] = len(firsts)
     report["contextCount"] = len(contexts)
     report["rayContextCounts"] = counts
     report["allCountsEven"] = all(n % 2 == 0 for n in counts)

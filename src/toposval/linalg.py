@@ -38,14 +38,15 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 
 # The defects below act on a matrix or on a stack of matrices, one value
-# per matrix, so a single check and a stacked one share each formula.
+# per matrix, so a single check and a stacked one share each formula.  A
+# 0 x 0 matrix has defect 0.
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
-    return np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    return np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
 
 
 def _idempotency_defect(m: np.ndarray) -> np.ndarray:
-    return np.abs(m @ m - m).max(axis=(-2, -1))
+    return np.abs(m @ m - m).max(axis=(-2, -1), initial=0.0)
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
@@ -65,22 +66,88 @@ def _projector_rank(herm: float, idem: float, tr: float, tol: Tolerances) -> int
     return rank
 
 
+def projector_checks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[list[int], dict[int, LinalgError]]:
+    """The rank of each projector matrix of a stack, and, by stack index,
+    the error `Projector` raises on each one that fails its validation (the
+    rank given for such a matrix is 0)."""
+    herm, idem, tr = _hermitian_defect(stack), _idempotency_defect(stack), _trace(stack)
+    ranks = np.round(tr)
+    bad = (herm > tol.herm) | (idem > tol.proj_idem) | (np.abs(tr - ranks) > tol.trace_rank)
+    if not bad.any():
+        return ranks.astype(int).tolist(), {}
+    errors = {}
+    for k in np.flatnonzero(bad).tolist():
+        try:
+            _projector_rank(float(herm[k]), float(idem[k]), float(tr[k]), tol)
+        except LinalgError as exc:
+            errors[k] = exc
+    return np.where(bad, 0, ranks).astype(int).tolist(), errors
+
+
 def projector_ranks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> list[int]:
     """The rank of each projector matrix of a stack, validated as
     `Projector` validates one; a stack with a failing member raises the
     error of the first, in stack order."""
-    herm, idem, tr = _hermitian_defect(stack), _idempotency_defect(stack), _trace(stack)
-    ranks = np.round(tr)
-    bad = (herm > tol.herm) | (idem > tol.proj_idem) | (np.abs(tr - ranks) > tol.trace_rank)
-    if bad.any():
-        k = int(np.argmax(bad))
-        _projector_rank(float(herm[k]), float(idem[k]), float(tr[k]), tol)
-    return ranks.astype(int).tolist()
+    ranks, errors = projector_checks(stack, tol)
+    if errors:
+        raise errors[min(errors)]
+    return ranks
 
 
-# Complex entries in each temporary of a containment table; larger tables
-# are computed in chunks of columns, then of rows.
+def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, dict[int, LinalgError]]:
+    """For a stack of (d, k) matrices, each holding k vectors as columns:
+    the matrix q q^H of each, q from its QR factorisation, and, by stack
+    index, the error `projector_from_span` raises on one before it
+    validates that matrix: a zero span, or vectors linearly dependent
+    within `tol.trace_rank` (see there).  numpy's svd, qr and matmul work
+    one matrix of a stack at a time, so each matrix and each singular value
+    is the float one span alone gives.  The zero test is the norm's: a
+    squared norm is 0 exactly when every squared real and imaginary part
+    is."""
+    zero = ~((spans.real * spans.real != 0) | (spans.imag * spans.imag != 0)).any(axis=(1, 2))
+    svals = np.linalg.svd(spans, compute_uv=False)   # none for vectors of length 0
+    dependent = (svals.min(axis=1, initial=np.inf)
+                 < tol.trace_rank * np.maximum(1.0, svals.max(axis=1, initial=0.0)))
+    q = np.linalg.qr(spans)[0]
+    errors = {k: LinalgError("zero vector in span" if zero[k] else
+                             "vectors are linearly dependent within rank tolerance")
+              for k in np.flatnonzero(zero | dependent).tolist()}
+    return q @ q.conj().swapaxes(1, 2), errors
+
+
+# Complex entries in each temporary of a table of pairwise products or
+# differences; larger tables are computed in chunks.
 CONTAINMENT_CHUNK = 4096
+
+
+def _chunks(count: int, cell: int) -> list[slice]:
+    """Slices of range(count) whose items, `cell` complex entries each, make
+    temporaries of at most CONTAINMENT_CHUNK entries (or one item)."""
+    step = max(1, CONTAINMENT_CHUNK // max(1, cell))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def product_max(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """max|P Q| over the entries, for each pair (P, Q) = (stack[first[p]],
+    stack[second[p]]) of a stack of matrices: the float
+    `Projector.orthogonal_to` tests, taken in chunks of pairs."""
+    out = np.empty(len(first))
+    cell = stack.shape[1] * stack.shape[2]
+    for s in _chunks(len(first), cell):
+        products = stack[first[s]] @ stack[second[s]]
+        out[s] = np.abs(products.reshape(len(products), cell)).max(axis=1)
+    return out
+
+
+def distance_table(stack: np.ndarray) -> np.ndarray:
+    """max|P - Q| over the entries, for each pair of matrices of a stack,
+    as an (n, n) array: the float `Projector.equals` tests, taken in chunks
+    of rows."""
+    n = len(stack)
+    out = np.empty((n, n))
+    for s in _chunks(n, n * stack.shape[1] * stack.shape[2]):
+        out[s] = np.abs(stack[s, np.newaxis] - stack).max(axis=(2, 3))
+    return out
 
 
 def containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -259,19 +326,16 @@ def projector_from_span(vectors, tol: Tolerances = DEFAULT) -> Projector:
 
     The vectors must be linearly independent: the smallest singular value
     must reach `tol.trace_rank` times the largest (or times 1, if that is
-    larger).  The resulting rank equals the number of vectors.
+    larger).  The resulting rank equals the number of vectors.  This is the
+    one-span case of `span_projectors`.
     """
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vs:
         raise LinalgError("empty span")
-    a = np.column_stack(vs)
-    if np.linalg.norm(a) == 0:
-        raise LinalgError("zero vector in span")
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals.min() < tol.trace_rank * max(1.0, svals.max()):
-        raise LinalgError("vectors are linearly dependent within rank tolerance")
-    q, _ = np.linalg.qr(a)
-    p = Projector(q @ q.conj().T, tol=tol)
+    matrices, errors = span_projectors(np.column_stack(vs)[np.newaxis], tol)
+    if errors:
+        raise errors[0]
+    p = Projector(matrices[0], tol=tol)
     if p.rank != len(vs):
         raise LinalgError("projector rank does not match the number of vectors")
     return p

@@ -1,7 +1,11 @@
+import itertools
+from functools import cmp_to_key
+
 import numpy as np
 import pytest
 
-from toposval.linalg import DensityMatrix, Projector, containment_table
+from toposval.contexts import ContextError
+from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
 from toposval.ocat import EigenvalueMap
 from toposval.sampling import diag_plus_trivial, fix_a
 from toposval.tolerances import DEFAULT
@@ -74,3 +78,61 @@ def projector_for(a, subset):
 
 def identity_map(a):
     return EigenvalueMap.from_dict({lam: lam for lam in a.spectrum})
+
+
+# --------------------------------------------------------------------------
+# one-at-a-time oracles for the stacked contexts boundary
+
+def span_projector_oracle(vectors, tol=DEFAULT):
+    """The projector onto the span of some vectors, one span at a time:
+    the norm, svd and qr of its own matrix, then `Projector`."""
+    a = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    if np.linalg.norm(a) == 0:
+        raise LinalgError("zero vector in span")
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals.min() < tol.trace_rank * max(1.0, svals.max()):
+        raise LinalgError("vectors are linearly dependent within rank tolerance")
+    q, _ = np.linalg.qr(a)
+    p = Projector(q @ q.conj().T, tol=tol)
+    if p.rank != len(vectors):
+        raise LinalgError("projector rank does not match the number of vectors")
+    return p
+
+
+def canonical_order_oracle(atoms):
+    """The atoms sorted by a comparator: the first differing raw part of
+    two atoms, rounded to 9 decimals as a numpy scalar, decides, under the
+    key -round(part, 9); a stable sort."""
+    parts = [a.entries.reshape(-1).view(np.float64) for a in atoms]
+    raw = [p.tolist() for p in parts]
+
+    def compare(i, j):
+        for k, (u, v) in enumerate(zip(raw[i], raw[j])):
+            if u != v:
+                ku, kv = -round(parts[i][k], 9) - 0.0, -round(parts[j][k], 9) - 0.0
+                if ku != kv:
+                    return -1 if ku < kv else 1
+        return 0
+
+    return tuple(atoms[i] for i in sorted(range(len(atoms)), key=cmp_to_key(compare)))
+
+
+def context_atoms_oracle(cid, atoms, tol=DEFAULT):
+    """The `Context` checks one atom and one atom pair at a time, raising
+    the first failure; the atoms in canonical order."""
+    atoms = tuple(atoms)
+    if not atoms:
+        raise ContextError("a context needs at least one atom")
+    dim = atoms[0].dim
+    for a in atoms:
+        if a.dim != dim:
+            raise ContextError("atoms of mixed dimension")
+        if a.rank < 1:
+            raise ContextError("zero atom in context")
+    for a, b in itertools.combinations(atoms, 2):
+        if not a.orthogonal_to(b, tol):
+            raise ContextError(f"atoms of context {cid!r} are not orthogonal")
+    total = sum(a.entries for a in atoms)
+    if np.max(np.abs(total - np.eye(dim))) > tol.atom:
+        raise ContextError(f"atoms of context {cid!r} do not resolve the identity")
+    return canonical_order_oracle(atoms)

@@ -74,6 +74,22 @@ def test_build_poset_mixed_dims_error(tmp_path):
     assert "error" in report["result"]
 
 
+@pytest.mark.parametrize("index", [5, 1.0, True, -1])
+def test_build_poset_rejects_a_partition_index_with_an_error_result(tmp_path, index):
+    # once an IndexError or TypeError traceback (exit 1), or, for True, read
+    # as index 1
+    p = tmp_path / "partition.json"
+    p.write_text(json.dumps([
+        {"id": "A", "dim": 2, "basis": [[1, 0], [0, 1]], "partition": [[0], [1]]},
+        {"id": "B", "dim": 2, "basis": [[1, 0], [0, 1]], "partition": [[0], [index]]},
+    ]))
+    for command in ("build-poset", "ks"):
+        code, report = run(tmp_path, command, "--input", str(p))
+        assert code == 2
+        assert report["result"] == {"error": f"partition of context 'B' has {index!r}, "
+                                             f"which is not an index of its 2 basis vectors"}
+
+
 def test_check_iso(tmp_path, fixa_file):
     code, report = run(tmp_path, "check-iso", "--input", fixa_file, "--add-trivial")
     assert code == 0

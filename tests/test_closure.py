@@ -5,22 +5,28 @@ bitsets, lattice elements interned by trace bucket and a pair worklist,
 meeting the pairs that one batched reachability step finds disconnected in
 one batched pass per round; it takes partition maps from a trace screen of
 one product per context with a fallback band, confirms them with one
-equality test per context, orders atoms by a lazy comparison, and checks
-the order on int-bitmask down-sets.  Kept here as oracles: the enumerating
-meet; the per-pair component walk `_meet_masks`, on a float link matrix of
-its own; the per-pair `_partition_map`/`member_mask`; interning by a scan
-of every stored projector; the eager rounded-tuple atom key; the
-rescan-every-pair closure with two-way `inclusion` duplicate tests and
-all-pairs partition maps; and the triple-loop order check.
+equality test per context, orders atoms by one lexsort of rounded keys,
+builds lattice projectors in batches, and checks the order on int-bitmask
+down-sets.  Kept here as oracles: the enumerating meet; the per-pair
+component walk `_meet_masks`, on a float link matrix of its own; the
+per-pair `_partition_map`/`member_mask`; interning by a scan of every
+stored projector; the eager rounded-tuple atom key and the comparator
+(`conftest.canonical_order_oracle`); lattice projectors built one request
+at a time; the rescan-every-pair closure with two-way `inclusion`
+duplicate tests and all-pairs partition maps; and the triple-loop order
+check.
 """
 
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import toposval.contexts
+from conftest import canonical_order_oracle
 from toposval.contexts import (
     Context,
     ContextError,
@@ -32,6 +38,7 @@ from toposval.contexts import (
     bit_list,
     build_poset,
     inclusion,
+    lattice_projectors,
     trivial_context,
 )
 from toposval.ks import load_bundled_ks
@@ -882,3 +889,198 @@ def test_order_check_agrees_with_triple_loop_on_random_posets():
         for order in variants:
             p = ContextPoset(contexts=poset.contexts, order=frozenset(order), partition_maps={})
             assert _outcome(_check_partial_order, p) == _outcome(_check_partial_order_triples, p)
+
+
+# --------------------------------------------------------------------------
+# the stacked contexts boundary: atom order, lattice batches, component sums
+
+def test_lexsort_order_matches_the_comparator():
+    lists = 0
+    for atoms in _atom_lists():
+        got = _canonical_order(tuple(atoms))
+        assert [id(p) for p in got] == [id(p) for p in canonical_order_oracle(atoms)]
+        lists += 1
+    assert lists == 189, lists
+
+
+def _one_at_a_time(requests):
+    """`lattice_projectors` one request at a time: each mask's atoms added
+    by Python's `sum` and validated by `Projector`, cached on its context."""
+    out = []
+    for c, mask in requests:
+        p = c._projectors.get(mask)
+        if p is None:
+            if mask < 0 or mask > c.full_mask:
+                raise ContextError(f"mask {mask} out of range for context {c.id!r}")
+            entries = (sum(c.atoms[i].entries for i in bit_list(mask)) if mask
+                       else np.zeros((c.dim, c.dim)))
+            p = c._projectors[mask] = Projector(entries, tol=c.tol)
+        out.append(p)
+    return out
+
+
+TIGHT_IDEM = DEFAULT.overridden(atom=1e-4)   # proj_idem stays at 1e-9
+
+
+def _rays(vectors, tol, scale=1.0):
+    return [Projector(scale * np.outer(v, v.conj()) / np.vdot(v, v).real, tol=tol) for v in vectors]
+
+
+def _meet_fails_before_a_later_projector():
+    """A and B, atoms scaled by 1 + 5e-5 and valid at their loose
+    tolerances, share two planes, so their meet's two atoms sum to the
+    identity only within 5e-5, beyond the build's `atom` of 2e-5.  C and D
+    share a plane too; C's rays are jittered by 1e-6, so its plane's
+    projector fails a tight `proj_idem`.  One meet at a time, meet(A, B)
+    fails its `Context` check before C's projector is built."""
+    scaled = DEFAULT.overridden(atom=1e-4, proj_idem=1e-3, trace_rank=1e-3)
+    rng = np.random.default_rng(3)
+    u, w, x = random_unitary(rng, 4), random_unitary(rng, 2), random_unitary(rng, 4)
+    turned = np.column_stack([u[:, :2] @ w, u[:, 2:] @ w])
+    return [Context("A", _rays(u.T, scaled, 1 + 5e-5), tol=scaled),
+            Context("B", _rays(turned.T, scaled, 1 + 5e-5), tol=scaled),
+            Context("C", _rays((x + 1e-6 * rng.normal(size=(4, 4))).T, TIGHT_IDEM), tol=TIGHT_IDEM),
+            Context("D", _rays(np.column_stack([x[:, :2] @ w, x[:, 2:]]).T, TIGHT_IDEM), tol=TIGHT_IDEM)]
+
+
+def _lattice_families():
+    """(name, contexts, build tolerances) families whose lattice projectors
+    all pass, or whose multi-atom ones fail at a tight `proj_idem`, some at
+    mixed tolerances."""
+    inputs = {name: contexts for name, contexts, _ in _closure_inputs()}
+    for name in ("ks18", "ks18-rotated-noise", "peres8", "peres13-noise", "peres13-loose",
+                 *(f"random{s}" for s in range(8)), *(f"family{s}" for s in range(8)),
+                 "random100-loose", "random101-loose"):
+        yield name, inputs[name], inputs[name][0].tol
+    yield "peres13-tight", _peres_subset(8, 13, TIGHT_IDEM, jitter=1e-6), TIGHT_IDEM
+    mixed = _peres_subset(3, 8, LOOSE_ATOM, jitter=1e-6) + _peres_subset(4, 8, TIGHT_IDEM, jitter=1e-6)
+    yield "peres-mixed", [Context(f"Q{k:02d}", c.atoms, tol=c.tol) for k, c in enumerate(mixed)], LOOSE_ATOM
+    yield "peres-mixed-reversed", [Context(f"Q{k:02d}", c.atoms, tol=c.tol)
+                                   for k, c in enumerate(mixed[::-1])], TIGHT_IDEM
+    yield "meet-first", _meet_fails_before_a_later_projector(), DEFAULT.overridden(atom=2e-5)
+
+
+def _closed_lattice(contexts, close, tol):
+    """A fresh build of the contexts' poset and its lattice, or the type and
+    message of the error it raises."""
+    fresh = [Context(c.id, c.atoms, tol=c.tol) for c in contexts]
+    try:
+        poset = build_poset(fresh, add_trivial=True, close_under_meets=close, tol=tol)
+        return poset, poset.lattice
+    except (LinalgError, ContextError) as exc:
+        return type(exc), str(exc)
+
+
+def test_lattice_batches_raise_and_build_as_one_request_at_a_time(monkeypatch):
+    # the closure's meets, the inclusion pass and the lattice, each in one
+    # batch, against the same builds with every projector made alone
+    failed = {}
+    for name, contexts, tol in _lattice_families():
+        for close in (True, False):
+            got = _closed_lattice(contexts, close, tol)
+            with monkeypatch.context() as m:
+                m.setattr(toposval.contexts, "lattice_projectors", _one_at_a_time)
+                want = _closed_lattice(contexts, close, tol)
+            if isinstance(want[0], type):
+                assert got == want, (name, close)
+                failed[(name, close)] = want[1]
+                continue
+            _assert_same_poset(got[0], want[0])
+            assert got[1].offsets == want[1].offsets
+            assert got[1].entries.tobytes() == want[1].entries.tobytes(), (name, close)
+    assert failed.pop(("meet-first", True)) == "atoms of context 'meet(A,B)' do not resolve the identity"
+    assert set(failed) == {(name, close) for close in (True, False)
+                           for name in ("peres13-tight", "peres-mixed", "peres-mixed-reversed")} | {
+                               ("meet-first", False)}
+    assert all("idempotent" in message for message in failed.values())
+
+
+def test_lattice_batch_raises_the_first_failure_in_lattice_order():
+    # B's atoms fail Hermiticity at B's tolerances and C's pair sum fails
+    # idempotency at C's; in lattice order (ids sorted, masks ascending)
+    # B's mask 0b01 comes first, after A's four, which pass
+    t = 2e-5
+    v, w = np.array([1.0, 0.0]), np.array([t, 1.0]) / np.hypot(t, 1.0)
+    near = [Projector(np.outer(v, v)), Projector(np.outer(w, w))]
+    skew = np.array([[0, 1e-7j], [1e-7j, 0]])
+    herm = DEFAULT.overridden(herm=1e-6, proj_idem=1e-4, atom=1e-4)
+    skewed = [Projector(np.diag([1.0, 0.0]) + skew, tol=herm), Projector(np.diag([0.0, 1.0]) + skew, tol=herm)]
+    contexts = {"A": Context("A", near, tol=DEFAULT.overridden(proj_idem=1e-4, atom=1e-4)),
+                "B": Context("B", skewed, tol=DEFAULT.overridden(proj_idem=1e-4, atom=1e-4)),
+                "C": Context("C", near, tol=TIGHT_IDEM)}
+    poset = ContextPoset(contexts=contexts, order=frozenset((c, c) for c in contexts),
+                         partition_maps={(c, c): (1, 2) for c in contexts})
+    with pytest.raises(LinalgError) as batch:
+        poset.lattice
+    fresh = {cid: Context(cid, c.atoms, tol=c.tol) for cid, c in contexts.items()}
+    with pytest.raises(LinalgError) as alone:
+        _one_at_a_time((fresh[cid], m) for cid in sorted(fresh) for m in range(4))
+    assert str(batch.value) == str(alone.value) == "projector is not Hermitian within tolerance"
+    with pytest.raises(LinalgError, match="idempotent"):
+        contexts["C"].projector(0b11)
+    with pytest.raises(ContextError, match="mask 4 out of range"):
+        lattice_projectors([(contexts["A"], 1), (contexts["A"], 4), (contexts["C"], 3)])
+    assert 1 in contexts["A"]._projectors   # built before the bad mask, as one at a time
+
+
+def _sides(sa, sb, tol):
+    """The (a-atoms, b-atoms) of each component of a pair's float link
+    graph, from its lowest a-atom up."""
+    link = _float_link(sa, sb, tol)
+    free, out = set(range(len(sa))), []
+    while free:
+        in_a, in_b = {min(free)}, set()
+        while True:
+            in_b = {j for i in in_a for j, x in enumerate(link[i]) if x}
+            more = in_a | {i for i in range(len(sa)) if any(link[i][j] for j in in_b)}
+            if more == in_a:
+                break
+            in_a = more
+        free -= in_a
+        out.append((in_a, in_b))
+    return out
+
+
+@pytest.mark.parametrize("name", ["peres24", "ks18"])
+def test_split_meets_sums_each_distinct_component_once(monkeypatch, name):
+    # every pair of the closed store in one call: one summed row per
+    # distinct (context, atoms) side of a component of a disconnected pair
+    contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
+    store = _ContextStore(DEFAULT)
+    for c in contexts:
+        store.add_if_new(c)
+    store.close_under_meets()
+    first, second = np.triu_indices(len(store.ctxs), 1)
+    want, sides = set(), 0
+    for i, j in zip(first.tolist(), second.tolist()):
+        comps = _sides(store.stacks[i], store.stacks[j], DEFAULT)
+        if len(comps) > 1:
+            for in_a, in_b in comps:
+                want.add(frozenset(store.starts[i] + a for a in in_a))
+                want.add(frozenset(store.starts[j] + b for b in in_b))
+                sides += 2
+    summed = []
+    real = toposval.contexts._ordered_sums
+
+    def spy(every, index, chosen):
+        summed.extend(frozenset(row[pick].tolist()) for row, pick in zip(index, chosen))
+        return real(every, index, chosen)
+
+    monkeypatch.setattr(toposval.contexts, "_ordered_sums", spy)
+    store.split_meets(first, second)
+    assert len(summed) == len(set(summed)) and set(summed) == want
+    assert sides >= 2 * len(want), (sides, len(want))   # sides recur across pairs
+
+
+def test_closed_peres24_build_peaks_below_two_megabytes():
+    # the closure's a- and b-side sums of each distinct component, once
+    contexts = _peres_subset(24, 24)
+    build_poset(contexts, add_trivial=True, close_under_meets=True)
+    fresh = [Context(c.id, c.atoms) for c in contexts]
+    tracemalloc.start()
+    try:
+        build_poset(fresh, add_trivial=True, close_under_meets=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.05e6, peak

@@ -1,9 +1,11 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 import toposval.ks
+import toposval.linalg
 
 from toposval.contexts import Context, ContextError, build_poset
 from toposval.ks import (
@@ -18,6 +20,7 @@ from toposval.sampling import context_from_basis, fix_a, random_poset, random_un
 from toposval.tolerances import DEFAULT
 
 from conftest import diag_proj
+from test_closure import _peres_subset
 
 
 def test_single_context_section():
@@ -204,3 +207,73 @@ def test_search_raises_on_a_partition_map_that_misses_an_atom(monkeypatch):
     with pytest.raises(ContextError, match="does not cover"):
         global_section_search(poset)
     assert verified == []
+
+
+def _rank_one_cover_oracle(contexts, tol=DEFAULT):
+    """`validate_rank_one_cover` one atom pair and one ray at a time."""
+    report = {"ok": True, "problems": []}
+    for c in contexts:
+        for a in c.atoms:
+            if a.rank != 1:
+                report["ok"] = False
+                report["problems"].append(f"context {c.id!r} has an atom of rank {a.rank}")
+        for a, b in itertools.combinations(c.atoms, 2):
+            if np.max(np.abs(a.entries @ b.entries)) > tol.ortho_fixture:
+                report["ok"] = False
+                report["problems"].append(f"context {c.id!r} has non-orthogonal atoms")
+    rays = []   # first matrix, count
+    for c in contexts:
+        for a in c.atoms:
+            for i, (m, n) in enumerate(rays):
+                if np.max(np.abs(m - a.entries)) < tol.ortho_fixture:
+                    rays[i] = (m, n + 1)
+                    break
+            else:
+                rays.append((a.entries, 1))
+    counts = sorted(n for _, n in rays)
+    report.update(rayCount=len(rays), contextCount=len(contexts), rayContextCounts=counts,
+                  allCountsEven=all(n % 2 == 0 for n in counts))
+    report["parityObstruction"] = report["allCountsEven"] and len(contexts) % 2 == 1
+    return report
+
+
+def _planted_cover():
+    """Dimension-4 contexts at a loose atom tolerance: a rank-2 atom, rays
+    2e-6 from orthogonal, and copies of rays moved by 3e-11 and by 3e-10,
+    inside and outside the fixture tolerance."""
+    loose = DEFAULT.overridden(atom=1e-4, proj_idem=1e-4)
+    rng = np.random.default_rng(17)
+    u = random_unitary(rng, 4)
+    out = []
+    for k, (turn, move) in enumerate(((0.0, 0.0), (2e-6, 0.0), (0.0, 3e-11), (2e-6, 3e-10), (0.0, 3e-10))):
+        c, s = np.cos(turn), np.sin(turn)
+        w = u.copy()
+        w[:, 1] = c * u[:, 1] + s * u[:, 0]
+        w[:, 0] += move * rng.normal(size=4)
+        atoms = [Projector(np.outer(w[:, i], w[:, i].conj()) / np.vdot(w[:, i], w[:, i]).real, tol=loose)
+                 for i in range(4)]
+        if k % 2:
+            atoms[2:] = [Projector(atoms[2].entries + atoms[3].entries, tol=loose)]
+        out.append(Context(f"K{k}", atoms[::-1] if k == 4 else atoms, tol=loose))
+    return out
+
+
+def test_rank_one_cover_matches_the_pairwise_oracle():
+    peres = build_poset(_peres_subset(24, 24), add_trivial=True, close_under_meets=True)
+    planted = _planted_cover()
+    cases = [load_bundled_ks(), [peres.context(cid) for cid in peres.maximal_ids()], planted,
+             planted[::-1], planted[:1], []]
+    for contexts in cases:
+        assert validate_rank_one_cover(contexts) == _rank_one_cover_oracle(contexts)
+    report = validate_rank_one_cover(planted)
+    assert sum("rank 2" in p for p in report["problems"]) == 2
+    assert sum("non-orthogonal" in p for p in report["problems"]) >= 2
+    assert len(peres.maximal_ids()) == 24
+
+
+def test_rank_one_cover_chunks_its_tables(monkeypatch):
+    # at one pair or one row per chunk the report is the same
+    contexts = _planted_cover() + load_bundled_ks()
+    want = validate_rank_one_cover(contexts)
+    monkeypatch.setattr(toposval.linalg, "CONTAINMENT_CHUNK", 1)
+    assert validate_rank_one_cover(contexts) == want
