@@ -302,10 +302,11 @@ class PosetIndex:
     indices list ids in sorted order.  The order becomes int-bitmask
     down-sets and up-sets in one pass over its pairs; a pair naming an id
     without an atom count only reaches the by-id maps, whose masks cover
-    known ids alone.  Per comparable pair, the coarse-graining table
-    (sub-stage mask of each super-stage mask) and the restriction map
-    (sub-stage atom of each super-stage atom) are built from the partition
-    map on first request.
+    known ids alone.  The tables of the comparable pairs (`tables`: the
+    restriction owner of each super-stage atom, and the restriction image
+    and coarse-graining of each super-stage mask) are built from the
+    partition maps in one array pass on first request; `coarse`,
+    `restriction` and `image` read one pair's rows of them.
     """
 
     def __init__(self, n_atoms: dict[str, int], order,
@@ -334,9 +335,7 @@ class PosetIndex:
         self._names: dict[int, tuple[str, ...]] = {}
         self._sets: dict[int, frozenset[str]] = {}
         self._closures: dict[int, int] = {}
-        self._coarse: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._restriction: dict[tuple[int, int], tuple[int | None, ...]] = {}
-        self._image: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._rows: dict[str, dict[tuple[int, int], tuple]] = {"coarse": {}, "owner": {}, "image": {}}
         self._below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._below_image: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._gathers: dict[str, Gather] = {}
@@ -382,44 +381,46 @@ class PosetIndex:
         """A sub-stage mask expressed over the super-stage's atoms."""
         return _union(self._pmap(sub, sup), mask)
 
+    @cached_property
+    def tables(self) -> "PairTables":
+        """The tables of every pair of `pair_indices`."""
+        return PairTables(self)
+
+    def _row(self, name: str, sub: int, sup: int) -> tuple:
+        """One pair's row of a `tables` array, as a tuple of ints, kept."""
+        rows = self._rows[name]
+        out = rows.get((sub, sup))
+        if out is None:
+            t = self.tables
+            k = t.rank.get((sub, sup))
+            if k is None or t.missing[k]:
+                raise ContextError(f"{self.ids[sub]!r} is not included in {self.ids[sup]!r}")
+            if name == "image" and not t.covered[k]:
+                raise ContextError("partition map does not cover the atom")
+            if name == "owner":
+                row = t.owner[t.owner_start[k]:t.owner_start[k + 1]].tolist()
+                out = tuple(None if j < 0 else j for j in row)
+            else:
+                out = tuple(getattr(t, name)[t.table_start[k]:t.table_start[k + 1]].tolist())
+            rows[(sub, sup)] = out
+        return out
+
     def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
         """Coarse-graining table of a comparable pair: entry `mask` is the
         least sub-context mask above the super-context mask.  A sub-atom
         enters exactly when its block of super-atoms meets the mask."""
-        table = self._coarse.get((sub, sup))
-        if table is None:
-            pmap = self._pmap(sub, sup)
-            blocks_of = [0] * self.n_atoms[sup]   # sub-atoms whose block holds each super-atom
-            for j, block in enumerate(pmap):
-                for k in range(len(blocks_of)):
-                    if block >> k & 1:
-                        blocks_of[k] |= 1 << j
-            table = self._coarse[(sub, sup)] = _union_table(blocks_of)
-        return table
+        return self._row("coarse", sub, sup)
 
     def restriction(self, sub: int, sup: int) -> tuple[int | None, ...]:
         """Restriction map of a comparable pair: for each super-context atom,
         the first sub-context atom whose block holds it (None if no block
         does, which only a broken partition map allows)."""
-        owner = self._restriction.get((sub, sup))
-        if owner is None:
-            pmap = self._pmap(sub, sup)
-            owner = self._restriction[(sub, sup)] = tuple(
-                next((j for j, block in enumerate(pmap) if block >> k & 1), None)
-                for k in range(self.n_atoms[sup])
-            )
-        return owner
+        return self._row("owner", sub, sup)
 
     def image(self, sub: int, sup: int) -> tuple[int, ...]:
         """Restriction table of a comparable pair: entry `mask` is the image,
         as a sub-context mask, of the characters in the super-context mask."""
-        table = self._image.get((sub, sup))
-        if table is None:
-            owner = self.restriction(sub, sup)
-            if None in owner:
-                raise ContextError("partition map does not cover the atom")
-            table = self._image[(sub, sup)] = _union_table([1 << j for j in owner])
-        return table
+        return self._row("image", sub, sup)
 
     def below(self, sup: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(sub index, coarse-graining table) for each context below `sup`,
@@ -554,6 +555,84 @@ class PosetIndex:
         return proper, first, target
 
 
+class PairTables:
+    """The per-pair tables of a `PosetIndex`, flat, pairs in the order of
+    `pair_indices` (`rank` maps a pair to its position k), each built in
+    one array pass over every pair on first use.  `coarse` and `image`,
+    from `table_start[k]`, hold per super-stage mask the sub-stage atoms
+    whose block meets it (coarse-graining) and the owners of its atoms
+    (restriction); `owner`, from `owner_start[k]`, holds per super-stage
+    atom the first sub-stage atom whose block holds it, -1 where none
+    does.  `missing[k]` marks a pair without a partition map, whose rows
+    are zero; `covered[k]` a pair whose every super-stage atom has an
+    owner.  `key[k]` is sub * stages + super, ascending, as
+    `pair_indices` is sorted."""
+
+    def __init__(self, index: PosetIndex):
+        pairs = index.pair_indices
+        self.rank: dict[tuple[int, int], int] = {p: k for k, p in enumerate(pairs)}
+        self._pairs, self._stages = pairs, len(index.ids)
+        n_sup = np.array([index.n_atoms[sup] for _, sup in pairs], dtype=np.int64)
+        self.owner_start = np.concatenate([[0], np.cumsum(n_sup)])
+        self.table_start = np.concatenate([[0], np.cumsum(1 << n_sup)])
+        keys = [(index.ids[sub], index.ids[sup]) for sub, sup in pairs]
+        self.missing = np.array([key not in index.partition_maps for key in keys], dtype=bool)
+        maps = [index.partition_maps.get(key, ()) for key in keys]
+        width = max([1] + [len(m) for m in maps])
+        # each sub-atom's block of super-atoms, zero-padded to the longest map
+        self._blocks = np.array([tuple(m) + (0,) * (width - len(m)) for m in maps],
+                                dtype=np.int64).reshape(len(pairs), width)
+        self._n_sup = n_sup
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        return np.array(self._pairs, dtype=np.int64).reshape(-1, 2) @ [self._stages, 1]
+
+    def ranks(self, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+        """The ranks of comparable pairs given as index arrays."""
+        return np.searchsorted(self.key, sub * self._stages + sup)
+
+    def _table(self, sets: np.ndarray) -> np.ndarray:
+        """Per table entry (pair k, mask): the sub-atoms j whose
+        sets[k, j] meets the mask."""
+        pair = np.repeat(np.arange(len(sets)), 1 << self._n_sup)
+        mask = (np.arange(self.table_start[-1]) - self.table_start[pair])[:, np.newaxis]
+        return ((sets[pair] & mask) != 0) @ (1 << np.arange(sets.shape[1]))
+
+    @cached_property
+    def coarse(self) -> np.ndarray:
+        return self._table(self._blocks)
+
+    @cached_property
+    def _holders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first, has, real), each (pairs, widest super-stage): the first
+        block holding each super-atom, whether any does, and whether the
+        atom exists."""
+        atom = np.arange(int(self._n_sup.max(initial=0)))
+        real = atom < self._n_sup[:, np.newaxis]
+        holds = (self._blocks[:, :, np.newaxis] >> atom & 1).astype(bool) & real[:, np.newaxis]
+        return holds.argmax(axis=1), holds.any(axis=1), real
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        first, has, real = self._holders
+        return np.where(has, first, -1)[real]
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        # each sub-atom's owned super-atoms: its block, less what an
+        # earlier block holds
+        first, has, _ = self._holders
+        width = self._blocks.shape[1]
+        owned = (first[:, np.newaxis] == np.arange(width)[:, np.newaxis]) & has[:, np.newaxis]
+        return self._table(owned @ (1 << np.arange(first.shape[1])))
+
+    @cached_property
+    def covered(self) -> np.ndarray:
+        _, has, real = self._holders
+        return ~self.missing & (has | ~real).all(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Gather:
     """One route's flat gather table over a `PosetIndex`: one entry per
@@ -576,7 +655,7 @@ class Gather:
 
     @classmethod
     def build(cls, index: PosetIndex, below) -> "Gather":
-        rank = {pair: k for k, pair in enumerate(index.pair_indices)}
+        rank = index.tables.rank
         first = index.cell_start
         cell, stage, image, pair = [], [], [], []
         for i, n in enumerate(index.n_atoms):
@@ -639,15 +718,6 @@ def row_ints(packed: np.ndarray) -> list[int]:
     for k in range(1, packed.shape[1]):
         out = [low | high << 64 * k for low, high in zip(out, packed[:, k].tolist())]
     return out
-
-
-def _union_table(masks: list[int]) -> tuple[int, ...]:
-    """Entry `m` is the union of masks[k] over the bits k of m."""
-    table = [0] * (1 << len(masks))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
-    return tuple(table)
 
 
 @dataclass(frozen=True, eq=False)

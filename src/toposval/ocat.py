@@ -462,6 +462,31 @@ class _Decisions:
         self.valuation = MorphismSetValuation._from_bits(category, bits, name="nu_psi_o")
 
 
+class _ArrowIndex(PosetIndex):
+    """The `PosetIndex` of a category's arrows, whose coarse-graining rows
+    (the map's image on index masks) are built one arrow at a time, on
+    first request.  A category has about a dozen arrows over spectra of a
+    few eigenvalues, where the index's one array pass over every pair
+    costs more than these rows: building the index and every row of an
+    operator-suite category took about 120 us that way against 45 us this
+    way (Python 3.11, numpy 2.4, a shared 2-core x86_64 VM).  A category
+    reads no other pair table."""
+
+    def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
+        rows = self._rows["coarse"]
+        out = rows.get((sub, sup))
+        if out is None:
+            images = [0] * self.n_atoms[sup]   # per eigenvalue of the target, the bit of its image
+            for j, block in enumerate(self._pmap(sub, sup)):
+                for k in bit_list(block):
+                    images[k] |= 1 << j
+            table = [0]
+            for bit in images:
+                table += [m | bit for m in table]
+            out = rows[(sub, sup)] = tuple(table)
+        return out
+
+
 class OperatorCategory:
     """A finite full subcategory: a list of operators with all morphisms
     discovered pairwise (identities included).
@@ -497,7 +522,7 @@ class OperatorCategory:
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
-    def index(self) -> PosetIndex:
+    def index(self) -> _ArrowIndex:
         blocks_of: dict[tuple[str, str], tuple[int, ...]] = {}
         for (bid, aid), m in self.morphisms.items():
             a, b = self.objects[aid], self.objects[bid]
@@ -506,7 +531,7 @@ class OperatorCategory:
                 blocks[b._position[m.map(lam)]] |= 1 << i
             blocks_of[(bid, aid)] = tuple(blocks)
         n_atoms = {oid: len(o.spectrum) for oid, o in self.objects.items()}
-        return PosetIndex(n_atoms, self.morphisms, blocks_of)
+        return _ArrowIndex(n_atoms, self.morphisms, blocks_of)
 
     @property
     def ids(self) -> list[str]:

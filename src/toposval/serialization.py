@@ -1,8 +1,9 @@
 """JSON input schemas.
 
-Complex numbers are [re, im] pairs (bare reals accepted on input), finite;
-matrices are row-major nested arrays.  A context is given either by its
-atom matrices or by a basis plus a partition of the basis indices.
+Complex numbers are [re, im] pairs (bare reals accepted on input), finite,
+and never JSON booleans; matrices are row-major nested arrays.  A context
+is given either by its atom matrices or by a basis plus a partition of the
+basis indices.
 
 A contexts document is schema-checked object by object, partition indices
 included, before any float work.  Its projectors are then built and
@@ -39,10 +40,11 @@ class SchemaError(ValueError):
 
 
 def parse_complex(x) -> complex:
-    if isinstance(x, (int, float)):
+    # a bool is an int in Python: without the bool test, JSON `true` reads as 1
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         z = complex(x)
     elif isinstance(x, (list, tuple)) and len(x) == 2 \
-            and all(isinstance(v, (int, float)) for v in x):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x):
         z = complex(x[0], x[1])
     else:
         raise SchemaError(f"expected a real or an [re, im] pair, got {x!r}")
@@ -210,7 +212,9 @@ def contexts_from_json(doc, tol: Tolerances = DEFAULT) -> tuple[list[Context], i
     fails; the projectors of all of them are then built and validated in
     stacks (see `_build_contexts`), and the first failure is raised: the
     error of the first context that fails any check, and within it the
-    first check it fails, in the order its atoms come."""
+    first check it fails, in the order its atoms come.  A declared dim
+    must then match every context's; the first that differs, in document
+    order, is named."""
     if isinstance(doc, dict):
         dim = doc.get("dim")
         raw = doc.get("contexts", [])
@@ -225,8 +229,10 @@ def contexts_from_json(doc, tol: Tolerances = DEFAULT) -> tuple[list[Context], i
         if specs[-1].error is not None:
             break
     contexts = _build_contexts(specs, tol)
-    if contexts and dim is not None and contexts[0].dim != dim:
-        raise SchemaError("declared dim does not match the contexts")
+    if dim is not None:
+        for c in contexts:
+            if c.dim != dim:
+                raise SchemaError(f"declared dim {dim} does not match context {c.id!r} of dim {c.dim}")
     return contexts, dim
 
 

@@ -136,3 +136,49 @@ def context_atoms_oracle(cid, atoms, tol=DEFAULT):
     if np.max(np.abs(total - np.eye(dim))) > tol.atom:
         raise ContextError(f"atoms of context {cid!r} do not resolve the identity")
     return canonical_order_oracle(atoms)
+
+
+# --------------------------------------------------------------------------
+# one-pair oracles of the index's pair tables (`PairTables` builds them for
+# every pair in one array pass)
+
+def union_table(masks):
+    """Entry `m` is the union of masks[k] over the bits k of m."""
+    table = [0] * (1 << len(masks))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
+    return tuple(table)
+
+
+def pmap_oracle(index, sub, sup):
+    """The partition map of a pair of stage indices."""
+    key = (index.ids[sub], index.ids[sup])
+    if key not in index.partition_maps:
+        raise ContextError(f"{key[0]!r} is not included in {key[1]!r}")
+    return index.partition_maps[key]
+
+
+def coarse_oracle(index, sub, sup):
+    """The coarse-graining table of one pair: a sub-atom enters a mask's
+    entry when its block of super-atoms meets the mask."""
+    pmap = pmap_oracle(index, sub, sup)
+    blocks_of = [0] * index.n_atoms[sup]   # sub-atoms whose block holds each super-atom
+    for j, block in enumerate(pmap):
+        for k in range(len(blocks_of)):
+            if block >> k & 1:
+                blocks_of[k] |= 1 << j
+    return union_table(blocks_of)
+
+
+def restriction_oracle(index, sub, sup):
+    """Per super-atom, the first sub-atom whose block holds it, or None."""
+    pmap = pmap_oracle(index, sub, sup)
+    return tuple(next((j for j, block in enumerate(pmap) if block >> k & 1), None)
+                 for k in range(index.n_atoms[sup]))
+
+
+def image_oracle(index, sub, sup):
+    """The restriction table of one pair, or None where an atom has no owner."""
+    owner = restriction_oracle(index, sub, sup)
+    return None if None in owner else union_table([1 << j for j in owner])

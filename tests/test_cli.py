@@ -90,6 +90,27 @@ def test_build_poset_rejects_a_partition_index_with_an_error_result(tmp_path, in
                                              f"which is not an index of its 2 basis vectors"}
 
 
+@pytest.mark.parametrize("command", ["build-poset", "ks", "check-iso"])
+def test_a_json_boolean_in_a_matrix_exits_2_with_an_error_result(tmp_path, command):
+    # `true` was once read as 1, so this document passed as the identity
+    p = tmp_path / "bool.json"
+    p.write_text('[{"id": "V", "dim": 2, "atoms": [[[true, false], [false, true]]]}]')
+    code, report = run(tmp_path, command, "--input", str(p))
+    assert code == 2
+    assert report["result"] == {"error": "expected a real or an [re, im] pair, got True"}
+
+
+def test_a_declared_dim_that_a_later_context_breaks_exits_2(tmp_path):
+    p = tmp_path / "dims.json"
+    p.write_text(json.dumps({"dim": 2, "contexts": [
+        {"id": "A", "dim": 2, "atoms": [[[1, 0], [0, 1]]]},
+        {"id": "B", "dim": 3, "atoms": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    ]}))
+    code, report = run(tmp_path, "build-poset", "--input", str(p))
+    assert code == 2
+    assert report["result"] == {"error": "declared dim 2 does not match context 'B' of dim 3"}
+
+
 def test_check_iso(tmp_path, fixa_file):
     code, report = run(tmp_path, "check-iso", "--input", fixa_file, "--add-trivial")
     assert code == 0

@@ -27,7 +27,7 @@ from toposval.contexts import (
 from toposval.ks import global_section_search, load_bundled_ks
 from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each, probability_each
 from toposval.presheaves import check_nat_iso, clo_sigma_restrict, coarse_grain, sigma_restrict
-from toposval.sampling import random_density, random_poset, random_unitary
+from toposval.sampling import fix_a, random_category, random_density, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 from toposval.valuations import (
     MorphismSetValuation,
@@ -58,7 +58,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import up_set
+from conftest import coarse_oracle, image_oracle, restriction_oracle, up_set
 
 
 # --------------------------------------------------------------------------
@@ -1135,15 +1135,63 @@ def test_gather_tables_follow_the_index_on_random_posets():
         assert np.diff(starts).tolist() == [1 << 2 * index.n_atoms[sup] for _, sup in pairs]
 
 
+def _table_rows(index):
+    """Every pair's three rows as the index reads them, an error as its text."""
+    out = {}
+    for sub, sup in index.pair_indices:
+        for name in ("coarse", "restriction", "image"):
+            try:
+                out[(sub, sup, name)] = getattr(index, name)(sub, sup)
+            except ContextError as exc:
+                out[(sub, sup, name)] = str(exc)
+    return out
+
+
+def _oracle_rows(index):
+    out = {}
+    for sub, sup in index.pair_indices:
+        for name, oracle in (("coarse", coarse_oracle), ("restriction", restriction_oracle),
+                             ("image", image_oracle)):
+            try:
+                row = oracle(index, sub, sup)
+                out[(sub, sup, name)] = "partition map does not cover the atom" if row is None else row
+            except ContextError as exc:
+                out[(sub, sup, name)] = str(exc)
+    return out
+
+
+def test_pair_tables_match_the_one_pair_loops():
+    indices = [random_poset(np.random.default_rng([seed, 21]), max_contexts=8, max_atoms=6).index
+               for seed in range(30)]
+    indices.append(build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True).index)
+    for seed in range(10):
+        cat, _ = random_category(np.random.default_rng([seed, 22]), 2 + seed % 5)
+        indices.append(cat.index)
+    # hand-broken maps on fix_a (V1: 3 atoms, V2: 2, Vtriv: 1): overlapping,
+    # uncovering, too long, too short, bits past the atoms, and missing
+    for changes in ({("V2", "V1"): (0b011, 0b110)}, {("V2", "V1"): (0b010, 0b100)},
+                    {("V2", "V1"): (0b001, 0b010, 0b100)}, {("V2", "V1"): (0b111,)},
+                    {("V2", "V1"): (0b1001, 0b0110), ("Vtriv", "V2"): (0b111,)},
+                    {("V2", "V1"): ()}, {("Vtriv", "V1"): None}):
+        poset = fix_a()
+        maps = {**poset.partition_maps, **changes}
+        maps = {k: v for k, v in maps.items() if v is not None}
+        indices.append(ContextPoset(contexts=poset.contexts, order=poset.order, partition_maps=maps).index)
+    for index in indices:
+        assert _table_rows(index) == _oracle_rows(index)
+
+
 def test_gather_tables_are_built_on_first_use():
     # building a poset, the section search and the iso check never pay for
-    # the valuation tables; a state valuation builds only its route's
+    # the valuation tables, only for the pair tables and the cell numbering
+    # they share; a state valuation builds only its route's
     poset = build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True)
     global_section_search(poset)
     check_nat_iso(poset)
     index = poset.index
-    lazy = {"cell_start", "down_words", "mask_covers", "disjoint_cells", "coarse_squares"}
+    lazy = {"down_words", "mask_covers", "disjoint_cells", "coarse_squares"}
     assert not index._gathers and not lazy & set(vars(index))
+    assert {"tables", "cell_start"} <= set(vars(index))
     nu_rho(random_density(np.random.default_rng(18), 4), poset)
     assert set(index._gathers) == {"below"}
     assert "coarse_squares" not in vars(index)

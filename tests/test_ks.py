@@ -7,19 +7,23 @@ import pytest
 import toposval.ks
 import toposval.linalg
 
-from toposval.contexts import Context, ContextError, build_poset
+from toposval.contexts import Character, Context, ContextError, ContextPoset, build_poset, evaluate
 from toposval.ks import (
+    _evaluations,
+    _first_value_mismatch,
+    _levels,
+    _search,
     bundled_ks_poset,
     global_section_search,
     load_bundled_ks,
     section_verify,
     validate_rank_one_cover,
 )
-from toposval.linalg import Projector, projector_from_span
+from toposval.linalg import HermitianOperator, LinalgError, Projector, projector_from_span
 from toposval.sampling import context_from_basis, fix_a, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 
-from conftest import diag_proj
+from conftest import diag_proj, restriction_oracle
 from test_closure import _peres_subset
 
 
@@ -209,6 +213,14 @@ def test_search_raises_on_a_partition_map_that_misses_an_atom(monkeypatch):
     assert verified == []
 
 
+def test_search_rejects_a_partition_map_with_more_blocks_than_atoms():
+    # V2 has two atoms; a third block owning V1's atoms has no cell to pin
+    poset = fix_a()
+    poset.partition_maps[("V2", "V1")] = (0b000, 0b000, 0b111)
+    with pytest.raises(ContextError, match="block past the 2 atoms of 'V2'"):
+        global_section_search(poset)
+
+
 def _rank_one_cover_oracle(contexts, tol=DEFAULT):
     """`validate_rank_one_cover` one atom pair and one ray at a time."""
     report = {"ok": True, "problems": []}
@@ -277,3 +289,224 @@ def test_rank_one_cover_chunks_its_tables(monkeypatch):
     want = validate_rank_one_cover(contexts)
     monkeypatch.setattr(toposval.linalg, "CONTAINMENT_CHUNK", 1)
     assert validate_rank_one_cover(contexts) == want
+
+
+# --------------------------------------------------------------------------
+# the bitmask search and the batched value check against their oracles
+
+def _dict_search(poset, maximal):
+    """The search as it once ran: a dict of pinned contexts, filled by
+    walking each maximal choice's restriction maps (the one-pair oracle's)
+    down the poset and undone on conflict."""
+    if not poset.ids:
+        return {"exists": True, "witness": {}, "nodesExplored": 0}
+    index = poset.index
+    below = {m: tuple((sub, None if sub == m else restriction_oracle(index, *index.pair(sub, m)))
+                      for sub in poset.down_set(m))
+             for m in maximal}
+    nodes = 0
+    assignment = {}
+
+    def assign(m, atom):
+        new = []
+        for sub, owner in below[m]:
+            j = atom if owner is None else owner[atom]
+            if j is None:
+                raise ContextError("partition map does not cover the atom")
+            if sub in assignment:
+                if assignment[sub] != j:
+                    for cid in new:
+                        del assignment[cid]
+                    return None
+            else:
+                assignment[sub] = j
+                new.append(sub)
+        return new
+
+    def backtrack(i):
+        nonlocal nodes
+        if i == len(maximal):
+            return True
+        m = maximal[i]
+        for atom in range(poset.context(m).n_atoms):
+            nodes += 1
+            new = assign(m, atom)
+            if new is None:
+                continue
+            if backtrack(i + 1):
+                return True
+            for cid in new:
+                del assignment[cid]
+        return False
+
+    if not backtrack(0):
+        return {"exists": False, "witness": None, "nodesExplored": nodes}
+    return {"exists": True, "witness": dict(sorted(assignment.items())), "nodesExplored": nodes}
+
+
+def _bitmask_search(poset, maximal):
+    index = poset.index
+    return _search(index, _levels(index, [index.pos[m] for m in maximal]))
+
+
+def _seeded_posets():
+    """Closed random Peres subsets, the 18-ray set (closed, rotated, and
+    without meets) and random posets on seeded unitaries."""
+    rng = np.random.default_rng(2024)
+    for k, size in enumerate((4, 6, 9, 12, 16, 20)):
+        yield f"peres{size}", build_poset(_peres_subset(k + 40, size), add_trivial=True,
+                                          close_under_meets=True)
+    yield "ray18", bundled_ks_poset()
+    u = random_unitary(rng, 4)
+    rotated = [Context(c.id, [Projector(u @ a.entries @ u.conj().T) for a in c.atoms])
+               for c in load_bundled_ks()]
+    yield "ray18-rotated", build_poset(rotated, add_trivial=True, close_under_meets=True)
+    yield "ray18-open", build_poset(load_bundled_ks(), add_trivial=True)
+    for seed in range(12):
+        yield f"random{seed}", random_poset(np.random.default_rng([seed, 7]), max_contexts=8, max_atoms=4)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ContextError, LinalgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_bitmask_search_matches_the_dict_search():
+    verdicts = set()
+    for name, poset in _seeded_posets():
+        maximal = poset.maximal_ids()
+        for order in (maximal, maximal[::-1]):
+            got = _bitmask_search(poset, order)
+            assert got == _dict_search(poset, order), name
+            verdicts.add(got["exists"])
+    assert verdicts == {True, False}
+
+
+def test_bitmask_search_raises_where_the_dict_search_raises():
+    # a bit cleared from one block of a map into a maximal context leaves
+    # that atom uncovered: the dict search raises when it reaches it, or
+    # never does when an earlier context conflicts or a witness comes first.
+    # A maximal context's own map is never read: its atom stays itself
+    seen = set()
+    for size in (6, 10, 13, 16):
+        base = build_poset(_peres_subset(size, size), add_trivial=True, close_under_meets=True)
+        maximal = base.maximal_ids()
+        into_maximal = [p for p in base.pairs() if p[1] in maximal]
+        for seed in range(12):
+            rng = np.random.default_rng([size, seed])
+            sub, sup = into_maximal[rng.integers(len(into_maximal))]
+            pmap = list(base.partition_map(sub, sup))
+            j = int(rng.integers(len(pmap)))
+            pmap[j] &= ~(1 << int(rng.choice([b for b in range(4) if pmap[j] >> b & 1])))
+            maps = {**base.partition_maps, (sub, sup): tuple(pmap)}
+            broken = ContextPoset(contexts=base.contexts, order=base.order, partition_maps=maps)
+            for order in (maximal, maximal[::-1]):
+                got = _outcome(_bitmask_search, broken, order)
+                assert got == _outcome(_dict_search, broken, order), (size, seed)
+                seen.add(got if isinstance(got, str) else got["exists"])
+    assert seen == {"ContextError: partition map does not cover the atom", True, False}
+
+
+def _value_mismatch_oracle(poset, assignment, pairs, tol=DEFAULT):
+    """The value half of `section_verify` one pair at a time, through
+    `evaluate`: the first pair whose values differ, or None."""
+    for sub, sup in pairs:
+        v_sub = poset.context(sub)
+        gen = sum((j + 2) * a.entries for j, a in enumerate(v_sub.atoms))
+        op = HermitianOperator(gen, tol=tol)
+        at_sup = evaluate(poset.context(sup), Character(sup, assignment[sup]), op, tol)
+        at_sub = evaluate(v_sub, Character(sub, assignment[sub]), op, tol)
+        if abs(at_sup - at_sub) > tol.recon:
+            return (sub, sup)
+    return None
+
+
+def test_batched_evaluations_are_bit_equal_to_evaluate():
+    rows = 0
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 31])
+        poset = random_poset(rng, dim=int(rng.integers(2, 11)), max_contexts=6, max_atoms=6)
+        groups = [(cid, sub) for sub, sup in poset.pairs(proper_only=True) for cid in (sub, sup)]
+        gens = {sub: sum((j + 2) * a.entries for j, a in enumerate(poset.context(sub).atoms))
+                for _, sub in groups}
+        first, c, defect = _evaluations(poset.contexts, groups, gens)
+        for g, (cid, sub) in enumerate(groups):
+            op = HermitianOperator(gens[sub])
+            for i, atom in enumerate(poset.context(cid).atoms):
+                want = evaluate(poset.context(cid), Character(cid, i), op)
+                assert c[first[g] + i] == want
+                assert defect[first[g] + i] == np.max(np.abs(atom.entries @ op.entries - want * atom.entries))
+                rows += 1
+    assert rows > 500
+
+
+def test_batched_section_verify_matches_per_pair_evaluate():
+    # valid witnesses pass both; witnesses with some contexts moved to
+    # another atom fail the value check at the same first pair
+    failed = 0
+    for name, poset in _seeded_posets():
+        verdict = global_section_search(poset)
+        if not verdict["exists"]:
+            continue
+        witness = verdict["witness"]
+        pairs = poset.pairs(proper_only=True)
+        assert section_verify(poset, witness)
+        assert _first_value_mismatch(poset, witness, pairs, DEFAULT) is None
+        assert _value_mismatch_oracle(poset, witness, pairs) is None
+        rng = np.random.default_rng(len(pairs))
+        for _ in range(6):
+            moved = dict(witness)
+            for cid in rng.choice(poset.ids, size=min(3, len(poset.ids)), replace=False).tolist():
+                moved[cid] = int(rng.integers(poset.context(cid).n_atoms))
+            got = _first_value_mismatch(poset, moved, pairs, DEFAULT)
+            assert got == _value_mismatch_oracle(poset, moved, pairs), name
+            failed += got is not None
+    assert failed > 20
+
+
+def test_batched_value_check_spans_contexts_of_two_dimensions():
+    # fix_a (dimension 3) beside a dimension-2 context and its trivial one
+    a = fix_a()
+    contexts = {**a.contexts, "W": Context("W", [diag_proj(1, 0), diag_proj(0, 1)]),
+                "Wtriv": Context("Wtriv", [diag_proj(1, 1)])}
+    order = set(a.order) | {("W", "W"), ("Wtriv", "Wtriv"), ("Wtriv", "W")}
+    maps = {**a.partition_maps, ("W", "W"): (1, 2), ("Wtriv", "Wtriv"): (1,), ("Wtriv", "W"): (3,)}
+    poset = ContextPoset(contexts=contexts, order=frozenset(order), partition_maps=maps)
+    pairs = poset.pairs(proper_only=True)
+    witness = {"V1": 0, "V2": 0, "Vtriv": 0, "W": 1, "Wtriv": 0}
+    assert section_verify(poset, witness)
+    for moved in ({}, {"V1": 2}, {"W": 0}, {"V2": 1, "W": 0}):
+        assignment = {**witness, **moved}
+        got = _first_value_mismatch(poset, assignment, pairs, DEFAULT)
+        assert got == _value_mismatch_oracle(poset, assignment, pairs)
+    assert _first_value_mismatch(poset, {**witness, "V1": 2}, pairs, DEFAULT) == ("V2", "V1")
+
+
+def test_section_verify_raises_the_first_error_in_pair_order():
+    h = [projector_from_span([np.array([1, 1]) / np.sqrt(2)]),
+         projector_from_span([np.array([1, -1]) / np.sqrt(2)])]
+    contexts = {"A": Context("A", [diag_proj(1, 0), diag_proj(0, 1)]),
+                "A2": Context("A2", [diag_proj(1, 0), diag_proj(0, 1)]),
+                "B": Context("B", h),
+                "D": Context("D", [diag_proj(1, 0, 0), diag_proj(0, 1, 1)])}
+    # maps that claim A below A2 (true), below B (A's generator is not in
+    # B's algebra) and below D (another dimension)
+    order = {(x, x) for x in contexts} | {("A", "A2"), ("A", "B"), ("A", "D")}
+    maps = {(x, y): (1, 2) for x, y in order}
+    poset = ContextPoset(contexts=contexts, order=frozenset(order), partition_maps=maps)
+    pairs = poset.pairs(proper_only=True)
+    assert pairs == [("A", "A2"), ("A", "B"), ("A", "D")]
+    cases = [({"A": 0, "A2": 1, "B": 0, "D": 0}, pairs, ("A", "A2")),
+             ({"A": 0, "A2": 0, "B": 0, "D": 0}, pairs,
+              "ContextError: operator is not in the context's algebra"),
+             ({"A": 0, "A2": 0, "B": 0, "D": 0}, [pairs[0], pairs[2]], "ContextError: dimension mismatch")]
+    for assignment, walk, want in cases:
+        got = _outcome(_first_value_mismatch, poset, assignment, walk, DEFAULT)
+        assert got == _outcome(_value_mismatch_oracle, poset, assignment, walk) == want
+    # a generator that fails the Hermitian check raises before its pair's values
+    strict = DEFAULT.overridden(herm=-1.0)
+    got = _outcome(_first_value_mismatch, poset, {"A": 0, "A2": 1, "B": 0, "D": 0}, pairs, strict)
+    assert got == _outcome(_value_mismatch_oracle, poset, {"A": 0, "A2": 1, "B": 0, "D": 0}, pairs, strict)
+    assert got == "LinalgError: matrix is not Hermitian within tolerance"

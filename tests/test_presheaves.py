@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import Character, ContextError, LatticeElement
+from toposval.contexts import (
+    Character,
+    ContextError,
+    ContextPoset,
+    LatticeElement,
+    bit_list,
+    build_poset,
+    v_of_p,
+)
 from toposval.presheaves import (
     GlobalElementG,
     SieveError,
@@ -17,7 +25,11 @@ from toposval.presheaves import (
     subobject_from_global_element,
     true_sieve,
 )
-from toposval.sampling import random_poset
+from toposval.ks import bundled_ks_poset
+from toposval.sampling import fix_a, random_poset
+
+from conftest import coarse_oracle, image_oracle, pmap_oracle
+from test_closure import _peres_subset
 
 
 def all_masks(poset, cid):
@@ -162,6 +174,103 @@ def test_check_nat_iso_random_posets():
     for seed in range(10):
         poset = random_poset(np.random.default_rng(seed), max_contexts=8, max_atoms=6)
         assert check_nat_iso(poset)["passed"]
+
+
+def check_nat_iso_oracle(poset):
+    """`check_nat_iso` one pair and one mask at a time, on the one-pair
+    table oracles, then one context and one mask at a time through
+    `v_of_p`."""
+    failures = []
+    pairs_checked = elements_checked = 0
+    index = poset.index
+    for sub, sup in index.pair_indices:
+        pairs_checked += 1
+        pmap_oracle(index, sub, sup)
+        image = image_oracle(index, sub, sup)
+        if image is None:
+            raise ContextError("partition map does not cover the atom")
+        coarse = coarse_oracle(index, sub, sup)
+        elements_checked += len(coarse)
+        for mask, rhs in enumerate(coarse):
+            if image[mask] != rhs:
+                failures.append({"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
+                                 "lhs": bit_list(image[mask]), "rhs": bit_list(rhs)})
+    for cid in poset.ids:
+        v = poset.context(cid)
+        seen = {}
+        for mask in range(1 << v.n_atoms):
+            chars = frozenset(k.atom_index for k in v_of_p(v, LatticeElement(cid, mask)))
+            if chars in seen:
+                failures.append({"v1": cid, "v2": cid, "mask": mask, "lhs": sorted(chars),
+                                 "rhs": sorted(chars), "collidesWithMask": seen[chars]})
+            seen[chars] = mask
+    return {"passed": not failures, "pairsChecked": pairs_checked,
+            "elementsChecked": elements_checked, "failures": failures}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ContextError as exc:
+        return str(exc)
+
+
+def _with_maps(poset, **changes):
+    """The poset with some partition maps replaced (None drops one)."""
+    maps = dict(poset.partition_maps)
+    for key, pmap in changes.items():
+        pair = tuple(key.split("_"))
+        if pmap is None:
+            del maps[pair]
+        else:
+            maps[pair] = pmap
+    return ContextPoset(contexts=poset.contexts, order=poset.order, partition_maps=maps)
+
+
+def test_check_nat_iso_matches_the_pair_loop_on_seeded_posets():
+    posets = [random_poset(np.random.default_rng([seed, 3]), max_contexts=8, max_atoms=5)
+              for seed in range(20)]
+    posets += [bundled_ks_poset(),
+               build_poset(_peres_subset(7, 13), add_trivial=True, close_under_meets=True)]
+    for poset in posets:
+        report = check_nat_iso(poset)
+        assert report == check_nat_iso_oracle(poset)
+        assert report["passed"]
+
+
+def test_check_nat_iso_lists_a_broken_map_like_the_pair_loop():
+    # fix_a: V1 has 3 atoms, V2 has 2 and Vtriv 1.  An atom of V1 in two
+    # blocks restricts to the first but coarse-grains to both
+    poset = _with_maps(fix_a(), V2_V1=(0b011, 0b110), V1_V1=(0b011, 0b010, 0b100))
+    report = check_nat_iso(poset)
+    assert report == check_nat_iso_oracle(poset)
+    assert not report["passed"]
+    assert report["failures"] == [
+        {"v1": "V1", "v2": "V1", "mask": 2, "lhs": [0], "rhs": [0, 1]},
+        {"v1": "V1", "v2": "V1", "mask": 3, "lhs": [0], "rhs": [0, 1]},
+        {"v1": "V1", "v2": "V1", "mask": 6, "lhs": [0, 2], "rhs": [0, 1, 2]},
+        {"v1": "V1", "v2": "V1", "mask": 7, "lhs": [0, 2], "rhs": [0, 1, 2]},
+        {"v1": "V1", "v2": "V2", "mask": 2, "lhs": [0], "rhs": [0, 1]},
+        {"v1": "V1", "v2": "V2", "mask": 3, "lhs": [0], "rhs": [0, 1]},
+    ]
+    assert (report["pairsChecked"], report["elementsChecked"]) == (6, 8 + 8 + 8 + 4 + 4 + 2)
+    # longer and shorter maps, and bits past the super-context's atoms
+    for changes in ({"V2_V1": (0b001, 0b010, 0b100)}, {"V2_V1": (0b111,)},
+                    {"V2_V1": (0b1001, 0b0110)}, {"Vtriv_V2": (0b11, 0b01)}):
+        poset = _with_maps(fix_a(), **changes)
+        assert check_nat_iso(poset) == check_nat_iso_oracle(poset), changes
+
+
+def test_check_nat_iso_raises_like_the_pair_loop():
+    # the first pair, in order, whose tables cannot be built decides
+    for changes, message in (({"V2_V1": (0b010, 0b100)}, "does not cover"),
+                             ({"Vtriv_V2": None}, "'Vtriv' is not included in 'V2'"),
+                             ({"V2_V1": (0b010, 0b100), "Vtriv_V2": None}, "does not cover"),
+                             ({"V1_V1": None, "V2_V1": (0b010, 0b100)}, "'V1' is not included in 'V1'")):
+        poset = _with_maps(fix_a(), **changes)
+        got = _outcome(check_nat_iso, poset)
+        assert got == _outcome(check_nat_iso_oracle, poset)
+        assert message in got, changes
 
 
 def test_global_element_matching(fixa):

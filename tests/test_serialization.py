@@ -308,6 +308,42 @@ def test_non_finite_numbers_are_schema_errors():
         contexts_from_json(doc)
 
 
+@pytest.mark.parametrize("x", [True, False, [True, 0], [0, False]])
+def test_json_booleans_are_not_numbers(x):
+    # a bool is an int in Python: `true` once read as 1 in any matrix or vector
+    with pytest.raises(SchemaError, match="expected a real"):
+        parse_complex(x)
+
+
+def test_booleans_are_rejected_in_every_document_kind():
+    with pytest.raises(SchemaError, match="got True"):
+        matrix_from_json(json.loads("[[true, false], [false, true]]"))
+    with pytest.raises(SchemaError, match="got False"):
+        vector_from_json(json.loads("[1, false]"))
+    with pytest.raises(SchemaError, match="got True"):
+        state_from_json(json.loads('{"type": "pure", "data": [true, 0]}'))
+    with pytest.raises(SchemaError, match="got True"):
+        operators_from_json(json.loads('{"dim": 1, "operators": [{"id": "A", "matrix": [[true]]}]}'))
+    for obj in ('{"id": "V", "dim": 2, "atoms": [[[true, 0], [0, 0]], [[0, 0], [0, 1]]]}',
+                '{"id": "V", "dim": 2, "basis": [[1, 0], [0, [true, 0]]], "partition": [[0], [1]]}'):
+        with pytest.raises(SchemaError, match="expected a real"):
+            contexts_from_json([json.loads(obj)])
+
+
+def test_declared_dim_is_checked_against_every_context():
+    def ctx(cid, dim):
+        return {"id": cid, "dim": dim, "atoms": [np.eye(dim, dtype=int).tolist()]}
+
+    doc = {"dim": 2, "contexts": [ctx("A", 2), ctx("B", 3), ctx("C", 4)]}
+    with pytest.raises(SchemaError, match="declared dim 2 does not match context 'B' of dim 3"):
+        contexts_from_json(doc)
+    doc = {"dim": 3, "contexts": [ctx("A", 2), ctx("B", 3)]}
+    with pytest.raises(SchemaError, match="context 'A' of dim 2"):
+        contexts_from_json(doc)
+    contexts, dim = contexts_from_json({"dim": 3, "contexts": [ctx("A", 3), ctx("B", 3)]})
+    assert dim == 3 and [c.dim for c in contexts] == [3, 3]
+
+
 @pytest.mark.parametrize("doc", [
     [],
     [{"id": "V", "dim": 0, "basis": [[], []], "partition": [[0, 1]]}],
