@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,8 @@ def _tolerances(specs: list[str] | None) -> Tolerances:
             overrides[name] = float(value)
         except ValueError:
             raise SystemExit(f"--tol {name} expects a number, got {value!r}") from None
+        if not math.isfinite(overrides[name]):
+            raise SystemExit(f"--tol {name} expects a finite number, got {value!r}")
     try:
         return DEFAULT.overridden(**overrides)
     except KeyError as exc:

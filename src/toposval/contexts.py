@@ -227,7 +227,7 @@ def context_from_operators(
             raise ContextError("operators do not commute pairwise")
     blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
     for op in ops:
-        eig = eig_hermitian(op, tol_group=tol.eig_group, tol=tol)
+        eig = eig_hermitian(op, tol)
         refined = []
         for block in blocks:
             for _, proj in eig:
@@ -242,7 +242,7 @@ def context_from_operators(
     atoms = [Projector(b, tol=tol) for b in blocks]
     ctx = Context(id, atoms, tol=tol)
     for op in ops:
-        for _, proj in eig_hermitian(op, tol_group=tol.eig_group, tol=tol):
+        for _, proj in eig_hermitian(op, tol):
             if ctx.member_mask(proj, tol) is None:
                 raise ContextError("joint refinement failed: spectral projector not in lattice")
     return ctx
@@ -306,7 +306,8 @@ class PosetIndex:
     restriction owner of each super-stage atom, and the restriction image
     and coarse-graining of each super-stage mask) are built from the
     partition maps in one array pass on first request; `coarse`,
-    `restriction` and `image` read one pair's rows of them.
+    `restriction` and `image` read one pair's rows of them, and the route
+    gathers (`gather`) and `coarse_squares` read their flat arrays.
     """
 
     def __init__(self, n_atoms: dict[str, int], order,
@@ -337,7 +338,6 @@ class PosetIndex:
         self._closures: dict[int, int] = {}
         self._rows: dict[str, dict[tuple[int, int], tuple]] = {"coarse": {}, "owner": {}, "image": {}}
         self._below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-        self._below_image: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._gathers: dict[str, Gather] = {}
 
     def names(self, bits: int) -> tuple[str, ...]:
@@ -405,6 +405,18 @@ class PosetIndex:
             rows[(sub, sup)] = out
         return out
 
+    def _ranks(self, name: str, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+        """The `tables` ranks of comparable pairs given as index arrays;
+        raises what `_row` raises for the first of them, in the order
+        given, whose row of `name` cannot be read."""
+        t = self.tables
+        k = t.ranks(sub, sup)
+        bad = ~t.covered[k] if name == "image" else t.missing[k]
+        if bad.any():
+            p = int(bad.argmax())
+            self._row(name, int(sub[p]), int(sup[p]))
+        return k
+
     def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
         """Coarse-graining table of a comparable pair: entry `mask` is the
         least sub-context mask above the super-context mask.  A sub-atom
@@ -429,16 +441,6 @@ class PosetIndex:
         if out is None:
             out = self._below[sup] = tuple(
                 (sub, self.coarse(sub, sup)) for sub in bit_list(self.down[sup])
-            )
-        return out
-
-    def below_image(self, sup: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(sub index, restriction table) for each context below `sup`,
-        ascending."""
-        out = self._below_image.get(sup)
-        if out is None:
-            out = self._below_image[sup] = tuple(
-                (sub, self.image(sub, sup)) for sub in bit_list(self.down[sup])
             )
         return out
 
@@ -487,18 +489,6 @@ class PosetIndex:
         return out[:, 0], out[:, 1], out[:, 2]
 
     @cached_property
-    def lift_blocks(self) -> np.ndarray:
-        """Per pair of `proper_pairs`, the partition map (each sub-atom's
-        block of super-atoms), zero-padded to the widest: (pairs, atoms)."""
-        sub, sup, _ = self.proper_pairs
-        width = max(self.n_atoms, default=0)
-        out = np.zeros((len(sub), width), dtype=np.int64)
-        for k, (i, j) in enumerate(zip(sub.tolist(), sup.tolist())):
-            pmap = self._pmap(i, j)
-            out[k, :len(pmap)] = pmap
-        return out
-
-    @cached_property
     def mask_covers(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) cells of every cover of every stage's lattice:
         (i, p) and (i, p | bit) for each bit outside p, by cell and then
@@ -532,8 +522,7 @@ class PosetIndex:
         "below_image" (restriction), built on first request."""
         out = self._gathers.get(route)
         if out is None:
-            below = {"below": self.below, "below_image": self.below_image}[route]
-            out = self._gathers[route] = Gather.build(self, below)
+            out = self._gathers[route] = Gather.build(self, route)
         return out
 
     @cached_property
@@ -542,16 +531,20 @@ class PosetIndex:
         2^n x 2^n entries each (left mask major), are laid end to end.  Per
         proper comparable pair (sub, sup), in `pair_indices` order, its
         entries are sup's square, (x, y) ascending, and `target` holds the
-        offset of (cg x, cg y) in sub's square.  Returns the pairs, `first`
-        (each pair's first entry, then the count) and `target`."""
+        offset of (cg x, cg y) in sub's square, read off `tables.coarse`.
+        Returns the pairs, `first` (each pair's first entry, then the count)
+        and `target`."""
+        sub, sup, _ = self.proper_pairs
+        t = self.tables
+        starts = t.table_start[self._ranks("coarse", sub, sup)].tolist()
         square_start = np.cumsum([0] + [1 << 2 * n for n in self.n_atoms]).tolist()
-        proper = tuple((sub, sup) for sub, sup in self.pair_indices if sub != sup)
-        first = np.cumsum([0] + [1 << 2 * self.n_atoms[sup] for _, sup in proper])
+        proper = tuple(zip(sub.tolist(), sup.tolist()))
+        first = np.cumsum([0] + [1 << 2 * self.n_atoms[j] for _, j in proper])
         target = np.empty(first[-1], dtype=np.int32)
-        for k, (sub, sup) in enumerate(proper):
-            table = np.array(self.coarse(sub, sup), dtype=np.int32)
-            target[first[k]:first[k + 1]] = ((table << self.n_atoms[sub])[:, np.newaxis]
-                                             + table).ravel() + square_start[sub]
+        for k, ((i, j), start) in enumerate(zip(proper, starts)):
+            table = t.coarse[start:start + (1 << self.n_atoms[j])].astype(np.int32)
+            target[first[k]:first[k + 1]] = ((table << self.n_atoms[i])[:, np.newaxis]
+                                             + table).ravel() + square_start[i]
         return proper, first, target
 
 
@@ -654,26 +647,26 @@ class Gather:
     pair: np.ndarray
 
     @classmethod
-    def build(cls, index: PosetIndex, below) -> "Gather":
-        rank = index.tables.rank
-        first = index.cell_start
-        cell, stage, image, pair = [], [], [], []
-        for i, n in enumerate(index.n_atoms):
-            rows = below(i)
-            if not rows:
-                continue
-            subs = [j for j, _ in rows]
-            size = 1 << n
-            image.append(np.array([table for _, table in rows]).T.ravel())
-            stage.append(np.tile(subs, size))
-            cell.append(np.repeat(np.arange(first[i], first[i] + size), len(subs)))
-            pair.append(np.tile([rank[(j, i)] for j in subs], size))
-        stage_arr, image_arr = _concat(stage), _concat(image)
-        per_cell = np.repeat([d.bit_count() for d in index.down], np.diff(first))
-        return cls(cell=_concat(cell), stage=stage_arr, image=image_arr,
-                   target=(first[stage_arr] + image_arr).astype(np.int32),
+    def build(cls, index: PosetIndex, route: str) -> "Gather":
+        """The entries are those of `index.tables`, `coarse` for "below" and
+        `image` for "below_image", put in gather order by one `np.lexsort`
+        by cell and then sub-stage.  A pair whose row cannot be read raises
+        as `PosetIndex._row` does, the first in (super, sub) order."""
+        name = {"below": "coarse", "below_image": "image"}[route]
+        t = index.tables
+        pairs = np.array(index.pair_indices, dtype=np.int64).reshape(-1, 2)
+        by_super = np.lexsort((pairs[:, 0], pairs[:, 1]))
+        index._ranks(name, pairs[by_super, 0], pairs[by_super, 1])
+        pair = np.repeat(np.arange(len(pairs)), np.diff(t.table_start))
+        sub, sup = pairs[pair, 0], pairs[pair, 1]
+        cell = index.cell_start[sup] + np.arange(len(pair)) - t.table_start[pair]
+        order = np.lexsort((sub, cell))
+        cell, stage, image, pair = (a[order].astype(np.int32) for a in (cell, sub, getattr(t, name), pair))
+        per_cell = np.bincount(cell, minlength=int(index.cell_start[-1]))
+        return cls(cell=cell, stage=stage, image=image,
+                   target=(index.cell_start[stage] + image).astype(np.int32),
                    start=np.concatenate([[0], np.cumsum(per_cell)]).astype(np.int32),
-                   pair=_concat(pair))
+                   pair=pair)
 
     def rows(self, member: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Per cell, the OR of `table[stage[e]]` (packed rows over stages)
@@ -868,16 +861,17 @@ class _ContextStore:
     their lattice elements interned.
 
     Every stored context's atoms join one global stack, in storage order.
-    Each stored atom keeps an int bitset, over global atom indices, of the
-    later-stored atoms it is not orthogonal to: max|a b| >= tol.atom, with
-    the earlier atom on the left.  The bits are filled by one batched
-    product when a context is added, so each link is decided once per atom
-    pair.  They are the only link record: a closure round reads them as one
-    bool matrix, from which it takes every pair's connectivity and, for the
-    disconnected pairs, their components and the sums that decide them.
-    They are kept per stored atom rather than per interned lattice element:
-    interning is not transitive at `tol.atom`, so an interned
-    representative may link where the atom it stands for does not.
+    Each stored context keeps one bool block of links: [g, t] when earlier
+    stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
+    with the earlier atom on the left.  The block is decided by one batched
+    product when the context is added, so each link is decided once per
+    atom pair.  The blocks are the only link record: a closure round places
+    them into one bool matrix, from which it takes every pair's
+    connectivity and, for the disconnected pairs, their components and the
+    sums that decide them.  Links are kept per stored atom rather than per
+    interned lattice element: interning is not transitive at `tol.atom`,
+    so an interned representative may link where the atom it stands for
+    does not.
 
     Each projector that is a sum of one context's atoms is stored once: it
     joins the first stored projector within `tol.atom` in max-abs entries
@@ -892,11 +886,10 @@ class _ContextStore:
     def __init__(self, tol: Tolerances):
         self.tol = tol
         self.ctxs: list[Context] = []
-        self.stacks: list[np.ndarray] = []   # atom entries of ctxs[k], shape (n_atoms, dim, dim)
         self.keys: set[frozenset[int]] = set()
         self.every: np.ndarray | None = None   # every stored atom, shape (n, dim, dim)
         self.starts: list[int] = []   # global index of the first atom of ctxs[k]
-        self.later: list[int] = []    # per stored atom, the later-stored atoms it links to
+        self.links: list[np.ndarray] = []   # per ctxs[k], [g, t] when earlier atom g links to its atom t
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
         # rounded trace -> (ids, entries with spare rows, rows in use)
@@ -950,7 +943,7 @@ class _ContextStore:
         eid = self._element_ids.get((k, mask))
         if eid is None:
             if entries is None:
-                entries = self.stacks[k][bit_list(mask)].sum(axis=0)
+                entries = self.ctxs[k].stack[bit_list(mask)].sum(axis=0)
             eid = self._element_ids[(k, mask)] = self._intern(entries)
         return eid
 
@@ -964,18 +957,12 @@ class _ContextStore:
         if key in self.keys:
             return
         k = len(self.ctxs)
-        n = len(self.later)
         if self.every is None:
-            self.every = stack
-        else:
-            linked = np.abs(self.every[:, None] @ stack[None]).max(axis=(2, 3)) >= self.tol.atom
-            for g, t in zip(*(ix.tolist() for ix in np.nonzero(linked))):
-                self.later[g] |= 1 << (n + t)
-            self.every = np.concatenate([self.every, stack])
-        self.starts.append(n)
-        self.later.extend([0] * len(stack))
+            self.every = stack[:0]
+        self.starts.append(len(self.every))
+        self.links.append(np.abs(self.every[:, None] @ stack[None]).max(axis=(2, 3)) >= self.tol.atom)
+        self.every = np.concatenate([self.every, stack])
         self.ctxs.append(c)
-        self.stacks.append(stack)
         self.keys.add(key)
         for i, eid in enumerate(atom_ids):
             self._element_ids[(k, 1 << i)] = eid
@@ -984,25 +971,24 @@ class _ContextStore:
         """(reach, link, rows, cols) for the pairs of stored contexts
         (first[p] < second[p]), each padded to the widest context.
 
-        The link bits become one bool matrix, from which the padded
-        (pairs, width, width) link stack is gathered: link[p, s, t] when the
-        first context's atom s links to the second's atom t.  rows and cols
-        hold the global indices of the two contexts' atoms, the atom count
-        marking padding, which links to nothing.  A-atoms linked through a
-        common b-atom are adjacent, and squaring that reachability matrix
-        about log2(width) times joins each component: reach[p, s, u] when
-        a-atoms s and u lie in one component.  No link is decided again."""
-        n = len(self.later)
-        width = (n + 7) // 8
-        raw = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in self.later),
-                            dtype=np.uint8).reshape(n, width)
+        The link blocks are placed into one bool matrix, from which the
+        padded (pairs, width, width) link stack is gathered: link[p, s, t]
+        when the first context's atom s links to the second's atom t.  rows
+        and cols hold the global indices of the two contexts' atoms, the
+        atom count marking padding, which links to nothing.  A-atoms linked
+        through a common b-atom are adjacent, and squaring that reachability
+        matrix about log2(width) times joins each component: reach[p, s, u]
+        when a-atoms s and u lie in one component.  No link is decided
+        again."""
+        n = len(self.every)
+        size = max(c.n_atoms for c in self.ctxs)
         # [g, t] is set when atom g links to the later atom t; index n pads
         links = np.zeros((n + 1, n + 1), dtype=bool)
-        links[:n, :n] = np.unpackbits(raw, axis=1, count=n, bitorder="little")
-        size = max(len(stack) for stack in self.stacks)
-        atoms = np.full((len(self.stacks), size), n)
-        for k, (start, stack) in enumerate(zip(self.starts, self.stacks)):
-            atoms[k, :len(stack)] = np.arange(start, start + len(stack))
+        atoms = np.full((len(self.ctxs), size), n)
+        for k, (start, block) in enumerate(zip(self.starts, self.links)):
+            end = start + block.shape[1]
+            links[:start, start:end] = block
+            atoms[k, :end - start] = np.arange(start, end)
         rows, cols = atoms[first], atoms[second]
         link = links[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
         reach = link @ link.transpose(0, 2, 1) | np.eye(size, dtype=bool)
@@ -1015,7 +1001,7 @@ class _ContextStore:
         the first context's atoms lie in one component of the pair's link
         graph, so that its meet is the single full mask."""
         reach, _, rows, _ = self._reach(first, second)
-        return (reach[:, 0] | (rows == len(self.later))).all(axis=1)
+        return (reach[:, 0] | (rows == len(self.every))).all(axis=1)
 
     def split_meets(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int, list[int], dict]]:
         """(i, j, masks, sums) for the pairs of stored contexts (first[p] <
@@ -1041,7 +1027,7 @@ class _ContextStore:
         if not first.size:
             return []
         reach, link, rows, cols = self._reach(first, second)
-        pad = len(self.later)
+        pad = len(self.every)
         split = np.flatnonzero(~(reach[:, 0] | (rows == pad)).all(axis=1))
         if not split.size:
             return []
@@ -1082,7 +1068,7 @@ class _ContextStore:
         """The meet masks of stored contexts i < j: `split_meets` of the
         one pair, or the full mask when its link graph is connected."""
         split = self.split_meets(np.array([i]), np.array([j]))
-        return split[0][2] if split else [(1 << len(self.stacks[i])) - 1]
+        return split[0][2] if split else [(1 << self.ctxs[i].n_atoms) - 1]
 
     def close_under_meets(self) -> None:
         """Add pairwise algebra intersections until closure (trivial meets
@@ -1155,10 +1141,11 @@ class _ContextStore:
         dim = every.shape[1]
         band = _SCREEN_ROUNDING * dim * dim * float(np.max(np.sum(np.abs(flat) ** 2, axis=1)))
         # each atom's bit within its own context, as Python ints past 62 atoms
-        widest = max(len(stack) for stack in self.stacks)
-        bits = np.array([1 << i for stack in self.stacks for i in range(len(stack))],
+        widest = max(c.n_atoms for c in self.ctxs)
+        bits = np.array([1 << i for c in self.ctxs for i in range(c.n_atoms)],
                         dtype=np.int64 if widest < 63 else object)
-        for k, (a, sa) in enumerate(zip(self.ctxs, self.stacks)):
+        for k, a in enumerate(self.ctxs):
+            sa = a.stack
             overlap = (sa.transpose(0, 2, 1).reshape(len(sa), -1) @ flat.T).real
             near = np.nonzero(np.abs(overlap - half) <= band)
             if near[0].size:
@@ -1196,13 +1183,14 @@ class _ContextStore:
         if not self.ctxs:
             return order, pmaps_out
         every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
-        t = np.arange(max(len(stack) for stack in self.stacks))
+        t = np.arange(max(c.n_atoms for c in self.ctxs))
         starts = np.array(self.starts)
-        ends = starts + [len(stack) for stack in self.stacks]
+        ends = starts + [c.n_atoms for c in self.ctxs]
         for k, js, packed in self._screen():
             if not js:
                 continue
-            a, sa = self.ctxs[k], self.stacks[k]
+            a = self.ctxs[k]
+            sa = a.stack
             b_of = np.repeat(js, len(sa))   # per (candidate, atom of a)
             index = starts[b_of][:, np.newaxis] + t
             index[index >= ends[b_of][:, np.newaxis]] = len(every) - 1

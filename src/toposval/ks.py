@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .contexts import Context, ContextError, ContextPoset, PosetIndex, _mask_bits, build_poset
+from .contexts import Context, ContextError, ContextPoset, PosetIndex, _mask_bits, _row_masks, build_poset
 from .linalg import LinalgError, _hermitian_defect, distance_table, product_max
 from .serialization import contexts_from_json
 from .tolerances import DEFAULT, Tolerances
@@ -219,10 +219,7 @@ def _levels(index: PosetIndex, maximal: list[int]) -> list[tuple[int, list[tuple
     below = _mask_bits([index.down[m] for m in maximal], stages)   # (levels, stages)
     level, sub = np.nonzero(below)   # by level, then down-set order
     sup = np.array(maximal, dtype=np.int64)[level]
-    rank = t.ranks(sub, sup)
-    if t.missing[rank].any():
-        k = np.flatnonzero(t.missing[rank])[0]
-        index.restriction(sub[k], sup[k])   # raises: no partition map
+    rank = index._ranks("owner", sub, sup)   # raises for a pair without a partition map
     n = np.array(index.n_atoms)[sup]
     width = int(n.max(initial=1))
     atom = np.arange(width)
@@ -238,8 +235,8 @@ def _levels(index: PosetIndex, maximal: list[int]) -> list[tuple[int, list[tuple
     r, a = np.nonzero(real & (owner >= 0))
     pinned = np.zeros((len(maximal) * width, int(start[-1])), dtype=bool)
     pinned[level[r] * width + a, start[sub[r]] + (1 << owner[r, a])] = True
-    pins = _int_rows(pinned)
-    spans = _int_rows(below[:, index.cell_stage])
+    pins = _row_masks(pinned)
+    spans = _row_masks(below[:, index.cell_stage])
     first_miss: dict[tuple[int, int], int] = {}   # (level, atom) -> first context missed
     for r, a in zip(*np.nonzero(real & (owner < 0))):
         first_miss.setdefault((int(level[r]), int(a)), int(start[sub[r]]))
@@ -251,12 +248,6 @@ def _levels(index: PosetIndex, maximal: list[int]) -> list[tuple[int, list[tuple
             choices.append((pins[lv * width + a], None if miss is None else spans[lv] & (1 << miss) - 1))
         out.append((spans[lv], choices))
     return out
-
-
-def _int_rows(bits: np.ndarray) -> list[int]:
-    """Each bool row as an int bitmask (bit j set when column j is)."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def validate_rank_one_cover(contexts: list[Context], tol: Tolerances = DEFAULT) -> dict:

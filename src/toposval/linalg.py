@@ -278,35 +278,32 @@ class StateVector:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), tol=tol)
 
 
-def eig_hermitian(
-    h: HermitianOperator,
-    tol_group: float = DEFAULT.eig_group,
-    tol: Tolerances = DEFAULT,
-) -> list[tuple[float, Projector]]:
+def eig_hermitian(h: HermitianOperator, tol: Tolerances = DEFAULT) -> list[tuple[float, Projector]]:
     """Grouped eigendecomposition: strictly increasing eigenvalues with
     mutually orthogonal eigenprojectors summing to the identity.
 
     Raw eigenvalues are chained into clusters wherever consecutive gaps are
-    <= tol_group.  A cluster wider than tol_group is ambiguous (two raw
-    eigenvalues straddle the grouping width without a clean gap) and is
+    <= tol.eig_group.  A cluster wider than tol.eig_group is ambiguous (two
+    raw eigenvalues straddle the grouping width without a clean gap) and is
     reported as an error rather than silently merged or split.
     """
-    if tol_group <= 0:
+    group = tol.eig_group
+    if group <= 0:
         raise LinalgError("tol_group must be positive")
     evals, evecs = np.linalg.eigh(h.entries)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
-        if evals[i] - evals[i - 1] <= tol_group:
+        if evals[i] - evals[i - 1] <= group:
             groups[-1].append(i)
         else:
             groups.append([i])
     out: list[tuple[float, Projector]] = []
     for g in groups:
         width = evals[g[-1]] - evals[g[0]]
-        if width > tol_group:
+        if width > group:
             raise GroupingError(
                 f"eigenvalue cluster {[float(evals[i]) for i in g]} is wider than "
-                f"the grouping width {tol_group}; refusing to guess"
+                f"the grouping width {group}; refusing to guess"
             )
         vecs = evecs[:, g]
         proj = Projector(vecs @ vecs.conj().T, tol=tol)
@@ -316,7 +313,7 @@ def eig_hermitian(
     if np.max(np.abs(recon - h.entries)) > tol.recon:
         raise LinalgError("spectral reconstruction failed")
     for (l1, _), (l2, _) in zip(out, out[1:]):
-        if l2 - l1 <= tol_group:
+        if l2 - l1 <= group:
             raise GroupingError("grouped eigenvalues are not separated by tol_group")
     return out
 

@@ -18,9 +18,11 @@ images and preimages are ORs of bits.
 The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
 partition map sends each eigenvalue of B to the mask of A's eigenvalues
-that map to it.  The valuation of a state is then a `MorphismSetValuation`
-over that index, so the law checkers of `valuations` apply unchanged.  The
-float decisions are made once and kept by `OperatorCategory`:
+that map to it.  A state's valuation gives each cell (operator, delta
+mask) the arrows into the operator along which delta coarse-grains to a
+certain projector; a query reads one cell and runs no law, so each cell
+is decided on its first query.  The float decisions are made once and kept
+by `OperatorCategory`:
 
 - per (arrow, tolerances), the infimum cross-check of the coarse-graining
   of every delta mask along the arrow: the preimage of delta's image must
@@ -35,10 +37,10 @@ float decisions are made once and kept by `OperatorCategory`:
   differ from the infimum at very tight containment widths;
 - per (state, tolerances), held weakly by the state object: the support
   mask of each operator and of each arrow's image operator, and the
-  member-set valuation.  For a density matrix, one `certain_each` over an
-  operator's stacked mask projectors decides every mask of it at once;
-  for a vector state, each (operator, preimage mask) is one norm test on
-  that preimage's projector.
+  member bits of each queried cell.  For a density matrix, one
+  `certain_each` over an operator's stacked mask projectors decides every
+  mask of it at once; for a vector state, each (operator, preimage mask)
+  is one norm test on that preimage's projector.
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -70,7 +72,6 @@ from .linalg import (
     projector_ranks,
 )
 from .tolerances import DEFAULT, Tolerances
-from .valuations import MorphismSetValuation
 
 
 class OcatError(ValueError):
@@ -131,7 +132,7 @@ class ODecomposition:
     @classmethod
     def from_operator(cls, op: HermitianOperator, id: str = "A",
                       tol: Tolerances = DEFAULT) -> "ODecomposition":
-        pairs = eig_hermitian(op, tol_group=tol.eig_group, tol=tol)
+        pairs = eig_hermitian(op, tol)
         return cls(
             id=id,
             operator=op,
@@ -422,17 +423,21 @@ class Morphism:
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
     category: the support mask of each object or arrow image operator, and
-    the member-set valuation, whose rule decides certainty once per
-    (operator, preimage mask): for a density matrix, every mask of an
-    operator in one `certain_each` call on first use, and for a vector
-    state one norm test per preimage.  The rule holds the state weakly, as
-    the category's memo does, so the decisions never keep their state
-    alive."""
+    in `cells` the member bits of each queried cell (operator index, delta
+    mask).  `bits` decides a cell on its first query: for each arrow into
+    the operator, by source index, the arrow's infimum cross-check at delta
+    (which raises where it fails) and then the certainty test of delta's
+    preimage.  Certainty is decided once per (operator, preimage mask): for
+    a density matrix, every mask of an operator in one `certain_each` call
+    on first use, and for a vector state one norm test per preimage.  The
+    state is held weakly, as the category's memo holds it, so the decisions
+    never keep their state alive."""
 
-    __slots__ = ("support", "valuation")
+    __slots__ = ("support", "cells", "bits")
 
     def __init__(self, category: "OperatorCategory", state, tol: Tolerances):
         self.support: dict[ODecomposition, int] = {}
+        self.cells = cells = {}   # (operator index, delta mask) -> member bits
         index = category.index
         held = weakref.ref(state)
         vector = isinstance(state, StateVector)
@@ -451,15 +456,18 @@ class _Decisions:
             return masks[pre]
 
         def bits(i: int, delta: int) -> int:
-            a = category.objects[index.ids[i]]
-            out = 0
-            for j, table in index.below(i):
-                category._cross_check(j, i, delta, tol, checked)
-                if sure(i, a, index.lift(j, i, table[delta])):
-                    out |= 1 << j
+            out = cells.get((i, delta))
+            if out is None:
+                a = category.objects[index.ids[i]]
+                out = 0
+                for j, table in index.below(i):
+                    category._cross_check(j, i, delta, tol, checked)
+                    if sure(i, a, index.lift(j, i, table[delta])):
+                        out |= 1 << j
+                cells[(i, delta)] = out
             return out
 
-        self.valuation = MorphismSetValuation._from_bits(category, bits, name="nu_psi_o")
+        self.bits = bits
 
 
 class _ArrowIndex(PosetIndex):
@@ -469,8 +477,10 @@ class _ArrowIndex(PosetIndex):
     few eigenvalues, where the index's one array pass over every pair
     costs more than these rows: building the index and every row of an
     operator-suite category took about 120 us that way against 45 us this
-    way (Python 3.11, numpy 2.4, a shared 2-core x86_64 VM).  A category
-    reads no other pair table."""
+    way (Python 3.11, numpy 2.4, a shared 2-core x86_64 VM).  The per-cell
+    decisions read only these rows; a gather over the category (as
+    `survey_properties_o` makes) reads the index's flat `tables`, which
+    hold the same tables."""
 
     def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
         rows = self._rows["coarse"]
@@ -633,7 +643,7 @@ def _cell(state, a: ODecomposition, delta, category: OperatorCategory,
     proposition coarse-grains to a probability-1 projector."""
     mask = a.mask_of(a.check_subset(delta))
     i = category.index.pos[category._object(a)]
-    return i, mask, category._decisions(state, tol).valuation._bits(i, mask)
+    return i, mask, category._decisions(state, tol).bits(i, mask)
 
 
 def _arrow_keys(index: PosetIndex, i: int, bits: int) -> list[tuple[str, str]]:

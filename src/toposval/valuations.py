@@ -85,14 +85,12 @@ class MorphismSetValuation:
     A member set is an int bitmask over the context indices of
     `poset.index`, and the member sets of every cell (context, mask) form
     one member matrix, kept as packed uint64 rows (`PosetIndex.words` per
-    cell) and as one int per cell.  The valuations built in this package
-    are gathered (`_gathered`): one decision per cell, and the matrix is
-    one gather of that vector through a `PosetIndex.gather` table.  A
-    rule-backed valuation (`rule` gives member ids, `_from_bits` a
-    bitmask) answers one cell at a time from its rule, each cell computed
-    once, and fills the matrix from the rule when a law first scans it.
-    Truth sets, supports, intervals and law results are kept per
-    valuation.
+    cell) and as one int per cell.  The matrix is made when the valuation
+    is built: the valuations of this package gather it (`_gathered`, one
+    decision per cell through a `PosetIndex.gather` table), and a
+    rule-backed one (`rule` gives member ids, `_from_bits` a bitmask) asks
+    its rule once per cell, in cell order.  Truth sets, supports, intervals
+    and law results are kept per valuation.
     """
 
     def __init__(self, poset: ContextPoset, rule: Callable[[str, int], frozenset[str]],
@@ -109,7 +107,7 @@ class MorphismSetValuation:
                 out |= 1 << j
             return out
 
-        self._setup(poset, bits_rule, name)
+        self._ask(poset, bits_rule, name)
 
     @classmethod
     def _from_bits(cls, poset: ContextPoset, bits_rule: Callable[[int, int], int],
@@ -119,7 +117,7 @@ class MorphismSetValuation:
         The law checkers read nothing of `poset` but its `index`, so it may
         also be an `OperatorCategory`, whose arrows are the stages."""
         alpha = cls.__new__(cls)
-        alpha._setup(poset, bits_rule, name)
+        alpha._ask(poset, bits_rule, name)
         return alpha
 
     @classmethod
@@ -128,35 +126,27 @@ class MorphismSetValuation:
         """The valuation in which stage j enters (stage i, mask) exactly when
         `decided` holds at the cell of j and the mask's image there, images
         along `route`: "below" coarse-grains, "below_image" restricts."""
-        alpha = cls.__new__(cls)
-        alpha._setup(poset, None, name)
-        index = alpha._index
+        index = poset.index
         g = index.gather(route)
-        alpha._keep(g.rows(decided[g.target], index.stage_bits))
+        alpha = cls.__new__(cls)
+        alpha._setup(poset, name, g.rows(decided[g.target], index.stage_bits))
         return alpha
 
-    def _setup(self, poset: ContextPoset, bits_rule: Callable[[int, int], int] | None, name: str) -> None:
+    def _ask(self, poset: ContextPoset, bits_rule: Callable[[int, int], int], name: str) -> None:
+        """Build the member matrix by asking `bits_rule` once per cell, in
+        cell order."""
+        index = poset.index
+        ints = [bits_rule(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
+        self._setup(poset, name, pack_ints(ints, index.words), ints)
+
+    def _setup(self, poset: ContextPoset, name: str, words: np.ndarray,
+               ints: list[int] | None = None) -> None:
         self.poset = poset
         self.name = name
         self._index = poset.index
-        self._bits_rule = bits_rule
-        self._rows: list[list[int | None] | None] = [None] * len(self._index.ids)
-        self._member: tuple[np.ndarray, list[int]] | None = None
-        self._laws: dict = {}
-
-    def _keep(self, words: np.ndarray, ints: list[int] | None = None) -> None:
         self._first = self._index.cell_start.tolist()
-        self._member = (words, row_ints(words) if ints is None else ints)
-
-    @property
-    def _matrix(self) -> tuple[np.ndarray, list[int]]:
-        """(packed words, int per cell) of the member matrix; a rule-backed
-        valuation fills it from its rule on first use."""
-        if self._member is None:
-            index = self._index
-            ints = [self._bits(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
-            self._keep(pack_ints(ints, index.words), ints)
-        return self._member
+        self._matrix = (words, row_ints(words) if ints is None else ints)
+        self._laws: dict = {}
 
     def _position(self, cid: str) -> int:
         i = self._index.pos.get(cid)
@@ -165,17 +155,8 @@ class MorphismSetValuation:
         return i
 
     def _bits(self, i: int, mask: int) -> int:
-        """Member bitmask of (context index, mask): read off the matrix, or
-        asked of the rule once."""
-        if self._member is not None:
-            return self._member[1][self._first[i] + mask]
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = [None] * (1 << self._index.n_atoms[i])
-        bits = row[mask]
-        if bits is None:
-            bits = row[mask] = self._bits_rule(i, mask)
-        return bits
+        """Member bitmask of (context index, mask), read off the matrix."""
+        return self._matrix[1][self._first[i] + mask]
 
     def _truth(self, i: int) -> tuple[int, ...]:
         """The masks of context index i sent to the principal sieve, ascending."""
@@ -526,7 +507,7 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
     sub, sup, _ = index.proper_pairs
     s = np.array(_supports(alpha), dtype=np.int64)
     # each pair lifts the sub-stage support through its partition map
-    blocks = index.lift_blocks
+    blocks = index.tables._blocks[index._ranks("coarse", sub, sup)]   # raises for a pair without one
     atoms = s[sub][:, np.newaxis] >> np.arange(blocks.shape[1]) & 1
     lifted = np.bitwise_or.reduce(np.where(atoms == 1, blocks, 0), axis=1)
     k = _first(lifted & s[sup] != s[sup])

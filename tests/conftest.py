@@ -182,3 +182,29 @@ def image_oracle(index, sub, sup):
     """The restriction table of one pair, or None where an atom has no owner."""
     owner = restriction_oracle(index, sub, sup)
     return None if None in owner else union_table([1 << j for j in owner])
+
+
+def route_table(index, route, sub, sup):
+    """The table of one pair along a gather route: coarse-graining
+    ("below") or restriction ("below_image"), raising the index's error
+    where it cannot be read."""
+    if route == "below":
+        return coarse_oracle(index, sub, sup)
+    out = image_oracle(index, sub, sup)
+    if out is None:
+        raise ContextError("partition map does not cover the atom")
+    return out
+
+
+def route_rows(index, route):
+    """The per-stage form of a gather route: `below(sup)` gives (sub index,
+    `route_table`) for each stage below `sup`, ascending, each stage's
+    rows built once."""
+    kept = {}
+
+    def below(sup):
+        if sup not in kept:
+            kept[sup] = tuple((sub, route_table(index, route, sub, sup)) for sub in range(len(index.ids))
+                              if index.down[sup] >> sub & 1)
+        return kept[sup]
+    return below

@@ -259,6 +259,11 @@ def test_state_tolerances_reach_a_pure_state(tmp_path, fixa_file, state_file):
 @pytest.mark.parametrize("spec, message", [
     ("bogus=1", "--tol: unknown tolerance name(s): ['bogus']"),
     ("certain=abc", "--tol certain expects a number, got 'abc'"),
+    # a non-finite width would make every stage degenerate (nan) or
+    # overflow the closure's trace buckets (inf)
+    ("certain=nan", "--tol certain expects a finite number, got 'nan'"),
+    ("atom=inf", "--tol atom expects a finite number, got 'inf'"),
+    ("psd_floor=-inf", "--tol psd_floor expects a finite number, got '-inf'"),
 ])
 def test_malformed_tolerance_exits_with_one_line(tmp_path, spec, message):
     with pytest.raises(SystemExit) as exc:

@@ -361,7 +361,7 @@ class _PairwiseStore(_ContextStore):
         if not first.size:
             return []
         split = ~self._connected(first, second)
-        return [(i, j, _meet_masks_pairwise(self.stacks[i], self.stacks[j], self.tol), {})
+        return [(i, j, _meet_masks_pairwise(self.ctxs[i].stack, self.ctxs[j].stack, self.tol), {})
                 for i, j in zip(first[split].tolist(), second[split].tolist())]
 
 
@@ -483,12 +483,12 @@ def test_store_links_and_screen_match_per_pair_floats():
             store.add_if_new(c)
         store.close_under_meets()
         for i, j in itertools.combinations(range(len(store.ctxs)), 2):
-            sa, sb = store.stacks[i], store.stacks[j]
+            sa, sb = store.ctxs[i].stack, store.ctxs[j].stack
             link = np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom
             rows = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in link]
-            base, full = store.starts[j], (1 << len(sb)) - 1
-            assert [(store.later[store.starts[i] + r] >> base) & full
-                    for r in range(len(sa))] == rows, (name, i, j)
+            block = store.links[j][store.starts[i]:store.starts[i] + len(sa)]
+            assert [sum(1 << k for k in np.flatnonzero(row).tolist())
+                    for row in block] == rows, (name, i, j)
             assert store.meet(i, j) == _meet_masks_pairwise(sa, sb, tol), (name, i, j)
         got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
         for a in store.ctxs:
@@ -552,7 +552,7 @@ def test_batched_connectivity_matches_the_per_pair_component_walk():
         first, second = np.triu_indices(len(store.ctxs), 1)
         got = store._connected(first, second).tolist()
         for i, j, connected in zip(first.tolist(), second.tolist(), got):
-            want = _a_components(_float_link(store.stacks[i], store.stacks[j], tol)) == 1
+            want = _a_components(_float_link(store.ctxs[i].stack, store.ctxs[j].stack, tol)) == 1
             assert connected == want, (name, i, j)
             split += not want
     assert split >= 1000, split
@@ -588,7 +588,7 @@ def test_batched_meets_match_the_pair_walk_on_every_store():
         first, second = np.triu_indices(len(store.ctxs), 1)
         got = {(i, j): (masks, sums) for i, j, masks, sums in store.split_meets(first, second)}
         for i, j in zip(first.tolist(), second.tolist()):
-            sa, sb = store.stacks[i], store.stacks[j]
+            sa, sb = store.ctxs[i].stack, store.ctxs[j].stack
             want = _meet_masks_pairwise(sa, sb, tol)
             if (i, j) not in got:
                 assert _a_components(_float_link(sa, sb, tol)) == 1, (name, i, j)
@@ -649,10 +649,10 @@ def test_meet_runs_on_disconnected_pairs_only(monkeypatch, name, calls, closed):
     def spy(store, first, second):
         out = batched(store, first, second)
         for i, j, masks, _ in out:
-            sa, sb = store.stacks[i], store.stacks[j]
+            sa, sb = store.ctxs[i].stack, store.ctxs[j].stack
             assert _a_components(_float_link(sa, sb, store.tol)) > 1, name
             assert masks == _meet_masks_pairwise(sa, sb, store.tol), (name, i, j)
-        connected = sum(_a_components(_float_link(store.stacks[i], store.stacks[j], store.tol)) == 1
+        connected = sum(_a_components(_float_link(store.ctxs[i].stack, store.ctxs[j].stack, store.tol)) == 1
                         for i, j in zip(first.tolist(), second.tolist()))
         assert len(out) + connected == len(first), name
         seen.extend(out)
@@ -1053,7 +1053,7 @@ def test_split_meets_sums_each_distinct_component_once(monkeypatch, name):
     first, second = np.triu_indices(len(store.ctxs), 1)
     want, sides = set(), 0
     for i, j in zip(first.tolist(), second.tolist()):
-        comps = _sides(store.stacks[i], store.stacks[j], DEFAULT)
+        comps = _sides(store.ctxs[i].stack, store.ctxs[j].stack, DEFAULT)
         if len(comps) > 1:
             for in_a, in_b in comps:
                 want.add(frozenset(store.starts[i] + a for a in in_a))

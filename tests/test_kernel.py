@@ -20,7 +20,9 @@ from toposval.contexts import (
     ContextError,
     ContextPoset,
     LatticeElement,
+    PosetIndex,
     _check_partial_order,
+    bit_list,
     build_poset,
     trivial_context,
 )
@@ -58,7 +60,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import coarse_oracle, image_oracle, restriction_oracle, up_set
+from conftest import coarse_oracle, image_oracle, restriction_oracle, route_rows, route_table, up_set
 
 
 # --------------------------------------------------------------------------
@@ -673,7 +675,7 @@ def chosen_valuation(poset, route, chosen):
     """The valuation rebuilt from per-stage masks by `stage_rule`: a stage
     enters when its mask lies inside the image of the proposition."""
     index = poset.index
-    return scan_valuation(poset, getattr(index, route), lambda j, m: not chosen[j] & ~m)
+    return scan_valuation(poset, route_rows(index, route), lambda j, m: not chosen[j] & ~m)
 
 
 def assert_laws_match_scans(alpha):
@@ -693,7 +695,7 @@ def assert_laws_match_scans(alpha):
     if None not in supports:
         routes.append(("below", supports, "support_below"))
     for route, chosen, key in routes:
-        below = getattr(index, route)
+        below = route_rows(index, route)
         assert _condition_i(alpha, route, tuple(chosen), key) == \
             scan_condition_i(alpha, below, chosen, key), (route, key)
         assert matrix_characterization(alpha, route, tuple(chosen)) == \
@@ -1096,6 +1098,12 @@ def test_coarse_grain_without_a_partition_map_raises():
         coarse_grain(poset, "a", "b", LatticeElement("b", 1))
     with pytest.raises(ContextError, match="'z' is not included in 'b'"):
         sigma_restrict(poset, "z", "b", Character("b", 0))
+    # the flat readers of the pair tables raise the same, not a zero row
+    alpha = from_table(poset, {(x, 1): frozenset(poset.down_set(x)) for x in "ab"})
+    with pytest.raises(ContextError, match="'a' is not included in 'b'"):
+        check_subobject_condition(alpha)
+    with pytest.raises(ContextError, match="'a' is not included in 'b'"):
+        poset.index.coarse_squares
 
 
 def test_gather_tables_follow_the_index_on_random_posets():
@@ -1113,7 +1121,7 @@ def test_gather_tables_follow_the_index_on_random_posets():
                            g.target.tolist(), g.pair.tolist()))
             assert got == [(first[i] + mask, j, table[mask], first[j] + table[mask], rank[(j, i)])
                            for i in range(len(index.ids)) for mask in n_masks(poset, index.ids[i])
-                           for j, table in getattr(index, route)(i)]
+                           for j, table in route_rows(index, route)(i)]
             assert [c for c in range(first[-1]) for _ in range(g.start[c], g.start[c + 1])] \
                 == g.cell.tolist()
         cells = [(first[i], index.n_atoms[i]) for i in range(len(index.ids))]
@@ -1160,7 +1168,9 @@ def _oracle_rows(index):
     return out
 
 
-def test_pair_tables_match_the_one_pair_loops():
+def _pair_table_indices():
+    """Fresh indices of 30 seeded posets, the closed 18-ray poset, 10
+    random categories and 8 hand-broken partition maps."""
     indices = [random_poset(np.random.default_rng([seed, 21]), max_contexts=8, max_atoms=6).index
                for seed in range(30)]
     indices.append(build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True).index)
@@ -1168,17 +1178,80 @@ def test_pair_tables_match_the_one_pair_loops():
         cat, _ = random_category(np.random.default_rng([seed, 22]), 2 + seed % 5)
         indices.append(cat.index)
     # hand-broken maps on fix_a (V1: 3 atoms, V2: 2, Vtriv: 1): overlapping,
-    # uncovering, too long, too short, bits past the atoms, and missing
+    # uncovering, too long, too short, bits past the atoms, missing, and an
+    # uncovering identity map beside a missing map (the first failing pair
+    # differs between (sub, sup) and (sup, sub) order)
     for changes in ({("V2", "V1"): (0b011, 0b110)}, {("V2", "V1"): (0b010, 0b100)},
                     {("V2", "V1"): (0b001, 0b010, 0b100)}, {("V2", "V1"): (0b111,)},
                     {("V2", "V1"): (0b1001, 0b0110), ("Vtriv", "V2"): (0b111,)},
-                    {("V2", "V1"): ()}, {("Vtriv", "V1"): None}):
+                    {("V2", "V1"): ()}, {("Vtriv", "V1"): None},
+                    {("V2", "V2"): (0b01,), ("Vtriv", "V1"): None}):
         poset = fix_a()
         maps = {**poset.partition_maps, **changes}
         maps = {k: v for k, v in maps.items() if v is not None}
         indices.append(ContextPoset(contexts=poset.contexts, order=poset.order, partition_maps=maps).index)
-    for index in indices:
+    return indices
+
+
+def test_pair_tables_match_the_one_pair_loops():
+    for index in _pair_table_indices():
         assert _table_rows(index) == _oracle_rows(index)
+
+
+def _gather_oracle(index, route):
+    """(cell, stage, image, target, pair) and start of a route's gather,
+    built stage by stage from the one-pair oracles; or the error text and
+    the (sub, sup) pair that raised it, the first in (sup, sub) order."""
+    rank = {pair: k for k, pair in enumerate(index.pair_indices)}
+    first = index.cell_start.tolist()
+    entries, start = [], [0]
+    for i, n in enumerate(index.n_atoms):
+        rows = []
+        for j in bit_list(index.down[i]):
+            try:
+                rows.append((j, route_table(index, route, j, i)))
+            except ContextError as exc:
+                return str(exc), (j, i)
+        for mask in range(1 << n):
+            entries += [(first[i] + mask, j, table[mask], first[j] + table[mask], rank[(j, i)])
+                        for j, table in rows]
+            start.append(len(entries))
+    return [list(column) for column in zip(*entries)] or [[]] * 5, start
+
+
+def _gather_or_error(index, route):
+    """The same from `index.gather`: its arrays, or its error text and the
+    pair whose row `PosetIndex._row` was last asked for."""
+    asked = []
+
+    def row(name, sub, sup):
+        asked.append((sub, sup))
+        return PosetIndex._row(index, name, sub, sup)
+
+    index._row = row
+    try:
+        g = index.gather(route)
+    except ContextError as exc:
+        return str(exc), asked[-1]
+    finally:
+        del index._row
+    columns = (g.cell, g.stage, g.image, g.target, g.pair)
+    assert {a.dtype for a in columns + (g.start,)} == {np.dtype(np.int32)}
+    return [a.tolist() for a in columns], g.start.tolist()
+
+
+def test_gathers_match_the_per_stage_oracle():
+    # both routes, sorted from the flat pair tables, against a gather built
+    # one stage and one pair at a time; a broken map raises the oracle's
+    # error at the oracle's pair: the uncovering and the empty map fail to
+    # restrict, and the two with a missing map fail on both routes
+    errors = 0
+    for index in _pair_table_indices():
+        for route in ("below", "below_image"):
+            want = _gather_oracle(index, route)
+            assert _gather_or_error(index, route) == want, route
+            errors += isinstance(want[0], str)
+    assert errors == 6, errors
 
 
 def test_gather_tables_are_built_on_first_use():

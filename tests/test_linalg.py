@@ -60,7 +60,8 @@ def test_eig_ambiguous_cluster():
     # three eigenvalues chained inside one another: 0, 0.8t, 1.6t with t the width
     t = 1e-8
     with pytest.raises(GroupingError):
-        eig_hermitian(HermitianOperator(np.diag([0.0, 0.8 * t, 1.6 * t])), tol_group=t)
+        eig_hermitian(HermitianOperator(np.diag([0.0, 0.8 * t, 1.6 * t])),
+                      tol=DEFAULT.overridden(eig_group=t))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

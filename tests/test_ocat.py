@@ -49,7 +49,6 @@ from toposval.ocat import (
     support_subobject_check,
 )
 from toposval.sampling import random_category, random_density, random_state, random_unitary
-from toposval.valuations import MorphismSetValuation
 from toposval.tolerances import DEFAULT
 
 from conftest import identity_map, leq_each, projector_for
@@ -505,11 +504,11 @@ def test_mixed_state_decisions_match_state_certain(monkeypatch):
         for state in states_for(rng, cat, aid):
             for tol in (DEFAULT, wide):
                 calls.clear()
-                decisions = cat._decisions(state, tol).valuation
+                decisions = cat._decisions(state, tol)
                 for i, n in enumerate(index.n_atoms):
                     for delta in range(1 << n):
                         want = _bits_by_state_certain(cat, state, tol, i, delta)
-                        assert decisions._bits(i, delta) == want, (i, delta)
+                        assert decisions.bits(i, delta) == want, (i, delta)
                         certain_bits += want.bit_count()
                 if isinstance(state, StateVector):
                     assert calls == []
@@ -928,7 +927,7 @@ def test_index_holds_the_arrows():
 
 def test_sieve_witness_names_a_missing_composite():
     # a state's member sets are always sieves, so the failing branch is
-    # reached through a hand-made valuation: at A it holds Asq -> A alone,
+    # reached through a hand-set cell: at A it holds Asq -> A alone,
     # while A -> Asq and one -> Asq are arrows into Asq
     a = decomp(1, 2, 3)
     cat = OperatorCategory([a, decomp(1, 4, 9, id="Asq"), decomp(1, 1, 1, id="one")])
@@ -936,8 +935,7 @@ def test_sieve_witness_names_a_missing_composite():
     index = cat.index
     assert [m.src for m in cat.morphisms_into("Asq")] == ["A", "Asq", "one"]
     check_sieve_on_o(state, a, frozenset(), cat)   # builds the state's decisions
-    cat._decisions(state, DEFAULT).valuation = MorphismSetValuation._from_bits(
-        cat, lambda i, mask: 1 << index.pos["Asq"] if index.ids[i] == "A" else 0, "broken")
+    cat._decisions(state, DEFAULT).cells[(index.pos["A"], 0)] = 1 << index.pos["Asq"]
     assert check_sieve_on_o(state, a, frozenset(), cat) == (
         False, {"f": ("Asq", "A"), "g": ("A", "Asq")})
 

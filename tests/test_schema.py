@@ -24,7 +24,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import is_downward_closed
+from conftest import is_downward_closed, route_rows
 from test_kernel import (
     scan_exclusivity,
     scan_func,
@@ -536,7 +536,7 @@ def test_survey_sigma_matches_scans():
                            enforce=False)
         for rel in BUILTIN_SET_RELATIONS.values():
             alpha = MorphismSetValuation._from_bits(poset, stage_rule(
-                index, index.below_image,
+                index, route_rows(index, "below_image"),
                 lambda j, m: bool(rel.test(index.ids[j], a.assignment[index.ids[j]],
                                            frozenset(bit_list(m))))), "scan")
             report = survey_properties_sigma(a, rel)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import Character, LatticeElement
+from toposval.contexts import Character, ContextError, LatticeElement
 from toposval.linalg import DensityMatrix
 from toposval.presheaves import GlobalElementG, SubobjectSigma, coarse_grain
 from toposval.sampling import random_density, random_poset
 from toposval.valuations import (
+    MorphismSetValuation,
     alpha_from_global_element,
     alpha_from_subobject,
     check_definition3,
@@ -448,3 +449,44 @@ def test_dump_format(fixa, rho_e0):
     assert set(dump) == set(fixa.ids)
     assert dump["V1"]["7"] == ["V1", "V2", "Vtriv"]
     assert dump["V1"]["0"] == []
+
+
+def test_rule_backed_valuations_ask_their_rule_once_per_cell_at_build(fixa):
+    # each constructor asks its rule for every cell, in cell order, when the
+    # valuation is built; the laws, queries and dump then ask nothing
+    index = fixa.index
+    cells = [(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
+    by_id = [(index.ids[i], m) for i, m in cells]
+    asked = []
+
+    def bits_rule(i, mask):
+        asked.append((i, mask))
+        return index.down[i] if mask else 0
+
+    def rule(cid, mask):
+        asked.append((cid, mask))
+        return frozenset(fixa.down_set(cid)) if mask else frozenset()
+
+    class Table(dict):
+        def get(self, key, default=None):
+            asked.append(key)
+            return super().get(key, default)
+
+    table = Table({(cid, m): frozenset(fixa.down_set(cid)) for cid, m in by_id if m})
+    for build, want in ((lambda: MorphismSetValuation._from_bits(fixa, bits_rule, "spy"), cells),
+                        (lambda: MorphismSetValuation(fixa, rule), by_id),
+                        (lambda: from_table(fixa, table), by_id)):
+        asked.clear()
+        alpha = build()
+        assert asked == want
+        check_definition3(alpha)
+        theorem1_verify(alpha)
+        theorem2_verify(alpha)
+        assert alpha.members("V1", 0b011) == frozenset(fixa.down_set("V1"))
+        alpha.dump()
+        assert asked == want
+
+
+def test_from_table_with_a_member_above_the_apex_raises_at_build(fixa):
+    with pytest.raises(ContextError, match="valuation returned 'V1' above the apex 'V2'"):
+        from_table(fixa, {("V2", 0b01): frozenset({"V1"})})
