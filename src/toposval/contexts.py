@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import (
+    CONTAINMENT_CHUNK,
     HermitianOperator,
     LinalgError,
     Projector,
@@ -43,9 +44,15 @@ MAX_ATOMS_FOR_LATTICE = 20
 # times d^2 times the largest ||p||_F^2 of a stored atom, which bounds F;
 # for projectors ||p||_F^2 = rank(p) <= d, so the band is at most 4 d^3 eps:
 # 5.7e-14 at d = 4, where the two forms differ by at most 1.3e-15 on the
-# closed Peres-24 and 18-ray posets, noisy copies included.
+# closed Peres-24 and 18-ray posets, noisy copies included.  The same
+# constant bounds the rounding of the link proof (see `add_if_new`).
 _EPS = np.finfo(float).eps
 _SCREEN_ROUNDING = 4 * _EPS
+
+# Complex entries of one row block of the inclusion screen's overlap
+# product: whole contexts are taken while their atoms times the stored atoms
+# stay within it (at least one context per block).
+_SCREEN_BLOCK = 4 * CONTAINMENT_CHUNK
 
 
 class ContextError(ValueError):
@@ -863,10 +870,11 @@ class _ContextStore:
     Every stored context's atoms join one global stack, in storage order.
     Each stored context keeps one bool block of links: [g, t] when earlier
     stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
-    with the earlier atom on the left.  The block is decided by one batched
-    product when the context is added, so each link is decided once per
-    atom pair.  The blocks are the only link record: a closure round places
-    them into one bool matrix, from which it takes every pair's
+    with the earlier atom on the left.  The block is decided when the
+    context is added, from one overlap product and a gathered product of
+    the pairs it leaves open (see `add_if_new`), so each link is decided
+    once per atom pair.  The blocks are the only link record: a closure
+    round places them into one bool matrix, from which it takes every pair's
     connectivity and, for the disconnected pairs, their components and the
     sums that decide them.  Links are kept per stored atom rather than per
     interned lattice element: interning is not transitive at `tol.atom`,
@@ -890,6 +898,7 @@ class _ContextStore:
         self.every: np.ndarray | None = None   # every stored atom, shape (n, dim, dim)
         self.starts: list[int] = []   # global index of the first atom of ctxs[k]
         self.links: list[np.ndarray] = []   # per ctxs[k], [g, t] when earlier atom g links to its atom t
+        self.frobenius = 0.0   # the largest ||p||_F^2 of a stored atom
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
         # rounded trace -> (ids, entries with spare rows, rows in use)
@@ -949,7 +958,24 @@ class _ContextStore:
 
     def add_if_new(self, c: Context, atom_ids: list[int] | None = None) -> None:
         """Store a context unless its algebra is stored; `atom_ids`, when
-        given, are its atoms' interned ids, in its atom order."""
+        given, are its atoms' interned ids, in its atom order.
+
+        Its link block, [g, t] when max|g t| >= tol.atom for stored atom g
+        and its atom t, is decided from one overlap product first: Re tr(g t)
+        for every such pair, the sum of g_kl t_lk over flattened matrices.
+        The trace is a sum of d diagonal entries, so |tr(g t)| <= d max|g t|
+        in exact arithmetic.  The float overlap is within d^2 eps F of the
+        exact trace and each float entry of g t within 2 (d + 1) eps F of its
+        exact value, F = ||g||_F ||t||_F (see `_SCREEN_ROUNDING`; the modulus
+        adds eps |entry|).  So an overlap of at least d tol.atom + s, the
+        slack s = 2 _SCREEN_ROUNDING d^2 F_max^2 (twice the screen's band,
+        F_max^2 the largest ||p||_F^2 of a stored atom), puts the float
+        max|g t| at or above tol.atom: the pair links, and no product is
+        taken for it.  Every other pair takes that float max|g t|, as one
+        gathered stacked product (`product_max`, the broadcast product's
+        float per pair), so each bit is the decision one pair's product
+        makes.  On the closed 18-ray set about a quarter of the pairs
+        take the product."""
         stack = c.stack
         if atom_ids is None:
             atom_ids = [self._intern(e) for e in stack]
@@ -957,11 +983,18 @@ class _ContextStore:
         if key in self.keys:
             return
         k = len(self.ctxs)
-        if self.every is None:
-            self.every = stack[:0]
-        self.starts.append(len(self.every))
-        self.links.append(np.abs(self.every[:, None] @ stack[None]).max(axis=(2, 3)) >= self.tol.atom)
-        self.every = np.concatenate([self.every, stack])
+        n, dim = (0 if self.every is None else len(self.every)), stack.shape[1]
+        every = stack if self.every is None else np.concatenate([self.every, stack])
+        flat = stack.reshape(len(stack), dim * dim)
+        self.frobenius = max(self.frobenius, float((np.abs(flat) ** 2).sum(axis=1).max()))
+        slack = 2 * _SCREEN_ROUNDING * dim * dim * self.frobenius
+        overlap = (every[:n].reshape(n, dim * dim) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T).real
+        link = overlap >= dim * self.tol.atom + slack
+        g, t = np.nonzero(~link)
+        link[g, t] = product_max(every, g, n + t) >= self.tol.atom
+        self.starts.append(n)
+        self.links.append(link)
+        self.every = every
         self.ctxs.append(c)
         self.keys.add(key)
         for i, eid in enumerate(atom_ids):
@@ -1064,12 +1097,6 @@ class _ContextStore:
             out.append((i, j, sorted(masks), sums))
         return out
 
-    def meet(self, i: int, j: int) -> list[int]:
-        """The meet masks of stored contexts i < j: `split_meets` of the
-        one pair, or the full mask when its link graph is connected."""
-        split = self.split_meets(np.array([i]), np.array([j]))
-        return split[0][2] if split else [(1 << self.ctxs[i].n_atoms) - 1]
-
     def close_under_meets(self) -> None:
         """Add pairwise algebra intersections until closure (trivial meets
         skipped).
@@ -1114,6 +1141,21 @@ class _ContextStore:
                 return
             old = n
 
+    def _screen_bounds(self) -> tuple[float, float]:
+        """(band, delta) of the inclusion screen over the stored atoms: the
+        rounding band of rank / 2 (`_SCREEN_ROUNDING`) and how far a
+        confirmed inclusion's overlaps can lie from 0 or the rank (derived
+        in `_screen`)."""
+        ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
+        dim = self.every.shape[1]
+        band = _SCREEN_ROUNDING * dim * dim * self.frobenius
+        trace = float(np.abs(np.trace(self.every, axis1=1, axis2=2).real - ranks).max())
+        tau, tau_c = self.tol.atom, max(c.tol.atom for c in self.ctxs)
+        widest = max(c.n_atoms for c in self.ctxs)
+        delta = (trace + dim * np.sqrt(self.frobenius) * (tau + tau_c) + (widest - 1) * dim * tau_c
+                 + 2 * dim * band)
+        return band, delta
+
     def _screen(self):
         """(k, candidates, partition maps) per stored context k, in order:
         the indices j, ascending, of the stored contexts that may satisfy
@@ -1121,48 +1163,86 @@ class _ContextStore:
         column c is the partition map of candidate c, one mask over its
         atoms per atom of context k.
 
-        tr(b_m a_i) is taken for all stored atoms b_m against context k's
-        atoms a_i in a single product of flattened matrices, the sum of
-        (b_m)_lr (a_i)_rl.  It is a different float from the one
+        One pass over row blocks of whole contexts (`_SCREEN_BLOCK`): a
+        block takes tr(b_m a_i) for every stored atom b_m against each of
+        its atoms a_i in one product of flattened matrices, the sum of
+        (b_m)_lr (a_i)_rl.  That is a different float from the one
         `Context.member_mask` takes, `np.trace(b_m @ a_i)`, but by less than
-        the rounding band (see `_SCREEN_ROUNDING`); entries within that band
-        of rank(b_m) / 2 are taken again in member_mask's expression, so
-        every decision tr(b_m a_i) > rank(b_m) / 2 is made on member_mask's
-        float.  The mask of a_i over context j holds the b_m that pass,
-        packed for every context at once by one `reduceat` of the atoms'
-        bits.  For a <= b the ranks of a mask add up to rank(a_i), so pairs
-        failing that count are dropped."""
+        the rounding band (see `_SCREEN_ROUNDING`), so outside the band the
+        decision tr(b_m a_i) > rank(b_m) / 2 is member_mask's.  The mask of
+        a_i over context j holds the b_m that pass, packed for every context
+        by one `reduceat` of the atoms' bits.  For a <= b the ranks of a
+        mask add up to rank(a_i), so pairs failing that count for some atom
+        are dropped, the sums and the test over a's atoms also taken by
+        `reduceat`.
+
+        A pair with any entry within the band of rank(b_m) / 2 is dropped
+        as well, while the guard delta + 2 band < 1/2 holds.  delta bounds
+        how far tr(b_m a_i) lies from 0 or rank(b_m) when `inclusion`
+        confirms a <= b.  There, with M the mask of a_i over b and S the sum
+        of its atoms, E = S - a_i has max|E| < tau, the store's tol.atom.
+        For any X, |tr(b X)| <= max|X| sum|b_kl| <= d F max|X|, with F^2
+        the largest ||b||_F^2 of a stored atom.  Each context was validated
+        at a tolerance set whose atom is at most tau_c: two of its atoms
+        have |tr(b_m b_n)| <= d max|b_m b_n| < d tau_c, and its atoms sum to
+        I within tau_c.  So, w being the most atoms of a stored context,
+          for m not in M, tr(b_m a_i) = sum over n in M of tr(b_m b_n) -
+          tr(b_m E) lies within (w - 1) d tau_c + d F tau of 0;
+          for m in M, tr(b_m a_i) = tr(b_m) + tr(b_m (sum_n b_n - I)) -
+          sum over n not in M of tr(b_m b_n) - tr(b_m E) lies within
+          t + d F tau_c + (w - 1) d tau_c + d F tau of rank(b_m),
+        t being the largest |Re tr(b) - rank(b)| of a stored atom.  The
+        sums and products those checks compared are floats: a sum is off by
+        at most about w^2 eps F per entry and a product by 2 (d + 1) eps F^2,
+        which moves the traces above by at most 6 d^3 eps F^2 in all, and
+        the term rho = 2 d band covers them.  Hence
+        delta = t + d F (tau + tau_c) + (w - 1) d tau_c + rho, about 3e-7
+        at the default tolerances and d = 4.  A float entry lies within
+        band / 4 of its exact value, so every entry of a confirmed pair
+        lies more than 1/2 - delta - band / 4 from rank(b_m) / 2, outside
+        the band while the guard holds: dropping a pair with an in-band
+        entry never drops an inclusion.  When the guard fails (a loose
+        `--tol`), the in-band entries are taken again in member_mask's
+        expression, one gathered stack of traces per block, and every
+        decision is made on member_mask's float, as one pair's test makes
+        it."""
         if not self.ctxs:
             return
-        every, starts = self.every, self.starts
+        every = self.every
+        starts = np.array(self.starts)
+        ends = starts + [c.n_atoms for c in self.ctxs]
         ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
         half = ranks / 2
+        band, delta = self._screen_bounds()
+        drop = delta + 2 * band < 0.5
         flat = every.reshape(len(every), -1)
-        dim = every.shape[1]
-        band = _SCREEN_ROUNDING * dim * dim * float(np.max(np.sum(np.abs(flat) ** 2, axis=1)))
+        turned = every.transpose(0, 2, 1).reshape(len(every), -1)
         # each atom's bit within its own context, as Python ints past 62 atoms
-        widest = max(c.n_atoms for c in self.ctxs)
         bits = np.array([1 << i for c in self.ctxs for i in range(c.n_atoms)],
-                        dtype=np.int64 if widest < 63 else object)
-        for k, a in enumerate(self.ctxs):
-            sa = a.stack
-            overlap = (sa.transpose(0, 2, 1).reshape(len(sa), -1) @ flat.T).real
-            near = np.nonzero(np.abs(overlap - half) <= band)
-            if near[0].size:
-                overlap[near] = np.trace(every[near[1]] @ sa[near[0]], axis1=1, axis2=2).real
+                        dtype=np.int64 if (ends - starts).max() < 63 else object)
+        rows = max(1, _SCREEN_BLOCK // len(every))
+        first = 0
+        while first < len(self.ctxs):
+            last = max(first + 1, int(np.searchsorted(ends, starts[first] + rows, side="right")))
+            lo, hi = starts[first], ends[last - 1]
+            heads = starts[first:last] - lo
+            overlap = (turned[lo:hi] @ flat.T).real
+            near = np.abs(overlap - half) <= band
+            if drop:
+                clean = ~np.logical_or.reduceat(np.logical_or.reduceat(near, heads, axis=0), starts, axis=1)
+            else:
+                r, m = np.nonzero(near)
+                if r.size:
+                    overlap[r, m] = _trace_products(every, m, lo + r)
+                clean = True
             inside = overlap > half
             covered = np.add.reduceat(np.where(inside, ranks, 0), starts, axis=1)
-            a_ranks = np.array([p.rank for p in a.atoms])
-            js = np.flatnonzero((covered == a_ranks[:, None]).all(axis=0))
-            yield k, js.tolist(), np.bitwise_or.reduceat(np.where(inside, bits, 0), starts, axis=1)[:, js]
-
-    def inclusion_candidates(self):
-        """(a, b, partition map) for the pairs, in row order, that may
-        satisfy a <= b: the screen's candidates (see `_screen`), for
-        `inclusion` to confirm."""
-        for k, js, packed in self._screen():
-            for j, pmap in zip(js, packed.T.tolist()):
-                yield self.ctxs[k], self.ctxs[j], tuple(pmap)
+            kept = np.logical_and.reduceat(covered == ranks[lo:hi, np.newaxis], heads, axis=0) & clean
+            packed = np.bitwise_or.reduceat(np.where(inside, bits, 0), starts, axis=1)
+            for k in range(first, last):
+                js = np.flatnonzero(kept[k - first])
+                yield k, js.tolist(), packed[starts[k] - lo:ends[k] - lo, js]
+            first = last
 
     def inclusion(self) -> tuple[set[tuple[str, str]], dict[tuple[str, str], tuple[int, ...]]]:
         """The inclusion order of the stored contexts and its partition
@@ -1170,37 +1250,44 @@ class _ContextStore:
         atom a_i equals the projector of its mask over b within
         `tol.atom`, the test `member_mask` makes.
 
-        Per context a, every (candidate, atom) is decided in one max-abs
-        test, against the mask's atom sum taken in ascending atom order,
-        the float `Context.projector` stores.  The lattice projectors of
-        multi-atom masks that a test of one atom at a time would build (in
-        its order, up to each candidate's first failing atom) are then
-        built, and so validated, as one `lattice_projectors` batch for the
-        whole pass."""
+        Every (candidate, atom) of the pass is decided in one batch: each
+        mask's atom sum is taken in ascending atom order by one
+        `_ordered_sums`, bit for bit the float `Context.projector` stores,
+        and compared with a_i in one max-abs test, chunked as `_chunks`
+        sizes it.  The lattice projectors of multi-atom masks that a test
+        of one atom at a time would build (in its order, up to each
+        candidate's first failing atom) are then built, and so validated,
+        as one `lattice_projectors` batch for the whole pass.  A candidate
+        the screen drops for an in-band overlap is no inclusion (see
+        `_screen`), and its mask projectors are neither built nor
+        validated."""
         order: set[tuple[str, str]] = set()
         pmaps_out: dict[tuple[str, str], tuple[int, ...]] = {}
-        built: list[tuple[Context, int]] = []   # (context, mask) of the projectors to build
-        if not self.ctxs:
+        screened = [(k, js, packed) for k, js, packed in self._screen() if js]
+        if not screened:
             return order, pmaps_out
         every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
-        t = np.arange(max(c.n_atoms for c in self.ctxs))
         starts = np.array(self.starts)
         ends = starts + [c.n_atoms for c in self.ctxs]
-        for k, js, packed in self._screen():
-            if not js:
-                continue
+        t = np.arange((ends - starts).max())
+        # per (candidate, atom of a), in pass order: b's index, the mask and a's atom
+        b_of = np.concatenate([np.repeat(js, len(packed)) for _, js, packed in screened])
+        masks = np.concatenate([packed.T.reshape(-1) for _, _, packed in screened])
+        a_atom = np.concatenate([np.tile(np.arange(starts[k], ends[k]), len(js)) for k, js, _ in screened])
+        index = starts[b_of][:, np.newaxis] + t
+        index[index >= ends[b_of][:, np.newaxis]] = len(every) - 1
+        sums = _ordered_sums(every, index, ((masks[:, np.newaxis] >> t) & 1).astype(bool))
+        equal = np.empty(len(sums), dtype=bool)
+        for c in _chunks(len(sums), sums.shape[1] * sums.shape[2]):
+            equal[c] = np.abs(sums[c] - every[a_atom[c]]).max(axis=(1, 2)) < self.tol.atom
+        equal = equal.tolist()
+        built: list[tuple[Context, int]] = []   # (context, mask) of the projectors to build
+        row = 0
+        for k, js, packed in screened:
             a = self.ctxs[k]
-            sa = a.stack
-            b_of = np.repeat(js, len(sa))   # per (candidate, atom of a)
-            index = starts[b_of][:, np.newaxis] + t
-            index[index >= ends[b_of][:, np.newaxis]] = len(every) - 1
-            masks = packed.T.reshape(-1, 1)
-            sums = _ordered_sums(every, index, ((masks >> t) & 1).astype(bool))
-            sums = sums.reshape(len(js), len(sa), *sa.shape[1:]) - sa
-            equal = (np.abs(sums).max(axis=(2, 3)) < self.tol.atom).tolist()
-            for j, pmap, decided in zip(js, map(tuple, packed.T.tolist()), equal):
+            for j, pmap in zip(js, map(tuple, packed.T.tolist())):
                 b = self.ctxs[j]
-                for m, good in zip(pmap, decided):
+                for m, good in zip(pmap, equal[row:row + len(pmap)]):
                     if m & (m - 1):
                         built.append((b, m))
                     if not good:
@@ -1208,8 +1295,15 @@ class _ContextStore:
                 else:
                     order.add((a.id, b.id))
                     pmaps_out[(a.id, b.id)] = pmap
+                row += len(pmap)
         lattice_projectors(built)
         return order, pmaps_out
+
+
+def _trace_products(every: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Re tr(every[first[p]] @ every[second[p]]) per pair p, in one stacked
+    product: the float `Context.member_mask` takes for each."""
+    return np.trace(every[first] @ every[second], axis1=1, axis2=2).real
 
 
 def _ordered_sums(every: np.ndarray, index: np.ndarray, chosen: np.ndarray) -> np.ndarray:

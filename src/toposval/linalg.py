@@ -289,7 +289,7 @@ def eig_hermitian(h: HermitianOperator, tol: Tolerances = DEFAULT) -> list[tuple
     """
     group = tol.eig_group
     if group <= 0:
-        raise LinalgError("tol_group must be positive")
+        raise LinalgError("eig_group must be positive")
     evals, evecs = np.linalg.eigh(h.entries)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
@@ -314,7 +314,7 @@ def eig_hermitian(h: HermitianOperator, tol: Tolerances = DEFAULT) -> list[tuple
         raise LinalgError("spectral reconstruction failed")
     for (l1, _), (l2, _) in zip(out, out[1:]):
         if l2 - l1 <= group:
-            raise GroupingError("grouped eigenvalues are not separated by tol_group")
+            raise GroupingError("grouped eigenvalues are not separated by eig_group")
     return out
 
 

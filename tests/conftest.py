@@ -4,7 +4,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError
+from toposval.contexts import ContextError, _ContextStore
 from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
 from toposval.ocat import EigenvalueMap
 from toposval.sampling import diag_plus_trivial, fix_a
@@ -208,3 +208,26 @@ def route_rows(index, route):
                               if index.down[sup] >> sub & 1)
         return kept[sup]
     return below
+
+
+# --------------------------------------------------------------------------
+# per-pair views of the closure store, which the package's batched passes
+# no longer need
+
+class PairStore(_ContextStore):
+    """`_ContextStore` with one pair's meet and the screen's candidates
+    as (a, b, partition map)."""
+
+    def meet(self, i: int, j: int) -> list[int]:
+        """The meet masks of stored contexts i < j: `split_meets` of the
+        one pair, or the full mask when its link graph is connected."""
+        split = self.split_meets(np.array([i]), np.array([j]))
+        return split[0][2] if split else [(1 << self.ctxs[i].n_atoms) - 1]
+
+    def inclusion_candidates(self):
+        """(a, b, partition map) for the pairs, in row order, that may
+        satisfy a <= b: the screen's candidates (see `_screen`), for
+        `inclusion` to confirm."""
+        for k, js, packed in self._screen():
+            for j, pmap in zip(js, packed.T.tolist()):
+                yield self.ctxs[k], self.ctxs[j], tuple(pmap)

@@ -273,6 +273,18 @@ def test_malformed_tolerance_exits_with_one_line(tmp_path, spec, message):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_non_positive_eigenvalue_grouping_width_names_its_tol_field(tmp_path):
+    # the error names the --tol field a user sets
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps({"dim": 2, "operators": [{"id": "A", "matrix": [[1, 0], [0, -1]]}]}))
+    state = tmp_path / "pure.json"
+    state.write_text(json.dumps({"type": "pure", "data": [1, 0]}))
+    code, report = run(tmp_path, "ocat", "--input", str(ops), "--state", str(state),
+                       "--tol", "eig_group=-1")
+    assert code == 2
+    assert report["result"] == {"error": "eig_group must be positive"}
+
+
 # SHA-256 of whole report files for the bundled 18-ray fixture, closed under
 # meets, and the pure state (0.6, 0.8, 0, 0); run from the directory that
 # holds both files, so the input paths in the reports are the bare names.

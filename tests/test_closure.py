@@ -1,20 +1,22 @@
 """Differential tests for meet closure and the partial-order check.
 
 `build_poset` closes under meets with the component rule on per-atom link
-bitsets, lattice elements interned by trace bucket and a pair worklist,
+blocks, each bit proven from the overlap trace or taken from a gathered
+product, lattice elements interned by trace bucket and a pair worklist,
 meeting the pairs that one batched reachability step finds disconnected in
-one batched pass per round; it takes partition maps from a trace screen of
-one product per context with a fallback band, confirms them with one
-equality test per context, orders atoms by one lexsort of rounded keys,
-builds lattice projectors in batches, and checks the order on int-bitmask
-down-sets.  Kept here as oracles: the enumerating meet; the per-pair
-component walk `_meet_masks`, on a float link matrix of its own; the
-per-pair `_partition_map`/`member_mask`; interning by a scan of every
-stored projector; the eager rounded-tuple atom key and the comparator
+one batched pass per round; it takes partition maps from a trace screen in
+row blocks that drops pairs with an in-band overlap while its guard holds
+and takes them again otherwise, confirms them in one batch for the pass,
+orders atoms by one lexsort of rounded keys, builds lattice projectors in
+batches, and checks the order on int-bitmask down-sets.  Kept here as
+oracles: the enumerating meet; the per-pair component walk `_meet_masks`,
+on a float link matrix of its own; the per-pair
+`_partition_map`/`member_mask` and trace screen; the drop guard's delta
+taken atom by atom; interning by a scan of every stored projector; the
+eager rounded-tuple atom key and the comparator
 (`conftest.canonical_order_oracle`); lattice projectors built one request
-at a time; the rescan-every-pair closure with two-way `inclusion`
-duplicate tests and all-pairs partition maps; and the triple-loop order
-check.
+at a time; the rescan-every-pair closure with two-way `inclusion` duplicate
+tests and all-pairs partition maps; and the triple-loop order check.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 import toposval.contexts
-from conftest import canonical_order_oracle
+from conftest import PairStore, canonical_order_oracle
 from toposval.contexts import (
     Context,
     ContextError,
@@ -127,7 +129,7 @@ def _canonical_key(p):
 
 def _store_meet(a, b, tol=DEFAULT):
     """The store's meet of two contexts, or None when b merges onto a."""
-    store = _ContextStore(tol)
+    store = PairStore(tol)
     store.add_if_new(a)
     store.add_if_new(b)
     return store.meet(0, 1) if len(store.ctxs) == 2 else None
@@ -398,6 +400,46 @@ def _overlap_masks(b, a):
     )
 
 
+def _screen_contract(store):
+    """Per ordered pair (a id, b id) of a store, the outcomes the screen may
+    yield for it: the per-pair trace screen's masks when it passes the
+    pair, or None, unless the guard holds and some tr(b_k a_i) in
+    member_mask's float lies near rank(b_k) / 2.  Then the pair is dropped
+    (None) when that float lies within a quarter of the band, and may be
+    either way up to twice the band: the screen's float differs from
+    member_mask's by less than 5/8 of the band."""
+    band, delta = store._screen_bounds()
+    guard = delta + 2 * band < 0.5
+    out = {}
+    for a in store.ctxs:
+        for b in store.ctxs:
+            masks = _overlap_masks(b, a)
+            covered = [sum(b.atoms[k].rank for k in bit_list(m)) for m in masks]
+            screened = masks if covered == [p.rank for p in a.atoms] else None
+            gap = min(abs(float(np.trace(bk.entries @ ai.entries).real) - bk.rank / 2)
+                      for bk in b.atoms for ai in a.atoms)
+            if not guard or gap > 2 * band:
+                out[(a.id, b.id)] = {screened}
+            else:
+                out[(a.id, b.id)] = {None} if gap <= band / 4 else {screened, None}
+    return out
+
+
+def _pairwise_order(store):
+    """The (a id, b id) pairs of the store that `_partition_map`, the
+    decision `_build_poset_pairwise` makes per pair, puts in the order (a
+    pair whose mask projector fails validation is left out)."""
+    out = set()
+    for a in store.ctxs:
+        for b in store.ctxs:
+            try:
+                if _partition_map(a, b, store.tol) is not None:
+                    out.add((a.id, b.id))
+            except LinalgError:
+                pass
+    return out
+
+
 def _noisy(contexts, rng, scale):
     """Each atom plus Hermitian noise of max-abs size about `scale`."""
     out = []
@@ -478,7 +520,7 @@ def test_store_links_and_screen_match_per_pair_floats():
     # the link bits of every stored pair, and the screen's candidates and
     # masks on every ordered pair, against per-pair float expressions
     for name, contexts, tol in _closure_inputs():
-        store = _ContextStore(tol)
+        store = PairStore(tol)
         for c in contexts:
             store.add_if_new(c)
         store.close_under_meets()
@@ -491,12 +533,9 @@ def test_store_links_and_screen_match_per_pair_floats():
                     for row in block] == rows, (name, i, j)
             assert store.meet(i, j) == _meet_masks_pairwise(sa, sb, tol), (name, i, j)
         got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
-        for a in store.ctxs:
-            for b in store.ctxs:
-                masks = _overlap_masks(b, a)
-                covered = [sum(b.atoms[k].rank for k in bit_list(m)) for m in masks]
-                screened = covered == [p.rank for p in a.atoms]
-                assert got.get((a.id, b.id)) == (masks if screened else None), (name, a.id, b.id)
+        for pair, allowed in _screen_contract(store).items():
+            assert got.get(pair) in allowed, (name, *pair)
+        assert _pairwise_order(store) <= set(got), name
 
 
 def test_screen_drops_a_pair_whose_overlap_is_exactly_half_the_rank():
@@ -509,7 +548,7 @@ def test_screen_drops_a_pair_whose_overlap_is_exactly_half_the_rank():
     z = Context("Z", [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))])
     assert float(np.trace(z.atoms[0].entries @ plus.entries).real) == 0.5
     for tol in (DEFAULT, DEFAULT.overridden(atom=0.6)):
-        store = _ContextStore(tol)
+        store = PairStore(tol)
         store.add_if_new(x)
         store.add_if_new(z)
         pairs = {(a.id, b.id) for a, b, _ in store.inclusion_candidates()}
@@ -687,23 +726,159 @@ def test_screen_follows_the_trace_on_atoms_hermitian_only_within_tolerance():
     tol = DEFAULT.overridden(herm=1e-6, proj_idem=1e-5, atom=1e-4)
     rng = np.random.default_rng(41)
     contexts = _hermiticity_defect(_peres_subset(9, 24, tol), rng, tol)
-    store = _ContextStore(tol)
+    store = PairStore(tol)
     for c in contexts:
         store.add_if_new(c)
     got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
+    want = _screen_contract(store)
+    assert _pairwise_order(store) <= set(got)
     apart = 0
     for a in store.ctxs:
         for b in store.ctxs:
-            masks = _overlap_masks(b, a)
-            covered = [sum(b.atoms[k].rank for k in bit_list(m)) for m in masks]
-            screened = covered == [p.rank for p in a.atoms]
-            assert got.get((a.id, b.id)) == (masks if screened else None), (a.id, b.id)
+            assert got.get((a.id, b.id)) in want[(a.id, b.id)], (a.id, b.id)
             for bk in b.atoms:
                 for ai in a.atoms:
                     gap = np.trace(bk.entries @ ai.entries) - np.trace(bk.entries.conj().T @ ai.entries)
                     apart += abs(gap.real) > 1e-13
     assert apart >= 100, apart
     assert len(got) > len(store.ctxs)
+
+
+def _rotated_pair(cos2):
+    """Z, the standard basis of dimension 2, and R, the basis of v =
+    (sqrt(cos2), sqrt(1 - cos2)) and its complement: each atom of R has
+    overlap cos2 with one atom of Z and 1 - cos2 with the other."""
+    c, s = np.sqrt(cos2), np.sqrt(1 - cos2)
+    z = Context("Z", [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))])
+    r = Context("R", [Projector(np.outer(v, v)) for v in (np.array([c, s]), np.array([-s, c]))])
+    return z, r
+
+
+def test_link_proof_takes_the_product_only_below_its_threshold(monkeypatch):
+    # at atom = 0.1 in dimension 2 a pair is linked without a product when
+    # Re tr(g t) >= 0.2 plus a slack of about 1e-15; an overlap 1e-6 below
+    # takes the exact max|g t|, one 1e-6 above does not
+    tol = DEFAULT.overridden(atom=0.1)
+    real = toposval.contexts.product_max
+    for cos2, below in ((0.2 - 1e-6, 2), (0.2 + 1e-6, 0)):
+        z, r = _rotated_pair(cos2)
+        seen = []
+
+        def spy(stack, first, second):
+            seen.extend(zip(first.tolist(), second.tolist()))
+            return real(stack, first, second)
+
+        monkeypatch.setattr(toposval.contexts, "product_max", spy)
+        store = _ContextStore(tol)
+        store.add_if_new(z)
+        store.add_if_new(r)
+        monkeypatch.undo()
+        want = {(g, 2 + t) for g in range(2) for t in range(2)
+                if float(np.trace(z.stack[g] @ r.stack[t]).real) < 0.2}
+        assert len(want) == below and set(seen) == want and len(seen) == below, cos2
+        assert store.links[1].tolist() == _float_link(z.stack, r.stack, tol), cos2
+
+
+def _screen_bounds_oracle(store):
+    """(band, delta) as `_screen`'s docstring derives them, atom by atom."""
+    atoms = [p for c in store.ctxs for p in c.atoms]
+    dim = atoms[0].dim
+    f2 = max(float(np.sum(np.abs(p.entries) ** 2)) for p in atoms)
+    band = 4 * np.finfo(float).eps * dim * dim * f2
+    t = max(abs(float(np.trace(p.entries).real) - p.rank) for p in atoms)
+    tau_c = max(c.tol.atom for c in store.ctxs)
+    w = max(c.n_atoms for c in store.ctxs)
+    delta = t + dim * np.sqrt(f2) * (store.tol.atom + tau_c) + (w - 1) * dim * tau_c + 2 * dim * band
+    return band, delta
+
+
+def test_drop_guard_bounds_every_confirmed_overlap_and_holds_at_default():
+    # delta as the `_screen` docstring derives it; on every store, every
+    # overlap of a confirmed inclusion, in member_mask's float, lies within
+    # delta of 0 or of the rank, and at the default tolerances the guard
+    # holds with room to spare
+    doc = " ".join(_ContextStore._screen.__doc__.split())
+    assert "delta = t + d F (tau + tau_c) + (w - 1) d tau_c + rho" in doc
+    confirmed = 0
+    for name, contexts, tol in _closure_inputs():
+        store = _ContextStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        band, delta = store._screen_bounds()
+        assert np.allclose((band, delta), _screen_bounds_oracle(store), rtol=1e-9, atol=0), name
+        if tol == DEFAULT:
+            assert delta + 2 * band < 1e-6, name
+        try:
+            order, _ = store.inclusion()
+        except (ContextError, LinalgError):
+            continue
+        ids = {c.id: c for c in store.ctxs}
+        for sub, sup in order:
+            for bk in ids[sup].atoms:
+                for ai in ids[sub].atoms:
+                    x = float(np.trace(bk.entries @ ai.entries).real)
+                    assert min(abs(x), abs(x - bk.rank)) <= delta, (name, sub, sup)
+            confirmed += 1
+    assert confirmed >= 1000, confirmed
+
+
+def test_screen_takes_in_band_entries_again_where_the_guard_fails(monkeypatch):
+    # where delta + 2 band reaches 1/2 the screen drops nothing for an
+    # in-band entry: it takes each again in member_mask's float, one stack
+    # per block, and its candidates are the per-pair trace screen's
+    calls = []
+    real = toposval.contexts._trace_products
+
+    def spy(every, first, second):
+        calls.append(len(first))
+        return real(every, first, second)
+
+    monkeypatch.setattr(toposval.contexts, "_trace_products", spy)
+    plus = Projector(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    minus = Projector(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    x = Context("X", [plus, minus])
+    z = Context("Z", [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))])
+    ks18 = load_bundled_ks(DEFAULT.overridden(atom=5e-2))
+    inputs = [("xz", [x, z], DEFAULT.overridden(atom=0.6)), ("ks18", ks18, DEFAULT.overridden(atom=5e-2))]
+    inputs += [(name, contexts, tol.overridden(atom=0.2)) for name, contexts, tol in _closure_inputs()
+               if name.startswith("random") and name.endswith("-loose")]
+    for name, contexts, tol in inputs:
+        store = PairStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        band, delta = store._screen_bounds()
+        assert delta + 2 * band >= 0.5, name
+        del calls[:]
+        got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
+        for pair, allowed in _screen_contract(store).items():
+            assert len(allowed) == 1 and got.get(pair) in allowed, (name, *pair)
+        if name == "xz":
+            assert set(got) == {("X", "X"), ("Z", "Z")} and sum(calls) == 8
+        if name == "ks18":
+            assert sum(calls) >= 100, sum(calls)
+
+
+def test_screen_does_not_depend_on_the_row_block_size(monkeypatch):
+    # one context per block, a few, and the default: the same candidates,
+    # partition maps, order and confirmation on every store
+    for name, contexts, tol in _closure_inputs():
+        store = _ContextStore(tol)
+        for c in contexts:
+            store.add_if_new(c)
+        store.close_under_meets()
+        outcomes = []
+        for block in (1, 64, toposval.contexts._SCREEN_BLOCK):
+            monkeypatch.setattr(toposval.contexts, "_SCREEN_BLOCK", block)
+            screened = [(k, js, packed.tolist()) for k, js, packed in store._screen()]
+            try:
+                confirmed = store.inclusion()
+            except (ContextError, LinalgError) as exc:
+                confirmed = str(exc)
+            outcomes.append((screened, confirmed))
+            monkeypatch.undo()
+        assert outcomes[0] == outcomes[1] == outcomes[2], name
 
 
 def test_confirmation_builds_mask_projectors_up_to_the_first_failing_atom():
