@@ -64,13 +64,21 @@ def _canonical_order(atoms: tuple[Projector, ...], stack: np.ndarray | None = No
     real and imaginary parts in row-major order compared lexicographically
     under the key -round(part, 9) (so the standard-basis atoms keep their
     natural order).  The parts are rounded as numpy float64, whose rounding
-    can differ from a Python float's at a tie.  The order is one stable
-    `np.lexsort` of the rounded keys: atoms whose keys all agree keep their
-    input order.  `stack`, when given, holds the atoms' entries."""
+    can differ from a Python float's at a tie.  `stack`, when given, holds
+    the atoms' entries: the one-context case of `_canonical_permutation`."""
     if stack is None:
         stack = np.array([a.entries for a in atoms])
-    keys = -np.round(stack.reshape(len(atoms), -1).view(np.float64), 9)
-    return tuple(atoms[i] for i in np.lexsort(keys.T[::-1]).tolist())
+    return tuple(atoms[i] for i in _canonical_permutation(stack, np.zeros(len(atoms), dtype=np.intp)).tolist())
+
+
+def _canonical_permutation(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The canonical order of the atoms of several contexts, stacked: one
+    stable `np.lexsort` of the rounded keys (see `_canonical_order`) with
+    the owning context's index `owner` as its primary key, so each
+    context's atoms stay together, in context order, and atoms whose keys
+    all agree keep their input order."""
+    keys = -np.round(stack.reshape(len(stack), -1).view(np.float64), 9)
+    return np.lexsort((*keys.T[::-1], owner))
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +99,8 @@ class Context:
 
     Validation takes the atoms in checks of increasing cost, raising on the
     first that fails: one dimension, no zero atom, pairwise orthogonality
-    (max|a b| < tol.atom, every pair of the atoms in one stacked product),
-    and the identity as their sum within tol.atom.  `stack` holds the
+    (max|a b| < tol.atom) and the identity as their sum within tol.atom.
+    A context is the one-item call of `build_contexts`.  `stack` holds the
     atoms' entries in atom order, read-only, shape (n_atoms, dim, dim)."""
 
     id: str
@@ -100,23 +108,10 @@ class Context:
     tol: Tolerances
 
     def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT):
-        atoms = tuple(atoms)
-        if not atoms:
-            raise ContextError("a context needs at least one atom")
-        dim = atoms[0].dim
-        for a in atoms:
-            if a.dim != dim:
-                raise ContextError("atoms of mixed dimension")
-            if a.rank < 1:
-                raise ContextError("zero atom in context")
-        stack = np.array([a.entries for a in atoms])
-        if not (product_max(stack, *_atom_pairs(len(atoms))) < tol.atom).all():
-            raise ContextError(f"atoms of context {id!r} are not orthogonal")
-        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > tol.atom:
-            raise ContextError(f"atoms of context {id!r} do not resolve the identity")
-        atoms = _canonical_order(atoms, stack)
-        stack = np.array([a.entries for a in atoms])
-        stack.flags.writeable = False
+        (atoms, stack), = _validated([(id, tuple(atoms))], tol)
+        self._settle(id, atoms, tol, stack)
+
+    def _settle(self, id: str, atoms: tuple[Projector, ...], tol: Tolerances, stack: np.ndarray) -> None:
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "tol", tol)
@@ -154,6 +149,88 @@ class Context:
         if self.projector(mask).equals(p, tol):
             return mask
         return None
+
+
+def build_contexts(specs, tol: Tolerances = DEFAULT) -> list[Context]:
+    """The contexts of (id, atoms) specs, validated at `tol` as one batch:
+    the batch form of `Context`, raising what building them one at a time,
+    in order, would raise first.
+
+    The checks of one dimension and no zero atom are made atom by atom, and
+    the first context failing one caps the batch: the contexts before it
+    are all that one-at-a-time building would check first.  Those are
+    checked in one pass per dimension (a document has one): one
+    `product_max` over the atom pairs i < j of every context, one
+    `_ordered_sums` of every context's atoms, added in atom order (bit for
+    bit the float `stack.sum(axis=0)` gives, up to the sign of a zero
+    entry, which the max-abs test ignores), and one `_canonical_permutation`
+    that puts each context's atoms in canonical order.  The first context
+    failing a float check raises it, orthogonality before the identity;
+    if none does, the capping context raises its own failure."""
+    specs = [(cid, tuple(atoms)) for cid, atoms in specs]
+    out = []
+    for (cid, _), (atoms, stack) in zip(specs, _validated(specs, tol)):
+        c = object.__new__(Context)
+        c._settle(cid, atoms, tol, stack)
+        out.append(c)
+    return out
+
+
+def _atom_error(atoms: tuple[Projector, ...]) -> ContextError | None:
+    """The first failure of a context's per-atom checks, if any."""
+    if not atoms:
+        return ContextError("a context needs at least one atom")
+    dim = atoms[0].dim
+    for a in atoms:
+        if a.dim != dim:
+            return ContextError("atoms of mixed dimension")
+        if a.rank < 1:
+            return ContextError("zero atom in context")
+    return None
+
+
+def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...], np.ndarray]]:
+    """(atoms in canonical order, their read-only stack) per (id, atoms)
+    spec, checked as `build_contexts` describes."""
+    capped = None
+    for k, (_, atoms) in enumerate(specs):
+        capped = _atom_error(atoms)
+        if capped is not None:
+            specs = specs[:k]
+            break
+    out: list = [None] * len(specs)
+    failed: dict[int, str] = {}
+    for dim in dict.fromkeys(atoms[0].dim for _, atoms in specs):
+        group = [k for k, (_, atoms) in enumerate(specs) if atoms[0].dim == dim]
+        atoms = [a for k in group for a in specs[k][1]]
+        sizes = np.array([len(specs[k][1]) for k in group])
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(len(group)), sizes)
+        stack = np.array([a.entries for a in atoms])
+        pairs = [_atom_pairs(n) for n in sizes.tolist()]
+        first = np.concatenate([i + s for (i, _), s in zip(pairs, starts.tolist())])
+        second = np.concatenate([j + s for (_, j), s in zip(pairs, starts.tolist())])
+        skew = np.zeros(len(group), dtype=bool)
+        skew[owner[first[~(product_max(stack, first, second) < tol.atom)]]] = True
+        width = np.arange(sizes.max())
+        sums = _ordered_sums(stack, np.minimum(starts[:, np.newaxis] + width, len(stack) - 1),
+                             width < sizes[:, np.newaxis])
+        apart = np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > tol.atom
+        for g in np.flatnonzero(skew | apart).tolist():
+            cid = specs[group[g]][0]
+            failed[group[g]] = (f"atoms of context {cid!r} are not orthogonal" if skew[g]
+                                else f"atoms of context {cid!r} do not resolve the identity")
+        perm = _canonical_permutation(stack, owner)
+        ordered = stack[perm]
+        ordered.flags.writeable = False
+        atoms = [atoms[i] for i in perm.tolist()]
+        for k, s, n in zip(group, starts.tolist(), sizes.tolist()):
+            out[k] = (tuple(atoms[s:s + n]), ordered[s:s + n])
+    if failed:
+        raise ContextError(failed[min(failed)])
+    if capped is not None:
+        raise capped
+    return out
 
 
 def lattice_projectors(requests) -> list[Projector]:
@@ -842,8 +919,7 @@ def build_poset(
     elif add_trivial and dim is None:
         raise ContextError("no contexts given: pass dim to add the trivial context")
     store = _ContextStore(tol)
-    for c in contexts:
-        store.add_if_new(c)
+    store.add_many(contexts)
     if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
         store.add_if_new(trivial_context(dim, tol=tol))
     if close_under_meets:
@@ -867,28 +943,27 @@ class _ContextStore:
     """The contexts of one `build_poset` call, with their atoms linked and
     their lattice elements interned.
 
+    Contexts come in batches, a document's contexts or one closure round's
+    meets, and each batch is interned and linked at once (see `add_many`).
     Every stored context's atoms join one global stack, in storage order.
     Each stored context keeps one bool block of links: [g, t] when earlier
     stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
     with the earlier atom on the left.  The block is decided when the
     context is added, from one overlap product and a gathered product of
-    the pairs it leaves open (see `add_if_new`), so each link is decided
-    once per atom pair.  The blocks are the only link record: a closure
-    round places them into one bool matrix, from which it takes every pair's
-    connectivity and, for the disconnected pairs, their components and the
-    sums that decide them.  Links are kept per stored atom rather than per
-    interned lattice element: interning is not transitive at `tol.atom`,
-    so an interned representative may link where the atom it stands for
-    does not.
+    the pairs it leaves open, so each link is decided once per atom pair.
+    The blocks are the only link record: a closure round places them into
+    one bool matrix, from which it takes every pair's connectivity and, for
+    the disconnected pairs, their components and the sums that decide
+    them.  Links are kept per stored atom rather than per interned lattice
+    element: interning is not transitive at `tol.atom`, so an interned
+    representative may link where the atom it stands for does not.
 
     Each projector that is a sum of one context's atoms is stored once: it
     joins the first stored projector within `tol.atom` in max-abs entries
-    (the test `Projector.equals` makes), or gets a new id.  Stored
-    projectors are kept in buckets by rounded trace, and a projector is
-    compared only with the buckets its trace can reach (see `_intern`).  A
-    context is then keyed by the set of its atoms' ids, so two contexts are
-    the same algebra exactly when their keys match, and a candidate meet is
-    looked up before any `Context` is built for it.
+    (the test `Projector.equals` makes), or gets a new id (see
+    `_intern_many`).  A context is then keyed by the set of its atoms' ids,
+    so two contexts are the same algebra exactly when their keys match,
+    and a candidate meet is looked up before any `Context` is built for it.
     """
 
     def __init__(self, tol: Tolerances):
@@ -901,104 +976,157 @@ class _ContextStore:
         self.frobenius = 0.0   # the largest ||p||_F^2 of a stored atom
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
-        # rounded trace -> (ids, entries with spare rows, rows in use)
-        self._buckets: dict[int, list] = {}
+        self._elements: np.ndarray | None = None   # the interned projectors by id, with spare rows
 
     def _intern(self, entries: np.ndarray) -> int:
         """The id of the first stored projector within `tol.atom` of
-        `entries` in max-abs entries, storing `entries` under a new id when
-        there is none.
+        `entries`, storing it under a new id when there is none: the
+        one-item call of `_intern_many`."""
+        return self._intern_many(entries[np.newaxis])[0]
 
-        Within tol.atom, every diagonal entry differs by less than atom, so
-        the traces t_x, t_y differ by less than d atom.  Each float trace,
-        a sum of d real parts, is off by at most (d - 1) eps times the sum
-        S of their moduli, and S_y < S_x + d atom.  So fl(t_y) lies within
-        w = d atom + 4 d eps (S_x + d atom) of fl(t_x), the factor 4 also
-        covering the rounding of fl(t_x) -/+ w, and the rounded trace of
-        every stored projector within tol.atom of `entries` is one of the
-        buckets from round(t_x - w) to round(t_x + w): usually one."""
-        dim = len(entries)
-        diag = entries.diagonal().real.tolist()
-        t = sum(diag)
-        w = dim * self.tol.atom + 4 * dim * _EPS * (sum(map(abs, diag)) + dim * self.tol.atom)
-        hits = []
-        for r in range(round(t - w), round(t + w) + 1):
-            bucket = self._buckets.get(r)
-            if bucket is not None:
-                ids, stored, used = bucket
-                close = np.abs(stored[:used] - entries).max(axis=(1, 2)) < self.tol.atom
-                first = int(close.argmax())
-                if close[first]:
-                    hits.append(ids[first])
-        if hits:
-            return min(hits)
-        eid = self._interned
-        self._interned += 1
-        bucket = self._buckets.get(round(t))
-        if bucket is None:
-            bucket = self._buckets[round(t)] = [[], np.empty((4, dim, dim), dtype=entries.dtype), 0]
-        ids, stored, used = bucket
-        if used == len(stored):
-            stored = bucket[1] = np.concatenate([stored, np.empty_like(stored)])
-        stored[used] = entries
-        ids.append(eid)
-        bucket[2] = used + 1
-        return eid
+    def _intern_many(self, stack: np.ndarray) -> list[int]:
+        """The ids that interning each matrix of `stack` in turn would give:
+        the smallest id of a stored projector within `tol.atom` of it in
+        max-abs entries, or else a new id, under which it is stored, so a
+        later matrix of the batch may match it.
 
-    def _element(self, k: int, mask: int, entries: np.ndarray | None = None) -> int:
-        """The id of lattice element `mask` of the k-th context; `entries`,
-        when given, is its sum of atoms, already taken in ascending atom
-        order (the float `stack[bit_list(mask)].sum(axis=0)` gives)."""
-        eid = self._element_ids.get((k, mask))
-        if eid is None:
-            if entries is None:
-                entries = self.ctxs[k].stack[bit_list(mask)].sum(axis=0)
-            eid = self._element_ids[(k, mask)] = self._intern(entries)
-        return eid
+        Candidates come from one sort of the keys Re p[0, 0] of the stored
+        projectors and of the batch.  The float key difference
+        fl(Re x00 - Re y00) is the real part of an entry of the difference
+        the max-abs test takes, so at most that entry's modulus: for a pair
+        within tol.atom it is below atom, the exact difference below
+        atom / (1 - eps / 2), and a window of 2 atom + 4 eps |key| on each
+        side of a matrix's key, found by two `searchsorted` calls, holds
+        every such key in spite of its own rounding.  The candidates
+        (stored projectors, and earlier matrices of the batch) take the
+        max-abs test in one chunked batch.
+
+        The first-stored rule is then a loop over ints, in batch order: a
+        matrix within atom of a stored projector takes the smallest such
+        id, as every stored id precedes the batch's new ones; else the
+        first earlier matrix of the batch that got a new id, as new ids
+        ascend in batch order; else the next new id.  A matrix that took a
+        stored id is not stored, so it matches no later one."""
+        n, m = self._interned, len(stack)
+        if not m:
+            return []
+        if self._elements is None or n + m > len(self._elements):
+            grown = np.empty((2 * (n + m),) + stack.shape[1:], dtype=complex)
+            if n:
+                grown[:n] = self._elements[:n]
+            self._elements = grown
+        pool = self._elements[:n + m]
+        pool[n:] = stack   # the batch where its new rows will go
+        key = pool[:, 0, 0].real
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        reach = 2 * self.tol.atom + 4 * _EPS * np.abs(key[n:])
+        lo = np.searchsorted(ranked, key[n:] - reach, side="left")
+        count = np.searchsorted(ranked, key[n:] + reach, side="right") - lo
+        q = np.repeat(np.arange(m), count)
+        other = order[np.arange(len(q)) + np.repeat(lo - np.cumsum(count) + count, count)]
+        before = other < n + q
+        q, other = q[before], other[before]
+        close = np.empty(len(q), dtype=bool)
+        for c in _chunks(len(q), pool.shape[1] * pool.shape[2]):
+            close[c] = np.abs(pool[other[c]] - pool[n + q[c]]).max(axis=(1, 2)) < self.tol.atom
+        q, other = q[close], other[close]
+        stored = other < n
+        hit = np.full(m, n)
+        np.minimum.at(hit, q[stored], other[stored])
+        q, other = q[~stored], other[~stored] - n
+        by = np.lexsort((other, q))   # each matrix's earlier batch matches, ascending
+        bounds = np.searchsorted(q[by], np.arange(m + 1)).tolist()
+        other = other[by].tolist()
+        ids: list[int] = []
+        new: dict[int, int] = {}   # batch row -> its new id
+        for r, eid in enumerate(hit.tolist()):
+            if eid == n:
+                eid = next((new[p] for p in other[bounds[r]:bounds[r + 1]] if p in new), None)
+                if eid is None:
+                    eid = new[r] = n + len(new)
+            ids.append(eid)
+        pool[n:n + len(new)] = stack[list(new)]
+        self._interned = n + len(new)
+        return ids
 
     def add_if_new(self, c: Context, atom_ids: list[int] | None = None) -> None:
-        """Store a context unless its algebra is stored; `atom_ids`, when
-        given, are its atoms' interned ids, in its atom order.
+        """Store a context unless its algebra is stored: the one-item call
+        of `add_many`."""
+        self.add_many([c], None if atom_ids is None else [atom_ids])
 
-        Its link block, [g, t] when max|g t| >= tol.atom for stored atom g
-        and its atom t, is decided from one overlap product first: Re tr(g t)
-        for every such pair, the sum of g_kl t_lk over flattened matrices.
-        The trace is a sum of d diagonal entries, so |tr(g t)| <= d max|g t|
-        in exact arithmetic.  The float overlap is within d^2 eps F of the
-        exact trace and each float entry of g t within 2 (d + 1) eps F of its
-        exact value, F = ||g||_F ||t||_F (see `_SCREEN_ROUNDING`; the modulus
-        adds eps |entry|).  So an overlap of at least d tol.atom + s, the
-        slack s = 2 _SCREEN_ROUNDING d^2 F_max^2 (twice the screen's band,
-        F_max^2 the largest ||p||_F^2 of a stored atom), puts the float
-        max|g t| at or above tol.atom: the pair links, and no product is
-        taken for it.  Every other pair takes that float max|g t|, as one
-        gathered stacked product (`product_max`, the broadcast product's
-        float per pair), so each bit is the decision one pair's product
-        makes.  On the closed 18-ray set about a quarter of the pairs
-        take the product."""
-        stack = c.stack
+    def add_many(self, contexts: list[Context], atom_ids: list[list[int]] | None = None) -> None:
+        """Store each context unless its algebra is stored, in order, so a
+        context repeating an earlier one's algebra, in the store or in the
+        batch, is dropped; `atom_ids`, when given, are each context's atoms'
+        interned ids, in its atom order.  Otherwise every atom of the batch
+        is interned in one `_intern_many` call, in context and atom order.
+        A context is kept when the frozenset of its atom ids is no key yet.
+
+        A kept context's link block, [g, t] when max|g t| >= tol.atom for
+        atom g stored before it and its atom t, is decided from one overlap
+        product first: Re tr(g t) for every such pair, the sum of g_kl t_lk
+        over flattened matrices.  The trace is a sum of d diagonal entries,
+        so |tr(g t)| <= d max|g t| in exact arithmetic.  The float overlap
+        is within d^2 eps F of the exact trace and each float entry of g t
+        within 2 (d + 1) eps F of its exact value, F = ||g||_F ||t||_F (see
+        `_SCREEN_ROUNDING`; the modulus adds eps |entry|).  So an overlap of
+        at least d tol.atom + s, the slack s = 2 _SCREEN_ROUNDING d^2
+        F_max^2 (twice the screen's band, F_max^2 the largest ||p||_F^2 of
+        a stored atom, the batch's included), puts the float max|g t| at
+        or above tol.atom: the pair links, and no product is taken for it.
+        Every other pair takes that float max|g t|, in one gathered stacked
+        product for the batch (`product_max`, the broadcast product's float
+        per pair), so each bit is the decision one pair's product makes.
+        On the closed 18-ray set about a quarter of the pairs take it.
+
+        The overlap product takes every atom stored before the batch's last
+        kept context against every kept atom, in column blocks of at most
+        `_SCREEN_BLOCK` entries; a kept context's block is its columns, cut
+        at the atoms stored before it.  The bounds hold for any
+        summation order and a larger F_max only raises the slack, so the
+        product's shape and the batch's atoms move pairs between the proof
+        and the exact product, never a bit."""
+        contexts = list(contexts)
         if atom_ids is None:
-            atom_ids = [self._intern(e) for e in stack]
-        key = frozenset(atom_ids)
-        if key in self.keys:
+            flat = self._intern_many(np.concatenate([c.stack for c in contexts])) if contexts else []
+            ends = np.cumsum([c.n_atoms for c in contexts]).tolist()
+            atom_ids = [flat[e - c.n_atoms:e] for c, e in zip(contexts, ends)]
+        kept = []
+        for c, ids in zip(contexts, atom_ids):
+            key = frozenset(ids)
+            if key not in self.keys:
+                self.keys.add(key)
+                kept.append((c, ids))
+        if not kept:
             return
-        k = len(self.ctxs)
+        stack = np.concatenate([c.stack for c, _ in kept])
         n, dim = (0 if self.every is None else len(self.every)), stack.shape[1]
         every = stack if self.every is None else np.concatenate([self.every, stack])
+        sizes = np.array([c.n_atoms for c, _ in kept])
+        starts = n + np.cumsum(sizes) - sizes   # global index of each kept context's first atom
         flat = stack.reshape(len(stack), dim * dim)
         self.frobenius = max(self.frobenius, float((np.abs(flat) ** 2).sum(axis=1).max()))
         slack = 2 * _SCREEN_ROUNDING * dim * dim * self.frobenius
-        overlap = (every[:n].reshape(n, dim * dim) @ stack.transpose(0, 2, 1).reshape(len(stack), -1).T).real
-        link = overlap >= dim * self.tol.atom + slack
-        g, t = np.nonzero(~link)
+        rows = int(starts[-1])
+        lead = every[:rows].reshape(rows, dim * dim)
+        turned = stack.transpose(0, 2, 1).reshape(len(stack), -1)
+        cut = np.repeat(starts, sizes)   # per kept atom, the atoms stored before its context
+        link = np.zeros((rows, len(stack)), dtype=bool)
+        step = max(1, _SCREEN_BLOCK // max(1, rows))
+        for c in range(0, len(stack), step):
+            top = int(cut[min(c + step, len(stack)) - 1])
+            link[:top, c:c + step] = (lead[:top] @ turned[c:c + step].T).real >= dim * self.tol.atom + slack
+        g, t = np.nonzero(~link & (np.arange(rows)[:, np.newaxis] < cut))
         link[g, t] = product_max(every, g, n + t) >= self.tol.atom
-        self.starts.append(n)
-        self.links.append(link)
+        for (c, ids), start in zip(kept, starts.tolist()):
+            k = len(self.ctxs)
+            self.starts.append(start)
+            self.links.append(link[:start, start - n:start - n + c.n_atoms])
+            self.ctxs.append(c)
+            for i, eid in enumerate(ids):
+                self._element_ids[(k, 1 << i)] = eid
         self.every = every
-        self.ctxs.append(c)
-        self.keys.add(key)
-        for i, eid in enumerate(atom_ids):
-            self._element_ids[(k, 1 << i)] = eid
 
     def _reach(self, first: np.ndarray, second: np.ndarray):
         """(reach, link, rows, cols) for the pairs of stored contexts
@@ -1109,20 +1237,31 @@ class _ContextStore:
         `itertools.combinations` order, as a plain rescan would, so each
         new meet keeps the id of the first pair that produces it; a round's
         meets depend only on the link bits and atoms of contexts stored
-        before it, so deciding them ahead changes nothing.  The atoms of
-        the round's new meets are built as one `lattice_projectors` batch;
-        each meet is then validated as a `Context` and stored, in order.
+        before it, so deciding them ahead changes nothing.  The round's
+        lattice elements not interned yet are interned as one batch, in the
+        order a pair-by-pair lookup would first use them.  The atoms of the
+        round's new meets are built as one `lattice_projectors` batch, and
+        the meets up to the first whose atoms fail are validated as one
+        `build_contexts` batch and stored as one `add_many` batch; that
+        failure, if any, is raised after theirs.
         """
         old = 0
         while True:
             n = len(self.ctxs)
             first, second = np.triu_indices(n, 1)
             fresh = second >= old
+            split = [s for s in self.split_meets(first[fresh], second[fresh]) if len(s[2]) > 1]
+            # the round's elements not interned yet, in first-use order, as one batch
+            todo = {}
+            for i, _, masks, sums in split:
+                for m in masks:
+                    if (i, m) not in self._element_ids and (i, m) not in todo:
+                        todo[(i, m)] = sums[m] if m in sums else self.ctxs[i].stack[bit_list(m)].sum(axis=0)
+            if todo:
+                self._element_ids.update(zip(todo, self._intern_many(np.array(list(todo.values())))))
             meets, keys = [], set()
-            for i, j, masks, sums in self.split_meets(first[fresh], second[fresh]):
-                if len(masks) <= 1:
-                    continue
-                eids = [self._element(i, m, sums.get(m)) for m in masks]
+            for i, j, masks, _ in split:
+                eids = [self._element_ids[(i, m)] for m in masks]
                 key = frozenset(eids)
                 if key not in self.keys and key not in keys:
                     keys.add(key)
@@ -1131,12 +1270,21 @@ class _ContextStore:
                 lattice_projectors((self.ctxs[i], m) for i, _, masks, _ in meets for m in masks)
             except LinalgError:
                 pass   # raised again below, after the checks of the meets before it
+            specs, eid_maps, failed = [], [], None
             for i, j, masks, eids in meets:
                 a, b = self.ctxs[i], self.ctxs[j]
-                # each atom's entries are its element's sum, so they intern to its id
-                eid_of = {a.projector(m): eid for m, eid in zip(masks, eids)}
-                meet = Context(f"meet({a.id},{b.id})", list(eid_of), tol=self.tol)
-                self.add_if_new(meet, [eid_of[p] for p in meet.atoms])
+                try:
+                    # each atom's entries are its element's sum, so they intern to its id
+                    eid_of = {a.projector(m): eid for m, eid in zip(masks, eids)}
+                except LinalgError as exc:
+                    failed = exc
+                    break
+                specs.append((f"meet({a.id},{b.id})", list(eid_of)))
+                eid_maps.append(eid_of)
+            built = build_contexts(specs, self.tol)
+            if failed is not None:
+                raise failed
+            self.add_many(built, [[eid_of[p] for p in c.atoms] for c, eid_of in zip(built, eid_maps)])
             if len(self.ctxs) == n:
                 return
             old = n

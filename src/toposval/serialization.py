@@ -8,10 +8,9 @@ basis indices.
 A contexts document is schema-checked object by object, partition indices
 included, before any float work.  Its projectors are then built and
 validated in stacks, one svd, qr and product per block size and one
-projector validation for every atom, and the contexts are checked in
-document order, each raising the first check it fails (see
-`_build_contexts`): the error that checking one context and one atom at a
-time would raise.
+projector validation for every atom, and the contexts are validated as
+one batch (see `_build_contexts`), raising the error that checking one
+context and one atom at a time would raise first.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import Context
+from .contexts import Context, build_contexts
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -137,11 +136,14 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
     """The contexts of parsed specs, their projectors built and validated in
     stacks: each basis-form block's span projector in one `span_projectors`
     call per (dim, block size), then every atom matrix of one dim in one
-    `projector_checks` call.  The specs are then taken in order, each
-    raising the first check it fails, in this order: its atoms' projector
-    checks, in atom order; its schema error; the partition's cover of the
-    basis; the `Context` checks.  So the error is the one building the
-    contexts one at a time, each atom in turn, would raise first."""
+    `projector_checks` call.  The specs are then taken in order up to the
+    first that fails a check of its own, in this order: its atoms'
+    projector checks, in atom order; its schema error; the partition's
+    cover of the basis.  The specs before it become contexts in one
+    `build_contexts` batch, which raises the first `Context` check failed
+    among them; if none fails, that spec's own failure is raised.  So the
+    error is the one building the contexts one at a time, each atom in
+    turn, would raise first."""
     matrices: list = []   # per atom, in spec and atom order
     owner: list[int] = []
     errors: dict[int, LinalgError] = {}
@@ -182,19 +184,20 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
                 errors.setdefault(a, LinalgError("projector rank does not match the number of vectors"))
             else:
                 atoms[a] = Projector._validated(stack[g], ranks[g])
-    out = []
+    ready, failed = [], None
     bounds = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
     for k, spec in enumerate(specs):
         mine = range(bounds[k], bounds[k + 1])
-        for a in mine:
-            if a in errors:
-                raise errors[a]
-        if spec.error is not None:
-            raise spec.error
-        if spec.blocks is not None and sum(map(len, spec.blocks)) != len(spec.vectors):
-            raise SchemaError(f"partition of context {spec.id!r} does not cover the basis")
-        out.append(Context(spec.id, [atoms[a] for a in mine], tol=tol))
-    return out
+        failed = next((errors[a] for a in mine if a in errors), spec.error)
+        if failed is None and spec.blocks is not None and sum(map(len, spec.blocks)) != len(spec.vectors):
+            failed = SchemaError(f"partition of context {spec.id!r} does not cover the basis")
+        if failed is not None:
+            break
+        ready.append((spec.id, [atoms[a] for a in mine]))
+    contexts = build_contexts(ready, tol)
+    if failed is not None:
+        raise failed
+    return contexts
 
 
 def context_from_json(obj, tol: Tolerances = DEFAULT) -> Context:
@@ -252,9 +255,11 @@ def operators_from_json(doc, tol: Tolerances = DEFAULT) -> list[tuple[str, Hermi
     if not isinstance(doc, dict) or "operators" not in doc:
         raise SchemaError('operator set must be {"dim": n, "operators": [...]}')
     dim = doc.get("dim")
+    if not isinstance(doc["operators"], list):
+        raise SchemaError("operators must be an array of objects")
     out = []
     for entry in doc["operators"]:
-        if "id" not in entry or "matrix" not in entry:
+        if not isinstance(entry, dict) or "id" not in entry or "matrix" not in entry:
             raise SchemaError("each operator needs id and matrix")
         out.append((entry["id"], HermitianOperator(matrix_from_json(entry["matrix"], dim), tol=tol)))
     return out

@@ -285,6 +285,22 @@ def test_a_non_positive_eigenvalue_grouping_width_names_its_tol_field(tmp_path):
     assert report["result"] == {"error": "eig_group must be positive"}
 
 
+@pytest.mark.parametrize("operators,message", [
+    (5, "operators must be an array of objects"),
+    ([5], "each operator needs id and matrix"),
+])
+def test_a_malformed_operator_set_exits_2_with_an_error_result(tmp_path, operators, message):
+    # iterating a number, or testing `"id" in 5`, was once a TypeError
+    # traceback (exit 1)
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps({"dim": 2, "operators": operators}))
+    state = tmp_path / "pure.json"
+    state.write_text(json.dumps({"type": "pure", "data": [1, 0]}))
+    code, report = run(tmp_path, "ocat", "--input", str(ops), "--state", str(state))
+    assert code == 2
+    assert report["result"] == {"error": message}
+
+
 # SHA-256 of whole report files for the bundled 18-ray fixture, closed under
 # meets, and the pure state (0.6, 0.8, 0, 0); run from the directory that
 # holds both files, so the input paths in the reports are the bare names.
