@@ -180,6 +180,14 @@ class HermitianOperator:
             raise LinalgError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
 
+    @classmethod
+    def _validated(cls, entries: np.ndarray) -> "HermitianOperator":
+        """An operator on read-only entries that have passed the
+        Hermiticity test of `__init__`."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "entries", entries)
+        return op
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

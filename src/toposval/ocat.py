@@ -11,36 +11,40 @@ are exact.
 Behind the frozenset API, a set of eigenvalues is an int mask over
 spectrum indices.  Each `ODecomposition` builds the spectral projectors of
 all its masks as one stack, validated in one test at the tolerances it was
-built with (which `apply_map` passes on to f(A)), and each `EigenvalueMap`
-carries, per domain index, the bit of its value in the sorted codomain, so
-images and preimages are ORs of bits.
+built with (which f(A) keeps from A), and each `EigenvalueMap` carries, per
+domain index, the bit of its value in the sorted codomain, so images and
+preimages are ORs of bits.
 
 The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
 partition map sends each eigenvalue of B to the mask of A's eigenvalues
-that map to it.  A state's valuation gives each cell (operator, delta
-mask) the arrows into the operator along which delta coarse-grains to a
-certain projector; a query reads one cell and runs no law, so each cell
-is decided on its first query.  The float decisions are made once and kept
-by `OperatorCategory`:
+that map to it.  A category decides in stacks, each float as the per-pair
+and per-arrow forms computed it: discovery takes one stacked product per
+target, and every arrow's image f(A) is read off A's mask stack (the
+eigenprojector of a value is A's mask projector at its preimage).  A
+state's valuation gives each cell (operator, delta mask) the arrows into
+the operator along which delta coarse-grains to a certain projector; a
+query reads one cell and runs no law.  The float decisions are made once
+and kept by `OperatorCategory`:
 
-- per (arrow, tolerances), the infimum cross-check of the coarse-graining
-  of every delta mask along the arrow: the preimage of delta's image must
-  equal the independent infimum over every spectral projector of f(A)
-  that dominates delta's projector.  The first query that reaches the
-  arrow decides all 2^|spec f(A)| x 2^|spec A| containments in one
-  `containment_table` (rows f(A)'s stacked mask projectors, columns A's),
-  ANDs each column's dominating masks and keeps one verdict per delta.  A
-  query raises `OcatError` when its own delta disagrees, and on every such
-  query.  The test stays exhaustive: the max-abs defect is not monotone
-  under projection, so the meet of the dominating co-atoms alone can
-  differ from the infimum at very tight containment widths;
+- per (target operator, tolerances), the infimum cross-check of every
+  delta mask along every arrow into it: the preimage of delta's image must
+  equal the infimum over every spectral projector of f(A) that dominates
+  delta's projector.  One `containment_table` (rows the stacked mask
+  projectors of all the arrows' images, columns A's) decides them all.  A
+  query raises `OcatError` on the first arrow, in source order, at which
+  its delta disagrees, or the error of an arrow whose image fails
+  validation, as often as it is made.  The test stays exhaustive: the
+  max-abs defect is not monotone under projection, so the meet of the
+  dominating co-atoms alone can differ from the infimum at very tight
+  containment widths;
 - per (state, tolerances), held weakly by the state object: the support
   mask of each operator and of each arrow's image operator, and the
-  member bits of each queried cell.  For a density matrix, one
-  `certain_each` over an operator's stacked mask projectors decides every
-  mask of it at once; for a vector state, each (operator, preimage mask)
-  is one norm test on that preimage's projector.
+  member bits of every delta mask of an operator, decided on its first
+  query.  For a density matrix, one `certain_each` over an operator's
+  stacked mask projectors decides every mask of it at once; for a vector
+  state, each (operator, preimage mask) is one norm test on that
+  preimage's projector.
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -59,17 +63,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .contexts import PosetIndex, bit_list
+from .contexts import PosetIndex, _row_masks, bit_list
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    LinalgError,
     Projector,
     StateVector,
+    _hermitian_defect,
     certain,
     certain_each,
     containment_table,
     eig_hermitian,
-    projector_ranks,
+    projector_checks,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -116,7 +122,7 @@ class ODecomposition:
     A subset of the spectrum is also an index mask (bit i for spectrum[i]).
     On the first request for any of them, the spectral projectors of all
     masks are built as one stack and validated at `tol`, the tolerances the
-    decomposition was built with.
+    decomposition was built with (see `_stack_masks`).
     """
 
     id: str
@@ -128,6 +134,8 @@ class ODecomposition:
     def __post_init__(self):
         object.__setattr__(self, "_position", {lam: i for i, lam in enumerate(self.spectrum)})
         object.__setattr__(self, "_projectors", {})
+        object.__setattr__(self, "_subsets", {})
+        object.__setattr__(self, "_checks", None)
 
     @classmethod
     def from_operator(cls, op: HermitianOperator, id: str = "A",
@@ -150,8 +158,11 @@ class ODecomposition:
         return _index_mask(self._position, subset)
 
     def subset(self, mask: int) -> frozenset[float]:
-        """The eigenvalues of an index mask."""
-        return frozenset(self.spectrum[i] for i in bit_list(mask))
+        """The eigenvalues of an index mask, one shared frozenset per mask."""
+        out = self._subsets.get(mask)
+        if out is None:
+            out = self._subsets[mask] = frozenset(self.spectrum[i] for i in bit_list(mask))
+        return out
 
     def projector(self, mask: int) -> Projector:
         """The spectral projector of an index mask, read from `mask_entries`."""
@@ -163,19 +174,22 @@ class ODecomposition:
             p = self._projectors[mask] = Projector._validated(entries[mask], ranks[mask])
         return p
 
-    @cached_property
+    @property
+    def _mask_checks(self) -> tuple[np.ndarray, list[int], dict[int, LinalgError]]:
+        """Every mask's spectral projector, stacked by mask, its rank, and by
+        mask the error of each that fails validation (see `_stack_masks`)."""
+        if self._checks is None:
+            _stack_masks([self])
+        return self._checks
+
+    @property
     def _mask_stack(self) -> tuple[np.ndarray, list[int]]:
-        """Every mask's spectral projector, stacked by mask, and its rank.
-        The projector of a mask is its eigenprojectors summed in ascending
-        spectrum order: that of the mask without its top bit plus the top
-        eigenprojector.  The stack is validated at `tol` in one test, which
-        raises for the first failing mask."""
-        out = np.zeros((1 << len(self.spectrum), self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(self.eigenprojectors):
-            out[1 << i:2 << i] = out[:1 << i] + e.entries
-        ranks = projector_ranks(out, self.tol)
-        out.flags.writeable = False
-        return out, ranks
+        """Every mask's spectral projector, stacked by mask, and its rank;
+        raises the error of the first failing mask."""
+        entries, ranks, errors = self._mask_checks
+        if errors:
+            raise errors[min(errors)].with_traceback(None)
+        return entries, ranks
 
     @property
     def mask_entries(self) -> np.ndarray:
@@ -188,6 +202,32 @@ class ODecomposition:
             if x not in self._position:
                 raise OcatError(f"{x} is not an eigenvalue of {self.id!r}")
         return out
+
+
+def _stack_masks(decomps) -> None:
+    """Build the mask stack of each decomposition that has none yet, and
+    validate the stacks of one dimension and tolerance set in one test.
+    The projector of a mask is that of the mask without its top bit plus
+    the top eigenprojector.  Each decomposition keeps its stack, the rank
+    of each mask and, by mask, the error `Projector` raises on each one
+    that fails validation at the decomposition's `tol`."""
+    groups: dict[tuple[int, Tolerances], dict[int, tuple[ODecomposition, np.ndarray]]] = {}
+    for o in decomps:
+        if o._checks is None:
+            out = np.zeros((1 << len(o.spectrum), o.dim, o.dim), dtype=complex)
+            for i, e in enumerate(o.eigenprojectors):
+                out[1 << i:2 << i] = out[:1 << i] + e.entries
+            groups.setdefault((o.dim, o.tol), {})[id(o)] = (o, out)
+    for (_, tol), group in groups.items():
+        stack = np.concatenate([out for _, out in group.values()])
+        stack.flags.writeable = False
+        ranks, errors = projector_checks(stack, tol)
+        start = 0
+        for o, out in group.values():
+            end = start + len(out)
+            failed = {k - start: e for k, e in errors.items() if start <= k < end}
+            object.__setattr__(o, "_checks", (stack[start:end], ranks[start:end], failed))
+            start = end
 
 
 @dataclass(frozen=True)
@@ -313,23 +353,72 @@ def _on_spectrum(f: EigenvalueMap, a: ODecomposition) -> EigenvalueMap:
     return EigenvalueMap(tuple((lam, f(lam)) for lam in a.spectrum))
 
 
-def discover_morphism(b: ODecomposition, a: ODecomposition,
-                      tol: Tolerances = DEFAULT) -> EigenvalueMap | None:
-    """The function with B = f(A), if it exists: B must act as a scalar on
-    every eigenspace of A, and the scalars must reconstruct B."""
-    if b.dim != a.dim:
-        raise OcatError("dimension mismatch")
-    if len(b.spectrum) > len(a.spectrum):
-        return None  # f takes at most |spec A| values, so it cannot reach all of spec B
-    mapping: dict[float, float] = {}
-    for lam, e in zip(a.spectrum, a.eigenprojectors):
-        c = float(np.trace(b.operator.entries @ e.entries).real) / e.rank
-        if np.max(np.abs(b.operator.entries @ e.entries - c * e.entries)) > tol.eig_match:
-            return None
-        try:
-            mapping[lam] = snap(c, b.spectrum, tol.eig_match)
-        except OcatError:
-            return None
+def _images(pairs) -> list[ODecomposition | ValueError]:
+    """f(A) for each (f, A) of `pairs`, f on A's spectrum, as `apply_map`
+    builds it, or the error `apply_map` raises.  The eigenprojector of a
+    value is, bit for bit, A's validated mask projector at its preimage,
+    since both sum A's eigenprojectors from zero in ascending order; so the
+    error is that of the first value whose projector fails validation, else
+    that of the image operator's Hermiticity test, taken for all images in
+    one stacked call on one cumulative sum of their terms."""
+    out: list = [None] * len(pairs)
+    todo = []   # (pair index, value masks)
+    for n, (f, a) in enumerate(pairs):
+        errors = a._mask_checks[2]
+        masks = [f.preimage_table[1 << k] for k in range(len(f.codomain))]
+        out[n] = next((errors[mask].with_traceback(None) for mask in masks if mask in errors), None)
+        if out[n] is None:
+            todo.append((n, masks))
+    if not todo:
+        return out
+    dim = pairs[todo[0][0]][1].dim
+    counts = [len(masks) for _, masks in todo]
+    terms = np.zeros((len(todo), 1 + max(counts), dim, dim), dtype=complex)
+    for row, (n, masks) in enumerate(todo):
+        f, a = pairs[n]
+        terms[row, 1:1 + len(masks)] = np.array(f.codomain)[:, np.newaxis, np.newaxis] * a._mask_checks[0][masks]
+    sums = np.cumsum(terms, axis=1)[np.arange(len(todo)), counts]
+    sums.flags.writeable = False
+    defects = _hermitian_defect(sums).tolist()
+    for row, (n, masks) in enumerate(todo):
+        f, a = pairs[n]
+        if defects[row] > a.tol.herm:
+            try:
+                HermitianOperator(sums[row], tol=a.tol)
+            except LinalgError as exc:
+                out[n] = exc.with_traceback(None)
+                continue
+        entries, ranks, _ = a._mask_checks
+        out[n] = ODecomposition(
+            id=f"f({a.id})",
+            operator=HermitianOperator._validated(sums[row]),
+            spectrum=f.codomain,
+            eigenprojectors=tuple(Projector._validated(entries[mask], ranks[mask]) for mask in masks),
+            tol=a.tol,
+        )
+    return out
+
+
+def _eigenspace_scalars(ops: np.ndarray, a: ODecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Per operator B of a stack and eigenprojector e of A, from one
+    stacked product: the scalar c = Re tr(B e) / rank e and the defect
+    max|B e - c e|, each the float `discover_morphism` computes."""
+    eigen = np.array([e.entries for e in a.eigenprojectors])
+    products = ops[:, np.newaxis] @ eigen
+    scalars = np.trace(products, axis1=-2, axis2=-1).real / [e.rank for e in a.eigenprojectors]
+    defects = np.abs(products - scalars[..., np.newaxis, np.newaxis] * eigen).max(axis=(-2, -1))
+    return scalars, defects
+
+
+def _map_from_scalars(b: ODecomposition, a: ODecomposition, scalars,
+                      tol: Tolerances) -> EigenvalueMap | None:
+    """The function with B = f(A), given the scalar by which B acts on each
+    eigenspace of A: each scalar snapped to B's spectrum, then the
+    reconstruction of B and the image of A's spectrum tested."""
+    try:
+        mapping = {lam: snap(c, b.spectrum, tol.eig_match) for lam, c in zip(a.spectrum, scalars)}
+    except OcatError:
+        return None
     recon = sum(mapping[lam] * e.entries for lam, e in zip(a.spectrum, a.eigenprojectors))
     if np.max(np.abs(recon - b.operator.entries)) > tol.recon:
         return None
@@ -338,31 +427,63 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
     return EigenvalueMap(tuple(sorted(mapping.items())))
 
 
-def _cross_checks(a: ODecomposition, b: ODecomposition, deltas: np.ndarray, images,
-                  preimage, tol: Tolerances) -> list[str | None]:
-    """The infimum cross-check of coarse-graining along a map f from A's
-    spectrum, with `b` = f(A), for each column of `deltas`, a stack of A's
-    mask projectors: the error message where the two paths disagree, else
-    None.  `images` holds the codomain mask of each column's image, and
-    `preimage` the domain mask of the preimage of each codomain mask.
+def discover_morphism(b: ODecomposition, a: ODecomposition,
+                      tol: Tolerances = DEFAULT) -> EigenvalueMap | None:
+    """The function with B = f(A), if it exists: B must act as a scalar on
+    every eigenspace of A, and the scalars must reconstruct B."""
+    if b.dim != a.dim:
+        raise OcatError("dimension mismatch")
+    if len(b.spectrum) > len(a.spectrum):
+        return None  # f takes at most |spec A| values, so it cannot reach all of spec B
+    scalars = []
+    for e in a.eigenprojectors:
+        product = b.operator.entries @ e.entries
+        c = float(np.trace(product).real) / e.rank
+        if np.max(np.abs(product - c * e.entries)) > tol.eig_match:
+            return None
+        scalars.append(c)
+    return _map_from_scalars(b, a, scalars, tol)
 
-    The independent path is the infimum over the spectral algebra of f(A):
-    the meet of every mask projector of f(A) that dominates the column's
-    projector.  Every containment is decided in one `containment_table`;
-    a column's infimum ANDs the masks of its dominating rows."""
-    dom = containment_table(b.mask_entries, deltas, tol)
-    full = dom.shape[0] - 1
-    kept = np.bitwise_and.reduce(np.where(dom, np.arange(full + 1)[:, np.newaxis], full), axis=0)
-    out: list[str | None] = []
-    for image, k, some in zip(images, kept.tolist(), dom.any(axis=0).tolist()):
-        if not some:
-            out.append("no dominating element in the spectral algebra")
-            continue
-        pre, inf_pre = preimage[image], preimage[k]
-        out.append(None if inf_pre == pre else
-                   f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
-                   f"vs infimum {sorted(a.subset(inf_pre))}")
-    return out
+
+class _CrossCheck:
+    """The infimum cross-check along some arrows into an operator A, each
+    given as (f, f(A), per column the codomain mask of its image), for each
+    column of a stack of A's mask projectors: the preimage of a column's
+    image must equal the meet of every mask projector of f(A) that
+    dominates the column.  One `containment_table` per tolerance set has
+    the mask projectors of every image as rows, arrow after arrow."""
+
+    def __init__(self, a: ODecomposition, arrows, columns: np.ndarray):
+        self.a = a
+        self.columns = columns
+        sizes = [1 << len(b.spectrum) for _, b, _ in arrows]
+        self.rows = np.concatenate([b.mask_entries for _, b, _ in arrows])
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.local = np.concatenate([np.arange(n) for n in sizes])[:, np.newaxis]
+        self.full = np.repeat(np.array(sizes) - 1, sizes)[:, np.newaxis]
+        self.preimage = np.concatenate([f.preimage_table for f, _, _ in arrows])
+        self.image_preimage = self.preimage[self.starts[:, np.newaxis] + [images for _, _, images in arrows]]
+
+    def failures(self, tol: Tolerances) -> dict[int, str]:
+        """By column, the error message of the first arrow at which the
+        two paths disagree, for the columns where one does."""
+        dom = containment_table(self.rows, self.columns, tol)
+        kept = np.bitwise_and.reduceat(np.where(dom, self.local, self.full), self.starts, axis=0)
+        some = np.logical_or.reduceat(dom, self.starts, axis=0)
+        infimum = self.preimage[self.starts[:, np.newaxis] + kept]
+        fail = ~some | (infimum != self.image_preimage)
+        bad = np.flatnonzero(fail.any(axis=0)).tolist()
+        if not bad:
+            return {}
+        first = fail.argmax(axis=0)
+        out = {}
+        for c in bad:
+            k = first[c]
+            out[c] = ("no dominating element in the spectral algebra" if not some[k, c] else
+                      f"coarse-graining paths disagree: "
+                      f"preimage {sorted(self.a.subset(int(self.image_preimage[k, c])))} "
+                      f"vs infimum {sorted(self.a.subset(int(infimum[k, c])))}")
+        return out
 
 
 def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
@@ -373,10 +494,9 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     mask = a.mask_of(a.check_subset(delta))
     f = _on_spectrum(f, a)
     image = f.image_mask(mask)
-    (msg,) = _cross_checks(a, apply_map(f, a), a.mask_entries[mask:mask + 1], [image],
-                           f.preimage_table, tol)
-    if msg is not None:
-        raise OcatError(msg)
+    failed = _CrossCheck(a, [(f, apply_map(f, a), [image])], a.mask_entries[mask:mask + 1]).failures(tol)
+    if failed:
+        raise OcatError(failed[0])
     return a.projector(f.preimage_table[image])
 
 
@@ -424,50 +544,52 @@ class _Decisions:
     """The float decisions of one state at one tolerance set, over one
     category: the support mask of each object or arrow image operator, and
     in `cells` the member bits of each queried cell (operator index, delta
-    mask).  `bits` decides a cell on its first query: for each arrow into
-    the operator, by source index, the arrow's infimum cross-check at delta
-    (which raises where it fails) and then the certainty test of delta's
-    preimage.  Certainty is decided once per (operator, preimage mask): for
-    a density matrix, every mask of an operator in one `certain_each` call
-    on first use, and for a vector state one norm test per preimage.  The
-    state is held weakly, as the category's memo holds it, so the decisions
-    never keep their state alive."""
+    mask).  `bits` decides a cell on its first query: the cross-check of
+    every arrow into the operator at delta (which raises where one fails),
+    then the member bits, which an operator's first query decides for all
+    its masks (see `OperatorCategory._members`).  The state and the
+    category are held weakly, so the decisions keep neither alive."""
 
     __slots__ = ("support", "cells", "bits")
 
     def __init__(self, category: "OperatorCategory", state, tol: Tolerances):
         self.support: dict[ODecomposition, int] = {}
         self.cells = cells = {}   # (operator index, delta mask) -> member bits
-        index = category.index
-        held = weakref.ref(state)
-        vector = isinstance(state, StateVector)
-        decided: dict = {}   # (operator, mask) -> bool for a vector, else operator -> per-mask list
+        held, owner = weakref.ref(state), weakref.ref(category)
+        members: dict[int, list[int]] = {}   # operator index -> member bits per delta mask
         checked = category._checked.setdefault(tol, {})
-
-        def sure(i: int, a: ODecomposition, pre: int) -> bool:
-            if vector:
-                out = decided.get((i, pre))
-                if out is None:
-                    out = decided[(i, pre)] = state_certain(held(), a.projector(pre), tol)
-                return out
-            masks = decided.get(i)
-            if masks is None:
-                masks = decided[i] = certain_each(held(), a.mask_entries, tol).tolist()
-            return masks[pre]
 
         def bits(i: int, delta: int) -> int:
             out = cells.get((i, delta))
             if out is None:
-                a = category.objects[index.ids[i]]
-                out = 0
-                for j, table in index.below(i):
-                    category._cross_check(j, i, delta, tol, checked)
-                    if sure(i, a, index.lift(j, i, table[delta])):
-                        out |= 1 << j
-                cells[(i, delta)] = out
+                category = owner()
+                verdict = checked.get(i)
+                if verdict is None:
+                    verdict = checked[i] = category._target_failures(i, tol)
+                failures, broken = verdict
+                if delta in failures:
+                    raise OcatError(failures[delta])
+                if broken is not None:
+                    raise broken.with_traceback(None)
+                row = members.get(i)
+                if row is None:
+                    row = members[i] = category._members(i, held(), tol)
+                out = cells[(i, delta)] = row[delta]
             return out
 
         self.bits = bits
+
+
+@dataclass(frozen=True, eq=False)
+class _Target:
+    """The arrows into one operator up to the first that fails validation:
+    their cross-check, source indices, and per delta mask the `lift` of its
+    coarse-graining; and that failure, if any."""
+
+    check: _CrossCheck | None
+    sources: list[int]
+    lifted: np.ndarray
+    broken: ValueError | None
 
 
 class _ArrowIndex(PosetIndex):
@@ -499,18 +621,22 @@ class _ArrowIndex(PosetIndex):
 
 class OperatorCategory:
     """A finite full subcategory: a list of operators with all morphisms
-    discovered pairwise (identities included).
+    discovered pairwise (identities included), from one stacked product per
+    target (see `_eigenspace_scalars`); each pair that passes those float
+    tests is snapped and reconstructed on its own, as `discover_morphism`
+    does.
 
     Its arrows form a `PosetIndex`, `index`: the stages are the operators,
     an arrow B -> A is the pair (B, A), and its partition map gives, for
     each eigenvalue of B, the mask of A's eigenvalues that the map sends
     there.  So `index.coarse(B, A)` is the map's image on index masks,
     `index.lift` its preimage, and `index.down` lists the arrows into each
-    object.  Everything else is built on first use and kept: per arrow, the
-    map on the target's spectrum and its image operator f(A); per (arrow,
-    tol), the infimum cross-check verdict of every delta mask; per state and
-    tol, that state's decisions (held weakly, so they go when the state
-    does).
+    object.  Everything else is built on first use and kept: every arrow's
+    map on its target's spectrum and image operator f(A), in one batch; per
+    target, its arrows' cross-check (the mask stacks of every object, then
+    of every image, validated in one test each); per (target, tol), that
+    cross-check's verdict of every delta mask; per state and tol, that
+    state's decisions (held weakly, so they go when the state does).
     """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
@@ -520,15 +646,24 @@ class OperatorCategory:
         dims = {o.dim for o in objects}
         if len(dims) > 1:
             raise OcatError("operators of mixed dimension")
+        self.dim = dims.pop() if dims else None
         self.objects = {o.id: o for o in objects}
+        ops = np.array([o.operator.entries for o in objects])
+        scalars, passed = {}, {}
+        for a in objects:
+            c, defects = _eigenspace_scalars(ops, a)
+            scalars[a.id], passed[a.id] = c.tolist(), (~(defects > tol.eig_match).any(axis=1)).tolist()
         self.morphisms: dict[tuple[str, str], Morphism] = {}
-        for b in objects:
+        for k, b in enumerate(objects):
             for a in objects:
-                f = discover_morphism(b, a, tol)
+                # f takes at most |spec A| values, so it cannot reach all of spec B
+                if len(b.spectrum) > len(a.spectrum) or not passed[a.id][k]:
+                    continue
+                f = _map_from_scalars(b, a, scalars[a.id][k], tol)
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
-        self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition]] = {}
-        self._checked: dict[Tolerances, dict[tuple[int, int], list[str | None]]] = {}
+        self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition] | ValueError] = {}
+        self._checked: dict[Tolerances, dict[int, tuple[dict[int, str], ValueError | None]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
@@ -584,43 +719,104 @@ class OperatorCategory:
         return a.id
 
     def _arrow(self, m: Morphism) -> tuple[EigenvalueMap, ODecomposition]:
-        """The arrow's map on its target's spectrum, and the image operator.
-        When the map fixes every eigenvalue of an ascending spectrum, as an
-        identity arrow's does, f(A) is the object A itself: `apply_map`
-        would rebuild the same spectrum and eigenprojectors."""
+        """The arrow's map on its target's spectrum and its image operator
+        f(A); raises the error building f(A) raises.  When the map fixes
+        every eigenvalue of an ascending spectrum, as an identity arrow's
+        does, f(A) is the object A itself.  The first request builds every
+        arrow, the images in one batch (see `_images`)."""
         out = self._arrows.get((m.src, m.dst))
         if out is None:
-            a = self.objects[m.dst]
-            f = _on_spectrum(m.map, a)
-            fixed = tuple(v for _, v in f.pairs) == a.spectrum == f.codomain
-            out = self._arrows[(m.src, m.dst)] = (f, a if fixed else apply_map(f, a))
+            todo = []
+            for key, arrow in self.morphisms.items():
+                if key not in self._arrows:
+                    a = self.objects[arrow.dst]
+                    f = _on_spectrum(arrow.map, a)
+                    if tuple(v for _, v in f.pairs) == a.spectrum == f.codomain:
+                        self._arrows[key] = (f, a)
+                    else:
+                        todo.append((key, f, a))
+            _stack_masks([a for _, _, a in todo])
+            for (key, f, _), b in zip(todo, _images([(f, a) for _, f, a in todo])):
+                self._arrows[key] = b if isinstance(b, ValueError) else (f, b)
+            out = self._arrows[(m.src, m.dst)]
+        if isinstance(out, ValueError):
+            raise out.with_traceback(None)
         return out
 
-    def _cross_check(self, src: int, dst: int, delta: int, tol: Tolerances,
-                     checked: dict[tuple[int, int], list[str | None]]) -> None:
-        """Raise if the infimum cross-check of arrow (src, dst), by operator
-        index, fails at a delta mask.  The first query of an arrow at a
-        tolerance set decides every delta mask at once; `checked` is
-        `_checked[tol]`, fetched once by the caller, and keeps the verdicts
-        by arrow."""
-        verdicts = checked.get((src, dst))
-        if verdicts is None:
-            verdicts = checked[(src, dst)] = self._verdicts(src, dst, tol)
-        if verdicts[delta] is not None:
-            raise OcatError(verdicts[delta])
-
-    def _verdicts(self, src: int, dst: int, tol: Tolerances) -> list[str | None]:
-        """Per delta mask of the target of arrow (src, dst), the infimum
-        cross-check's error message, or None where it passes."""
+    @cached_property
+    def _targets(self) -> tuple[_Target, ...]:
+        """Per operator index, the arrows into it (see `_Target`).  An
+        arrow's validation is, in order: its image operator, the target's
+        mask stack, the image's mask stack."""
         index = self.index
-        m = self.morphisms[(index.ids[src], index.ids[dst])]
-        f, b = self._arrow(m)
-        a = self.objects[m.dst]
-        return _cross_checks(a, b, a.mask_entries, index.coarse(src, dst), f.preimage_table, tol)
+        objects = [self.objects[oid] for oid in index.ids]
+        _stack_masks(objects)
+        arrows, broken = [], []
+        for i, a in enumerate(objects):
+            mine, failed = [], None
+            for j, table in index.below(i):
+                try:
+                    f, b = self._arrow(self.morphisms[(index.ids[j], a.id)])
+                    a._mask_stack
+                except ValueError as exc:
+                    failed = exc.with_traceback(None)
+                    break
+                mine.append((j, f, b, table))
+            arrows.append(mine)
+            broken.append(failed)
+        _stack_masks([b for mine in arrows for _, _, b, _ in mine])
+        out = []
+        for i, (a, mine, failed) in enumerate(zip(objects, arrows, broken)):
+            for k, (_, _, b, _) in enumerate(mine):
+                errors = b._mask_checks[2]
+                if errors:
+                    mine, failed = mine[:k], errors[min(errors)]
+                    break
+            lifted = []
+            for j, _, _, table in mine:
+                lift = [0]   # per mask of the source's eigenvalues, the union of their blocks
+                for block in index._pmap(j, i):
+                    lift += [m | block for m in lift]
+                lifted.append([lift[image] for image in table])
+            check = _CrossCheck(a, [(f, b, table) for _, f, b, table in mine], a.mask_entries) if mine else None
+            out.append(_Target(check, [j for j, _, _, _ in mine], np.array(lifted), failed))
+        return tuple(out)
+
+    def _target_failures(self, i: int, tol: Tolerances) -> tuple[dict[int, str], ValueError | None]:
+        """By delta mask, the message of the first arrow into operator i at
+        which the cross-check fails at a tolerance set, and the error of the
+        first arrow that fails validation, which a query raises when no
+        earlier arrow fails at its delta."""
+        target = self._targets[i]
+        return (target.check.failures(tol) if target.check is not None else {}), target.broken
+
+    def _members(self, i: int, state, tol: Tolerances) -> list[int]:
+        """Per delta mask of operator i, the member bits: by source index,
+        the arrows along which the preimage of delta's image is certain for
+        the state, each preimage decided once."""
+        target = self._targets[i]
+        a = self.objects[self.index.ids[i]]
+        n = 1 << len(a.spectrum)
+        if not target.sources:
+            return [0] * n
+        if isinstance(state, StateVector):
+            sure = np.zeros(n, dtype=bool)
+            for mask in set(target.lifted.ravel().tolist()):
+                sure[mask] = state_certain(state, a.projector(mask), tol)
+        else:
+            sure = certain_each(state, a.mask_entries, tol)
+        table = np.zeros((n, len(self.objects)), dtype=bool)
+        table[:, target.sources] = sure[target.lifted].T
+        return _row_masks(table)
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
+        """A state's decisions at a tolerance set; a state of another
+        dimension than the operators' is refused when first seen."""
         per_tol = self._states.get(state)
         if per_tol is None:
+            if self.dim is not None and state.dim != self.dim:
+                raise OcatError(f"the state has dimension {state.dim}, "
+                                f"the operators have dimension {self.dim}")
             per_tol = self._states[state] = {}
         out = per_tol.get(tol)
         if out is None:

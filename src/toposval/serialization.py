@@ -95,6 +95,8 @@ def _parse_context(obj) -> _ContextSpec:
             if key not in obj:
                 raise SchemaError(f"context is missing the {key!r} field")
         spec.id, dim = obj["id"], obj["dim"]
+        if not isinstance(spec.id, str):
+            raise SchemaError(f"context id must be a string, got {spec.id!r}")
         if "atoms" in obj:
             if not isinstance(obj["atoms"], list):
                 raise SchemaError(f"atoms of context {spec.id!r} must be an array of matrices")
@@ -251,7 +253,7 @@ def state_from_json(doc, tol: Tolerances = DEFAULT) -> DensityMatrix | StateVect
 
 
 def operators_from_json(doc, tol: Tolerances = DEFAULT) -> list[tuple[str, HermitianOperator]]:
-    """{"dim": n, "operators": [{"id", "matrix"}...]}."""
+    """{"dim": n, "operators": [{"id", "matrix"}...]}, each id a string."""
     if not isinstance(doc, dict) or "operators" not in doc:
         raise SchemaError('operator set must be {"dim": n, "operators": [...]}')
     dim = doc.get("dim")
@@ -261,6 +263,8 @@ def operators_from_json(doc, tol: Tolerances = DEFAULT) -> list[tuple[str, Hermi
     for entry in doc["operators"]:
         if not isinstance(entry, dict) or "id" not in entry or "matrix" not in entry:
             raise SchemaError("each operator needs id and matrix")
+        if not isinstance(entry["id"], str):
+            raise SchemaError(f"operator id must be a string, got {entry['id']!r}")
         out.append((entry["id"], HermitianOperator(matrix_from_json(entry["matrix"], dim), tol=tol)))
     return out
 

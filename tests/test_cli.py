@@ -301,6 +301,45 @@ def test_a_malformed_operator_set_exits_2_with_an_error_result(tmp_path, operato
     assert report["result"] == {"error": message}
 
 
+@pytest.mark.parametrize("ids", [[3], ["A", 3], [["A"]]])
+def test_an_operator_id_that_is_not_a_string_exits_2_with_an_error_result(tmp_path, ids):
+    # an int id was once accepted and reported as an int; an int beside a
+    # string id, or a list id, was a TypeError traceback (exit 1)
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps({"dim": 2, "operators": [
+        {"id": i, "matrix": [[1, 0], [0, k]]} for k, i in enumerate(ids)]}))
+    state = tmp_path / "pure.json"
+    state.write_text(json.dumps({"type": "pure", "data": [1, 0]}))
+    code, report = run(tmp_path, "ocat", "--input", str(ops), "--state", str(state))
+    assert code == 2
+    assert report["result"] == {"error": f"operator id must be a string, got {ids[-1]!r}"}
+
+
+@pytest.mark.parametrize("command", ["build-poset", "ks"])
+def test_a_context_id_that_is_not_a_string_exits_2_with_an_error_result(tmp_path, command):
+    # once a TypeError traceback from joining the ids
+    p = tmp_path / "contexts.json"
+    p.write_text(json.dumps([
+        {"id": "A", "dim": 2, "basis": [[1, 0], [0, 1]], "partition": [[0], [1]]},
+        {"id": 7, "dim": 2, "basis": [[1, 0], [0, 1]], "partition": [[0, 1]]},
+    ]))
+    code, report = run(tmp_path, command, "--input", str(p), "--add-trivial")
+    assert code == 2
+    assert report["result"] == {"error": "context id must be a string, got 7"}
+
+
+def test_ocat_refuses_a_state_of_another_dimension(tmp_path):
+    # once numpy's matmul message about a core dimension
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps(OCAT_OPS3))
+    for doc in ({"type": "pure", "data": [1, 0]}, {"type": "density", "data": [[0.5, 0], [0, 0.5]]}):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        code, report = run(tmp_path, "ocat", "--input", str(ops), "--state", str(state))
+        assert code == 2
+        assert report["result"] == {"error": "the state has dimension 2, the operators have dimension 3"}
+
+
 # SHA-256 of whole report files for the bundled 18-ray fixture, closed under
 # meets, and the pure state (0.6, 0.8, 0, 0); run from the directory that
 # holds both files, so the input paths in the reports are the bare names.

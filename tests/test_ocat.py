@@ -1,13 +1,17 @@
 """Tests for the operator category.
 
 `ODecomposition` builds the spectral projectors of all eigenvalue-index
-masks as one validated stack, and `OperatorCategory` decides the
-coarse-graining cross-check of every delta mask of an arrow at once per
-(arrow, tolerances) and each certainty once per (state, operator, preimage
-mask).  The per-call forms they replaced (the per-mask projector sum, the
-dual-path coarse-graining with its infimum loop, the per-delta infimum,
-the eigenprojector support scan and the per-morphism certainty sweep) are
-kept below as oracles, written on `pairs` and `spectrum` alone.
+masks as one validated stack, and `OperatorCategory` discovers its
+morphisms from one stacked product per target, reads every image operator
+off its target's mask stack, decides the coarse-graining cross-check of
+every arrow into an operator and every delta mask at once per (target,
+tolerances), and each certainty once per (state, operator, preimage
+mask).  The per-call forms they replaced (the per-pair morphism test, the
+`apply_map` image, the per-arrow cross-check table, the per-mask
+projector sum, the dual-path coarse-graining with its infimum loop, the
+per-delta infimum, the eigenprojector support scan and the per-morphism
+certainty sweep) are kept below as oracles, written on `pairs` and
+`spectrum` alone.
 """
 
 import gc
@@ -48,7 +52,14 @@ from toposval.ocat import (
     state_certain,
     support_subobject_check,
 )
-from toposval.sampling import random_category, random_density, random_state, random_unitary
+from toposval.sampling import (
+    random_category,
+    random_degenerate_hermitian,
+    random_density,
+    random_hermitian,
+    random_state,
+    random_unitary,
+)
 from toposval.tolerances import DEFAULT
 
 from conftest import identity_map, leq_each, projector_for
@@ -115,6 +126,71 @@ def test_discover_morphism_matches_the_full_float_test():
             found += got is not None
             refused += len(b.spectrum) > len(a.spectrum)
     assert found >= 500 and refused >= 200, (found, refused)
+
+
+def test_stacked_discovery_floats_equal_the_per_pair_floats():
+    # each scalar and defect of the one stacked product per target is, bit
+    # for bit, the float `discover_morphism` computes for its pair, in
+    # dimensions 1-12, on anchors, functions of them, unrelated operators
+    # and the unit
+    rng = np.random.default_rng(37)
+    for dim in range(1, 13):
+        for _ in range(3):
+            a = ODecomposition.from_operator(random_degenerate_hermitian(
+                rng, dim, int(rng.integers(1, min(dim, 7) + 1))), id="A")
+            f = EigenvalueMap.from_dict({lam: float(rng.integers(-2, 3)) for lam in a.spectrum})
+            objects = [a, apply_map(f, a), ODecomposition.from_operator(random_hermitian(rng, dim)),
+                       ODecomposition.from_operator(HermitianOperator(np.eye(dim)))]
+            ops = np.array([o.operator.entries for o in objects])
+            for target in objects:
+                scalars, defects = ocat_module._eigenspace_scalars(ops, target)
+                for k, b in enumerate(objects):
+                    for n, e in enumerate(target.eigenprojectors):
+                        product = b.operator.entries @ e.entries
+                        c = float(np.trace(product).real) / e.rank
+                        assert scalars[k, n].tobytes() == np.float64(c).tobytes()
+                        assert defects[k, n] == np.max(np.abs(product - c * e.entries))
+
+
+# discovery widths loose enough to add arrows to some seeded categories
+LOOSE_MATCH = DEFAULT.overridden(eig_match=1.1, recon=3.0)
+
+
+def test_batches_match_the_per_pair_and_per_arrow_oracles():
+    # on seeded categories, at the default widths and at loosened matching
+    # ones: the stacked discovery's morphisms (keys, insertion order and
+    # maps) are those of `discover_morphism` pair by pair, every image
+    # operator read off a mask stack equals `apply_map`'s bit for bit, and
+    # the per-target tables give the per-arrow verdicts at every table width
+    # (checked at the loosened widths where they add arrows)
+    rng = np.random.default_rng(281)
+    added = images = 0
+    for _ in range(60):
+        drawn, _ = random_category(rng, int(rng.integers(2, 7)))
+        objects = list(drawn.objects.values())
+        for tol in (DEFAULT, LOOSE_MATCH):
+            cat = OperatorCategory(objects, tol)
+            want = [((b.id, a.id), f.pairs) for b in objects for a in objects
+                    if (f := discover_morphism(b, a, tol)) is not None]
+            assert [(key, m.map.pairs) for key, m in cat.morphisms.items()] == want
+            added += len(cat.morphisms) - len(drawn.morphisms)
+            for m in cat.morphisms.values():
+                a = cat.objects[m.dst]
+                f, b = cat._arrow(m)
+                g, rebuilt = oracle_image(m, a)
+                assert f == g
+                if rebuilt is a:
+                    assert b is a
+                    continue
+                images += 1
+                assert b.spectrum == rebuilt.spectrum and b.tol == rebuilt.tol == a.tol
+                assert b.operator.entries.tobytes() == rebuilt.operator.entries.tobytes()
+                assert [p.entries.tobytes() for p in b.eigenprojectors] == \
+                    [p.entries.tobytes() for p in rebuilt.eigenprojectors]
+                assert [p.rank for p in b.eigenprojectors] == [p.rank for p in rebuilt.eigenprojectors]
+            if tol == DEFAULT or set(cat.morphisms) != set(drawn.morphisms):
+                assert_tables_match_oracle(cat, TABLE_WIDTHS)
+    assert added > 0 and images > 300, (added, images)
 
 
 def test_o_coarse_grain_injective_is_identity():
@@ -332,6 +408,49 @@ def oracle_verdict(f, a, b, delta, tol):
         return (f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
                 f"vs infimum {sorted(a.subset(f.preimage_mask(kept)))}")
     return None
+
+
+def cross_checks_oracle(a, b, deltas, images, preimage, tol):
+    """The per-arrow form of the infimum cross-check of coarse-graining
+    along a map f from A's spectrum, with `b` = f(A), for each column of
+    `deltas`, a stack of A's mask projectors: the error message where the
+    two paths disagree, else None.  `images` holds the codomain mask of
+    each column's image, and `preimage` the domain mask of the preimage of
+    each codomain mask.  One `containment_table` per arrow decides every
+    containment; a column's infimum ANDs the masks of its dominating rows."""
+    dom = containment_table(b.mask_entries, deltas, tol)
+    full = dom.shape[0] - 1
+    kept = np.bitwise_and.reduce(np.where(dom, np.arange(full + 1)[:, np.newaxis], full), axis=0)
+    out = []
+    for image, k, some in zip(images, kept.tolist(), dom.any(axis=0).tolist()):
+        if not some:
+            out.append("no dominating element in the spectral algebra")
+            continue
+        pre, inf_pre = preimage[image], preimage[k]
+        out.append(None if inf_pre == pre else
+                   f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
+                   f"vs infimum {sorted(a.subset(inf_pre))}")
+    return out
+
+
+def oracle_image(m, a):
+    """An arrow's map on its target's spectrum and its image operator, built
+    by `apply_map` (the object itself when the map fixes an ascending
+    spectrum)."""
+    f = _on_spectrum(m.map, a)
+    fixed = tuple(v for _, v in f.pairs) == a.spectrum == f.codomain
+    return f, a if fixed else apply_map(f, a)
+
+
+def arrow_verdicts(cat, src, dst, tol):
+    """Per delta mask of the target of arrow (src, dst), by operator index,
+    the infimum cross-check's error message, or None where it passes: one
+    table per arrow, on its `apply_map` image."""
+    index = cat.index
+    m = cat.morphisms[(index.ids[src], index.ids[dst])]
+    a = cat.objects[m.dst]
+    f, b = oracle_image(m, a)
+    return cross_checks_oracle(a, b, a.mask_entries, index.coarse(src, dst), f.preimage_table, tol)
 
 
 def oracle_support(state, a, tol=DEFAULT):
@@ -649,16 +768,25 @@ def test_batched_dominance_matches_pairwise_containment():
 
 
 def assert_tables_match_oracle(cat, tols):
-    """Per arrow and tolerance set, the category's verdict of every delta
-    mask equals the per-delta cross-check on the `apply_map` image."""
+    """Per arrow and tolerance set, the one-table-per-arrow verdict of every
+    delta mask equals the per-delta cross-check on the `apply_map` image;
+    per target operator, the category's one table gives at each delta the
+    message of the first arrow, in source order, whose verdict fails."""
     index = cat.index
-    for m in cat.morphisms.values():
-        a = cat.objects[m.dst]
-        f = _on_spectrum(m.map, a)
-        b = apply_map(f, a)
+    for i, aid in enumerate(index.ids):
+        a = cat.objects[aid]
         for tol in tols:
-            assert cat._verdicts(index.pos[m.src], index.pos[m.dst], tol) == [
-                oracle_verdict(f, a, b, delta, tol) for delta in range(1 << len(a.spectrum))]
+            first = {}
+            for j, _ in index.below(i):
+                f = _on_spectrum(cat.morphisms[(index.ids[j], aid)].map, a)
+                b = apply_map(f, a)
+                verdicts = arrow_verdicts(cat, j, i, tol)
+                assert verdicts == [oracle_verdict(f, a, b, delta, tol)
+                                    for delta in range(1 << len(a.spectrum))]
+                for delta, v in enumerate(verdicts):
+                    if v is not None:
+                        first.setdefault(delta, v)
+            assert cat._target_failures(i, tol) == (first, None)
 
 
 def test_arrow_tables_match_the_per_delta_cross_check():
@@ -673,7 +801,7 @@ def test_arrow_tables_match_the_per_delta_cross_check():
         assert_tables_match_oracle(cat, TABLE_WIDTHS)
         for m in cat.morphisms.values():
             for tol in TABLE_WIDTHS:
-                verdicts = cat._verdicts(cat.index.pos[m.src], cat.index.pos[m.dst], tol)
+                verdicts = arrow_verdicts(cat, cat.index.pos[m.src], cat.index.pos[m.dst], tol)
                 failing.update(v.split(":")[0] for v in verdicts if v is not None)
     assert failing["coarse-graining paths disagree"]
 
@@ -734,23 +862,33 @@ def test_failing_delta_raises_on_each_query_and_spares_the_others():
             assert characterize_check(state, a, frozenset(), cat, loose)["delta"] == []
 
 
-def test_one_table_per_arrow_and_tolerance_set(monkeypatch):
-    # a full `ocat` sweep, for two states at two tolerance sets (the default
-    # one queried twice), builds each arrow's table once per tolerance set
-    built = Counter()
-    verdicts = OperatorCategory._verdicts
+def test_one_table_per_target_and_tolerance_set(monkeypatch):
+    # building a category takes one stacked discovery product per target
+    # operator; a full `ocat` sweep, for two states at two tolerance sets
+    # (the default one queried twice), takes one containment table per
+    # (target operator, tolerance set), whose columns are the target's mask
+    # projectors (`certain_each` calls the table through `linalg`)
+    products, tables = Counter(), Counter()
+    product, table = ocat_module._eigenspace_scalars, ocat_module.containment_table
 
-    def spy(self, src, dst, tol):
-        built[(src, dst, tol)] += 1
-        return verdicts(self, src, dst, tol)
+    def product_spy(ops, a):
+        products[a.id] += 1
+        return product(ops, a)
 
-    monkeypatch.setattr(OperatorCategory, "_verdicts", spy)
+    def table_spy(rows, cols, tol=DEFAULT):
+        tables[(id(cols), tol)] += 1
+        return table(rows, cols, tol)
+
+    monkeypatch.setattr(ocat_module, "_eigenspace_scalars", product_spy)
+    monkeypatch.setattr(ocat_module, "containment_table", table_spy)
     wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15)
     rng = np.random.default_rng(271)
     for _ in range(5):
         dim = int(rng.integers(2, 7))
+        products.clear()
         cat, aid = random_category(rng, dim)
-        built.clear()
+        assert products == Counter({oid: 1 for oid in cat.ids})
+        tables.clear()
         for tol in (DEFAULT, wide, DEFAULT):
             for state in (random_state(rng, dim), random_density(rng, dim)):
                 for oid in cat.ids:
@@ -758,9 +896,8 @@ def test_one_table_per_arrow_and_tolerance_set(monkeypatch):
                         characterize_check(state, cat.objects[oid], delta, cat, tol)
                         check_sieve_on_o(state, cat.objects[oid], delta, cat, tol)
                 support_subobject_check(state, cat, tol)
-        index = cat.index
-        assert built == Counter({(index.pos[src], index.pos[dst], tol): 1
-                                 for src, dst in cat.morphisms for tol in (DEFAULT, wide)})
+        assert tables == Counter({(id(cat.objects[oid].mask_entries), tol): 1
+                                  for oid in cat.ids for tol in (DEFAULT, wide)})
 
 
 def oracle_mask_projector(o, mask, tol):
@@ -818,6 +955,103 @@ def test_mask_stack_raises_for_its_first_failing_mask():
                 o.projector(mask)
             assert str(got.value) == str(want.value)
         assert ODecomposition("A", op, (1.0, 2.0, 3.0), projs, tol=loose).projector(0b111).rank == 3
+
+
+def oracle_validation_error(o):
+    """The error of the first mask of `o`, ascending, whose projector fails
+    validation on its own, or None."""
+    for mask in range(1 << len(o.spectrum)):
+        try:
+            oracle_mask_projector(o, mask, o.tol)
+        except LinalgError as exc:
+            return exc
+    return None
+
+
+def per_arrow_error(cat, aid, delta, tol):
+    """The error a query of (operator aid, delta mask) raises along the
+    per-arrow path: for each arrow into the operator, in source order, its
+    `apply_map` image, then the target's and the image's mask projectors
+    each validated on its own, then the arrow's cross-check at delta; or
+    None."""
+    index = cat.index
+    a = cat.objects[aid]
+    for j, table in index.below(index.pos[aid]):
+        try:
+            f, b = oracle_image(cat.morphisms[(index.ids[j], aid)], a)
+        except ValueError as exc:
+            return exc
+        for o in (a, b):
+            exc = oracle_validation_error(o)
+            if exc is not None:
+                return exc
+        (msg,) = cross_checks_oracle(a, b, a.mask_entries[delta:delta + 1], [table[delta]],
+                                     f.preimage_table, tol)
+        if msg is not None:
+            return OcatError(msg)
+    return None
+
+
+def planted_categories():
+    """Categories on a decomposition Z that fails validation: as in
+    `test_mask_stack_raises_for_its_first_failing_mask` (its operator made
+    consistent with its eigenprojectors), with arrows into Z whose images
+    reach a failing mask first (B merges two eigenvalues, C is injective)
+    or whose first arrow is Z's own; and a valid Z whose eigenprojector at 2
+    has a Hermiticity defect of 5e-11, which B's image scales by 40 past
+    `herm`, after an arrow from A1 whose image passes."""
+    loose = DEFAULT.overridden(herm=1e-3, proj_idem=1e-3, trace_rank=1e-3)
+    strict = DEFAULT.overridden(trace_rank=1e-12)
+    ok = Projector(np.diag([1.0, 0, 0]))
+    skew = np.diag([0.0, 1, 0]).astype(complex)
+    skew[1, 2] = 1e-9
+    skew = Projector(skew, tol=loose)
+    frac = Projector(np.diag([0.0, 0, 1 + 1e-10]), tol=loose)
+    for projs in ((ok, skew, frac), (ok, frac, skew), (frac, ok, skew)):
+        op = HermitianOperator(np.diag(sum(lam * np.round(p.entries.diagonal().real)
+                                           for lam, p in zip((1.0, 2.0, 3.0), projs))))
+        z = ODecomposition("Z", op, (1.0, 2.0, 3.0), projs, tol=strict)
+        for others in ([decomp(1, 1, 4, id="B"), decomp(5, 6, 7, id="C")], [decomp(5, 6, 7, id="C")], []):
+            yield OperatorCategory([z, *others, decomp(1, 1, 1, id="one")])
+    slight = np.diag([0.0, 1, 0]).astype(complex)
+    slight[1, 2] = 5e-11
+    z = ODecomposition("Z", HermitianOperator(np.diag([1.0, 2, 3])), (1.0, 2.0, 3.0),
+                       (ok, Projector(slight), Projector(np.diag([0.0, 0, 1]))))
+    yield OperatorCategory([z, decomp(0, 1, 0, id="A1"), decomp(1, 40, 3, id="B"),
+                            decomp(1, 1, 1, id="one")])
+
+
+def test_a_planted_validation_failure_raises_as_the_per_arrow_path():
+    # every query of every cell, by `nu_psi_o` and `characterize_check`,
+    # raises the type and message of the first failure along the per-arrow
+    # path: an image's failing value projector, the target's first failing
+    # mask, an image operator that is not Hermitian, or, at a containment
+    # width of 10, an earlier arrow's cross-check; a query that passes gives
+    # the oracle's member set
+    rng = np.random.default_rng(283)
+    raised = Counter()
+    for cat in planted_categories():
+        for state in (random_state(rng, 3), random_density(rng, 3)):
+            for tol in (DEFAULT, DEFAULT.overridden(certain=10.0)):
+                for aid in cat.ids:
+                    a = cat.objects[aid]
+                    for delta in range(1 << len(a.spectrum)):
+                        want = per_arrow_error(cat, aid, delta, tol)
+                        for check in (nu_psi_o, characterize_check):
+                            if want is None:
+                                assert check(state, a, a.subset(delta), cat, tol) is not None
+                                continue
+                            with pytest.raises(type(want)) as got:
+                                check(state, a, a.subset(delta), cat, tol)
+                            assert str(got.value) == str(want)
+                            raised[str(want).split(":")[0]] += 1
+                        if want is None:
+                            assert nu_psi_o(state, a, a.subset(delta), cat, tol) == \
+                                oracle_nu_psi_o(state, a, a.subset(delta), cat, tol)
+    assert set(raised) == {"projector is not Hermitian within tolerance",
+                           "projector trace 1.0000000001 is not close to an integer",
+                           "matrix is not Hermitian within tolerance",
+                           "coarse-graining paths disagree"}, raised
 
 
 def test_identity_arrows_reuse_the_object():
@@ -895,6 +1129,23 @@ def test_foreign_object_is_refused():
     cat = OperatorCategory([a])
     with pytest.raises(OcatError, match="not an object"):
         nu_psi_o(random_state(np.random.default_rng(5), 2), decomp(1, 2), frozenset(), cat)
+
+
+def test_a_state_of_another_dimension_is_refused_naming_both():
+    # checked once, when the state's decisions are first made, before any
+    # product with the state
+    cat = OperatorCategory([decomp(1, 2, 3), decomp(1, 1, 1, id="one")])
+    a = cat.objects["A"]
+    rng = np.random.default_rng(11)
+    for state in (random_state(rng, 2), random_density(rng, 4)):
+        message = f"the state has dimension {state.dim}, the operators have dimension 3"
+        for check in (nu_psi_o, characterize_check, check_sieve_on_o):
+            with pytest.raises(OcatError) as exc:
+                check(state, a, frozenset({2.0}), cat)
+            assert str(exc.value) == message
+        with pytest.raises(OcatError) as exc:
+            support_subobject_check(state, cat)
+        assert str(exc.value) == message
 
 
 def test_index_holds_the_arrows():
