@@ -101,21 +101,28 @@ class Context:
     first that fails: one dimension, no zero atom, pairwise orthogonality
     (max|a b| < tol.atom) and the identity as their sum within tol.atom.
     A context is the one-item call of `build_contexts`.  `stack` holds the
-    atoms' entries in atom order, read-only, shape (n_atoms, dim, dim)."""
+    atoms' entries in atom order, read-only, shape (n_atoms, dim, dim).
+    `frames` holds per atom a (dim, k) frame U, orthonormal columns with
+    U U^H close to the atom, or None: atoms built from `Projector`s have
+    none (see `build_contexts` for where frames come from).  No check
+    rests on a frame; the closure store reads them only to bound products
+    (see `_ContextStore.add_many`)."""
 
     id: str
     atoms: tuple[Projector, ...]
     tol: Tolerances
 
     def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT):
-        (atoms, stack), = _validated([(id, tuple(atoms))], tol)
-        self._settle(id, atoms, tol, stack)
+        (atoms, stack, frames), = _validated([(id, tuple(atoms), None)], tol)
+        self._settle(id, atoms, tol, stack, frames)
 
-    def _settle(self, id: str, atoms: tuple[Projector, ...], tol: Tolerances, stack: np.ndarray) -> None:
+    def _settle(self, id: str, atoms: tuple[Projector, ...], tol: Tolerances, stack: np.ndarray,
+                frames: tuple) -> None:
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "_projectors", {})
 
     @property
@@ -152,9 +159,14 @@ class Context:
 
 
 def build_contexts(specs, tol: Tolerances = DEFAULT) -> list[Context]:
-    """The contexts of (id, atoms) specs, validated at `tol` as one batch:
-    the batch form of `Context`, raising what building them one at a time,
-    in order, would raise first.
+    """The contexts of (id, atoms) or (id, atoms, frames) specs, validated
+    at `tol` as one batch: the batch form of `Context`, raising what
+    building them one at a time, in order, would raise first.  `frames`
+    gives each atom's frame or None (see `Context`): a basis-form
+    document keeps each block's q from its span's qr, the trivial context
+    has the identity, and a meet's atom the concatenated frames of the
+    atoms it sums, where they all have one.  Frames travel with their
+    atoms through the canonical order and are not checked.
 
     The checks of one dimension and no zero atom are made atom by atom, and
     the first context failing one caps the batch: the contexts before it
@@ -167,11 +179,11 @@ def build_contexts(specs, tol: Tolerances = DEFAULT) -> list[Context]:
     that puts each context's atoms in canonical order.  The first context
     failing a float check raises it, orthogonality before the identity;
     if none does, the capping context raises its own failure."""
-    specs = [(cid, tuple(atoms)) for cid, atoms in specs]
+    specs = [(spec[0], tuple(spec[1]), None if len(spec) < 3 else tuple(spec[2])) for spec in specs]
     out = []
-    for (cid, _), (atoms, stack) in zip(specs, _validated(specs, tol)):
+    for (cid, _, _), (atoms, stack, frames) in zip(specs, _validated(specs, tol)):
         c = object.__new__(Context)
-        c._settle(cid, atoms, tol, stack)
+        c._settle(cid, atoms, tol, stack, frames)
         out.append(c)
     return out
 
@@ -189,20 +201,22 @@ def _atom_error(atoms: tuple[Projector, ...]) -> ContextError | None:
     return None
 
 
-def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...], np.ndarray]]:
-    """(atoms in canonical order, their read-only stack) per (id, atoms)
-    spec, checked as `build_contexts` describes."""
+def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...], np.ndarray, tuple]]:
+    """(atoms in canonical order, their read-only stack, their frames) per
+    (id, atoms, frames or None) spec, checked as `build_contexts`
+    describes."""
     capped = None
-    for k, (_, atoms) in enumerate(specs):
+    for k, (_, atoms, _) in enumerate(specs):
         capped = _atom_error(atoms)
         if capped is not None:
             specs = specs[:k]
             break
     out: list = [None] * len(specs)
     failed: dict[int, str] = {}
-    for dim in dict.fromkeys(atoms[0].dim for _, atoms in specs):
-        group = [k for k, (_, atoms) in enumerate(specs) if atoms[0].dim == dim]
+    for dim in dict.fromkeys(atoms[0].dim for _, atoms, _ in specs):
+        group = [k for k, (_, atoms, _) in enumerate(specs) if atoms[0].dim == dim]
         atoms = [a for k in group for a in specs[k][1]]
+        frames = [f for k in group for f in specs[k][2] or (None,) * len(specs[k][1])]
         sizes = np.array([len(specs[k][1]) for k in group])
         starts = np.cumsum(sizes) - sizes
         owner = np.repeat(np.arange(len(group)), sizes)
@@ -223,9 +237,10 @@ def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...]
         perm = _canonical_permutation(stack, owner)
         ordered = stack[perm]
         ordered.flags.writeable = False
-        atoms = [atoms[i] for i in perm.tolist()]
+        perm = perm.tolist()
+        atoms, frames = [atoms[i] for i in perm], tuple(frames[i] for i in perm)
         for k, s, n in zip(group, starts.tolist(), sizes.tolist()):
-            out[k] = (tuple(atoms[s:s + n]), ordered[s:s + n])
+            out[k] = (tuple(atoms[s:s + n]), ordered[s:s + n], frames[s:s + n])
     if failed:
         raise ContextError(failed[min(failed)])
     if capped is not None:
@@ -276,7 +291,10 @@ def _mask_bits(masks: list[int], width: int) -> np.ndarray:
 
 
 def trivial_context(dim: int, id: str = "Vtriv", tol: Tolerances = DEFAULT) -> Context:
-    return Context(id, [identity_projector(dim, tol)], tol=tol)
+    """The one-atom context, its atom framed by the identity."""
+    frame = np.eye(dim, dtype=complex)
+    frame.flags.writeable = False
+    return build_contexts([(id, [identity_projector(dim, tol)], [frame])], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -949,8 +967,9 @@ class _ContextStore:
     Each stored context keeps one bool block of links: [g, t] when earlier
     stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
     with the earlier atom on the left.  The block is decided when the
-    context is added, from one overlap product and a gathered product of
-    the pairs it leaves open, so each link is decided once per atom pair.
+    context is added, from one overlap product, a Gram product of the
+    atoms' frames where they have them, and a gathered product of the
+    pairs both leave open, so each link is decided once per atom pair.
     The blocks are the only link record: a closure round places them into
     one bool matrix, from which it takes every pair's connectivity and, for
     the disconnected pairs, their components and the sums that decide
@@ -974,6 +993,13 @@ class _ContextStore:
         self.starts: list[int] = []   # global index of the first atom of ctxs[k]
         self.links: list[np.ndarray] = []   # per ctxs[k], [g, t] when earlier atom g links to its atom t
         self.frobenius = 0.0   # the largest ||p||_F^2 of a stored atom
+        # the frame columns of the stored atoms, one per row; atom g owns
+        # rows col_start[g] to col_start[g + 1] (none when it has no frame)
+        self.cols: np.ndarray | None = None
+        self.col_start = np.zeros(1, dtype=np.intp)
+        self.ranks = np.zeros(0, dtype=np.intp)   # per stored atom, its frame's columns
+        # the largest rho^2, ||U||_F^2 and e of a framed stored atom (see `add_many`)
+        self.frame_max = np.zeros(3)
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
         self._elements: np.ndarray | None = None   # the interned projectors by id, with spare rows
@@ -1075,18 +1101,52 @@ class _ContextStore:
         F_max^2 (twice the screen's band, F_max^2 the largest ||p||_F^2 of
         a stored atom, the batch's included), puts the float max|g t| at
         or above tol.atom: the pair links, and no product is taken for it.
+
+        A pair the overlap leaves open whose two atoms both have frames
+        (see `Context`) is decided next, from U_g^H U_t (Bjorck and Golub,
+        Math. Comp. 27 (1973) 579).  Write each atom p = U U^H + E exactly.
+        Then g t = U_g G U_t^H + U_g U_g^H E_t + E_g t with G = U_g^H U_t,
+        and entry by entry
+          |U_g G U_t^H| <= rho_g rho_t ||G||_2 <= rho_g rho_t ||G||_F,
+          |U_g U_g^H E_t| <= d rho_g^2 e_t,   |E_g t| <= d e_g max|t|,
+        rho being the largest row norm of a frame and e a bound on max|E|:
+        the measured max|p - fl(U U^H)| times 1 + 4 eps, plus 2 (r + 2)
+        eps rho^2 for the rounding of fl(U U^H), a sum of r products of
+        moduli at most rho^2 per entry (r the widest frame of the batch).
+        A float Gram entry is within (d + 2) eps of its exact value times
+        the two columns' norms, so ||G||_F <= ||fl(G)||_F + 2 (d + 2) eps
+        ||U_g||_F ||U_t||_F.  With rho^2, ||U||_F^2 and e at their largest
+        over the stored framed atoms (`frame_max`) and max|t| <= F_max, the
+        exact max|g t| is at most
+          B = rho^2 (||fl(G)||_F + 2 (d + 2) eps ||U||_F^2)
+              + d e (F_max + rho^2),
+        and the float one at most B + 2 (d + 1) eps F_max^2, times 1 + eps
+        for the modulus.  The sum of squares, the square root and the sums
+        of the bound lose less than a relative 2 (d + 4)^2 eps between
+        them, so a computed bound below (1 - 2 (d + 4)^2 eps) tol.atom puts
+        the float max|g t| below tol.atom: the pair does not link, and no
+        product is taken for it.  The frames' columns are kept in one array
+        (`cols`), and the Gram block of the columns stored before the
+        batch's last context against the batch's is taken in a few row
+        blocks per batch (see `_frame_unlinked`).  On basis-form documents
+        of ray bases, the bundled fixture and rotated Peres sets among
+        them, every open pair is decided here: ||fl(G)||_F stays near
+        1e-15, against a default tol.atom of 1e-8.
+
         Every other pair takes that float max|g t|, in one gathered stacked
         product for the batch (`product_max`, the broadcast product's float
-        per pair), so each bit is the decision one pair's product makes.
-        On the closed 18-ray set about a quarter of the pairs take it.
+        per pair), so each bit is the decision one pair's product makes:
+        pairs with a frameless atom (atoms-form documents, operator
+        contexts, `Context`s built from `Projector`s), and pairs whose
+        frame bound reaches tol.atom.
 
         The overlap product takes every atom stored before the batch's last
         kept context against every kept atom, in column blocks of at most
         `_SCREEN_BLOCK` entries; a kept context's block is its columns, cut
         at the atoms stored before it.  The bounds hold for any
-        summation order and a larger F_max only raises the slack, so the
-        product's shape and the batch's atoms move pairs between the proof
-        and the exact product, never a bit."""
+        summation order and larger maxima only raise them, so the
+        products' shapes and the batch's atoms move pairs between the
+        proofs and the exact product, never a bit."""
         contexts = list(contexts)
         if atom_ids is None:
             flat = self._intern_many(np.concatenate([c.stack for c in contexts])) if contexts else []
@@ -1118,7 +1178,12 @@ class _ContextStore:
             top = int(cut[min(c + step, len(stack)) - 1])
             link[:top, c:c + step] = (lead[:top] @ turned[c:c + step].T).real >= dim * self.tol.atom + slack
         g, t = np.nonzero(~link & (np.arange(rows)[:, np.newaxis] < cut))
-        link[g, t] = product_max(every, g, n + t) >= self.tol.atom
+        self._add_frames(stack, [f for c, _ in kept for f in c.frames])
+        if g.size:
+            open_ = ~self._frame_unlinked(g, n + t, n, rows)
+            g, t = g[open_], t[open_]
+        if g.size:
+            link[g, t] = product_max(every, g, n + t) >= self.tol.atom
         for (c, ids), start in zip(kept, starts.tolist()):
             k = len(self.ctxs)
             self.starts.append(start)
@@ -1127,6 +1192,104 @@ class _ContextStore:
             for i, eid in enumerate(ids):
                 self._element_ids[(k, 1 << i)] = eid
         self.every = every
+
+    def _add_frames(self, stack: np.ndarray, frames: list) -> None:
+        """Append a batch of atoms' frame columns (`stack`, their frames in
+        order) and raise `frame_max` to cover them.  U U^H of every framed
+        atom is one stacked outer product of its columns, summed per atom
+        by one `reduceat` when some frame has more than one."""
+        ranks = np.array([0 if f is None else f.shape[1] for f in frames], dtype=np.intp)
+        framed = [f for f in frames if f is not None]
+        if framed:
+            cols = np.concatenate(framed, axis=1).T   # (columns, dim)
+            r = ranks[ranks > 0]
+            uuh = cols[:, :, np.newaxis] * cols[:, np.newaxis, :].conj()
+            weight = cols.real ** 2 + cols.imag ** 2   # per atom, summed: its rows' squared norms
+            if len(cols) > len(r):
+                starts = np.cumsum(r) - r
+                uuh = np.add.reduceat(uuh, starts, axis=0)
+                weight = np.add.reduceat(weight, starts, axis=0)
+            apart = float(np.abs(stack[ranks > 0] - uuh).max())
+            rho2 = float(weight.max())
+            err = (1 + 4 * _EPS) * apart + 2 * (int(r.max()) + 2) * _EPS * rho2
+            self.frame_max = np.maximum(self.frame_max, (rho2, float(weight.sum(axis=1).max()), err))
+            self.cols = cols if self.cols is None else np.concatenate([self.cols, cols])
+        self.ranks = np.concatenate([self.ranks, ranks])
+        self.col_start = np.concatenate([self.col_start, self.col_start[-1] + np.cumsum(ranks)])
+
+    def _frame_unlinked(self, g: np.ndarray, t: np.ndarray, n: int, rows: int) -> np.ndarray:
+        """Per open pair of stored atoms (g[p] < t[p], t[p] in the batch
+        stored from global index n, g[p] below `rows`, g ascending),
+        whether its frame bound proves max|g t| < tol.atom (see
+        `add_many`); a pair with a frameless atom is not proven.  A pair's
+        ||U_g^H U_t||_F^2 is the sum of the squared moduli of its r_g x r_t
+        entries of the Gram block, the frame columns of the atoms below
+        `rows` against the batch's.  The pairs are taken in runs of
+        ascending g whose atoms' columns make at most `_SCREEN_BLOCK` Gram
+        entries (at least one atom): a run takes one product for its rows
+        of the Gram, gathers its pairs' entries and sums them per pair by
+        one `np.bincount`."""
+        framed = self.ranks > 0
+        both = framed[g] & framed[t]
+        proven = np.zeros(len(g), dtype=bool)
+        if not both.any():
+            return proven
+        if not both.all():
+            g, t = g[both], t[both]
+        start = self.col_start
+        first = start[n]
+        batch = self.cols[first:].T
+        step = max(1, _SCREEN_BLOCK // batch.shape[1])
+        norm = np.empty(len(g))
+        p = 0
+        while p < len(g):
+            top = int(start[g[p]])
+            # the pairs whose g columns end within step rows of top
+            last = max(int(g[p]) + 1, int(np.searchsorted(start, top + step, side="right")) - 1)
+            q = int(np.searchsorted(g, last))
+            gram = self.cols[top:int(start[last])].conj() @ batch
+            rg, rt = self.ranks[g[p:q]], self.ranks[t[p:q]]
+            count = rg * rt
+            pair = np.repeat(np.arange(q - p), count)
+            k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+            entry = gram[(start[g[p:q]] - top)[pair] + k // rt[pair], (start[t[p:q]] - first)[pair] + k % rt[pair]]
+            norm[p:q] = np.bincount(pair, weights=entry.real ** 2 + entry.imag ** 2, minlength=q - p)
+            del gram, pair, k, entry   # before the next block's product
+            p = q
+        dim = self.cols.shape[1]
+        rho2, fro2, err = self.frame_max.tolist()
+        # the bound, in place: rho^2 (||fl(G)||_F + slack) + the E terms
+        np.sqrt(norm, out=norm)
+        norm += 2 * (dim + 2) * _EPS * fro2
+        norm *= rho2
+        norm += dim * err * (np.sqrt(self.frobenius) + rho2) + 2 * (dim + 1) * _EPS * self.frobenius
+        proven[both] = norm < self.tol.atom * (1 - 2 * (dim + 4) ** 2 * _EPS)
+        return proven
+        g, t = g[both], t[both]
+        start = self.col_start
+        first = start[n]
+        batch = self.cols[first:].T
+        stop = start[g + 1]   # where each pair's g columns end, ascending
+        step = max(1, _SCREEN_BLOCK // batch.shape[1])
+        square = np.empty(len(g))
+        p = 0
+        while p < len(g):
+            top = int(start[g[p]])
+            q = max(p + 1, int(np.searchsorted(stop, top + step, side="right")))
+            gram = self.cols[top:int(stop[q - 1])].conj() @ batch
+            rg, rt = self.ranks[g[p:q]], self.ranks[t[p:q]]
+            count = rg * rt
+            pair = np.repeat(np.arange(q - p), count)
+            k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+            entry = gram[(start[g[p:q]] - top)[pair] + k // rt[pair], (start[t[p:q]] - first)[pair] + k % rt[pair]]
+            square[p:q] = np.bincount(pair, weights=entry.real ** 2 + entry.imag ** 2, minlength=q - p)
+            p = q
+        dim = self.cols.shape[1]
+        rho2, fro2, err = self.frame_max.tolist()
+        rest = dim * err * (np.sqrt(self.frobenius) + rho2) + 2 * (dim + 1) * _EPS * self.frobenius
+        bound = rho2 * (np.sqrt(square) + 2 * (dim + 2) * _EPS * fro2) + rest
+        proven[both] = bound < self.tol.atom * (1 - 2 * (dim + 4) ** 2 * _EPS)
+        return proven
 
     def _reach(self, first: np.ndarray, second: np.ndarray):
         """(reach, link, rows, cols) for the pairs of stored contexts
@@ -1243,7 +1406,9 @@ class _ContextStore:
         round's new meets are built as one `lattice_projectors` batch, and
         the meets up to the first whose atoms fail are validated as one
         `build_contexts` batch and stored as one `add_many` batch; that
-        failure, if any, is raised after theirs.
+        failure, if any, is raised after theirs.  A meet's atom carries the
+        frames of the atoms it sums, side by side, where they all have one
+        (`_joined_frame`).
         """
         old = 0
         while True:
@@ -1279,7 +1444,8 @@ class _ContextStore:
                 except LinalgError as exc:
                     failed = exc
                     break
-                specs.append((f"meet({a.id},{b.id})", list(eid_of)))
+                frames = [_joined_frame(a.frames, m) for m in masks]
+                specs.append((f"meet({a.id},{b.id})", list(eid_of), frames))
                 eid_maps.append(eid_of)
             built = build_contexts(specs, self.tol)
             if failed is not None:
@@ -1304,12 +1470,13 @@ class _ContextStore:
                  + 2 * dim * band)
         return band, delta
 
-    def _screen(self):
-        """(k, candidates, partition maps) per stored context k, in order:
-        the indices j, ascending, of the stored contexts that may satisfy
-        ctxs[k] <= ctxs[j], and an (atoms of k, candidates) int array whose
-        column c is the partition map of candidate c, one mask over its
-        atoms per atom of context k.
+    def _screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(k, j, atom, mask) for the whole pass.  Per candidate pair, in
+        row order (k ascending, then j), the stored contexts k and j that
+        may satisfy ctxs[k] <= ctxs[j]; per (candidate, atom of context k),
+        in candidate and then atom order, the atom's index in the global
+        stack and its mask over context j's atoms, so a candidate's rows
+        are its partition map.
 
         One pass over row blocks of whole contexts (`_SCREEN_BLOCK`): a
         block takes tr(b_m a_i) for every stored atom b_m against each of
@@ -1355,10 +1522,12 @@ class _ContextStore:
         decision is made on member_mask's float, as one pair's test makes
         it."""
         if not self.ctxs:
-            return
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty, empty, empty
         every = self.every
         starts = np.array(self.starts)
-        ends = starts + [c.n_atoms for c in self.ctxs]
+        sizes = np.array([c.n_atoms for c in self.ctxs])
+        ends = starts + sizes
         ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
         half = ranks / 2
         band, delta = self._screen_bounds()
@@ -1370,6 +1539,7 @@ class _ContextStore:
                         dtype=np.int64 if (ends - starts).max() < 63 else object)
         rows = max(1, _SCREEN_BLOCK // len(every))
         first = 0
+        found = []   # per block, its (k, j, atom, mask)
         while first < len(self.ctxs):
             last = max(first + 1, int(np.searchsorted(ends, starts[first] + rows, side="right")))
             lo, hi = starts[first], ends[last - 1]
@@ -1387,10 +1557,13 @@ class _ContextStore:
             covered = np.add.reduceat(np.where(inside, ranks, 0), starts, axis=1)
             kept = np.logical_and.reduceat(covered == ranks[lo:hi, np.newaxis], heads, axis=0) & clean
             packed = np.bitwise_or.reduceat(np.where(inside, bits, 0), starts, axis=1)
-            for k in range(first, last):
-                js = np.flatnonzero(kept[k - first])
-                yield k, js.tolist(), packed[starts[k] - lo:ends[k] - lo, js]
+            k, j = np.nonzero(kept)
+            k += first
+            count = sizes[k]
+            atom = np.arange(count.sum()) + np.repeat(starts[k] - (np.cumsum(count) - count), count)
+            found.append((k, j, atom, packed[atom - lo, np.repeat(j, count)]))
             first = last
+        return tuple(np.concatenate(parts) for parts in zip(*found))
 
     def inclusion(self) -> tuple[set[tuple[str, str]], dict[tuple[str, str], tuple[int, ...]]]:
         """The inclusion order of the stored contexts and its partition
@@ -1398,54 +1571,63 @@ class _ContextStore:
         atom a_i equals the projector of its mask over b within
         `tol.atom`, the test `member_mask` makes.
 
-        Every (candidate, atom) of the pass is decided in one batch: each
-        mask's atom sum is taken in ascending atom order by one
+        Every (candidate, atom) row of the pass is decided in one batch:
+        each mask's atom sum is taken in ascending atom order by one
         `_ordered_sums`, bit for bit the float `Context.projector` stores,
         and compared with a_i in one max-abs test, chunked as `_chunks`
-        sizes it.  The lattice projectors of multi-atom masks that a test
-        of one atom at a time would build (in its order, up to each
-        candidate's first failing atom) are then built, and so validated,
-        as one `lattice_projectors` batch for the whole pass.  A candidate
-        the screen drops for an in-band overlap is no inclusion (see
-        `_screen`), and its mask projectors are neither built nor
-        validated."""
+        sizes it.  A cumulative count of the failing rows gives each
+        candidate's first failing atom: a test of one atom at a time
+        reaches a row exactly when no earlier row of its candidate failed.
+        The lattice projectors of the multi-atom masks it would build, on
+        the rows it reaches and in its order, are then built, and so
+        validated, as one `lattice_projectors` batch for the whole pass.
+        A candidate is confirmed when all its rows pass (one
+        `logical_and.reduceat`), and only the confirmed ones are visited in
+        Python, to fill the order and the maps.  A candidate the screen
+        drops for an in-band overlap is no inclusion (see `_screen`), and
+        its mask projectors are neither built nor validated."""
         order: set[tuple[str, str]] = set()
         pmaps_out: dict[tuple[str, str], tuple[int, ...]] = {}
-        screened = [(k, js, packed) for k, js, packed in self._screen() if js]
-        if not screened:
+        k, j, a_atom, masks = self._screen()
+        if not len(k):
             return order, pmaps_out
         every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
         starts = np.array(self.starts)
-        ends = starts + [c.n_atoms for c in self.ctxs]
-        t = np.arange((ends - starts).max())
-        # per (candidate, atom of a), in pass order: b's index, the mask and a's atom
-        b_of = np.concatenate([np.repeat(js, len(packed)) for _, js, packed in screened])
-        masks = np.concatenate([packed.T.reshape(-1) for _, _, packed in screened])
-        a_atom = np.concatenate([np.tile(np.arange(starts[k], ends[k]), len(js)) for k, js, _ in screened])
+        sizes = np.array([c.n_atoms for c in self.ctxs])
+        count = sizes[k]   # rows per candidate
+        head = np.cumsum(count) - count   # each candidate's first row
+        b_of = np.repeat(j, count)
+        t = np.arange(sizes.max())
         index = starts[b_of][:, np.newaxis] + t
-        index[index >= ends[b_of][:, np.newaxis]] = len(every) - 1
+        index[t >= sizes[b_of][:, np.newaxis]] = len(every) - 1
         sums = _ordered_sums(every, index, ((masks[:, np.newaxis] >> t) & 1).astype(bool))
         equal = np.empty(len(sums), dtype=bool)
         for c in _chunks(len(sums), sums.shape[1] * sums.shape[2]):
             equal[c] = np.abs(sums[c] - every[a_atom[c]]).max(axis=(1, 2)) < self.tol.atom
-        equal = equal.tolist()
-        built: list[tuple[Context, int]] = []   # (context, mask) of the projectors to build
-        row = 0
-        for k, js, packed in screened:
-            a = self.ctxs[k]
-            for j, pmap in zip(js, map(tuple, packed.T.tolist())):
-                b = self.ctxs[j]
-                for m, good in zip(pmap, equal[row:row + len(pmap)]):
-                    if m & (m - 1):
-                        built.append((b, m))
-                    if not good:
-                        break
-                else:
-                    order.add((a.id, b.id))
-                    pmaps_out[(a.id, b.id)] = pmap
-                row += len(pmap)
+        failed = np.cumsum(~equal) - ~equal   # failing rows before each row
+        reached = failed == np.repeat(failed[head], count)
+        multi = reached & (masks & (masks - 1) != 0).astype(bool)
+        built = [(self.ctxs[b], m) for b, m in zip(b_of[multi].tolist(), masks[multi].tolist())]
+        held = np.logical_and.reduceat(equal, head)
+        rows = masks[np.repeat(held, count)].tolist()
+        ends = np.cumsum(count[held]).tolist()
+        for a, b, n, end in zip(k[held].tolist(), j[held].tolist(), count[held].tolist(), ends):
+            key = (self.ctxs[a].id, self.ctxs[b].id)
+            order.add(key)
+            pmaps_out[key] = tuple(rows[end - n:end])
         lattice_projectors(built)
         return order, pmaps_out
+
+
+def _joined_frame(frames: tuple, mask: int) -> np.ndarray | None:
+    """The frame of the sum of a context's atoms over a mask: their frames
+    side by side, in ascending atom order, or None where one has none."""
+    if not mask & (mask - 1):
+        return frames[mask.bit_length() - 1]
+    parts = [frames[i] for i in bit_list(mask)]
+    if any(f is None for f in parts):
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _trace_products(every: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -1505,16 +1687,19 @@ def _union(masks: list[int], select: int) -> int:
 
 def _check_partial_order(poset: ContextPoset) -> None:
     """Reflexivity, antisymmetry and transitivity of `poset.order` over its
-    ids, on the index's int-bitmask down-sets."""
+    ids, on one bool matrix of the index's down-sets: down[j, i] when
+    ids[i] <= ids[j].  Each law is one array test, and a failing one
+    raises as a walk over the down-sets in index order would: the first
+    mutually included pair (i, j), i < j, in row-major order, is named."""
     ids = poset.index.ids
-    down = poset.index.down   # bit i of down[j] set when ids[i] <= ids[j]
-    for i in range(len(ids)):
-        if not down[i] >> i & 1:
-            raise ContextError("inclusion is not reflexive")
-    for i, x in enumerate(ids):
-        for j in bit_list(down[i]):
-            if j > i and down[j] >> i & 1:
-                raise ContextError(f"distinct contexts {x!r}, {ids[j]!r} are mutually included")
-    for j in range(len(ids)):
-        if any(down[i] & ~down[j] for i in bit_list(down[j])):
-            raise ContextError("inclusion is not transitive")
+    if not ids:
+        return
+    down = _mask_bits(list(poset.index.down), len(ids))
+    if not down.diagonal().all():
+        raise ContextError("inclusion is not reflexive")
+    mutual = np.triu(down & down.T, 1)
+    if mutual.any():
+        i, j = divmod(int(mutual.argmax()), len(ids))
+        raise ContextError(f"distinct contexts {ids[i]!r}, {ids[j]!r} are mutually included")
+    if ((down @ down) & ~down).any():
+        raise ContextError("inclusion is not transitive")

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .contexts import Context, ContextError, ContextPoset, PosetIndex, _mask_bits, _row_masks, build_poset
-from .linalg import LinalgError, _hermitian_defect, distance_table, product_max
+from .linalg import LinalgError, _hermitian_defect, product_max
 from .serialization import contexts_from_json
 from .tolerances import DEFAULT, Tolerances
 
@@ -260,8 +260,12 @@ def validate_rank_one_cover(contexts: list[Context], tol: Tolerances = DEFAULT) 
     one entry per non-orthogonal pair (max|a b| > tol.ortho_fixture), in
     `itertools.combinations` order.  Each atom, in order, joins the first
     ray whose first atom is within tol.ortho_fixture in max-abs entries, or
-    starts a ray.  The pair products and the atom distances are each one
-    chunked broadcast over all atoms."""
+    starts a ray.  The pair products are one chunked broadcast over all
+    atoms.  The rays are then found one at a time: the first atom in no ray
+    yet starts one, which takes every atom in no ray within the tolerance
+    of it, by one max-abs test.  Those are the atoms the first-fit rule
+    puts in that ray: near no earlier ray's first atom, and near this one;
+    and each test is the float that rule compares."""
     report: dict = {"ok": True, "problems": []}
     atoms = [a for c in contexts for a in c.atoms]
     stack = np.stack([a.entries for a in atoms]) if atoms else np.zeros((0, 1, 1), dtype=complex)
@@ -281,18 +285,15 @@ def validate_rank_one_cover(contexts: list[Context], tol: Tolerances = DEFAULT) 
             report["ok"] = False
             report["problems"].append(f"context {c.id!r} has non-orthogonal atoms")
         done += count
-    close = (distance_table(stack) < tol.ortho_fixture).tolist()
-    firsts: list[int] = []   # the first atom of each ray
-    counts: list[int] = []
-    for k, row in enumerate(close):
-        ray = next((r for r, f in enumerate(firsts) if row[f]), None)
-        if ray is None:
-            firsts.append(k)
-            counts.append(1)
-        else:
-            counts[ray] += 1
+    counts = []
+    free = np.arange(len(stack))   # the atoms in no ray yet, ascending
+    while free.size:
+        joins = np.abs(stack[free] - stack[free[0]]).max(axis=(1, 2)) < tol.ortho_fixture
+        joins[0] = True
+        counts.append(int(joins.sum()))
+        free = free[~joins]
     counts.sort()
-    report["rayCount"] = len(firsts)
+    report["rayCount"] = len(counts)
     report["contextCount"] = len(contexts)
     report["rayContextCounts"] = counts
     report["allCountsEven"] = all(n % 2 == 0 for n in counts)

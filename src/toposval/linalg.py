@@ -94,10 +94,12 @@ def projector_ranks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> list[int]:
     return ranks
 
 
-def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, dict[int, LinalgError]]:
+def span_projectors(spans: np.ndarray,
+                    tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, dict[int, LinalgError]]:
     """For a stack of (d, k) matrices, each holding k vectors as columns:
-    the matrix q q^H of each, q from its QR factorisation, and, by stack
-    index, the error `projector_from_span` raises on one before it
+    the matrix q q^H of each, q from its QR factorisation, the stack of
+    those q (an orthonormal frame of each span), and, by stack index, the
+    error `projector_from_span` raises on one before it
     validates that matrix: a zero span, or vectors linearly dependent
     within `tol.trace_rank` (see there).  numpy's svd, qr and matmul work
     one matrix of a stack at a time, so each matrix and each singular value
@@ -112,7 +114,7 @@ def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.nd
     errors = {k: LinalgError("zero vector in span" if zero[k] else
                              "vectors are linearly dependent within rank tolerance")
               for k in np.flatnonzero(zero | dependent).tolist()}
-    return q @ q.conj().swapaxes(1, 2), errors
+    return q @ q.conj().swapaxes(1, 2), q, errors
 
 
 # Complex entries in each temporary of a table of pairwise products or
@@ -136,17 +138,6 @@ def product_max(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     for s in _chunks(len(first), cell):
         products = stack[first[s]] @ stack[second[s]]
         out[s] = np.abs(products.reshape(len(products), cell)).max(axis=1)
-    return out
-
-
-def distance_table(stack: np.ndarray) -> np.ndarray:
-    """max|P - Q| over the entries, for each pair of matrices of a stack,
-    as an (n, n) array: the float `Projector.equals` tests, taken in chunks
-    of rows."""
-    n = len(stack)
-    out = np.empty((n, n))
-    for s in _chunks(n, n * stack.shape[1] * stack.shape[2]):
-        out[s] = np.abs(stack[s, np.newaxis] - stack).max(axis=(2, 3))
     return out
 
 
@@ -337,7 +328,7 @@ def projector_from_span(vectors, tol: Tolerances = DEFAULT) -> Projector:
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vs:
         raise LinalgError("empty span")
-    matrices, errors = span_projectors(np.column_stack(vs)[np.newaxis], tol)
+    matrices, _, errors = span_projectors(np.column_stack(vs)[np.newaxis], tol)
     if errors:
         raise errors[0]
     p = Projector(matrices[0], tol=tol)

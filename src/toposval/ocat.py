@@ -122,7 +122,10 @@ class ODecomposition:
     A subset of the spectrum is also an index mask (bit i for spectrum[i]).
     On the first request for any of them, the spectral projectors of all
     masks are built as one stack and validated at `tol`, the tolerances the
-    decomposition was built with (see `_stack_masks`).
+    decomposition was built with (see `_stack_masks`).  The spectrum must
+    be strictly ascending, so a mask numbers the eigenvalues as every
+    table of the category does (`EigenvalueMap.preimage_table` reads them
+    in sorted order); any other order raises `OcatError`.
     """
 
     id: str
@@ -132,6 +135,8 @@ class ODecomposition:
     tol: Tolerances = DEFAULT
 
     def __post_init__(self):
+        if any(not lo < hi for lo, hi in zip(self.spectrum, self.spectrum[1:])):
+            raise OcatError(f"spectrum of operator {self.id!r} is not strictly ascending: {list(self.spectrum)}")
         object.__setattr__(self, "_position", {lam: i for i, lam in enumerate(self.spectrum)})
         object.__setattr__(self, "_projectors", {})
         object.__setattr__(self, "_subsets", {})

@@ -228,6 +228,8 @@ class PairStore(_ContextStore):
         """(a, b, partition map) for the pairs, in row order, that may
         satisfy a <= b: the screen's candidates (see `_screen`), for
         `inclusion` to confirm."""
-        for k, js, packed in self._screen():
-            for j, pmap in zip(js, packed.T.tolist()):
-                yield self.ctxs[k], self.ctxs[j], tuple(pmap)
+        k, j, _, masks = self._screen()
+        ends = np.cumsum([self.ctxs[a].n_atoms for a in k.tolist()]).tolist()
+        masks = masks.tolist()
+        for a, b, end in zip(k.tolist(), j.tolist(), ends):
+            yield self.ctxs[a], self.ctxs[b], tuple(masks[end - self.ctxs[a].n_atoms:end])

@@ -871,7 +871,7 @@ def test_screen_does_not_depend_on_the_row_block_size(monkeypatch):
         outcomes = []
         for block in (1, 64, toposval.contexts._SCREEN_BLOCK):
             monkeypatch.setattr(toposval.contexts, "_SCREEN_BLOCK", block)
-            screened = [(k, js, packed.tolist()) for k, js, packed in store._screen()]
+            screened = [part.tolist() for part in store._screen()]
             try:
                 confirmed = store.inclusion()
             except (ContextError, LinalgError) as exc:

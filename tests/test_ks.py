@@ -249,6 +249,25 @@ def _rank_one_cover_oracle(contexts, tol=DEFAULT):
     return report
 
 
+def _rank_one_cover_rows(contexts, tol=DEFAULT):
+    """The ray counts of `validate_rank_one_cover` by a row loop over the
+    all-pairs table of max|P - Q|: each atom, in order, joins the first
+    ray whose first atom its row marks near, or starts one."""
+    stack = np.array([a.entries for c in contexts for a in c.atoms])
+    if not len(stack):
+        return []
+    close = (np.abs(stack[:, np.newaxis] - stack).max(axis=(2, 3)) < tol.ortho_fixture).tolist()
+    firsts, counts = [], []
+    for k, row in enumerate(close):
+        ray = next((r for r, f in enumerate(firsts) if row[f]), None)
+        if ray is None:
+            firsts.append(k)
+            counts.append(1)
+        else:
+            counts[ray] += 1
+    return sorted(counts)
+
+
 def _planted_cover():
     """Dimension-4 contexts at a loose atom tolerance: a rank-2 atom, rays
     2e-6 from orthogonal, and copies of rays moved by 3e-11 and by 3e-10,
@@ -276,11 +295,34 @@ def test_rank_one_cover_matches_the_pairwise_oracle():
     cases = [load_bundled_ks(), [peres.context(cid) for cid in peres.maximal_ids()], planted,
              planted[::-1], planted[:1], []]
     for contexts in cases:
-        assert validate_rank_one_cover(contexts) == _rank_one_cover_oracle(contexts)
+        report = validate_rank_one_cover(contexts)
+        assert report == _rank_one_cover_oracle(contexts)
+        assert report["rayContextCounts"] == _rank_one_cover_rows(contexts)
     report = validate_rank_one_cover(planted)
     assert sum("rank 2" in p for p in report["problems"]) == 2
     assert sum("non-orthogonal" in p for p in report["problems"]) >= 2
     assert len(peres.maximal_ids()) == 24
+
+
+def test_ray_grouping_matches_the_row_loop_on_chains_of_near_rays():
+    # rays a step apart, nearer than the fixture tolerance to the next one
+    # but not to the one after: nearness is not transitive, so each ray's
+    # members depend on which atom starts it, in every order of the atoms
+    tol = DEFAULT.overridden(ortho_fixture=1e-3)
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 3)
+    for step in (4e-4, 6e-4, 9e-4):
+        rays = []
+        for k in range(6):
+            v = u @ np.array([np.cos(k * step), np.sin(k * step), 0.0])
+            w = u @ np.array([-np.sin(k * step), np.cos(k * step), 0.0])
+            rays.append(Context(f"C{k}", [Projector(np.outer(v, v.conj())), Projector(np.outer(w, w.conj())),
+                                          Projector(np.outer(u[:, 2], u[:, 2].conj()))]))
+        for trial in range(8):
+            contexts = [rays[int(i)] for i in rng.permutation(len(rays))]
+            report = validate_rank_one_cover(contexts, tol)
+            assert report["rayContextCounts"] == _rank_one_cover_rows(contexts, tol), (step, trial)
+            assert report == _rank_one_cover_oracle(contexts, tol)
 
 
 def test_rank_one_cover_chunks_its_tables(monkeypatch):

@@ -265,6 +265,29 @@ def test_nu_psi_o_two_morphisms():
     assert nu_psi_o(other, a, frozenset({2.0}), cat) == frozenset({("one", "A")})
 
 
+def test_a_spectrum_out_of_order_is_refused():
+    # B = diag(2, 2, 1) given with its spectrum as (2, 1): a mask would
+    # number B's eigenvalues in that order while the preimage tables number
+    # them ascending, and the two coarse-graining paths disagreed on four of
+    # A's masks.  Such a decomposition is refused; the same B built
+    # ascending passes every mask
+    a = ODecomposition.from_operator(HermitianOperator(np.diag([1.0, 2, 3])), "A")
+    b_op = HermitianOperator(np.diag([2.0, 2, 1]))
+    two, one = Projector(np.diag([1.0, 1, 0])), Projector(np.diag([0.0, 0, 1]))
+    with pytest.raises(OcatError, match="not strictly ascending"):
+        ODecomposition("B", b_op, (2.0, 1.0), (two, one))
+    with pytest.raises(OcatError, match="not strictly ascending"):
+        ODecomposition("B", b_op, (2.0, 2.0), (two, one))
+    b = ODecomposition("B", b_op, (1.0, 2.0), (one, two))
+    unit = ODecomposition.from_operator(HermitianOperator(np.eye(3)), "one")
+    psi = StateVector(np.array([0.6, 0.0, 0.8]))
+    for decomps in ([a, b, unit], [a, ODecomposition.from_operator(b_op, "B"), unit]):
+        cat = OperatorCategory(decomps)
+        for mask in range(1 << len(a.spectrum)):
+            delta = a.subset(mask)
+            assert nu_psi_o(psi, a, delta, cat) == oracle_nu_psi_o(psi, a, delta, cat)
+
+
 def test_characterize_trivial_delta_cases():
     rng = np.random.default_rng(2)
     cat, aid = random_category(rng, 3)
