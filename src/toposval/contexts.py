@@ -101,28 +101,21 @@ class Context:
     first that fails: one dimension, no zero atom, pairwise orthogonality
     (max|a b| < tol.atom) and the identity as their sum within tol.atom.
     A context is the one-item call of `build_contexts`.  `stack` holds the
-    atoms' entries in atom order, read-only, shape (n_atoms, dim, dim).
-    `frames` holds per atom a (dim, k) frame U, orthonormal columns with
-    U U^H close to the atom, or None: atoms built from `Projector`s have
-    none (see `build_contexts` for where frames come from).  No check
-    rests on a frame; the closure store reads them only to bound products
-    (see `_ContextStore.add_many`)."""
+    atoms' entries in atom order, read-only, shape (n_atoms, dim, dim)."""
 
     id: str
     atoms: tuple[Projector, ...]
     tol: Tolerances
 
     def __init__(self, id: str, atoms, tol: Tolerances = DEFAULT):
-        (atoms, stack, frames), = _validated([(id, tuple(atoms), None)], tol)
-        self._settle(id, atoms, tol, stack, frames)
+        (atoms, stack), = _validated([(id, tuple(atoms))], tol)
+        self._settle(id, atoms, tol, stack)
 
-    def _settle(self, id: str, atoms: tuple[Projector, ...], tol: Tolerances, stack: np.ndarray,
-                frames: tuple) -> None:
+    def _settle(self, id: str, atoms: tuple[Projector, ...], tol: Tolerances, stack: np.ndarray) -> None:
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "_projectors", {})
 
     @property
@@ -159,14 +152,9 @@ class Context:
 
 
 def build_contexts(specs, tol: Tolerances = DEFAULT) -> list[Context]:
-    """The contexts of (id, atoms) or (id, atoms, frames) specs, validated
-    at `tol` as one batch: the batch form of `Context`, raising what
-    building them one at a time, in order, would raise first.  `frames`
-    gives each atom's frame or None (see `Context`): a basis-form
-    document keeps each block's q from its span's qr, the trivial context
-    has the identity, and a meet's atom the concatenated frames of the
-    atoms it sums, where they all have one.  Frames travel with their
-    atoms through the canonical order and are not checked.
+    """The contexts of (id, atoms) specs, validated at `tol` as one batch:
+    the batch form of `Context`, raising what building them one at a time,
+    in order, would raise first.
 
     The checks of one dimension and no zero atom are made atom by atom, and
     the first context failing one caps the batch: the contexts before it
@@ -179,11 +167,11 @@ def build_contexts(specs, tol: Tolerances = DEFAULT) -> list[Context]:
     that puts each context's atoms in canonical order.  The first context
     failing a float check raises it, orthogonality before the identity;
     if none does, the capping context raises its own failure."""
-    specs = [(spec[0], tuple(spec[1]), None if len(spec) < 3 else tuple(spec[2])) for spec in specs]
+    specs = [(cid, tuple(atoms)) for cid, atoms in specs]
     out = []
-    for (cid, _, _), (atoms, stack, frames) in zip(specs, _validated(specs, tol)):
+    for (cid, _), (atoms, stack) in zip(specs, _validated(specs, tol)):
         c = object.__new__(Context)
-        c._settle(cid, atoms, tol, stack, frames)
+        c._settle(cid, atoms, tol, stack)
         out.append(c)
     return out
 
@@ -201,22 +189,20 @@ def _atom_error(atoms: tuple[Projector, ...]) -> ContextError | None:
     return None
 
 
-def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...], np.ndarray, tuple]]:
-    """(atoms in canonical order, their read-only stack, their frames) per
-    (id, atoms, frames or None) spec, checked as `build_contexts`
-    describes."""
+def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...], np.ndarray]]:
+    """(atoms in canonical order, their read-only stack) per (id, atoms)
+    spec, checked as `build_contexts` describes."""
     capped = None
-    for k, (_, atoms, _) in enumerate(specs):
+    for k, (_, atoms) in enumerate(specs):
         capped = _atom_error(atoms)
         if capped is not None:
             specs = specs[:k]
             break
     out: list = [None] * len(specs)
     failed: dict[int, str] = {}
-    for dim in dict.fromkeys(atoms[0].dim for _, atoms, _ in specs):
-        group = [k for k, (_, atoms, _) in enumerate(specs) if atoms[0].dim == dim]
+    for dim in dict.fromkeys(atoms[0].dim for _, atoms in specs):
+        group = [k for k, (_, atoms) in enumerate(specs) if atoms[0].dim == dim]
         atoms = [a for k in group for a in specs[k][1]]
-        frames = [f for k in group for f in specs[k][2] or (None,) * len(specs[k][1])]
         sizes = np.array([len(specs[k][1]) for k in group])
         starts = np.cumsum(sizes) - sizes
         owner = np.repeat(np.arange(len(group)), sizes)
@@ -237,10 +223,9 @@ def _validated(specs: list, tol: Tolerances) -> list[tuple[tuple[Projector, ...]
         perm = _canonical_permutation(stack, owner)
         ordered = stack[perm]
         ordered.flags.writeable = False
-        perm = perm.tolist()
-        atoms, frames = [atoms[i] for i in perm], tuple(frames[i] for i in perm)
+        atoms = [atoms[i] for i in perm.tolist()]
         for k, s, n in zip(group, starts.tolist(), sizes.tolist()):
-            out[k] = (tuple(atoms[s:s + n]), ordered[s:s + n], frames[s:s + n])
+            out[k] = (tuple(atoms[s:s + n]), ordered[s:s + n])
     if failed:
         raise ContextError(failed[min(failed)])
     if capped is not None:
@@ -291,10 +276,7 @@ def _mask_bits(masks: list[int], width: int) -> np.ndarray:
 
 
 def trivial_context(dim: int, id: str = "Vtriv", tol: Tolerances = DEFAULT) -> Context:
-    """The one-atom context, its atom framed by the identity."""
-    frame = np.eye(dim, dtype=complex)
-    frame.flags.writeable = False
-    return build_contexts([(id, [identity_projector(dim, tol)], [frame])], tol)[0]
+    return Context(id, [identity_projector(dim, tol)], tol=tol)
 
 
 @dataclass(frozen=True)
@@ -967,9 +949,8 @@ class _ContextStore:
     Each stored context keeps one bool block of links: [g, t] when earlier
     stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
     with the earlier atom on the left.  The block is decided when the
-    context is added, from one overlap product, a Gram product of the
-    atoms' frames where they have them, and a gathered product of the
-    pairs both leave open, so each link is decided once per atom pair.
+    context is added, from one overlap product and a gathered product of
+    the pairs it leaves open, so each link is decided once per atom pair.
     The blocks are the only link record: a closure round places them into
     one bool matrix, from which it takes every pair's connectivity and, for
     the disconnected pairs, their components and the sums that decide
@@ -993,13 +974,6 @@ class _ContextStore:
         self.starts: list[int] = []   # global index of the first atom of ctxs[k]
         self.links: list[np.ndarray] = []   # per ctxs[k], [g, t] when earlier atom g links to its atom t
         self.frobenius = 0.0   # the largest ||p||_F^2 of a stored atom
-        # the frame columns of the stored atoms, one per row; atom g owns
-        # rows col_start[g] to col_start[g + 1] (none when it has no frame)
-        self.cols: np.ndarray | None = None
-        self.col_start = np.zeros(1, dtype=np.intp)
-        self.ranks = np.zeros(0, dtype=np.intp)   # per stored atom, its frame's columns
-        # the largest rho^2, ||U||_F^2 and e of a framed stored atom (see `add_many`)
-        self.frame_max = np.zeros(3)
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
         self._elements: np.ndarray | None = None   # the interned projectors by id, with spare rows
@@ -1101,52 +1075,18 @@ class _ContextStore:
         F_max^2 (twice the screen's band, F_max^2 the largest ||p||_F^2 of
         a stored atom, the batch's included), puts the float max|g t| at
         or above tol.atom: the pair links, and no product is taken for it.
-
-        A pair the overlap leaves open whose two atoms both have frames
-        (see `Context`) is decided next, from U_g^H U_t (Bjorck and Golub,
-        Math. Comp. 27 (1973) 579).  Write each atom p = U U^H + E exactly.
-        Then g t = U_g G U_t^H + U_g U_g^H E_t + E_g t with G = U_g^H U_t,
-        and entry by entry
-          |U_g G U_t^H| <= rho_g rho_t ||G||_2 <= rho_g rho_t ||G||_F,
-          |U_g U_g^H E_t| <= d rho_g^2 e_t,   |E_g t| <= d e_g max|t|,
-        rho being the largest row norm of a frame and e a bound on max|E|:
-        the measured max|p - fl(U U^H)| times 1 + 4 eps, plus 2 (r + 2)
-        eps rho^2 for the rounding of fl(U U^H), a sum of r products of
-        moduli at most rho^2 per entry (r the widest frame of the batch).
-        A float Gram entry is within (d + 2) eps of its exact value times
-        the two columns' norms, so ||G||_F <= ||fl(G)||_F + 2 (d + 2) eps
-        ||U_g||_F ||U_t||_F.  With rho^2, ||U||_F^2 and e at their largest
-        over the stored framed atoms (`frame_max`) and max|t| <= F_max, the
-        exact max|g t| is at most
-          B = rho^2 (||fl(G)||_F + 2 (d + 2) eps ||U||_F^2)
-              + d e (F_max + rho^2),
-        and the float one at most B + 2 (d + 1) eps F_max^2, times 1 + eps
-        for the modulus.  The sum of squares, the square root and the sums
-        of the bound lose less than a relative 2 (d + 4)^2 eps between
-        them, so a computed bound below (1 - 2 (d + 4)^2 eps) tol.atom puts
-        the float max|g t| below tol.atom: the pair does not link, and no
-        product is taken for it.  The frames' columns are kept in one array
-        (`cols`), and the Gram block of the columns stored before the
-        batch's last context against the batch's is taken in a few row
-        blocks per batch (see `_frame_unlinked`).  On basis-form documents
-        of ray bases, the bundled fixture and rotated Peres sets among
-        them, every open pair is decided here: ||fl(G)||_F stays near
-        1e-15, against a default tol.atom of 1e-8.
-
         Every other pair takes that float max|g t|, in one gathered stacked
         product for the batch (`product_max`, the broadcast product's float
-        per pair), so each bit is the decision one pair's product makes:
-        pairs with a frameless atom (atoms-form documents, operator
-        contexts, `Context`s built from `Projector`s), and pairs whose
-        frame bound reaches tol.atom.
+        per pair), so each bit is the decision one pair's product makes.
+        On the closed 18-ray set about a quarter of the pairs take it.
 
         The overlap product takes every atom stored before the batch's last
         kept context against every kept atom, in column blocks of at most
         `_SCREEN_BLOCK` entries; a kept context's block is its columns, cut
         at the atoms stored before it.  The bounds hold for any
-        summation order and larger maxima only raise them, so the
-        products' shapes and the batch's atoms move pairs between the
-        proofs and the exact product, never a bit."""
+        summation order and a larger F_max only raises the slack, so the
+        product's shape and the batch's atoms move pairs between the proof
+        and the exact product, never a bit."""
         contexts = list(contexts)
         if atom_ids is None:
             flat = self._intern_many(np.concatenate([c.stack for c in contexts])) if contexts else []
@@ -1178,12 +1118,7 @@ class _ContextStore:
             top = int(cut[min(c + step, len(stack)) - 1])
             link[:top, c:c + step] = (lead[:top] @ turned[c:c + step].T).real >= dim * self.tol.atom + slack
         g, t = np.nonzero(~link & (np.arange(rows)[:, np.newaxis] < cut))
-        self._add_frames(stack, [f for c, _ in kept for f in c.frames])
-        if g.size:
-            open_ = ~self._frame_unlinked(g, n + t, n, rows)
-            g, t = g[open_], t[open_]
-        if g.size:
-            link[g, t] = product_max(every, g, n + t) >= self.tol.atom
+        link[g, t] = product_max(every, g, n + t) >= self.tol.atom
         for (c, ids), start in zip(kept, starts.tolist()):
             k = len(self.ctxs)
             self.starts.append(start)
@@ -1192,104 +1127,6 @@ class _ContextStore:
             for i, eid in enumerate(ids):
                 self._element_ids[(k, 1 << i)] = eid
         self.every = every
-
-    def _add_frames(self, stack: np.ndarray, frames: list) -> None:
-        """Append a batch of atoms' frame columns (`stack`, their frames in
-        order) and raise `frame_max` to cover them.  U U^H of every framed
-        atom is one stacked outer product of its columns, summed per atom
-        by one `reduceat` when some frame has more than one."""
-        ranks = np.array([0 if f is None else f.shape[1] for f in frames], dtype=np.intp)
-        framed = [f for f in frames if f is not None]
-        if framed:
-            cols = np.concatenate(framed, axis=1).T   # (columns, dim)
-            r = ranks[ranks > 0]
-            uuh = cols[:, :, np.newaxis] * cols[:, np.newaxis, :].conj()
-            weight = cols.real ** 2 + cols.imag ** 2   # per atom, summed: its rows' squared norms
-            if len(cols) > len(r):
-                starts = np.cumsum(r) - r
-                uuh = np.add.reduceat(uuh, starts, axis=0)
-                weight = np.add.reduceat(weight, starts, axis=0)
-            apart = float(np.abs(stack[ranks > 0] - uuh).max())
-            rho2 = float(weight.max())
-            err = (1 + 4 * _EPS) * apart + 2 * (int(r.max()) + 2) * _EPS * rho2
-            self.frame_max = np.maximum(self.frame_max, (rho2, float(weight.sum(axis=1).max()), err))
-            self.cols = cols if self.cols is None else np.concatenate([self.cols, cols])
-        self.ranks = np.concatenate([self.ranks, ranks])
-        self.col_start = np.concatenate([self.col_start, self.col_start[-1] + np.cumsum(ranks)])
-
-    def _frame_unlinked(self, g: np.ndarray, t: np.ndarray, n: int, rows: int) -> np.ndarray:
-        """Per open pair of stored atoms (g[p] < t[p], t[p] in the batch
-        stored from global index n, g[p] below `rows`, g ascending),
-        whether its frame bound proves max|g t| < tol.atom (see
-        `add_many`); a pair with a frameless atom is not proven.  A pair's
-        ||U_g^H U_t||_F^2 is the sum of the squared moduli of its r_g x r_t
-        entries of the Gram block, the frame columns of the atoms below
-        `rows` against the batch's.  The pairs are taken in runs of
-        ascending g whose atoms' columns make at most `_SCREEN_BLOCK` Gram
-        entries (at least one atom): a run takes one product for its rows
-        of the Gram, gathers its pairs' entries and sums them per pair by
-        one `np.bincount`."""
-        framed = self.ranks > 0
-        both = framed[g] & framed[t]
-        proven = np.zeros(len(g), dtype=bool)
-        if not both.any():
-            return proven
-        if not both.all():
-            g, t = g[both], t[both]
-        start = self.col_start
-        first = start[n]
-        batch = self.cols[first:].T
-        step = max(1, _SCREEN_BLOCK // batch.shape[1])
-        norm = np.empty(len(g))
-        p = 0
-        while p < len(g):
-            top = int(start[g[p]])
-            # the pairs whose g columns end within step rows of top
-            last = max(int(g[p]) + 1, int(np.searchsorted(start, top + step, side="right")) - 1)
-            q = int(np.searchsorted(g, last))
-            gram = self.cols[top:int(start[last])].conj() @ batch
-            rg, rt = self.ranks[g[p:q]], self.ranks[t[p:q]]
-            count = rg * rt
-            pair = np.repeat(np.arange(q - p), count)
-            k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-            entry = gram[(start[g[p:q]] - top)[pair] + k // rt[pair], (start[t[p:q]] - first)[pair] + k % rt[pair]]
-            norm[p:q] = np.bincount(pair, weights=entry.real ** 2 + entry.imag ** 2, minlength=q - p)
-            del gram, pair, k, entry   # before the next block's product
-            p = q
-        dim = self.cols.shape[1]
-        rho2, fro2, err = self.frame_max.tolist()
-        # the bound, in place: rho^2 (||fl(G)||_F + slack) + the E terms
-        np.sqrt(norm, out=norm)
-        norm += 2 * (dim + 2) * _EPS * fro2
-        norm *= rho2
-        norm += dim * err * (np.sqrt(self.frobenius) + rho2) + 2 * (dim + 1) * _EPS * self.frobenius
-        proven[both] = norm < self.tol.atom * (1 - 2 * (dim + 4) ** 2 * _EPS)
-        return proven
-        g, t = g[both], t[both]
-        start = self.col_start
-        first = start[n]
-        batch = self.cols[first:].T
-        stop = start[g + 1]   # where each pair's g columns end, ascending
-        step = max(1, _SCREEN_BLOCK // batch.shape[1])
-        square = np.empty(len(g))
-        p = 0
-        while p < len(g):
-            top = int(start[g[p]])
-            q = max(p + 1, int(np.searchsorted(stop, top + step, side="right")))
-            gram = self.cols[top:int(stop[q - 1])].conj() @ batch
-            rg, rt = self.ranks[g[p:q]], self.ranks[t[p:q]]
-            count = rg * rt
-            pair = np.repeat(np.arange(q - p), count)
-            k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-            entry = gram[(start[g[p:q]] - top)[pair] + k // rt[pair], (start[t[p:q]] - first)[pair] + k % rt[pair]]
-            square[p:q] = np.bincount(pair, weights=entry.real ** 2 + entry.imag ** 2, minlength=q - p)
-            p = q
-        dim = self.cols.shape[1]
-        rho2, fro2, err = self.frame_max.tolist()
-        rest = dim * err * (np.sqrt(self.frobenius) + rho2) + 2 * (dim + 1) * _EPS * self.frobenius
-        bound = rho2 * (np.sqrt(square) + 2 * (dim + 2) * _EPS * fro2) + rest
-        proven[both] = bound < self.tol.atom * (1 - 2 * (dim + 4) ** 2 * _EPS)
-        return proven
 
     def _reach(self, first: np.ndarray, second: np.ndarray):
         """(reach, link, rows, cols) for the pairs of stored contexts
@@ -1406,9 +1243,7 @@ class _ContextStore:
         round's new meets are built as one `lattice_projectors` batch, and
         the meets up to the first whose atoms fail are validated as one
         `build_contexts` batch and stored as one `add_many` batch; that
-        failure, if any, is raised after theirs.  A meet's atom carries the
-        frames of the atoms it sums, side by side, where they all have one
-        (`_joined_frame`).
+        failure, if any, is raised after theirs.
         """
         old = 0
         while True:
@@ -1444,8 +1279,7 @@ class _ContextStore:
                 except LinalgError as exc:
                     failed = exc
                     break
-                frames = [_joined_frame(a.frames, m) for m in masks]
-                specs.append((f"meet({a.id},{b.id})", list(eid_of), frames))
+                specs.append((f"meet({a.id},{b.id})", list(eid_of)))
                 eid_maps.append(eid_of)
             built = build_contexts(specs, self.tol)
             if failed is not None:
@@ -1617,17 +1451,6 @@ class _ContextStore:
             pmaps_out[key] = tuple(rows[end - n:end])
         lattice_projectors(built)
         return order, pmaps_out
-
-
-def _joined_frame(frames: tuple, mask: int) -> np.ndarray | None:
-    """The frame of the sum of a context's atoms over a mask: their frames
-    side by side, in ascending atom order, or None where one has none."""
-    if not mask & (mask - 1):
-        return frames[mask.bit_length() - 1]
-    parts = [frames[i] for i in bit_list(mask)]
-    if any(f is None for f in parts):
-        return None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _trace_products(every: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -94,12 +94,10 @@ def projector_ranks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> list[int]:
     return ranks
 
 
-def span_projectors(spans: np.ndarray,
-                    tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, dict[int, LinalgError]]:
+def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, dict[int, LinalgError]]:
     """For a stack of (d, k) matrices, each holding k vectors as columns:
-    the matrix q q^H of each, q from its QR factorisation, the stack of
-    those q (an orthonormal frame of each span), and, by stack index, the
-    error `projector_from_span` raises on one before it
+    the matrix q q^H of each, q from its QR factorisation, and, by stack
+    index, the error `projector_from_span` raises on one before it
     validates that matrix: a zero span, or vectors linearly dependent
     within `tol.trace_rank` (see there).  numpy's svd, qr and matmul work
     one matrix of a stack at a time, so each matrix and each singular value
@@ -114,7 +112,7 @@ def span_projectors(spans: np.ndarray,
     errors = {k: LinalgError("zero vector in span" if zero[k] else
                              "vectors are linearly dependent within rank tolerance")
               for k in np.flatnonzero(zero | dependent).tolist()}
-    return q @ q.conj().swapaxes(1, 2), q, errors
+    return q @ q.conj().swapaxes(1, 2), errors
 
 
 # Complex entries in each temporary of a table of pairwise products or
@@ -328,7 +326,7 @@ def projector_from_span(vectors, tol: Tolerances = DEFAULT) -> Projector:
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vs:
         raise LinalgError("empty span")
-    matrices, _, errors = span_projectors(np.column_stack(vs)[np.newaxis], tol)
+    matrices, errors = span_projectors(np.column_stack(vs)[np.newaxis], tol)
     if errors:
         raise errors[0]
     p = Projector(matrices[0], tol=tol)

@@ -60,6 +60,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class ODecomposition:
     tol: Tolerances = DEFAULT
 
     def __post_init__(self):
-        if any(not lo < hi for lo, hi in zip(self.spectrum, self.spectrum[1:])):
+        if not all(map(lt, self.spectrum, self.spectrum[1:])):
             raise OcatError(f"spectrum of operator {self.id!r} is not strictly ascending: {list(self.spectrum)}")
         object.__setattr__(self, "_position", {lam: i for i, lam in enumerate(self.spectrum)})
         object.__setattr__(self, "_projectors", {})

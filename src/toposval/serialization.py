@@ -137,9 +137,7 @@ def _partition_blocks(partition, n: int, cid) -> list[list[int]]:
 def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]:
     """The contexts of parsed specs, their projectors built and validated in
     stacks: each basis-form block's span projector in one `span_projectors`
-    call per (dim, block size), which also gives the block's orthonormal
-    frame, kept with its atom (see `build_contexts`; an atoms-form atom
-    has none), then every atom matrix of one dim in one
+    call per (dim, block size), then every atom matrix of one dim in one
     `projector_checks` call.  The specs are then taken in order up to the
     first that fails a check of its own, in this order: its atoms'
     projector checks, in atom order; its schema error; the partition's
@@ -149,7 +147,6 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
     error is the one building the contexts one at a time, each atom in
     turn, would raise first."""
     matrices: list = []   # per atom, in spec and atom order
-    frames: dict[int, np.ndarray] = {}   # per basis-form atom, its span's orthonormal frame
     owner: list[int] = []
     errors: dict[int, LinalgError] = {}
     sizes: dict[int, int] = {}   # per basis-form atom, its block's size
@@ -171,11 +168,9 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
             owner.append(k)
     for (dim, _), group in spans.items():
         rows = np.array([r for _, r in group])
-        built, q, failed = span_projectors(np.array(vectors[dim])[rows].transpose(0, 2, 1), tol)
-        q.flags.writeable = False
+        built, failed = span_projectors(np.array(vectors[dim])[rows].transpose(0, 2, 1), tol)
         for g, (a, _) in enumerate(group):
             matrices[a] = built[g]
-            frames[a] = q[g]
             if g in failed:
                 errors[a] = failed[g]
     atoms: list = [None] * len(matrices)
@@ -200,7 +195,7 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
             failed = SchemaError(f"partition of context {spec.id!r} does not cover the basis")
         if failed is not None:
             break
-        ready.append((spec.id, [atoms[a] for a in mine], [frames.get(a) for a in mine]))
+        ready.append((spec.id, [atoms[a] for a in mine]))
     contexts = build_contexts(ready, tol)
     if failed is not None:
         raise failed

@@ -240,12 +240,9 @@ def test_one_batch_per_document_and_per_closure_round(monkeypatch, name):
     # the document's one interning and store batch, then the trivial context's
     assert stages[0] == ["intern", "add", "validate", "intern", "add"]
     # per closure round: at most one interning batch, one validation batch
-    # and one store batch, which takes at most one link product; the
-    # basis-form fixture's atoms all have frames, which decide every pair
-    # the overlap leaves open, so its batches take none
+    # and one store batch, which takes at most one link product
     for stage in stages[1:]:
         assert stage in (["round", "validate", "add"], ["round", "intern", "validate", "add"]), stage
     links = [e[1] for e in events if e[0] == "add"]
-    assert len(links) == rounds + 2, links
-    assert max(links) == {"peres24": 1, "ks18": 0}[name], links
+    assert len(links) == rounds + 2 and max(links) == 1, links
     assert rounds >= 2 and len(poset.ids) == {"peres24": 94, "ks18": 28}[name]
