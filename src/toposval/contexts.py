@@ -276,7 +276,16 @@ def _mask_bits(masks: list[int], width: int) -> np.ndarray:
 
 
 def trivial_context(dim: int, id: str = "Vtriv", tol: Tolerances = DEFAULT) -> Context:
-    return Context(id, [identity_projector(dim, tol)], tol=tol)
+    """The one-atom context of the identity, validated once: one atom has
+    no pair to test for orthogonality and sums to the identity exactly, so
+    of `Context`'s checks only the per-atom ones (no zero atom) are left."""
+    atoms = (identity_projector(dim, tol),)
+    error = _atom_error(atoms)
+    if error is not None:
+        raise error
+    c = object.__new__(Context)
+    c._settle(id, atoms, tol, atoms[0].entries[np.newaxis])
+    return c
 
 
 @dataclass(frozen=True)
@@ -557,11 +566,6 @@ class PosetIndex:
         return pack_ints(self.down, self.words)
 
     @cached_property
-    def stage_bits(self) -> np.ndarray:
-        """The one-stage mask of each stage, packed."""
-        return pack_ints([1 << j for j in range(len(self.ids))], self.words)
-
-    @cached_property
     def proper_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sub, super, rank) int arrays over the pairs of `pair_indices`
         with sub != super, in that order; `rank` is the position of sub
@@ -718,10 +722,12 @@ class Gather:
     image of the mask at j and `target[e]` the cell of (j, image); the
     entries of cell c are `start[c]` to `start[c + 1]`, and `pair[e]` is
     the rank of (j, i) in `pair_indices`.  Closed Peres-24 has 5,738
-    entries over 806 cells.
+    entries over 806 cells.  `slot[e]` is the bit of j in the row of (i,
+    mask) when the member matrix is one flat bit string, `words` uint64
+    words per cell.
 
     A per-cell decision vector d gathers to a member matrix, j a member of
-    (i, mask) exactly when d[target[e]]: `rows(d[target], stage_bits)`."""
+    (i, mask) exactly when d[target[e]]: `pack(d[target])`."""
 
     cell: np.ndarray
     stage: np.ndarray
@@ -729,6 +735,8 @@ class Gather:
     target: np.ndarray
     start: np.ndarray
     pair: np.ndarray
+    slot: np.ndarray
+    words: int
 
     @classmethod
     def build(cls, index: PosetIndex, route: str) -> "Gather":
@@ -750,19 +758,19 @@ class Gather:
         return cls(cell=cell, stage=stage, image=image,
                    target=(index.cell_start[stage] + image).astype(np.int32),
                    start=np.concatenate([[0], np.cumsum(per_cell)]).astype(np.int32),
-                   pair=pair)
+                   pair=pair, slot=cell.astype(np.int64) * (64 * index.words) + stage,
+                   words=index.words)
 
-    def rows(self, member: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Per cell, the OR of `table[stage[e]]` (packed rows over stages)
-        over the cell's entries e where `member[e]`, as (cells, words)."""
+    def pack(self, member: np.ndarray) -> np.ndarray:
+        """The member matrix of per-entry member bits: per cell, the stages
+        of its entries e where `member[e]`, packed as (cells, words) uint64
+        rows.  The member bits are scattered to their slots in one bool
+        grid, which `np.packbits` packs little-endian, so bit j % 64 of
+        word j // 64 of a row is stage j."""
         cells = len(self.start) - 1
-        if not len(self.cell):
-            return np.zeros((cells, table.shape[1]), dtype=table.dtype)
-        picked = np.take(table, self.stage, axis=0)
-        picked[~member] = 0
-        out = np.bitwise_or.reduceat(picked, np.minimum(self.start[:-1], len(self.cell) - 1))
-        out[self.start[:-1] == self.start[1:]] = 0   # a cell without entries
-        return out
+        grid = np.zeros(cells * 64 * self.words, dtype=bool)
+        grid[self.slot] = member
+        return np.packbits(grid, bitorder="little").view("<u8").reshape(cells, self.words)
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -801,10 +809,28 @@ def row_ints(packed: np.ndarray) -> list[int]:
 class LatticeStack:
     """Every lattice projector of a poset's contexts in one read-only
     array: the projector of (context index i, mask m) is
-    `entries[offsets[i] + m]`, contexts in index order, masks ascending."""
+    `entries[offsets[i] + m]`, contexts in index order, masks ascending.
+
+    Cells repeat matrices: every null proposition is the zero matrix, and
+    contexts sharing atoms share their sums (the closed Peres-24 document
+    has 251 distinct matrices in 806 cells).  `distinct` keeps each matrix
+    once, keyed by its bytes, so a decision made per matrix is made once
+    per distinct one; equal bytes give equal floats, hence the decision
+    each cell would get on its own."""
 
     entries: np.ndarray   # shape (cells, dim, dim)
     offsets: tuple[int, ...]
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the distinct matrices, read-only, in the order of their first
+        cell; each cell's row among them), found on first use."""
+        first: dict[bytes, int] = {}
+        owner = [first.setdefault(m.tobytes(), k) for k, m in enumerate(self.entries)]
+        rows, which = np.unique(np.array(owner, dtype=np.intp), return_inverse=True)
+        matrices = self.entries[rows]
+        matrices.flags.writeable = False
+        return matrices, which
 
 
 @dataclass(frozen=True, eq=False)
@@ -815,8 +841,8 @@ class ContextPoset:
     each v2-atom as a bit mask over v1's atoms; everything downstream works
     on these exact encodings.  Immutable; `version` stamps derived data
     such as sieves.  The accessors below read `index`, which is built once,
-    on first use; so is `lattice`, the stacked lattice projectors that
-    state valuations decide in one batch.
+    on first use; so is `lattice`, the stacked lattice projectors, whose
+    distinct matrices state valuations decide in one batch.
     """
 
     contexts: dict[str, Context] = field(default_factory=dict)
@@ -836,8 +862,9 @@ class ContextPoset:
     @cached_property
     def lattice(self) -> LatticeStack:
         """Every lattice projector of every context, stacked once, on first
-        use.  They come from one `lattice_projectors` batch, so each is
-        validated at its context's tolerances."""
+        use, with its distinct matrices found on their first use.  They come
+        from one `lattice_projectors` batch, so each is validated at its
+        context's tolerances."""
         index = self.index
         offsets = np.cumsum([0] + [1 << n for n in index.n_atoms]).tolist()[:-1]
         mats = [p.entries for p in lattice_projectors(
@@ -977,12 +1004,6 @@ class _ContextStore:
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
         self._elements: np.ndarray | None = None   # the interned projectors by id, with spare rows
-
-    def _intern(self, entries: np.ndarray) -> int:
-        """The id of the first stored projector within `tol.atom` of
-        `entries`, storing it under a new id when there is none: the
-        one-item call of `_intern_many`."""
-        return self._intern_many(entries[np.newaxis])[0]
 
     def _intern_many(self, stack: np.ndarray) -> list[int]:
         """The ids that interning each matrix of `stack` in turn would give:
@@ -1156,13 +1177,6 @@ class _ContextStore:
         for _ in range(max(size - 2, 0).bit_length()):   # paths of up to size - 1 steps
             reach = reach @ reach
         return reach, link, rows, cols
-
-    def _connected(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Per pair of stored contexts (first[p] < second[p]), whether all
-        the first context's atoms lie in one component of the pair's link
-        graph, so that its meet is the single full mask."""
-        reach, _, rows, _ = self._reach(first, second)
-        return (reach[:, 0] | (rows == len(self.every))).all(axis=1)
 
     def split_meets(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int, list[int], dict]]:
         """(i, j, masks, sums) for the pairs of stored contexts (first[p] <

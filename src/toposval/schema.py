@@ -254,7 +254,8 @@ def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
     must form a sieve.  Decided on R's cells gathered along coarse-graining;
     the witness is the first such stage whose down-set leaves them."""
     g = index.gather("below")
-    c = _first(unclosed_cells(index, related[g.target]))
+    member = related[g.target]
+    c = _first(unclosed_cells(index, member, g.pack(member)))
     if c is None:
         return True, None
     row = 0

@@ -10,13 +10,17 @@ compatibility laws, and the two mutual-determination theorems relating
 sieve-valued valuations to interval valuations.
 
 A valuation is one member matrix: a row per cell (context, mask), a bit
-per context, packed into uint64 words.  A state, a projector or character
-assignment, or a relation decides each cell once, as one bool vector over
-the cells (for a state, one batched Born decision over the poset's stacked
-lattice projectors), and the matrix is one gather of that vector through
-`PosetIndex.gather`: stage j enters (i, mask) when the cell of j and the
-mask's image at j was decided true, images by coarse-graining ("below")
-or by restriction ("below_image").
+per context, packed into uint64 words, its only stored form.  A state, a
+projector or character assignment, or a relation decides each cell once,
+as one bool vector over the cells (for a state, one batched Born decision
+over the distinct matrices of the poset's stacked lattice projectors),
+and the matrix is one gather of that vector through `PosetIndex.gather`:
+stage j enters (i, mask) when the cell of j and the mask's image at j was
+decided true, images by coarse-graining ("below") or by restriction
+("below_image"), the member entries scattered into the packed rows in one
+step (`Gather.pack`).  Rows become int bitmasks only where a report names
+members: `dump` converts the whole matrix at once, a witness or a query
+only the rows it reads.
 
 Each law is one array reduction over the matrix, or over the per-entry
 member bits of a gather, and its witness is the first failing entry in
@@ -84,13 +88,13 @@ class MorphismSetValuation:
 
     A member set is an int bitmask over the context indices of
     `poset.index`, and the member sets of every cell (context, mask) form
-    one member matrix, kept as packed uint64 rows (`PosetIndex.words` per
-    cell) and as one int per cell.  The matrix is made when the valuation
-    is built: the valuations of this package gather it (`_gathered`, one
-    decision per cell through a `PosetIndex.gather` table), and a
-    rule-backed one (`rule` gives member ids, `_from_bits` a bitmask) asks
-    its rule once per cell, in cell order.  Truth sets, supports, intervals
-    and law results are kept per valuation.
+    one member matrix, kept only as packed uint64 rows (`PosetIndex.words`
+    per cell).  The matrix is made when the valuation is built: the
+    valuations of this package gather it (`_gathered`, one decision per
+    cell through a `PosetIndex.gather` table), and a rule-backed one
+    (`rule` gives member ids, `_from_bits` a bitmask) asks its rule once
+    per cell, in cell order.  Truth sets, supports, intervals and law
+    results are kept per valuation.
     """
 
     def __init__(self, poset: ContextPoset, rule: Callable[[str, int], frozenset[str]],
@@ -129,7 +133,7 @@ class MorphismSetValuation:
         index = poset.index
         g = index.gather(route)
         alpha = cls.__new__(cls)
-        alpha._setup(poset, name, g.rows(decided[g.target], index.stage_bits))
+        alpha._setup(poset, name, g.pack(decided[g.target]))
         return alpha
 
     def _ask(self, poset: ContextPoset, bits_rule: Callable[[int, int], int], name: str) -> None:
@@ -137,15 +141,14 @@ class MorphismSetValuation:
         cell order."""
         index = poset.index
         ints = [bits_rule(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
-        self._setup(poset, name, pack_ints(ints, index.words), ints)
+        self._setup(poset, name, pack_ints(ints, index.words))
 
-    def _setup(self, poset: ContextPoset, name: str, words: np.ndarray,
-               ints: list[int] | None = None) -> None:
+    def _setup(self, poset: ContextPoset, name: str, words: np.ndarray) -> None:
         self.poset = poset
         self.name = name
         self._index = poset.index
         self._first = self._index.cell_start.tolist()
-        self._matrix = (words, row_ints(words) if ints is None else ints)
+        self._matrix = words
         self._laws: dict = {}
 
     def _position(self, cid: str) -> int:
@@ -154,9 +157,13 @@ class MorphismSetValuation:
             raise ContextError(f"unknown context {cid!r}")
         return i
 
+    def _row(self, c: int) -> int:
+        """Member bitmask of cell c, converted from its row alone."""
+        return row_ints(self._matrix[c:c + 1])[0]
+
     def _bits(self, i: int, mask: int) -> int:
         """Member bitmask of (context index, mask), read off the matrix."""
-        return self._matrix[1][self._first[i] + mask]
+        return self._row(self._first[i] + mask)
 
     def _truth(self, i: int) -> tuple[int, ...]:
         """The masks of context index i sent to the principal sieve, ascending."""
@@ -190,7 +197,7 @@ class MorphismSetValuation:
     def dump(self) -> dict:
         """{context -> {maskHex -> [member ids]}} over the full lattice."""
         index = self._index
-        ints = self._matrix[1]
+        ints = row_ints(self._matrix)
         out = {}
         for cid, first, n in zip(index.ids, self._first, index.n_atoms):
             out[cid] = {key: list(index.names(bits))
@@ -224,13 +231,15 @@ def from_table(poset: ContextPoset, table: dict[tuple[str, int], frozenset[str]]
 def _cell_decisions(rho: DensityMatrix, poset: ContextPoset,
                     decide_each: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The stage decision of a state valuation, per cell: `decide_each` is
-    called once, on the poset's stacked lattice projectors."""
+    called once, on the distinct matrices of the poset's stacked lattice
+    projectors, and each cell takes the decision of its matrix."""
     stack = poset.lattice
     if not stack.offsets:
         return np.zeros(0, dtype=bool)
     if stack.entries.shape[1:] != rho.entries.shape:
         raise ContextError("state dimension does not match the poset")
-    return decide_each(stack.entries)
+    matrices, which = stack.distinct
+    return decide_each(matrices)[which]
 
 
 def nu_rho(rho: DensityMatrix, poset: ContextPoset, tol: Tolerances = DEFAULT) -> Valuation:
@@ -324,12 +333,20 @@ def _cell_of(index: PosetIndex, c: int) -> tuple[int, int]:
     return int(index.cell_stage[c]), int(index.cell_mask[c])
 
 
-def unclosed_cells(index: PosetIndex, member: np.ndarray) -> np.ndarray:
+def unclosed_cells(index: PosetIndex, member: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per cell, whether its member set leaves out part of a member's
-    down-set, the members given per entry of the coarse-graining gather:
-    the OR of the members' down-sets against the OR of their bits."""
+    down-set, the members given per entry of the coarse-graining gather
+    and as the packed rows they form (`Gather.pack`): decided per member
+    entry, whose stage's down-set must lie in its cell's row.  As OR
+    distributes, that is the OR of the members' down-sets against the OR
+    of their bits."""
     g = index.gather("below")
-    return nonzero_rows(g.rows(member, index.down_words) & ~g.rows(member, index.stage_bits))
+    e = np.flatnonzero(member)
+    leaves = nonzero_rows(np.take(index.down_words, g.stage[e], axis=0)
+                          & ~np.take(rows, g.cell[e], axis=0))
+    out = np.zeros(len(rows), dtype=bool)
+    out[g.cell[e[leaves]]] = True
+    return out
 
 
 def first_superset_failure(size: int, fails: Callable[[int, int], bool]) -> tuple[int, int]:
@@ -352,14 +369,14 @@ def _entry_members(alpha: MorphismSetValuation, route: str) -> np.ndarray:
     cell, read off the member matrix."""
     g = alpha._index.gather(route)
     shift = (g.stage & 63).astype(np.uint64)
-    return (alpha._matrix[0][g.cell, g.stage >> 6] >> shift) & np.uint64(1) == 1
+    return (alpha._matrix[g.cell, g.stage >> 6] >> shift) & np.uint64(1) == 1
 
 
 @_law
 def _truth_flags(alpha: MorphismSetValuation) -> np.ndarray:
     """Per cell, whether it is sent to the principal sieve."""
     index = alpha._index
-    return ~nonzero_rows(alpha._matrix[0] ^ np.take(index.down_words, index.cell_stage, axis=0))
+    return ~nonzero_rows(alpha._matrix ^ np.take(index.down_words, index.cell_stage, axis=0))
 
 
 @_law
@@ -392,11 +409,11 @@ def _degenerate(alpha: MorphismSetValuation) -> list[str]:
 def _sieve_witness(alpha: MorphismSetValuation) -> dict | None:
     """Sievehood: the first cell whose member set is not downward closed."""
     index = alpha._index
-    c = _first(unclosed_cells(index, _entry_members(alpha, "below")))
+    c = _first(unclosed_cells(index, _entry_members(alpha, "below"), alpha._matrix))
     if c is None:
         return None
     i, mask = _cell_of(index, c)
-    return {"v1": index.ids[i], "mask": mask, "members": list(index.names(alpha._matrix[1][c]))}
+    return {"v1": index.ids[i], "mask": mask, "members": list(index.names(alpha._row(c)))}
 
 
 @_witness
@@ -407,7 +424,7 @@ def _func_witness(alpha: MorphismSetValuation) -> dict | None:
     masks."""
     index = alpha._index
     g = index.gather("below")
-    words, ints = alpha._matrix
+    words = alpha._matrix
     differ = np.take(words, g.cell, axis=0)
     differ &= np.take(index.down_words, g.stage, axis=0)
     differ ^= np.take(words, g.target, axis=0)
@@ -418,15 +435,15 @@ def _func_witness(alpha: MorphismSetValuation) -> dict | None:
     sup, mask = _cell_of(index, g.cell[e])
     sub = int(g.stage[e])
     return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
-            "lhs": list(index.names(ints[g.target[e]])),
-            "rhs": list(index.names(ints[g.cell[e]] & index.down[sub]))}
+            "lhs": list(index.names(alpha._row(g.target[e]))),
+            "rhs": list(index.names(alpha._row(g.cell[e]) & index.down[sub]))}
 
 
 @_witness
 def _null_witness(alpha: MorphismSetValuation) -> dict | None:
     """The first stage whose null proposition has members."""
     index = alpha._index
-    i = _first(nonzero_rows(np.take(alpha._matrix[0], index.cell_start[:-1], axis=0)))
+    i = _first(nonzero_rows(np.take(alpha._matrix, index.cell_start[:-1], axis=0)))
     return None if i is None else {"v1": index.ids[i], "members": list(index.names(alpha._bits(i, 0)))}
 
 
@@ -436,13 +453,13 @@ def _monotonicity_witness(alpha: MorphismSetValuation) -> dict | None:
     stage with a failing cover is the first failing stage; its witness is
     the scan's first (p, q)."""
     index = alpha._index
-    words, ints = alpha._matrix
+    words = alpha._matrix
     lo, hi = index.mask_covers
     e = _first(nonzero_rows(np.take(words, lo, axis=0) & ~np.take(words, hi, axis=0)))
     if e is None:
         return None
     i = int(index.cell_stage[lo[e]])
-    row = ints[alpha._first[i]:alpha._first[i + 1]]
+    row = row_ints(words[alpha._first[i]:alpha._first[i + 1]])
     p, q = first_superset_failure(len(row), lambda p, q: row[p] & ~row[q])
     return {"v1": index.ids[i], "p": p, "q": q}
 
@@ -465,7 +482,7 @@ def _unit_witness(alpha: MorphismSetValuation) -> dict | None:
     """The first stage whose unit proposition is not sent to the principal
     sieve."""
     index = alpha._index
-    units = np.take(alpha._matrix[0], index.cell_start[1:] - 1, axis=0)
+    units = np.take(alpha._matrix, index.cell_start[1:] - 1, axis=0)
     i = _first(nonzero_rows(units ^ index.down_words))
     return None if i is None else {"v1": index.ids[i]}
 
@@ -582,13 +599,12 @@ def valuations_equal(a: MorphismSetValuation, b: MorphismSetValuation) -> tuple[
     index = a._index
     if b._index.ids != index.ids or b._index.n_atoms != index.n_atoms:
         raise ContextError("valuations over posets with different contexts")
-    (words_a, ints_a), (words_b, ints_b) = a._matrix, b._matrix
-    c = _first(nonzero_rows(words_a ^ words_b))
+    c = _first(nonzero_rows(a._matrix ^ b._matrix))
     if c is None:
         return True, None
     i, mask = _cell_of(index, c)
     return False, {"v1": index.ids[i], "mask": mask,
-                   "lhs": list(index.names(ints_a[c])), "rhs": list(index.names(ints_b[c]))}
+                   "lhs": list(index.names(a._row(c))), "rhs": list(index.names(b._row(c)))}
 
 
 @_witness
@@ -637,7 +653,7 @@ def _characterization(alpha: MorphismSetValuation, route: str,
             bits |= 1 << int(g.stage[k])
     i, mask = _cell_of(index, c)
     return False, {"v1": index.ids[i], "mask": mask,
-                   "lhs": list(index.names(alpha._matrix[1][c])), "rhs": list(index.names(bits))}
+                   "lhs": list(index.names(alpha._row(c))), "rhs": list(index.names(bits))}
 
 
 def _reconstruction(alpha: MorphismSetValuation, rebuilt: MorphismSetValuation,

@@ -4,7 +4,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, _ContextStore
+from toposval.contexts import ContextError, _ContextStore, nonzero_rows, pack_ints
 from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
 from toposval.ocat import EigenvalueMap
 from toposval.sampling import diag_plus_trivial, fix_a
@@ -210,9 +210,51 @@ def route_rows(index, route):
     return below
 
 
+def gather_rows(g, member, table):
+    """The take/reduceat form of a gather's member rows: per cell, the OR
+    of `table[stage[e]]` (packed rows over stages) over the cell's entries
+    e where `member[e]`, as (cells, words).  `Gather.pack` builds the rows
+    of `stage_bits` by scatter instead."""
+    cells = len(g.start) - 1
+    if not len(g.cell):
+        return np.zeros((cells, table.shape[1]), dtype=table.dtype)
+    picked = np.take(table, g.stage, axis=0)
+    picked[~member] = 0
+    out = np.bitwise_or.reduceat(picked, np.minimum(g.start[:-1], len(g.cell) - 1))
+    out[g.start[:-1] == g.start[1:]] = 0   # a cell without entries
+    return out
+
+
+def stage_bits(index):
+    """The one-stage mask of each stage, packed."""
+    return pack_ints([1 << j for j in range(len(index.ids))], index.words)
+
+
+def unclosed_cells_oracle(index, member):
+    """`valuations.unclosed_cells` as the OR of the members' down-sets
+    against the OR of their bits, both by `gather_rows`."""
+    g = index.gather("below")
+    return nonzero_rows(gather_rows(g, member, index.down_words) & ~gather_rows(g, member, stage_bits(index)))
+
+
 # --------------------------------------------------------------------------
 # per-pair views of the closure store, which the package's batched passes
 # no longer need
+
+def store_intern(store: _ContextStore, entries: np.ndarray) -> int:
+    """The id of the first stored projector within `tol.atom` of
+    `entries`, storing it under a new id when there is none: the one-item
+    call of `_ContextStore._intern_many`."""
+    return store._intern_many(entries[np.newaxis])[0]
+
+
+def store_connected(store: _ContextStore, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Per pair of stored contexts (first[p] < second[p]), whether all the
+    first context's atoms lie in one component of the pair's link graph,
+    so that its meet is the single full mask."""
+    reach, _, rows, _ = store._reach(first, second)
+    return (reach[:, 0] | (rows == len(store.every))).all(axis=1)
+
 
 class PairStore(_ContextStore):
     """`_ContextStore` with one pair's meet and the screen's candidates

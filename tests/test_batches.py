@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import toposval.contexts
-from conftest import context_atoms_oracle
+from conftest import context_atoms_oracle, store_intern
 from test_closure import _closure_inputs, _intern_scan, _peres_subset
 from test_serialization import _contexts_oracle, _faulty, _outcome
 from toposval.contexts import ContextError, _ContextStore, build_contexts, build_poset
@@ -67,7 +67,7 @@ def test_intern_many_takes_a_batch_match_only_without_a_stored_one():
     assert want == [1, 0, 1, 2]
     assert store._intern_many(batch) == want
     assert store._intern_many(batch) == [1, 0, 1, 2]   # now every one is stored
-    assert store._intern(a + 0.2 * shift) == 3
+    assert store_intern(store, a + 0.2 * shift) == 3
 
 
 def _spec_lists():
@@ -237,8 +237,9 @@ def test_one_batch_per_document_and_per_closure_round(monkeypatch, name):
     poset = build_poset(parsed, add_trivial=True, close_under_meets=True)
     stages = _per_stage(events)
     rounds = len(stages) - 1
-    # the document's one interning and store batch, then the trivial context's
-    assert stages[0] == ["intern", "add", "validate", "intern", "add"]
+    # the document's one interning and store batch, then the trivial
+    # context's, whose one identity atom takes no validation batch
+    assert stages[0] == ["intern", "add", "intern", "add"]
     # per closure round: at most one interning batch, one validation batch
     # and one store batch, which takes at most one link product
     for stage in stages[1:]:

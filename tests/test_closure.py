@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import toposval.contexts
-from conftest import PairStore, canonical_order_oracle
+from conftest import PairStore, canonical_order_oracle, store_connected, store_intern
 from toposval.contexts import (
     Context,
     ContextError,
@@ -362,7 +362,7 @@ class _PairwiseStore(_ContextStore):
     def split_meets(self, first, second):
         if not first.size:
             return []
-        split = ~self._connected(first, second)
+        split = ~store_connected(self, first, second)
         return [(i, j, _meet_masks_pairwise(self.ctxs[i].stack, self.ctxs[j].stack, self.tol), {})
                 for i, j in zip(first[split].tolist(), second[split].tolist())]
 
@@ -589,7 +589,7 @@ def test_batched_connectivity_matches_the_per_pair_component_walk():
             store.add_if_new(c)
         store.close_under_meets()
         first, second = np.triu_indices(len(store.ctxs), 1)
-        got = store._connected(first, second).tolist()
+        got = store_connected(store, first, second).tolist()
         for i, j, connected in zip(first.tolist(), second.tolist(), got):
             want = _a_components(_float_link(store.ctxs[i].stack, store.ctxs[j].stack, tol)) == 1
             assert connected == want, (name, i, j)
@@ -668,7 +668,7 @@ def test_intern_by_trace_bucket_matches_the_scan():
             for _ in range(150):
                 x = bases[int(rng.integers(len(bases)))] + atom * rng.uniform(-0.7, 0.7, size=(dim, dim))
                 want = _intern_scan(stored, x, tol)
-                assert store._intern(x) == want, (atom, dim)
+                assert store_intern(store, x) == want, (atom, dim)
                 trace = round(float(np.trace(x).real))
                 if want < len(traces):
                     matched += 1

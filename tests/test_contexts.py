@@ -15,8 +15,9 @@ from toposval.contexts import (
     trivial_context,
     v_of_p,
 )
-from toposval.linalg import HermitianOperator, Projector, projector_from_span
+from toposval.linalg import HermitianOperator, Projector, identity_projector, projector_from_span
 from toposval.sampling import random_poset
+from toposval.tolerances import DEFAULT
 
 from conftest import diag_proj
 
@@ -181,3 +182,24 @@ def test_partition_maps_consistent(fixa):
     assert pmap == (0b001, 0b110)
     assert fixa.lift_mask("V2", "V1", 0b10) == 0b110
     assert fixa.partition_map("Vtriv", "V1") == (0b111,)
+
+
+def test_trivial_context_equals_the_validated_one_atom_context():
+    # built without the batch validation its one identity atom cannot fail,
+    # it is the context `Context` validates from the same atom
+    loose = DEFAULT.overridden(atom=0.3, proj_idem=0.1, trace_rank=0.1)
+    for tol in (DEFAULT, loose):
+        for d in range(1, 7):
+            got = trivial_context(d, "T", tol)
+            want = Context("T", [identity_projector(d, tol)], tol)
+            assert (got.id, got.tol, got.n_atoms) == (want.id, tol, 1)
+            assert [(a.entries.tobytes(), a.rank) for a in got.atoms] == \
+                [(a.entries.tobytes(), a.rank) for a in want.atoms]
+            assert (got.stack.shape, got.stack.dtype) == (want.stack.shape, want.stack.dtype)
+            assert got.stack.tobytes() == want.stack.tobytes()
+            assert not got.stack.flags.writeable
+    with pytest.raises(ContextError, match="zero atom in context"):
+        trivial_context(0)
+    with pytest.raises(ValueError) as err:
+        trivial_context(-1)
+    assert type(err.value) is ValueError

@@ -9,7 +9,9 @@ the per-(stage, mask, subcontext) projector rules of `nu_rho`/`nu_rho_r`,
 and the frozenset checkers they fed are kept here as oracles.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from toposval.ks import global_section_search, load_bundled_ks
 from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each, probability_each
 from toposval.presheaves import check_nat_iso, clo_sigma_restrict, coarse_grain, sigma_restrict
 from toposval.sampling import fix_a, random_category, random_density, random_poset, random_unitary
+from toposval.serialization import contexts_from_json
 from toposval.tolerances import DEFAULT
 from toposval.valuations import (
     MorphismSetValuation,
@@ -57,10 +60,21 @@ from toposval.valuations import (
     supports_global_element,
     theorem1_verify,
     theorem2_verify,
+    unclosed_cells,
     valuations_equal,
 )
 
-from conftest import coarse_oracle, image_oracle, restriction_oracle, route_rows, route_table, up_set
+from conftest import (
+    coarse_oracle,
+    gather_rows,
+    image_oracle,
+    restriction_oracle,
+    route_rows,
+    route_table,
+    stage_bits,
+    unclosed_cells_oracle,
+    up_set,
+)
 
 
 # --------------------------------------------------------------------------
@@ -810,8 +824,9 @@ def test_gathered_matrix_matches_stage_rule_on_closed_peres24(closed_peres24):
 
 def test_each_stage_mask_is_decided_once(monkeypatch):
     # every (stage, mask) is decided in the one batched decision of its
-    # valuation, certainty at r = 1 and a stacked trace below; the table,
-    # the clauses and both theorems decide nothing more
+    # valuation, certainty at r = 1 and a stacked trace below, made over
+    # the poset's distinct lattice matrices; the table, the clauses and
+    # both theorems decide nothing more
     import toposval.valuations as valuations
 
     batches = []
@@ -827,11 +842,13 @@ def test_each_stage_mask_is_decided_once(monkeypatch):
 
     monkeypatch.setattr(valuations, "certain_each", certain_spy)
     monkeypatch.setattr(valuations, "probability_each", trace_spy)
+    repeated = 0
     for seed in range(20):
         rng = np.random.default_rng([seed, 5])
         poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
         rho = random_density(rng, 4)
-        cells = sum(1 << poset.context(c).n_atoms for c in poset.ids)
+        distinct = len(poset.lattice.distinct[0])
+        repeated += distinct < sum(1 << poset.context(c).n_atoms for c in poset.ids)
         for r, kind in ((1, "certain"), (0.7, "trace")):
             batches.clear()
             alpha = state_valuation(rho, poset, r)
@@ -839,7 +856,8 @@ def test_each_stage_mask_is_decided_once(monkeypatch):
             check_definition3(alpha)
             theorem1_verify(alpha)
             theorem2_verify(alpha)
-            assert batches == [(kind, (cells, 4, 4))], (seed, r)
+            assert batches == [(kind, (distinct, 4, 4))], (seed, r)
+    assert repeated >= 10, repeated
 
 
 def test_law_results_are_kept_per_valuation(monkeypatch):
@@ -885,14 +903,151 @@ def test_state_valuation_decides_every_cell_in_one_batch(monkeypatch):
     monkeypatch.setattr(valuations, "certain_each", spy)
     rng = np.random.default_rng(5)
     poset = random_poset(rng, dim=4, max_contexts=6, max_atoms=4)
-    cells = sum(1 << poset.context(c).n_atoms for c in poset.ids)
+    # one batch over the distinct lattice matrices, gathered back to cells
+    distinct = len(poset.lattice.distinct[0])
     for k in range(1, 4):
         alpha = nu_rho(random_density(rng, 4), poset) if k < 3 \
             else nu_rho_r(random_density(rng, 4), 1.0, poset)
         alpha.dump()
         check_definition3(alpha)
         theorem1_verify(alpha)
-        assert shapes == [(cells, 4, 4)] * k
+        assert shapes == [(distinct, 4, 4)] * k
+
+
+# --------------------------------------------------------------------------
+# the packed member kernel against its take/reduceat form
+
+@pytest.fixture(scope="module")
+def closed_peres24_doc():
+    """Closed Peres-24 from a basis-form document: its lattice sums repeat
+    fewer matrices by bytes than the projector form's."""
+    doc = {"dim": 4, "contexts": [
+        {"id": f"P{k:02d}", "dim": 4, "basis": [list(ray) for ray in basis],
+         "partition": [[0], [1], [2], [3]]} for k, basis in enumerate(_peres_bases())]}
+    contexts, dim = contexts_from_json(doc)
+    return build_poset(contexts, add_trivial=True, close_under_meets=True, dim=dim)
+
+
+def kernel_posets(closed_peres24, closed_peres24_doc):
+    """Both routes of closed Peres-24 (two packed words per row), the
+    closed 18-ray fixture and seeded random posets."""
+    yield "peres24", closed_peres24
+    yield "peres24-doc", closed_peres24_doc
+    yield "ks18", build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True)
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 21])
+        dim = int(rng.integers(2, 6))
+        yield f"random{seed}", random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)
+
+
+def test_packed_rows_and_unclosed_cells_match_the_reduceat_oracle(closed_peres24, closed_peres24_doc):
+    planted = 0
+    for name, poset in kernel_posets(closed_peres24, closed_peres24_doc):
+        index = poset.index
+        rng = np.random.default_rng(len(index.ids))
+        for route in ("below", "below_image"):
+            g = index.gather(route)
+            members = [rng.random(len(g.cell)) < p for p in (0.1, 0.5, 0.9)]
+            members += [np.ones(len(g.cell), dtype=bool), np.zeros(len(g.cell), dtype=bool)]
+            for member in members:
+                rows = g.pack(member)
+                assert rows.dtype == np.uint64 and rows.shape == (len(g.start) - 1, index.words)
+                assert np.array_equal(rows, gather_rows(g, member, stage_bits(index))), (name, route)
+                if route == "below":
+                    assert np.array_equal(unclosed_cells(index, member, rows),
+                                          unclosed_cells_oracle(index, member)), name
+        # every member but one stage strictly below its cell's own: that
+        # cell alone is unclosed, as its own stage is a member
+        g = index.gather("below")
+        gaps = np.flatnonzero(g.stage != index.cell_stage[g.cell])
+        for e in rng.choice(gaps, size=min(5, len(gaps)), replace=False).tolist():
+            member = np.ones(len(g.cell), dtype=bool)
+            member[e] = False
+            got = unclosed_cells(index, member, g.pack(member))
+            assert np.flatnonzero(got).tolist() == [g.cell[e]], name
+            assert np.array_equal(got, unclosed_cells_oracle(index, member)), name
+            planted += 1
+    assert planted >= 60, planted
+
+
+def test_a_passing_verify_theorems_pass_converts_no_full_matrix(monkeypatch, closed_peres24):
+    # the member matrix stays packed: rows become ints only for a report
+    # that names members, and `dump` converts the whole matrix once
+    import toposval.valuations as valuations
+
+    converted = []
+    real = valuations.row_ints
+
+    def spy(packed):
+        converted.append(len(packed))
+        return real(packed)
+
+    monkeypatch.setattr(valuations, "row_ints", spy)
+    poset = closed_peres24
+    rng = np.random.default_rng(21)
+    for rho in (random_density(rng, 4, rank=1), random_density(rng, 4, rank=2)):
+        converted.clear()
+        alpha = nu_rho(rho, poset)
+        d3 = check_definition3(alpha)
+        t1, t2 = theorem1_verify(alpha), theorem2_verify(alpha)
+        rs, ri = reconstruct_from_supports(alpha)[1], reconstruct_from_intervals(alpha)[1]
+        assert d3["passed"] and t1["conditions_hold"] and t2["conditions_hold"]
+        assert rs["equal"] and ri["equal"]
+        assert converted == []
+        alpha.dump()
+        assert converted == [len(poset.lattice.entries)]
+
+
+# SHA-256 of the sorted-key JSON of every verify-theorems report and both
+# support conditions of `nu_rho_r` at r = 0.6 on closed Peres-24, for the
+# states random_density(default_rng(seed), 4, rank): each fails both
+# theorems' conditions, so the witnesses read member rows one at a time
+R06_REPORT_DIGESTS = {
+    (1, 1): "01161a53be1c3c66c34b27b9eab80648fecfe9e625f3f0b0c459a07e724347ca",
+    (1, 2): "1a36f0704906314b48a1da0563e74de5e6e73ef1d1b9a13c68cfe9d79a42dd6e",
+    (2, 2): "5f75ab7f21853548766b9a7be66e7ad51dee79ca5010d1c8a8e0dbc9dabec79c",
+}
+
+
+def test_witnesses_of_failing_valuations_are_pinned(closed_peres24):
+    for (seed, rank), digest in R06_REPORT_DIGESTS.items():
+        rho = random_density(np.random.default_rng(seed), 4, rank=rank)
+        alpha = nu_rho_r(rho, 0.6, closed_peres24)
+        report = {"d3": check_definition3(alpha), "t1": theorem1_verify(alpha),
+                  "t2": theorem2_verify(alpha), "rs": reconstruct_from_supports(alpha)[1],
+                  "ri": reconstruct_from_intervals(alpha)[1],
+                  "sub": check_subobject_condition(alpha), "ge": check_global_element_condition(alpha)}
+        assert not (report["t1"]["conditions_hold"] or report["t2"]["conditions_hold"])
+        assert not (report["rs"]["equal"] or report["ri"]["equal"])
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, rank)
+        if (seed, rank) == (1, 2):
+            assert report["rs"]["witness"] == {"v1": "P00", "mask": 0, "lhs": [],
+                                               "rhs": ["P00", "meet(P00,P09)"]}
+
+
+def test_decisions_over_distinct_matrices_equal_the_full_stack(closed_peres24, closed_peres24_doc):
+    # equal bytes give equal floats, so deciding each distinct lattice
+    # matrix once and gathering back to cells moves no decision bit
+    shares = {}
+    for name, poset in kernel_posets(closed_peres24, closed_peres24_doc):
+        lattice = poset.lattice
+        matrices, which = lattice.distinct
+        shares[name] = (len(matrices), len(lattice.entries))
+        assert matrices[which].tobytes() == lattice.entries.tobytes()
+        assert len({m.tobytes() for m in matrices}) == len(matrices)
+        assert not matrices.flags.writeable
+        dim = lattice.entries.shape[1]
+        rng = np.random.default_rng(len(matrices))
+        for rho in (random_density(rng, dim), random_density(rng, dim, rank=1)):
+            assert np.array_equal(certain_each(rho, matrices)[which], certain_each(rho, lattice.entries))
+            p_distinct = probability_each(rho, matrices)[which]
+            p_full = probability_each(rho, lattice.entries)
+            assert p_distinct.tobytes() == p_full.tobytes(), name
+            for r in (0.8, 0.6, 0.5):
+                assert np.array_equal(p_distinct >= r - DEFAULT.r_slack, p_full >= r - DEFAULT.r_slack)
+    assert (shares["peres24"], shares["peres24-doc"], shares["ks18"]) == ((140, 806), (249, 806), (119, 218))
+    assert sum(d < c for d, c in shares.values()) >= 20
 
 
 # --------------------------------------------------------------------------
