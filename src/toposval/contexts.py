@@ -45,7 +45,7 @@ MAX_ATOMS_FOR_LATTICE = 20
 # for projectors ||p||_F^2 = rank(p) <= d, so the band is at most 4 d^3 eps:
 # 5.7e-14 at d = 4, where the two forms differ by at most 1.3e-15 on the
 # closed Peres-24 and 18-ray posets, noisy copies included.  The same
-# constant bounds the rounding of the link proof (see `add_if_new`).
+# constant bounds the rounding of the link proof (see `add_many`).
 _EPS = np.finfo(float).eps
 _SCREEN_ROUNDING = 4 * _EPS
 
@@ -430,7 +430,6 @@ class PosetIndex:
         self._sets: dict[int, frozenset[str]] = {}
         self._closures: dict[int, int] = {}
         self._rows: dict[str, dict[tuple[int, int], tuple]] = {"coarse": {}, "owner": {}, "image": {}}
-        self._below: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         self._gathers: dict[str, Gather] = {}
 
     def names(self, bits: int) -> tuple[str, ...]:
@@ -463,16 +462,6 @@ class PosetIndex:
         if sub not in self.pos or sup not in self.pos:
             raise ContextError(f"{sub!r} is not included in {sup!r}")
         return self.pos[sub], self.pos[sup]
-
-    def _pmap(self, sub: int, sup: int) -> tuple[int, ...]:
-        key = (self.ids[sub], self.ids[sup])
-        if key not in self.partition_maps:
-            raise ContextError(f"{key[0]!r} is not included in {key[1]!r}")
-        return self.partition_maps[key]
-
-    def lift(self, sub: int, sup: int, mask: int) -> int:
-        """A sub-stage mask expressed over the super-stage's atoms."""
-        return _union(self._pmap(sub, sup), mask)
 
     @cached_property
     def tables(self) -> "PairTables":
@@ -526,16 +515,6 @@ class PosetIndex:
         """Restriction table of a comparable pair: entry `mask` is the image,
         as a sub-context mask, of the characters in the super-context mask."""
         return self._row("image", sub, sup)
-
-    def below(self, sup: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(sub index, coarse-graining table) for each context below `sup`,
-        ascending."""
-        out = self._below.get(sup)
-        if out is None:
-            out = self._below[sup] = tuple(
-                (sub, self.coarse(sub, sup)) for sub in bit_list(self.down[sup])
-            )
-        return out
 
     # -- flat tables over cells, built on first use ------------------------
     # A cell is a (stage, mask) pair.  The cells of stage i are
@@ -947,8 +926,8 @@ def build_poset(
         raise ContextError("no contexts given: pass dim to add the trivial context")
     store = _ContextStore(tol)
     store.add_many(contexts)
-    if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
-        store.add_if_new(trivial_context(dim, tol=tol))
+    if add_trivial and not (store.sizes == 1).any():
+        store.add_many([trivial_context(dim, tol=tol)])
     if close_under_meets:
         store.close_under_meets()
     ctxs = store.ctxs
@@ -972,14 +951,17 @@ class _ContextStore:
 
     Contexts come in batches, a document's contexts or one closure round's
     meets, and each batch is interned and linked at once (see `add_many`).
-    Every stored context's atoms join one global stack, in storage order.
-    Each stored context keeps one bool block of links: [g, t] when earlier
-    stored atom g is not orthogonal to its atom t, max|a b| >= tol.atom
-    with the earlier atom on the left.  The block is decided when the
-    context is added, from one overlap product and a gathered product of
-    the pairs it leaves open, so each link is decided once per atom pair.
-    The blocks are the only link record: a closure round places them into
-    one bool matrix, from which it takes every pair's connectivity and, for
+    Every stored context's atoms join one global stack, in storage order;
+    `starts`, `sizes` and `ranks` hold each context's first atom and atom
+    count and each atom's rank, as arrays.  The links are one bool matrix
+    `link` over the stored atoms: [g, t] when atom g, stored in an earlier
+    context than atom t, is not orthogonal to it, max|g t| >= tol.atom with
+    the earlier atom on the left.  Its last row and column, index n for n
+    stored atoms, are False and pad the stacks `_reach` gathers.  A
+    context's column block is decided when it is added, from one overlap
+    product and a gathered product of the pairs it leaves open, so each
+    link is decided once per atom pair; a closure round gathers every
+    pair's links from the matrix, and from them its connectivity and, for
     the disconnected pairs, their components and the sums that decide
     them.  Links are kept per stored atom rather than per interned lattice
     element: interning is not transitive at `tol.atom`, so an interned
@@ -998,8 +980,10 @@ class _ContextStore:
         self.ctxs: list[Context] = []
         self.keys: set[frozenset[int]] = set()
         self.every: np.ndarray | None = None   # every stored atom, shape (n, dim, dim)
-        self.starts: list[int] = []   # global index of the first atom of ctxs[k]
-        self.links: list[np.ndarray] = []   # per ctxs[k], [g, t] when earlier atom g links to its atom t
+        self.starts = np.zeros(0, dtype=np.int64)   # global index of the first atom of ctxs[k]
+        self.sizes = np.zeros(0, dtype=np.int64)   # atom count of ctxs[k]
+        self.ranks = np.zeros(0, dtype=np.int64)   # rank of each stored atom
+        self.link = np.zeros((1, 1), dtype=bool)   # (n + 1)^2, see the class docstring
         self.frobenius = 0.0   # the largest ||p||_F^2 of a stored atom
         self._element_ids: dict[tuple[int, int], int] = {}   # (context index, mask) -> id
         self._interned = 0
@@ -1071,11 +1055,6 @@ class _ContextStore:
         self._interned = n + len(new)
         return ids
 
-    def add_if_new(self, c: Context, atom_ids: list[int] | None = None) -> None:
-        """Store a context unless its algebra is stored: the one-item call
-        of `add_many`."""
-        self.add_many([c], None if atom_ids is None else [atom_ids])
-
     def add_many(self, contexts: list[Context], atom_ids: list[list[int]] | None = None) -> None:
         """Store each context unless its algebra is stored, in order, so a
         context repeating an earlier one's algebra, in the store or in the
@@ -1084,30 +1063,33 @@ class _ContextStore:
         is interned in one `_intern_many` call, in context and atom order.
         A context is kept when the frozenset of its atom ids is no key yet.
 
-        A kept context's link block, [g, t] when max|g t| >= tol.atom for
-        atom g stored before it and its atom t, is decided from one overlap
-        product first: Re tr(g t) for every such pair, the sum of g_kl t_lk
-        over flattened matrices.  The trace is a sum of d diagonal entries,
-        so |tr(g t)| <= d max|g t| in exact arithmetic.  The float overlap
-        is within d^2 eps F of the exact trace and each float entry of g t
-        within 2 (d + 1) eps F of its exact value, F = ||g||_F ||t||_F (see
-        `_SCREEN_ROUNDING`; the modulus adds eps |entry|).  So an overlap of
-        at least d tol.atom + s, the slack s = 2 _SCREEN_ROUNDING d^2
-        F_max^2 (twice the screen's band, F_max^2 the largest ||p||_F^2 of
-        a stored atom, the batch's included), puts the float max|g t| at
-        or above tol.atom: the pair links, and no product is taken for it.
-        Every other pair takes that float max|g t|, in one gathered stacked
-        product for the batch (`product_max`, the broadcast product's float
-        per pair), so each bit is the decision one pair's product makes.
-        On the closed 18-ray set about a quarter of the pairs take it.
+        A kept context's column block of `link`, [g, t] when max|g t| >=
+        tol.atom for atom g stored before it and its atom t, is decided from
+        one overlap product first: Re tr(g t) for every such pair, the sum
+        of g_kl t_lk over flattened matrices.  The trace is a sum of d
+        diagonal entries, so |tr(g t)| <= d max|g t| in exact arithmetic.
+        The float overlap is within d^2 eps F of the exact trace and each
+        float entry of g t within 2 (d + 1) eps F of its exact value, F =
+        ||g||_F ||t||_F (see `_SCREEN_ROUNDING`; the modulus adds eps
+        |entry|).  So an overlap of at least d tol.atom + s, the slack s = 2
+        _SCREEN_ROUNDING d^2 F_max^2 (twice the screen's band, F_max^2 the
+        largest ||p||_F^2 of a stored atom, the batch's included), puts the
+        float max|g t| at or above tol.atom: the pair links, and no product
+        is taken for it.  Every other pair takes that float max|g t|, in one
+        gathered stacked product for the batch (`product_max`, the broadcast
+        product's float per pair), so each bit is the decision one pair's
+        product makes.  On the closed 18-ray set about a quarter of the
+        pairs take it.
 
         The overlap product takes every atom stored before the batch's last
         kept context against every kept atom, in column blocks of at most
         `_SCREEN_BLOCK` entries; a kept context's block is its columns, cut
-        at the atoms stored before it.  The bounds hold for any
-        summation order and a larger F_max only raises the slack, so the
-        product's shape and the batch's atoms move pairs between the proof
-        and the exact product, never a bit."""
+        at the atoms stored before it.  `link` grows once per batch: the old
+        matrix is copied into the grown one and the batch's cut columns
+        written beside it.  The bounds hold for any summation order and a
+        larger F_max only raises the slack, so the product's shape and the
+        batch's atoms move pairs between the proof and the exact product,
+        never a bit."""
         contexts = list(contexts)
         if atom_ids is None:
             flat = self._intern_many(np.concatenate([c.stack for c in contexts])) if contexts else []
@@ -1138,41 +1120,39 @@ class _ContextStore:
         for c in range(0, len(stack), step):
             top = int(cut[min(c + step, len(stack)) - 1])
             link[:top, c:c + step] = (lead[:top] @ turned[c:c + step].T).real >= dim * self.tol.atom + slack
-        g, t = np.nonzero(~link & (np.arange(rows)[:, np.newaxis] < cut))
+        before = np.arange(rows)[:, np.newaxis] < cut
+        g, t = np.nonzero(~link & before)
         link[g, t] = product_max(every, g, n + t) >= self.tol.atom
-        for (c, ids), start in zip(kept, starts.tolist()):
-            k = len(self.ctxs)
-            self.starts.append(start)
-            self.links.append(link[:start, start - n:start - n + c.n_atoms])
-            self.ctxs.append(c)
+        grown = np.zeros((len(every) + 1, len(every) + 1), dtype=bool)
+        grown[:n, :n] = self.link[:n, :n]
+        grown[:rows, n:len(every)] = link & before
+        for c, ids in kept:
             for i, eid in enumerate(ids):
-                self._element_ids[(k, 1 << i)] = eid
+                self._element_ids[(len(self.ctxs), 1 << i)] = eid
+            self.ctxs.append(c)
+        self.starts = np.concatenate([self.starts, starts])
+        self.sizes = np.concatenate([self.sizes, sizes])
+        self.ranks = np.concatenate([self.ranks, [a.rank for c, _ in kept for a in c.atoms]])
+        self.link = grown
         self.every = every
 
     def _reach(self, first: np.ndarray, second: np.ndarray):
         """(reach, link, rows, cols) for the pairs of stored contexts
         (first[p] < second[p]), each padded to the widest context.
 
-        The link blocks are placed into one bool matrix, from which the
-        padded (pairs, width, width) link stack is gathered: link[p, s, t]
-        when the first context's atom s links to the second's atom t.  rows
-        and cols hold the global indices of the two contexts' atoms, the
-        atom count marking padding, which links to nothing.  A-atoms linked
-        through a common b-atom are adjacent, and squaring that reachability
-        matrix about log2(width) times joins each component: reach[p, s, u]
-        when a-atoms s and u lie in one component.  No link is decided
-        again."""
-        n = len(self.every)
-        size = max(c.n_atoms for c in self.ctxs)
-        # [g, t] is set when atom g links to the later atom t; index n pads
-        links = np.zeros((n + 1, n + 1), dtype=bool)
-        atoms = np.full((len(self.ctxs), size), n)
-        for k, (start, block) in enumerate(zip(self.starts, self.links)):
-            end = start + block.shape[1]
-            links[:start, start:end] = block
-            atoms[k, :end - start] = np.arange(start, end)
+        The padded (pairs, width, width) link stack is gathered from `link`:
+        link[p, s, t] when the first context's atom s links to the second's
+        atom t.  rows and cols hold the global indices of the two contexts'
+        atoms, the atom count marking padding, which links to nothing.
+        A-atoms linked through a common b-atom are adjacent, and squaring
+        that reachability matrix about log2(width) times joins each
+        component: reach[p, s, u] when a-atoms s and u lie in one component.
+        No link is decided again."""
+        size = int(self.sizes.max())
+        t = np.arange(size)
+        atoms = np.where(t < self.sizes[:, np.newaxis], self.starts[:, np.newaxis] + t, len(self.every))
         rows, cols = atoms[first], atoms[second]
-        link = links[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
+        link = self.link[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
         reach = link @ link.transpose(0, 2, 1) | np.eye(size, dtype=bool)
         for _ in range(max(size - 2, 0).bit_length()):   # paths of up to size - 1 steps
             reach = reach @ reach
@@ -1308,12 +1288,11 @@ class _ContextStore:
         rounding band of rank / 2 (`_SCREEN_ROUNDING`) and how far a
         confirmed inclusion's overlaps can lie from 0 or the rank (derived
         in `_screen`)."""
-        ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
         dim = self.every.shape[1]
         band = _SCREEN_ROUNDING * dim * dim * self.frobenius
-        trace = float(np.abs(np.trace(self.every, axis1=1, axis2=2).real - ranks).max())
+        trace = float(np.abs(np.trace(self.every, axis1=1, axis2=2).real - self.ranks).max())
         tau, tau_c = self.tol.atom, max(c.tol.atom for c in self.ctxs)
-        widest = max(c.n_atoms for c in self.ctxs)
+        widest = int(self.sizes.max())
         delta = (trace + dim * np.sqrt(self.frobenius) * (tau + tau_c) + (widest - 1) * dim * tau_c
                  + 2 * dim * band)
         return band, delta
@@ -1372,19 +1351,16 @@ class _ContextStore:
         if not self.ctxs:
             empty = np.zeros(0, dtype=np.intp)
             return empty, empty, empty, empty
-        every = self.every
-        starts = np.array(self.starts)
-        sizes = np.array([c.n_atoms for c in self.ctxs])
+        every, starts, sizes, ranks = self.every, self.starts, self.sizes, self.ranks
         ends = starts + sizes
-        ranks = np.array([a.rank for c in self.ctxs for a in c.atoms])
         half = ranks / 2
         band, delta = self._screen_bounds()
         drop = delta + 2 * band < 0.5
         flat = every.reshape(len(every), -1)
         turned = every.transpose(0, 2, 1).reshape(len(every), -1)
         # each atom's bit within its own context, as Python ints past 62 atoms
-        bits = np.array([1 << i for c in self.ctxs for i in range(c.n_atoms)],
-                        dtype=np.int64 if (ends - starts).max() < 63 else object)
+        local = np.arange(len(every)) - np.repeat(starts, sizes)
+        bits = 1 << (local if sizes.max() < 63 else local.astype(object))
         rows = max(1, _SCREEN_BLOCK // len(every))
         first = 0
         found = []   # per block, its (k, j, atom, mask)
@@ -1440,8 +1416,7 @@ class _ContextStore:
         if not len(k):
             return order, pmaps_out
         every = np.concatenate([self.every, np.zeros_like(self.every[:1])])
-        starts = np.array(self.starts)
-        sizes = np.array([c.n_atoms for c in self.ctxs])
+        starts, sizes = self.starts, self.sizes
         count = sizes[k]   # rows per candidate
         head = np.cumsum(count) - count   # each candidate's first row
         b_of = np.repeat(j, count)

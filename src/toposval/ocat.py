@@ -299,6 +299,15 @@ class EigenvalueMap:
         return out
 
     @cached_property
+    def image_table(self) -> tuple[int, ...]:
+        """Per domain mask, the codomain mask of its image, built by
+        doubling the table over the domain's bits."""
+        table = [0]
+        for bit in self.image_bits:
+            table += [m | bit for m in table]
+        return tuple(table)
+
+    @cached_property
     def preimage_table(self) -> tuple[int, ...]:
         """Per codomain mask, the domain mask of its preimage."""
         return tuple(self.preimage_mask(k) for k in range(1 << len(self.codomain)))
@@ -589,40 +598,15 @@ class _Decisions:
 @dataclass(frozen=True, eq=False)
 class _Target:
     """The arrows into one operator up to the first that fails validation:
-    their cross-check, source indices, and per delta mask the `lift` of its
-    coarse-graining; and that failure, if any."""
+    their cross-check, source indices, per arrow its `image_table` (the
+    coarse-graining of the target's masks) and per delta mask the preimage
+    of its image; and that failure, if any."""
 
     check: _CrossCheck | None
     sources: list[int]
+    tables: list[tuple[int, ...]]
     lifted: np.ndarray
     broken: ValueError | None
-
-
-class _ArrowIndex(PosetIndex):
-    """The `PosetIndex` of a category's arrows, whose coarse-graining rows
-    (the map's image on index masks) are built one arrow at a time, on
-    first request.  A category has about a dozen arrows over spectra of a
-    few eigenvalues, where the index's one array pass over every pair
-    costs more than these rows: building the index and every row of an
-    operator-suite category took about 120 us that way against 45 us this
-    way (Python 3.11, numpy 2.4, a shared 2-core x86_64 VM).  The per-cell
-    decisions read only these rows; a gather over the category (as
-    `survey_properties_o` makes) reads the index's flat `tables`, which
-    hold the same tables."""
-
-    def coarse(self, sub: int, sup: int) -> tuple[int, ...]:
-        rows = self._rows["coarse"]
-        out = rows.get((sub, sup))
-        if out is None:
-            images = [0] * self.n_atoms[sup]   # per eigenvalue of the target, the bit of its image
-            for j, block in enumerate(self._pmap(sub, sup)):
-                for k in bit_list(block):
-                    images[k] |= 1 << j
-            table = [0]
-            for bit in images:
-                table += [m | bit for m in table]
-            out = rows[(sub, sup)] = tuple(table)
-        return out
 
 
 class OperatorCategory:
@@ -635,9 +619,12 @@ class OperatorCategory:
     Its arrows form a `PosetIndex`, `index`: the stages are the operators,
     an arrow B -> A is the pair (B, A), and its partition map gives, for
     each eigenvalue of B, the mask of A's eigenvalues that the map sends
-    there.  So `index.coarse(B, A)` is the map's image on index masks,
-    `index.lift` its preimage, and `index.down` lists the arrows into each
-    object.  Everything else is built on first use and kept: every arrow's
+    there.  Its `tables` hold, per arrow, the map's image on index masks,
+    which is the arrow's `EigenvalueMap.image_table` on A's spectrum, and
+    `index.down` lists the arrows into each object; the per-cell decisions
+    read each arrow's image and preimage off its map, and a gather over
+    the category (as `survey_properties_o` makes) reads the flat `tables`.
+    Everything else is built on first use and kept: every arrow's
     map on its target's spectrum and image operator f(A), in one batch; per
     target, its arrows' cross-check (the mask stacks of every object, then
     of every image, validated in one test each); per (target, tol), that
@@ -673,7 +660,7 @@ class OperatorCategory:
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
-    def index(self) -> _ArrowIndex:
+    def index(self) -> PosetIndex:
         blocks_of: dict[tuple[str, str], tuple[int, ...]] = {}
         for (bid, aid), m in self.morphisms.items():
             a, b = self.objects[aid], self.objects[bid]
@@ -682,7 +669,7 @@ class OperatorCategory:
                 blocks[b._position[m.map(lam)]] |= 1 << i
             blocks_of[(bid, aid)] = tuple(blocks)
         n_atoms = {oid: len(o.spectrum) for oid, o in self.objects.items()}
-        return _ArrowIndex(n_atoms, self.morphisms, blocks_of)
+        return PosetIndex(n_atoms, self.morphisms, blocks_of)
 
     @property
     def ids(self) -> list[str]:
@@ -760,32 +747,28 @@ class OperatorCategory:
         arrows, broken = [], []
         for i, a in enumerate(objects):
             mine, failed = [], None
-            for j, table in index.below(i):
+            for j in bit_list(index.down[i]):
                 try:
                     f, b = self._arrow(self.morphisms[(index.ids[j], a.id)])
                     a._mask_stack
                 except ValueError as exc:
                     failed = exc.with_traceback(None)
                     break
-                mine.append((j, f, b, table))
+                mine.append((j, f, b))
             arrows.append(mine)
             broken.append(failed)
-        _stack_masks([b for mine in arrows for _, _, b, _ in mine])
+        _stack_masks([b for mine in arrows for _, _, b in mine])
         out = []
-        for i, (a, mine, failed) in enumerate(zip(objects, arrows, broken)):
-            for k, (_, _, b, _) in enumerate(mine):
+        for a, mine, failed in zip(objects, arrows, broken):
+            for k, (_, _, b) in enumerate(mine):
                 errors = b._mask_checks[2]
                 if errors:
                     mine, failed = mine[:k], errors[min(errors)]
                     break
-            lifted = []
-            for j, _, _, table in mine:
-                lift = [0]   # per mask of the source's eigenvalues, the union of their blocks
-                for block in index._pmap(j, i):
-                    lift += [m | block for m in lift]
-                lifted.append([lift[image] for image in table])
-            check = _CrossCheck(a, [(f, b, table) for _, f, b, table in mine], a.mask_entries) if mine else None
-            out.append(_Target(check, [j for j, _, _, _ in mine], np.array(lifted), failed))
+            lifted = np.array([[f.preimage_table[image] for image in f.image_table] for _, f, _ in mine])
+            check = _CrossCheck(a, [(f, b, f.image_table) for _, f, b in mine], a.mask_entries) if mine else None
+            out.append(_Target(check, [j for j, _, _ in mine], [f.image_table for _, f, _ in mine],
+                               lifted, failed))
         return tuple(out)
 
     def _target_failures(self, i: int, tol: Tolerances) -> tuple[dict[int, str], ValueError | None]:
@@ -870,7 +853,10 @@ def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, de
     index = category.index
     s = category._support_mask(state, a, tol)
     by_support = 0
-    for j, image in index.below(i):
+    # a cell is decided only when no arrow into `a` failed validation, so
+    # its target holds every arrow into `a`
+    target = category._targets[i]
+    for j, image in zip(target.sources, target.tables):
         if not image[s] & ~image[mask]:
             by_support |= 1 << j
     return {

@@ -202,8 +202,12 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
 
     Sievehood and monotonicity carry, next to the direct check on the
     generated valuation, the characterization on R itself and the simpler
-    sufficient condition; the two code paths for sievehood are independent
-    and their agreement is part of the report.
+    sufficient condition, and their agreement is part of the report.  The
+    sievehood characterization reads R's cells pair by pair, not the
+    valuation's member sets: it agrees with the direct check whenever
+    coarse-graining composes along chains and is the identity on
+    reflexive pairs (see `_stable_under_coarse_graining`), so a
+    disagreement shows maps that do not.
 
     Non-matching assignments are admitted (the report records the flag):
     when the assignment really matches up, coarse-graining is a function of
@@ -250,14 +254,27 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
 
 
 def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
-    """The stages below each cell where R holds at the coarse-grained mask
-    must form a sieve.  Decided on R's cells gathered along coarse-graining;
-    the witness is the first such stage whose down-set leaves them."""
+    """R is stable under coarse-graining: for every comparable k <= j and
+    mask m of j, R(a_j, m) gives R(a_k, cg m).  Decided on R's cells alone,
+    over the entries (j, m, k) of the "below" gather, with no member
+    matrix.  Where coarse-graining composes along k <= j <= i and the
+    reflexive tables are the identity, this is exactly sievehood of the
+    schema valuation, so comparing the two checks the maps as well.
+
+    The witness is the first cell whose stages where R holds at the
+    coarse-grained mask form no sieve, and in it the first such stage
+    whose down-set leaves them; where the maps are broken so that no cell
+    shows one, it is the first failing entry (v1 = j, v2 = k, mask m)."""
     g = index.gather("below")
+    e = _first(related[g.cell] & ~related[g.target])
+    if e is None:
+        return True, None
     member = related[g.target]
     c = _first(unclosed_cells(index, member, g.pack(member)))
     if c is None:
-        return True, None
+        cell = g.cell[e]
+        return False, {"v1": index.ids[int(index.cell_stage[cell])], "v2": index.ids[int(g.stage[e])],
+                       "mask": int(index.cell_mask[cell])}
     row = 0
     for e in range(g.start[c], g.start[c + 1]):
         if related[g.target[e]]:

@@ -184,6 +184,22 @@ def image_oracle(index, sub, sup):
     return None if None in owner else union_table([1 << j for j in owner])
 
 
+def index_below(index, sup):
+    """(sub index, coarse-graining table) for each stage below `sup`,
+    ascending, each table `PosetIndex.coarse` of the pair."""
+    return tuple((sub, index.coarse(sub, sup)) for sub in range(len(index.ids)) if index.down[sup] >> sub & 1)
+
+
+def index_lift(index, sub, sup, mask):
+    """A sub-stage mask expressed over the super-stage's atoms: the union
+    of the blocks of its atoms in the pair's partition map."""
+    out = 0
+    for j, block in enumerate(pmap_oracle(index, sub, sup)):
+        if mask >> j & 1:
+            out |= block
+    return out
+
+
 def route_table(index, route, sub, sup):
     """The table of one pair along a gather route: coarse-graining
     ("below") or restriction ("below_image"), raising the index's error

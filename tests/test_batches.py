@@ -129,7 +129,7 @@ def test_contexts_from_json_raises_a_context_error_before_a_later_projector_erro
 
 class _OneAtATimeStore(_ContextStore):
     """The store with every interning and every store call made for one
-    item: `_intern` per matrix, `add_if_new` per context."""
+    item: `_intern` per matrix, `add_many` per context."""
 
     def _intern_many(self, stack):
         return [_ContextStore._intern_many(self, x[np.newaxis])[0] for x in stack]
@@ -153,7 +153,7 @@ def _repeated_algebra_document():
 
 
 def _store_state(store):
-    return ([c.id for c in store.ctxs], store.starts, [b.tolist() for b in store.links],
+    return ([c.id for c in store.ctxs], store.starts.tolist(), store.link.tolist(),
             store._element_ids, store.keys, store.every.tobytes(),
             [c.stack.tobytes() for c in store.ctxs])
 

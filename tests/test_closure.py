@@ -130,8 +130,8 @@ def _canonical_key(p):
 def _store_meet(a, b, tol=DEFAULT):
     """The store's meet of two contexts, or None when b merges onto a."""
     store = PairStore(tol)
-    store.add_if_new(a)
-    store.add_if_new(b)
+    store.add_many([a])
+    store.add_many([b])
     return store.meet(0, 1) if len(store.ctxs) == 2 else None
 
 
@@ -372,9 +372,9 @@ def _build_poset_pairwise(contexts, add_trivial=True, close_under_meets=True, to
     `_partition_map` (`member_mask` per atom) on every ordered pair."""
     store = _PairwiseStore(tol)
     for c in contexts:
-        store.add_if_new(c)
+        store.add_many([c])
     if add_trivial and not any(c.n_atoms == 1 for c in store.ctxs):
-        store.add_if_new(trivial_context(contexts[0].dim, tol=tol))
+        store.add_many([trivial_context(contexts[0].dim, tol=tol)])
     if close_under_meets:
         store.close_under_meets()
     order, pmaps = set(), {}
@@ -516,21 +516,38 @@ def test_build_poset_matches_pairwise_decisions():
     assert closed >= 15, closed
 
 
+class _LinkCheckedStore(PairStore):
+    """`PairStore` that checks its whole link matrix after every `add_many`
+    batch: each entry from an atom of an earlier context to an atom of a
+    later one is the per-pair float max|g t| >= tol.atom, and every other
+    entry (within one context, from a later context to an earlier one, the
+    pad row and column) is False."""
+
+    batches = 0
+
+    def add_many(self, contexts, atom_ids=None):
+        super().add_many(contexts, atom_ids)
+        self.batches += 1
+        n = len(self.every)
+        want = np.zeros((n + 1, n + 1), dtype=bool)
+        spans = [(int(s), int(s + k)) for s, k in zip(self.starts, self.sizes)]
+        for (a, b), (c, d) in itertools.combinations(spans, 2):
+            want[a:b, c:d] = _float_link(self.every[a:b], self.every[c:d], self.tol)
+        assert self.link.shape == want.shape and self.link.tolist() == want.tolist(), self.batches
+
+
 def test_store_links_and_screen_match_per_pair_floats():
-    # the link bits of every stored pair, and the screen's candidates and
-    # masks on every ordered pair, against per-pair float expressions
+    # the whole link matrix after every store batch, the meet of every
+    # stored pair, and the screen's candidates and masks on every ordered
+    # pair, against per-pair float expressions
     for name, contexts, tol in _closure_inputs():
-        store = PairStore(tol)
+        store = _LinkCheckedStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
+        assert store.batches > len(contexts), name
         for i, j in itertools.combinations(range(len(store.ctxs)), 2):
             sa, sb = store.ctxs[i].stack, store.ctxs[j].stack
-            link = np.abs(sa[:, None] @ sb[None]).max(axis=(2, 3)) >= tol.atom
-            rows = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in link]
-            block = store.links[j][store.starts[i]:store.starts[i] + len(sa)]
-            assert [sum(1 << k for k in np.flatnonzero(row).tolist())
-                    for row in block] == rows, (name, i, j)
             assert store.meet(i, j) == _meet_masks_pairwise(sa, sb, tol), (name, i, j)
         got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
         for pair, allowed in _screen_contract(store).items():
@@ -549,8 +566,8 @@ def test_screen_drops_a_pair_whose_overlap_is_exactly_half_the_rank():
     assert float(np.trace(z.atoms[0].entries @ plus.entries).real) == 0.5
     for tol in (DEFAULT, DEFAULT.overridden(atom=0.6)):
         store = PairStore(tol)
-        store.add_if_new(x)
-        store.add_if_new(z)
+        store.add_many([x])
+        store.add_many([z])
         pairs = {(a.id, b.id) for a, b, _ in store.inclusion_candidates()}
         assert pairs == {("X", "X"), ("Z", "Z")}
         assert build_poset([x, z], tol=tol).order == pairs
@@ -586,7 +603,7 @@ def test_batched_connectivity_matches_the_per_pair_component_walk():
     for name, contexts, tol in _closure_inputs():
         store = _ContextStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
         first, second = np.triu_indices(len(store.ctxs), 1)
         got = store_connected(store, first, second).tolist()
@@ -622,7 +639,7 @@ def test_batched_meets_match_the_pair_walk_on_every_store():
     for name, contexts, tol in [*_closure_inputs(), ("split", _split_below_tolerance(), DEFAULT)]:
         store = _ContextStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
         first, second = np.triu_indices(len(store.ctxs), 1)
         got = {(i, j): (masks, sums) for i, j, masks, sums in store.split_meets(first, second)}
@@ -728,7 +745,7 @@ def test_screen_follows_the_trace_on_atoms_hermitian_only_within_tolerance():
     contexts = _hermiticity_defect(_peres_subset(9, 24, tol), rng, tol)
     store = PairStore(tol)
     for c in contexts:
-        store.add_if_new(c)
+        store.add_many([c])
     got = {(a.id, b.id): pm for a, b, pm in store.inclusion_candidates()}
     want = _screen_contract(store)
     assert _pairwise_order(store) <= set(got)
@@ -770,13 +787,13 @@ def test_link_proof_takes_the_product_only_below_its_threshold(monkeypatch):
 
         monkeypatch.setattr(toposval.contexts, "product_max", spy)
         store = _ContextStore(tol)
-        store.add_if_new(z)
-        store.add_if_new(r)
+        store.add_many([z])
+        store.add_many([r])
         monkeypatch.undo()
         want = {(g, 2 + t) for g in range(2) for t in range(2)
                 if float(np.trace(z.stack[g] @ r.stack[t]).real) < 0.2}
         assert len(want) == below and set(seen) == want and len(seen) == below, cos2
-        assert store.links[1].tolist() == _float_link(z.stack, r.stack, tol), cos2
+        assert store.link[:2, 2:4].tolist() == _float_link(z.stack, r.stack, tol), cos2
 
 
 def _screen_bounds_oracle(store):
@@ -803,7 +820,7 @@ def test_drop_guard_bounds_every_confirmed_overlap_and_holds_at_default():
     for name, contexts, tol in _closure_inputs():
         store = _ContextStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
         band, delta = store._screen_bounds()
         assert np.allclose((band, delta), _screen_bounds_oracle(store), rtol=1e-9, atol=0), name
@@ -846,7 +863,7 @@ def test_screen_takes_in_band_entries_again_where_the_guard_fails(monkeypatch):
     for name, contexts, tol in inputs:
         store = PairStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
         band, delta = store._screen_bounds()
         assert delta + 2 * band >= 0.5, name
@@ -866,7 +883,7 @@ def test_screen_does_not_depend_on_the_row_block_size(monkeypatch):
     for name, contexts, tol in _closure_inputs():
         store = _ContextStore(tol)
         for c in contexts:
-            store.add_if_new(c)
+            store.add_many([c])
         store.close_under_meets()
         outcomes = []
         for block in (1, 64, toposval.contexts._SCREEN_BLOCK):
@@ -1223,7 +1240,7 @@ def test_split_meets_sums_each_distinct_component_once(monkeypatch, name):
     contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
     store = _ContextStore(DEFAULT)
     for c in contexts:
-        store.add_if_new(c)
+        store.add_many([c])
     store.close_under_meets()
     first, second = np.triu_indices(len(store.ctxs), 1)
     want, sides = set(), 0
@@ -1231,8 +1248,8 @@ def test_split_meets_sums_each_distinct_component_once(monkeypatch, name):
         comps = _sides(store.ctxs[i].stack, store.ctxs[j].stack, DEFAULT)
         if len(comps) > 1:
             for in_a, in_b in comps:
-                want.add(frozenset(store.starts[i] + a for a in in_a))
-                want.add(frozenset(store.starts[j] + b for b in in_b))
+                want.add(frozenset(store.starts[i].tolist() + a for a in in_a))
+                want.add(frozenset(store.starts[j].tolist() + b for b in in_b))
                 sides += 2
     summed = []
     real = toposval.contexts._ordered_sums

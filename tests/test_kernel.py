@@ -68,6 +68,7 @@ from conftest import (
     coarse_oracle,
     gather_rows,
     image_oracle,
+    index_below,
     restriction_oracle,
     route_rows,
     route_table,
@@ -747,7 +748,7 @@ def test_laws_match_scans_on_random_posets(r):
                 decided = certain_each(rho, poset.lattice.entries)
             else:
                 decided = probability_each(rho, poset.lattice.entries) >= r - DEFAULT.r_slack
-            scanned = scan_valuation(poset, poset.index.below, decide_at_cells(poset, decided))
+            scanned = scan_valuation(poset, lambda sup: index_below(poset.index, sup), decide_at_cells(poset, decided))
             assert alpha.dump() == scanned.dump(), seed
             assert_laws_match_scans(alpha)
 
@@ -801,7 +802,7 @@ def first_func_failure_by_stage(alpha):
     index = alpha._index
     for sup in range(len(index.ids)):
         for mask, bits in enumerate(scan_row(alpha, sup)):
-            for sub, table in index.below(sup):
+            for sub, table in index_below(index, sup):
                 if alpha._bits(sub, table[mask]) != bits & index.down[sub]:
                     return {"v1": index.ids[sup], "v2": index.ids[sub], "mask": mask,
                             "lhs": list(index.names(alpha._bits(sub, table[mask]))),
@@ -817,7 +818,7 @@ def test_gathered_matrix_matches_stage_rule_on_closed_peres24(closed_peres24):
     for r in (0.8, 0.6, 0.3):
         decided = probability_each(rho, poset.lattice.entries) >= r - DEFAULT.r_slack
         alpha = nu_rho_r(rho, r, poset)
-        scanned = scan_valuation(poset, index.below, decide_at_cells(poset, decided))
+        scanned = scan_valuation(poset, lambda sup: index_below(index, sup), decide_at_cells(poset, decided))
         assert alpha.dump() == scanned.dump()
         assert _func_witness(alpha) == scan_func(scanned)
 

@@ -62,7 +62,7 @@ from toposval.sampling import (
 )
 from toposval.tolerances import DEFAULT
 
-from conftest import identity_map, leq_each, projector_for
+from conftest import identity_map, index_below, index_lift, leq_each, projector_for
 
 
 def decomp(*diag, id="A"):
@@ -619,8 +619,8 @@ def _bits_by_state_certain(cat, state, tol, i, delta):
     index = cat.index
     a = cat.objects[index.ids[i]]
     out = 0
-    for j, table in index.below(i):
-        if state_certain(state, a.projector(index.lift(j, i, table[delta])), tol):
+    for j, table in index_below(index, i):
+        if state_certain(state, a.projector(index_lift(index, j, i, table[delta])), tol):
             out |= 1 << j
     return out
 
@@ -800,7 +800,7 @@ def assert_tables_match_oracle(cat, tols):
         a = cat.objects[aid]
         for tol in tols:
             first = {}
-            for j, _ in index.below(i):
+            for j, _ in index_below(index, i):
                 f = _on_spectrum(cat.morphisms[(index.ids[j], aid)].map, a)
                 b = apply_map(f, a)
                 verdicts = arrow_verdicts(cat, j, i, tol)
@@ -999,7 +999,7 @@ def per_arrow_error(cat, aid, delta, tol):
     None."""
     index = cat.index
     a = cat.objects[aid]
-    for j, table in index.below(index.pos[aid]):
+    for j, table in index_below(index, index.pos[aid]):
         try:
             f, b = oracle_image(cat.morphisms[(index.ids[j], aid)], a)
         except ValueError as exc:
@@ -1171,13 +1171,21 @@ def test_a_state_of_another_dimension_is_refused_naming_both():
         assert str(exc.value) == message
 
 
-def test_index_holds_the_arrows():
-    # the arrows into each object, in `morphisms_into` order, and per arrow
-    # B -> A the coarse-graining table is the map's image on A's index masks
+def _arrow_categories():
+    """60 seeded random categories, then the operator set of the CI
+    report checks (A = diag(-1, 1, 2), its square and the identity)."""
     rng = np.random.default_rng(241)
     for _ in range(60):
-        dim = int(rng.integers(2, 7))
-        cat, _ = random_category(rng, dim)
+        yield random_category(rng, int(rng.integers(2, 7)))[0]
+    yield OperatorCategory([decomp(-1, 1, 2), decomp(1, 1, 4, id="Asq"), decomp(1, 1, 1, id="one")])
+
+
+def test_index_holds_the_arrows():
+    # the arrows into each object, in `morphisms_into` order, and per arrow
+    # B -> A the coarse-graining table is the map's image on A's index masks;
+    # the tables the category decides cells on, each arrow's `image_table`
+    # and the preimages of its images, are that table and its lift
+    for cat in _arrow_categories():
         index = cat.index
         assert index.ids == tuple(cat.ids)
         assert set(index.pairs) == set(cat.morphisms)
@@ -1186,15 +1194,23 @@ def test_index_holds_the_arrows():
             into = [(src, aid) for j, src in enumerate(index.ids) if index.down[i] >> j & 1]
             assert into == [(m.src, m.dst) for m in oracle_into(cat, aid)]
             assert cat.morphisms_into(aid) == oracle_into(cat, aid)
+            target = cat._targets[i]
+            assert target.broken is None
+            assert target.sources == [index.pos[m.src] for m in cat.morphisms_into(aid)]
+            for j, table, lifted in zip(target.sources, target.tables, target.lifted.tolist()):
+                assert table == index.coarse(j, i)
+                assert lifted == [index_lift(index, j, i, image) for image in table]
             for m in cat.morphisms_into(aid):
                 j = index.pos[m.src]
                 table = index.coarse(j, i)
+                f = _on_spectrum(m.map, a)
+                assert f.image_table == tuple(f.image_mask(mask) for mask in range(1 << len(a.spectrum)))
                 b = cat.objects[m.src]
                 for delta in all_deltas(a):
                     mask = a.mask_of(delta)
                     assert table[mask] == m.map.image_mask(mask)
                     assert b.subset(table[mask]) == m.map.image(delta)
-                    assert a.subset(index.lift(j, i, table[mask])) == m.map.preimage(
+                    assert a.subset(index_lift(index, j, i, table[mask])) == m.map.preimage(
                         m.map.image(delta))
     assert cat.morphisms_into("absent") == []
 
@@ -1220,6 +1236,7 @@ def test_image_and_preimage_masks():
     assert f.image_mask(0b011) == 0b01 and f.image_mask(0b100) == 0b10
     assert f.preimage_mask(0b01) == 0b011 and f.preimage_mask(0b11) == 0b111
     assert f.preimage_table == (0b000, 0b011, 0b100, 0b111)
+    assert f.image_table == (0b00, 0b01, 0b01, 0b01, 0b10, 0b11, 0b11, 0b11)
     assert f.image(frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})
     assert f.preimage(frozenset({1.0, 9.0})) == frozenset({-1.0, 1.0})
     with pytest.raises(OcatError):

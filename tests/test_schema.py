@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, bit_list
+from toposval.contexts import ContextError, ContextPoset, bit_list
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
@@ -24,7 +24,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import is_downward_closed, route_rows
+from conftest import index_below, is_downward_closed, route_rows
 from test_kernel import (
     scan_exclusivity,
     scan_func,
@@ -123,6 +123,28 @@ def test_survey_equality_broken_assignment_sievehood_witness(fixa):
     members = alpha.members(w["v1"], w["mask"])
     assert sorted(members) == w["members"]
     assert not is_downward_closed(fixa, w["v1"], members)
+
+
+@pytest.mark.parametrize("changes, test, witness", [
+    # Vtriv <= V1 no longer composes through V2: 0b100 of V1 coarse-grains
+    # to 0 straight down, to V2's atom 1 on the way.  R holds at V2 and
+    # Vtriv on each nonzero mask and nowhere at V1, so every pair passes,
+    # while the member set {V2} of (V1, 0b100) is no sieve
+    ({("Vtriv", "V1"): (0b011,)}, lambda cid, l, r: cid != "V1" and r != 0, None),
+    # V2's reflexive map sends 0b10 to 0b01 and V2 <= V1 sends each nonzero
+    # mask to 0b01, so the only cell where R holds, (V2, 0b10), reaches no
+    # member set: sievehood holds, and the pair (V2, 0b10, V2) fails
+    ({("V2", "V2"): (0b11, 0b00), ("V2", "V1"): (0b111, 0b000)},
+     lambda cid, l, r: cid == "V2" and r == 0b10, {"v1": "V2", "v2": "V2", "mask": 0b10}),
+])
+def test_sievehood_paths_disagree_where_coarse_graining_does_not_compose(fixa, changes, test, witness):
+    poset = ContextPoset(contexts=fixa.contexts, order=fixa.order,
+                         partition_maps={**fixa.partition_maps, **changes})
+    a = GlobalElementG(poset, {cid: poset.context(cid).full_mask for cid in poset.ids}, enforce=False)
+    rep = survey_properties(a, Relation("hand", test))
+    assert rep["properties"]["sievehood"]["status"] == (HOLDS if witness else FAILS)
+    assert rep["analyses"]["stability_under_coarse_graining"]["witness"] == witness
+    assert not rep["analyses"]["sievehood_paths_agree"]
 
 
 def test_survey_func_builtin_and_random_relations(fixa):
@@ -388,7 +410,7 @@ def scan_unit_with_stage(alpha):
 
 def scan_stable_under_coarse_graining(index, left):
     for sup, cid in enumerate(index.ids):
-        below = index.below(sup)
+        below = index_below(index, sup)
         for mask in range(1 << index.n_atoms[sup]):
             related = 0
             for sub, table in below:
@@ -458,7 +480,8 @@ def scan_survey_properties(a, rel):
     index = poset.index
     rows = ScanRelationRows(poset, rel)
     alpha = MorphismSetValuation._from_bits(poset, stage_rule(
-        index, index.below, lambda j, m: bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)),
+        index, lambda sup: index_below(index, sup),
+        lambda j, m: bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)),
         "scan")
     left = [rows.row(i, a.assignment[cid]) for i, cid in enumerate(index.ids)]
     report = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
@@ -553,7 +576,7 @@ def test_survey_o_matches_scans():
              for oid in cat.ids}
         for name, rel in BUILTIN_SET_RELATIONS.items():
             alpha = MorphismSetValuation._from_bits(cat, stage_rule(
-                index, index.below,
+                index, lambda sup: index_below(index, sup),
                 lambda j, m: bool(rel.test(index.ids[j], a[index.ids[j]],
                                            cat.objects[index.ids[j]].subset(m)))), "scan")
             report = survey_properties_o(a, name, cat)
