@@ -19,9 +19,11 @@ import numpy as np
 
 from .linalg import (
     CONTAINMENT_CHUNK,
+    _EPS,
     HermitianOperator,
     LinalgError,
     Projector,
+    _SCREEN_ROUNDING,
     _chunks,
     commutes,
     eig_hermitian,
@@ -33,21 +35,6 @@ from .tolerances import DEFAULT, Tolerances
 
 MAX_ATOMS_FOR_LATTICE = 20
 
-# Rounding band of the inclusion screen.  tr(b a) is the sum over k, l of
-# b_kl a_lk; its real part is a sum of 2 d^2 real products whose moduli add
-# up to at most F = ||b||_F ||a||_F (Cauchy-Schwarz).  A sum of n rounded
-# products, in any order and with or without fused multiply-adds, is off by
-# at most about n eps/2 times that total.  So the one-dot form (2 d^2
-# products) is within d^2 eps F of the exact value, np.trace(b @ a) (2 d
-# products per diagonal entry, then a sum of d entries) within 1.5 d eps F,
-# and the two differ by less than 2.5 d^2 eps F.  The band is this constant
-# times d^2 times the largest ||p||_F^2 of a stored atom, which bounds F;
-# for projectors ||p||_F^2 = rank(p) <= d, so the band is at most 4 d^3 eps:
-# 5.7e-14 at d = 4, where the two forms differ by at most 1.3e-15 on the
-# closed Peres-24 and 18-ray posets, noisy copies included.  The same
-# constant bounds the rounding of the link proof (see `add_many`).
-_EPS = np.finfo(float).eps
-_SCREEN_ROUNDING = 4 * _EPS
 
 # Complex entries of one row block of the inclusion screen's overlap
 # product: whole contexts are taken while their atoms times the stored atoms
@@ -1502,7 +1489,9 @@ def _check_partial_order(poset: ContextPoset) -> None:
     ids, on one bool matrix of the index's down-sets: down[j, i] when
     ids[i] <= ids[j].  Each law is one array test, and a failing one
     raises as a walk over the down-sets in index order would: the first
-    mutually included pair (i, j), i < j, in row-major order, is named."""
+    mutually included pair (i, j), i < j, in row-major order, is named.
+    Transitivity squares the 0/1 matrix as float32, whose path counts are
+    exact below 2^24, in any summation order."""
     ids = poset.index.ids
     if not ids:
         return
@@ -1513,5 +1502,6 @@ def _check_partial_order(poset: ContextPoset) -> None:
     if mutual.any():
         i, j = divmod(int(mutual.argmax()), len(ids))
         raise ContextError(f"distinct contexts {ids[i]!r}, {ids[j]!r} are mutually included")
-    if ((down @ down) & ~down).any():
+    counts = down.astype(np.float32)
+    if (((counts @ counts) > 0) & ~down).any():
         raise ContextError("inclusion is not transitive")

@@ -9,6 +9,7 @@ floating point decisions are made.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,24 @@ def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.nd
     return q @ q.conj().swapaxes(1, 2), errors
 
 
+# Rounding band of a trace overlap.  tr(b a) is the sum over k, l of
+# b_kl a_lk; its real part is a sum of 2 d^2 real products whose moduli add
+# up to at most F = ||b||_F ||a||_F (Cauchy-Schwarz).  A sum of n rounded
+# products, in any order and with or without fused multiply-adds, is off by
+# at most about n eps/2 times that total.  So the one-dot form (2 d^2
+# products) is within d^2 eps F of the exact value, np.trace(b @ a) (2 d
+# products per diagonal entry, then a sum of d entries) within 1.5 d eps F,
+# and the two differ by less than 2.5 d^2 eps F.  A band is this constant
+# times d^2 times a bound on F; for projectors ||p||_F^2 = rank(p) <= d, so
+# it is at most 4 d^3 eps: 5.7e-14 at d = 4, where the two forms differ by
+# at most 1.3e-15 on the closed Peres-24 and 18-ray posets, noisy copies
+# included.  The closure's inclusion screen and link proof
+# (`contexts._ContextStore`) and `screened_containment_table` bound their
+# rounding by it.
+_EPS = np.finfo(float).eps
+_SCREEN_ROUNDING = 4 * _EPS
+
+
 # Complex entries in each temporary of a table of pairwise products or
 # differences; larger tables are computed in chunks.
 CONTAINMENT_CHUNK = 4096
@@ -155,6 +174,53 @@ def containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFA
         return np.concatenate([containment_table(rows[r:r + step], cols, tol)
                                for r in range(0, len(rows), step)])
     return np.abs(rows[:, np.newaxis] @ cols - cols).max(axis=(-2, -1)) < tol.certain
+
+
+def screened_containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """`containment_table`, each row equal bit for bit to an earlier one
+    decided once, and each non-containment proven by trace where it can be.
+
+    For X = Q P - P, exact on the float entries, |tr X| <= d max|X| and
+    Re tr X = Re tr(Q P) - Re tr P.  One product of flattened matrices, as
+    in the closure's link proof, gives the overlap Re tr(Q P), the sum of
+    Q_kl P_lk, for every pair, within d^2 eps F of its exact value, F =
+    ||Q||_F ||P||_F (see `_SCREEN_ROUNDING`).  Re tr P is within d^2 eps G,
+    G = ||P||_F; a float entry of Q P is within 2 (d + 1) eps F of its
+    exact value, and the subtraction and modulus add 2 eps (F + G).  So a
+    gap |overlap - Re tr P| of at least d tol.certain + s, the slack s = 2
+    _SCREEN_ROUNDING d^2 (F + G) with F and G bounded by the Frobenius
+    norms of the whole stacks, puts the float max|Q P - P| at or above
+    tol.certain: the pair is not contained and takes no product.  The
+    threshold is raised by the factor 1 + _SCREEN_ROUNDING against its own
+    rounding and the gap's.  Every other pair takes that float max in one
+    gathered stacked product (the broadcast product's float per pair, as in
+    `product_max`).  For projectors a pair that is not contained has Re tr
+    P - Re tr(Q P) >= 1 in exact arithmetic, the rank of the part of P
+    outside Q, so at widths well below 1 / d only contained pairs take a
+    product."""
+    rows, cols = np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)
+    if rows.ndim != 3 or rows.shape[1:] != cols.shape[1:]:
+        raise LinalgError("dimension mismatch")
+    dim = rows.shape[1]
+    cell = dim * dim
+    raw, width = rows.tobytes(), 16 * cell
+    seen: dict[bytes, int] = {}
+    which = [seen.setdefault(raw[k * width:(k + 1) * width], len(seen)) for k in range(len(rows))]
+    distinct = np.frombuffer(b"".join(seen), dtype=complex).reshape(len(seen), dim, dim)
+    flat = distinct.reshape(len(seen), cell)
+    turned = cols.transpose(0, 2, 1).reshape(len(cols), cell)
+    gap = np.abs((flat @ turned.T).real - _trace(cols))
+    row_norm, col_norm = float(np.vdot(flat, flat).real), float(np.vdot(turned, turned).real)
+    slack = 2 * _SCREEN_ROUNDING * cell * (math.sqrt(row_norm * col_norm) + math.sqrt(col_norm))
+    threshold = (dim * tol.certain + slack) * (1 + _SCREEN_ROUNDING)
+    out = np.zeros(gap.shape, dtype=bool)
+    q, p = np.nonzero(~(gap >= threshold) if threshold < np.inf else ~out)
+    for s in _chunks(len(q), cell):
+        first, second = q[s], p[s]
+        factor = cols[second]
+        products = distinct[first] @ factor - factor
+        out[first, second] = np.abs(products.reshape(len(products), cell)).max(axis=1) < tol.certain
+    return out[which]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,17 +360,22 @@ def eig_hermitian(h: HermitianOperator, tol: Tolerances = DEFAULT) -> list[tuple
             groups[-1].append(i)
         else:
             groups.append([i])
+    # the groups' projectors are validated as one stack; a group's width
+    # error comes before its own projector's error, after earlier groups'
+    stack = np.array([evecs[:, g] @ evecs[:, g].conj().T for g in groups])
+    stack.flags.writeable = False
+    ranks, errors = projector_checks(stack, tol)
     out: list[tuple[float, Projector]] = []
-    for g in groups:
+    for k, g in enumerate(groups):
         width = evals[g[-1]] - evals[g[0]]
         if width > group:
             raise GroupingError(
                 f"eigenvalue cluster {[float(evals[i]) for i in g]} is wider than "
                 f"the grouping width {group}; refusing to guess"
             )
-        vecs = evecs[:, g]
-        proj = Projector(vecs @ vecs.conj().T, tol=tol)
-        out.append((float(np.mean(evals[g])), proj))
+        if k in errors:
+            raise errors[k]
+        out.append((float(np.mean(evals[g])), Projector._validated(stack[k], ranks[k])))
     # post-conditions: reconstruction and resolution of the grouped spectrum
     recon = sum(lam * p.entries for lam, p in out)
     if np.max(np.abs(recon - h.entries)) > tol.recon:

@@ -30,8 +30,9 @@ and kept by `OperatorCategory`:
 - per (target operator, tolerances), the infimum cross-check of every
   delta mask along every arrow into it: the preimage of delta's image must
   equal the infimum over every spectral projector of f(A) that dominates
-  delta's projector.  One `containment_table` (rows the stacked mask
-  projectors of all the arrows' images, columns A's) decides them all.  A
+  delta's projector.  One `screened_containment_table` (rows the stacked
+  mask projectors of all the arrows' images, columns A's) decides them
+  all: a pair whose trace gap proves it not contained takes no product.  A
   query raises `OcatError` on the first arrow, in source order, at which
   its delta disagrees, or the error of an arrow whose image fails
   validation, as often as it is made.  The test stays exhaustive: the
@@ -74,9 +75,9 @@ from .linalg import (
     _hermitian_defect,
     certain,
     certain_each,
-    containment_table,
     eig_hermitian,
     projector_checks,
+    screened_containment_table,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -465,8 +466,11 @@ class _CrossCheck:
     given as (f, f(A), per column the codomain mask of its image), for each
     column of a stack of A's mask projectors: the preimage of a column's
     image must equal the meet of every mask projector of f(A) that
-    dominates the column.  One `containment_table` per tolerance set has
-    the mask projectors of every image as rows, arrow after arrow."""
+    dominates the column.  One `screened_containment_table` per tolerance
+    set has the mask projectors of every image as rows, arrow after arrow:
+    each entry is `containment_table`'s, a row repeated bit for bit (the
+    zero projector of every image, for one) is decided once, and only the
+    pairs the trace proof leaves open take a product."""
 
     def __init__(self, a: ODecomposition, arrows, columns: np.ndarray):
         self.a = a
@@ -482,7 +486,7 @@ class _CrossCheck:
     def failures(self, tol: Tolerances) -> dict[int, str]:
         """By column, the error message of the first arrow at which the
         two paths disagree, for the columns where one does."""
-        dom = containment_table(self.rows, self.columns, tol)
+        dom = screened_containment_table(self.rows, self.columns, tol)
         kept = np.bitwise_and.reduceat(np.where(dom, self.local, self.full), self.starts, axis=0)
         some = np.logical_or.reduceat(dom, self.starts, axis=0)
         infimum = self.preimage[self.starts[:, np.newaxis] + kept]
@@ -691,17 +695,18 @@ class OperatorCategory:
 
     def check_composition_closure(self) -> tuple[bool, dict | None]:
         """Every composable pair must have a discovered composite whose map
-        agrees with the composition pointwise on the spectrum."""
+        agrees with the composition pointwise on the spectrum: the pairs of
+        `compose(g, f)`, compared without building its map."""
+        into: dict[str, list[Morphism]] = {}
+        for g in self.morphisms.values():
+            into.setdefault(g.dst, []).append(g)
         for f in self.morphisms.values():
-            for g in self.morphisms.values():
-                if g.dst != f.src:
-                    continue
+            for g in into.get(f.src, ()):
                 h = self.morphisms.get((g.src, f.dst))
                 if h is None:
                     return False, {"f": (f.src, f.dst), "g": (g.src, g.dst),
                                    "missing": (g.src, f.dst)}
-                composed = self.compose(g, f)
-                if h.map.pairs != composed.pairs:
+                if h.map.pairs != tuple((lam, g.map(v)) for lam, v in f.map.pairs):
                     return False, {"f": (f.src, f.dst), "g": (g.src, g.dst),
                                    "composite_mismatch": (g.src, f.dst)}
         return True, None

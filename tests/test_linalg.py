@@ -17,6 +17,7 @@ from toposval.linalg import (
     eig_hermitian,
     projector_from_span,
     projector_ranks,
+    screened_containment_table,
 )
 from toposval.sampling import random_density, random_hermitian
 from toposval.tolerances import DEFAULT
@@ -62,6 +63,81 @@ def test_eig_ambiguous_cluster():
     with pytest.raises(GroupingError):
         eig_hermitian(HermitianOperator(np.diag([0.0, 0.8 * t, 1.6 * t])),
                       tol=DEFAULT.overridden(eig_group=t))
+
+
+def eig_hermitian_per_group(h, tol):
+    """`eig_hermitian` with each group's width tested, and its projector
+    built and validated, one group at a time: the errors' oracle."""
+    evals, evecs = np.linalg.eigh(h.entries)
+    groups = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] <= tol.eig_group:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    out = []
+    for g in groups:
+        if evals[g[-1]] - evals[g[0]] > tol.eig_group:
+            raise GroupingError(
+                f"eigenvalue cluster {[float(evals[i]) for i in g]} is wider than "
+                f"the grouping width {tol.eig_group}; refusing to guess"
+            )
+        vecs = evecs[:, g]
+        out.append((float(np.mean(evals[g])), Projector(vecs @ vecs.conj().T, tol=tol)))
+    return out
+
+
+def _planted(*blocks) -> HermitianOperator:
+    """A block-diagonal operator: a list of floats is a diagonal block,
+    whose eigenvectors eigh returns exactly; a tuple of eigenvalues is a
+    seeded rotated block, whose eigenprojectors carry rounding."""
+    rng = np.random.default_rng(23)
+    parts = []
+    for b in blocks:
+        if isinstance(b, list):
+            parts.append(np.diag(np.array(b, dtype=complex)))
+        else:
+            u = np.linalg.qr(rng.normal(size=(len(b), len(b))) + 1j * rng.normal(size=(len(b), len(b))))[0]
+            m = u @ np.diag(np.array(b, dtype=complex)) @ u.conj().T
+            parts.append((m + m.conj().T) / 2)
+    dim = sum(len(p) for p in parts)
+    h = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for p in parts:
+        h[at:at + len(p), at:at + len(p)] = p
+        at += len(p)
+    return HermitianOperator(h)
+
+
+def test_eig_groups_validated_at_once_raise_the_per_group_errors():
+    # one validation of the stacked group projectors raises what validating
+    # group by group raises: a late group's projector failure, a wide
+    # cluster before a failing group, and a failing group before a wide
+    # cluster; a passing decomposition is the same floats
+    width = DEFAULT.overridden(eig_group=1e-3)
+    wide = [1.0, 1.0006, 1.0012]
+    cases = [
+        (_planted([0.0, 1.0], (2.0, 3.0)), width.overridden(trace_rank=0.0), LinalgError),
+        (_planted([0.0, 1.0], (2.0, 3.0)), width.overridden(proj_idem=1e-17), LinalgError),
+        (_planted([0.0] + wide, (2.0, 3.0)), width.overridden(trace_rank=0.0), GroupingError),
+        (_planted((-3.0, -2.0), wide), width.overridden(proj_idem=1e-17), LinalgError),
+        (_planted((-3.0, -2.0), wide), width, GroupingError),
+    ]
+    for h, tol, kind in cases:
+        with pytest.raises(LinalgError) as want:
+            eig_hermitian_per_group(h, tol)
+        with pytest.raises(LinalgError) as got:
+            eig_hermitian(h, tol)
+        assert type(got.value) is type(want.value) is kind
+        assert str(got.value) == str(want.value)
+    for h, tol, _ in cases[:2]:
+        with pytest.raises(LinalgError, match="projector"):
+            eig_hermitian_per_group(h, tol)
+    h = _planted([0.0, 1.0], (2.0, 3.0), (5.0, 5.0, 6.0))
+    got, want = eig_hermitian(h, width), eig_hermitian_per_group(h, width)
+    assert [lam for lam, _ in got] == [lam for lam, _ in want]
+    assert [p.entries.tobytes() for _, p in got] == [p.entries.tobytes() for _, p in want]
+    assert [p.rank for _, p in got] == [p.rank for _, p in want] == [1, 1, 1, 1, 2, 1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -207,6 +283,57 @@ def test_containment_table_decides_every_pair():
                                   for q in stack]
     with pytest.raises(LinalgError, match="dimension"):
         containment_table(stack, np.eye(2, dtype=complex)[np.newaxis])
+
+
+def test_screened_table_decides_as_containment_table():
+    # a stack with repeated rows, in scrambled order, zero and identity rows
+    # among them, at widths from none to every pair
+    rng = np.random.default_rng(29)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    stack = np.stack([u @ np.diag(np.array(bits, dtype=float)) @ u.conj().T
+                      for bits in np.ndindex(2, 2, 2, 2)])
+    rows = stack[rng.integers(0, len(stack), 40)]
+    for certain in (10.0, 0.5, 1e-8, 1e-15, 0.0):
+        tol = DEFAULT.overridden(certain=certain)
+        want = containment_table(rows, stack, tol)
+        assert screened_containment_table(rows, stack, tol).tolist() == want.tolist()
+        assert screened_containment_table(rows[:0], stack, tol).shape == (0, 16)
+        assert screened_containment_table(rows, stack[:0], tol).shape == (40, 0)
+    # a NaN entry fails every pair it meets, and only those
+    broken = stack.copy()
+    broken[3, 1, 2] = np.nan
+    table = screened_containment_table(broken, broken)
+    assert table.tolist() == containment_table(broken, broken).tolist()
+    assert not table[3].any() and not table[:, 3].any() and table[5].any()
+    with pytest.raises(LinalgError, match="dimension"):
+        screened_containment_table(stack, np.eye(2, dtype=complex)[np.newaxis])
+
+
+def test_screened_table_keeps_a_pair_only_the_factor_d_protects():
+    # max|Q P - P| = 5e-10 < 1e-9, so P <= Q; but |tr(Q P - P)| = 1.5e-9
+    # reaches the width, so a proof without the factor d would refute it
+    delta = 5e-10
+    p = np.diag([1.0, 1, 1, 0]).astype(complex)[np.newaxis]
+    q = np.diag([1 - delta, 1 - delta, 1 - delta, 0]).astype(complex)[np.newaxis]
+    tol = DEFAULT.overridden(certain=1e-9)
+    assert abs(np.trace(q[0] @ p[0] - p[0]).real) >= tol.certain
+    assert containment_table(q, p, tol).tolist() == [[True]]
+    assert screened_containment_table(q, p, tol).tolist() == [[True]]
+
+
+def test_screened_table_needs_its_rounding_slack():
+    # Q = (1 - delta) I against P = I, at a width one ulp above the float
+    # max|Q - I|: every pair is contained, while the float overlap, rounded
+    # down, puts |Re tr(Q - I)| above d times the width in about two draws
+    # of five, so only the slack keeps them
+    for dim in (3, 5, 6, 7):
+        for k in range(64):
+            delta = 1e-9 * (1 + k / 64)
+            q = np.diag(np.full(dim, 1 - delta)).astype(complex)[np.newaxis]
+            p = np.eye(dim, dtype=complex)[np.newaxis]
+            tol = DEFAULT.overridden(certain=float(np.nextafter(np.abs(q[0] - p[0]).max(), np.inf)))
+            assert containment_table(q, p, tol).tolist() == [[True]]
+            assert screened_containment_table(q, p, tol).tolist() == [[True]]
 
 
 def test_projector_ranks_validate_a_stack_as_projector_does():

@@ -33,9 +33,11 @@ from toposval.linalg import (
     Projector,
     StateVector,
     containment_table,
+    screened_containment_table,
 )
 from toposval.ocat import (
     EigenvalueMap,
+    Morphism,
     ODecomposition,
     OcatError,
     OperatorCategory,
@@ -361,6 +363,46 @@ def test_composition_closure():
         assert ok, w
         for oid in cat.ids:
             assert (oid, oid) in cat.morphisms   # identities discovered
+
+
+def composition_closure_oracle(cat):
+    """`check_composition_closure` as a scan of every pair (f, g) of
+    morphisms, each composite's map built by `compose`."""
+    for f in cat.morphisms.values():
+        for g in cat.morphisms.values():
+            if g.dst != f.src:
+                continue
+            h = cat.morphisms.get((g.src, f.dst))
+            if h is None:
+                return False, {"f": (f.src, f.dst), "g": (g.src, g.dst), "missing": (g.src, f.dst)}
+            if h.map.pairs != cat.compose(g, f).pairs:
+                return False, {"f": (f.src, f.dst), "g": (g.src, g.dst),
+                               "composite_mismatch": (g.src, f.dst)}
+    return True, None
+
+
+def test_composition_closure_witnesses_match_the_composed_maps():
+    # a missing composite and a mismatched one, planted in seeded
+    # categories, are named by the same witness as a scan that builds each
+    # composite's map
+    rng = np.random.default_rng(43)
+    planted = Counter()
+    for _ in range(10):
+        cat, aid = random_category(rng, int(rng.integers(2, 6)))
+        assert cat.check_composition_closure() == composition_closure_oracle(cat) == (True, None)
+        # one -> A is the composite of one -> F0 and F0 -> A
+        h = cat.morphisms[("one", aid)]
+        del cat.morphisms[("one", aid)]
+        ok, witness = cat.check_composition_closure()
+        assert not ok and (ok, witness) == composition_closure_oracle(cat)
+        planted[next(iter(witness.keys() - {"f", "g"}))] += 1
+        # the same arrow with one value moved off its composite's
+        (lam, v), *rest = h.map.pairs
+        cat.morphisms[("one", aid)] = Morphism("one", aid, EigenvalueMap(((lam, v + 1.0), *rest)))
+        ok, witness = cat.check_composition_closure()
+        assert not ok and (ok, witness) == composition_closure_oracle(cat)
+        planted[next(iter(witness.keys() - {"f", "g"}))] += 1
+    assert planted == Counter({"missing": 10, "composite_mismatch": 10})
 
 
 def test_apply_map_spectrum_is_image():
@@ -856,7 +898,27 @@ def test_arrow_table_spans_several_chunks(monkeypatch):
         for chunk in (1, 100, 10 ** 7):
             monkeypatch.setattr(linalg, "CONTAINMENT_CHUNK", chunk)
             assert np.array_equal(containment_table(a.mask_entries, a.mask_entries, tol), want)
+            assert np.array_equal(screened_containment_table(a.mask_entries, a.mask_entries, tol), want)
         monkeypatch.undo()
+
+
+def test_screened_cross_check_tables_match_containment_table():
+    # every cross-check table, the rows of all arrows into a target against
+    # its mask projectors, decides each entry as `containment_table` does,
+    # on 60 seeded categories and the CI operator set at every table width,
+    # rows repeated bit for bit among them
+    entries = repeated = 0
+    for cat in _arrow_categories():
+        for target in cat._targets:
+            if target.check is None:
+                continue
+            rows, cols = target.check.rows, target.check.columns
+            repeated += len(rows) - len({r.tobytes() for r in rows})
+            for tol in TABLE_WIDTHS:
+                want = containment_table(rows, cols, tol)
+                assert np.array_equal(screened_containment_table(rows, cols, tol), want)
+                entries += want.size
+    assert entries > 200_000 and repeated > 500, (entries, repeated)
 
 
 def test_failing_delta_raises_on_each_query_and_spares_the_others():
@@ -888,11 +950,11 @@ def test_failing_delta_raises_on_each_query_and_spares_the_others():
 def test_one_table_per_target_and_tolerance_set(monkeypatch):
     # building a category takes one stacked discovery product per target
     # operator; a full `ocat` sweep, for two states at two tolerance sets
-    # (the default one queried twice), takes one containment table per
-    # (target operator, tolerance set), whose columns are the target's mask
-    # projectors (`certain_each` calls the table through `linalg`)
+    # (the default one queried twice), takes one screened containment table
+    # per (target operator, tolerance set), whose columns are the target's
+    # mask projectors
     products, tables = Counter(), Counter()
-    product, table = ocat_module._eigenspace_scalars, ocat_module.containment_table
+    product, table = ocat_module._eigenspace_scalars, ocat_module.screened_containment_table
 
     def product_spy(ops, a):
         products[a.id] += 1
@@ -903,7 +965,7 @@ def test_one_table_per_target_and_tolerance_set(monkeypatch):
         return table(rows, cols, tol)
 
     monkeypatch.setattr(ocat_module, "_eigenspace_scalars", product_spy)
-    monkeypatch.setattr(ocat_module, "containment_table", table_spy)
+    monkeypatch.setattr(ocat_module, "screened_containment_table", table_spy)
     wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15)
     rng = np.random.default_rng(271)
     for _ in range(5):
