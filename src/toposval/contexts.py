@@ -365,9 +365,9 @@ def v_of_p(v: Context, p: LatticeElement) -> frozenset[Character]:
     """The characters valuing the lattice element at 1: one per atom in the mask."""
     if p.context_id != v.id:
         raise ContextError("lattice element belongs to a different context")
-    return frozenset(
-        Character(v.id, i) for i in range(v.n_atoms) if p.mask >> i & 1
-    )
+    if not 0 <= p.mask <= v.full_mask:
+        raise ContextError(f"mask {p.mask} out of range for context {v.id!r}")
+    return frozenset(Character(v.id, i) for i in bit_list(p.mask))
 
 
 class PosetIndex:
@@ -388,6 +388,12 @@ class PosetIndex:
     partition maps in one array pass on first request; `coarse`,
     `restriction` and `image` read one pair's rows of them, and the route
     gathers (`gather`) and `coarse_squares` read their flat arrays.
+
+    The immutable objects a report names are kept here, built on first
+    use and shared by every caller: the id tuple of a mask over stage
+    indices (`names`, and `row_names` for packed rows), and the
+    `LatticeElement` and the character set of a cell (`element`,
+    `characters`).
     """
 
     def __init__(self, n_atoms: dict[str, int], order,
@@ -415,6 +421,9 @@ class PosetIndex:
         )
         self._names: dict[int, tuple[str, ...]] = {}
         self._sets: dict[int, frozenset[str]] = {}
+        self._row_names: dict[bytes, tuple[str, ...]] = {}
+        self._elements: dict[tuple[int, int], LatticeElement] = {}
+        self._characters: dict[tuple[int, int], frozenset[Character]] = {}
         self._closures: dict[int, int] = {}
         self._rows: dict[str, dict[tuple[int, int], tuple]] = {"coarse": {}, "owner": {}, "image": {}}
         self._gathers: dict[str, Gather] = {}
@@ -432,6 +441,38 @@ class PosetIndex:
         out = self._sets.get(bits)
         if out is None:
             out = self._sets[bits] = frozenset(self.names(bits))
+        return out
+
+    def row_names(self, packed: np.ndarray) -> list[tuple[str, ...]]:
+        """The ids of each row of packed masks over context indices
+        (`pack_ints` rows), sorted: one shared tuple per distinct row,
+        kept here alone (not in `names`' table) and looked up by the
+        row's little-endian bytes."""
+        rows = np.ascontiguousarray(packed, dtype="<u8")
+        keys = rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
+        known = self._row_names
+        try:
+            return list(map(known.__getitem__, keys))
+        except KeyError:
+            for key in set(keys).difference(known):
+                known[key] = tuple(map(self.ids.__getitem__, bit_list(int.from_bytes(key, "little"))))
+            return list(map(known.__getitem__, keys))
+
+    def element(self, i: int, mask: int) -> LatticeElement:
+        """The lattice element of (stage index, mask), one shared object
+        per cell."""
+        out = self._elements.get((i, mask))
+        if out is None:
+            out = self._elements[(i, mask)] = LatticeElement(self.ids[i], mask)
+        return out
+
+    def characters(self, i: int, mask: int) -> frozenset[Character]:
+        """The characters of stage index i selecting the atoms of a mask,
+        one shared frozenset per cell."""
+        out = self._characters.get((i, mask))
+        if out is None:
+            cid = self.ids[i]
+            out = self._characters[(i, mask)] = frozenset(Character(cid, k) for k in bit_list(mask))
         return out
 
     def closure(self, bits: int) -> int:
@@ -580,26 +621,43 @@ class PosetIndex:
         return out
 
     @cached_property
-    def coarse_squares(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    def coarse_squares(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray]:
         """Coarse-graining of mask pairs, flat.  The squares of the stages,
         2^n x 2^n entries each (left mask major), are laid end to end.  Per
         proper comparable pair (sub, sup), in `pair_indices` order, its
-        entries are sup's square, (x, y) ascending, and `target` holds the
-        offset of (cg x, cg y) in sub's square, read off `tables.coarse`.
-        Returns the pairs, `first` (each pair's first entry, then the count)
-        and `target`."""
+        entries are sup's square, (x, y) ascending: `target` holds the
+        offset of (cg x, cg y) in sub's square, read off `tables.coarse`,
+        and `source` the offset of (x, y) in sup's square.  Returns the
+        pairs, `first` (each pair's first entry, then the count), `target`
+        and `source`."""
         sub, sup, _ = self.proper_pairs
         t = self.tables
         starts = t.table_start[self._ranks("coarse", sub, sup)].tolist()
         square_start = np.cumsum([0] + [1 << 2 * n for n in self.n_atoms]).tolist()
         proper = tuple(zip(sub.tolist(), sup.tolist()))
         first = np.cumsum([0] + [1 << 2 * self.n_atoms[j] for _, j in proper])
+        source = np.empty(first[-1], dtype=np.int32)
         target = np.empty(first[-1], dtype=np.int32)
         for k, ((i, j), start) in enumerate(zip(proper, starts)):
             table = t.coarse[start:start + (1 << self.n_atoms[j])].astype(np.int32)
+            source[first[k]:first[k + 1]] = np.arange(square_start[j], square_start[j + 1], dtype=np.int32)
             target[first[k]:first[k + 1]] = ((table << self.n_atoms[i])[:, np.newaxis]
                                              + table).ravel() + square_start[i]
-        return proper, first, target
+        return proper, first, target, source
+
+    @cached_property
+    def cover_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lattice covers of `mask_covers` carried down the "below"
+        gather: per sub-stage entry of each cover's lower cell, the
+        targets of that entry and of the upper cell's entry for the same
+        sub-stage, and the entry's pair rank (`Gather.pair`)."""
+        g = self.gather("below")
+        lo, hi = self.mask_covers
+        per_cell = np.diff(g.start)[lo]
+        offset = np.arange(per_cell.sum()) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+        lo_e = np.repeat(g.start[lo], per_cell) + offset
+        hi_e = np.repeat(g.start[hi], per_cell) + offset
+        return g.target[lo_e], g.target[hi_e], g.pair[lo_e]
 
 
 class PairTables:

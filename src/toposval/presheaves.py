@@ -13,7 +13,7 @@ stage.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -144,29 +144,50 @@ class GlobalElementG:
 
     `enforce=False` admits a broken assignment (for witness construction);
     `satisfies_matching` records whether the matching law actually holds.
+    `masks` holds the assigned masks in the order of `poset.index.ids`.
     """
 
     poset: ContextPoset
     assignment: dict[str, int]  # context id -> mask
     satisfies_matching: bool
+    masks: tuple[int, ...] = field(repr=False)
 
     def __init__(self, poset: ContextPoset, assignment: dict[str, int], enforce: bool = True):
         assignment = dict(assignment)
         if set(assignment) != set(poset.ids):
             raise ContextError("assignment must cover every context of the poset")
         for cid, mask in assignment.items():
+            if not _is_int(mask):
+                raise ContextError(f"mask {mask!r} at {cid!r} is not an int")
             if not 0 <= mask <= poset.context(cid).full_mask:
                 raise ContextError(f"mask {mask} out of range at {cid!r}")
-        index = poset.index
-        ok = _first_failing_pair(index, [assignment[cid] for cid in index.ids], "below") is None
+        self._settle(poset, assignment, tuple(map(assignment.__getitem__, poset.index.ids)), enforce)
+
+    @classmethod
+    def _of_masks(cls, poset: ContextPoset, masks: tuple[int, ...]) -> "GlobalElementG":
+        """The unenforced assignment of masks given in index order, each
+        known to lie in its context's lattice."""
+        out = cls.__new__(cls)
+        out._settle(poset, dict(zip(poset.index.ids, masks)), masks, False)
+        return out
+
+    def _settle(self, poset: ContextPoset, assignment: dict[str, int], masks: tuple[int, ...],
+                enforce: bool) -> None:
+        ok = _first_failing_pair(poset.index, masks, "below") is None
         if enforce and not ok:
             raise ContextError("assignment violates the coarse-graining matching law")
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "satisfies_matching", ok)
+        object.__setattr__(self, "masks", masks)
 
     def element(self, cid: str) -> LatticeElement:
         return LatticeElement(cid, self.assignment[cid])
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy integer, bools refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _first_failing_pair(index: PosetIndex, masks, route: str,
@@ -201,24 +222,45 @@ class SubobjectSigma:
     The subobject law asks restriction of the finer set to land inside the
     coarser one; the `tight` variant asks for equality.  As with
     `GlobalElementG`, `enforce=False` admits broken assignments and the
-    flags record what actually holds.
+    flags record what actually holds; `masks` holds each context's atom
+    set as a mask, in the order of `poset.index.ids`.
     """
 
     poset: ContextPoset
     assignment: dict[str, frozenset[int]]  # context id -> atom indices
     satisfies_law: bool
     is_tight: bool
+    masks: tuple[int, ...] = field(repr=False)
 
     def __init__(self, poset: ContextPoset, assignment: dict[str, frozenset[int]], enforce: bool = True):
         assignment = {k: frozenset(v) for k, v in assignment.items()}
         if set(assignment) != set(poset.ids):
             raise ContextError("assignment must cover every context of the poset")
+        masks = {}
         for cid, indices in assignment.items():
             n = poset.context(cid).n_atoms
-            if any(not 0 <= i < n for i in indices):
-                raise ContextError(f"atom index out of range at {cid!r}")
+            mask = 0
+            for i in indices:
+                if not _is_int(i):
+                    raise ContextError(f"atom indices at {cid!r} must be ints")
+                if not 0 <= i < n:
+                    raise ContextError(f"atom index out of range at {cid!r}")
+                mask |= 1 << int(i)
+            masks[cid] = mask
+        self._settle(poset, assignment, tuple(map(masks.__getitem__, poset.index.ids)), enforce)
+
+    @classmethod
+    def _of_masks(cls, poset: ContextPoset, masks: tuple[int, ...]) -> "SubobjectSigma":
+        """The unenforced assignment of the atom masks given in index
+        order, each known to lie in its context's lattice."""
+        out = cls.__new__(cls)
+        out._settle(poset, {cid: frozenset(bit_list(m)) for cid, m in zip(poset.index.ids, masks)},
+                    masks, False)
+        return out
+
+    def _settle(self, poset: ContextPoset, assignment: dict[str, frozenset[int]],
+                masks: tuple[int, ...], enforce: bool) -> None:
         index = poset.index
-        masks = [index_mask(assignment[cid]) for cid in index.ids]
         tight = _first_failing_pair(index, masks, "below_image") is None
         law = tight or _first_failing_pair(index, masks, "below_image",
                                            lambda own, image: (image & ~own) == 0) is None
@@ -228,17 +270,10 @@ class SubobjectSigma:
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "satisfies_law", law)
         object.__setattr__(self, "is_tight", tight)
+        object.__setattr__(self, "masks", masks)
 
     def characters(self, cid: str) -> frozenset[Character]:
         return frozenset(Character(cid, i) for i in self.assignment[cid])
-
-
-def index_mask(indices) -> int:
-    """The mask with the given bit indices set."""
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
 
 
 def subobject_from_global_element(gamma: GlobalElementG) -> SubobjectSigma:

@@ -117,12 +117,15 @@ BUILTIN_RELATIONS = {
 
 def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "random") -> Relation:
     """A seeded boolean table per context, (left mask, right mask), so
-    replays are exact."""
-    tables: dict[str, np.ndarray] = {}
-    for cid in poset.ids:
-        n = poset.context(cid).n_atoms
-        # one draw per context, consumed in (l, r) order like scalar draws
-        tables[cid] = rng.random(1 << 2 * n).reshape(1 << n, 1 << n) < 0.5
+    replays are exact.  One draw covers every context, consumed in
+    (context, l, r) order, so the tables and the generator's next draw
+    are those of one draw per context in turn."""
+    index = poset.index
+    sizes = [1 << n for n in index.n_atoms]
+    ends = np.cumsum([size * size for size in sizes]).tolist()
+    drawn = rng.random(ends[-1] if ends else 0) < 0.5
+    tables = {cid: drawn[end - size * size:end].reshape(size, size)
+              for cid, size, end in zip(index.ids, sizes, ends)}
     return Relation(name, lambda cid, l, r: bool(tables[cid][l, r]), lambda cid, n: tables[cid])
 
 
@@ -288,13 +291,13 @@ def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
 
 def _preserved_by_coarse_graining(index: PosetIndex, tables: list[np.ndarray]):
     """R(x, y) at a stage gives R(cg x, cg y) at every proper sub-stage: one
-    gather over every (pair, x, y); the first failure in that order."""
-    pairs, first, target = index.coarse_squares
+    gather over every (pair, x, y) from the stages' tables laid end to end;
+    the first failure in that order."""
+    pairs, first, target, source = index.coarse_squares
     if not pairs:
         return True, None
-    flat = [t.ravel() for t in tables]
-    source = np.concatenate([flat[sup] for _, sup in pairs])
-    e = _first(source & ~np.concatenate(flat)[target])
+    squares = np.concatenate([t.ravel() for t in tables])
+    e = _first(np.take(squares, source) > np.take(squares, target))
     if e is None:
         return True, None
     k = int(np.searchsorted(first, e, side="right")) - 1
@@ -306,18 +309,14 @@ def _preserved_by_coarse_graining(index: PosetIndex, tables: list[np.ndarray]):
 def _isotone_under_coarse_graining(index: PosetIndex, related: np.ndarray):
     """Along each comparable pair (sub, sup), R at sub must be monotone in
     the coarse-graining of sup's masks.  Decided along sup's covers, each
-    carried to sub through the gather's entries; the first failing pair in
-    `pair_indices` order is scanned for its witness."""
-    g = index.gather("below")
-    lo, hi = index.mask_covers
-    per_cell = np.diff(g.start)[lo]
-    offset = np.arange(per_cell.sum()) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
-    lo_e = np.repeat(g.start[lo], per_cell) + offset
-    hi_e = np.repeat(g.start[hi], per_cell) + offset
-    bad = related[g.target[lo_e]] & ~related[g.target[hi_e]]
+    carried to sub through the gather's entries (`cover_targets`); the
+    first failing pair in `pair_indices` order is scanned for its
+    witness."""
+    lo, hi, pair = index.cover_targets
+    bad = np.take(related, lo) > np.take(related, hi)
     if not bad.any():
         return True, None
-    sub, sup = index.pair_indices[int(g.pair[lo_e[bad]].min())]
+    sub, sup = index.pair_indices[int(pair[bad].min())]
     at_sub = related[index.cell_start[sub] + np.array(index.coarse(sub, sup))].tolist()
     p, q = first_superset_failure(len(at_sub), lambda p, q: at_sub[p] and not at_sub[q])
     return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}

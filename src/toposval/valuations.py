@@ -18,9 +18,19 @@ and the matrix is one gather of that vector through `PosetIndex.gather`:
 stage j enters (i, mask) when the cell of j and the mask's image at j was
 decided true, images by coarse-graining ("below") or by restriction
 ("below_image"), the member entries scattered into the packed rows in one
-step (`Gather.pack`).  Rows become int bitmasks only where a report names
-members: `dump` converts the whole matrix at once, a witness or a query
-only the rows it reads.
+step (`Gather.pack`).  Rows become ids only where a report names
+members: `dump` looks the whole matrix up at once in the poset index's
+id tuples, a witness or a query converts only the rows it reads to int
+bitmasks.
+
+A report's per-context values are lookups in tables that the poset index
+builds on first use and shares between valuations: `support` returns the
+index's `LatticeElement` of the cell and `interval` its character set,
+both immutable.  What a caller may mutate is fresh per call: `dump`
+builds new dicts and lists on every call.  The supports' global element
+and the interval subobject are built from the mask tuples of
+`_supports` and `_intervals`, which they keep (`masks`) for the
+valuations rebuilt from them.
 
 Each law is one array reduction over the matrix, or over the per-entry
 member bits of a gather, and its witness is the first failing entry in
@@ -63,7 +73,7 @@ from .contexts import (
     row_ints,
 )
 from .linalg import DensityMatrix, certain_each, probability_each
-from .presheaves import GlobalElementG, Sieve, SubobjectSigma, _first_failing_pair, index_mask, make_sieve
+from .presheaves import GlobalElementG, Sieve, SubobjectSigma, _first_failing_pair, make_sieve
 from .sampling import random_density, random_poset
 from .tolerances import DEFAULT, Tolerances
 
@@ -195,14 +205,14 @@ class MorphismSetValuation:
         return w is None, w
 
     def dump(self) -> dict:
-        """{context -> {maskHex -> [member ids]}} over the full lattice."""
+        """{context -> {maskHex -> [member ids]}} over the full lattice,
+        each stage's dict zipped from the shared hex keys and the index's
+        shared name tuples; every call returns fresh dicts and lists."""
         index = self._index
-        ints = row_ints(self._matrix)
-        out = {}
-        for cid, first, n in zip(index.ids, self._first, index.n_atoms):
-            out[cid] = {key: list(index.names(bits))
-                        for key, bits in zip(_mask_keys(n), ints[first:first + (1 << n)])}
-        return out
+        rows = list(map(list, index.row_names(self._matrix)))
+        first = self._first
+        return {cid: dict(zip(_mask_keys(n), rows[first[i]:first[i + 1]]))
+                for i, (cid, n) in enumerate(zip(index.ids, index.n_atoms))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,15 +289,18 @@ def truth_set(alpha: MorphismSetValuation, cid: str) -> TruthSet:
 def support(alpha: MorphismSetValuation, cid: str) -> LatticeElement | None:
     """Infimum of the truth set at a stage; None flags an empty truth set
     (a degenerate valuation, excluded from the support-based theorems)."""
-    mask = alpha._support(alpha._position(cid))
-    return None if mask is None else LatticeElement(cid, mask)
+    i = alpha._position(cid)
+    mask = alpha._support(i)
+    return None if mask is None else alpha._index.element(i, mask)
 
 
 def interval(alpha: MorphismSetValuation, cid: str) -> frozenset[Character]:
     """Characters valuing every truth-set member at 1.  Over a finite
     spectrum this is the character set of the support (when it exists);
-    the empty intersection convention yields the whole spectrum."""
-    return frozenset(Character(cid, i) for i in bit_list(alpha._interval(alpha._position(cid))))
+    the empty intersection convention yields the whole spectrum.  The set
+    is the poset index's shared one for that cell."""
+    i = alpha._position(cid)
+    return alpha._index.characters(i, alpha._interval(i))
 
 
 # --------------------------------------------------------------------------
@@ -558,15 +571,14 @@ def check_global_element_condition(alpha: MorphismSetValuation) -> dict:
 def supports_global_element(alpha: MorphismSetValuation) -> GlobalElementG:
     """Package the supports of a valuation as a (possibly broken) projector
     assignment; callers inspect `satisfies_matching`."""
-    assignment = {}
-    for cid, s in zip(alpha._index.ids, _supports(alpha)):
-        if s is None:
-            raise ContextError(f"empty truth set at {cid!r}: no support to package")
-        assignment[cid] = s
-    return GlobalElementG(alpha.poset, assignment, enforce=False)
+    supports = _supports(alpha)
+    if None in supports:
+        cid = alpha._index.ids[supports.index(None)]
+        raise ContextError(f"empty truth set at {cid!r}: no support to package")
+    return GlobalElementG._of_masks(alpha.poset, supports)
 
 
-def _inside_each(index: PosetIndex, chosen: list[int]) -> np.ndarray:
+def _inside_each(index: PosetIndex, chosen: tuple[int, ...]) -> np.ndarray:
     """Per cell (stage j, mask m): whether chosen[j] lies inside m."""
     return (np.array(chosen, dtype=np.int64)[index.cell_stage] & ~index.cell_mask) == 0
 
@@ -576,9 +588,7 @@ def alpha_from_global_element(a: GlobalElementG) -> MorphismSetValuation:
     the assigned projector there lies below the coarse-grained proposition.
     Sieve-valued whenever `a` really is a global element; its supports
     always reproduce `a`."""
-    index = a.poset.index
-    chosen = [a.assignment[cid] for cid in index.ids]
-    return MorphismSetValuation._gathered(a.poset, _inside_each(index, chosen), "below",
+    return MorphismSetValuation._gathered(a.poset, _inside_each(a.poset.index, a.masks), "below",
                                           name="alpha^a")
 
 
@@ -586,9 +596,7 @@ def alpha_from_subobject(a: SubobjectSigma) -> MorphismSetValuation:
     """The valuation induced by a character-set assignment: a stage enters
     when its assigned characters all lie in the restriction of the
     proposition's certain set.  Sieve-valued whenever `a` is tight."""
-    index = a.poset.index
-    chosen = [index_mask(a.assignment[cid]) for cid in index.ids]
-    return MorphismSetValuation._gathered(a.poset, _inside_each(index, chosen), "below_image",
+    return MorphismSetValuation._gathered(a.poset, _inside_each(a.poset.index, a.masks), "below_image",
                                           name="alpha^a_sigma")
 
 
@@ -694,8 +702,7 @@ def _intervals_subobject(alpha: MorphismSetValuation) -> SubobjectSigma:
     """The interval assignment as a subobject, built once per valuation:
     `theorem2_verify` reads its flags and `reconstruct_from_intervals`
     rebuilds from it."""
-    assignment = {cid: frozenset(bit_list(m)) for cid, m in zip(alpha._index.ids, _intervals(alpha))}
-    return SubobjectSigma(alpha.poset, assignment, enforce=False)
+    return SubobjectSigma._of_masks(alpha.poset, _intervals(alpha))
 
 
 def reconstruct_from_intervals(alpha: MorphismSetValuation) -> tuple[MorphismSetValuation, dict]:

@@ -4,11 +4,22 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, _ContextStore, nonzero_rows, pack_ints
+from toposval.contexts import (
+    Character,
+    ContextError,
+    LatticeElement,
+    _ContextStore,
+    bit_list,
+    nonzero_rows,
+    pack_ints,
+    row_ints,
+)
 from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
 from toposval.ocat import EigenvalueMap
+from toposval.presheaves import GlobalElementG, SubobjectSigma
 from toposval.sampling import diag_plus_trivial, fix_a
 from toposval.tolerances import DEFAULT
+from toposval.valuations import _first, _intervals, _supports, first_superset_failure
 
 criterion_lines: list[str] = []
 
@@ -291,3 +302,112 @@ class PairStore(_ContextStore):
         masks = masks.tolist()
         for a, b, end in zip(k.tolist(), j.tolist(), ends):
             yield self.ctxs[a], self.ctxs[b], tuple(masks[end - self.ctxs[a].n_atoms:end])
+
+
+# --------------------------------------------------------------------------
+# per-context constructions of the report values that the poset index now
+# shares, or builds in one array pass
+
+def dump_oracle(alpha):
+    """`dump` as one comprehension per stage over the int rows."""
+    index = alpha._index
+    ints = row_ints(alpha._matrix)
+    first = index.cell_start.tolist()
+    out = {}
+    for i, (cid, n) in enumerate(zip(index.ids, index.n_atoms)):
+        out[cid] = {format(mask, "x"): list(index.names(bits))
+                    for mask, bits in enumerate(ints[first[i]:first[i] + (1 << n)])}
+    return out
+
+
+def support_oracle(alpha, cid):
+    """A fresh `LatticeElement` of the support, None without one."""
+    mask = _supports(alpha)[alpha._index.pos[cid]]
+    return None if mask is None else LatticeElement(cid, mask)
+
+
+def interval_oracle(alpha, cid):
+    """A fresh character set of the interval."""
+    return frozenset(Character(cid, i) for i in bit_list(_intervals(alpha)[alpha._index.pos[cid]]))
+
+
+def intervals_subobject_oracle(alpha):
+    """The interval subobject from a frozenset assignment, by `__init__`."""
+    assignment = {cid: frozenset(bit_list(m)) for cid, m in zip(alpha._index.ids, _intervals(alpha))}
+    return SubobjectSigma(alpha.poset, assignment, enforce=False)
+
+
+def supports_global_element_oracle(alpha):
+    """The supports as a global element, by `__init__`."""
+    assignment = {}
+    for cid, s in zip(alpha._index.ids, _supports(alpha)):
+        if s is None:
+            raise ContextError(f"empty truth set at {cid!r}: no support to package")
+        assignment[cid] = s
+    return GlobalElementG(alpha.poset, assignment, enforce=False)
+
+
+def preserved_oracle(index, tables):
+    """`_preserved_by_coarse_graining` with the source squares concatenated
+    pair by pair."""
+    pairs, first, target, _ = index.coarse_squares
+    if not pairs:
+        return True, None
+    flat = [t.ravel() for t in tables]
+    source = np.concatenate([flat[sup] for _, sup in pairs])
+    e = _first(source & ~np.concatenate(flat)[target])
+    if e is None:
+        return True, None
+    k = int(np.searchsorted(first, e, side="right")) - 1
+    sub, sup = pairs[k]
+    x, y = divmod(e - int(first[k]), 1 << index.n_atoms[sup])
+    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "x": x, "y": y}
+
+
+def isotone_oracle(index, related):
+    """`_isotone_under_coarse_graining` with the cover entries found per
+    call from the gather and the lattice covers."""
+    g = index.gather("below")
+    lo, hi = index.mask_covers
+    per_cell = np.diff(g.start)[lo]
+    offset = np.arange(per_cell.sum()) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    lo_e = np.repeat(g.start[lo], per_cell) + offset
+    hi_e = np.repeat(g.start[hi], per_cell) + offset
+    bad = related[g.target[lo_e]] & ~related[g.target[hi_e]]
+    if not bad.any():
+        return True, None
+    sub, sup = index.pair_indices[int(g.pair[lo_e[bad]].min())]
+    at_sub = related[index.cell_start[sub] + np.array(index.coarse(sub, sup))].tolist()
+    p, q = first_superset_failure(len(at_sub), lambda p, q: at_sub[p] and not at_sub[q])
+    return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
+
+
+def random_relation_oracle(rng, poset):
+    """`random_relation`'s tables by one draw per context in turn."""
+    tables = {}
+    for cid in poset.ids:
+        n = poset.context(cid).n_atoms
+        tables[cid] = rng.random(1 << 2 * n).reshape(1 << n, 1 << n) < 0.5
+    return tables
+
+
+def mask_range_oracle(poset, assignment):
+    """`GlobalElementG`'s checks one context at a time, in the
+    assignment's order."""
+    for cid, mask in assignment.items():
+        if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool):
+            raise ContextError(f"mask {mask!r} at {cid!r} is not an int")
+        if not 0 <= mask <= poset.context(cid).full_mask:
+            raise ContextError(f"mask {mask} out of range at {cid!r}")
+
+
+def atom_range_oracle(poset, assignment):
+    """`SubobjectSigma`'s checks one context at a time, in the
+    assignment's order."""
+    for cid, indices in assignment.items():
+        n = poset.context(cid).n_atoms
+        for i in indices:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ContextError(f"atom indices at {cid!r} must be ints")
+            if not 0 <= i < n:
+                raise ContextError(f"atom index out of range at {cid!r}")

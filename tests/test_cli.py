@@ -516,17 +516,18 @@ def test_golden_ocat_error_digest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("r", ["1", "0.6", "0.3"])
 def test_verify_theorems_builds_one_interval_subobject(tmp_path, monkeypatch, r):
     # theorem 2 and the interval reconstruction share the valuation's one
-    # interval subobject
+    # interval subobject; every construction, by `__init__` or from masks,
+    # ends in `_settle`
     from toposval.presheaves import SubobjectSigma
 
     built = []
-    init = SubobjectSigma.__init__
+    settle = SubobjectSigma._settle
 
     def spy(self, *args, **kwargs):
         built.append(self)
-        init(self, *args, **kwargs)
+        settle(self, *args, **kwargs)
 
-    monkeypatch.setattr(SubobjectSigma, "__init__", spy)
+    monkeypatch.setattr(SubobjectSigma, "_settle", spy)
     fixture = resources.files("toposval") / "data" / "ks18_dim4.json"
     (tmp_path / "ks18.json").write_bytes(fixture.read_bytes())
     (tmp_path / "mixed.json").write_text(json.dumps(MIXED_STATE))

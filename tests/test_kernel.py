@@ -972,18 +972,24 @@ def test_packed_rows_and_unclosed_cells_match_the_reduceat_oracle(closed_peres24
 
 
 def test_a_passing_verify_theorems_pass_converts_no_full_matrix(monkeypatch, closed_peres24):
-    # the member matrix stays packed: rows become ints only for a report
-    # that names members, and `dump` converts the whole matrix once
+    # the member matrix stays packed: rows become ints or names only for a
+    # report that names members, and `dump` names the whole matrix once
     import toposval.valuations as valuations
+    from toposval.contexts import PosetIndex
 
     converted = []
-    real = valuations.row_ints
+    real, real_names = valuations.row_ints, PosetIndex.row_names
 
     def spy(packed):
         converted.append(len(packed))
         return real(packed)
 
+    def spy_names(index, packed):
+        converted.append(len(packed))
+        return real_names(index, packed)
+
     monkeypatch.setattr(valuations, "row_ints", spy)
+    monkeypatch.setattr(PosetIndex, "row_names", spy_names)
     poset = closed_peres24
     rng = np.random.default_rng(21)
     for rho in (random_density(rng, 4, rank=1), random_density(rng, 4, rank=2)):
@@ -1288,7 +1294,7 @@ def test_gather_tables_follow_the_index_on_random_posets():
             (f + p, f + q) for f, n in cells for p in range(1 << n) for q in range(1 << n)
             if not p & q])]
         square = np.cumsum([0] + [1 << 2 * n for n in index.n_atoms]).tolist()
-        pairs, starts, target = index.coarse_squares
+        pairs, starts, target, source = index.coarse_squares
         assert pairs == tuple(p for p in index.pair_indices if p[0] != p[1])
         expected = []
         for sub, sup in pairs:
@@ -1296,6 +1302,9 @@ def test_gather_tables_follow_the_index_on_random_posets():
             expected += [square[sub] + (cg[x] << index.n_atoms[sub]) + cg[y]
                          for x in range(len(cg)) for y in range(len(cg))]
         assert target.tolist() == expected
+        assert source.tolist() == [square[sup] + (x << index.n_atoms[sup]) + y for _, sup in pairs
+                                   for x in range(1 << index.n_atoms[sup])
+                                   for y in range(1 << index.n_atoms[sup])]
         assert np.diff(starts).tolist() == [1 << 2 * index.n_atoms[sup] for _, sup in pairs]
 
 
