@@ -9,6 +9,7 @@ floating point decisions are made.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,10 +26,19 @@ class GroupingError(LinalgError):
     """Eigenvalue cluster that cannot be resolved at the given width."""
 
 
+# A NaN defect compares False with every tolerance, so each validation
+# refuses non-finite entries before it takes a defect.  A finite sum of
+# entries proves them all finite; only a sum that is not (an entry is not,
+# or finite entries overflow) takes the test entry by entry.
+NON_FINITE = "matrix has a non-finite entry"
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
+    if not cmath.isfinite(m.sum()) and not np.isfinite(m).all():
+        raise LinalgError(NON_FINITE)
     return m
 
 
@@ -70,7 +80,19 @@ def _projector_rank(herm: float, idem: float, tr: float, tol: Tolerances) -> int
 def projector_checks(stack: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[list[int], dict[int, LinalgError]]:
     """The rank of each projector matrix of a stack, and, by stack index,
     the error `Projector` raises on each one that fails its validation (the
-    rank given for such a matrix is 0)."""
+    rank given for such a matrix is 0).  A non-finite matrix fails first,
+    as in `Projector`: it is zeroed, so it passes the defect checks with
+    rank 0, and then given that error."""
+    if cmath.isfinite(stack.sum()):
+        return _finite_checks(stack, tol)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    ranks, errors = _finite_checks(np.where(finite[:, np.newaxis, np.newaxis], stack, 0), tol)
+    errors.update((k, LinalgError(NON_FINITE)) for k in np.flatnonzero(~finite).tolist())
+    return ranks, errors
+
+
+def _finite_checks(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, LinalgError]]:
+    """`projector_checks` on a stack of finite matrices."""
     herm, idem, tr = _hermitian_defect(stack), _idempotency_defect(stack), _trace(stack)
     ranks = np.round(tr)
     bad = (herm > tol.herm) | (idem > tol.proj_idem) | (np.abs(tr - ranks) > tol.trace_rank)
@@ -146,6 +168,16 @@ def _chunks(count: int, cell: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
+def byte_kinds(stack: np.ndarray, seen: dict[bytes, int]) -> list[int]:
+    """The kind of each matrix of a stack: its index among the distinct
+    byte strings of `seen`, each new one added in stack order.  Matrices
+    equal bit for bit share a kind, so a float taken from one holds for
+    all; a zero's sign splits kinds."""
+    raw = stack.tobytes()
+    width = len(raw) // max(1, len(stack))
+    return [seen.setdefault(raw[k * width:(k + 1) * width], len(seen)) for k in range(len(stack))]
+
+
 def product_max(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """max|P Q| over the entries, for each pair (P, Q) = (stack[first[p]],
     stack[second[p]]) of a stack of matrices: the float
@@ -203,9 +235,8 @@ def screened_containment_table(rows: np.ndarray, cols: np.ndarray, tol: Toleranc
         raise LinalgError("dimension mismatch")
     dim = rows.shape[1]
     cell = dim * dim
-    raw, width = rows.tobytes(), 16 * cell
     seen: dict[bytes, int] = {}
-    which = [seen.setdefault(raw[k * width:(k + 1) * width], len(seen)) for k in range(len(rows))]
+    which = byte_kinds(rows, seen)
     distinct = np.frombuffer(b"".join(seen), dtype=complex).reshape(len(seen), dim, dim)
     flat = distinct.reshape(len(seen), cell)
     turned = cols.transpose(0, 2, 1).reshape(len(cols), cell)
@@ -327,6 +358,8 @@ class StateVector:
 
     def __init__(self, amplitudes, tol: Tolerances = DEFAULT):
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all():
+            raise LinalgError("state vector has a non-finite entry")
         if abs(np.linalg.norm(v) - 1.0) > tol.unit_norm:
             raise LinalgError("state vector is not normalised within tolerance")
         v = np.array(v)

@@ -398,7 +398,7 @@ def _images(pairs) -> list[ODecomposition | ValueError]:
     defects = _hermitian_defect(sums).tolist()
     for row, (n, masks) in enumerate(todo):
         f, a = pairs[n]
-        if defects[row] > a.tol.herm:
+        if not defects[row] <= a.tol.herm:   # a non-finite sum fails in HermitianOperator
             try:
                 HermitianOperator(sums[row], tol=a.tol)
             except LinalgError as exc:

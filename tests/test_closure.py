@@ -796,6 +796,150 @@ def test_link_proof_takes_the_product_only_below_its_threshold(monkeypatch):
         assert store.link[:2, 2:4].tolist() == _float_link(z.stack, r.stack, tol), cos2
 
 
+def _store_products(monkeypatch):
+    """Spies on the link products `add_many` takes: per pair it sends to
+    `product_max`, its global atom indices (g, t) and the bytes of both
+    matrices."""
+    sent, adding = [], []
+    real_product, real_add = toposval.contexts.product_max, _ContextStore.add_many
+
+    def product_max(stack, first, second):
+        if adding:
+            sent.extend((g, t, stack[g].tobytes() + stack[t].tobytes())
+                        for g, t in zip(first.tolist(), second.tolist()))
+        return real_product(stack, first, second)
+
+    def add_many(self, contexts, atom_ids=None):
+        adding.append(True)
+        try:
+            real_add(self, contexts, atom_ids)
+        finally:
+            adding.pop()
+
+    monkeypatch.setattr(toposval.contexts, "product_max", product_max)
+    monkeypatch.setattr(_ContextStore, "add_many", add_many)
+    return sent
+
+
+def _own_kinds(stack, seen):
+    """`byte_kinds` with a new kind for every matrix: the store then takes
+    a product for every pair its overlap proof leaves open."""
+    return [seen.setdefault(len(seen), len(seen)) for _ in range(len(stack))]
+
+
+@pytest.mark.parametrize("name", ["peres24", "ks18"])
+def test_store_takes_one_link_product_per_pair_of_distinct_matrices(monkeypatch, name):
+    # a meet's atoms copy stored atoms or sum them, so most open pairs
+    # repeat the matrices of an earlier one and read its bit off the table
+    contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
+    builds = []
+    for kinds in (toposval.contexts.byte_kinds, _own_kinds):
+        with monkeypatch.context() as m:
+            m.setattr(toposval.contexts, "byte_kinds", kinds)
+            sent = _store_products(m)
+            builds.append((build_poset(contexts, add_trivial=True, close_under_meets=True),
+                           [key for _, _, key in sent]))
+    (got, once), (want, every) = builds
+    _assert_same_poset(got, want)
+    assert len(once) == len(set(once)) and set(once) == set(every)
+    assert len(every) > 3 * len(once), (len(every), len(once))
+
+
+def test_store_takes_every_open_pair_when_no_bytes_repeat(monkeypatch):
+    # each atom moved by about 1e-13: the document's batch has no two
+    # equal matrices, so every pair the proof leaves open takes a product
+    contexts = _noisy(_peres_subset(9, 13), np.random.default_rng(41), 1e-13)
+    stacked = np.concatenate([c.stack for c in contexts])
+    assert len({m.tobytes() for m in stacked}) == len(stacked)
+    taken = []
+    for kinds in (toposval.contexts.byte_kinds, _own_kinds):
+        with monkeypatch.context() as m:
+            m.setattr(toposval.contexts, "byte_kinds", kinds)
+            sent = _store_products(m)
+            _ContextStore(DEFAULT).add_many(contexts)
+            taken.append([(g, t) for g, t, _ in sent])
+    assert taken[0] == taken[1] and len(taken[0]) > 100
+    got = build_poset(contexts, add_trivial=True, close_under_meets=True)
+    assert any(cid.startswith("meet") for cid in got.ids)
+    _assert_same_poset(got, _build_poset_pairwise(contexts))
+
+
+def test_atoms_differing_in_the_sign_of_a_zero_are_separate_kinds(monkeypatch):
+    # B's first atom equals A's first in value, but one of its zeros is
+    # -0.0: the two are separate kinds, so each takes its own product
+    # against C's plane atoms, and every bit is the per-pair float
+    def rays(*vectors):
+        return [Projector(np.outer(v, v)) for v in vectors]
+
+    def plane(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([0.0, c, s]), np.array([0.0, -s, c])
+
+    e = np.eye(3)
+    signed = np.outer(e[0], e[0]).astype(complex)
+    signed[1, 1] = -0.0
+    a = Context("A", rays(*e))
+    c = Context("C", rays(e[0], *plane(0.5)))
+    for first, separate in ((Projector(signed), True), (rays(e[0])[0], False)):
+        b = Context("B", [first, *rays(*plane(0.9))])
+        with monkeypatch.context() as m:
+            sent = _store_products(m)
+            store = _LinkCheckedStore(DEFAULT)
+            store.add_many([a, b, c])
+        a0, b0 = (int(np.flatnonzero([abs(x.entries[0, 0]) > 0.5 for x in ctx.atoms])[0]) + start
+                  for ctx, start in ((a, 0), (b, 3)))
+        assert (store.every[a0].tobytes() != store.every[b0].tobytes()) == separate
+        assert (store.kinds[a0] != store.kinds[b0]) == separate
+        plane_atoms = [6 + k for k, x in enumerate(c.atoms) if abs(x.entries[0, 0]) < 0.5]
+        taken = {(g, t) for g, t, _ in sent}
+        assert {(a0, t) for t in plane_atoms} <= taken
+        b_pairs = {(b0, t) for t in plane_atoms}
+        assert b_pairs <= taken if separate else not b_pairs & taken
+
+
+def test_kinds_are_bytes_not_interned_ids():
+    # at atom = 0.1, B's first atom u interns to A's e0 (they differ by
+    # 0.05), but against C's atom v, max|e0 v| = 0.119 links and max|u v|
+    # = 0.069 does not: a table keyed by interned id would give u e0's bit
+    tol = DEFAULT.overridden(atom=0.1)
+
+    def rays(*vectors):
+        return [Projector(np.outer(v, v), tol=tol) for v in vectors]
+
+    def turned(angle):
+        return np.array([np.cos(angle), np.sin(angle), 0.0]), np.array([-np.sin(angle), np.cos(angle), 0.0])
+
+    e = np.eye(3)
+    u, u_perp = turned(-0.05)
+    v, v_perp = turned(np.pi / 2 - 0.12)
+    contexts = [Context("A", rays(*e), tol=tol),
+                Context("B", rays(u, (u_perp + e[2]) / np.sqrt(2), (u_perp - e[2]) / np.sqrt(2)), tol=tol),
+                Context("C", rays(v, v_perp, e[2]), tol=tol)]
+    store = _LinkCheckedStore(tol)
+    store.add_many(contexts)
+    first = [int(s) + next(k for k, a in enumerate(c.atoms) if np.allclose(a.entries, np.outer(w, w)))
+             for c, s, w in zip(contexts, store.starts, (e[0], u, v))]
+    a0, b0, t = first
+    assert len(set(store._intern_many(np.stack([store.every[a0], store.every[b0]])))) == 1
+    assert store.link[a0, t] and not store.link[b0, t]
+
+
+@pytest.mark.parametrize("name", ["peres24", "ks18"])
+def test_store_links_do_not_depend_on_the_batches(name):
+    # one batch fills the kinds table at once, one context per batch fills
+    # it across batches: the link matrices and the kinds agree
+    contexts = _peres_subset(24, 24) if name == "peres24" else load_bundled_ks()
+    whole, single = _ContextStore(DEFAULT), _ContextStore(DEFAULT)
+    whole.add_many(contexts)
+    for c in contexts:
+        single.add_many([c])
+    for store in (whole, single):
+        store.close_under_meets()
+    assert len(whole.ctxs) == {"peres24": 93, "ks18": 27}[name]
+    assert whole.link.tolist() == single.link.tolist()
+    assert whole.kinds.tolist() == single.kinds.tolist()
+
+
 def _screen_bounds_oracle(store):
     """(band, delta) as `_screen`'s docstring derives them, atom by atom."""
     atoms = [p for c in store.ctxs for p in c.atoms]

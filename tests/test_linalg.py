@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,7 @@ from toposval.linalg import (
     commutes,
     containment_table,
     eig_hermitian,
+    projector_checks,
     projector_from_span,
     projector_ranks,
     screened_containment_table,
@@ -352,6 +355,44 @@ def test_projector_ranks_validate_a_stack_as_projector_does():
             with pytest.raises(LinalgError) as got:
                 projector_ranks(np.stack([stack[1], bad, *others]), tol)
             assert str(got.value) == str(want.value)
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1))
+
+
+def _with_entry(value, at):
+    m = np.diag([1.0, 0.0]).astype(complex)
+    m[at] = value
+    return m
+
+
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_matrices_fail_every_validation(value, at):
+    # a NaN defect compares False with every tolerance; each path refuses
+    # the entry before it takes one, with the same message and no warning
+    m = _with_entry(value, at)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (HermitianOperator, Projector, DensityMatrix):
+            with pytest.raises(LinalgError, match="non-finite") as scalar:
+                make(m)
+        for before, after in (([], []), ([np.eye(2)], []), ([np.diag([1.0, 0])], [np.diag([0.5, 0])])):
+            with pytest.raises(LinalgError) as batch:
+                projector_ranks(np.stack([*before, m, *after]).astype(complex))
+            assert str(batch.value) == str(scalar.value)
+        ranks, errors = projector_checks(np.stack([np.eye(2), m, np.diag([0.5, 0])]).astype(complex))
+        assert ranks == [2, 0, 0] and set(errors) == {1, 2}
+        assert str(errors[1]) == str(scalar.value) and "idempotent" in str(errors[2])
+        with pytest.raises(LinalgError, match="non-finite"):
+            StateVector([value, 0])
+
+
+def test_eigen_path_never_sees_a_non_finite_operator():
+    # the operator is refused where it is made, so no eigenvalue is NaN
+    for value in NON_FINITE:
+        with pytest.raises(LinalgError, match="non-finite"):
+            eig_hermitian(HermitianOperator(_with_entry(value, (0, 0))))
 
 
 def test_certain_each_decides_per_matrix_of_a_stack():

@@ -413,6 +413,17 @@ def test_apply_map_spectrum_is_image():
     npt.assert_allclose(b.operator.entries, np.diag([5.0, 5, 5, 6]), atol=1e-12)
 
 
+def test_a_non_finite_image_fails_as_apply_map_fails():
+    # a NaN value makes the image's Hermiticity defect NaN, which compares
+    # False with the width: the batched image refuses it as `apply_map` does
+    a = decomp(1, 1, 2)
+    f = EigenvalueMap(((1.0, 5.0), (2.0, np.nan)))
+    with pytest.raises(LinalgError) as want:
+        apply_map(f, a)
+    got = ocat_module._images([(f, a)])[0]
+    assert isinstance(got, LinalgError) and str(got) == str(want.value) == linalg.NON_FINITE
+
+
 # --------------------------------------------------------------------------
 # per-call oracles
 
