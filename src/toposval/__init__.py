@@ -75,7 +75,6 @@ from .schema import (
     BUILTIN_RELATIONS,
     BUILTIN_SET_RELATIONS,
     Relation,
-    SetRelation,
     alpha_a_R,
     random_relation,
     survey_properties,

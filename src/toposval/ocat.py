@@ -58,6 +58,7 @@ family, recorded here for reference; no operation hangs off it.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -278,6 +279,11 @@ class EigenvalueMap:
 
     @classmethod
     def from_dict(cls, d: dict[float, float], tol: float = DEFAULT.eig_match) -> "EigenvalueMap":
+        """The map of `d`, values snapped to their group's representative;
+        a non-finite key or value raises `OcatError`."""
+        for x in (*d, *d.values()):
+            if not math.isfinite(x):
+                raise OcatError(f"eigenvalue map entry {x} is not finite")
         reps = canonical_values(d.values(), tol)
         snapped = {float(k): snap(float(v), reps, tol) for k, v in d.items()}
         return cls(tuple(sorted(snapped.items())))

@@ -8,17 +8,21 @@ depends only on R (and mild conditions on `a`); the surveys below check
 each law exhaustively over the finite poset, alongside the
 characterizations and sufficient conditions that explain the outcome.
 
-Three forms are covered: lattice elements against a projector relation,
-character sets against a set relation, and eigenvalue sets over a finite
-operator category.  Each decides R once per cell (stage, mask) and gathers
-the valuation from that decision vector (`MorphismSetValuation._gathered`)
-over a `PosetIndex` (the operator category's arrows form one too), so the
-three share one set of law checkers.  The lattice form tabulates R once per
-survey, one (2^n, 2^n) bool table per context (`Relation.table`), and adds
-its characterizations and sufficient conditions on R, each one reduction
-over those tables: the cells where R relates a's element, gathered along
-the coarse-graining route or the lattice covers, and the coarse-graining
-of mask pairs (`PosetIndex.coarse_squares`).  A reduction that finds a
+Three forms are covered: lattice elements, character sets (atom-index
+masks) and eigenvalue sets over a finite operator category (masks over
+spectrum indices).  A set relation is the mask relation of the same
+meaning under its set name (`BUILTIN_SET_RELATIONS`: subset is `le`,
+intersects is `nonzero-product`, ...), so every form decides R the same
+way: R is tabulated once per survey, one (2^n, 2^n) bool table per stage
+(`Relation.table`), a's mask picks one row of each (`_related`), and the
+valuation is gathered from that decision vector
+(`MorphismSetValuation._gathered`) over a `PosetIndex` (the operator
+category's arrows form one too), so the three share one set of law
+checkers.  The lattice form adds its characterizations and sufficient
+conditions on R, each one reduction over those tables: the cells where R
+relates a's element, gathered along the coarse-graining route or the
+lattice covers, and the coarse-graining of mask pairs
+(`PosetIndex.coarse_squares`).  A reduction that finds a
 failure along covers re-runs the scan on the one failing stage or pair,
 so each witness is the scan's first.
 """
@@ -26,7 +30,7 @@ so each witness is the scan's first.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -129,34 +133,28 @@ def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "
     return Relation(name, lambda cid, l, r: bool(tables[cid][l, r]), lambda cid, n: tables[cid])
 
 
-@dataclass(frozen=True)
-class SetRelation:
-    """A binary relation on subsets of a context's spectrum (atom-index sets)."""
-
-    name: str
-    test: Callable[[str, frozenset[int], frozenset[int]], bool]
-
-
 BUILTIN_SET_RELATIONS = {
-    "subset": SetRelation("subset", lambda cid, l, r: l <= r),
-    "superset": SetRelation("superset", lambda cid, l, r: l >= r),
-    "eq": SetRelation("eq", lambda cid, l, r: l == r),
-    "intersects": SetRelation("intersects", lambda cid, l, r: bool(l & r)),
-    "always-true": SetRelation("always-true", lambda cid, l, r: True),
-    "always-false": SetRelation("always-false", lambda cid, l, r: False),
+    set_name: replace(BUILTIN_RELATIONS[name], name=set_name) for set_name, name in (
+        ("subset", "le"),
+        ("superset", "ge"),
+        ("eq", "eq"),
+        ("intersects", "nonzero-product"),
+        ("always-true", "always-true"),
+        ("always-false", "always-false"),
+    )
 }
 
 
 def _relation_tables(index: PosetIndex, rel: Relation) -> list[np.ndarray]:
-    """R tabulated once over every context's lattice, in index order."""
+    """R tabulated once over every stage's lattice, in index order."""
     return [rel.table(cid, n) for cid, n in zip(index.ids, index.n_atoms)]
 
 
-def _related(index: PosetIndex, tables: list[np.ndarray], a: GlobalElementG) -> np.ndarray:
-    """Per cell (stage j, mask m): whether R relates a's element at j to m."""
+def _related(tables: list[np.ndarray], masks) -> np.ndarray:
+    """Per cell (stage j, mask m): whether R relates masks[j] to m."""
     if not tables:
         return np.zeros(0, dtype=bool)
-    return np.concatenate([t[a.assignment[cid]] for t, cid in zip(tables, index.ids)])
+    return np.concatenate([t[m] for t, m in zip(tables, masks)])
 
 
 def _schema_valuation(a: GlobalElementG, rel: Relation,
@@ -164,7 +162,7 @@ def _schema_valuation(a: GlobalElementG, rel: Relation,
     """The valuation gathered from R's row at a, along coarse-graining."""
     index = a.poset.index
     if related is None:
-        related = _related(index, _relation_tables(index, rel), a)
+        related = _related(_relation_tables(index, rel), a.masks)
     return MorphismSetValuation._gathered(a.poset, related, "below", name=f"alpha^(a,{rel.name})")
 
 
@@ -222,7 +220,7 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     index = poset.index
     tables = _relation_tables(index, rel)
     # related[c]: R relates a's element at the cell's stage to the cell's mask
-    related = _related(index, tables, a)
+    related = _related(tables, a.masks)
     alpha = _schema_valuation(a, rel, related)
     report: dict = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
                     **_law_statuses(alpha, unit=_unit_witness_with_stage)}
@@ -337,28 +335,17 @@ def _stable_under_enlargement(index: PosetIndex, related: np.ndarray):
     return False, {"v1": index.ids[i], "s": s, "t": t}
 
 
-def _decided(index: PosetIndex, decide: Callable[[int, int], bool]) -> np.ndarray:
-    """`decide(stage, mask)` once per cell, in cell order."""
-    return np.array([bool(decide(i, m)) for i, n in enumerate(index.n_atoms) for m in range(1 << n)],
-                    dtype=bool)
-
-
-def survey_properties_sigma(a: SubobjectSigma, rel: SetRelation) -> dict:
+def survey_properties_sigma(a: SubobjectSigma, rel: Relation) -> dict:
     """Six-property survey for the character-set schema: membership by
     relating a's character set to the restriction of the proposition's
-    certain set.  Regularity (non-emptiness, tightness) is reported, not
-    enforced."""
+    certain set, both atom masks.  Regularity (non-emptiness, tightness)
+    is reported, not enforced."""
     poset = a.poset
-    index = poset.index
-    ids = index.ids
-
-    def decide(j: int, m: int) -> bool:
-        return rel.test(ids[j], a.assignment[ids[j]], frozenset(bit_list(m)))
-
-    alpha = MorphismSetValuation._gathered(poset, _decided(index, decide), "below_image",
+    related = _related(_relation_tables(poset.index, rel), a.masks)
+    alpha = MorphismSetValuation._gathered(poset, related, "below_image",
                                            name=f"alpha^(a,{rel.name})_sigma")
     regularity = {
-        "nonempty_everywhere": all(a.assignment[cid] for cid in ids),
+        "nonempty_everywhere": all(a.masks),
         "subobject_law": a.satisfies_law,
         "tight": a.is_tight,
     }
@@ -370,7 +357,9 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
     """Six-property survey for the eigenvalue-set schema over an operator
     category: a stage (arrow) enters when the relation holds between a's
     eigenvalue set at the arrow's source and the image of the proposition's
-    eigenvalue set.  Subsethood is the distinguished relation.
+    eigenvalue set, both masks over spectrum indices.  Subsethood is the
+    distinguished relation.  A value of `a` outside its operator's
+    spectrum raises `OcatError`.
 
     The arrows are the stages of `category.index`, so the laws are the
     shared checkers; witnesses name operators by id and eigenvalue sets by
@@ -387,11 +376,8 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
                 "properties": {}, "all_hold": False,
                 "skipped": "assignment does not cover the category"}
     index = category.index
-    ids = index.ids
-
-    def decide(j: int, m: int) -> bool:
-        return rel.test(ids[j], a[ids[j]], category.objects[ids[j]].subset(m))
-
-    alpha = MorphismSetValuation._gathered(category, _decided(index, decide), "below",
-                                           name=f"alpha^(a,{rel_name})_o")
+    objects = category.objects
+    masks = [objects[oid].mask_of(objects[oid].check_subset(a[oid])) for oid in index.ids]
+    alpha = MorphismSetValuation._gathered(category, _related(_relation_tables(index, rel), masks),
+                                           "below", name=f"alpha^(a,{rel_name})_o")
     return {"relation": rel_name, "regularity": regularity, **_law_statuses(alpha)}

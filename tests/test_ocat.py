@@ -413,6 +413,15 @@ def test_apply_map_spectrum_is_image():
     npt.assert_allclose(b.operator.entries, np.diag([5.0, 5, 5, 6]), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalue_map_refuses_a_non_finite_key_or_value(bad):
+    # NaN compares False with the grouping width both ways, so unchecked
+    # it would join a neighbour's group whichever order the keys come in
+    for d in ({1.0: 5.0, 2.0: bad}, {1.0: bad, 2.0: 5.0}, {1.0: 5.0, bad: 6.0}, {bad: 5.0, 1.0: 6.0}):
+        with pytest.raises(OcatError, match=f"entry {bad} is not finite"):
+            EigenvalueMap.from_dict(d)
+
+
 def test_a_non_finite_image_fails_as_apply_map_fails():
     # a NaN value makes the image's Hermiticity defect NaN, which compares
     # False with the width: the batched image refuses it as `apply_map` does

@@ -163,7 +163,7 @@ def test_survey_gathers_match_the_concatenating_scans(closed_peres24):
             got = _preserved_by_coarse_graining(index, tables)
             assert got == preserved_oracle(index, tables), name
             failures += not got[0]
-            for related in (_related(index, tables, a), rng.random(len(index.cell_stage)) < 0.7):
+            for related in (_related(tables, a.masks), rng.random(len(index.cell_stage)) < 0.7):
                 got = _isotone_under_coarse_graining(index, related)
                 assert got == isotone_oracle(index, related), name
                 failures += not got[0]

@@ -3,7 +3,7 @@ import pytest
 
 from toposval.contexts import ContextError, ContextPoset, bit_list
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
-from toposval.ocat import ODecomposition, OperatorCategory, elementary_support
+from toposval.ocat import OcatError, ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
 from toposval.sampling import fix_a, random_category, random_density, random_poset, random_state
 from toposval.schema import (
@@ -327,6 +327,43 @@ def test_survey_o_uncovered_and_unknown():
         survey_properties_o({}, "within", cat)
 
 
+def test_survey_o_refuses_a_value_outside_the_spectrum():
+    a_op = ODecomposition.from_operator(HermitianOperator(np.diag([1.0, 2])), "A")
+    cat = OperatorCategory([a_op])
+    with pytest.raises(OcatError, match="7.0 is not an eigenvalue of 'A'"):
+        survey_properties_o({"A": frozenset({1.0, 7.0})}, "subset", cat)
+    # an assignment that does not cover the category is skipped before
+    # any of its sets becomes a mask
+    two = OperatorCategory([a_op, ODecomposition.from_operator(HermitianOperator(np.eye(2)), "one")])
+    rep = survey_properties_o({"A": frozenset({7.0})}, "subset", two)
+    assert rep["skipped"] and not rep["regularity"]["covers_category"]
+
+
+def test_survey_lattice_and_sigma_forms_agree():
+    # subobject_from_global_element maps a's masks to the same atom masks,
+    # and a set relation is its mask relation under the set name, so both
+    # forms decide the same cells; only the routes differ
+    aliases = {"le": "subset", "ge": "superset", "eq": "eq", "nonzero-product": "intersects",
+               "always-true": "always-true", "always-false": "always-false"}
+    compared = failed = 0
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 27])
+        poset = random_poset(rng, max_contexts=5, max_atoms=4)
+        dim = poset.context(poset.ids[0]).dim
+        rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        a = supports_global_element(nu_rho(rho, poset))
+        sigma = subobject_from_global_element(a)
+        for name, set_name in aliases.items():
+            lattice = survey_properties(a, BUILTIN_RELATIONS[name])["properties"]
+            if lattice["unit"]["witness"] is not None:
+                del lattice["unit"]["witness"]["v2"]
+            assert lattice == survey_properties_sigma(sigma, BUILTIN_SET_RELATIONS[set_name])[
+                "properties"], (seed, name)
+            compared += 1
+            failed += sum(v["status"] == FAILS for v in lattice.values())
+    assert compared == 360 and failed > 300, failed
+
+
 def test_survey_o_witnesses_name_operators_and_index_masks():
     a_op = ODecomposition.from_operator(HermitianOperator(np.diag([1.0, 2])), "A")
     cat = OperatorCategory([a_op])
@@ -560,8 +597,7 @@ def test_survey_sigma_matches_scans():
         for rel in BUILTIN_SET_RELATIONS.values():
             alpha = MorphismSetValuation._from_bits(poset, stage_rule(
                 index, route_rows(index, "below_image"),
-                lambda j, m: bool(rel.test(index.ids[j], a.assignment[index.ids[j]],
-                                           frozenset(bit_list(m))))), "scan")
+                lambda j, m: bool(rel.test(index.ids[j], a.masks[j], m))), "scan")
             report = survey_properties_sigma(a, rel)
             assert report == scan_survey_form(alpha, report["regularity"], rel.name)
 
@@ -577,8 +613,8 @@ def test_survey_o_matches_scans():
         for name, rel in BUILTIN_SET_RELATIONS.items():
             alpha = MorphismSetValuation._from_bits(cat, stage_rule(
                 index, lambda sup: index_below(index, sup),
-                lambda j, m: bool(rel.test(index.ids[j], a[index.ids[j]],
-                                           cat.objects[index.ids[j]].subset(m)))), "scan")
+                lambda j, m: bool(rel.test(index.ids[j], cat.objects[index.ids[j]].mask_of(
+                    a[index.ids[j]]), m))), "scan")
             report = survey_properties_o(a, name, cat)
             assert report == scan_survey_form(alpha, report["regularity"], name), (draw, name)
 
