@@ -13,13 +13,16 @@ masks) and eigenvalue sets over a finite operator category (masks over
 spectrum indices).  A set relation is the mask relation of the same
 meaning under its set name (`BUILTIN_SET_RELATIONS`: subset is `le`,
 intersects is `nonzero-product`, ...), so every form decides R the same
-way: R is tabulated once per survey, one (2^n, 2^n) bool table per stage
-(`Relation.table`), a's mask picks one row of each (`_related`), and the
+way: R is laid out as the stages' (2^n, 2^n) bool squares (`Relation.table`,
+which refuses a grid that is not bool) end to end in one flat array
+(`_relation_squares`, at `PosetIndex.square_start`; kept on the index
+for the relations whose tables depend on the atom count alone), a's
+masks pick one row of each square in one gather (`_related`), and the
 valuation is gathered from that decision vector
 (`MorphismSetValuation._gathered`) over a `PosetIndex` (the operator
 category's arrows form one too), so the three share one set of law
 checkers.  The lattice form adds its characterizations and sufficient
-conditions on R, each one reduction over those tables: the cells where R
+conditions on R, each one reduction over those squares: the cells where R
 relates a's element, gathered along the coarse-graining route or the
 lattice covers, and the coarse-graining of mask pairs
 (`PosetIndex.coarse_squares`).  A reduction that finds a
@@ -67,12 +70,16 @@ class Relation:
 
     def table(self, cid: str, n: int) -> np.ndarray:
         """R on the lattice of an n-atom context: entry [l, r] is
-        test(cid, l, r)."""
+        test(cid, l, r).  A grid of another shape or of a dtype other than
+        bool is refused: a cast would read 0.25 or NaN as true."""
         size = 1 << n
         if self.grid is not None:
-            out = np.asarray(self.grid(cid, n), dtype=bool)
+            out = np.asarray(self.grid(cid, n))
             if out.shape != (size, size):
                 raise ContextError(f"relation {self.name!r} has no {size} x {size} table at {cid!r}")
+            if out.dtype != bool:
+                raise ContextError(f"relation {self.name!r} has a {out.dtype} table at {cid!r}, "
+                                   "not a bool one")
             return out
         return np.array([bool(self.test(cid, l, r)) for l in range(size) for r in range(size)],
                         dtype=bool).reshape(size, size)
@@ -92,6 +99,24 @@ def _eq(cid, l, r):
 
 def _nonzero_product(cid, l, r):
     return l & r != 0
+
+
+class _DrawnGrid:
+    """The grid of a relation drawn for one poset's stages as `squares`,
+    the flat layout of `_relation_squares` over `stages` (the poset
+    index's ids and atom counts).  A context's table is a view into it,
+    taken when asked for."""
+
+    def __init__(self, squares: np.ndarray, index: PosetIndex):
+        self.squares = squares
+        self.stages = (index.ids, index.n_atoms)
+        self._pos, self._start = index.pos, index.square_start
+
+    def __call__(self, cid: str, n: int) -> np.ndarray:
+        i = self._pos[cid]
+        size = 1 << self.stages[1][i]
+        start = int(self._start[i])
+        return self.squares[start:start + size * size].reshape(size, size)
 
 
 def _grid(test):
@@ -118,6 +143,10 @@ BUILTIN_RELATIONS = {
     )
 }
 
+# the grids that ignore the context: their squares over a poset depend on
+# the atom counts alone, so the poset index keeps them (`_relation_squares`)
+_SIZE_GRIDS = frozenset(rel.grid for rel in BUILTIN_RELATIONS.values())
+
 
 def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "random") -> Relation:
     """A seeded boolean table per context, (left mask, right mask), so
@@ -125,12 +154,8 @@ def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "
     (context, l, r) order, so the tables and the generator's next draw
     are those of one draw per context in turn."""
     index = poset.index
-    sizes = [1 << n for n in index.n_atoms]
-    ends = np.cumsum([size * size for size in sizes]).tolist()
-    drawn = rng.random(ends[-1] if ends else 0) < 0.5
-    tables = {cid: drawn[end - size * size:end].reshape(size, size)
-              for cid, size, end in zip(index.ids, sizes, ends)}
-    return Relation(name, lambda cid, l, r: bool(tables[cid][l, r]), lambda cid, n: tables[cid])
+    grid = _DrawnGrid(rng.random(int(index.square_start[-1])) < 0.5, index)
+    return Relation(name, lambda cid, l, r: bool(grid(cid, 0)[l, r]), grid)
 
 
 BUILTIN_SET_RELATIONS = {
@@ -145,16 +170,39 @@ BUILTIN_SET_RELATIONS = {
 }
 
 
-def _relation_tables(index: PosetIndex, rel: Relation) -> list[np.ndarray]:
-    """R tabulated once over every stage's lattice, in index order."""
-    return [rel.table(cid, n) for cid, n in zip(index.ids, index.n_atoms)]
+def _relation_squares(index: PosetIndex, rel: Relation) -> np.ndarray:
+    """R over every stage's lattice as one flat bool array: the stages'
+    squares (`Relation.table`, left mask major) end to end, from
+    `index.square_start`.  The index keeps the squares of a relation that
+    ignores the context (`_SIZE_GRIDS`: the built-ins and their set
+    aliases); `random_relation`'s draw already is this layout and is
+    handed over as is; any other relation is tabulated per call, so no
+    per-job relation stays on the index."""
+    grid = rel.grid
+    if isinstance(grid, _DrawnGrid) and grid.stages == (index.ids, index.n_atoms):
+        return grid.squares
+    if grid in _SIZE_GRIDS:
+        out = index._squares.get(grid)
+        if out is None:
+            out = index._squares[grid] = _tabulate(index, rel)
+            out.flags.writeable = False
+        return out
+    return _tabulate(index, rel)
 
 
-def _related(tables: list[np.ndarray], masks) -> np.ndarray:
-    """Per cell (stage j, mask m): whether R relates masks[j] to m."""
-    if not tables:
+def _tabulate(index: PosetIndex, rel: Relation) -> np.ndarray:
+    """R's squares, one `Relation.table` per stage, concatenated."""
+    if not index.ids:
         return np.zeros(0, dtype=bool)
-    return np.concatenate([t[m] for t, m in zip(tables, masks)])
+    return np.concatenate([rel.table(cid, n).ravel() for cid, n in zip(index.ids, index.n_atoms)])
+
+
+def _related(squares: np.ndarray, index: PosetIndex, masks) -> np.ndarray:
+    """Per cell (stage j, mask m): whether R relates masks[j] to m, one
+    gather from R's squares (`_relation_squares`): entry
+    square_start[j] + masks[j] * 2^n_j + m."""
+    rows = np.array(masks, dtype=np.intp) << index.atom_counts
+    return np.take(squares, index.square_cell + rows[index.cell_stage])
 
 
 def _schema_valuation(a: GlobalElementG, rel: Relation,
@@ -162,7 +210,7 @@ def _schema_valuation(a: GlobalElementG, rel: Relation,
     """The valuation gathered from R's row at a, along coarse-graining."""
     index = a.poset.index
     if related is None:
-        related = _related(_relation_tables(index, rel), a.masks)
+        related = _related(_relation_squares(index, rel), index, a.masks)
     return MorphismSetValuation._gathered(a.poset, related, "below", name=f"alpha^(a,{rel.name})")
 
 
@@ -218,9 +266,9 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     """
     poset = a.poset
     index = poset.index
-    tables = _relation_tables(index, rel)
+    squares = _relation_squares(index, rel)
     # related[c]: R relates a's element at the cell's stage to the cell's mask
-    related = _related(tables, a.masks)
+    related = _related(squares, index, a.masks)
     alpha = _schema_valuation(a, rel, related)
     report: dict = {"relation": rel.name, "a_is_global_element": a.satisfies_matching,
                     **_law_statuses(alpha, unit=_unit_witness_with_stage)}
@@ -233,12 +281,12 @@ def survey_properties(a: GlobalElementG, rel: Relation) -> dict:
     analyses["sievehood_paths_agree"] = holds["sievehood"] == stable
 
     # (i) sufficient condition: coarse-graining preserves R on both arguments
-    pres, w = _preserved_by_coarse_graining(index, tables)
+    pres, w = _preserved_by_coarse_graining(index, squares)
     analyses["coarse_graining_preserves_relation"] = _status(pres, w)
 
     # (iii) null proposition, characterized: R relates no sub-stage's
     # element to its null proposition
-    k = _first(related[index.cell_start[[sub for sub, _ in index.pair_indices]]])
+    k = _first(np.take(related, index.sub_null_cells))
     char_ok = k is None
     char_w = None if char_ok else {"v1": index.ids[index.pair_indices[k][1]],
                                    "v2": index.ids[index.pair_indices[k][0]]}
@@ -287,14 +335,13 @@ def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
                    "v3": index.ids[sub], "mask": int(index.cell_mask[c])}
 
 
-def _preserved_by_coarse_graining(index: PosetIndex, tables: list[np.ndarray]):
+def _preserved_by_coarse_graining(index: PosetIndex, squares: np.ndarray):
     """R(x, y) at a stage gives R(cg x, cg y) at every proper sub-stage: one
-    gather over every (pair, x, y) from the stages' tables laid end to end;
+    gather over every (pair, x, y) from R's squares (`_relation_squares`);
     the first failure in that order."""
     pairs, first, target, source = index.coarse_squares
     if not pairs:
         return True, None
-    squares = np.concatenate([t.ravel() for t in tables])
     e = _first(np.take(squares, source) > np.take(squares, target))
     if e is None:
         return True, None
@@ -341,7 +388,7 @@ def survey_properties_sigma(a: SubobjectSigma, rel: Relation) -> dict:
     certain set, both atom masks.  Regularity (non-emptiness, tightness)
     is reported, not enforced."""
     poset = a.poset
-    related = _related(_relation_tables(poset.index, rel), a.masks)
+    related = _related(_relation_squares(poset.index, rel), poset.index, a.masks)
     alpha = MorphismSetValuation._gathered(poset, related, "below_image",
                                            name=f"alpha^(a,{rel.name})_sigma")
     regularity = {
@@ -378,6 +425,6 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
     index = category.index
     objects = category.objects
     masks = [objects[oid].mask_of(objects[oid].check_subset(a[oid])) for oid in index.ids]
-    alpha = MorphismSetValuation._gathered(category, _related(_relation_tables(index, rel), masks),
+    alpha = MorphismSetValuation._gathered(category, _related(_relation_squares(index, rel), index, masks),
                                            "below", name=f"alpha^(a,{rel_name})_o")
     return {"relation": rel_name, "regularity": regularity, **_law_statuses(alpha)}

@@ -355,8 +355,7 @@ def unclosed_cells(index: PosetIndex, member: np.ndarray, rows: np.ndarray) -> n
     of their bits."""
     g = index.gather("below")
     e = np.flatnonzero(member)
-    leaves = nonzero_rows(np.take(index.down_words, g.stage[e], axis=0)
-                          & ~np.take(rows, g.cell[e], axis=0))
+    leaves = nonzero_rows(np.take(g.stage_down, e, axis=0) & ~np.take(rows, g.cell[e], axis=0))
     out = np.zeros(len(rows), dtype=bool)
     out[g.cell[e[leaves]]] = True
     return out
@@ -381,15 +380,14 @@ def _entry_members(alpha: MorphismSetValuation, route: str) -> np.ndarray:
     """Per entry of a route's gather, whether its stage is a member of its
     cell, read off the member matrix."""
     g = alpha._index.gather(route)
-    shift = (g.stage & 63).astype(np.uint64)
-    return (alpha._matrix[g.cell, g.stage >> 6] >> shift) & np.uint64(1) == 1
+    bits = np.unpackbits(np.ascontiguousarray(alpha._matrix, dtype="<u8").view(np.uint8), bitorder="little")
+    return np.take(bits, g.slot).view(bool)
 
 
 @_law
 def _truth_flags(alpha: MorphismSetValuation) -> np.ndarray:
     """Per cell, whether it is sent to the principal sieve."""
-    index = alpha._index
-    return ~nonzero_rows(alpha._matrix ^ np.take(index.down_words, index.cell_stage, axis=0))
+    return ~nonzero_rows(alpha._matrix ^ alpha._index.cell_down)
 
 
 @_law
@@ -400,9 +398,8 @@ def _supports(alpha: MorphismSetValuation) -> tuple[int | None, ...]:
     if not index.ids:
         return ()
     truths = _truth_flags(alpha)
-    full = (1 << np.array(index.n_atoms, dtype=np.int64))[index.cell_stage] - 1
     starts = index.cell_start[:-1]
-    meet = np.bitwise_and.reduceat(np.where(truths, index.cell_mask, full), starts).tolist()
+    meet = np.bitwise_and.reduceat(np.where(truths, index.cell_mask, index.cell_full), starts).tolist()
     some = np.logical_or.reduceat(truths, starts).tolist()
     return tuple(m if ok else None for m, ok in zip(meet, some))
 
@@ -439,7 +436,7 @@ def _func_witness(alpha: MorphismSetValuation) -> dict | None:
     g = index.gather("below")
     words = alpha._matrix
     differ = np.take(words, g.cell, axis=0)
-    differ &= np.take(index.down_words, g.stage, axis=0)
+    differ &= g.stage_down
     differ ^= np.take(words, g.target, axis=0)
     bad = np.flatnonzero(nonzero_rows(differ))
     if not len(bad):
@@ -534,12 +531,11 @@ def check_subobject_condition(alpha: MorphismSetValuation) -> dict:
     if degenerate:
         return {"status": "degenerate", "witness": None, "degenerate": degenerate}
     index = alpha._index
+    first, lift = index.proper_lifts   # raises for a pair without a partition map
     sub, sup, _ = index.proper_pairs
-    s = np.array(_supports(alpha), dtype=np.int64)
+    s = np.array(_supports(alpha), dtype=np.intp)
     # each pair lifts the sub-stage support through its partition map
-    blocks = index.tables._blocks[index._ranks("coarse", sub, sup)]   # raises for a pair without one
-    atoms = s[sub][:, np.newaxis] >> np.arange(blocks.shape[1]) & 1
-    lifted = np.bitwise_or.reduce(np.where(atoms == 1, blocks, 0), axis=1)
+    lifted = np.take(lift, first + s[sub])
     k = _first(lifted & s[sup] != s[sup])
     if k is None:
         return {"status": "pass", "witness": None, "degenerate": []}
@@ -647,9 +643,9 @@ def _characterization(alpha: MorphismSetValuation, route: str,
     witness is the first failing cell."""
     index = alpha._index
     g = index.gather(route)
-    sup = index.cell_stage[g.cell]
-    same_sub = np.arange(len(g.cell)) - g.start[g.cell]
-    own = g.image[g.start[index.cell_start[sup] + np.array(chosen, dtype=np.int64)[sup]] + same_sub]
+    # per stage V1, the first entry of its cell (V1, chosen[V1])
+    first = g.start[index.cell_start[:-1] + np.array(chosen, dtype=np.intp)]
+    own = g.image[first[g.cell_stage_of] + g.rank]
     expected = (own & ~g.image) == 0
     e = _first(expected != _entry_members(alpha, route))
     if e is None:

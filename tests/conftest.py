@@ -382,6 +382,47 @@ def isotone_oracle(index, related):
     return False, {"v1": index.ids[sup], "v2": index.ids[sub], "p": p, "q": q}
 
 
+def related_oracle(tables, masks):
+    """`schema._related` from per-stage tables: row masks[j] of each
+    stage's table, concatenated in index order."""
+    if not tables:
+        return np.zeros(0, dtype=bool)
+    return np.concatenate([t[m] for t, m in zip(tables, masks)])
+
+
+def poset_table_oracles(index):
+    """The poset-only arrays a state verdict reads off its `PosetIndex` and
+    gathers, each by the expression its checker evaluated on every call
+    before the index kept it: name (or (route, name)) -> array."""
+    square_start = np.cumsum([0] + [1 << 2 * n for n in index.n_atoms])
+    out = {
+        "atom_counts": np.array(index.n_atoms),
+        "cell_down": np.take(index.down_words, index.cell_stage, axis=0),
+        "cell_full": (1 << np.array(index.n_atoms, dtype=np.int64))[index.cell_stage] - 1,
+        "square_start": square_start,
+        "square_cell": np.array([square_start[j] + m for j, n in enumerate(index.n_atoms)
+                                 for m in range(1 << n)], dtype=np.int64),
+        "sub_null_cells": index.cell_start[[sub for sub, _ in index.pair_indices]],
+    }
+    for route in ("below", "below_image"):
+        g = index.gather(route)
+        out[(route, "stage_down")] = np.take(index.down_words, g.stage, axis=0)
+        out[(route, "cell_stage_of")] = index.cell_stage[g.cell]
+        out[(route, "rank")] = np.arange(len(g.cell)) - g.start[g.cell]
+    return out
+
+
+def lifted_supports_oracle(index, supports):
+    """`check_subobject_condition`'s lift of each proper pair's sub-stage
+    support through the pair's partition map, from the zero-padded blocks
+    of `PairTables`."""
+    sub, sup, _ = index.proper_pairs
+    s = np.array(supports, dtype=np.int64)
+    blocks = index.tables._blocks[index._ranks("coarse", sub, sup)]
+    atoms = s[sub][:, np.newaxis] >> np.arange(blocks.shape[1]) & 1
+    return np.bitwise_or.reduce(np.where(atoms == 1, blocks, 0), axis=1)
+
+
 def random_relation_oracle(rng, poset):
     """`random_relation`'s tables by one draw per context in turn."""
     tables = {}

@@ -1401,7 +1401,7 @@ def _gather_or_error(index, route):
     finally:
         del index._row
     columns = (g.cell, g.stage, g.image, g.target, g.pair)
-    assert {a.dtype for a in columns + (g.start,)} == {np.dtype(np.int32)}
+    assert {a.dtype for a in columns + (g.start,)} == {np.dtype(np.intp)}
     return [a.tolist() for a in columns], g.start.tolist()
 
 

@@ -3,44 +3,63 @@
 supports' global element, the survey's gathers) against their
 per-context constructions in `conftest`."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, LatticeElement, build_poset, v_of_p
-from toposval.ks import load_bundled_ks
+from toposval.contexts import ContextError, ContextPoset, LatticeElement, build_poset, trivial_context, v_of_p
+from toposval.ks import global_section_search, load_bundled_ks
 from toposval.linalg import DensityMatrix
-from toposval.presheaves import GlobalElementG, SubobjectSigma
+from toposval.presheaves import GlobalElementG, SubobjectSigma, check_nat_iso
 from toposval.sampling import fix_a, random_density, random_poset
 from toposval.schema import (
     BUILTIN_RELATIONS,
+    BUILTIN_SET_RELATIONS,
+    Relation,
     _isotone_under_coarse_graining,
     _preserved_by_coarse_graining,
     _related,
-    _relation_tables,
+    _relation_squares,
     random_relation,
+    survey_properties,
+    survey_properties_sigma,
 )
 from toposval.valuations import (
     _intervals_subobject,
+    _supports,
     alpha_from_global_element,
     alpha_from_subobject,
+    check_definition3,
+    check_global_element_condition,
+    check_subobject_condition,
+    from_table,
     interval,
     nu_rho,
     nu_rho_r,
     random_table_valuation,
+    reconstruct_from_intervals,
+    reconstruct_from_supports,
     support,
     supports_global_element,
+    theorem1_verify,
+    theorem2_verify,
     valuations_equal,
 )
 
 from conftest import (
     atom_range_oracle,
     dump_oracle,
+    index_lift,
     interval_oracle,
     intervals_subobject_oracle,
     isotone_oracle,
+    lifted_supports_oracle,
     mask_range_oracle,
+    poset_table_oracles,
     preserved_oracle,
     random_relation_oracle,
+    related_oracle,
     support_oracle,
     supports_global_element_oracle,
 )
@@ -134,16 +153,16 @@ def test_a_mutated_dump_leaves_the_next_dump_unchanged(closed_peres24):
     assert alpha.dump() == expected
 
 
-def survey_tables(rng, poset):
+def survey_relations(rng, poset):
     """The relations of the survey checks: the built-ins, a seeded random
     one and a sparse random one, whose tables fail the coarse-graining
     laws."""
     index = poset.index
     relations = [BUILTIN_RELATIONS[name] for name in ("le", "ge", "eq", "nonzero-product")]
     relations.append(random_relation(rng, poset))
-    tables = [_relation_tables(index, rel) for rel in relations]
-    tables.append([rng.random((1 << n, 1 << n)) < 0.9 for n in index.n_atoms])
-    return tables
+    sparse = {cid: rng.random((1 << n, 1 << n)) < 0.9 for cid, n in zip(index.ids, index.n_atoms)}
+    relations.append(Relation("sparse", lambda cid, l, r: bool(sparse[cid][l, r]), lambda cid, n: sparse[cid]))
+    return relations
 
 
 def test_survey_gathers_match_the_concatenating_scans(closed_peres24):
@@ -159,11 +178,13 @@ def test_survey_gathers_match_the_concatenating_scans(closed_peres24):
         rng = np.random.default_rng(len(index.ids))
         a = GlobalElementG(poset, {cid: int(rng.integers(1 << poset.context(cid).n_atoms))
                                    for cid in poset.ids}, enforce=False)
-        for tables in survey_tables(rng, poset):
-            got = _preserved_by_coarse_graining(index, tables)
+        for rel in survey_relations(rng, poset):
+            tables = [rel.table(cid, n) for cid, n in zip(index.ids, index.n_atoms)]
+            squares = _relation_squares(index, rel)
+            got = _preserved_by_coarse_graining(index, squares)
             assert got == preserved_oracle(index, tables), name
             failures += not got[0]
-            for related in (_related(tables, a.masks), rng.random(len(index.cell_stage)) < 0.7):
+            for related in (_related(squares, index, a.masks), rng.random(len(index.cell_stage)) < 0.7):
                 got = _isotone_under_coarse_graining(index, related)
                 assert got == isotone_oracle(index, related), name
                 failures += not got[0]
@@ -183,6 +204,208 @@ def test_random_relation_takes_one_draw_as_the_per_context_draws_do(closed_peres
             n = poset.context(cid).n_atoms
             assert np.array_equal(rel.table(cid, n), expected[cid]), (k, cid)
         assert rng.random() == oracle_rng.random(), k
+
+
+# --------------------------------------------------------------------------
+# the poset-only tables of a state verdict, built once per poset
+
+def state_verdict(alpha):
+    """The checks of a state verdict, in the order of `verify-theorems`
+    after `supports`."""
+    for cid in alpha.poset.ids:
+        support(alpha, cid)
+        interval(alpha, cid)
+    check_subobject_condition(alpha)
+    check_global_element_condition(alpha)
+    check_definition3(alpha)
+    theorem1_verify(alpha)
+    theorem2_verify(alpha)
+    reconstruct_from_supports(alpha)
+    reconstruct_from_intervals(alpha)
+
+
+def kept_tables(index):
+    """The poset-only arrays of `poset_table_oracles`, as the index and its
+    gathers keep them."""
+    out = {}
+    for name in poset_table_oracles(index):
+        if isinstance(name, tuple):
+            route, attr = name
+            out[name] = getattr(index.gather(route), attr)
+        else:
+            out[name] = getattr(index, name)
+    return out
+
+
+def table_posets(closed_peres24):
+    posets = [("peres24", closed_peres24)]
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 28])
+        dim = int(rng.integers(2, 5))
+        posets.append((f"random{seed}", random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim)))
+    return posets
+
+
+def test_poset_tables_equal_the_per_call_expressions(closed_peres24):
+    for name, poset in table_posets(closed_peres24):
+        index = poset.index
+        kept = kept_tables(index)
+        for key, want in poset_table_oracles(index).items():
+            got = kept[key]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, key)
+            assert not got.flags.writeable, (name, key)
+        for key in ("atom_counts", "square_start", "square_cell", "sub_null_cells"):
+            assert kept[key].dtype == np.intp, (name, key)
+        # every mask of every proper pair lifts to the union of its blocks
+        first, lift = index.proper_lifts
+        sub, sup, _ = index.proper_pairs
+        assert lift.tolist() == [index_lift(index, i, j, m) for i, j in zip(sub.tolist(), sup.tolist())
+                                 for m in range(1 << index.n_atoms[i])], name
+        rng = np.random.default_rng(len(index.ids))
+        for _ in range(5):
+            s = [int(rng.integers(1 << n)) for n in index.n_atoms]
+            assert np.array_equal(np.take(lift, first + np.array(s)[sub]),
+                                  lifted_supports_oracle(index, s)), name
+
+
+def test_two_valuations_of_one_poset_read_the_same_tables(closed_peres24):
+    cases = [(closed_peres24, peres_states(closed_peres24)[2])]
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 29])
+        dim = int(rng.integers(2, 5))
+        cases.append((random_poset(rng, dim=dim, max_contexts=6, max_atoms=dim), random_density(rng, dim)))
+    for poset, rho in cases:
+        index = poset.index
+        first = nu_rho(rho, poset)
+        state_verdict(first)
+        kept = kept_tables(index)
+        lifts = index.proper_lifts
+        state_verdict(nu_rho_r(rho, 0.6, poset))
+        assert all(got is kept[key] for key, got in kept_tables(index).items())
+        assert index.proper_lifts is lifts
+        a = GlobalElementG(poset, dict(zip(poset.ids, (s or 0 for s in _supports(first)))), enforce=False)
+        le = BUILTIN_RELATIONS["le"]
+        survey_properties(a, le)
+        squares = _relation_squares(index, le)
+        assert _relation_squares(index, BUILTIN_SET_RELATIONS["subset"]) is squares
+        survey_properties(a, BUILTIN_RELATIONS["eq"])
+        assert _relation_squares(index, le) is squares
+
+
+def test_poset_tables_are_built_on_first_use():
+    # building the poset, the section search and the iso check build none
+    # of a state verdict's tables; the first verdict builds them
+    poset = build_poset(load_bundled_ks(), add_trivial=True, close_under_meets=True)
+    global_section_search(poset)
+    check_nat_iso(poset)
+    index = poset.index
+    names = {"atom_counts", "cell_down", "cell_full", "square_start", "square_cell",
+             "sub_null_cells", "proper_lifts"}
+    assert not names & set(vars(index)) and not index._squares
+    state_verdict(nu_rho(random_density(np.random.default_rng(18), 4), poset))
+    assert names - {"square_start", "square_cell", "sub_null_cells"} <= set(vars(index))
+
+
+def test_a_pair_without_a_partition_map_raises_on_every_subobject_check():
+    poset = ContextPoset(contexts={x: trivial_context(2, x) for x in "ab"},
+                         order=frozenset({("a", "a"), ("b", "b"), ("a", "b")}), partition_maps={})
+    alpha = from_table(poset, {(x, 1): frozenset(poset.down_set(x)) for x in "ab"})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ContextError) as got:
+            check_subobject_condition(alpha)
+        errors.append(str(got.value))
+        assert "proper_lifts" not in vars(poset.index)
+    assert errors == ["'a' is not included in 'b'"] * 2
+
+
+# --------------------------------------------------------------------------
+# R laid out flat, the stages' squares end to end
+
+def flat_relations(rng, poset):
+    """The survey relations, the other built-ins, every set alias and a
+    test-only relation without a grid."""
+    return (survey_relations(rng, poset) + [BUILTIN_RELATIONS[name] for name in ("always-true", "always-false")]
+            + list(BUILTIN_SET_RELATIONS.values()) + [Relation("hand", lambda cid, l, r: (l ^ r) % 3 == 0)])
+
+
+def test_related_is_the_per_stage_concatenation(closed_peres24):
+    posets = [("peres24", closed_peres24)]
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 30])
+        posets.append((f"random{seed}", random_poset(rng, max_contexts=6, max_atoms=4)))
+    for name, poset in posets:
+        index = poset.index
+        rng = np.random.default_rng(len(index.ids))
+        assignments = [[int(rng.integers(1 << n)) for n in index.n_atoms] for _ in range(4)]
+        assignments.append([(1 << n) - 1 for n in index.n_atoms])
+        for rel in flat_relations(rng, poset):
+            tables = [rel.table(cid, n) for cid, n in zip(index.ids, index.n_atoms)]
+            squares = _relation_squares(index, rel)
+            assert squares.dtype == bool, (name, rel.name)
+            assert np.array_equal(squares, np.concatenate([t.ravel() for t in tables])), (name, rel.name)
+            for masks in assignments:
+                assert np.array_equal(_related(squares, index, masks), related_oracle(tables, masks)), \
+                    (name, rel.name)
+        # only the relations whose tables depend on the atom count alone stay
+        assert len(index._squares) == len(BUILTIN_RELATIONS), name
+
+
+def test_random_relation_squares_are_its_draw(closed_peres24):
+    posets = [closed_peres24] + [random_poset(np.random.default_rng([seed, 31]), max_contexts=6, max_atoms=4)
+                                 for seed in range(10)]
+    for k, poset in enumerate(posets):
+        index = poset.index
+        rng, oracle_rng = np.random.default_rng(k), np.random.default_rng(k)
+        rel = random_relation(rng, poset)
+        expected = random_relation_oracle(oracle_rng, poset)
+        squares = _relation_squares(index, rel)
+        assert squares is rel.grid.squares, k
+        assert np.array_equal(squares, np.concatenate([expected[cid].ravel() for cid in index.ids])), k
+        assert rng.random() == oracle_rng.random(), k
+        assert all(kept is not squares for kept in index._squares.values()), k
+
+
+@pytest.mark.parametrize("grid", [
+    lambda n: np.full((1 << n, 1 << n), 0.25),
+    lambda n: np.full((1 << n, 1 << n), np.nan),
+    lambda n: np.ones((1 << n, 1 << n), dtype=np.int64),
+    lambda n: np.ones((1 << n, 1 << n), dtype=np.uint8),
+])
+def test_a_grid_that_is_not_bool_is_refused(grid):
+    poset = fix_a()
+    index = poset.index
+    first = index.ids[0]
+    rel = Relation("odd", lambda cid, l, r: True, lambda cid, n: grid(n))
+    dtype = np.asarray(grid(1)).dtype
+    refused = f"relation 'odd' has a {dtype} table at {first!r}, not a bool one"
+    a = GlobalElementG(poset, {cid: 1 for cid in poset.ids}, enforce=False)
+    sigma = SubobjectSigma(poset, {cid: frozenset({0}) for cid in poset.ids}, enforce=False)
+    for run in (lambda: _relation_squares(index, rel), lambda: survey_properties(a, rel),
+                lambda: survey_properties_sigma(sigma, rel),
+                lambda: rel.table(first, index.n_atoms[0])):
+        with pytest.raises(ContextError) as got:
+            run()
+        assert str(got.value) == refused
+
+
+def test_a_grid_of_another_shape_keeps_its_message():
+    poset = fix_a()
+    rel = Relation("short", lambda cid, l, r: True, lambda cid, n: np.ones((2, 2), dtype=bool))
+    first = poset.index.ids[0]
+    size = 1 << poset.index.n_atoms[0]
+    with pytest.raises(ContextError) as got:
+        _relation_squares(poset.index, rel)
+    assert str(got.value) == f"relation 'short' has no {size} x {size} table at {first!r}"
+
+
+def test_a_bool_grid_from_lists_is_accepted():
+    poset = fix_a()
+    rel = Relation("listed", lambda cid, l, r: l & r == l,
+                   lambda cid, n: [[l & r == l for r in range(1 << n)] for l in range(1 << n)])
+    a = GlobalElementG(poset, {cid: 1 for cid in poset.ids}, enforce=False)
+    report = survey_properties(a, rel)
+    assert report == survey_properties(a, replace(BUILTIN_RELATIONS["le"], name="listed"))
 
 
 # --------------------------------------------------------------------------
