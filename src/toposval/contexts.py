@@ -386,9 +386,10 @@ class PosetIndex:
     known ids alone.  The tables of the comparable pairs (`tables`: the
     restriction owner of each super-stage atom, and the restriction image
     and coarse-graining of each super-stage mask) are built from the
-    partition maps in one array pass on first request; `coarse`,
-    `restriction` and `image` read one pair's rows of them, and the route
-    gathers (`gather`) and `coarse_squares` read their flat arrays.
+    partition maps in one array pass on first request and kept in that
+    flat form alone: `coarse`, `restriction` and `image` copy one pair's
+    slice of them on each call, and the route gathers (`gather`) and
+    `coarse_squares` read the flat arrays.
 
     The immutable objects a report names are kept here, built on first
     use and shared by every caller: the id tuple of a mask over stage
@@ -439,7 +440,6 @@ class PosetIndex:
         self._elements: dict[tuple[int, int], LatticeElement] = {}
         self._characters: dict[tuple[int, int], frozenset[Character]] = {}
         self._closures: dict[int, int] = {}
-        self._rows: dict[str, dict[tuple[int, int], tuple]] = {"coarse": {}, "owner": {}, "image": {}}
         self._gathers: dict[str, Gather] = {}
         # the squares of relations whose tables depend on the atom count
         # alone, by their grid (`schema._relation_squares`)
@@ -514,23 +514,18 @@ class PosetIndex:
         return PairTables(self)
 
     def _row(self, name: str, sub: int, sup: int) -> tuple:
-        """One pair's row of a `tables` array, as a tuple of ints, kept."""
-        rows = self._rows[name]
-        out = rows.get((sub, sup))
-        if out is None:
-            t = self.tables
-            k = t.rank.get((sub, sup))
-            if k is None or t.missing[k]:
-                raise ContextError(f"{self.ids[sub]!r} is not included in {self.ids[sup]!r}")
-            if name == "image" and not t.covered[k]:
-                raise ContextError("partition map does not cover the atom")
-            if name == "owner":
-                row = t.owner[t.owner_start[k]:t.owner_start[k + 1]].tolist()
-                out = tuple(None if j < 0 else j for j in row)
-            else:
-                out = tuple(getattr(t, name)[t.table_start[k]:t.table_start[k + 1]].tolist())
-            rows[(sub, sup)] = out
-        return out
+        """One pair's row of a `tables` array, as a tuple of ints, read
+        off the flat array on each call."""
+        t = self.tables
+        k = t.rank.get((sub, sup))
+        if k is None or t.missing[k]:
+            raise ContextError(f"{self.ids[sub]!r} is not included in {self.ids[sup]!r}")
+        if name == "image" and not t.covered[k]:
+            raise ContextError("partition map does not cover the atom")
+        if name == "owner":
+            row = t.owner[t.owner_start[k]:t.owner_start[k + 1]].tolist()
+            return tuple(None if j < 0 else j for j in row)
+        return tuple(getattr(t, name)[t.table_start[k]:t.table_start[k + 1]].tolist())
 
     def _ranks(self, name: str, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
         """The `tables` ranks of comparable pairs given as index arrays;
@@ -1042,8 +1037,12 @@ class ContextPoset:
         return self.partition_maps[(sub, sup)]
 
     def lift_mask(self, sub: str, sup: str, mask: int) -> int:
-        """Express a sub-context lattice element as a mask over the super-context."""
-        return _union(self.partition_map(sub, sup), mask)
+        """Express a sub-context lattice element as a mask over the
+        super-context; a mask outside the sub-context's lattice raises."""
+        blocks = self.partition_map(sub, sup)
+        if mask < 0 or mask >> len(blocks):
+            raise ContextError(f"mask {mask} out of range for context {sub!r}")
+        return _union(blocks, mask)
 
 
 def build_poset(
@@ -1654,7 +1653,10 @@ def _row_masks(rows: np.ndarray) -> list[int]:
 
 
 def bit_list(mask: int) -> list[int]:
-    """The set bits of a non-negative mask, ascending."""
+    """The set bits of a non-negative mask, ascending; a negative one,
+    which has infinitely many, raises `ValueError`."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask

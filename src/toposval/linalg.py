@@ -387,28 +387,25 @@ def eig_hermitian(h: HermitianOperator, tol: Tolerances = DEFAULT) -> list[tuple
     if group <= 0:
         raise LinalgError("eig_group must be positive")
     evals, evecs = np.linalg.eigh(h.entries)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[i - 1] <= group:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    # the groups are runs of the ascending eigenvalues, each starting where
+    # a gap exceeds the grouping width
+    cuts = [0, *(np.flatnonzero(~(np.diff(evals) <= group)) + 1).tolist(), len(evals)]
+    runs = list(zip(cuts, cuts[1:]))
     # the groups' projectors are validated as one stack; a group's width
     # error comes before its own projector's error, after earlier groups'
-    stack = np.array([evecs[:, g] @ evecs[:, g].conj().T for g in groups])
+    stack = np.array([evecs[:, s:t] @ evecs[:, s:t].conj().T for s, t in runs])
     stack.flags.writeable = False
     ranks, errors = projector_checks(stack, tol)
     out: list[tuple[float, Projector]] = []
-    for k, g in enumerate(groups):
-        width = evals[g[-1]] - evals[g[0]]
-        if width > group:
+    for k, (s, t) in enumerate(runs):
+        if evals[t - 1] - evals[s] > group:
             raise GroupingError(
-                f"eigenvalue cluster {[float(evals[i]) for i in g]} is wider than "
+                f"eigenvalue cluster {evals[s:t].tolist()} is wider than "
                 f"the grouping width {group}; refusing to guess"
             )
         if k in errors:
             raise errors[k]
-        out.append((float(np.mean(evals[g])), Projector._validated(stack[k], ranks[k])))
+        out.append((float(np.mean(evals[s:t])), Projector._validated(stack[k], ranks[k])))
     # post-conditions: reconstruction and resolution of the grouped spectrum
     recon = sum(lam * p.entries for lam, p in out)
     if np.max(np.abs(recon - h.entries)) > tol.recon:

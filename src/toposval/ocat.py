@@ -39,9 +39,10 @@ and kept by `OperatorCategory`:
   max-abs defect is not monotone under projection, so the meet of the
   dominating co-atoms alone can differ from the infimum at very tight
   containment widths;
-- per (state, tolerances), held weakly by the state object: the support
-  mask of each operator and of each arrow's image operator, and the
-  member bits of every delta mask of an operator, decided on its first
+- per (state, tolerances), one plain record in a table keyed weakly by
+  the state, so it goes when the state does: the support mask of each
+  operator and of each arrow's image operator, and per operator the row
+  of member bits of its delta masks, decided on the operator's first
   query.  For a density matrix, one `certain_each` over an operator's
   stacked mask projectors decides every mask of it at once; for a vector
   state, each (operator, preimage mask) is one norm test on that
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
 
@@ -169,6 +170,8 @@ class ODecomposition:
         """The eigenvalues of an index mask, one shared frozenset per mask."""
         out = self._subsets.get(mask)
         if out is None:
+            if mask < 0 or mask >> len(self.spectrum):
+                raise OcatError(f"mask {mask} out of range for operator {self.id!r}")
             out = self._subsets[mask] = frozenset(self.spectrum[i] for i in bit_list(mask))
         return out
 
@@ -246,8 +249,10 @@ class EigenvalueMap:
     width), so applying the map and forming image sets are exact set
     operations afterwards.  The codomain is the sorted set of values; each
     domain index (position in `pairs`) carries the bit of its value's
-    codomain index, so images and preimages of index masks are ORs of bits.
-    These tables are built on first use.
+    codomain index.  The image of every domain mask and the preimage of
+    every codomain mask are two tables, built on first use by doubling
+    over those bits; `image_mask` and `preimage_mask` read them, and a
+    mask outside a table raises `OcatError`.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -300,10 +305,7 @@ class EigenvalueMap:
 
     def image_mask(self, mask: int) -> int:
         """Codomain mask of the image of a domain mask."""
-        out = 0
-        for i in bit_list(mask):
-            out |= self.image_bits[i]
-        return out
+        return _entry(self.image_table, mask, "domain")
 
     @cached_property
     def image_table(self) -> tuple[int, ...]:
@@ -316,16 +318,20 @@ class EigenvalueMap:
 
     @cached_property
     def preimage_table(self) -> tuple[int, ...]:
-        """Per codomain mask, the domain mask of its preimage."""
-        return tuple(self.preimage_mask(k) for k in range(1 << len(self.codomain)))
+        """Per codomain mask, the domain mask of its preimage, built by
+        doubling the table over the codomain's bits, each the domain mask
+        of the indices whose value it is."""
+        fibres = [0] * len(self.codomain)
+        for i, bit in enumerate(self.image_bits):
+            fibres[bit.bit_length() - 1] |= 1 << i
+        table = [0]
+        for fibre in fibres:
+            table += [m | fibre for m in table]
+        return tuple(table)
 
     def preimage_mask(self, mask: int) -> int:
         """Domain mask of the preimage of a codomain mask."""
-        out = 0
-        for i, bit in enumerate(self.image_bits):
-            if bit & mask:
-                out |= 1 << i
-        return out
+        return _entry(self.preimage_table, mask, "codomain")
 
     def image(self, subset: frozenset[float]) -> frozenset[float]:
         for x in subset:
@@ -339,6 +345,14 @@ class EigenvalueMap:
 
     def _values_of(self, mask: int) -> frozenset[float]:
         return frozenset(self.codomain[j] for j in bit_list(mask))
+
+
+def _entry(table: tuple[int, ...], mask: int, side: str) -> int:
+    """A map table's entry at a mask; a mask outside the table raises
+    `OcatError`."""
+    if not 0 <= mask < len(table):
+        raise OcatError(f"mask {mask} out of range for the map's {side}")
+    return table[mask]
 
 
 def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODecomposition:
@@ -565,44 +579,16 @@ class Morphism:
     map: EigenvalueMap
 
 
+@dataclass
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
-    category: the support mask of each object or arrow image operator, and
-    in `cells` the member bits of each queried cell (operator index, delta
-    mask).  `bits` decides a cell on its first query: the cross-check of
-    every arrow into the operator at delta (which raises where one fails),
-    then the member bits, which an operator's first query decides for all
-    its masks (see `OperatorCategory._members`).  The state and the
-    category are held weakly, so the decisions keep neither alive."""
+    category: the support mask of each object or arrow image operator,
+    and by operator index the member bits of each of its delta masks (see
+    `OperatorCategory._members`).  It holds no reference to the state or
+    the category."""
 
-    __slots__ = ("support", "cells", "bits")
-
-    def __init__(self, category: "OperatorCategory", state, tol: Tolerances):
-        self.support: dict[ODecomposition, int] = {}
-        self.cells = cells = {}   # (operator index, delta mask) -> member bits
-        held, owner = weakref.ref(state), weakref.ref(category)
-        members: dict[int, list[int]] = {}   # operator index -> member bits per delta mask
-        checked = category._checked.setdefault(tol, {})
-
-        def bits(i: int, delta: int) -> int:
-            out = cells.get((i, delta))
-            if out is None:
-                category = owner()
-                verdict = checked.get(i)
-                if verdict is None:
-                    verdict = checked[i] = category._target_failures(i, tol)
-                failures, broken = verdict
-                if delta in failures:
-                    raise OcatError(failures[delta])
-                if broken is not None:
-                    raise broken.with_traceback(None)
-                row = members.get(i)
-                if row is None:
-                    row = members[i] = category._members(i, held(), tol)
-                out = cells[(i, delta)] = row[delta]
-            return out
-
-        self.bits = bits
+    support: dict[ODecomposition, int] = field(default_factory=dict)
+    members: dict[int, list[int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -639,7 +625,9 @@ class OperatorCategory:
     target, its arrows' cross-check (the mask stacks of every object, then
     of every image, validated in one test each); per (target, tol), that
     cross-check's verdict of every delta mask; per state and tol, that
-    state's decisions (held weakly, so they go when the state does).
+    state's `_Decisions`, in a table keyed weakly by the state, so they go
+    when the state does.  `_member_bits` reads a cell off the verdict and
+    the operator's row of member bits.
     """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
@@ -665,7 +653,6 @@ class OperatorCategory:
                 f = _map_from_scalars(b, a, scalars[a.id][k], tol)
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
-        self._arrows: dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition] | ValueError] = {}
         self._checked: dict[Tolerances, dict[int, tuple[dict[int, str], ValueError | None]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -722,27 +709,30 @@ class OperatorCategory:
             raise OcatError(f"{a.id!r} is not an object of this category")
         return a.id
 
+    @cached_property
+    def _arrows(self) -> dict[tuple[str, str], tuple[EigenvalueMap, ODecomposition] | ValueError]:
+        """Per arrow, its map on its target's spectrum and its image
+        operator f(A), or the error building f(A) raises; the images are
+        built in one batch (see `_images`).  When the map fixes every
+        eigenvalue of an ascending spectrum, as an identity arrow's does,
+        f(A) is the object A itself."""
+        out, todo = {}, []
+        for key, arrow in self.morphisms.items():
+            a = self.objects[arrow.dst]
+            f = _on_spectrum(arrow.map, a)
+            if tuple(v for _, v in f.pairs) == a.spectrum == f.codomain:
+                out[key] = (f, a)
+            else:
+                todo.append((key, f, a))
+        _stack_masks([a for _, _, a in todo])
+        for (key, f, _), b in zip(todo, _images([(f, a) for _, f, a in todo])):
+            out[key] = b if isinstance(b, ValueError) else (f, b)
+        return out
+
     def _arrow(self, m: Morphism) -> tuple[EigenvalueMap, ODecomposition]:
-        """The arrow's map on its target's spectrum and its image operator
-        f(A); raises the error building f(A) raises.  When the map fixes
-        every eigenvalue of an ascending spectrum, as an identity arrow's
-        does, f(A) is the object A itself.  The first request builds every
-        arrow, the images in one batch (see `_images`)."""
-        out = self._arrows.get((m.src, m.dst))
-        if out is None:
-            todo = []
-            for key, arrow in self.morphisms.items():
-                if key not in self._arrows:
-                    a = self.objects[arrow.dst]
-                    f = _on_spectrum(arrow.map, a)
-                    if tuple(v for _, v in f.pairs) == a.spectrum == f.codomain:
-                        self._arrows[key] = (f, a)
-                    else:
-                        todo.append((key, f, a))
-            _stack_masks([a for _, _, a in todo])
-            for (key, f, _), b in zip(todo, _images([(f, a) for _, f, a in todo])):
-                self._arrows[key] = b if isinstance(b, ValueError) else (f, b)
-            out = self._arrows[(m.src, m.dst)]
+        """The arrow's map and image operator (see `_arrows`); raises the
+        error building f(A) raises."""
+        out = self._arrows[(m.src, m.dst)]
         if isinstance(out, ValueError):
             raise out.with_traceback(None)
         return out
@@ -786,9 +776,27 @@ class OperatorCategory:
         """By delta mask, the message of the first arrow into operator i at
         which the cross-check fails at a tolerance set, and the error of the
         first arrow that fails validation, which a query raises when no
-        earlier arrow fails at its delta."""
-        target = self._targets[i]
-        return (target.check.failures(tol) if target.check is not None else {}), target.broken
+        earlier arrow fails at its delta; kept per (operator, tolerances)."""
+        verdicts = self._checked.setdefault(tol, {})
+        if i not in verdicts:
+            target = self._targets[i]
+            verdicts[i] = (target.check.failures(tol) if target.check is not None else {}), target.broken
+        return verdicts[i]
+
+    def _member_bits(self, state, i: int, delta: int, tol: Tolerances) -> int:
+        """The member bits of the cell (operator index i, delta mask) for a
+        state, read off the operator's row, which its first query decides
+        for all its masks; raises what `_target_failures` gives at delta."""
+        members = self._decisions(state, tol).members
+        failures, broken = self._target_failures(i, tol)
+        if delta in failures:
+            raise OcatError(failures[delta])
+        if broken is not None:
+            raise broken.with_traceback(None)
+        row = members.get(i)
+        if row is None:
+            row = members[i] = self._members(i, state, tol)
+        return row[delta]
 
     def _members(self, i: int, state, tol: Tolerances) -> list[int]:
         """Per delta mask of operator i, the member bits: by source index,
@@ -820,7 +828,7 @@ class OperatorCategory:
             per_tol = self._states[state] = {}
         out = per_tol.get(tol)
         if out is None:
-            out = per_tol[tol] = _Decisions(self, state, tol)
+            out = per_tol[tol] = _Decisions()
         return out
 
     def _support_mask(self, state, op: ODecomposition, tol: Tolerances) -> int:
@@ -839,7 +847,7 @@ def _cell(state, a: ODecomposition, delta, category: OperatorCategory,
     proposition coarse-grains to a probability-1 projector."""
     mask = a.mask_of(a.check_subset(delta))
     i = category.index.pos[category._object(a)]
-    return i, mask, category._decisions(state, tol).bits(i, mask)
+    return i, mask, category._member_bits(state, i, mask, tol)
 
 
 def _arrow_keys(index: PosetIndex, i: int, bits: int) -> list[tuple[str, str]]:

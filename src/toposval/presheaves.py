@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -144,11 +145,12 @@ class GlobalElementG:
 
     `enforce=False` admits a broken assignment (for witness construction);
     `satisfies_matching` records whether the matching law actually holds.
-    `masks` holds the assigned masks in the order of `poset.index.ids`.
+    `masks` holds the assigned masks in the order of `poset.index.ids`,
+    and is the one stored form: `assignment`, the dict from context id to
+    mask, is read off it on first access.
     """
 
     poset: ContextPoset
-    assignment: dict[str, int]  # context id -> mask
     satisfies_matching: bool
     masks: tuple[int, ...] = field(repr=False)
 
@@ -161,25 +163,28 @@ class GlobalElementG:
                 raise ContextError(f"mask {mask!r} at {cid!r} is not an int")
             if not 0 <= mask <= poset.context(cid).full_mask:
                 raise ContextError(f"mask {mask} out of range at {cid!r}")
-        self._settle(poset, assignment, tuple(map(assignment.__getitem__, poset.index.ids)), enforce)
+        self._settle(poset, tuple(map(assignment.__getitem__, poset.index.ids)), enforce)
 
     @classmethod
     def _of_masks(cls, poset: ContextPoset, masks: tuple[int, ...]) -> "GlobalElementG":
         """The unenforced assignment of masks given in index order, each
         known to lie in its context's lattice."""
         out = cls.__new__(cls)
-        out._settle(poset, dict(zip(poset.index.ids, masks)), masks, False)
+        out._settle(poset, masks, False)
         return out
 
-    def _settle(self, poset: ContextPoset, assignment: dict[str, int], masks: tuple[int, ...],
-                enforce: bool) -> None:
+    def _settle(self, poset: ContextPoset, masks: tuple[int, ...], enforce: bool) -> None:
         ok = _first_failing_pair(poset.index, masks, "below") is None
         if enforce and not ok:
             raise ContextError("assignment violates the coarse-graining matching law")
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "satisfies_matching", ok)
         object.__setattr__(self, "masks", masks)
+
+    @cached_property
+    def assignment(self) -> dict[str, int]:
+        """Context id -> mask."""
+        return dict(zip(self.poset.index.ids, self.masks))
 
     def element(self, cid: str) -> LatticeElement:
         return LatticeElement(cid, self.assignment[cid])
@@ -223,11 +228,12 @@ class SubobjectSigma:
     coarser one; the `tight` variant asks for equality.  As with
     `GlobalElementG`, `enforce=False` admits broken assignments and the
     flags record what actually holds; `masks` holds each context's atom
-    set as a mask, in the order of `poset.index.ids`.
+    set as a mask, in the order of `poset.index.ids`, and is the one stored
+    form: `assignment`, the dict from context id to atom indices, is read
+    off it on first access.
     """
 
     poset: ContextPoset
-    assignment: dict[str, frozenset[int]]  # context id -> atom indices
     satisfies_law: bool
     is_tight: bool
     masks: tuple[int, ...] = field(repr=False)
@@ -247,19 +253,17 @@ class SubobjectSigma:
                     raise ContextError(f"atom index out of range at {cid!r}")
                 mask |= 1 << int(i)
             masks[cid] = mask
-        self._settle(poset, assignment, tuple(map(masks.__getitem__, poset.index.ids)), enforce)
+        self._settle(poset, tuple(map(masks.__getitem__, poset.index.ids)), enforce)
 
     @classmethod
     def _of_masks(cls, poset: ContextPoset, masks: tuple[int, ...]) -> "SubobjectSigma":
         """The unenforced assignment of the atom masks given in index
         order, each known to lie in its context's lattice."""
         out = cls.__new__(cls)
-        out._settle(poset, {cid: frozenset(bit_list(m)) for cid, m in zip(poset.index.ids, masks)},
-                    masks, False)
+        out._settle(poset, masks, False)
         return out
 
-    def _settle(self, poset: ContextPoset, assignment: dict[str, frozenset[int]],
-                masks: tuple[int, ...], enforce: bool) -> None:
+    def _settle(self, poset: ContextPoset, masks: tuple[int, ...], enforce: bool) -> None:
         index = poset.index
         tight = _first_failing_pair(index, masks, "below_image") is None
         law = tight or _first_failing_pair(index, masks, "below_image",
@@ -267,10 +271,14 @@ class SubobjectSigma:
         if enforce and not law:
             raise ContextError("assignment violates the subobject law")
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "satisfies_law", law)
         object.__setattr__(self, "is_tight", tight)
         object.__setattr__(self, "masks", masks)
+
+    @cached_property
+    def assignment(self) -> dict[str, frozenset[int]]:
+        """Context id -> atom indices."""
+        return {cid: frozenset(bit_list(m)) for cid, m in zip(self.poset.index.ids, self.masks)}
 
     def characters(self, cid: str) -> frozenset[Character]:
         return frozenset(Character(cid, i) for i in self.assignment[cid])

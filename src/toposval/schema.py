@@ -102,18 +102,22 @@ def _nonzero_product(cid, l, r):
 
 
 class _DrawnGrid:
-    """The grid of a relation drawn for one poset's stages as `squares`,
-    the flat layout of `_relation_squares` over `stages` (the poset
-    index's ids and atom counts).  A context's table is a view into it,
-    taken when asked for."""
+    """The grid of relation `name` drawn for one poset's stages as
+    `squares`, the flat layout of `_relation_squares` over `stages` (the
+    poset index's ids and atom counts).  A context's table is a view into
+    it, taken when asked for; a context the draw does not cover raises
+    `ContextError`."""
 
-    def __init__(self, squares: np.ndarray, index: PosetIndex):
+    def __init__(self, name: str, squares: np.ndarray, index: PosetIndex):
+        self.name = name
         self.squares = squares
         self.stages = (index.ids, index.n_atoms)
         self._pos, self._start = index.pos, index.square_start
 
     def __call__(self, cid: str, n: int) -> np.ndarray:
-        i = self._pos[cid]
+        i = self._pos.get(cid)
+        if i is None:
+            raise ContextError(f"relation {self.name!r} was not drawn for context {cid!r}")
         size = 1 << self.stages[1][i]
         start = int(self._start[i])
         return self.squares[start:start + size * size].reshape(size, size)
@@ -154,7 +158,7 @@ def random_relation(rng: np.random.Generator, poset: ContextPoset, name: str = "
     (context, l, r) order, so the tables and the generator's next draw
     are those of one draw per context in turn."""
     index = poset.index
-    grid = _DrawnGrid(rng.random(int(index.square_start[-1])) < 0.5, index)
+    grid = _DrawnGrid(name, rng.random(int(index.square_start[-1])) < 0.5, index)
     return Relation(name, lambda cid, l, r: bool(grid(cid, 0)[l, r]), grid)
 
 

@@ -452,3 +452,32 @@ def atom_range_oracle(poset, assignment):
                 raise ContextError(f"atom indices at {cid!r} must be ints")
             if not 0 <= i < n:
                 raise ContextError(f"atom index out of range at {cid!r}")
+
+
+def image_mask_oracle(f, mask):
+    """The codomain mask of a domain mask's image, bit by bit."""
+    out = 0
+    for i in bit_list(mask):
+        out |= f.image_bits[i]
+    return out
+
+
+def preimage_mask_oracle(f, mask):
+    """The domain mask of a codomain mask's preimage, index by index."""
+    out = 0
+    for i, bit in enumerate(f.image_bits):
+        if bit & mask:
+            out |= 1 << i
+    return out
+
+
+def flat_pair_row(index, name, sub, sup):
+    """One pair's slice of a flat `PairTables` array ("coarse", "owner" or
+    "image"), or None for a pair without a table."""
+    t = index.tables
+    k = t.rank.get((sub, sup))
+    if k is None or t.missing[k]:
+        return None
+    start = t.owner_start if name == "owner" else t.table_start
+    return getattr(t, name)[start[k]:start[k + 1]].tolist()
+

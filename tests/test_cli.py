@@ -189,6 +189,31 @@ def test_ks_expect_mismatch(tmp_path, fixa_file):
     assert report["result"]["exists"] is True
 
 
+def test_ks_expect_exists_on_a_none_verdict_exits_1(tmp_path):
+    code, report = run(tmp_path, "ks", "--expect", "exists")
+    assert code == 1
+    assert report["result"]["exists"] is False
+
+
+def test_an_unknown_relation_exits_with_one_line(tmp_path, fixa_file, state_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey-relations", "--input", fixa_file, "--add-trivial", "--state", state_file,
+              "--relation", "le", "--relation", "bogus", "--out", str(tmp_path / "report.json")])
+    assert str(exc.value) == ("unknown relation 'bogus'; choose from "
+                              "['always-false', 'always-true', 'eq', 'ge', 'le', 'nonzero-product'] "
+                              "or random:N")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build-poset", "valuate", "ocat"])
+def test_a_command_other_than_ks_requires_an_input(tmp_path, state_file, command):
+    state = [] if command == "build-poset" else ["--state", state_file]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *state, "--out", str(tmp_path / "report.json")])
+    assert str(exc.value) == "--input is required for this command"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_ocat(tmp_path, state_file):
     p = tmp_path / "ops.json"
     p.write_text(json.dumps({
@@ -258,6 +283,7 @@ def test_state_tolerances_reach_a_pure_state(tmp_path, fixa_file, state_file):
 
 @pytest.mark.parametrize("spec, message", [
     ("bogus=1", "--tol: unknown tolerance name(s): ['bogus']"),
+    ("certain", "--tol expects name=value, got 'certain'"),
     ("certain=abc", "--tol certain expects a number, got 'abc'"),
     # a non-finite width would make every stage degenerate (nan) or
     # overflow the closure's trace buckets (inf)

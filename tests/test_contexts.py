@@ -7,6 +7,7 @@ from toposval.contexts import (
     Context,
     ContextError,
     LatticeElement,
+    bit_list,
     build_poset,
     context_from_operators,
     evaluate,
@@ -182,6 +183,24 @@ def test_partition_maps_consistent(fixa):
     assert pmap == (0b001, 0b110)
     assert fixa.lift_mask("V2", "V1", 0b10) == 0b110
     assert fixa.partition_map("Vtriv", "V1") == (0b111,)
+
+
+def test_a_lift_mask_outside_the_sub_lattice_raises(fixa):
+    # a negative mask has infinitely many bits: it is refused, as is one
+    # with a bit past the sub-context's atoms, instead of looping or indexing
+    assert fixa.lift_mask("V2", "V1", 0b11) == 0b111
+    for bad in (-1, -4, 0b100):
+        with pytest.raises(ContextError) as exc:
+            fixa.lift_mask("V2", "V1", bad)
+        assert str(exc.value) == f"mask {bad} out of range for context 'V2'"
+
+
+def test_bit_list_refuses_a_negative_mask():
+    assert bit_list(0) == [] and bit_list(0b1011) == [0, 1, 3]
+    for bad in (-1, -(1 << 70)):
+        with pytest.raises(ValueError) as exc:
+            bit_list(bad)
+        assert str(exc.value) == f"mask {bad} is negative"
 
 
 def test_trivial_context_equals_the_validated_one_atom_context():

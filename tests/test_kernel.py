@@ -66,6 +66,7 @@ from toposval.valuations import (
 
 from conftest import (
     coarse_oracle,
+    flat_pair_row,
     gather_rows,
     image_oracle,
     index_below,
@@ -1361,6 +1362,29 @@ def _pair_table_indices():
 def test_pair_tables_match_the_one_pair_loops():
     for index in _pair_table_indices():
         assert _table_rows(index) == _oracle_rows(index)
+
+
+def test_pair_rows_are_read_off_the_flat_tables_on_each_call():
+    # `coarse`, `restriction` and `image` copy one pair's slice of the flat
+    # arrays on every call and keep nothing per pair; a pair without a
+    # table, or one whose map leaves an atom uncovered, raises the same
+    # error on every call, as the one-pair oracles say
+    for index in _pair_table_indices():
+        want = _oracle_rows(index)
+        t = index.tables
+        kept = set(vars(index))
+        for _ in range(2):
+            assert _table_rows(index) == want
+        assert set(vars(index)) == kept
+        for sub, sup in index.pair_indices:
+            coarse = flat_pair_row(index, "coarse", sub, sup)
+            if coarse is None:
+                continue
+            assert index.coarse(sub, sup) == tuple(coarse)
+            assert index.restriction(sub, sup) == tuple(None if j < 0 else j
+                                                        for j in flat_pair_row(index, "owner", sub, sup))
+            if t.covered[t.rank[(sub, sup)]]:
+                assert index.image(sub, sup) == tuple(flat_pair_row(index, "image", sub, sup))
 
 
 def _gather_oracle(index, route):

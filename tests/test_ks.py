@@ -23,7 +23,7 @@ from toposval.linalg import HermitianOperator, LinalgError, Projector, projector
 from toposval.sampling import context_from_basis, fix_a, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 
-from conftest import diag_proj, restriction_oracle
+from conftest import diag_proj, flat_pair_row, restriction_oracle
 from test_closure import _peres_subset
 
 
@@ -449,6 +449,34 @@ def test_bitmask_search_raises_where_the_dict_search_raises():
                 assert got == _outcome(_dict_search, broken, order), (size, seed)
                 seen.add(got if isinstance(got, str) else got["exists"])
     assert seen == {"ContextError: partition map does not cover the atom", True, False}
+
+
+def test_pair_rows_of_an_uncovering_map_read_the_flat_tables():
+    # the same hand-broken maps: the broken pair's restriction row names no
+    # owner for the uncovered atom and its image row raises, on every call;
+    # every other row is the flat tables' slice
+    for size in (6, 10):
+        base = build_poset(_peres_subset(size, size), add_trivial=True, close_under_meets=True)
+        maximal = base.maximal_ids()
+        into_maximal = [p for p in base.pairs() if p[1] in maximal]
+        for seed in range(4):
+            rng = np.random.default_rng([size, seed])
+            sub, sup = into_maximal[rng.integers(len(into_maximal))]
+            pmap = list(base.partition_map(sub, sup))
+            j = int(rng.integers(len(pmap)))
+            pmap[j] &= ~(1 << int(rng.choice([b for b in range(4) if pmap[j] >> b & 1])))
+            maps = {**base.partition_maps, (sub, sup): tuple(pmap)}
+            index = ContextPoset(contexts=base.contexts, order=base.order, partition_maps=maps).index
+            broken = index.pair(sub, sup)
+            for k, l in index.pair_indices:
+                assert index.coarse(k, l) == tuple(flat_pair_row(index, "coarse", k, l))
+                assert index.restriction(k, l) == restriction_oracle(index, k, l)
+                if (k, l) != broken:
+                    assert index.image(k, l) == tuple(flat_pair_row(index, "image", k, l))
+            assert None in index.restriction(*broken)
+            for _ in range(2):
+                with pytest.raises(ContextError, match="partition map does not cover the atom"):
+                    index.image(*broken)
 
 
 def _value_mismatch_oracle(poset, assignment, pairs, tol=DEFAULT):

@@ -22,7 +22,7 @@ from toposval.linalg import (
     projector_ranks,
     screened_containment_table,
 )
-from toposval.sampling import random_density, random_hermitian
+from toposval.sampling import random_degenerate_hermitian, random_density, random_hermitian
 from toposval.tolerances import DEFAULT
 
 from conftest import leq_each
@@ -141,6 +141,28 @@ def test_eig_groups_validated_at_once_raise_the_per_group_errors():
     assert [lam for lam, _ in got] == [lam for lam, _ in want]
     assert [p.entries.tobytes() for _, p in got] == [p.entries.tobytes() for _, p in want]
     assert [p.rank for _, p in got] == [p.rank for _, p in want] == [1, 1, 1, 1, 2, 1]
+
+
+def test_eig_groups_as_runs_match_the_index_list_groups():
+    # a group is a run of adjacent sorted eigenvalues, read as slices: its
+    # value and its projector's bytes are those of the per-group oracle,
+    # which gathers each group by an index list, on seeded generic and
+    # degenerate operators
+    rng = np.random.default_rng(1433)
+    groups = repeated = 0
+    for k in range(300):
+        dim = int(rng.integers(2, 9))
+        if k % 2:
+            h = random_degenerate_hermitian(rng, dim, int(rng.integers(1, min(dim, 7) + 1)))
+        else:
+            h = random_hermitian(rng, dim)
+        got, want = eig_hermitian(h), eig_hermitian_per_group(h, DEFAULT)
+        assert [lam for lam, _ in got] == [lam for lam, _ in want]
+        assert [p.entries.tobytes() for _, p in got] == [p.entries.tobytes() for _, p in want]
+        assert [p.rank for _, p in got] == [p.rank for _, p in want]
+        groups += len(got)
+        repeated += any(p.rank > 1 for _, p in got)
+    assert groups > 1000 and repeated > 100, (groups, repeated)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -64,7 +64,15 @@ from toposval.sampling import (
 )
 from toposval.tolerances import DEFAULT
 
-from conftest import identity_map, index_below, index_lift, leq_each, projector_for
+from conftest import (
+    identity_map,
+    image_mask_oracle,
+    index_below,
+    index_lift,
+    leq_each,
+    preimage_mask_oracle,
+    projector_for,
+)
 
 
 def decomp(*diag, id="A"):
@@ -485,13 +493,13 @@ def _infimum(a, b, delta, tol):
 def oracle_verdict(f, a, b, delta, tol):
     """The per-delta cross-check of the coarse-graining of a delta mask of
     `a` along `f` (on A's spectrum; `b` is f(A)): its error, or None."""
-    pre = f.preimage_mask(f.image_mask(delta))
+    pre = preimage_mask_oracle(f, image_mask_oracle(f, delta))
     kept = _infimum(a, b, delta, tol)
     if kept is None:
         return "no dominating element in the spectral algebra"
-    if f.preimage_mask(kept) != pre:
+    if preimage_mask_oracle(f, kept) != pre:
         return (f"coarse-graining paths disagree: preimage {sorted(a.subset(pre))} "
-                f"vs infimum {sorted(a.subset(f.preimage_mask(kept)))}")
+                f"vs infimum {sorted(a.subset(preimage_mask_oracle(f, kept)))}")
     return None
 
 
@@ -708,11 +716,10 @@ def test_mixed_state_decisions_match_state_certain(monkeypatch):
         for state in states_for(rng, cat, aid):
             for tol in (DEFAULT, wide):
                 calls.clear()
-                decisions = cat._decisions(state, tol)
                 for i, n in enumerate(index.n_atoms):
                     for delta in range(1 << n):
                         want = _bits_by_state_certain(cat, state, tol, i, delta)
-                        assert decisions.bits(i, delta) == want, (i, delta)
+                        assert cat._member_bits(state, i, delta, tol) == want, (i, delta)
                         certain_bits += want.bit_count()
                 if isinstance(state, StateVector):
                     assert calls == []
@@ -1286,7 +1293,8 @@ def test_index_holds_the_arrows():
                 j = index.pos[m.src]
                 table = index.coarse(j, i)
                 f = _on_spectrum(m.map, a)
-                assert f.image_table == tuple(f.image_mask(mask) for mask in range(1 << len(a.spectrum)))
+                assert f.image_table == tuple(image_mask_oracle(f, mask)
+                                              for mask in range(1 << len(a.spectrum)))
                 b = cat.objects[m.src]
                 for delta in all_deltas(a):
                     mask = a.mask_of(delta)
@@ -1299,17 +1307,117 @@ def test_index_holds_the_arrows():
 
 def test_sieve_witness_names_a_missing_composite():
     # a state's member sets are always sieves, so the failing branch is
-    # reached through a hand-set cell: at A it holds Asq -> A alone,
-    # while A -> Asq and one -> Asq are arrows into Asq
+    # reached through a hand-set entry of A's row of member bits: at delta
+    # 0 it holds Asq -> A alone, while A -> Asq and one -> Asq are arrows
+    # into Asq
     a = decomp(1, 2, 3)
     cat = OperatorCategory([a, decomp(1, 4, 9, id="Asq"), decomp(1, 1, 1, id="one")])
     state = random_state(np.random.default_rng(9), 3)
     index = cat.index
     assert [m.src for m in cat.morphisms_into("Asq")] == ["A", "Asq", "one"]
     check_sieve_on_o(state, a, frozenset(), cat)   # builds the state's decisions
-    cat._decisions(state, DEFAULT).cells[(index.pos["A"], 0)] = 1 << index.pos["Asq"]
+    cat._decisions(state, DEFAULT).members[index.pos["A"]][0] = 1 << index.pos["Asq"]
     assert check_sieve_on_o(state, a, frozenset(), cat) == (
         False, {"f": ("Asq", "A"), "g": ("A", "Asq")})
+
+
+def _seeded_maps(rng):
+    """Maps of 1 to 7 points with repeated values, then every arrow's map,
+    on its target's spectrum, of seeded random categories."""
+    for _ in range(150):
+        n = int(rng.integers(1, 8))
+        keys = (rng.choice(30, size=n, replace=False) - 15.0).tolist()
+        values = (rng.integers(-3, 4, size=n) * 1.5).tolist()
+        yield EigenvalueMap.from_dict(dict(zip(keys, values)))
+    for _ in range(20):
+        cat, _ = random_category(rng, int(rng.integers(2, 7)))
+        for m in cat.morphisms.values():
+            yield _on_spectrum(m.map, cat.objects[m.dst])
+
+
+def test_map_masks_read_the_tables_the_per_mask_loops_give():
+    # image_mask, preimage_mask and both tables equal the bit-by-bit loops
+    # they replaced; a mask outside a table, a negative one included,
+    # raises OcatError naming it instead of indexing or looping forever
+    rng = np.random.default_rng(1409)
+    for f in _seeded_maps(rng):
+        n, m = len(f.pairs), len(f.codomain)
+        assert f.image_table == tuple(image_mask_oracle(f, mask) for mask in range(1 << n))
+        assert f.preimage_table == tuple(preimage_mask_oracle(f, mask) for mask in range(1 << m))
+        for mask in range(1 << n):
+            assert f.image_mask(mask) == image_mask_oracle(f, mask)
+        for mask in range(1 << m):
+            assert f.preimage_mask(mask) == preimage_mask_oracle(f, mask)
+        for bad in (-1, -(1 << n), 1 << n):
+            with pytest.raises(OcatError) as exc:
+                f.image_mask(bad)
+            assert str(exc.value) == f"mask {bad} out of range for the map's domain"
+        for bad in (-1, 1 << m):
+            with pytest.raises(OcatError) as exc:
+                f.preimage_mask(bad)
+            assert str(exc.value) == f"mask {bad} out of range for the map's codomain"
+
+
+def test_a_subset_mask_outside_the_spectrum_raises():
+    a = decomp(1, 2, 3)
+    assert a.subset(0b101) == frozenset({1.0, 3.0})
+    for bad in (-1, -8, 8):
+        with pytest.raises(OcatError) as exc:
+            a.subset(bad)
+        assert str(exc.value) == f"mask {bad} out of range for operator 'A'"
+
+
+def test_decisions_are_one_row_per_queried_operator():
+    # a state's decisions are plain data: its support masks and, per
+    # operator queried, one row of member bits by delta mask, which is
+    # what every cell of that operator reads; they refer to neither the
+    # state nor the category
+    rng = np.random.default_rng(1423)
+    for _ in range(10):
+        cat, aid = random_category(rng, int(rng.integers(2, 6)))
+        index = cat.index
+        i = index.pos[aid]
+        for state in states_for(rng, cat, aid):
+            a = cat.objects[aid]
+            characterize_check(state, a, frozenset(), cat)
+            decisions = cat._decisions(state, DEFAULT)
+            assert list(decisions.support) == [a]
+            assert list(decisions.members) == [i]
+            row = decisions.members[i]
+            assert len(row) == 1 << len(a.spectrum)
+            for delta in range(1 << len(a.spectrum)):
+                assert cat._member_bits(state, i, delta, DEFAULT) == row[delta]
+                assert nu_psi_o(state, a, a.subset(delta), cat) == frozenset(
+                    (src, aid) for src in index.names(row[delta]))
+            assert list(decisions.members) == [i]
+            assert set(vars(decisions)) == {"support", "members"}
+            assert all(type(bits) is int for bits in row)
+            assert all(type(o) is ODecomposition and type(mask) is int
+                       for o, mask in decisions.support.items())
+
+
+def test_the_first_arrow_request_builds_every_arrow():
+    # one batch fills the arrow table; each later request is a lookup, and
+    # an arrow whose image fails validation raises its kept error each time
+    rng = np.random.default_rng(1427)
+    for _ in range(10):
+        cat, _ = random_category(rng, int(rng.integers(2, 6)))
+        first = next(iter(cat.morphisms.values()))
+        cat._arrow(first)
+        assert set(cat._arrows) == set(cat.morphisms)
+        for m in cat.morphisms.values():
+            assert cat._arrow(m) is cat._arrows[(m.src, m.dst)]
+    failed = 0
+    for cat in planted_categories():
+        for m in cat.morphisms.values():
+            kept = cat._arrows[(m.src, m.dst)]
+            if isinstance(kept, ValueError):
+                failed += 1
+                for _ in range(2):
+                    with pytest.raises(type(kept)) as exc:
+                        cat._arrow(m)
+                    assert str(exc.value) == str(kept)
+    assert failed > 0
 
 
 def test_image_and_preimage_masks():

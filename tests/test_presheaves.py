@@ -305,6 +305,38 @@ def test_subobject_from_global_element(fixa):
         subobject_from_global_element(broken)
 
 
+def test_assignments_are_read_off_the_masks():
+    # `assignment` is derived from `masks` on first access and equals the
+    # dict each construction once stored: the caller's dict through the
+    # constructor, the index-order masks through `_of_masks`
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 41])
+        poset = random_poset(rng, max_contexts=8, max_atoms=5)
+        ids = poset.index.ids
+        order = [ids[k] for k in rng.permutation(len(ids))]
+        masks = {cid: int(rng.integers(0, 1 << poset.context(cid).n_atoms)) for cid in order}
+        atoms = {cid: frozenset(bit_list(masks[cid])) for cid in order}
+        in_order = tuple(masks[cid] for cid in ids)
+        built = (
+            (GlobalElementG(poset, masks, enforce=False), masks),
+            (GlobalElementG._of_masks(poset, in_order), dict(zip(ids, in_order))),
+            (SubobjectSigma(poset, atoms, enforce=False), atoms),
+            (SubobjectSigma._of_masks(poset, in_order),
+             {cid: frozenset(bit_list(m)) for cid, m in zip(ids, in_order)}),
+        )
+        for element, eager in built:
+            assert element.masks == in_order
+            assert "assignment" not in vars(element)
+            assert element.assignment == eager
+            assert element.assignment is element.assignment
+        for element, eager in built[:2]:
+            assert [element.element(cid) for cid in ids] == [
+                LatticeElement(cid, eager[cid]) for cid in ids]
+        for element, eager in built[2:]:
+            assert [element.characters(cid) for cid in ids] == [
+                frozenset(Character(cid, i) for i in eager[cid]) for cid in ids]
+
+
 def test_subobject_from_state_supports(fixa):
     # cross-module: state supports form a global element whose certain
     # characters obey the subobject law

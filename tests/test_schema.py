@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, ContextPoset, bit_list
+from toposval.contexts import ContextError, ContextPoset, bit_list, build_poset
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import OcatError, ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element
-from toposval.sampling import fix_a, random_category, random_density, random_poset, random_state
+from toposval.sampling import (
+    diag_plus_trivial,
+    fix_a,
+    random_category,
+    random_density,
+    random_poset,
+    random_state,
+)
 from toposval.schema import (
     BUILTIN_RELATIONS,
     BUILTIN_SET_RELATIONS,
@@ -392,6 +399,35 @@ def test_random_relation_matches_scalar_draws(seed):
     table = scalar_relation_table(ref, poset)
     assert {key: rel.test(*key) for key in table} == table
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_random_relation_refuses_a_context_it_was_not_drawn_for():
+    rel = random_relation(np.random.default_rng(7), fix_a(), name="drawn")
+    other = diag_plus_trivial(2)
+    message = "relation 'drawn' was not drawn for context 'Vdiag'"
+    a = GlobalElementG(other, {cid: other.context(cid).full_mask for cid in other.ids})
+    sigma = SubobjectSigma(other, {cid: frozenset(range(other.context(cid).n_atoms))
+                                   for cid in other.ids})
+    for call in (lambda: survey_properties(a, rel), lambda: survey_properties_sigma(sigma, rel),
+                 lambda: rel.test("Vdiag", 0, 0)):
+        with pytest.raises(ContextError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_a_random_relation_surveys_a_poset_of_contexts_it_was_drawn_for():
+    # every context of the sub-poset is in the draw with its atom count, so
+    # the survey reads the drawn tables, as a relation tabulated from them
+    # one test at a time does
+    poset = fix_a()
+    rel = random_relation(np.random.default_rng(7), poset, name="drawn")
+    sub = build_poset([poset.context("V1")], add_trivial=True, dim=3)
+    assert sub.ids == ["V1", "Vtriv"]
+    plain = Relation("drawn", rel.test)
+    a = GlobalElementG(sub, {cid: sub.context(cid).full_mask for cid in sub.ids})
+    sigma = SubobjectSigma(sub, {cid: frozenset(range(sub.context(cid).n_atoms)) for cid in sub.ids})
+    assert survey_properties(a, rel) == survey_properties(a, plain)
+    assert survey_properties_sigma(sigma, rel) == survey_properties_sigma(sigma, plain)
 
 
 # --------------------------------------------------------------------------
