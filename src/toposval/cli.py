@@ -218,7 +218,27 @@ def cmd_verify_theorems(args, tol: Tolerances) -> tuple[dict, int]:
     return result, 0 if ok else 1
 
 
+def _relations(names: list[str]) -> list[str | int]:
+    """Each `--relation`: a builtin name, or the N of random:N; an unknown
+    name or an N that is not a non-negative integer exits with a one-line
+    message, before anything is loaded or surveyed."""
+    out: list[str | int] = []
+    for name in names:
+        if name.startswith("random:"):
+            count = name.split(":", 1)[1]
+            if not count.isdecimal():
+                raise SystemExit(f"--relation {name}: random:N expects a non-negative integer N")
+            out.append(int(count))
+        elif name in BUILTIN_RELATIONS:
+            out.append(name)
+        else:
+            raise SystemExit(f"unknown relation {name!r}; choose from "
+                             f"{sorted(BUILTIN_RELATIONS)} or random:N")
+    return out
+
+
 def cmd_survey_relations(args, tol: Tolerances) -> tuple[dict, int]:
+    wanted = _relations(args.relation or ["le"])
     poset = _load_poset(args, tol)
     rho = _load_state(args, tol)
     a = supports_global_element(nu_rho(rho, poset, tol))
@@ -226,17 +246,13 @@ def cmd_survey_relations(args, tol: Tolerances) -> tuple[dict, int]:
         return {"error": "state supports do not form a global element"}, 1
     rng = np.random.default_rng(args.seed)
     reports = []
-    names = args.relation or ["le"]
-    for name in names:
-        if name.startswith("random:"):
-            for i in range(int(name.split(":", 1)[1])):
+    for item in wanted:
+        if isinstance(item, int):
+            for i in range(item):
                 rel = random_relation(rng, poset, name=f"random{i}")
                 reports.append(survey_properties(a, rel))
-        elif name in BUILTIN_RELATIONS:
-            reports.append(survey_properties(a, BUILTIN_RELATIONS[name]))
         else:
-            raise SystemExit(f"unknown relation {name!r}; choose from "
-                             f"{sorted(BUILTIN_RELATIONS)} or random:N")
+            reports.append(survey_properties(a, BUILTIN_RELATIONS[item]))
     ok = all(
         r["properties"]["func"]["status"] == "holds-exhaustively"
         and r["analyses"]["sievehood_paths_agree"]
@@ -307,15 +323,18 @@ def cmd_ocat(args, tol: Tolerances) -> tuple[dict, int]:
     return result, 0 if ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser, state: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, state: bool = False, poset: bool = True) -> None:
+    """The options every command takes; the poset flags only where the
+    command builds a poset (every command but ocat)."""
     p.add_argument("--input", help="input JSON file: contexts, or operators for ocat")
     if state:
         p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--add-trivial", action="store_true", dest="add_trivial")
-    p.add_argument("--close-under-meets", action="store_true", dest="close_under_meets")
+    if poset:
+        p.add_argument("--add-trivial", action="store_true", dest="add_trivial")
+        p.add_argument("--close-under-meets", action="store_true", dest="close_under_meets")
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance (repeatable)")
 
@@ -355,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=("exists", "none"), default=None)
 
     p = sub.add_parser("ocat", help="operator-category suite: morphisms, supports, characterization")
-    _add_common(p, state=True)
+    _add_common(p, state=True, poset=False)
 
     return parser
 

@@ -47,24 +47,16 @@ class ContextError(ValueError):
     """Malformed context, lattice element or poset input."""
 
 
-def _canonical_order(atoms: tuple[Projector, ...], stack: np.ndarray | None = None) -> tuple[Projector, ...]:
-    """The atoms in canonical order: by descending matrix entries, their
-    real and imaginary parts in row-major order compared lexicographically
-    under the key -round(part, 9) (so the standard-basis atoms keep their
-    natural order).  The parts are rounded as numpy float64, whose rounding
-    can differ from a Python float's at a tie.  `stack`, when given, holds
-    the atoms' entries: the one-context case of `_canonical_permutation`."""
-    if stack is None:
-        stack = np.array([a.entries for a in atoms])
-    return tuple(atoms[i] for i in _canonical_permutation(stack, np.zeros(len(atoms), dtype=np.intp)).tolist())
-
-
 def _canonical_permutation(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """The canonical order of the atoms of several contexts, stacked: one
-    stable `np.lexsort` of the rounded keys (see `_canonical_order`) with
-    the owning context's index `owner` as its primary key, so each
-    context's atoms stay together, in context order, and atoms whose keys
-    all agree keep their input order."""
+    stable `np.lexsort` with the owning context's index `owner` as its
+    primary key, so each context's atoms stay together, in context order,
+    then by descending matrix entries, their real and imaginary parts in
+    row-major order compared lexicographically under the key
+    -round(part, 9) (so the standard-basis atoms keep their natural order);
+    atoms whose keys all agree keep their input order.  The parts are
+    rounded as numpy float64, whose rounding can differ from a Python
+    float's at a tie."""
     keys = -np.round(stack.reshape(len(stack), -1).view(np.float64), 9)
     return np.lexsort((*keys.T[::-1], owner))
 
@@ -439,7 +431,6 @@ class PosetIndex:
         self._row_names: dict[bytes, tuple[str, ...]] = {}
         self._elements: dict[tuple[int, int], LatticeElement] = {}
         self._characters: dict[tuple[int, int], frozenset[Character]] = {}
-        self._closures: dict[int, int] = {}
         self._gathers: dict[str, Gather] = {}
         # the squares of relations whose tables depend on the atom count
         # alone, by their grid (`schema._relation_squares`)
@@ -492,15 +483,15 @@ class PosetIndex:
             out = self._characters[(i, mask)] = frozenset(Character(cid, k) for k in bit_list(mask))
         return out
 
-    def closure(self, bits: int) -> int:
-        """The union of the down-sets of the contexts in a mask."""
-        out = self._closures.get(bits)
-        if out is None:
-            out = 0
-            for i in bit_list(bits):
-                out |= self.down[i]
-            self._closures[bits] = out
-        return out
+    def leak(self, row: int) -> tuple[int, int] | None:
+        """Where a mask over stage indices fails to be a sieve: its first
+        member whose down-set it leaves, and the lowest stage of that
+        down-set left out; None when the mask is downward closed."""
+        for j in bit_list(row):
+            missing = self.down[j] & ~row
+            if missing:
+                return j, (missing & -missing).bit_length() - 1
+        return None
 
     def pair(self, sub: str, sup: str) -> tuple[int, int]:
         """The indices of two context ids, for the per-pair tables."""

@@ -594,14 +594,14 @@ class _Decisions:
 @dataclass(frozen=True, eq=False)
 class _Target:
     """The arrows into one operator up to the first that fails validation:
-    their cross-check, source indices, per arrow its `image_table` (the
-    coarse-graining of the target's masks) and per delta mask the preimage
-    of its image; and that failure, if any."""
+    their cross-check (None without arrows), whose `image_preimage` holds
+    per arrow and delta mask the preimage of the mask's image; source
+    indices; per arrow its `image_table` (the coarse-graining of the
+    target's masks); and that failure, if any."""
 
     check: _CrossCheck | None
     sources: list[int]
     tables: list[tuple[int, ...]]
-    lifted: np.ndarray
     broken: ValueError | None
 
 
@@ -766,10 +766,8 @@ class OperatorCategory:
                 if errors:
                     mine, failed = mine[:k], errors[min(errors)]
                     break
-            lifted = np.array([[f.preimage_table[image] for image in f.image_table] for _, f, _ in mine])
             check = _CrossCheck(a, [(f, b, f.image_table) for _, f, b in mine], a.mask_entries) if mine else None
-            out.append(_Target(check, [j for j, _, _ in mine], [f.image_table for _, f, _ in mine],
-                               lifted, failed))
+            out.append(_Target(check, [j for j, _, _ in mine], [f.image_table for _, f, _ in mine], failed))
         return tuple(out)
 
     def _target_failures(self, i: int, tol: Tolerances) -> tuple[dict[int, str], ValueError | None]:
@@ -807,14 +805,15 @@ class OperatorCategory:
         n = 1 << len(a.spectrum)
         if not target.sources:
             return [0] * n
+        lifted = target.check.image_preimage
         if isinstance(state, StateVector):
             sure = np.zeros(n, dtype=bool)
-            for mask in set(target.lifted.ravel().tolist()):
+            for mask in set(lifted.ravel().tolist()):
                 sure[mask] = state_certain(state, a.projector(mask), tol)
         else:
             sure = certain_each(state, a.mask_entries, tol)
         table = np.zeros((n, len(self.objects)), dtype=bool)
-        table[:, target.sources] = sure[target.lifted].T
+        table[:, target.sources] = sure[lifted].T
         return _row_masks(table)
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
@@ -890,15 +889,16 @@ def characterize_check(state: StateVector | DensityMatrix, a: ODecomposition, de
 def check_sieve_on_o(state, a: ODecomposition, delta,
                      category: OperatorCategory, tol: Tolerances = DEFAULT) -> tuple[bool, dict | None]:
     """The probability-1 morphism set is closed under precomposition: the
-    down-sets of its sources add no arrow.  The witness is an arrow f of the
-    set and an arrow g into f's source whose composite is missing."""
-    i, _, bits = _cell(state, a, delta, category, tol)
+    down-sets of its sources add no arrow.  The witness is the set's leak
+    (`PosetIndex.leak`): its first arrow f whose source's down-set it
+    leaves, and the first arrow g into f's source whose composite is
+    missing."""
+    _, _, bits = _cell(state, a, delta, category, tol)
     index = category.index
-    if not index.closure(bits) & ~bits:
+    leak = index.leak(bits)
+    if leak is None:
         return True, None
-    src = next(j for j in bit_list(bits) if index.down[j] & ~bits)
-    missing = index.down[src] & ~bits
-    g = (missing & -missing).bit_length() - 1
+    src, g = leak
     return False, {"f": (index.ids[src], a.id), "g": (index.ids[g], index.ids[src])}
 
 

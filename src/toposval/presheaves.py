@@ -41,12 +41,13 @@ class Sieve:
 
 
 def make_sieve(poset: ContextPoset, apex: str, members) -> Sieve:
-    """Validate and build a sieve on `apex` from an iterable of context ids."""
+    """Validate and build a sieve on `apex` from an iterable of context ids,
+    naming the first failure in sorted id order."""
     members = frozenset(members)
-    for m in members:
+    for m in sorted(members):
         if not poset.leq(m, apex):
             raise SieveError(f"{m!r} is not below the apex {apex!r}")
-    for m in members:
+    for m in sorted(members):
         for below in poset.down_set(m):
             if below not in members:
                 raise SieveError(

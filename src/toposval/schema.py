@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import ContextError, ContextPoset, PosetIndex, bit_list
+from .contexts import ContextError, ContextPoset, PosetIndex
 from .ocat import OperatorCategory
 from .presheaves import GlobalElementG, SubobjectSigma
 from .valuations import (
@@ -315,9 +315,11 @@ def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
     schema valuation, so comparing the two checks the maps as well.
 
     The witness is the first cell whose stages where R holds at the
-    coarse-grained mask form no sieve, and in it the first such stage
-    whose down-set leaves them; where the maps are broken so that no cell
-    shows one, it is the first failing entry (v1 = j, v2 = k, mask m)."""
+    coarse-grained mask form no sieve, and in it their leak
+    (`PosetIndex.leak`: v2, the first whose down-set they leave, and v3,
+    the lowest stage left out there); where the maps are broken so that
+    no cell shows one, it is the first failing entry (v1 = j, v2 = k,
+    mask m)."""
     g = index.gather("below")
     e = _first(related[g.cell] & ~related[g.target])
     if e is None:
@@ -332,9 +334,7 @@ def _stable_under_coarse_graining(index: PosetIndex, related: np.ndarray):
     for e in range(g.start[c], g.start[c + 1]):
         if related[g.target[e]]:
             row |= 1 << int(g.stage[e])
-    mid = next(j for j in bit_list(row) if index.down[j] & ~row)
-    missing = index.down[mid] & ~row
-    sub = (missing & -missing).bit_length() - 1
+    mid, sub = index.leak(row)
     return False, {"v1": index.ids[int(index.cell_stage[c])], "v2": index.ids[mid],
                    "v3": index.ids[sub], "mask": int(index.cell_mask[c])}
 

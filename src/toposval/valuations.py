@@ -101,10 +101,12 @@ class MorphismSetValuation:
     one member matrix, kept only as packed uint64 rows (`PosetIndex.words`
     per cell).  The matrix is made when the valuation is built: the
     valuations of this package gather it (`_gathered`, one decision per
-    cell through a `PosetIndex.gather` table), and a rule-backed one
-    (`rule` gives member ids, `_from_bits` a bitmask) asks its rule once
-    per cell, in cell order.  Truth sets, supports, intervals and law
-    results are kept per valuation.
+    cell through a `PosetIndex.gather` table), and a rule-backed one asks
+    its rule once per cell, in cell order, and checks the member ids it
+    gives in sorted order.  The law checkers read nothing of `poset` but
+    its `index`, so it may also be an `OperatorCategory`, whose arrows are
+    the stages.  Truth sets, supports, intervals and law results are kept
+    per valuation.
     """
 
     def __init__(self, poset: ContextPoset, rule: Callable[[str, int], frozenset[str]],
@@ -114,25 +116,15 @@ class MorphismSetValuation:
         def bits_rule(i: int, mask: int) -> int:
             cid = index.ids[i]
             out = 0
-            for m in frozenset(rule(cid, mask)):
+            for m in sorted(frozenset(rule(cid, mask))):
                 j = index.pos.get(m)
                 if j is None or not index.down[i] >> j & 1:
                     raise ContextError(f"valuation returned {m!r} above the apex {cid!r}")
                 out |= 1 << j
             return out
 
-        self._ask(poset, bits_rule, name)
-
-    @classmethod
-    def _from_bits(cls, poset: ContextPoset, bits_rule: Callable[[int, int], int],
-                   name: str) -> "MorphismSetValuation":
-        """A valuation whose rule gives the member bitmask of (context
-        index, mask); the rule must only set bits of the context's down-set.
-        The law checkers read nothing of `poset` but its `index`, so it may
-        also be an `OperatorCategory`, whose arrows are the stages."""
-        alpha = cls.__new__(cls)
-        alpha._ask(poset, bits_rule, name)
-        return alpha
+        ints = [bits_rule(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
+        self._setup(poset, name, pack_ints(ints, index.words))
 
     @classmethod
     def _gathered(cls, poset: ContextPoset, decided: np.ndarray, route: str,
@@ -145,13 +137,6 @@ class MorphismSetValuation:
         alpha = cls.__new__(cls)
         alpha._setup(poset, name, g.pack(decided[g.target]))
         return alpha
-
-    def _ask(self, poset: ContextPoset, bits_rule: Callable[[int, int], int], name: str) -> None:
-        """Build the member matrix by asking `bits_rule` once per cell, in
-        cell order."""
-        index = poset.index
-        ints = [bits_rule(i, m) for i, n in enumerate(index.n_atoms) for m in range(1 << n)]
-        self._setup(poset, name, pack_ints(ints, index.words))
 
     def _setup(self, poset: ContextPoset, name: str, words: np.ndarray) -> None:
         self.poset = poset

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from functools import cmp_to_key
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +23,23 @@ from toposval.ocat import EigenvalueMap
 from toposval.presheaves import GlobalElementG, SubobjectSigma
 from toposval.sampling import diag_plus_trivial, fix_a
 from toposval.tolerances import DEFAULT
-from toposval.valuations import _first, _intervals, _supports, first_superset_failure
+from toposval.valuations import MorphismSetValuation, _first, _intervals, _supports, first_superset_failure
 
 criterion_lines: list[str] = []
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def outputs_under_hash_seeds(code):
+    """What a Python snippet prints, run in a fresh interpreter under
+    `PYTHONHASHSEED` 0 to 3, as a set of distinct outputs."""
+    out = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        out.add(run.stdout)
+    return out
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -250,6 +268,13 @@ def gather_rows(g, member, table):
     out = np.bitwise_or.reduceat(picked, np.minimum(g.start[:-1], len(g.cell) - 1))
     out[g.start[:-1] == g.start[1:]] = 0   # a cell without entries
     return out
+
+
+def bits_valuation(poset, rule, name):
+    """The rule-backed valuation whose rule gives the member bitmask of
+    (stage index, mask); `poset` may also be an `OperatorCategory`."""
+    index = poset.index
+    return MorphismSetValuation(poset, lambda cid, m: index.id_set(rule(index.pos[cid], m)), name=name)
 
 
 def stage_bits(index):

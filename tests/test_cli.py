@@ -195,13 +195,43 @@ def test_ks_expect_exists_on_a_none_verdict_exits_1(tmp_path):
     assert report["result"]["exists"] is False
 
 
-def test_an_unknown_relation_exits_with_one_line(tmp_path, fixa_file, state_file):
+def test_an_unknown_relation_exits_with_one_line(tmp_path, fixa_file, state_file, monkeypatch):
+    # the name was once checked inside the survey loop, after `le` was surveyed
+    surveyed = []
+    monkeypatch.setattr("toposval.cli.survey_properties", lambda a, rel: surveyed.append(rel))
     with pytest.raises(SystemExit) as exc:
         main(["survey-relations", "--input", fixa_file, "--add-trivial", "--state", state_file,
               "--relation", "le", "--relation", "bogus", "--out", str(tmp_path / "report.json")])
     assert str(exc.value) == ("unknown relation 'bogus'; choose from "
                               "['always-false', 'always-true', 'eq', 'ge', 'le', 'nonzero-product'] "
                               "or random:N")
+    assert surveyed == []
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("count", ["x", "-2"])
+def test_a_random_count_that_is_not_a_non_negative_integer_exits_before_any_survey(
+        tmp_path, fixa_file, state_file, monkeypatch, count):
+    # the count was once read inside the survey loop, after `le` was
+    # surveyed: random:x exited 2 with int()'s error as the report, and
+    # random:-2 exited 0 with the `le` survey alone
+    surveyed = []
+    monkeypatch.setattr("toposval.cli.survey_properties", lambda a, rel: surveyed.append(rel))
+    with pytest.raises(SystemExit) as exc:
+        main(["survey-relations", "--input", fixa_file, "--add-trivial", "--state", state_file,
+              "--relation", "le", "--relation", f"random:{count}", "--out", str(tmp_path / "report.json")])
+    assert str(exc.value) == f"--relation random:{count}: random:N expects a non-negative integer N"
+    assert surveyed == []
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--add-trivial", "--close-under-meets"])
+def test_ocat_refuses_the_poset_flags(tmp_path, state_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["ocat", "--input", "ops.json", "--state", state_file, flag,
+              "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -65,6 +65,7 @@ from toposval.valuations import (
 )
 
 from conftest import (
+    bits_valuation,
     coarse_oracle,
     flat_pair_row,
     gather_rows,
@@ -563,7 +564,10 @@ def scan_sieve(alpha):
     index = alpha._index
     for i, cid in enumerate(index.ids):
         for mask, bits in enumerate(scan_row(alpha, i)):
-            if index.closure(bits) & ~bits:
+            closure = 0
+            for j in bit_list(bits):
+                closure |= index.down[j]
+            if closure & ~bits:
                 return False, {"v1": cid, "mask": mask, "members": list(index.names(bits))}
     return True, None
 
@@ -684,7 +688,7 @@ def scan_equal(a, b):
 
 def scan_valuation(poset, below, decide, name="scan"):
     """A rule-backed valuation whose rule is `stage_rule` over `below`."""
-    return MorphismSetValuation._from_bits(poset, stage_rule(poset.index, below, decide), name)
+    return bits_valuation(poset, stage_rule(poset.index, below, decide), name)
 
 
 def chosen_valuation(poset, route, chosen):
@@ -728,7 +732,7 @@ def assert_laws_match_scans(alpha):
 def table_copy(alpha):
     """The same member sets behind a rule, so the laws see the matrix filled
     from a rule."""
-    return MorphismSetValuation._from_bits(alpha.poset, lambda i, m: alpha._bits(i, m), "copy")
+    return bits_valuation(alpha.poset, lambda i, m: alpha._bits(i, m), "copy")
 
 
 def decide_at_cells(poset, decided):

@@ -1286,7 +1286,8 @@ def test_index_holds_the_arrows():
             target = cat._targets[i]
             assert target.broken is None
             assert target.sources == [index.pos[m.src] for m in cat.morphisms_into(aid)]
-            for j, table, lifted in zip(target.sources, target.tables, target.lifted.tolist()):
+            for j, table, lifted in zip(target.sources, target.tables,
+                                        target.check.image_preimage.tolist()):
                 assert table == index.coarse(j, i)
                 assert lifted == [index_lift(index, j, i, image) for image in table]
             for m in cat.morphisms_into(aid):

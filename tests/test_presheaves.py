@@ -28,7 +28,7 @@ from toposval.presheaves import (
 from toposval.ks import bundled_ks_poset
 from toposval.sampling import fix_a, random_poset
 
-from conftest import coarse_oracle, image_oracle, pmap_oracle
+from conftest import coarse_oracle, image_oracle, outputs_under_hash_seeds, pmap_oracle
 from test_closure import _peres_subset
 
 
@@ -361,3 +361,19 @@ def test_subobject_law_flags(fixa):
             fixa,
             {"V1": frozenset({0, 1}), "V2": frozenset(), "Vtriv": frozenset({0})},
         )
+
+
+def test_make_sieve_names_the_same_failure_under_every_hash_seed():
+    # the members were once walked in frozenset order, so the error named
+    # 'C2' or 'C1' by the interpreter's hash seed
+    code = """
+import numpy as np
+from toposval.presheaves import SieveError, make_sieve
+from toposval.sampling import random_poset
+p = random_poset(np.random.default_rng(13), dim=4, max_contexts=6, max_atoms=4)
+try:
+    make_sieve(p, "C0", ["C1", "C2"])
+except SieveError as exc:
+    print(exc)
+"""
+    assert outputs_under_hash_seeds(code) == {"not downward closed: 'C4' <= 'C1' but missing\n"}

@@ -24,14 +24,13 @@ from toposval.schema import (
     survey_properties_sigma,
 )
 from toposval.valuations import (
-    MorphismSetValuation,
     alpha_from_global_element,
     nu_rho,
     supports_global_element,
     valuations_equal,
 )
 
-from conftest import index_below, is_downward_closed, route_rows
+from conftest import bits_valuation, index_below, is_downward_closed, route_rows
 from test_kernel import (
     scan_exclusivity,
     scan_func,
@@ -552,7 +551,7 @@ def scan_survey_properties(a, rel):
     poset = a.poset
     index = poset.index
     rows = ScanRelationRows(poset, rel)
-    alpha = MorphismSetValuation._from_bits(poset, stage_rule(
+    alpha = bits_valuation(poset, stage_rule(
         index, lambda sup: index_below(index, sup),
         lambda j, m: bool(rows.row(j, a.assignment[index.ids[j]]) >> m & 1)),
         "scan")
@@ -631,7 +630,7 @@ def test_survey_sigma_matches_scans():
                                                   if rng.random() < 0.6) for cid in poset.ids},
                            enforce=False)
         for rel in BUILTIN_SET_RELATIONS.values():
-            alpha = MorphismSetValuation._from_bits(poset, stage_rule(
+            alpha = bits_valuation(poset, stage_rule(
                 index, route_rows(index, "below_image"),
                 lambda j, m: bool(rel.test(index.ids[j], a.masks[j], m))), "scan")
             report = survey_properties_sigma(a, rel)
@@ -647,7 +646,7 @@ def test_survey_o_matches_scans():
         a = {oid: frozenset(lam for lam in cat.objects[oid].spectrum if rng.random() < 0.5)
              for oid in cat.ids}
         for name, rel in BUILTIN_SET_RELATIONS.items():
-            alpha = MorphismSetValuation._from_bits(cat, stage_rule(
+            alpha = bits_valuation(cat, stage_rule(
                 index, lambda sup: index_below(index, sup),
                 lambda j, m: bool(rel.test(index.ids[j], cat.objects[index.ids[j]].mask_of(
                     a[index.ids[j]]), m))), "scan")

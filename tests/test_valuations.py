@@ -28,7 +28,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import is_true
+from conftest import bits_valuation, is_true, outputs_under_hash_seeds
 
 
 def full_table(poset):
@@ -473,7 +473,7 @@ def test_rule_backed_valuations_ask_their_rule_once_per_cell_at_build(fixa):
             return super().get(key, default)
 
     table = Table({(cid, m): frozenset(fixa.down_set(cid)) for cid, m in by_id if m})
-    for build, want in ((lambda: MorphismSetValuation._from_bits(fixa, bits_rule, "spy"), cells),
+    for build, want in ((lambda: bits_valuation(fixa, bits_rule, "spy"), cells),
                         (lambda: MorphismSetValuation(fixa, rule), by_id),
                         (lambda: from_table(fixa, table), by_id)):
         asked.clear()
@@ -490,3 +490,18 @@ def test_rule_backed_valuations_ask_their_rule_once_per_cell_at_build(fixa):
 def test_from_table_with_a_member_above_the_apex_raises_at_build(fixa):
     with pytest.raises(ContextError, match="valuation returned 'V1' above the apex 'V2'"):
         from_table(fixa, {("V2", 0b01): frozenset({"V1"})})
+
+
+def test_a_rule_above_the_apex_names_the_same_member_under_every_hash_seed():
+    # the rule's member set was once walked in frozenset order, so the
+    # error named 'V1' or 'V2' by the interpreter's hash seed
+    code = """
+from toposval.contexts import ContextError
+from toposval.sampling import fix_a
+from toposval.valuations import from_table
+try:
+    from_table(fix_a(), {("Vtriv", 0): frozenset({"V1", "V2"})})
+except ContextError as exc:
+    print(exc)
+"""
+    assert outputs_under_hash_seeds(code) == {"valuation returned 'V1' above the apex 'Vtriv'\n"}
