@@ -246,11 +246,13 @@ def cmd_survey_relations(args, tol: Tolerances) -> tuple[dict, int]:
         return {"error": "state supports do not form a global element"}, 1
     rng = np.random.default_rng(args.seed)
     reports = []
+    drawn = 0   # random relations are numbered across every random:N
     for item in wanted:
         if isinstance(item, int):
-            for i in range(item):
+            for i in range(drawn, drawn + item):
                 rel = random_relation(rng, poset, name=f"random{i}")
                 reports.append(survey_properties(a, rel))
+            drawn += item
         else:
             reports.append(survey_properties(a, BUILTIN_RELATIONS[item]))
     ok = all(
@@ -392,9 +394,16 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command != "ks" and not args.input:
         raise SystemExit("--input is required for this command")
+    if args.command == "ks" and not args.input:
+        for flag, given in (("--add-trivial", args.add_trivial),
+                            ("--close-under-meets", args.close_under_meets)):
+            if given:
+                parser.error(f"ks: {flag} needs --input; the bundled poset is always "
+                             f"built with the trivial context and closed under meets")
     tol = _tolerances(args.tol)
     try:
         result, code = COMMANDS[args.command](args, tol)

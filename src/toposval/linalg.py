@@ -150,7 +150,7 @@ def span_projectors(spans: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.nd
 # it is at most 4 d^3 eps: 5.7e-14 at d = 4, where the two forms differ by
 # at most 1.3e-15 on the closed Peres-24 and 18-ray posets, noisy copies
 # included.  The closure's inclusion screen and link proof
-# (`contexts._ContextStore`) and `screened_containment_table` bound their
+# (`contexts._ContextStore`) and `screened_containment_blocks` bound their
 # rounding by it.
 _EPS = np.finfo(float).eps
 _SCREEN_ROUNDING = 4 * _EPS
@@ -208,50 +208,81 @@ def containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFA
     return np.abs(rows[:, np.newaxis] @ cols - cols).max(axis=(-2, -1)) < tol.certain
 
 
-def screened_containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """`containment_table`, each row equal bit for bit to an earlier one
-    decided once, and each non-containment proven by trace where it can be.
+def screened_containment_blocks(rows: np.ndarray, cols: np.ndarray, blocks,
+                                tol: Tolerances = DEFAULT) -> list[np.ndarray]:
+    """`containment_table` on the diagonal blocks of a table: `blocks`
+    gives each block's number of rows and of columns, taken from `rows`
+    and `cols` in order, and a block's table tests its rows against its
+    own columns alone.  Each row equal bit for bit to an earlier one of its
+    block is decided once (a row repeated in another block meets other
+    columns), and each non-containment proven by trace where it can be.
 
     For X = Q P - P, exact on the float entries, |tr X| <= d max|X| and
-    Re tr X = Re tr(Q P) - Re tr P.  One product of flattened matrices, as
-    in the closure's link proof, gives the overlap Re tr(Q P), the sum of
-    Q_kl P_lk, for every pair, within d^2 eps F of its exact value, F =
-    ||Q||_F ||P||_F (see `_SCREEN_ROUNDING`).  Re tr P is within d^2 eps G,
-    G = ||P||_F; a float entry of Q P is within 2 (d + 1) eps F of its
-    exact value, and the subtraction and modulus add 2 eps (F + G).  So a
-    gap |overlap - Re tr P| of at least d tol.certain + s, the slack s = 2
-    _SCREEN_ROUNDING d^2 (F + G) with F and G bounded by the Frobenius
-    norms of the whole stacks, puts the float max|Q P - P| at or above
-    tol.certain: the pair is not contained and takes no product.  The
-    threshold is raised by the factor 1 + _SCREEN_ROUNDING against its own
-    rounding and the gap's.  Every other pair takes that float max in one
-    gathered stacked product (the broadcast product's float per pair, as in
-    `product_max`).  For projectors a pair that is not contained has Re tr
-    P - Re tr(Q P) >= 1 in exact arithmetic, the rank of the part of P
-    outside Q, so at widths well below 1 / d only contained pairs take a
-    product."""
+    Re tr X = Re tr(Q P) - Re tr P.  One product of flattened matrices per
+    block, as in the closure's link proof, gives the overlap Re tr(Q P),
+    the sum of Q_kl P_lk, for every pair, within d^2 eps F of its exact
+    value, F = ||Q||_F ||P||_F (see `_SCREEN_ROUNDING`).  Re tr P is within
+    d^2 eps G, G = ||P||_F; a float entry of Q P is within 2 (d + 1) eps F
+    of its exact value, and the subtraction and modulus add 2 eps (F + G).
+    So a gap |overlap - Re tr P| of at least d tol.certain + s, the slack
+    s = 2 _SCREEN_ROUNDING d^2 (F + G) with F and G bounded by the
+    Frobenius norms of the whole stacks, puts the float max|Q P - P| at or
+    above tol.certain: the pair is not contained and takes no product.
+    The threshold is raised by the factor 1 + _SCREEN_ROUNDING against its
+    own rounding and the gap's.  Every other pair, of every block, takes
+    that float max in one gathered stacked product (the broadcast product's
+    float per pair, as in `product_max`).  For projectors a pair that is
+    not contained has Re tr P - Re tr(Q P) >= 1 in exact arithmetic, the
+    rank of the part of P outside Q, so at widths well below 1 / d only
+    contained pairs take a product."""
     rows, cols = np.asarray(rows, dtype=complex), np.asarray(cols, dtype=complex)
+    counts = np.array(blocks, dtype=np.intp).reshape(-1, 2)
     if rows.ndim != 3 or rows.shape[1:] != cols.shape[1:]:
         raise LinalgError("dimension mismatch")
+    if counts.sum(axis=0).tolist() != [len(rows), len(cols)]:
+        raise LinalgError("blocks do not cover the stacks")
+    if not len(counts):
+        return []
     dim = rows.shape[1]
     cell = dim * dim
-    seen: dict[bytes, int] = {}
-    which = byte_kinds(rows, seen)
-    distinct = np.frombuffer(b"".join(seen), dtype=complex).reshape(len(seen), dim, dim)
-    flat = distinct.reshape(len(seen), cell)
+    row_starts, col_starts = (np.cumsum(counts, axis=0) - counts).T.tolist()
+    kinds, found, raw = [], [], []   # per block, each row's kind and the kinds' first index
+    for r, n in zip(row_starts, counts[:, 0].tolist()):
+        seen: dict[bytes, int] = {}
+        kinds.append(byte_kinds(rows[r:r + n], seen))
+        found.append((len(raw), len(seen)))
+        raw += seen
+    distinct = np.frombuffer(b"".join(raw), dtype=complex).reshape(len(raw), dim, dim)
+    flat = distinct.reshape(len(raw), cell)
     turned = cols.transpose(0, 2, 1).reshape(len(cols), cell)
-    gap = np.abs((flat @ turned.T).real - _trace(cols))
     row_norm, col_norm = float(np.vdot(flat, flat).real), float(np.vdot(turned, turned).real)
     slack = 2 * _SCREEN_ROUNDING * cell * (math.sqrt(row_norm * col_norm) + math.sqrt(col_norm))
     threshold = (dim * tol.certain + slack) * (1 + _SCREEN_ROUNDING)
-    out = np.zeros(gap.shape, dtype=bool)
-    q, p = np.nonzero(~(gap >= threshold) if threshold < np.inf else ~out)
-    for s in _chunks(len(q), cell):
-        first, second = q[s], p[s]
-        factor = cols[second]
-        products = distinct[first] @ factor - factor
-        out[first, second] = np.abs(products.reshape(len(products), cell)).max(axis=1) < tol.certain
-    return out[which]
+    trace = _trace(cols)
+    tables, opened = [], []   # per block, a table by (kind, column) and its pairs left open
+    for (k, n), c, m in zip(found, col_starts, counts[:, 1].tolist()):
+        gap = np.abs((flat[k:k + n] @ turned[c:c + m].T).real - trace[c:c + m])
+        tables.append(np.zeros(gap.shape, dtype=bool))
+        opened.append(np.nonzero(~(gap >= threshold) if threshold < np.inf else ~tables[-1]))
+    first = np.concatenate([k + q for (k, _), (q, _) in zip(found, opened)])
+    second = np.concatenate([c + p for c, (_, p) in zip(col_starts, opened)])
+    decided = np.empty(len(first), dtype=bool)
+    for s in _chunks(len(first), cell):
+        factor = cols[second[s]]
+        products = distinct[first[s]] @ factor - factor
+        decided[s] = np.abs(products.reshape(len(products), cell)).max(axis=1) < tol.certain
+    out, start = [], 0
+    for table, (q, p), which in zip(tables, opened, kinds):
+        table[q, p] = decided[start:start + len(q)]
+        start += len(q)
+        out.append(table[which])
+    return out
+
+
+def screened_containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """`containment_table` of `screened_containment_blocks`'s one-block
+    case: every row against every column."""
+    return screened_containment_blocks(rows, cols, [(len(rows), len(cols))], tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +491,16 @@ def certain_each(rho: DensityMatrix, stack: np.ndarray, tol: Tolerances = DEFAUL
     stack: the containment of rho's support projector in Q, one column of
     `containment_table`."""
     return containment_table(stack, rho.support_projector.entries[np.newaxis], tol)[:, 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of a complex matrix, each the float
+    `np.linalg.norm` gives for that row alone: the dot of its real parts
+    with themselves plus that of its imaginary parts, then the square
+    root.  A stack of (1, n) by (n, 1) products takes numpy's dot on the
+    same strided parts, as `np.linalg.norm` does."""
+    re, im = x.real[:, np.newaxis], x.imag[:, np.newaxis]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 def probability_each(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:

@@ -27,26 +27,27 @@ the operator along which delta coarse-grains to a certain projector; a
 query reads one cell and runs no law.  The float decisions are made once
 and kept by `OperatorCategory`:
 
-- per (target operator, tolerances), the infimum cross-check of every
-  delta mask along every arrow into it: the preimage of delta's image must
+- per tolerance set, the infimum cross-check of every delta mask of every
+  operator along every arrow into it: the preimage of delta's image must
   equal the infimum over every spectral projector of f(A) that dominates
-  delta's projector.  One `screened_containment_table` (rows the stacked
-  mask projectors of all the arrows' images, columns A's) decides them
-  all: a pair whose trace gap proves it not contained takes no product.  A
-  query raises `OcatError` on the first arrow, in source order, at which
-  its delta disagrees, or the error of an arrow whose image fails
-  validation, as often as it is made.  The test stays exhaustive: the
-  max-abs defect is not monotone under projection, so the meet of the
-  dominating co-atoms alone can differ from the infimum at very tight
-  containment widths;
+  delta's projector.  One `screened_containment_blocks` call decides them
+  all, one block per target A (rows the stacked mask projectors of all
+  the arrows' images into A, columns A's): a pair whose trace gap proves
+  it not contained takes no product.  A query raises `OcatError` on the
+  first arrow, in source order, at which its delta disagrees, or the
+  error of an arrow whose image fails validation, as often as it is made.
+  The test stays exhaustive: the max-abs defect is not monotone under
+  projection, so the meet of the dominating co-atoms alone can differ
+  from the infimum at very tight containment widths;
 - per (state, tolerances), one plain record in a table keyed weakly by
-  the state, so it goes when the state does: the support mask of each
-  operator and of each arrow's image operator, and per operator the row
-  of member bits of its delta masks, decided on the operator's first
-  query.  For a density matrix, one `certain_each` over an operator's
-  stacked mask projectors decides every mask of it at once; for a vector
-  state, each (operator, preimage mask) is one norm test on that
-  preimage's projector.
+  the state, so it goes when the state does, made on the state's first
+  query: the support mask of each operator and of each arrow's image
+  operator, from one stacked product over all their eigenprojectors, and
+  per operator the row of member bits of its delta masks.  For a density
+  matrix, one `certain_each` over every operator's stacked mask
+  projectors decides every row; for a vector state, one stacked product
+  over the distinct preimage projectors does, each norm the float of the
+  per-projector test.
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import lt
 
@@ -78,8 +79,10 @@ from .linalg import (
     certain,
     certain_each,
     eig_hermitian,
+    probability_each,
     projector_checks,
-    screened_containment_table,
+    row_norms,
+    screened_containment_blocks,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -482,46 +485,80 @@ def discover_morphism(b: ODecomposition, a: ODecomposition,
 
 
 class _CrossCheck:
-    """The infimum cross-check along some arrows into an operator A, each
-    given as (f, f(A), per column the codomain mask of its image), for each
-    column of a stack of A's mask projectors: the preimage of a column's
+    """The infimum cross-check along the arrows into some target operators.
+    Each target is given as (A, its arrows, at least one, and a stack of
+    A's mask projectors, the columns), each arrow as (a label, f, f(A), per
+    column the codomain mask of its image): the preimage of a column's
     image must equal the meet of every mask projector of f(A) that
-    dominates the column.  One `screened_containment_table` per tolerance
-    set has the mask projectors of every image as rows, arrow after arrow:
-    each entry is `containment_table`'s, a row repeated bit for bit (the
-    zero projector of every image, for one) is decided once, and only the
-    pairs the trace proof leaves open take a product."""
+    dominates the column.  Per tolerance set, one
+    `screened_containment_blocks` call decides every target: its block has
+    the mask projectors of every image as rows, arrow after arrow, against
+    its own columns alone.  Each entry is `containment_table`'s, a row
+    repeated bit for bit in a block (the zero projector of every image,
+    for one) is decided once, and only the pairs the trace proof leaves
+    open take a product.
 
-    def __init__(self, a: ODecomposition, arrows, columns: np.ndarray):
-        self.a = a
-        self.columns = columns
-        sizes = [1 << len(b.spectrum) for _, b, _ in arrows]
-        self.rows = np.concatenate([b.mask_entries for _, b, _ in arrows])
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.local = np.concatenate([np.arange(n) for n in sizes])[:, np.newaxis]
-        self.full = np.repeat(np.array(sizes) - 1, sizes)[:, np.newaxis]
-        self.preimage = np.concatenate([f.preimage_table for f, _, _ in arrows])
-        self.image_preimage = self.preimage[self.starts[:, np.newaxis] + [images for _, _, images in arrows]]
+    Per target the check keeps its block's reduction: the first row of
+    each arrow in the block, and per row its mask in its image's stack and
+    that image's full mask.  A segment is one (target, column, arrow);
+    segments run target by target, column by column and, within a column,
+    in arrow order.  Per segment the check keeps the first row of its arrow
+    (where the arrow's preimage table starts in `preimage`), the arrow's
+    label, the segment's target and column, both as indices of the check,
+    and `lifted`, the preimage of the column's image, a mask of the
+    target."""
 
-    def failures(self, tol: Tolerances) -> dict[int, str]:
-        """By column, the error message of the first arrow at which the
-        two paths disagree, for the columns where one does."""
-        dom = screened_containment_table(self.rows, self.columns, tol)
-        kept = np.bitwise_and.reduceat(np.where(dom, self.local, self.full), self.starts, axis=0)
-        some = np.logical_or.reduceat(dom, self.starts, axis=0)
-        infimum = self.preimage[self.starts[:, np.newaxis] + kept]
-        fail = ~some | (infimum != self.image_preimage)
-        bad = np.flatnonzero(fail.any(axis=0)).tolist()
-        if not bad:
-            return {}
-        first = fail.argmax(axis=0)
-        out = {}
-        for c in bad:
-            k = first[c]
-            out[c] = ("no dominating element in the spectral algebra" if not some[k, c] else
-                      f"coarse-graining paths disagree: "
-                      f"preimage {sorted(self.a.subset(int(self.image_preimage[k, c])))} "
-                      f"vs infimum {sorted(self.a.subset(int(infimum[k, c])))}")
+    def __init__(self, targets):
+        self.targets = [a for a, _, _ in targets]
+        arrows = [arrow for _, mine, _ in targets for arrow in mine]
+        self.rows = np.concatenate([b.mask_entries for _, _, b, _ in arrows])
+        self.columns = np.concatenate([columns for _, _, columns in targets])
+        self.preimage = np.concatenate([f.preimage_table for _, f, _, _ in arrows])
+        size = np.array([1 << len(b.spectrum) for _, _, b, _ in arrows])          # per arrow
+        count = np.array([len(mine) for _, mine, _ in targets])                   # per target
+        width = np.array([len(columns) for _, _, columns in targets])
+        first_row, first_arrow = np.cumsum(size) - size, np.cumsum(count) - count
+        height = np.add.reduceat(size, first_arrow)
+        self.blocks = list(zip(height.tolist(), width.tolist()))
+        self.column_starts = np.cumsum(width) - width
+        local = (np.arange(len(self.rows)) - np.repeat(first_row, size))[:, np.newaxis]
+        full = np.repeat(size - 1, size)[:, np.newaxis]
+        self.reductions = []
+        for r, n, k, m in zip((np.cumsum(height) - height).tolist(), height.tolist(),
+                              first_arrow.tolist(), count.tolist()):
+            self.reductions.append((first_row[k:k + m] - r, local[r:r + n], full[r:r + n]))
+        # per segment: its target t, column c (of the target) and arrow k
+        t = np.repeat(np.arange(len(targets)), width * count)
+        w = np.arange(len(t)) - np.repeat(np.cumsum(width * count) - width * count, width * count)
+        c, k = w // count[t], first_arrow[t] + w % count[t]
+        self.base, self.target, self.column = first_row[k], t, self.column_starts[t] + c
+        self.label = np.array([label for label, _, _, _ in arrows])[k]
+        images = np.array([image for _, _, _, images in arrows for image in images])
+        image_start = np.cumsum(np.repeat(width, count)) - np.repeat(width, count)
+        self.lifted = self.preimage[self.base + images[image_start[k] + c]]
+
+    def failures(self, tol: Tolerances) -> list[dict[int, str]]:
+        """Per target, by column of its own, the error message of the first
+        arrow at which the two paths disagree, for the columns where one
+        does."""
+        tables = screened_containment_blocks(self.rows, self.columns, self.blocks, tol)
+        kept, some = [], []   # per segment, the meet of the dominating masks, and whether there is one
+        for dom, (starts, local, full) in zip(tables, self.reductions):
+            kept.append(np.bitwise_and.reduceat(np.where(dom, local, full), starts).T.ravel())
+            some.append(np.logical_or.reduceat(dom, starts).T.ravel())
+        kept, some = np.concatenate(kept), np.concatenate(some)
+        infimum = self.preimage[self.base + kept]
+        bad = np.flatnonzero(~some | (infimum != self.lifted))
+        out: list[dict[int, str]] = [{} for _ in self.targets]
+        # a column's segments are consecutive and in arrow order
+        for k in bad[np.diff(self.column[bad], prepend=-1) != 0].tolist():
+            t = int(self.target[k])
+            a = self.targets[t]
+            out[t][int(self.column[k] - self.column_starts[t])] = (
+                "no dominating element in the spectral algebra" if not some[k] else
+                f"coarse-graining paths disagree: "
+                f"preimage {sorted(a.subset(int(self.lifted[k])))} "
+                f"vs infimum {sorted(a.subset(int(infimum[k])))}")
         return out
 
 
@@ -533,7 +570,7 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     mask = a.mask_of(a.check_subset(delta))
     f = _on_spectrum(f, a)
     image = f.image_mask(mask)
-    failed = _CrossCheck(a, [(f, apply_map(f, a), [image])], a.mask_entries[mask:mask + 1]).failures(tol)
+    failed = _CrossCheck([(a, [(0, f, apply_map(f, a), [image])], a.mask_entries[mask:mask + 1])]).failures(tol)[0]
     if failed:
         raise OcatError(failed[0])
     return a.projector(f.preimage_table[image])
@@ -582,24 +619,22 @@ class Morphism:
 @dataclass
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
-    category: the support mask of each object or arrow image operator,
-    and by operator index the member bits of each of its delta masks (see
+    category, all made on its first query: the support mask of each object
+    and arrow image operator (see `OperatorCategory._supports`), and by
+    operator index the member bits of each of its delta masks (see
     `OperatorCategory._members`).  It holds no reference to the state or
     the category."""
 
-    support: dict[ODecomposition, int] = field(default_factory=dict)
-    members: dict[int, list[int]] = field(default_factory=dict)
+    support: dict[ODecomposition, int]
+    members: list[list[int]]
 
 
 @dataclass(frozen=True, eq=False)
 class _Target:
     """The arrows into one operator up to the first that fails validation:
-    their cross-check (None without arrows), whose `image_preimage` holds
-    per arrow and delta mask the preimage of the mask's image; source
-    indices; per arrow its `image_table` (the coarse-graining of the
-    target's masks); and that failure, if any."""
+    their source indices; per arrow its `image_table` (the coarse-graining
+    of the target's masks); and that failure, if any."""
 
-    check: _CrossCheck | None
     sources: list[int]
     tables: list[tuple[int, ...]]
     broken: ValueError | None
@@ -620,14 +655,15 @@ class OperatorCategory:
     `index.down` lists the arrows into each object; the per-cell decisions
     read each arrow's image and preimage off its map, and a gather over
     the category (as `survey_properties_o` makes) reads the flat `tables`.
-    Everything else is built on first use and kept: every arrow's
-    map on its target's spectrum and image operator f(A), in one batch; per
-    target, its arrows' cross-check (the mask stacks of every object, then
-    of every image, validated in one test each); per (target, tol), that
-    cross-check's verdict of every delta mask; per state and tol, that
-    state's `_Decisions`, in a table keyed weakly by the state, so they go
-    when the state does.  `_member_bits` reads a cell off the verdict and
-    the operator's row of member bits.
+    Everything else is built on first use and kept, once per category:
+    every arrow's map on its target's spectrum and image operator f(A), in
+    one batch; per target, its arrows (`_targets`), and one cross-check of
+    every target (`_check`; the mask stacks of every object, then of every
+    image, validated in one test each); per tol, that cross-check's verdict
+    of every delta mask of every operator; per state and tol, that state's
+    `_Decisions`, in a table keyed weakly by the state, so they go when the
+    state does.  `_member_bits` reads a cell off the verdict and the
+    operator's row of member bits.
     """
 
     def __init__(self, objects: list[ODecomposition], tol: Tolerances = DEFAULT):
@@ -653,7 +689,7 @@ class OperatorCategory:
                 f = _map_from_scalars(b, a, scalars[a.id][k], tol)
                 if f is not None:
                     self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
-        self._checked: dict[Tolerances, dict[int, tuple[dict[int, str], ValueError | None]]] = {}
+        self._checked: dict[Tolerances, list[tuple[dict[int, str], ValueError | None]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @cached_property
@@ -672,24 +708,11 @@ class OperatorCategory:
     def ids(self) -> list[str]:
         return sorted(self.objects)
 
-    def morphisms_into(self, aid: str) -> list[Morphism]:
-        index = self.index
-        return [self.morphisms[(bid, aid)] for bid in index.names(index.down_of.get(aid, 0))]
-
-    def compose(self, g: Morphism, f: Morphism) -> EigenvalueMap:
-        """Eigenvalue map of the composite (g after f as arrows): given
-        f: B -> A and g: C -> B, the composite C -> A sends each eigenvalue
-        of A through f's map then g's map."""
-        if g.dst != f.src:
-            raise OcatError("morphisms do not compose")
-        return EigenvalueMap(tuple(
-            (lam, g.map(f.map(lam))) for lam in f.map.domain
-        ))
-
     def check_composition_closure(self) -> tuple[bool, dict | None]:
         """Every composable pair must have a discovered composite whose map
-        agrees with the composition pointwise on the spectrum: the pairs of
-        `compose(g, f)`, compared without building its map."""
+        agrees with the composition pointwise on the spectrum: for f: B -> A
+        and g: C -> B, the composite C -> A must send each eigenvalue of A
+        through f's map then g's map."""
         into: dict[str, list[Morphism]] = {}
         for g in self.morphisms.values():
             into.setdefault(g.dst, []).append(g)
@@ -766,59 +789,105 @@ class OperatorCategory:
                 if errors:
                     mine, failed = mine[:k], errors[min(errors)]
                     break
-            check = _CrossCheck(a, [(f, b, f.image_table) for _, f, b in mine], a.mask_entries) if mine else None
-            out.append(_Target(check, [j for j, _, _ in mine], [f.image_table for _, f, _ in mine], failed))
+            out.append(_Target([j for j, _, _ in mine], [f.image_table for _, f, _ in mine], failed))
         return tuple(out)
+
+    @cached_property
+    def _check(self) -> _CrossCheck | None:
+        """The cross-check of every operator with arrows into it, in index
+        order, each against its whole mask stack; an arrow's label is its
+        source index.  None when no operator has one."""
+        index = self.index
+        targets = []
+        for aid, target in zip(index.ids, self._targets):
+            if target.sources:
+                a = self.objects[aid]
+                arrows = [(j, *self._arrow(self.morphisms[(index.ids[j], aid)]), table)
+                          for j, table in zip(target.sources, target.tables)]
+                targets.append((a, arrows, a.mask_entries))
+        return _CrossCheck(targets) if targets else None
 
     def _target_failures(self, i: int, tol: Tolerances) -> tuple[dict[int, str], ValueError | None]:
         """By delta mask, the message of the first arrow into operator i at
         which the cross-check fails at a tolerance set, and the error of the
         first arrow that fails validation, which a query raises when no
-        earlier arrow fails at its delta; kept per (operator, tolerances)."""
-        verdicts = self._checked.setdefault(tol, {})
-        if i not in verdicts:
-            target = self._targets[i]
-            verdicts[i] = (target.check.failures(tol) if target.check is not None else {}), target.broken
+        earlier arrow fails at its delta.  The first request at a tolerance
+        set decides every operator's at once, in one `_CrossCheck.failures`,
+        kept per tolerance set."""
+        verdicts = self._checked.get(tol)
+        if verdicts is None:
+            found = iter(self._check.failures(tol) if self._check is not None else ())
+            verdicts = self._checked[tol] = [(next(found) if target.sources else {}, target.broken)
+                                             for target in self._targets]
         return verdicts[i]
 
     def _member_bits(self, state, i: int, delta: int, tol: Tolerances) -> int:
         """The member bits of the cell (operator index i, delta mask) for a
-        state, read off the operator's row, which its first query decides
-        for all its masks; raises what `_target_failures` gives at delta."""
+        state, read off the operator's row of its decisions; raises what
+        `_target_failures` gives at delta."""
         members = self._decisions(state, tol).members
         failures, broken = self._target_failures(i, tol)
         if delta in failures:
             raise OcatError(failures[delta])
         if broken is not None:
             raise broken.with_traceback(None)
-        row = members.get(i)
-        if row is None:
-            row = members[i] = self._members(i, state, tol)
-        return row[delta]
+        return members[i][delta]
 
-    def _members(self, i: int, state, tol: Tolerances) -> list[int]:
-        """Per delta mask of operator i, the member bits: by source index,
-        the arrows along which the preimage of delta's image is certain for
-        the state, each preimage decided once."""
-        target = self._targets[i]
-        a = self.objects[self.index.ids[i]]
-        n = 1 << len(a.spectrum)
-        if not target.sources:
-            return [0] * n
-        lifted = target.check.image_preimage
+    def _members(self, state, tol: Tolerances) -> list[list[int]]:
+        """Per operator index and delta mask, the member bits: by source
+        index, the arrows along which the preimage of delta's image is
+        certain for the state.  For a density matrix, one `certain_each`
+        over every operator's mask stack (the cross-check's columns)
+        decides them all; for a vector state, one stacked product over the
+        distinct preimage projectors, each norm the float `state_certain`
+        takes."""
+        rows = [[0] * (1 << n) for n in self.index.n_atoms]
+        check = self._check
+        if check is None:
+            return rows
+        at = check.column_starts[check.target] + check.lifted   # the column of each preimage
         if isinstance(state, StateVector):
-            sure = np.zeros(n, dtype=bool)
-            for mask in set(lifted.ravel().tolist()):
-                sure[mask] = state_certain(state, a.projector(mask), tol)
+            needed = np.unique(at)
+            v = state.amplitudes
+            sure = np.zeros(len(check.columns), dtype=bool)
+            sure[needed] = row_norms(check.columns[needed] @ v - v) < tol.vector_support
         else:
-            sure = certain_each(state, a.mask_entries, tol)
-        table = np.zeros((n, len(self.objects)), dtype=bool)
-        table[:, target.sources] = sure[lifted].T
-        return _row_masks(table)
+            sure = certain_each(state, check.columns, tol)
+        table = np.zeros((len(check.columns), len(rows)), dtype=bool)
+        table[check.column, check.label] = sure[at]
+        masks = _row_masks(table)
+        for a, start, (_, m) in zip(check.targets, check.column_starts.tolist(), check.blocks):
+            rows[self.index.pos[a.id]] = masks[start:start + m]
+        return rows
+
+    @cached_property
+    def _eigenprojectors(self) -> tuple[list[ODecomposition], np.ndarray]:
+        """Every object, then every arrow image operator that is not one,
+        and the stack of their eigenprojectors, operator after operator."""
+        images = (out[1] for out in self._arrows.values() if not isinstance(out, ValueError))
+        ops = list(dict.fromkeys([*self.objects.values(), *images]))
+        return ops, np.array([e.entries for o in ops for e in o.eigenprojectors])
+
+    def _supports(self, state, tol: Tolerances) -> dict[ODecomposition, int]:
+        """The support mask of every object and arrow image operator, from
+        one stacked product over all their eigenprojectors, each float the
+        one the module's `_support_mask` takes."""
+        ops, stack = self._eigenprojectors
+        if isinstance(state, StateVector):
+            inside = (row_norms(stack @ state.amplitudes) > tol.vector_support).tolist()
+        else:
+            inside = (probability_each(state, stack) > tol.support_trace).tolist()
+        out, start = {}, 0
+        for o in ops:
+            n = len(o.spectrum)
+            out[o] = sum(1 << i for i in range(n) if inside[start + i])
+            start += n
+        return out
 
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
-        """A state's decisions at a tolerance set; a state of another
-        dimension than the operators' is refused when first seen."""
+        """A state's decisions at a tolerance set, all made when first
+        asked for; a state of another dimension than the operators' is
+        refused when first seen."""
         per_tol = self._states.get(state)
         if per_tol is None:
             if self.dim is not None and state.dim != self.dim:
@@ -827,16 +896,12 @@ class OperatorCategory:
             per_tol = self._states[state] = {}
         out = per_tol.get(tol)
         if out is None:
-            out = per_tol[tol] = _Decisions()
+            out = per_tol[tol] = _Decisions(self._supports(state, tol), self._members(state, tol))
         return out
 
     def _support_mask(self, state, op: ODecomposition, tol: Tolerances) -> int:
         """Support mask of an object or of an arrow's image operator."""
-        memo = self._decisions(state, tol).support
-        out = memo.get(op)
-        if out is None:
-            out = memo[op] = _support_mask(state, op, tol)
-        return out
+        return self._decisions(state, tol).support[op]
 
 
 def _cell(state, a: ODecomposition, delta, category: OperatorCategory,

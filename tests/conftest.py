@@ -19,7 +19,7 @@ from toposval.contexts import (
     row_ints,
 )
 from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
-from toposval.ocat import EigenvalueMap
+from toposval.ocat import EigenvalueMap, OcatError
 from toposval.presheaves import GlobalElementG, SubobjectSigma
 from toposval.sampling import diag_plus_trivial, fix_a
 from toposval.tolerances import DEFAULT
@@ -107,6 +107,22 @@ def projector_for(a, subset):
 
 def identity_map(a):
     return EigenvalueMap.from_dict({lam: lam for lam in a.spectrum})
+
+
+def morphisms_into(category, aid):
+    """The arrows into an object of an operator category, in source index
+    order, read off the category's index."""
+    index = category.index
+    return [category.morphisms[(bid, aid)] for bid in index.names(index.down_of.get(aid, 0))]
+
+
+def compose(g, f):
+    """Eigenvalue map of the composite (g after f as arrows): given
+    f: B -> A and g: C -> B, the composite C -> A sends each eigenvalue
+    of A through f's map then g's map."""
+    if g.dst != f.src:
+        raise OcatError("morphisms do not compose")
+    return EigenvalueMap(tuple((lam, g.map(f.map(lam))) for lam in f.map.domain))
 
 
 # --------------------------------------------------------------------------

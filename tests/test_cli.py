@@ -225,6 +225,35 @@ def test_a_random_count_that_is_not_a_non_negative_integer_exits_before_any_surv
     assert not (tmp_path / "report.json").exists()
 
 
+def test_random_relations_are_numbered_across_every_random_spec(tmp_path, fixa_file, state_file):
+    # each random:N once numbered its relations from random0 again, so two
+    # different relations were both reported as random0; the draws come
+    # from one generator in order, so two random:1 survey what random:2 does
+    common = ["survey-relations", "--input", fixa_file, "--add-trivial", "--state", state_file,
+              "--seed", "3"]
+    code, split = run(tmp_path, *common, "--relation", "random:1", "--relation", "random:1")
+    assert code == 0
+    _, joined = run(tmp_path, *common, "--relation", "random:2")
+    surveys = split["result"]["surveys"]
+    assert [s["relation"] for s in surveys] == ["random0", "random1"]
+    assert surveys == joined["result"]["surveys"]
+    assert surveys[0] != surveys[1]
+
+
+@pytest.mark.parametrize("flag", ["--add-trivial", "--close-under-meets"])
+def test_ks_without_an_input_refuses_the_poset_flags(tmp_path, capsys, monkeypatch, flag):
+    # the bundled poset is always built with the trivial context and closed
+    # under meets, so the flags were once accepted and changed nothing
+    built = []
+    monkeypatch.setattr("toposval.cli.bundled_ks_poset", built.append)
+    with pytest.raises(SystemExit) as exc:
+        main(["ks", flag, "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert f"ks: {flag} needs --input" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--add-trivial", "--close-under-meets"])
 def test_ocat_refuses_the_poset_flags(tmp_path, state_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:

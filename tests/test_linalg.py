@@ -20,6 +20,7 @@ from toposval.linalg import (
     projector_checks,
     projector_from_span,
     projector_ranks,
+    screened_containment_blocks,
     screened_containment_table,
 )
 from toposval.sampling import random_degenerate_hermitian, random_density, random_hermitian
@@ -332,6 +333,29 @@ def test_screened_table_decides_as_containment_table():
     assert not table[3].any() and not table[:, 3].any() and table[5].any()
     with pytest.raises(LinalgError, match="dimension"):
         screened_containment_table(stack, np.eye(2, dtype=complex)[np.newaxis])
+
+
+def test_screened_blocks_decide_each_block_as_its_own_table():
+    # rows repeated within and across blocks, a block without rows and one
+    # without columns: each block's table is `containment_table` on that
+    # block's rows and columns alone
+    rng = np.random.default_rng(31)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    stack = np.stack([u @ np.diag(np.array(bits, dtype=float)) @ u.conj().T
+                      for bits in np.ndindex(2, 2, 2, 2)])
+    rows, cols = stack[rng.integers(0, 16, 30)], stack[rng.integers(0, 16, 20)]
+    blocks = [(12, 8), (0, 5), (10, 0), (8, 7)]
+    for certain in (10.0, 0.5, 1e-8, 0.0):
+        tol = DEFAULT.overridden(certain=certain)
+        tables = screened_containment_blocks(rows, cols, blocks, tol)
+        r = c = 0
+        for (n, m), table in zip(blocks, tables, strict=True):
+            assert table.shape == (n, m)
+            assert table.tolist() == containment_table(rows[r:r + n], cols[c:c + m], tol).tolist()
+            r, c = r + n, c + m
+    assert screened_containment_blocks(rows[:0], cols[:0], []) == []
+    with pytest.raises(LinalgError, match="blocks do not cover"):
+        screened_containment_blocks(rows, cols, [(29, 20)])
 
 
 def test_screened_table_keeps_a_pair_only_the_factor_d_protects():

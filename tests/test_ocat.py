@@ -4,9 +4,9 @@
 masks as one validated stack, and `OperatorCategory` discovers its
 morphisms from one stacked product per target, reads every image operator
 off its target's mask stack, decides the coarse-graining cross-check of
-every arrow into an operator and every delta mask at once per (target,
-tolerances), and each certainty once per (state, operator, preimage
-mask).  The per-call forms they replaced (the per-pair morphism test, the
+every arrow and every delta mask of every operator at once per tolerance
+set, and a state's supports and certainties at once per (state,
+tolerances).  The per-call forms they replaced (the per-pair morphism test, the
 `apply_map` image, the per-arrow cross-check table, the per-mask
 projector sum, the dual-path coarse-graining with its infimum loop, the
 per-delta infimum, the eigenprojector support scan and the per-morphism
@@ -32,7 +32,9 @@ from toposval.linalg import (
     LinalgError,
     Projector,
     StateVector,
+    certain_each,
     containment_table,
+    screened_containment_blocks,
     screened_containment_table,
 )
 from toposval.ocat import (
@@ -65,11 +67,13 @@ from toposval.sampling import (
 from toposval.tolerances import DEFAULT
 
 from conftest import (
+    compose,
     identity_map,
     image_mask_oracle,
     index_below,
     index_lift,
     leq_each,
+    morphisms_into,
     preimage_mask_oracle,
     projector_for,
 )
@@ -239,7 +243,7 @@ def test_o_coarse_grain_growth():
         mask = int(rng.integers(0, 1 << n))
         delta = frozenset(a.spectrum[i] for i in range(n) if mask >> i & 1)
         e_delta = projector_for(a, delta)
-        for m in cat.morphisms_into(aid):
+        for m in morphisms_into(cat, aid):
             e = o_coarse_grain(m.map, a, delta)
             assert e_delta.leq(e)
 
@@ -375,7 +379,7 @@ def test_composition_closure():
 
 def composition_closure_oracle(cat):
     """`check_composition_closure` as a scan of every pair (f, g) of
-    morphisms, each composite's map built by `compose`."""
+    morphisms, each composite's map built by `compose` (conftest)."""
     for f in cat.morphisms.values():
         for g in cat.morphisms.values():
             if g.dst != f.src:
@@ -383,7 +387,7 @@ def composition_closure_oracle(cat):
             h = cat.morphisms.get((g.src, f.dst))
             if h is None:
                 return False, {"f": (f.src, f.dst), "g": (g.src, g.dst), "missing": (g.src, f.dst)}
-            if h.map.pairs != cat.compose(g, f).pairs:
+            if h.map.pairs != compose(g, f).pairs:
                 return False, {"f": (f.src, f.dst), "g": (g.src, g.dst),
                                "composite_mismatch": (g.src, f.dst)}
     return True, None
@@ -670,7 +674,7 @@ def test_coarse_graining_matches_oracle_bit_for_bit():
         for aid in cat.ids:
             a = cat.objects[aid]
             for delta in all_deltas(a):
-                for m in cat.morphisms_into(aid):
+                for m in morphisms_into(cat, aid):
                     assert np.array_equal(o_coarse_grain(m.map, a, delta).entries,
                                           oracle_coarse_grain(m.map, a, delta).entries)
 
@@ -696,9 +700,9 @@ def _bits_by_state_certain(cat, state, tol, i, delta):
 
 
 def test_mixed_state_decisions_match_state_certain(monkeypatch):
-    # one certain_each per operator for a density matrix, against one
-    # state_certain per (operator, preimage mask); vector states keep the
-    # norm test
+    # one certain_each per category for a density matrix, over every
+    # operator's mask stack, against one state_certain per (operator,
+    # preimage mask); vector states keep the norm test
     wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15, certain=1e-3)
     calls = []
     batched = ocat_module.certain_each
@@ -725,7 +729,7 @@ def test_mixed_state_decisions_match_state_certain(monkeypatch):
                     assert calls == []
                 else:
                     draws += 1
-                    assert calls == [1 << n for n in index.n_atoms]
+                    assert calls == [sum(1 << n for n in index.n_atoms)]
     assert draws == 160 and certain_bits >= 2000, (draws, certain_bits)
 
 
@@ -936,16 +940,60 @@ def test_screened_cross_check_tables_match_containment_table():
     # rows repeated bit for bit among them
     entries = repeated = 0
     for cat in _arrow_categories():
-        for target in cat._targets:
-            if target.check is None:
-                continue
-            rows, cols = target.check.rows, target.check.columns
+        check = cat._check
+        row_ends, col_ends = np.cumsum(check.blocks, axis=0).T
+        for (n, m), r, c in zip(check.blocks, row_ends, col_ends):
+            rows, cols = check.rows[r - n:r], check.columns[c - m:c]
             repeated += len(rows) - len({r.tobytes() for r in rows})
             for tol in TABLE_WIDTHS:
                 want = containment_table(rows, cols, tol)
                 assert np.array_equal(screened_containment_table(rows, cols, tol), want)
                 entries += want.size
     assert entries > 200_000 and repeated > 500, (entries, repeated)
+
+
+def test_category_passes_match_the_per_object_oracles():
+    # the category-wide passes against the per-object forms they replaced,
+    # at every table width, for pure and mixed states, on the 60-draw sweep
+    # and on categories with arrows whose images fail validation: each
+    # target's block of the one screened call against
+    # `screened_containment_table` on that target alone; every support mask
+    # against the module's `_support_mask`; every member row against one
+    # `state_certain` per (operator, preimage mask), and for a density
+    # matrix those certainties against one `certain_each` per operator
+    rng = np.random.default_rng(1433)
+    seen = Counter()
+    for cat in [*_arrow_categories(), *planted_categories()]:
+        index, check = cat.index, cat._check
+        row_ends, col_ends = np.cumsum(check.blocks, axis=0).T
+        states = states_for(rng, cat, "A" if "A" in cat.objects else "one")
+        for tol in TABLE_WIDTHS:
+            tables = screened_containment_blocks(check.rows, check.columns, check.blocks, tol)
+            for table, (n, m), r, c in zip(tables, check.blocks, row_ends, col_ends):
+                assert np.array_equal(
+                    table, screened_containment_table(check.rows[r - n:r], check.columns[c - m:c], tol))
+            for state in states:
+                decisions = cat._decisions(state, tol)
+                for op, mask in decisions.support.items():
+                    assert mask == ocat_module._support_mask(state, op, tol)
+                    seen["support bits"] += mask.bit_count()
+                for i, (aid, target) in enumerate(zip(index.ids, cat._targets)):
+                    a = cat.objects[aid]
+                    sure = {}
+                    want = [0] * (1 << len(a.spectrum))
+                    for j, table in zip(target.sources, target.tables):
+                        for delta, image in enumerate(table):
+                            lift = index_lift(index, j, i, image)
+                            if lift not in sure:
+                                sure[lift] = state_certain(state, a.projector(lift), tol)
+                            want[delta] |= sure[lift] << j
+                    assert decisions.members[i] == want, (aid, tol)
+                    if target.sources and isinstance(state, DensityMatrix):
+                        each = certain_each(state, a.mask_entries, tol)
+                        assert all(each[lift] == ok for lift, ok in sure.items())
+                    seen["member bits"] += sum(bits.bit_count() for bits in want)
+                    seen["broken"] += target.broken is not None
+    assert seen["support bits"] > 10_000 and seen["member bits"] > 50_000 and seen["broken"], seen
 
 
 def test_failing_delta_raises_on_each_query_and_spares_the_others():
@@ -959,7 +1007,7 @@ def test_failing_delta_raises_on_each_query_and_spares_the_others():
     cat, aid = random_category(rng, 3)
     a = cat.objects[aid]
     full = (1 << len(a.spectrum)) - 1
-    first = cat.morphisms_into(aid)[0]
+    first = morphisms_into(cat, aid)[0]
     f = _on_spectrum(first.map, a)
     expected = oracle_verdict(f, a, apply_map(f, a), full, loose)
     assert expected.startswith("coarse-graining paths disagree")
@@ -977,22 +1025,21 @@ def test_failing_delta_raises_on_each_query_and_spares_the_others():
 def test_one_table_per_target_and_tolerance_set(monkeypatch):
     # building a category takes one stacked discovery product per target
     # operator; a full `ocat` sweep, for two states at two tolerance sets
-    # (the default one queried twice), takes one screened containment table
-    # per (target operator, tolerance set), whose columns are the target's
-    # mask projectors
+    # (the default one queried twice), takes one screened containment call
+    # per tolerance set, whose columns are every target's mask projectors
     products, tables = Counter(), Counter()
-    product, table = ocat_module._eigenspace_scalars, ocat_module.screened_containment_table
+    product, table = ocat_module._eigenspace_scalars, ocat_module.screened_containment_blocks
 
     def product_spy(ops, a):
         products[a.id] += 1
         return product(ops, a)
 
-    def table_spy(rows, cols, tol=DEFAULT):
+    def table_spy(rows, cols, blocks, tol=DEFAULT):
         tables[(id(cols), tol)] += 1
-        return table(rows, cols, tol)
+        return table(rows, cols, blocks, tol)
 
     monkeypatch.setattr(ocat_module, "_eigenspace_scalars", product_spy)
-    monkeypatch.setattr(ocat_module, "screened_containment_table", table_spy)
+    monkeypatch.setattr(ocat_module, "screened_containment_blocks", table_spy)
     wide = DEFAULT.overridden(vector_support=0.4, support_trace=0.15)
     rng = np.random.default_rng(271)
     for _ in range(5):
@@ -1008,8 +1055,7 @@ def test_one_table_per_target_and_tolerance_set(monkeypatch):
                         characterize_check(state, cat.objects[oid], delta, cat, tol)
                         check_sieve_on_o(state, cat.objects[oid], delta, cat, tol)
                 support_subobject_check(state, cat, tol)
-        assert tables == Counter({(id(cat.objects[oid].mask_entries), tol): 1
-                                  for oid in cat.ids for tol in (DEFAULT, wide)})
+        assert tables == Counter({(id(cat._check.columns), tol): 1 for tol in (DEFAULT, wide)})
 
 
 def oracle_mask_projector(o, mask, tol):
@@ -1282,15 +1328,17 @@ def test_index_holds_the_arrows():
             a = cat.objects[aid]
             into = [(src, aid) for j, src in enumerate(index.ids) if index.down[i] >> j & 1]
             assert into == [(m.src, m.dst) for m in oracle_into(cat, aid)]
-            assert cat.morphisms_into(aid) == oracle_into(cat, aid)
+            assert morphisms_into(cat, aid) == oracle_into(cat, aid)
             target = cat._targets[i]
             assert target.broken is None
-            assert target.sources == [index.pos[m.src] for m in cat.morphisms_into(aid)]
+            assert target.sources == [index.pos[m.src] for m in morphisms_into(cat, aid)]
+            check = cat._check
+            at = check.target == [o.id for o in check.targets].index(aid)
             for j, table, lifted in zip(target.sources, target.tables,
-                                        target.check.image_preimage.tolist()):
+                                        check.lifted[at].reshape(-1, len(target.sources)).T.tolist()):
                 assert table == index.coarse(j, i)
                 assert lifted == [index_lift(index, j, i, image) for image in table]
-            for m in cat.morphisms_into(aid):
+            for m in morphisms_into(cat, aid):
                 j = index.pos[m.src]
                 table = index.coarse(j, i)
                 f = _on_spectrum(m.map, a)
@@ -1303,7 +1351,7 @@ def test_index_holds_the_arrows():
                     assert b.subset(table[mask]) == m.map.image(delta)
                     assert a.subset(index_lift(index, j, i, table[mask])) == m.map.preimage(
                         m.map.image(delta))
-    assert cat.morphisms_into("absent") == []
+    assert morphisms_into(cat, "absent") == []
 
 
 def test_sieve_witness_names_a_missing_composite():
@@ -1315,7 +1363,7 @@ def test_sieve_witness_names_a_missing_composite():
     cat = OperatorCategory([a, decomp(1, 4, 9, id="Asq"), decomp(1, 1, 1, id="one")])
     state = random_state(np.random.default_rng(9), 3)
     index = cat.index
-    assert [m.src for m in cat.morphisms_into("Asq")] == ["A", "Asq", "one"]
+    assert [m.src for m in morphisms_into(cat, "Asq")] == ["A", "Asq", "one"]
     check_sieve_on_o(state, a, frozenset(), cat)   # builds the state's decisions
     cat._decisions(state, DEFAULT).members[index.pos["A"]][0] = 1 << index.pos["Asq"]
     assert check_sieve_on_o(state, a, frozenset(), cat) == (
@@ -1382,15 +1430,16 @@ def test_decisions_are_one_row_per_queried_operator():
             a = cat.objects[aid]
             characterize_check(state, a, frozenset(), cat)
             decisions = cat._decisions(state, DEFAULT)
-            assert list(decisions.support) == [a]
-            assert list(decisions.members) == [i]
+            images = {out[1] for out in cat._arrows.values() if not isinstance(out, ValueError)}
+            assert set(decisions.support) == set(cat.objects.values()) | images
+            assert len(decisions.members) == len(index.ids)
             row = decisions.members[i]
             assert len(row) == 1 << len(a.spectrum)
             for delta in range(1 << len(a.spectrum)):
                 assert cat._member_bits(state, i, delta, DEFAULT) == row[delta]
                 assert nu_psi_o(state, a, a.subset(delta), cat) == frozenset(
                     (src, aid) for src in index.names(row[delta]))
-            assert list(decisions.members) == [i]
+            assert len(decisions.members) == len(index.ids)
             assert set(vars(decisions)) == {"support", "members"}
             assert all(type(bits) is int for bits in row)
             assert all(type(o) is ODecomposition and type(mask) is int

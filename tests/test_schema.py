@@ -30,7 +30,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import bits_valuation, index_below, is_downward_closed, route_rows
+from conftest import bits_valuation, index_below, is_downward_closed, morphisms_into, route_rows
 from test_kernel import (
     scan_exclusivity,
     scan_func,
@@ -254,13 +254,13 @@ def oracle_survey_properties_o(a, rel_name, category):
         return {"regularity": regularity, "status": {}, "all_hold": False}
 
     def into(aid):
-        return [(m.src, m.dst) for m in category.morphisms_into(aid)]
+        return [(m.src, m.dst) for m in morphisms_into(category, aid)]
 
     memo = {}
 
     def members(aid, delta):
         if (aid, delta) not in memo:
-            memo[(aid, delta)] = frozenset((m.src, m.dst) for m in category.morphisms_into(aid)
+            memo[(aid, delta)] = frozenset((m.src, m.dst) for m in morphisms_into(category, aid)
                                            if test(a[m.src], m.map.image(delta)))
         return memo[(aid, delta)]
 
