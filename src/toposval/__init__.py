@@ -63,7 +63,6 @@ from .presheaves import (
     check_nat_iso,
     clo_sigma_restrict,
     coarse_grain,
-    coarse_grain_bruteforce,
     empty_sieve,
     make_sieve,
     pullback,

@@ -180,8 +180,8 @@ def byte_kinds(stack: np.ndarray, seen: dict[bytes, int]) -> list[int]:
 
 def product_max(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """max|P Q| over the entries, for each pair (P, Q) = (stack[first[p]],
-    stack[second[p]]) of a stack of matrices: the float
-    `Projector.orthogonal_to` tests, taken in chunks of pairs."""
+    stack[second[p]]) of a stack of matrices, each the float a single
+    product P @ Q gives, taken in chunks of pairs."""
     out = np.empty(len(first))
     cell = stack.shape[1] * stack.shape[2]
     for s in _chunks(len(first), cell):
@@ -279,12 +279,6 @@ def screened_containment_blocks(rows: np.ndarray, cols: np.ndarray, blocks,
     return out
 
 
-def screened_containment_table(rows: np.ndarray, cols: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """`containment_table` of `screened_containment_blocks`'s one-block
-    case: every row against every column."""
-    return screened_containment_blocks(rows, cols, [(len(rows), len(cols))], tol)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A bounded self-adjoint operator on a finite-dimensional Hilbert space."""
@@ -339,9 +333,6 @@ class Projector:
     def leq(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         """Subspace containment self <= other, decided as other*self == self."""
         return bool(containment_table(other.entries[np.newaxis], self.entries[np.newaxis], tol)[0, 0])
-
-    def orthogonal_to(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
-        return bool(np.max(np.abs(self.entries @ other.entries)) < tol.atom)
 
     def equals(self, other: "Projector", tol: Tolerances = DEFAULT) -> bool:
         return bool(np.max(np.abs(self.entries - other.entries)) < tol.atom)

@@ -9,23 +9,28 @@ snapped to canonical representatives so that all set operations on reals
 are exact.
 
 Behind the frozenset API, a set of eigenvalues is an int mask over
-spectrum indices.  Each `ODecomposition` builds the spectral projectors of
-all its masks as one stack, validated in one test at the tolerances it was
-built with (which f(A) keeps from A), and each `EigenvalueMap` carries, per
-domain index, the bit of its value in the sorted codomain, so images and
-preimages are ORs of bits.
+spectrum indices (`ODecomposition.mask_of`, which refuses a value outside
+the spectrum with `OcatError`).  Each `ODecomposition` builds the
+spectral projectors of all its masks as one stack, validated in one test
+at the tolerances it was built with (which f(A) keeps from A), and each
+`EigenvalueMap` carries, per domain index, the bit of its value in the
+sorted codomain, so images and preimages are ORs of bits.
 
 The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
 partition map sends each eigenvalue of B to the mask of A's eigenvalues
-that map to it.  A category decides in stacks, each float as the per-pair
-and per-arrow forms computed it: discovery takes one stacked product per
-target, and every arrow's image f(A) is read off A's mask stack (the
-eigenprojector of a value is A's mask projector at its preimage).  A
-state's valuation gives each cell (operator, delta mask) the arrows into
-the operator along which delta coarse-grains to a certain projector; a
-query reads one cell and runs no law.  The float decisions are made once
-and kept by `OperatorCategory`:
+that map to it.  A category decides in stacks: discovery takes one
+stacked product per target (`_discover`), every arrow's image f(A) is read
+off A's mask stack, all images in one batch (`_images`; the eigenprojector
+of a value is A's mask projector at its preimage), and a state's supports
+take one stacked product over every eigenprojector (`_support_masks`).
+Each of these float decisions has that one implementation, which the
+per-pair functions `discover_morphism`, `apply_map`, `elementary_support`
+and `func_subset_check` run with one entry.  A state's valuation gives
+each cell (operator, delta mask) the arrows into the operator along which
+delta coarse-grains to a certain projector; a query reads one cell and
+runs no law.  The float decisions are made once and kept by
+`OperatorCategory`:
 
 - per tolerance set, the infimum cross-check of every delta mask of every
   operator along every arrow into it: the preimage of delta's image must
@@ -46,8 +51,8 @@ and kept by `OperatorCategory`:
   per operator the row of member bits of its delta masks.  For a density
   matrix, one `certain_each` over every operator's stacked mask
   projectors decides every row; for a vector state, one stacked product
-  over the distinct preimage projectors does, each norm the float of the
-  per-projector test.
+  over the distinct preimage projectors does, each norm as
+  `np.linalg.norm` takes it (see `row_norms`).
 
 The support characterization reads supports by their masks, so it stays
 independent of the certainty tests it is compared with.
@@ -62,7 +67,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import lt
 
@@ -76,7 +81,6 @@ from .linalg import (
     Projector,
     StateVector,
     _hermitian_defect,
-    certain,
     certain_each,
     eig_hermitian,
     probability_each,
@@ -110,16 +114,6 @@ def snap(value: float, anchors, tol: float = DEFAULT.eig_match) -> float:
     if abs(best - value) > tol:
         raise OcatError(f"value {value} does not match any anchor within {tol}")
     return best
-
-
-def _index_mask(position: dict[float, int], values) -> int:
-    """The mask of the positions of `values`; values without one are ignored."""
-    mask = 0
-    for x in values:
-        i = position.get(x)
-        if i is not None:
-            mask |= 1 << i
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +160,15 @@ class ODecomposition:
         return self.operator.dim
 
     def mask_of(self, subset) -> int:
-        """The index mask of the eigenvalues in `subset`; other values are ignored."""
-        return _index_mask(self._position, subset)
+        """The index mask of the eigenvalues in `subset`, each taken as a
+        float; a value outside the spectrum raises `OcatError`."""
+        mask = 0
+        for x in subset:
+            i = self._position.get(float(x))
+            if i is None:
+                raise OcatError(f"{float(x)} is not an eigenvalue of {self.id!r}")
+            mask |= 1 << i
+        return mask
 
     def subset(self, mask: int) -> frozenset[float]:
         """The eigenvalues of an index mask, one shared frozenset per mask."""
@@ -209,13 +210,6 @@ class ODecomposition:
     def mask_entries(self) -> np.ndarray:
         """The entries of every mask's spectral projector, stacked by mask."""
         return self._mask_stack[0]
-
-    def check_subset(self, subset) -> frozenset[float]:
-        out = frozenset(float(x) for x in subset)
-        for x in out:
-            if x not in self._position:
-                raise OcatError(f"{x} is not an eigenvalue of {self.id!r}")
-        return out
 
 
 def _stack_masks(decomps) -> None:
@@ -270,10 +264,6 @@ class EigenvalueMap:
     @cached_property
     def codomain(self) -> tuple[float, ...]:
         return tuple(sorted(set(self._values.values())))
-
-    @cached_property
-    def _domain_position(self) -> dict[float, int]:
-        return {k: i for i, (k, _) in enumerate(self.pairs)}
 
     @cached_property
     def _codomain_position(self) -> dict[float, int]:
@@ -336,16 +326,6 @@ class EigenvalueMap:
         """Domain mask of the preimage of a codomain mask."""
         return _entry(self.preimage_table, mask, "codomain")
 
-    def image(self, subset: frozenset[float]) -> frozenset[float]:
-        for x in subset:
-            if x not in self._values:
-                raise OcatError(f"{x} is outside the domain of the map")
-        return self._values_of(self.image_mask(_index_mask(self._domain_position, subset)))
-
-    def preimage(self, subset: frozenset[float]) -> frozenset[float]:
-        mask = self.preimage_mask(_index_mask(self._codomain_position, subset))
-        return frozenset(self.pairs[i][0] for i in bit_list(mask))
-
     def _values_of(self, mask: int) -> frozenset[float]:
         return frozenset(self.codomain[j] for j in bit_list(mask))
 
@@ -361,25 +341,12 @@ def _entry(table: tuple[int, ...], mask: int, side: str) -> int:
 def apply_map(f: EigenvalueMap, a: ODecomposition, id: str | None = None) -> ODecomposition:
     """Construct f(A) directly from A's decomposition; the spectrum of the
     result is exactly the image of A's spectrum (no re-diagonalization).
-    The result is validated at, and keeps, A's tolerances."""
-    if set(f.domain) != set(a.spectrum):
-        raise OcatError("map domain does not equal the operator's spectrum")
-    values = sorted(set(f(lam) for lam in a.spectrum))
-    projs = []
-    for v in values:
-        m = np.zeros((a.dim, a.dim), dtype=complex)
-        for lam, p in zip(a.spectrum, a.eigenprojectors):
-            if f(lam) == v:
-                m = m + p.entries
-        projs.append(Projector(m, tol=a.tol))
-    entries = sum(v * p.entries for v, p in zip(values, projs))
-    return ODecomposition(
-        id=id or f"f({a.id})",
-        operator=HermitianOperator(entries, tol=a.tol),
-        spectrum=tuple(values),
-        eigenprojectors=tuple(projs),
-        tol=a.tol,
-    )
+    The result is validated at, and keeps, A's tolerances: the one-pair
+    case of `_images`."""
+    (b,) = _images([(_on_spectrum(f, a), a)])
+    if isinstance(b, ValueError):
+        raise b.with_traceback(None)
+    return replace(b, id=id) if id else b
 
 
 def _on_spectrum(f: EigenvalueMap, a: ODecomposition) -> EigenvalueMap:
@@ -393,13 +360,15 @@ def _on_spectrum(f: EigenvalueMap, a: ODecomposition) -> EigenvalueMap:
 
 
 def _images(pairs) -> list[ODecomposition | ValueError]:
-    """f(A) for each (f, A) of `pairs`, f on A's spectrum, as `apply_map`
-    builds it, or the error `apply_map` raises.  The eigenprojector of a
-    value is, bit for bit, A's validated mask projector at its preimage,
-    since both sum A's eigenprojectors from zero in ascending order; so the
-    error is that of the first value whose projector fails validation, else
-    that of the image operator's Hermiticity test, taken for all images in
-    one stacked call on one cumulative sum of their terms."""
+    """f(A), named "f(A's id)", for each (f, A) of `pairs`, f on A's
+    spectrum, or the error building it raises.  The spectrum of f(A) is
+    f's codomain, and the eigenprojector of a value is A's validated mask
+    projector at its preimage, the sum of A's eigenprojectors there from
+    zero in ascending order.  The error is that of the first value whose
+    projector fails validation, else that of the image operator's
+    Hermiticity test, taken for all images in one stacked call on one
+    cumulative sum of their terms, v E_v over the values v in ascending
+    order."""
     out: list = [None] * len(pairs)
     todo = []   # (pair index, value masks)
     for n, (f, a) in enumerate(pairs):
@@ -441,12 +410,27 @@ def _images(pairs) -> list[ODecomposition | ValueError]:
 def _eigenspace_scalars(ops: np.ndarray, a: ODecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Per operator B of a stack and eigenprojector e of A, from one
     stacked product: the scalar c = Re tr(B e) / rank e and the defect
-    max|B e - c e|, each the float `discover_morphism` computes."""
+    max|B e - c e|."""
     eigen = np.array([e.entries for e in a.eigenprojectors])
     products = ops[:, np.newaxis] @ eigen
     scalars = np.trace(products, axis1=-2, axis2=-1).real / [e.rank for e in a.eigenprojectors]
     defects = np.abs(products - scalars[..., np.newaxis, np.newaxis] * eigen).max(axis=(-2, -1))
     return scalars, defects
+
+
+def _discover(ops: np.ndarray, objects, a: ODecomposition,
+              tol: Tolerances) -> list[EigenvalueMap | None]:
+    """Per object B of `objects`, whose operators `ops` stacks, the function
+    with B = f(A), or None: B must act as a scalar on every eigenspace of A
+    (see `_eigenspace_scalars`), and the scalars, snapped to B's spectrum,
+    must reconstruct B and reach all of its spectrum.  B with more distinct
+    eigenvalues than A is refused before any snapping, since f takes at
+    most |spec A| values."""
+    scalars, defects = _eigenspace_scalars(ops, a)
+    passed = (~(defects > tol.eig_match).any(axis=1)).tolist()
+    scalars = scalars.tolist()
+    return [_map_from_scalars(b, a, c, tol) if ok and len(b.spectrum) <= len(a.spectrum) else None
+            for b, c, ok in zip(objects, scalars, passed)]
 
 
 def _map_from_scalars(b: ODecomposition, a: ODecomposition, scalars,
@@ -468,20 +452,11 @@ def _map_from_scalars(b: ODecomposition, a: ODecomposition, scalars,
 
 def discover_morphism(b: ODecomposition, a: ODecomposition,
                       tol: Tolerances = DEFAULT) -> EigenvalueMap | None:
-    """The function with B = f(A), if it exists: B must act as a scalar on
-    every eigenspace of A, and the scalars must reconstruct B."""
+    """The function with B = f(A), if it exists: the one-object case of
+    `_discover`."""
     if b.dim != a.dim:
         raise OcatError("dimension mismatch")
-    if len(b.spectrum) > len(a.spectrum):
-        return None  # f takes at most |spec A| values, so it cannot reach all of spec B
-    scalars = []
-    for e in a.eigenprojectors:
-        product = b.operator.entries @ e.entries
-        c = float(np.trace(product).real) / e.rank
-        if np.max(np.abs(product - c * e.entries)) > tol.eig_match:
-            return None
-        scalars.append(c)
-    return _map_from_scalars(b, a, scalars, tol)
+    return _discover(b.operator.entries[np.newaxis], [b], a, tol)[0]
 
 
 class _CrossCheck:
@@ -567,7 +542,7 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     """The spectral projector of "f(A) lands in f(delta)", computed as the
     preimage sum and cross-checked against the infimum over the spectral
     algebra of f(A)."""
-    mask = a.mask_of(a.check_subset(delta))
+    mask = a.mask_of(delta)
     f = _on_spectrum(f, a)
     image = f.image_mask(mask)
     failed = _CrossCheck([(a, [(0, f, apply_map(f, a), [image])], a.mask_entries[mask:mask + 1])]).failures(tol)[0]
@@ -576,35 +551,34 @@ def o_coarse_grain(f: EigenvalueMap, a: ODecomposition, delta,
     return a.projector(f.preimage_table[image])
 
 
-def _support_mask(state: StateVector | DensityMatrix, a: ODecomposition,
-                  tol: Tolerances) -> int:
-    """Index mask of the eigenvalues whose eigenprojector meets the state."""
-    if state.dim != a.dim:
+def _support_masks(state: StateVector | DensityMatrix, ops, tol: Tolerances,
+                   stack: np.ndarray | None = None) -> list[int]:
+    """Per operator of `ops`, the index mask of the eigenvalues whose
+    eigenprojector meets the state, from one stacked product over all
+    their eigenprojectors, operator after operator (`stack`, when given,
+    is that stack): the norm of each projected vector (see `row_norms`)
+    above `vector_support`, or each Born probability above
+    `support_trace`."""
+    if any(o.dim != state.dim for o in ops):
         raise OcatError("dimension mismatch")
-    mask = 0
-    for i, e in enumerate(a.eigenprojectors):
-        if isinstance(state, StateVector):
-            inside = np.linalg.norm(e.entries @ state.amplitudes) > tol.vector_support
-        else:
-            inside = float(np.trace(state.entries @ e.entries).real) > tol.support_trace
-        if inside:
-            mask |= 1 << i
-    return mask
+    if stack is None:
+        stack = np.array([e.entries for o in ops for e in o.eigenprojectors])
+    if isinstance(state, StateVector):
+        inside = (row_norms(stack @ state.amplitudes) > tol.vector_support).tolist()
+    else:
+        inside = (probability_each(state, stack) > tol.support_trace).tolist()
+    out, start = [], 0
+    for o in ops:
+        n = len(o.spectrum)
+        out.append(sum(1 << i for i in range(n) if inside[start + i]))
+        start += n
+    return out
 
 
 def elementary_support(state: StateVector | DensityMatrix, a: ODecomposition,
                        tol: Tolerances = DEFAULT) -> frozenset[float]:
     """The least set of eigenvalues carrying probability 1 for the state."""
-    return a.subset(_support_mask(state, a, tol))
-
-
-def state_certain(state: StateVector | DensityMatrix, p: Projector,
-                  tol: Tolerances = DEFAULT) -> bool:
-    """Probability-1 test for either kind of state."""
-    if isinstance(state, StateVector):
-        return bool(np.linalg.norm(p.entries @ state.amplitudes - state.amplitudes)
-                    < tol.vector_support)
-    return certain(state, p, tol)
+    return a.subset(_support_masks(state, [a], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -620,8 +594,8 @@ class Morphism:
 class _Decisions:
     """The float decisions of one state at one tolerance set, over one
     category, all made on its first query: the support mask of each object
-    and arrow image operator (see `OperatorCategory._supports`), and by
-    operator index the member bits of each of its delta masks (see
+    and arrow image operator (see `_support_masks`), and by operator index
+    the member bits of each of its delta masks (see
     `OperatorCategory._members`).  It holds no reference to the state or
     the category."""
 
@@ -642,10 +616,8 @@ class _Target:
 
 class OperatorCategory:
     """A finite full subcategory: a list of operators with all morphisms
-    discovered pairwise (identities included), from one stacked product per
-    target (see `_eigenspace_scalars`); each pair that passes those float
-    tests is snapped and reconstructed on its own, as `discover_morphism`
-    does.
+    discovered pairwise (identities included), one `_discover` per target
+    over every operator.
 
     Its arrows form a `PosetIndex`, `index`: the stages are the operators,
     an arrow B -> A is the pair (B, A), and its partition map gives, for
@@ -676,19 +648,12 @@ class OperatorCategory:
         self.dim = dims.pop() if dims else None
         self.objects = {o.id: o for o in objects}
         ops = np.array([o.operator.entries for o in objects])
-        scalars, passed = {}, {}
-        for a in objects:
-            c, defects = _eigenspace_scalars(ops, a)
-            scalars[a.id], passed[a.id] = c.tolist(), (~(defects > tol.eig_match).any(axis=1)).tolist()
+        found = [_discover(ops, objects, a, tol) for a in objects]
         self.morphisms: dict[tuple[str, str], Morphism] = {}
         for k, b in enumerate(objects):
-            for a in objects:
-                # f takes at most |spec A| values, so it cannot reach all of spec B
-                if len(b.spectrum) > len(a.spectrum) or not passed[a.id][k]:
-                    continue
-                f = _map_from_scalars(b, a, scalars[a.id][k], tol)
-                if f is not None:
-                    self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, f)
+            for a, maps in zip(objects, found):
+                if maps[k] is not None:
+                    self.morphisms[(b.id, a.id)] = Morphism(b.id, a.id, maps[k])
         self._checked: dict[Tolerances, list[tuple[dict[int, str], ValueError | None]]] = {}
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -839,8 +804,8 @@ class OperatorCategory:
         certain for the state.  For a density matrix, one `certain_each`
         over every operator's mask stack (the cross-check's columns)
         decides them all; for a vector state, one stacked product over the
-        distinct preimage projectors, each norm the float `state_certain`
-        takes."""
+        distinct preimage projectors Q, each norm |Q v - v| the float
+        `np.linalg.norm` gives (see `row_norms`)."""
         rows = [[0] * (1 << n) for n in self.index.n_atoms]
         check = self._check
         if check is None:
@@ -868,22 +833,6 @@ class OperatorCategory:
         ops = list(dict.fromkeys([*self.objects.values(), *images]))
         return ops, np.array([e.entries for o in ops for e in o.eigenprojectors])
 
-    def _supports(self, state, tol: Tolerances) -> dict[ODecomposition, int]:
-        """The support mask of every object and arrow image operator, from
-        one stacked product over all their eigenprojectors, each float the
-        one the module's `_support_mask` takes."""
-        ops, stack = self._eigenprojectors
-        if isinstance(state, StateVector):
-            inside = (row_norms(stack @ state.amplitudes) > tol.vector_support).tolist()
-        else:
-            inside = (probability_each(state, stack) > tol.support_trace).tolist()
-        out, start = {}, 0
-        for o in ops:
-            n = len(o.spectrum)
-            out[o] = sum(1 << i for i in range(n) if inside[start + i])
-            start += n
-        return out
-
     def _decisions(self, state, tol: Tolerances) -> _Decisions:
         """A state's decisions at a tolerance set, all made when first
         asked for; a state of another dimension than the operators' is
@@ -896,7 +845,9 @@ class OperatorCategory:
             per_tol = self._states[state] = {}
         out = per_tol.get(tol)
         if out is None:
-            out = per_tol[tol] = _Decisions(self._supports(state, tol), self._members(state, tol))
+            ops, stack = self._eigenprojectors
+            out = per_tol[tol] = _Decisions(dict(zip(ops, _support_masks(state, ops, tol, stack))),
+                                            self._members(state, tol))
         return out
 
     def _support_mask(self, state, op: ODecomposition, tol: Tolerances) -> int:
@@ -909,7 +860,7 @@ def _cell(state, a: ODecomposition, delta, category: OperatorCategory,
     """(operator index, delta mask, member bitmask) of a query: the member
     bitmask marks, by source index, the arrows into `a` along which the
     proposition coarse-grains to a probability-1 projector."""
-    mask = a.mask_of(a.check_subset(delta))
+    mask = a.mask_of(delta)
     i = category.index.pos[category._object(a)]
     return i, mask, category._member_bits(state, i, mask, tol)
 
@@ -984,9 +935,8 @@ def func_subset_check(state: StateVector | DensityMatrix, a: ODecomposition,
     elementary support of the image operator (equality, not mere
     containment, on discrete spectra)."""
     f = _on_spectrum(f, a)
-    b = apply_map(f, a)
-    return _subset_report(f, f.image_mask(_support_mask(state, a, tol)),
-                          _support_mask(state, b, tol))
+    s, image = _support_masks(state, [a, apply_map(f, a)], tol)
+    return _subset_report(f, f.image_mask(s), image)
 
 
 def support_subobject_check(state, category: OperatorCategory,

@@ -85,8 +85,8 @@ def coarse_grain(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> 
 
     Production path: a lookup in the poset index's coarse-graining table,
     where a sub-atom enters exactly when its block of sup-atoms meets the
-    mask.  Agrees with the brute-force lattice infimum
-    (`coarse_grain_bruteforce`), which is kept as an independent oracle.
+    mask.  The tests keep the brute-force lattice infimum as an
+    independent oracle.
     """
     if p.context_id != sup:
         raise ContextError("lattice element does not live at the given context")
@@ -94,25 +94,6 @@ def coarse_grain(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> 
     if not 0 <= p.mask < len(table):
         raise ContextError(f"mask {p.mask} out of range for context {sup!r}")
     return LatticeElement(sub, table[p.mask])
-
-
-def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
-    """Infimum of all sub-lattice elements dominating `p`, by full enumeration."""
-    if p.context_id != sup:
-        raise ContextError("lattice element does not live at the given context")
-    n = poset.context(sub).n_atoms
-    dominating = [
-        q for q in range(1 << n)
-        if poset.lift_mask(sub, sup, q) & p.mask == p.mask
-    ]
-    if not dominating:
-        raise ContextError("no dominating element; partition map is broken")
-    inf = dominating[0]
-    for q in dominating[1:]:
-        inf &= q
-    if poset.lift_mask(sub, sup, inf) & p.mask != p.mask:
-        raise ContextError("infimum does not dominate; lattice is not closed under meets")
-    return LatticeElement(sub, inf)
 
 
 def clo_sigma_restrict(

@@ -428,7 +428,7 @@ def survey_properties_o(a: dict[str, frozenset[float]], rel_name: str,
                 "skipped": "assignment does not cover the category"}
     index = category.index
     objects = category.objects
-    masks = [objects[oid].mask_of(objects[oid].check_subset(a[oid])) for oid in index.ids]
+    masks = [objects[oid].mask_of(a[oid]) for oid in index.ids]
     alpha = MorphismSetValuation._gathered(category, _related(_relation_squares(index, rel), index, masks),
                                            "below", name=f"alpha^(a,{rel_name})_o")
     return {"relation": rel_name, "regularity": regularity, **_law_statuses(alpha)}

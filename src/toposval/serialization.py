@@ -202,14 +202,6 @@ def _build_contexts(specs: list[_ContextSpec], tol: Tolerances) -> list[Context]
     return contexts
 
 
-def context_from_json(obj, tol: Tolerances = DEFAULT) -> Context:
-    """{"id", "dim", "atoms": [matrix...]} or
-    {"id", "dim", "basis": [vector...], "partition": [[indices]...]}; the
-    partition's indices are checked before any float work (see
-    `contexts_from_json`)."""
-    return _build_contexts([_parse_context(obj)], tol)[0]
-
-
 def contexts_from_json(doc, tol: Tolerances = DEFAULT) -> tuple[list[Context], int | None]:
     """A bare array of contexts, or {"dim": n, "contexts": [...]}.
 

@@ -11,6 +11,7 @@ import pytest
 from toposval.contexts import (
     Character,
     ContextError,
+    ContextPoset,
     LatticeElement,
     _ContextStore,
     bit_list,
@@ -18,10 +19,19 @@ from toposval.contexts import (
     pack_ints,
     row_ints,
 )
-from toposval.linalg import DensityMatrix, LinalgError, Projector, containment_table
+from toposval.linalg import (
+    DensityMatrix,
+    LinalgError,
+    Projector,
+    StateVector,
+    certain,
+    containment_table,
+    screened_containment_blocks,
+)
 from toposval.ocat import EigenvalueMap, OcatError
 from toposval.presheaves import GlobalElementG, SubobjectSigma
 from toposval.sampling import diag_plus_trivial, fix_a
+from toposval.serialization import contexts_from_json
 from toposval.tolerances import DEFAULT
 from toposval.valuations import MorphismSetValuation, _first, _intervals, _supports, first_superset_failure
 
@@ -116,6 +126,62 @@ def morphisms_into(category, aid):
     return [category.morphisms[(bid, aid)] for bid in index.names(index.down_of.get(aid, 0))]
 
 
+def map_image(f, subset):
+    """The values an eigenvalue map takes on a set of its domain; a value
+    outside the domain raises `OcatError`."""
+    return frozenset(f(x) for x in subset)
+
+
+def map_preimage(f, subset):
+    """The domain values an eigenvalue map sends into a set of its values;
+    a value outside the codomain raises `OcatError`."""
+    for v in subset:
+        if v not in f.codomain:
+            raise OcatError(f"{v} is outside the codomain of the map")
+    return frozenset(k for k, v in f.pairs if v in subset)
+
+
+def state_certain(state, p, tol=DEFAULT):
+    """Probability-1 test of one projector for either kind of state: the
+    norm of the vector's part outside the projector, or `certain`."""
+    if isinstance(state, StateVector):
+        return bool(np.linalg.norm(p.entries @ state.amplitudes - state.amplitudes)
+                    < tol.vector_support)
+    return certain(state, p, tol)
+
+
+def screened_containment_table(rows, cols, tol=DEFAULT):
+    """`screened_containment_blocks`'s one-block case: every row against
+    every column."""
+    return screened_containment_blocks(rows, cols, [(len(rows), len(cols))], tol)[0]
+
+
+def context_from_json(obj, tol=DEFAULT):
+    """One context object parsed and built as the one item of a bare
+    contexts array (see `contexts_from_json`)."""
+    return contexts_from_json([obj], tol)[0][0]
+
+
+def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
+    """Infimum of all sub-lattice elements dominating `p`, by full
+    enumeration: the oracle of `presheaves.coarse_grain`."""
+    if p.context_id != sup:
+        raise ContextError("lattice element does not live at the given context")
+    n = poset.context(sub).n_atoms
+    dominating = [
+        q for q in range(1 << n)
+        if poset.lift_mask(sub, sup, q) & p.mask == p.mask
+    ]
+    if not dominating:
+        raise ContextError("no dominating element; partition map is broken")
+    inf = dominating[0]
+    for q in dominating[1:]:
+        inf &= q
+    if poset.lift_mask(sub, sup, inf) & p.mask != p.mask:
+        raise ContextError("infimum does not dominate; lattice is not closed under meets")
+    return LatticeElement(sub, inf)
+
+
 def compose(g, f):
     """Eigenvalue map of the composite (g after f as arrows): given
     f: B -> A and g: C -> B, the composite C -> A sends each eigenvalue
@@ -175,7 +241,7 @@ def context_atoms_oracle(cid, atoms, tol=DEFAULT):
         if a.rank < 1:
             raise ContextError("zero atom in context")
     for a, b in itertools.combinations(atoms, 2):
-        if not a.orthogonal_to(b, tol):
+        if not np.max(np.abs(a.entries @ b.entries)) < tol.atom:
             raise ContextError(f"atoms of context {cid!r} are not orthogonal")
     total = sum(a.entries for a in atoms)
     if np.max(np.abs(total - np.eye(dim))) > tol.atom:

@@ -20,7 +20,6 @@ from toposval.presheaves import (
     GlobalElementG,
     check_nat_iso,
     coarse_grain,
-    coarse_grain_bruteforce,
 )
 from toposval.sampling import (
     context_from_basis,
@@ -49,6 +48,8 @@ from toposval.valuations import (
     theorem2_verify,
     valuations_equal,
 )
+
+from conftest import coarse_grain_bruteforce
 
 ISO_SEEDS = [1000 + i for i in range(50)]
 DEFN3_POSET_SEEDS = [2000 + i for i in range(20)]

@@ -21,12 +21,11 @@ from toposval.linalg import (
     projector_from_span,
     projector_ranks,
     screened_containment_blocks,
-    screened_containment_table,
 )
 from toposval.sampling import random_degenerate_hermitian, random_density, random_hermitian
 from toposval.tolerances import DEFAULT
 
-from conftest import leq_each
+from conftest import leq_each, screened_containment_table
 
 
 def test_eig_identity():

@@ -6,12 +6,12 @@ morphisms from one stacked product per target, reads every image operator
 off its target's mask stack, decides the coarse-graining cross-check of
 every arrow and every delta mask of every operator at once per tolerance
 set, and a state's supports and certainties at once per (state,
-tolerances).  The per-call forms they replaced (the per-pair morphism test, the
-`apply_map` image, the per-arrow cross-check table, the per-mask
-projector sum, the dual-path coarse-graining with its infimum loop, the
-per-delta infimum, the eigenprojector support scan and the per-morphism
-certainty sweep) are kept below as oracles, written on `pairs` and
-`spectrum` alone.
+tolerances).  The per-call forms they replaced (the per-pair morphism
+test, the per-value image `apply_map_oracle`, the per-arrow cross-check
+table, the per-mask projector sum, the dual-path coarse-graining with its
+infimum loop, the per-delta infimum, the eigenprojector support scan and
+the per-morphism certainty sweep) are kept below as oracles, written on
+`pairs` and `spectrum` alone.
 """
 
 import gc
@@ -35,7 +35,6 @@ from toposval.linalg import (
     certain_each,
     containment_table,
     screened_containment_blocks,
-    screened_containment_table,
 )
 from toposval.ocat import (
     EigenvalueMap,
@@ -53,7 +52,6 @@ from toposval.ocat import (
     nu_psi_o,
     o_coarse_grain,
     snap,
-    state_certain,
     support_subobject_check,
 )
 from toposval.sampling import (
@@ -64,6 +62,7 @@ from toposval.sampling import (
     random_state,
     random_unitary,
 )
+from toposval.schema import survey_properties_o
 from toposval.tolerances import DEFAULT
 
 from conftest import (
@@ -73,9 +72,13 @@ from conftest import (
     index_below,
     index_lift,
     leq_each,
+    map_image,
+    map_preimage,
     morphisms_into,
     preimage_mask_oracle,
     projector_for,
+    screened_containment_table,
+    state_certain,
 )
 
 
@@ -173,8 +176,8 @@ LOOSE_MATCH = DEFAULT.overridden(eig_match=1.1, recon=3.0)
 def test_batches_match_the_per_pair_and_per_arrow_oracles():
     # on seeded categories, at the default widths and at loosened matching
     # ones: the stacked discovery's morphisms (keys, insertion order and
-    # maps) are those of `discover_morphism` pair by pair, every image
-    # operator read off a mask stack equals `apply_map`'s bit for bit, and
+    # maps) are those of the per-pair float test, every image operator read
+    # off a mask stack equals `apply_map_oracle`'s bit for bit, and
     # the per-target tables give the per-arrow verdicts at every table width
     # (checked at the loosened widths where they add arrows)
     rng = np.random.default_rng(281)
@@ -185,7 +188,7 @@ def test_batches_match_the_per_pair_and_per_arrow_oracles():
         for tol in (DEFAULT, LOOSE_MATCH):
             cat = OperatorCategory(objects, tol)
             want = [((b.id, a.id), f.pairs) for b in objects for a in objects
-                    if (f := discover_morphism(b, a, tol)) is not None]
+                    if (f := _discover_morphism_floats(b, a, tol)) is not None]
             assert [(key, m.map.pairs) for key, m in cat.morphisms.items()] == want
             added += len(cat.morphisms) - len(drawn.morphisms)
             for m in cat.morphisms.values():
@@ -423,6 +426,17 @@ def test_apply_map_spectrum_is_image():
     b = apply_map(f, a)
     assert b.spectrum == (5.0, 6.0)
     npt.assert_allclose(b.operator.entries, np.diag([5.0, 5, 5, 6]), atol=1e-12)
+    # bit for bit the per-value oracle's image, under the name it is given
+    for name in (None, "B"):
+        got, want = apply_map(f, a, id=name), apply_map_oracle(f, a, id=name)
+        assert got.id == want.id == (name or "f(A)") and got.tol == want.tol
+        assert got.spectrum == want.spectrum
+        assert got.operator.entries.tobytes() == want.operator.entries.tobytes()
+        assert [p.entries.tobytes() for p in got.eigenprojectors] == \
+            [p.entries.tobytes() for p in want.eigenprojectors]
+        assert [p.rank for p in got.eigenprojectors] == [p.rank for p in want.eigenprojectors]
+    with pytest.raises(OcatError, match="map domain does not equal"):
+        apply_map(EigenvalueMap.from_dict({1.0: 5.0, 2.0: 5.0}), a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -436,17 +450,45 @@ def test_eigenvalue_map_refuses_a_non_finite_key_or_value(bad):
 
 def test_a_non_finite_image_fails_as_apply_map_fails():
     # a NaN value makes the image's Hermiticity defect NaN, which compares
-    # False with the width: the batched image refuses it as `apply_map` does
+    # False with the width: the batched image, and `apply_map` with it,
+    # refuses it as the per-value oracle does
     a = decomp(1, 1, 2)
     f = EigenvalueMap(((1.0, 5.0), (2.0, np.nan)))
     with pytest.raises(LinalgError) as want:
+        apply_map_oracle(f, a)
+    with pytest.raises(LinalgError) as raised:
         apply_map(f, a)
     got = ocat_module._images([(f, a)])[0]
-    assert isinstance(got, LinalgError) and str(got) == str(want.value) == linalg.NON_FINITE
+    assert isinstance(got, LinalgError)
+    assert str(got) == str(raised.value) == str(want.value) == linalg.NON_FINITE
 
 
 # --------------------------------------------------------------------------
 # per-call oracles
+
+def apply_map_oracle(f, a, id=None):
+    """f(A) value by value: each value's eigenprojector summed from A's
+    eigenprojectors in ascending order and validated on its own, then the
+    operator summed from them and validated."""
+    if set(f.domain) != set(a.spectrum):
+        raise OcatError("map domain does not equal the operator's spectrum")
+    values = sorted(set(f(lam) for lam in a.spectrum))
+    projs = []
+    for v in values:
+        m = np.zeros((a.dim, a.dim), dtype=complex)
+        for lam, p in zip(a.spectrum, a.eigenprojectors):
+            if f(lam) == v:
+                m = m + p.entries
+        projs.append(Projector(m, tol=a.tol))
+    entries = sum(v * p.entries for v, p in zip(values, projs))
+    return ODecomposition(
+        id=id or f"f({a.id})",
+        operator=HermitianOperator(entries, tol=a.tol),
+        spectrum=tuple(values),
+        eigenprojectors=tuple(projs),
+        tol=a.tol,
+    )
+
 
 def oracle_projector_for(a, subset):
     m = np.zeros((a.dim, a.dim), dtype=complex)
@@ -469,11 +511,11 @@ def oracle_algebra(b):
 def oracle_coarse_grain(f, a, delta, tol=DEFAULT, algebra=None):
     """Preimage of the image of delta, and the infimum over the spectral
     algebra of f(A); raises when the two differ.  `algebra`, when given, is
-    `oracle_algebra(apply_map(f, a))`, built once for several deltas."""
+    `oracle_algebra(apply_map_oracle(f, a))`, built once for several deltas."""
     value = dict(f.pairs)
     pre = frozenset(k for k, v in f.pairs if v in {value[x] for x in delta})
     if algebra is None:
-        algebra = oracle_algebra(apply_map(f, a))
+        algebra = oracle_algebra(apply_map_oracle(f, a))
     e_delta = oracle_projector_for(a, delta)
     kept = None
     for q, qp in algebra:
@@ -532,17 +574,17 @@ def cross_checks_oracle(a, b, deltas, images, preimage, tol):
 
 def oracle_image(m, a):
     """An arrow's map on its target's spectrum and its image operator, built
-    by `apply_map` (the object itself when the map fixes an ascending
+    by `apply_map_oracle` (the object itself when the map fixes an ascending
     spectrum)."""
     f = _on_spectrum(m.map, a)
     fixed = tuple(v for _, v in f.pairs) == a.spectrum == f.codomain
-    return f, a if fixed else apply_map(f, a)
+    return f, a if fixed else apply_map_oracle(f, a)
 
 
 def arrow_verdicts(cat, src, dst, tol):
     """Per delta mask of the target of arrow (src, dst), by operator index,
     the infimum cross-check's error message, or None where it passes: one
-    table per arrow, on its `apply_map` image."""
+    table per arrow, on its `apply_map_oracle` image."""
     index = cat.index
     m = cat.morphisms[(index.ids[src], index.ids[dst])]
     a = cat.objects[m.dst]
@@ -603,7 +645,7 @@ def oracle_support_subobject(state, cat, tol=DEFAULT):
     for m in cat.morphisms.values():
         value = dict(m.map.pairs)
         lhs = frozenset(value[x] for x in oracle_support(state, cat.objects[m.dst], tol))
-        rhs = oracle_support(state, apply_map(m.map, cat.objects[m.dst]), tol)
+        rhs = oracle_support(state, apply_map_oracle(m.map, cat.objects[m.dst]), tol)
         if lhs != rhs:
             failures.append({"src": m.src, "dst": m.dst, "passed": False, "subset": lhs <= rhs,
                              "pushed_support": sorted(lhs), "image_support": sorted(rhs)})
@@ -641,7 +683,7 @@ def assert_matches_oracles(states, cat, tol=DEFAULT):
     coarse = {}
     for m in cat.morphisms.values():
         a = cat.objects[m.dst]
-        algebra = oracle_algebra(apply_map(m.map, a))
+        algebra = oracle_algebra(apply_map_oracle(m.map, a))
         for delta in all_deltas(a):
             coarse[(m.src, m.dst, delta)] = oracle_coarse_grain(m.map, a, delta, tol, algebra)
     for aid in cat.ids:
@@ -865,7 +907,7 @@ def test_batched_dominance_matches_pairwise_containment():
 
 def assert_tables_match_oracle(cat, tols):
     """Per arrow and tolerance set, the one-table-per-arrow verdict of every
-    delta mask equals the per-delta cross-check on the `apply_map` image;
+    delta mask equals the per-delta cross-check on the `apply_map_oracle` image;
     per target operator, the category's one table gives at each delta the
     message of the first arrow, in source order, whose verdict fails."""
     index = cat.index
@@ -875,7 +917,7 @@ def assert_tables_match_oracle(cat, tols):
             first = {}
             for j, _ in index_below(index, i):
                 f = _on_spectrum(cat.morphisms[(index.ids[j], aid)].map, a)
-                b = apply_map(f, a)
+                b = apply_map_oracle(f, a)
                 verdicts = arrow_verdicts(cat, j, i, tol)
                 assert verdicts == [oracle_verdict(f, a, b, delta, tol)
                                     for delta in range(1 << len(a.spectrum))]
@@ -958,7 +1000,7 @@ def test_category_passes_match_the_per_object_oracles():
     # and on categories with arrows whose images fail validation: each
     # target's block of the one screened call against
     # `screened_containment_table` on that target alone; every support mask
-    # against the module's `_support_mask`; every member row against one
+    # against the per-eigenprojector `oracle_support`; every member row against one
     # `state_certain` per (operator, preimage mask), and for a density
     # matrix those certainties against one `certain_each` per operator
     rng = np.random.default_rng(1433)
@@ -975,7 +1017,7 @@ def test_category_passes_match_the_per_object_oracles():
             for state in states:
                 decisions = cat._decisions(state, tol)
                 for op, mask in decisions.support.items():
-                    assert mask == ocat_module._support_mask(state, op, tol)
+                    assert mask == op.mask_of(oracle_support(state, op, tol))
                     seen["support bits"] += mask.bit_count()
                 for i, (aid, target) in enumerate(zip(index.ids, cat._targets)):
                     a = cat.objects[aid]
@@ -1009,7 +1051,7 @@ def test_failing_delta_raises_on_each_query_and_spares_the_others():
     full = (1 << len(a.spectrum)) - 1
     first = morphisms_into(cat, aid)[0]
     f = _on_spectrum(first.map, a)
-    expected = oracle_verdict(f, a, apply_map(f, a), full, loose)
+    expected = oracle_verdict(f, a, apply_map_oracle(f, a), full, loose)
     assert expected.startswith("coarse-graining paths disagree")
     for state in (random_state(rng, 3), random_density(rng, 3)):
         empty = nu_psi_o(state, a, frozenset(), cat, loose)
@@ -1129,7 +1171,7 @@ def oracle_validation_error(o):
 def per_arrow_error(cat, aid, delta, tol):
     """The error a query of (operator aid, delta mask) raises along the
     per-arrow path: for each arrow into the operator, in source order, its
-    `apply_map` image, then the target's and the image's mask projectors
+    `apply_map_oracle` image, then the target's and the image's mask projectors
     each validated on its own, then the arrow's cross-check at delta; or
     None."""
     index = cat.index
@@ -1214,7 +1256,7 @@ def test_a_planted_validation_failure_raises_as_the_per_arrow_path():
 
 def test_identity_arrows_reuse_the_object():
     # an identity arrow's f(A) is the object itself; the cross-check, the
-    # checkers and the support subset law give what the `apply_map` image
+    # checkers and the support subset law give what the `apply_map_oracle` image
     # gives, on a twin category whose arrow memo holds those images
     tols = [DEFAULT, DEFAULT.overridden(certain=1e-15)]
     rng = np.random.default_rng(907)
@@ -1226,7 +1268,7 @@ def test_identity_arrows_reuse_the_object():
         for m in twin.morphisms.values():
             a = twin.objects[m.dst]
             f = _on_spectrum(m.map, a)
-            twin._arrows[(m.src, m.dst)] = (f, apply_map(f, a))
+            twin._arrows[(m.src, m.dst)] = (f, apply_map_oracle(f, a))
         for m in cat.morphisms.values():
             a = cat.objects[m.dst]
             b, rebuilt = cat._arrow(m)[1], twin._arrow(m)[1]
@@ -1348,9 +1390,9 @@ def test_index_holds_the_arrows():
                 for delta in all_deltas(a):
                     mask = a.mask_of(delta)
                     assert table[mask] == m.map.image_mask(mask)
-                    assert b.subset(table[mask]) == m.map.image(delta)
-                    assert a.subset(index_lift(index, j, i, table[mask])) == m.map.preimage(
-                        m.map.image(delta))
+                    assert b.subset(table[mask]) == map_image(m.map, delta)
+                    assert a.subset(index_lift(index, j, i, table[mask])) == map_preimage(
+                        m.map, map_image(m.map, delta))
     assert morphisms_into(cat, "absent") == []
 
 
@@ -1405,6 +1447,63 @@ def test_map_masks_read_the_tables_the_per_mask_loops_give():
             with pytest.raises(OcatError) as exc:
                 f.preimage_mask(bad)
             assert str(exc.value) == f"mask {bad} out of range for the map's codomain"
+
+
+def test_a_value_outside_the_spectrum_is_refused_by_every_query():
+    # a delta is turned into a mask once, each value taken as a float, and
+    # a value outside the operator's spectrum is named in the error
+    a = decomp(1, 2, 3)
+    cat = OperatorCategory([a, decomp(1, 1, 1, id="one")])
+    psi = random_state(np.random.default_rng(13), 3)
+    message = "7.0 is not an eigenvalue of 'A'"
+    assert a.mask_of([2, 3.0]) == 0b110
+    for delta in (frozenset({7}), frozenset({1.0, 7.0}), [7.0]):
+        with pytest.raises(OcatError) as exc:
+            a.mask_of(delta)
+        assert str(exc.value) == message
+        for check in (nu_psi_o, characterize_check, check_sieve_on_o):
+            with pytest.raises(OcatError) as exc:
+                check(psi, a, delta, cat)
+            assert str(exc.value) == message
+        with pytest.raises(OcatError) as exc:
+            o_coarse_grain(identity_map(a), a, delta)
+        assert str(exc.value) == message
+        with pytest.raises(OcatError) as exc:
+            survey_properties_o({"A": delta, "one": frozenset({1.0})}, "subset", cat)
+        assert str(exc.value) == message
+
+
+def test_the_per_pair_functions_run_the_category_code(monkeypatch):
+    # discovery, image building and supports each have one implementation:
+    # the per-pair functions call it with one entry (`func_subset_check`
+    # with A and f(A) in one product), and a category with all of its
+    # entries at once
+    calls = []
+    for name, size in (("_discover", lambda ops, objects, a, tol: len(objects)),
+                       ("_images", lambda pairs: len(pairs)),
+                       ("_support_masks", lambda state, ops, tol, stack=None: len(ops))):
+        def spy(*args, _real=getattr(ocat_module, name), _name=name, _size=size):
+            calls.append((_name, _size(*args)))
+            return _real(*args)
+        monkeypatch.setattr(ocat_module, name, spy)
+    a = decomp(1, 1, 2, 3)
+    b = decomp(1, 1, 4, 9, id="B")
+    f = EigenvalueMap.from_dict({1.0: 1.0, 2.0: 4.0, 3.0: 9.0})
+    psi = random_state(np.random.default_rng(17), 4)
+    for run, want in ((lambda: discover_morphism(b, a), [("_discover", 1)]),
+                      (lambda: apply_map(f, a), [("_images", 1)]),
+                      (lambda: elementary_support(psi, a), [("_support_masks", 1)]),
+                      (lambda: func_subset_check(psi, a, f), [("_images", 1), ("_support_masks", 2)])):
+        calls.clear()
+        run()
+        assert calls == want
+    calls.clear()
+    cat = OperatorCategory([a, b])
+    assert calls == [("_discover", 2)] * 2
+    calls.clear()
+    nu_psi_o(psi, a, frozenset(), cat)
+    ops, _ = cat._eigenprojectors   # the objects, then every image that is not one
+    assert calls == [("_images", len(ops) - 2), ("_support_masks", len(ops))] and len(ops) > 2
 
 
 def test_a_subset_mask_outside_the_spectrum_raises():
@@ -1477,7 +1576,9 @@ def test_image_and_preimage_masks():
     assert f.preimage_mask(0b01) == 0b011 and f.preimage_mask(0b11) == 0b111
     assert f.preimage_table == (0b000, 0b011, 0b100, 0b111)
     assert f.image_table == (0b00, 0b01, 0b01, 0b01, 0b10, 0b11, 0b11, 0b11)
-    assert f.image(frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})
-    assert f.preimage(frozenset({1.0, 9.0})) == frozenset({-1.0, 1.0})
+    assert map_image(f, frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})
+    assert map_preimage(f, frozenset({1.0})) == frozenset({-1.0, 1.0})
     with pytest.raises(OcatError):
-        f.image(frozenset({3.0}))
+        map_image(f, frozenset({3.0}))
+    with pytest.raises(OcatError):
+        map_preimage(f, frozenset({1.0, 9.0}))

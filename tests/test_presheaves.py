@@ -17,7 +17,6 @@ from toposval.presheaves import (
     check_nat_iso,
     clo_sigma_restrict,
     coarse_grain,
-    coarse_grain_bruteforce,
     empty_sieve,
     make_sieve,
     pullback,
@@ -28,7 +27,7 @@ from toposval.presheaves import (
 from toposval.ks import bundled_ks_poset
 from toposval.sampling import fix_a, random_poset
 
-from conftest import coarse_oracle, image_oracle, outputs_under_hash_seeds, pmap_oracle
+from conftest import coarse_grain_bruteforce, coarse_oracle, image_oracle, outputs_under_hash_seeds, pmap_oracle
 from test_closure import _peres_subset
 
 

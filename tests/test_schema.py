@@ -30,7 +30,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import bits_valuation, index_below, is_downward_closed, morphisms_into, route_rows
+from conftest import bits_valuation, index_below, is_downward_closed, map_image, morphisms_into, route_rows
 from test_kernel import (
     scan_exclusivity,
     scan_func,
@@ -261,7 +261,7 @@ def oracle_survey_properties_o(a, rel_name, category):
     def members(aid, delta):
         if (aid, delta) not in memo:
             memo[(aid, delta)] = frozenset((m.src, m.dst) for m in morphisms_into(category, aid)
-                                           if test(a[m.src], m.map.image(delta)))
+                                           if test(a[m.src], map_image(m.map, delta)))
         return memo[(aid, delta)]
 
     subsets = {}
@@ -277,7 +277,7 @@ def oracle_survey_properties_o(a, rel_name, category):
     def func_ok(f, delta):
         aid, bid = f.dst, f.src
         at_a = members(aid, delta)
-        return members(bid, f.map.image(delta)) == frozenset(
+        return members(bid, map_image(f.map, delta)) == frozenset(
             (g, h) for g, h in into(bid) if (g, aid) in at_a)
 
     full = {aid: frozenset(into(aid)) for aid in ids}

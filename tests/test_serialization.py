@@ -5,13 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import context_atoms_oracle, span_projector_oracle
+from conftest import context_atoms_oracle, context_from_json, span_projector_oracle
 from test_closure import _peres_bases
 from toposval.linalg import LinalgError, Projector
 from toposval.sampling import random_unitary
 from toposval.serialization import (
     SchemaError,
-    context_from_json,
     contexts_from_json,
     matrix_from_json,
     operators_from_json,
