@@ -11,11 +11,8 @@ bundled 18-ray fixture.
 __version__ = "0.1.0"
 
 from .contexts import (
-    Character,
     Context,
-    ContextError,
     ContextPoset,
-    LatticeElement,
     build_poset,
     context_from_operators,
     evaluate,
@@ -24,6 +21,7 @@ from .contexts import (
     trivial_context,
     v_of_p,
 )
+from .index import Character, ContextError, LatticeElement
 from .linalg import (
     DensityMatrix,
     HermitianOperator,

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contexts import bit_list, build_poset
+from .contexts import build_poset
+from .index import bit_list
 from .ks import bundled_ks_poset, global_section_search, validate_rank_one_cover
 from .ocat import (
     ODecomposition,

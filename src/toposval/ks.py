@@ -22,7 +22,8 @@ from importlib import resources
 
 import numpy as np
 
-from .contexts import Context, ContextError, ContextPoset, PosetIndex, _mask_bits, _row_masks, build_poset
+from .contexts import Context, ContextPoset, _evaluations, build_poset
+from .index import ContextError, PosetIndex, _mask_bits, _row_masks
 from .linalg import LinalgError, _hermitian_defect, product_max
 from .serialization import contexts_from_json
 from .tolerances import DEFAULT, Tolerances
@@ -83,7 +84,7 @@ def _first_value_mismatch(poset: ContextPoset, assignment: dict[str, int],
     if not pairs:
         return None
     hermitian = dict(zip(gens, (_hermitian_defect_each(list(gens.values())) <= tol.herm).tolist()))
-    first, c, defect = _evaluations(contexts, list(groups), gens)
+    first, c, defect = _evaluations([(contexts[cid], gens[sub]) for cid, sub in groups])
     outside = np.logical_or.reduceat(defect > tol.atom, first[:-1])
     value = c[first[:-1] + [assignment[cid] for cid, _ in groups]]
     at_sup, at_sub = np.array(at_sup), np.array(at_sub)
@@ -109,31 +110,6 @@ def _hermitian_defect_each(mats: list[np.ndarray]) -> np.ndarray:
         at = [k for k, m in enumerate(mats) if m.shape == shape]
         out[at] = _hermitian_defect(np.array([mats[k] for k in at]))
     return out
-
-
-def _evaluations(contexts: dict[str, Context], groups: list[tuple[str, str]],
-                 gens: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each (context, sub) group, rows first[g] to first[g + 1]: per
-    atom of the context in order, `evaluate`'s value c of sub's generator
-    there and its defect, max|atom @ gen - c atom|.  Each is the float
-    `evaluate` computes, from the same product, trace and division; the
-    products are one stacked matmul per dimension."""
-    sizes = np.array([contexts[cid].n_atoms for cid, _ in groups], dtype=np.int64)
-    first = np.concatenate([[0], np.cumsum(sizes)])
-    c, defect = np.zeros(first[-1]), np.zeros(first[-1])
-    by_dim: dict[int, list[int]] = {}
-    for g, (cid, _) in enumerate(groups):
-        by_dim.setdefault(contexts[cid].dim, []).append(g)
-    for at in by_dim.values():
-        owners = [contexts[groups[g][0]] for g in at]
-        n = sizes[at]
-        rows = np.arange(n.sum()) + np.repeat(first[at] - (np.cumsum(n) - n), n)
-        stack = np.concatenate([o.stack for o in owners])
-        gen = np.repeat(np.array([gens[groups[g][1]] for g in at]), n, axis=0)
-        products = np.matmul(stack, gen)
-        c[rows] = np.trace(products, axis1=1, axis2=2).real / [a.rank for o in owners for a in o.atoms]
-        defect[rows] = np.abs(products - c[rows][:, np.newaxis, np.newaxis] * stack).max(axis=(1, 2))
-    return first, c, defect
 
 
 def global_section_search(poset: ContextPoset, tol: Tolerances = DEFAULT) -> dict:

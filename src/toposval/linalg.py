@@ -2,9 +2,9 @@
 
 Hermitian eigendecomposition with eigenvalue grouping, projector
 construction, subspace tests and density-matrix supports.  Everything here
-is small and dense (dims ~16 at most); all downstream lattice work reasons
-exactly on integer masks, so this module is the only place where raw
-floating point decisions are made.
+is small and dense (dims ~16 at most).  Float decisions are made here and
+in `contexts`, `ocat` and `ks`; the lattice work behind them reasons
+exactly on integer masks in `index`, which makes none.
 """
 
 from __future__ import annotations

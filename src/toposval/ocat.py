@@ -20,9 +20,9 @@ The arrows of an `OperatorCategory` form the same `PosetIndex` that a
 poset of contexts uses: an arrow B -> A is the pair (B, A), and its
 partition map sends each eigenvalue of B to the mask of A's eigenvalues
 that map to it.  A category decides in stacks: discovery takes one
-stacked product per target (`_discover`), every arrow's image f(A) is read
-off A's mask stack, all images in one batch (`_images`; the eigenprojector
-of a value is A's mask projector at its preimage), and a state's supports
+stacked product per target (`_discover`), every arrow's image f(A) is
+built in one batch (`_images`; the eigenprojector of a value is the sum of
+A's eigenprojectors at its preimage), and a state's supports
 take one stacked product over every eigenprojector (`_support_masks`).
 Each of these float decisions has that one implementation, which the
 per-pair functions `discover_morphism`, `apply_map`, `elementary_support`
@@ -73,7 +73,7 @@ from operator import lt
 
 import numpy as np
 
-from .contexts import PosetIndex, _row_masks, bit_list
+from .index import PosetIndex, _row_masks, bit_list
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -248,8 +248,8 @@ class EigenvalueMap:
     domain index (position in `pairs`) carries the bit of its value's
     codomain index.  The image of every domain mask and the preimage of
     every codomain mask are two tables, built on first use by doubling
-    over those bits; `image_mask` and `preimage_mask` read them, and a
-    mask outside a table raises `OcatError`.
+    over those bits; `image_mask` reads the first, and a mask outside it
+    raises `OcatError`.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -322,10 +322,6 @@ class EigenvalueMap:
             table += [m | fibre for m in table]
         return tuple(table)
 
-    def preimage_mask(self, mask: int) -> int:
-        """Domain mask of the preimage of a codomain mask."""
-        return _entry(self.preimage_table, mask, "codomain")
-
     def _values_of(self, mask: int) -> frozenset[float]:
         return frozenset(self.codomain[j] for j in bit_list(mask))
 
@@ -360,35 +356,47 @@ def _on_spectrum(f: EigenvalueMap, a: ODecomposition) -> EigenvalueMap:
 
 
 def _images(pairs) -> list[ODecomposition | ValueError]:
-    """f(A), named "f(A's id)", for each (f, A) of `pairs`, f on A's
-    spectrum, or the error building it raises.  The spectrum of f(A) is
-    f's codomain, and the eigenprojector of a value is A's validated mask
-    projector at its preimage, the sum of A's eigenprojectors there from
-    zero in ascending order.  The error is that of the first value whose
-    projector fails validation, else that of the image operator's
-    Hermiticity test, taken for all images in one stacked call on one
-    cumulative sum of their terms, v E_v over the values v in ascending
-    order."""
+    """f(A), named "f(A's id)", for each (f, A) of `pairs`, all of one
+    dimension, f on A's spectrum, or the error building it raises.  The
+    spectrum of f(A) is f's codomain, and the eigenprojector of a value is
+    the sum of A's eigenprojectors at its preimage, added from zero in
+    ascending order: bit for bit A's mask projector there, with none of
+    A's other masks built, validated in one `projector_checks` call per
+    tolerance set.  The error is that of the first value whose projector
+    fails validation, else that of the image operator's Hermiticity test,
+    taken for all images in one stacked call on one cumulative sum of their
+    terms, v E_v over the values v in ascending order."""
     out: list = [None] * len(pairs)
-    todo = []   # (pair index, value masks)
-    for n, (f, a) in enumerate(pairs):
-        errors = a._mask_checks[2]
-        masks = [f.preimage_table[1 << k] for k in range(len(f.codomain))]
-        out[n] = next((errors[mask].with_traceback(None) for mask in masks if mask in errors), None)
-        if out[n] is None:
-            todo.append((n, masks))
-    if not todo:
+    fibres = {}   # pair index -> its value projectors and their ranks
+    groups: dict[Tolerances, list[int]] = {}
+    for n, (_, a) in enumerate(pairs):
+        groups.setdefault(a.tol, []).append(n)
+    for tol, members in groups.items():
+        starts = np.cumsum([0] + [len(pairs[n][0].codomain) for n in members]).tolist()
+        stack = np.zeros((starts[-1],) + pairs[members[0]][1].operator.entries.shape, dtype=complex)
+        for n, start in zip(members, starts):
+            for bit, e in zip(pairs[n][0].image_bits, pairs[n][1].eigenprojectors):
+                stack[start + bit.bit_length() - 1] += e.entries
+        stack.flags.writeable = False
+        ranks, errors = projector_checks(stack, tol)
+        for n, start, end in zip(members, starts, starts[1:]):
+            failed = min((k for k in errors if start <= k < end), default=None)
+            if failed is None:
+                fibres[n] = (stack[start:end], ranks[start:end])
+            else:
+                out[n] = errors[failed].with_traceback(None)
+    if not fibres:
         return out
-    dim = pairs[todo[0][0]][1].dim
-    counts = [len(masks) for _, masks in todo]
+    todo = sorted(fibres)
+    dim = pairs[todo[0]][1].dim
+    counts = [len(pairs[n][0].codomain) for n in todo]
     terms = np.zeros((len(todo), 1 + max(counts), dim, dim), dtype=complex)
-    for row, (n, masks) in enumerate(todo):
-        f, a = pairs[n]
-        terms[row, 1:1 + len(masks)] = np.array(f.codomain)[:, np.newaxis, np.newaxis] * a._mask_checks[0][masks]
+    for row, n in enumerate(todo):
+        terms[row, 1:1 + counts[row]] = np.array(pairs[n][0].codomain)[:, np.newaxis, np.newaxis] * fibres[n][0]
     sums = np.cumsum(terms, axis=1)[np.arange(len(todo)), counts]
     sums.flags.writeable = False
     defects = _hermitian_defect(sums).tolist()
-    for row, (n, masks) in enumerate(todo):
+    for row, n in enumerate(todo):
         f, a = pairs[n]
         if not defects[row] <= a.tol.herm:   # a non-finite sum fails in HermitianOperator
             try:
@@ -396,12 +404,12 @@ def _images(pairs) -> list[ODecomposition | ValueError]:
             except LinalgError as exc:
                 out[n] = exc.with_traceback(None)
                 continue
-        entries, ranks, _ = a._mask_checks
+        entries, ranks = fibres[n]
         out[n] = ODecomposition(
             id=f"f({a.id})",
             operator=HermitianOperator._validated(sums[row]),
             spectrum=f.codomain,
-            eigenprojectors=tuple(Projector._validated(entries[mask], ranks[mask]) for mask in masks),
+            eigenprojectors=tuple(Projector._validated(e, rank) for e, rank in zip(entries, ranks)),
             tol=a.tol,
         )
     return out
@@ -712,7 +720,6 @@ class OperatorCategory:
                 out[key] = (f, a)
             else:
                 todo.append((key, f, a))
-        _stack_masks([a for _, _, a in todo])
         for (key, f, _), b in zip(todo, _images([(f, a) for _, f, a in todo])):
             out[key] = b if isinstance(b, ValueError) else (f, b)
         return out

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import Character, ContextError, ContextPoset, LatticeElement, PosetIndex, bit_list, v_of_p
+from .contexts import ContextPoset, v_of_p
+from .index import Character, ContextError, LatticeElement, PosetIndex, bit_list
 
 
 class SieveError(ValueError):

@@ -38,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import ContextError, ContextPoset, PosetIndex
+from .contexts import ContextPoset
+from .index import ContextError, PosetIndex
 from .ocat import OperatorCategory
 from .presheaves import GlobalElementG, SubobjectSigma
 from .valuations import (

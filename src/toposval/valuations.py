@@ -61,10 +61,10 @@ from typing import Callable
 
 import numpy as np
 
-from .contexts import (
+from .contexts import ContextPoset
+from .index import (
     Character,
     ContextError,
-    ContextPoset,
     LatticeElement,
     PosetIndex,
     bit_list,
@@ -768,25 +768,6 @@ def theorem2_verify(alpha: MorphismSetValuation) -> dict:
         "subobject_law": sigma.satisfies_law,
         **_conclusions(alpha, "below_image", ivals, cond_i, sigma.is_tight),
     }
-
-
-def random_table_valuation(rng: np.random.Generator, poset: ContextPoset,
-                           sieve_valued: bool = False) -> MorphismSetValuation:
-    """Random test double: arbitrary member sets per (context, mask); with
-    `sieve_valued` each set is closed downward after drawing."""
-    table: dict[tuple[str, int], frozenset[str]] = {}
-    for cid in poset.ids:
-        down = poset.down_set(cid)
-        n = poset.context(cid).n_atoms
-        for mask in range(1 << n):
-            picked = {d for d in down if rng.random() < 0.5}
-            if sieve_valued:
-                closed = set()
-                for m in picked:
-                    closed.update(poset.down_set(m))
-                picked = closed
-            table[(cid, mask)] = frozenset(picked)
-    return from_table(poset, table, name="random_table")
 
 
 _R_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)

@@ -8,17 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toposval.contexts import (
-    Character,
-    ContextError,
-    ContextPoset,
-    LatticeElement,
-    _ContextStore,
-    bit_list,
-    nonzero_rows,
-    pack_ints,
-    row_ints,
-)
+from toposval.contexts import ContextPoset, _ContextStore
+from toposval.index import Character, ContextError, LatticeElement, bit_list, nonzero_rows, pack_ints, row_ints
 from toposval.linalg import (
     DensityMatrix,
     LinalgError,
@@ -28,12 +19,19 @@ from toposval.linalg import (
     containment_table,
     screened_containment_blocks,
 )
-from toposval.ocat import EigenvalueMap, OcatError
+from toposval.ocat import EigenvalueMap, OcatError, _entry
 from toposval.presheaves import GlobalElementG, SubobjectSigma
 from toposval.sampling import diag_plus_trivial, fix_a
 from toposval.serialization import contexts_from_json
 from toposval.tolerances import DEFAULT
-from toposval.valuations import MorphismSetValuation, _first, _intervals, _supports, first_superset_failure
+from toposval.valuations import (
+    MorphismSetValuation,
+    _first,
+    _intervals,
+    _supports,
+    first_superset_failure,
+    from_table,
+)
 
 criterion_lines: list[str] = []
 
@@ -162,6 +160,48 @@ def context_from_json(obj, tol=DEFAULT):
     return contexts_from_json([obj], tol)[0][0]
 
 
+def lift_mask(poset, sub, sup, mask):
+    """A sub-context lattice element as a mask over the super-context: the
+    union of its atoms' blocks; a mask outside the sub-context's lattice
+    raises."""
+    blocks = poset.partition_map(sub, sup)
+    if mask < 0 or mask >> len(blocks):
+        raise ContextError(f"mask {mask} out of range for context {sub!r}")
+    return _union(blocks, mask)
+
+
+def _union(masks, select):
+    """The union of the masks that `select`'s bits pick."""
+    out = 0
+    for i in bit_list(select):
+        out |= masks[i]
+    return out
+
+
+def preimage_mask(f, mask):
+    """The domain mask of a codomain mask's preimage, read off the map's
+    `preimage_table`; a mask outside the table raises `OcatError`."""
+    return _entry(f.preimage_table, mask, "codomain")
+
+
+def random_table_valuation(rng, poset, sieve_valued=False):
+    """Random test double: arbitrary member sets per (context, mask); with
+    `sieve_valued` each set is closed downward after drawing."""
+    table = {}
+    for cid in poset.ids:
+        down = poset.down_set(cid)
+        n = poset.context(cid).n_atoms
+        for mask in range(1 << n):
+            picked = {d for d in down if rng.random() < 0.5}
+            if sieve_valued:
+                closed = set()
+                for m in picked:
+                    closed.update(poset.down_set(m))
+                picked = closed
+            table[(cid, mask)] = frozenset(picked)
+    return from_table(poset, table, name="random_table")
+
+
 def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeElement) -> LatticeElement:
     """Infimum of all sub-lattice elements dominating `p`, by full
     enumeration: the oracle of `presheaves.coarse_grain`."""
@@ -170,14 +210,14 @@ def coarse_grain_bruteforce(poset: ContextPoset, sub: str, sup: str, p: LatticeE
     n = poset.context(sub).n_atoms
     dominating = [
         q for q in range(1 << n)
-        if poset.lift_mask(sub, sup, q) & p.mask == p.mask
+        if lift_mask(poset, sub, sup, q) & p.mask == p.mask
     ]
     if not dominating:
         raise ContextError("no dominating element; partition map is broken")
     inf = dominating[0]
     for q in dominating[1:]:
         inf &= q
-    if poset.lift_mask(sub, sup, inf) & p.mask != p.mask:
+    if lift_mask(poset, sub, sup, inf) & p.mask != p.mask:
         raise ContextError("infimum does not dominate; lattice is not closed under meets")
     return LatticeElement(sub, inf)
 
@@ -559,6 +599,24 @@ def atom_range_oracle(poset, assignment):
                 raise ContextError(f"atom indices at {cid!r} must be ints")
             if not 0 <= i < n:
                 raise ContextError(f"atom index out of range at {cid!r}")
+
+
+def evaluate_oracle(v, kappa, a, tol=DEFAULT):
+    """Gelfand evaluation one atom at a time, each product on its own: the
+    oracle of `contexts.evaluate`."""
+    if kappa.context_id != v.id:
+        raise ContextError("character does not belong to this context")
+    if not 0 <= kappa.atom_index < v.n_atoms:
+        raise ContextError(f"atom index {kappa.atom_index} out of range for context {v.id!r}")
+    if a.dim != v.dim:
+        raise ContextError("dimension mismatch")
+    values = []
+    for atom in v.atoms:
+        c = float(np.trace(atom.entries @ a.entries).real) / atom.rank
+        if np.max(np.abs(atom.entries @ a.entries - c * atom.entries)) > tol.atom:
+            raise ContextError("operator is not in the context's algebra")
+        values.append(c)
+    return values[kappa.atom_index]
 
 
 def image_mask_oracle(f, mask):

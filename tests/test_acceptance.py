@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from toposval.contexts import Context, LatticeElement, build_poset
+from toposval.contexts import Context, build_poset
+from toposval.index import LatticeElement
 from toposval.ks import (
     bundled_ks_poset,
     global_section_search,
@@ -38,7 +39,6 @@ from toposval.valuations import (
     from_table,
     nu_rho,
     nu_rho_r,
-    random_table_valuation,
     reconstruct_from_intervals,
     reconstruct_from_supports,
     search_supportsmatch_violation,
@@ -49,7 +49,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import coarse_grain_bruteforce
+from conftest import coarse_grain_bruteforce, random_table_valuation
 
 ISO_SEEDS = [1000 + i for i in range(50)]
 DEFN3_POSET_SEEDS = [2000 + i for i in range(20)]

@@ -22,7 +22,8 @@ import toposval.contexts
 from conftest import context_atoms_oracle, store_intern
 from test_closure import _closure_inputs, _intern_scan, _peres_subset
 from test_serialization import _contexts_oracle, _faulty, _outcome
-from toposval.contexts import ContextError, _ContextStore, build_contexts, build_poset
+from toposval.contexts import _ContextStore, build_contexts, build_poset
+from toposval.index import ContextError
 from toposval.linalg import Projector
 from toposval.serialization import contexts_from_json
 from toposval.tolerances import DEFAULT

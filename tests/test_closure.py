@@ -28,21 +28,19 @@ import numpy as np
 import pytest
 
 import toposval.contexts
-from conftest import PairStore, canonical_order_oracle, store_connected, store_intern
+from conftest import PairStore, _union, canonical_order_oracle, store_connected, store_intern
 from toposval.contexts import (
     Context,
-    ContextError,
     ContextPoset,
     _canonical_permutation,
     _check_partial_order,
     _ContextStore,
-    _union,
-    bit_list,
     build_poset,
     inclusion,
     lattice_projectors,
     trivial_context,
 )
+from toposval.index import ContextError, bit_list
 from toposval.ks import load_bundled_ks
 from toposval.linalg import LinalgError, Projector
 from toposval.sampling import (

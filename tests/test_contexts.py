@@ -3,11 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from toposval.contexts import (
-    Character,
     Context,
-    ContextError,
-    LatticeElement,
-    bit_list,
     build_poset,
     context_from_operators,
     evaluate,
@@ -16,11 +12,12 @@ from toposval.contexts import (
     trivial_context,
     v_of_p,
 )
+from toposval.index import Character, ContextError, LatticeElement, bit_list
 from toposval.linalg import HermitianOperator, Projector, identity_projector, projector_from_span
 from toposval.sampling import random_poset
 from toposval.tolerances import DEFAULT
 
-from conftest import diag_proj
+from conftest import diag_proj, evaluate_oracle, lift_mask
 
 
 def test_context_from_single_nondegenerate():
@@ -84,6 +81,34 @@ def test_evaluate_examples():
     assert evaluate(coarse, Character("W", 1), b) == pytest.approx(7.0)
     with pytest.raises(ContextError):
         evaluate(coarse, Character("W", 0), HermitianOperator(np.diag([1.0, 2, 3])))
+
+
+def test_evaluate_decides_and_raises_as_the_per_atom_oracle():
+    # the batched evaluation keeps the per-atom loop's values bit for bit,
+    # and its checks in their order: the character's context and atom
+    # index, the dimension, then every atom's defect against tol.atom
+    coarse = Context("W", [diag_proj(1, 0, 0), diag_proj(0, 1, 1)])
+    tight = DEFAULT.overridden(atom=1e-12)
+    cases = [(Character("W", 1), HermitianOperator(np.diag([3.0, 7, 7])), DEFAULT),
+             (Character("W", 1), HermitianOperator(np.diag([3.0, 7, 7 + 1e-10])), DEFAULT),
+             (Character("W", -1), HermitianOperator(np.diag([3.0, 7, 7])), DEFAULT),
+             (Character("W", 2), HermitianOperator(np.diag([3.0, 7, 7])), DEFAULT),
+             (Character("W", 0), HermitianOperator(np.diag([3.0, 7, 7 + 1e-10])), tight),
+             (Character("V", 0), HermitianOperator(np.diag([3.0, 7, 7])), DEFAULT),
+             (Character("W", 0), HermitianOperator(np.eye(2)), DEFAULT),
+             (Character("W", 0), HermitianOperator(np.diag([1.0, 2, 3])), DEFAULT)]
+    raised = 0
+    for kappa, a, tol in cases:
+        try:
+            want = evaluate_oracle(coarse, kappa, a, tol)
+        except ContextError as exc:
+            with pytest.raises(ContextError) as got:
+                evaluate(coarse, kappa, a, tol)
+            assert str(got.value) == str(exc)
+            raised += 1
+        else:
+            assert evaluate(coarse, kappa, a, tol) == want
+    assert raised == 6
 
 
 def test_character_func_and_multiplicativity():
@@ -181,17 +206,17 @@ def test_partial_order_on_random_posets():
 def test_partition_maps_consistent(fixa):
     pmap = fixa.partition_map("V2", "V1")
     assert pmap == (0b001, 0b110)
-    assert fixa.lift_mask("V2", "V1", 0b10) == 0b110
+    assert lift_mask(fixa, "V2", "V1", 0b10) == 0b110
     assert fixa.partition_map("Vtriv", "V1") == (0b111,)
 
 
 def test_a_lift_mask_outside_the_sub_lattice_raises(fixa):
     # a negative mask has infinitely many bits: it is refused, as is one
     # with a bit past the sub-context's atoms, instead of looping or indexing
-    assert fixa.lift_mask("V2", "V1", 0b11) == 0b111
+    assert lift_mask(fixa, "V2", "V1", 0b11) == 0b111
     for bad in (-1, -4, 0b100):
         with pytest.raises(ContextError) as exc:
-            fixa.lift_mask("V2", "V1", bad)
+            lift_mask(fixa, "V2", "V1", bad)
         assert str(exc.value) == f"mask {bad} out of range for context 'V2'"
 
 

@@ -16,18 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from toposval.contexts import (
-    Character,
-    Context,
-    ContextError,
-    ContextPoset,
-    LatticeElement,
-    PosetIndex,
-    _check_partial_order,
-    bit_list,
-    build_poset,
-    trivial_context,
-)
+from toposval.contexts import Context, ContextPoset, _check_partial_order, build_poset, trivial_context
+from toposval.index import Character, ContextError, LatticeElement, PosetIndex, bit_list
 from toposval.ks import global_section_search, load_bundled_ks
 from toposval.linalg import DensityMatrix, LinalgError, Projector, certain, certain_each, probability_each
 from toposval.presheaves import check_nat_iso, clo_sigma_restrict, coarse_grain, sigma_restrict
@@ -53,7 +43,6 @@ from toposval.valuations import (
     interval,
     nu_rho,
     nu_rho_r,
-    random_table_valuation,
     reconstruct_from_intervals,
     reconstruct_from_supports,
     support,
@@ -71,6 +60,7 @@ from conftest import (
     gather_rows,
     image_oracle,
     index_below,
+    random_table_valuation,
     restriction_oracle,
     route_rows,
     route_table,
@@ -980,7 +970,7 @@ def test_a_passing_verify_theorems_pass_converts_no_full_matrix(monkeypatch, clo
     # the member matrix stays packed: rows become ints or names only for a
     # report that names members, and `dump` names the whole matrix once
     import toposval.valuations as valuations
-    from toposval.contexts import PosetIndex
+    from toposval.index import PosetIndex
 
     converted = []
     real, real_names = valuations.row_ints, PosetIndex.row_names

@@ -7,9 +7,9 @@ import pytest
 import toposval.ks
 import toposval.linalg
 
-from toposval.contexts import Character, Context, ContextError, ContextPoset, build_poset, evaluate
+from toposval.contexts import Context, ContextPoset, _evaluations, build_poset, evaluate
+from toposval.index import Character, ContextError
 from toposval.ks import (
-    _evaluations,
     _first_value_mismatch,
     _levels,
     _search,
@@ -23,7 +23,7 @@ from toposval.linalg import HermitianOperator, LinalgError, Projector, projector
 from toposval.sampling import context_from_basis, fix_a, random_poset, random_unitary
 from toposval.tolerances import DEFAULT
 
-from conftest import diag_proj, flat_pair_row, restriction_oracle
+from conftest import diag_proj, evaluate_oracle, flat_pair_row, restriction_oracle
 from test_closure import _peres_subset
 
 
@@ -481,13 +481,13 @@ def test_pair_rows_of_an_uncovering_map_read_the_flat_tables():
 
 def _value_mismatch_oracle(poset, assignment, pairs, tol=DEFAULT):
     """The value half of `section_verify` one pair at a time, through
-    `evaluate`: the first pair whose values differ, or None."""
+    `evaluate_oracle`: the first pair whose values differ, or None."""
     for sub, sup in pairs:
         v_sub = poset.context(sub)
         gen = sum((j + 2) * a.entries for j, a in enumerate(v_sub.atoms))
         op = HermitianOperator(gen, tol=tol)
-        at_sup = evaluate(poset.context(sup), Character(sup, assignment[sup]), op, tol)
-        at_sub = evaluate(v_sub, Character(sub, assignment[sub]), op, tol)
+        at_sup = evaluate_oracle(poset.context(sup), Character(sup, assignment[sup]), op, tol)
+        at_sub = evaluate_oracle(v_sub, Character(sub, assignment[sub]), op, tol)
         if abs(at_sup - at_sub) > tol.recon:
             return (sub, sup)
     return None
@@ -501,12 +501,13 @@ def test_batched_evaluations_are_bit_equal_to_evaluate():
         groups = [(cid, sub) for sub, sup in poset.pairs(proper_only=True) for cid in (sub, sup)]
         gens = {sub: sum((j + 2) * a.entries for j, a in enumerate(poset.context(sub).atoms))
                 for _, sub in groups}
-        first, c, defect = _evaluations(poset.contexts, groups, gens)
+        first, c, defect = _evaluations([(poset.context(cid), gens[sub]) for cid, sub in groups])
         for g, (cid, sub) in enumerate(groups):
             op = HermitianOperator(gens[sub])
             for i, atom in enumerate(poset.context(cid).atoms):
-                want = evaluate(poset.context(cid), Character(cid, i), op)
+                want = evaluate_oracle(poset.context(cid), Character(cid, i), op)
                 assert c[first[g] + i] == want
+                assert evaluate(poset.context(cid), Character(cid, i), op) == want
                 assert defect[first[g] + i] == np.max(np.abs(atom.entries @ op.entries - want * atom.entries))
                 rows += 1
     assert rows > 500

@@ -25,7 +25,7 @@ import pytest
 
 from toposval import linalg
 from toposval import ocat as ocat_module
-from toposval.contexts import bit_list
+from toposval.index import bit_list
 from toposval.linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -75,6 +75,7 @@ from conftest import (
     map_image,
     map_preimage,
     morphisms_into,
+    preimage_mask,
     preimage_mask_oracle,
     projector_for,
     screened_containment_table,
@@ -461,6 +462,28 @@ def test_a_non_finite_image_fails_as_apply_map_fails():
     got = ocat_module._images([(f, a)])[0]
     assert isinstance(got, LinalgError)
     assert str(got) == str(raised.value) == str(want.value) == linalg.NON_FINITE
+
+
+def test_apply_map_builds_no_mask_stack_of_its_operator():
+    # each value's eigenprojector is summed from A's eigenprojectors, so
+    # neither apply_map nor func_subset_check builds A's 2^n mask
+    # projectors; the image stays bit for bit the per-value oracle's
+    u = random_unitary(np.random.default_rng(12), 12)
+    op = HermitianOperator(u @ np.diag(np.arange(-6.0, 6.0)) @ u.conj().T)
+    state = random_state(np.random.default_rng(13), 12)
+    for fresh in range(2):
+        a = ODecomposition.from_operator(op)
+        assert len(a.spectrum) == 12
+        f = EigenvalueMap.from_dict({lam: round(lam) ** 2 for lam in a.spectrum})
+        if fresh:
+            assert func_subset_check(state, a, f)["passed"]
+        got, want = apply_map(f, a), apply_map_oracle(f, a)
+        assert a._checks is None and got._checks is None
+        assert got.spectrum == want.spectrum == tuple(float(k * k) for k in range(7))
+        assert got.operator.entries.tobytes() == want.operator.entries.tobytes()
+        assert [p.entries.tobytes() for p in got.eigenprojectors] == \
+            [p.entries.tobytes() for p in want.eigenprojectors]
+        assert [p.rank for p in got.eigenprojectors] == [p.rank for p in want.eigenprojectors]
 
 
 # --------------------------------------------------------------------------
@@ -1438,14 +1461,14 @@ def test_map_masks_read_the_tables_the_per_mask_loops_give():
         for mask in range(1 << n):
             assert f.image_mask(mask) == image_mask_oracle(f, mask)
         for mask in range(1 << m):
-            assert f.preimage_mask(mask) == preimage_mask_oracle(f, mask)
+            assert preimage_mask(f, mask) == preimage_mask_oracle(f, mask)
         for bad in (-1, -(1 << n), 1 << n):
             with pytest.raises(OcatError) as exc:
                 f.image_mask(bad)
             assert str(exc.value) == f"mask {bad} out of range for the map's domain"
         for bad in (-1, 1 << m):
             with pytest.raises(OcatError) as exc:
-                f.preimage_mask(bad)
+                preimage_mask(f, bad)
             assert str(exc.value) == f"mask {bad} out of range for the map's codomain"
 
 
@@ -1573,7 +1596,7 @@ def test_image_and_preimage_masks():
     f = EigenvalueMap.from_dict({-1.0: 1.0, 1.0: 1.0, 2.0: 4.0})
     assert f.codomain == (1.0, 4.0)
     assert f.image_mask(0b011) == 0b01 and f.image_mask(0b100) == 0b10
-    assert f.preimage_mask(0b01) == 0b011 and f.preimage_mask(0b11) == 0b111
+    assert preimage_mask(f, 0b01) == 0b011 and preimage_mask(f, 0b11) == 0b111
     assert f.preimage_table == (0b000, 0b011, 0b100, 0b111)
     assert f.image_table == (0b00, 0b01, 0b01, 0b01, 0b10, 0b11, 0b11, 0b11)
     assert map_image(f, frozenset({-1.0, 2.0})) == frozenset({1.0, 4.0})

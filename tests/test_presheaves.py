@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import (
-    Character,
-    ContextError,
-    ContextPoset,
-    LatticeElement,
-    bit_list,
-    build_poset,
-    v_of_p,
-)
+from toposval.contexts import ContextPoset, build_poset, v_of_p
+from toposval.index import Character, ContextError, LatticeElement, bit_list
 from toposval.presheaves import (
     GlobalElementG,
     SieveError,
@@ -27,7 +20,14 @@ from toposval.presheaves import (
 from toposval.ks import bundled_ks_poset
 from toposval.sampling import fix_a, random_poset
 
-from conftest import coarse_grain_bruteforce, coarse_oracle, image_oracle, outputs_under_hash_seeds, pmap_oracle
+from conftest import (
+    coarse_grain_bruteforce,
+    coarse_oracle,
+    image_oracle,
+    lift_mask,
+    outputs_under_hash_seeds,
+    pmap_oracle,
+)
 from test_closure import _peres_subset
 
 
@@ -77,7 +77,7 @@ def test_coarse_grain_functorial_and_monotone():
                     coarse_grain_bruteforce(poset, sub, sup, p)
                 # growth: p <= lift(coarse_grain(p))
                 cg = coarse_grain(poset, sub, sup, p)
-                assert poset.lift_mask(sub, sup, cg.mask) & mask == mask
+                assert lift_mask(poset, sub, sup, cg.mask) & mask == mask
                 # monotonicity
                 for other in all_masks(poset, sup):
                     if mask & other == mask:

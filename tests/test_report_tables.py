@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, ContextPoset, LatticeElement, build_poset, trivial_context, v_of_p
+from toposval.contexts import ContextPoset, build_poset, trivial_context, v_of_p
+from toposval.index import ContextError, LatticeElement
 from toposval.ks import global_section_search, load_bundled_ks
 from toposval.linalg import DensityMatrix
 from toposval.presheaves import GlobalElementG, SubobjectSigma, check_nat_iso
@@ -37,7 +38,6 @@ from toposval.valuations import (
     interval,
     nu_rho,
     nu_rho_r,
-    random_table_valuation,
     reconstruct_from_intervals,
     reconstruct_from_supports,
     support,
@@ -59,6 +59,7 @@ from conftest import (
     poset_table_oracles,
     preserved_oracle,
     random_relation_oracle,
+    random_table_valuation,
     related_oracle,
     support_oracle,
     supports_global_element_oracle,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import ContextError, ContextPoset, bit_list, build_poset
+from toposval.contexts import ContextPoset, build_poset
+from toposval.index import ContextError, bit_list
 from toposval.linalg import DensityMatrix, HermitianOperator, StateVector
 from toposval.ocat import OcatError, ODecomposition, OperatorCategory, elementary_support
 from toposval.presheaves import GlobalElementG, SubobjectSigma, subobject_from_global_element

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toposval.contexts import Character, ContextError, LatticeElement
+from toposval.index import Character, ContextError, LatticeElement
 from toposval.linalg import DensityMatrix
 from toposval.presheaves import GlobalElementG, SubobjectSigma, coarse_grain
 from toposval.sampling import random_density, random_poset
@@ -16,7 +16,6 @@ from toposval.valuations import (
     interval,
     nu_rho,
     nu_rho_r,
-    random_table_valuation,
     reconstruct_from_intervals,
     reconstruct_from_supports,
     search_supportsmatch_violation,
@@ -28,7 +27,7 @@ from toposval.valuations import (
     valuations_equal,
 )
 
-from conftest import bits_valuation, is_true, outputs_under_hash_seeds
+from conftest import bits_valuation, is_true, outputs_under_hash_seeds, random_table_valuation
 
 
 def full_table(poset):
@@ -496,7 +495,7 @@ def test_a_rule_above_the_apex_names_the_same_member_under_every_hash_seed():
     # the rule's member set was once walked in frozenset order, so the
     # error named 'V1' or 'V2' by the interpreter's hash seed
     code = """
-from toposval.contexts import ContextError
+from toposval.index import ContextError
 from toposval.sampling import fix_a
 from toposval.valuations import from_table
 try:
